@@ -14,11 +14,11 @@
 // |S|×|T| shapes, the crossover behind the server's hybrid cutover), and
 // the live weight update measurement (E16: copy-on-write apply cost and CH
 // re-customization versus the full-rebuild baselines, per update batch
-// size), the partitioned update measurement (E17: cell-limited
-// re-customization on a partitioned overlay versus the full pass and the
-// witness rebuild, per touched-cell count), and the streaming ingestion
-// measurement (E18: coalesced update batches and pipelined cell-local
-// re-customization under concurrent live and profile-layer query load,
+// size), the arc-level update measurement (E17: arcs re-derived and
+// milliseconds per update on a partitioned overlay versus the full pass and
+// the witness rebuild, per number of cells the update spreads over), and the
+// streaming ingestion measurement (E18: coalesced update batches and
+// pipelined re-customization under concurrent live and profile-layer query load,
 // events/sec versus p99 latency versus the stale-query window), the fleet
 // serving-tier measurement (E19: scatter/gather throughput over partition
 // and replicate shards versus a single server, every merged table verified

@@ -61,7 +61,7 @@ func main() {
 		landmarks     = flag.Int("landmarks", 0, "prepare this many ALT landmarks at startup (required for -strategy pairwise-alt)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy ch|hybrid; empty = contract at startup)")
 		chMaxPairs    = flag.Int("ch-max-pairs", 0, "hybrid cutover: queries with at most this many |S|·|T| pairs go to the CH overlay (0 = default)")
-		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: weight updates re-customize only the touched cells (0 = flat; ignored with -ch-overlay, whose file carries its own partition)")
+		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; ignored with -ch-overlay, whose file carries its own partition)")
 		profiles      = flag.String("profiles", "", `precustomize weight-profile layers: "timeofday" for the built-in catalog, or a comma list of catalog names (am-peak,pm-peak,offpeak,night); queries select one by name`)
 		profileCap    = flag.Int("profile-capacity", 0, "max resident profile layers behind the LRU (0 = all configured; with -profiles)")
 		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
@@ -132,7 +132,7 @@ func main() {
 					log.Fatalf("partitioning the map: %v", err)
 				}
 				buildCfg.Partition = part
-				log.Printf("partitioned into %d cells (%d boundary nodes, %d cut arcs); weight updates re-customize touched cells only",
+				log.Printf("partitioned into %d cells (%d boundary nodes, %d cut arcs)",
 					part.NumCells(), part.NumBoundary(), part.CutArcCount())
 			}
 			contractStart := time.Now()
@@ -257,8 +257,9 @@ func runChurn(in *traffic.Ingestor, g *roadnet.Graph, rate float64, poolSize int
 // logStats periodically prints the server's operational counters: query and
 // batch throughput, the strategy routing split, the many-to-many bucket
 // engine's arena gauges, the streaming ingestion pipeline and pending
-// re-customization work, the profile layer cache, the partition's cell-local
-// update counters, the SSMD tree cache hit ratio and the workspace pool's
+// re-customization work, the profile layer cache, the partition's cell
+// counters, the last overlay refresh (duration and arcs re-derived), the SSMD
+// tree cache hit ratio and the workspace pool's
 // checkout/reuse numbers — the at-a-glance health line for a long-running
 // deployment.
 func logStats(srv *server.Server, every time.Duration) {
@@ -270,13 +271,14 @@ func logStats(srv *server.Server, every time.Duration) {
 		mt := srv.MTMStats()
 		ing := srv.IngestStats()
 		prof := srv.ProfileLayerStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route ch=%d mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | profiles hits=%d misses=%d layers=%d | partition cells=%d cells-recustomized=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route ch=%d mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | profiles hits=%d misses=%d layers=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("ch_queries"), m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
 			ing.Events, ing.Batches, ing.CoalesceRatio(), ing.QueueDepth, int64(m.Gauge("recustomize_pending_cells")),
 			prof.Hits, prof.Misses, prof.Layers,
 			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
+			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),
 			ws.Gets, ws.InFlight(), ws.Fresh, ws.ReuseRatio(),
 			io.Faults)

@@ -34,10 +34,10 @@ type BuildConfig struct {
 	// with every boundary node last, so each cell's interiors occupy a
 	// contiguous rank range below all boundary ranks. The overlay then
 	// classifies every arena arc into a per-cell weight layer or the
-	// boundary top layer (partition.go). Combined with Customizable this
-	// unlocks Overlay.RecustomizeIncremental: a weight update re-customizes
-	// only the cells it touches. The partition must have been built for the
-	// same graph being contracted.
+	// boundary top layer (partition.go). Combined with Customizable the
+	// full customization pass then runs one goroutine per cell, and weight
+	// updates report which cells they reached. The partition must have been
+	// built for the same graph being contracted.
 	Partition *roadnet.Partition
 }
 
@@ -67,8 +67,8 @@ func BuildCustomizable(g *roadnet.Graph) (*Overlay, error) {
 
 // BuildCustomizablePartitioned runs the metric-independent contraction pass
 // with partition-aware node ordering (see BuildConfig.Partition): the
-// returned overlay additionally supports cell-local re-customization via
-// RecustomizeIncremental. p must have been built for g.
+// returned overlay additionally customizes its cells in parallel and
+// attributes weight updates to cells. p must have been built for g.
 func BuildCustomizablePartitioned(g *roadnet.Graph, p *roadnet.Partition) (*Overlay, error) {
 	cfg := DefaultBuildConfig()
 	cfg.Customizable = true
@@ -186,8 +186,8 @@ func newBuilder(g *roadnet.Graph, cfg BuildConfig) *builder {
 // node competes in one lazy-ordered queue; with one, each cell's interior
 // nodes form their own group contracted to completion before the next cell
 // starts, and all boundary nodes come last — giving every cell a contiguous
-// rank range below every boundary rank, which is the layering cell-local
-// re-customization depends on.
+// rank range below every boundary rank, which is the layering the
+// cell-parallel customization pass depends on.
 func (b *builder) contractAll() {
 	p := b.cfg.Partition
 	if p == nil {

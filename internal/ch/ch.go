@@ -31,7 +31,8 @@
 //   - Recustomize (customize.go) is the live-update half: a customizable
 //     overlay (BuildCustomizable) separates the metric-independent
 //     contraction structure from a weight layer that a bottom-up triangle
-//     pass recomputes in milliseconds after arc costs change — no
+//     pass recomputes after arc costs change, and RecustomizeIncremental
+//     re-derives only the arcs an update actually moves — milliseconds, no
 //     re-contraction, same query engines.
 //   - Write/Read (io.go) persist an Overlay in the versioned, checksummed
 //     binary format documented in docs/FORMATS.md, so deployments build the
@@ -53,6 +54,7 @@ package ch
 
 import (
 	"fmt"
+	"sync"
 
 	"opaque/internal/roadnet"
 )
@@ -116,16 +118,18 @@ type Overlay struct {
 	// arena's layer classification. It is shared across re-customized
 	// generations exactly like the ranks and CSR views; see partition.go.
 	part *chPartition
-	// The remaining fields are per-generation incremental-customization
-	// state of a partitioned overlay: the graph costs the weight layer was
-	// derived from (diffed by RecustomizeIncremental to find the touched
-	// cells), each cell's exported top-arc relaxations (folded into the top
-	// layer without re-running unchanged cells), and whether both are primed
-	// — false on overlays freshly loaded from disk, whose first incremental
-	// call therefore falls back to a full pass.
+	// upd is the lazily derived lookup structure of the arc-level update
+	// path (customize.go). Pure topology, so every re-customized generation
+	// shares the one instance through this pointer.
+	upd *updateIndex
+	// baseCost[i] is the road-segment cost original arena arc i was last
+	// customized for — the one piece of per-generation state
+	// RecustomizeIncremental needs: it diffs the updated graph against it to
+	// seed its worklist. Builds and re-customizations record it; an overlay
+	// from Read has none until Matches sees its graph. Guarded by baseMu
+	// because engines call Matches from concurrent query paths.
+	baseMu   sync.Mutex
 	baseCost []float64
-	exports  [][]topExport
-	incReady bool
 }
 
 // NumNodes returns the number of nodes the overlay covers.
@@ -176,6 +180,11 @@ func (o *Overlay) Customizable() bool { return o.customizable }
 // Matches verifies the overlay was built from exactly this graph — node
 // count, arc count and content checksum — and returns a descriptive error
 // when it was not. Servers call this before installing a persisted overlay.
+//
+// A match also proves g's arc costs are the ones the weight layer was derived
+// from, so a customizable overlay that arrived without base costs (Read does
+// not persist them) records them here, once: its first weight update is then
+// an arc-level one like every later update, not a full pass.
 func (o *Overlay) Matches(g *roadnet.Graph) error {
 	if g == nil {
 		return fmt.Errorf("ch: overlay match check against nil graph")
@@ -187,6 +196,19 @@ func (o *Overlay) Matches(g *roadnet.Graph) error {
 	if sum := GraphChecksum(g); sum != o.checksum {
 		return fmt.Errorf("ch: overlay checksum %016x does not match graph checksum %016x (same shape, different content)", o.checksum, sum)
 	}
+	if !o.customizable {
+		return nil
+	}
+	o.baseMu.Lock()
+	defer o.baseMu.Unlock()
+	if o.baseCost != nil {
+		return nil
+	}
+	base := make([]float64, o.nOriginal)
+	if err := o.forEachOriginalArc(g, func(idx int, cost float64) { base[idx] = cost }); err != nil {
+		return err
+	}
+	o.baseCost = base
 	return nil
 }
 
@@ -219,6 +241,7 @@ func (o *Overlay) buildCSR() {
 		bwdCnt[v+1] += bwdCnt[v]
 	}
 	o.fwdOff, o.bwdOff = fwdCnt, bwdCnt
+	o.upd = new(updateIndex) // filled from these views on the first weight update
 	nf, nb := o.fwdOff[n], o.bwdOff[n]
 	o.fwdTo = make([]roadnet.NodeID, nf)
 	o.fwdCost = make([]float64, nf)

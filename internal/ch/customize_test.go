@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"opaque/internal/gen"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 	"opaque/internal/storage"
@@ -252,4 +253,207 @@ func TestIncrementalChecksumMatchesRecompute(t *testing.T) {
 			t.Fatal("no-op weight update moved the content checksum")
 		}
 	}
+}
+
+// checkSameWeightLayer asserts an incrementally re-customized overlay equals
+// the full pass arc for arc: equal cost on every arena arc, unpack children
+// that add up to their arc (the two passes may break ties between equally
+// cheap triangles differently, so children are compared by sum, not by
+// index), child-free arcs only where a road segment's own cost is the
+// minimum, and CSR cost copies in step with the arena.
+func checkSameWeightLayer(t *testing.T, inc, full *Overlay) {
+	t.Helper()
+	for i := range full.arcs {
+		a := &inc.arcs[i]
+		switch {
+		case a.cost != full.arcs[i].cost:
+			t.Fatalf("arena arc %d (%d→%d): incremental cost %v, full cost %v", i, a.from, a.to, a.cost, full.arcs[i].cost)
+		case a.childA >= 0 && a.childB >= 0:
+			if sum := inc.arcs[a.childA].cost + inc.arcs[a.childB].cost; sum != a.cost {
+				t.Fatalf("arena arc %d costs %v but its children %d+%d sum to %v", i, a.cost, a.childA, a.childB, sum)
+			}
+		case i >= inc.nOriginal:
+			t.Fatalf("shortcut %d has no unpack children", i)
+		case a.cost != inc.baseCost[i]:
+			t.Fatalf("original arc %d is child-free at cost %v, its road segment costs %v", i, a.cost, inc.baseCost[i])
+		}
+	}
+	for j, ai := range inc.fwdArc {
+		if inc.fwdCost[j] != inc.arcs[ai].cost {
+			t.Fatalf("fwd CSR slot %d holds %v, arena arc %d costs %v", j, inc.fwdCost[j], ai, inc.arcs[ai].cost)
+		}
+	}
+	for j, ai := range inc.bwdArc {
+		if inc.bwdCost[j] != inc.arcs[ai].cost {
+			t.Fatalf("bwd CSR slot %d holds %v, arena arc %d costs %v", j, inc.bwdCost[j], ai, inc.arcs[ai].cost)
+		}
+	}
+}
+
+// TestRecustomizeIncrementalMatchesFull is the arc-level pass's acceptance
+// property: over random update sequences — pure increases, pure decreases,
+// exact reverts to an earlier graph, no-ops, with interior, boundary,
+// cross-cell and parallel arcs in every change set — chaining
+// RecustomizeIncremental produces, round after round, the weight layer a full
+// Recustomize produces from scratch, and answers like reference Dijkstra. It
+// holds on unpartitioned overlays, on every partition shape of the battery,
+// and on an overlay loaded from its OCH1 file.
+func TestRecustomizeIncrementalMatchesFull(t *testing.T) {
+	graphs := map[string]*roadnet.Graph{
+		"grid":   gridIntCostGraph(t, 14, 10, 31, 5),
+		"random": randomIntCostGraph(t, 140, 180, 31),
+	}
+	for gname, g := range graphs {
+		parts := buildTestPartitions(t, g)
+		cut, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 6, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts["six-cells"] = cut
+		overlays := map[string]*Overlay{}
+		for pname, p := range parts {
+			o, err := BuildCustomizablePartitioned(g, p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", gname, pname, err)
+			}
+			overlays[pname] = o
+		}
+		if overlays["unpartitioned"], err = BuildCustomizable(g); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(overlays["six-cells"], &buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Matches(g); err != nil {
+			t.Fatal(err)
+		}
+		overlays["loaded"] = loaded
+
+		for oname, o := range overlays {
+			rng := rand.New(rand.NewSource(32))
+			history := []*roadnet.Graph{g}
+			for round := 0; round < 8; round++ {
+				cur := history[len(history)-1]
+				var next *roadnet.Graph
+				switch round % 4 {
+				case 0: // increases
+					next, err = cur.WithUpdatedWeights(classifiedChanges(cur, cut, rng, func(c float64) float64 { return c + float64(1+rng.Intn(12)) }))
+				case 1: // decreases
+					next, err = cur.WithUpdatedWeights(classifiedChanges(cur, cut, rng, func(c float64) float64 { return math.Max(1, c-float64(1+rng.Intn(12))) }))
+				case 2: // exact revert of the last round
+					next = history[len(history)-2]
+				case 3: // no-op
+					next, err = cur.WithUpdatedWeights(classifiedChanges(cur, cut, rng, nil))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc, stats, err := o.RecustomizeIncremental(next)
+				if err != nil {
+					t.Fatalf("%s/%s round %d: incremental: %v", gname, oname, round, err)
+				}
+				if stats.Full {
+					t.Fatalf("%s/%s round %d: fell back to the full pass", gname, oname, round)
+				}
+				if noop := round%4 == 3; noop != (stats.ArcsRederived == 0) {
+					t.Fatalf("%s/%s round %d: re-derived %d arcs", gname, oname, round, stats.ArcsRederived)
+				}
+				full, err := o.Recustomize(next)
+				if err != nil {
+					t.Fatalf("%s/%s round %d: full: %v", gname, oname, round, err)
+				}
+				checkSameWeightLayer(t, inc, full)
+				checkAgainstReference(t, storage.NewMemoryGraph(next), inc, 15, int64(round)*17+41)
+				history, o = append(history, next), inc
+			}
+		}
+	}
+}
+
+// tigerLikeFeed builds the shape the end-to-end benchmark's churn workload
+// runs on — a TigerLike map cut into cells, its partitioned customizable
+// overlay, and a feed of arcs half inside one cell, half scattered — and
+// returns the overlay with the two graphs the feed toggles between: base
+// costs and double costs on the fed arcs.
+func tigerLikeFeed(tb testing.TB, nodes, cells, arcs int) (*Overlay, [2]*roadnet.Graph) {
+	tb.Helper()
+	cfg := gen.DefaultNetworkConfig()
+	cfg.Kind, cfg.Nodes, cfg.Seed = gen.TigerLike, nodes, 20090329
+	g, err := gen.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cells})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	o, err := BuildCustomizablePartitioned(g, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	cell := p.CellNodes(rng.Intn(cells))
+	var high []roadnet.ArcWeightChange
+	for len(high) < arcs {
+		u := roadnet.NodeID(rng.Intn(g.NumNodes()))
+		if len(high) < arcs/2 {
+			u = cell[rng.Intn(len(cell))]
+		}
+		if out := g.Arcs(u); len(out) > 0 {
+			a := out[rng.Intn(len(out))]
+			high = append(high, roadnet.ArcWeightChange{From: u, To: a.To, NewCost: 2 * a.Cost})
+		}
+	}
+	hi, err := g.WithUpdatedWeights(high)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return o, [2]*roadnet.Graph{hi, g}
+}
+
+// TestRecustomizeIncrementalToggleIsSymmetric is the work bound: toggling a
+// set of arcs up and back down re-derives the same arcs both ways, a small
+// fraction of the arena. A dirty-set closure that must assume the worst about
+// a cheaper leg — any triangle through it might now win — re-derives a large
+// part of the hierarchy on every decrease; comparing old and new leg sums
+// does not.
+func TestRecustomizeIncrementalToggleIsSymmetric(t *testing.T) {
+	o, graphs := tigerLikeFeed(t, 2500, 8, 20)
+	up, upStats, err := o.RecustomizeIncremental(graphs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, downStats, err := up.RecustomizeIncremental(graphs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upStats.ArcsRederived != downStats.ArcsRederived {
+		t.Fatalf("toggle re-derived %d arcs on the way up, %d on the way down", upStats.ArcsRederived, downStats.ArcsRederived)
+	}
+	if n := upStats.ArcsRederived; n < 20 || n > len(o.arcs)/20 {
+		t.Fatalf("20 changed arcs re-derived %d of %d arena arcs", n, len(o.arcs))
+	}
+	checkSameWeightLayer(t, down, o)
+}
+
+// BenchmarkRecustomizeIncremental measures one weight-update batch on the
+// end-to-end benchmark's churn shape: a 10k-node TigerLike map in 16 cells,
+// 20 arcs toggled between base and double cost.
+func BenchmarkRecustomizeIncremental(b *testing.B) {
+	o, graphs := tigerLikeFeed(b, 10000, 16, 20)
+	arcs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next, stats, err := o.RecustomizeIncremental(graphs[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		o, arcs = next, arcs+stats.ArcsRederived
+	}
+	b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
 }

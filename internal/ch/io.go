@@ -257,9 +257,7 @@ func Read(r io.Reader) (*Overlay, error) {
 		// Re-derive the partition structure from the persisted assignment,
 		// which re-checks the layering invariants of partitioned contraction
 		// (boundary nodes ranked last, no arena arc between interiors of
-		// different cells) against this file's ranks and arena. The overlay's
-		// incremental state (base costs, per-cell exports) is not persisted;
-		// the first RecustomizeIncremental primes it with one full pass.
+		// different cells) against this file's ranks and arena.
 		cp, err := deriveChPartition(n, o.rank, o.arcs, nOriginal, cellOf, partCells)
 		if err != nil {
 			return nil, fmt.Errorf("ch: overlay partition: %w", err)

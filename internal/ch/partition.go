@@ -2,14 +2,15 @@ package ch
 
 import (
 	"fmt"
-	"sync"
 
 	"opaque/internal/roadnet"
 )
 
 // This file is the partition awareness of the overlay: the frozen mapping
-// from nodes and arena arcs to partition cells that makes cell-local
-// re-customization (customize.go) sound.
+// from nodes and arena arcs to partition cells that lets the full
+// customization pass (customize.go) run one goroutine per cell, lets paged
+// deployments charge overlay residency per cell, and tells the serving tier
+// which cells a weight update reached.
 //
 // A partitioned build contracts nodes cell by cell — all interiors of cell
 // 0, then all interiors of cell 1, …, and finally every boundary node — so
@@ -53,42 +54,15 @@ type chPartition struct {
 	boundaryByRank []int32
 
 	// arcLayer[i] is the layer of arena arc i: a cell index, or cells for
-	// the top layer. layerOff/layerArcs group the arena indices by layer
-	// (cells+1 groups, top last), so a pass can reset exactly its layer's
-	// shortcuts. topIndex maps arena indices of top arcs to a dense
-	// 0..numTop-1 numbering used by the export accumulators (-1 elsewhere);
-	// topArcs is the inverse map.
-	arcLayer  []int32
-	layerOff  []int32
-	layerArcs []int32
-	topIndex  []int32
-	topArcs   []int32
-	numTop    int
-
-	// csrPos[i] locates arena arc i's single CSR cost slot: j for fwdCost[j],
-	// ^j for bwdCost[j]. Pure topology, so it is built once (lazily, the
-	// first time an incremental pass patches CSR costs) and shared by every
-	// generation like the CSR views themselves.
-	csrOnce sync.Once
-	csrPos  []int32
-}
-
-// csrPositions returns the arena→CSR slot map, building it on first use.
-// Safe for concurrent callers: the CSR index arrays it derives from are
-// frozen topology shared by all generations.
-func (o *Overlay) csrPositions() []int32 {
-	p := o.part
-	p.csrOnce.Do(func() {
-		pos := make([]int32, len(o.arcs))
-		for j, ai := range o.fwdArc {
-			pos[ai] = int32(j)
-		}
-		for j, ai := range o.bwdArc {
-			pos[ai] = ^int32(j)
-		}
-		p.csrPos = pos
-	})
-	return p.csrPos
+	// the top layer; layerOff[l+1]-layerOff[l] is the number of arcs of layer
+	// l. topIndex maps arena indices of top arcs to a dense 0..numTop-1
+	// numbering used by the export accumulators (-1 elsewhere); topArcs is
+	// the inverse map.
+	arcLayer []int32
+	layerOff []int32
+	topIndex []int32
+	topArcs  []int32
+	numTop   int
 }
 
 // topLayer returns the layer index of the boundary top layer.
@@ -96,7 +70,7 @@ func (p *chPartition) topLayer() int32 { return int32(p.cells) }
 
 // deriveChPartition classifies nodes and arena arcs into layers from a
 // node→cell assignment, validating the two structural prerequisites of
-// cell-local customization: boundary nodes rank above every interior node,
+// cell-parallel customization: boundary nodes rank above every interior node,
 // and no arena arc connects interiors of two different cells. It is called
 // by the builder (assignment from roadnet.Partition) and by the OCH1 v3
 // loader (assignment from the file), so a loaded overlay is checked against
@@ -181,7 +155,7 @@ func deriveChPartition(n int, rank []int32, arcs []arc, nOriginal int, cellOf []
 		}
 	}
 
-	// Group arena indices by layer (counting sort; top group last).
+	// Arc counts per layer as prefix sums (top layer last).
 	p.layerOff = make([]int32, cells+2)
 	for _, l := range p.arcLayer {
 		p.layerOff[l+1]++
@@ -189,23 +163,7 @@ func deriveChPartition(n int, rank []int32, arcs []arc, nOriginal int, cellOf []
 	for l := 0; l <= cells; l++ {
 		p.layerOff[l+1] += p.layerOff[l]
 	}
-	p.layerArcs = make([]int32, len(arcs))
-	fill := make([]int32, cells+1)
-	copy(fill, p.layerOff[:cells+1])
-	for i, l := range p.arcLayer {
-		p.layerArcs[fill[l]] = int32(i)
-		fill[l]++
-	}
 	return p, nil
-}
-
-// layerShortcuts calls fn for every shortcut arena index of the given layer.
-func (p *chPartition) layerShortcuts(nOriginal int, layer int32, fn func(int32)) {
-	for _, ai := range p.layerArcs[p.layerOff[layer]:p.layerOff[layer+1]] {
-		if int(ai) >= nOriginal {
-			fn(ai)
-		}
-	}
 }
 
 // PartitionCells returns the number of partition cells of the overlay, or 0

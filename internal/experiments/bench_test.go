@@ -18,8 +18,8 @@ func benchRunner(b *testing.B, r Runner) {
 // full CH re-customization against the rebuild baselines.
 func BenchmarkE16(b *testing.B) { benchRunner(b, E16LiveUpdates{}) }
 
-// BenchmarkE17 times the partitioned live-update pipeline: cell-limited
-// re-customization against the full pass and the witness rebuild.
+// BenchmarkE17 times the live-update pipeline: arc-level re-customization
+// against the full pass and the witness rebuild.
 func BenchmarkE17(b *testing.B) { benchRunner(b, E17CellUpdates{}) }
 
 // BenchmarkE18 times the streaming ingestion pipeline: coalesced update

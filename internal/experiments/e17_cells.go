@@ -10,25 +10,24 @@ import (
 	"opaque/internal/roadnet"
 )
 
-// E17CellUpdates measures what the partition buys over E16's flat refresh:
-// with the overlay contracted cell by cell (boundary nodes last), a weight
-// update re-customizes only the cells its changed arcs live in plus the
-// boundary top layer (ch.Overlay.RecustomizeIncremental), instead of
-// re-running the triangle pass over the whole arena. The experiment sweeps
-// the number of touched cells — one interior arc changed per cell, so the
-// touched-cell count is exact — and reports the cell-limited refresh against
-// two baselines on identical changes: the full re-customization
-// (ch.Overlay.Recustomize, E16's refresh) and the witness rebuild
-// (ch.Build, the frozen-graph alternative).
+// E17CellUpdates measures the arc-level weight update
+// (ch.Overlay.RecustomizeIncremental) against E16's flat refresh: instead of
+// re-running the triangle pass over the whole arena, a rank-ordered worklist
+// re-derives the changed arcs and only the arcs above them that the change
+// actually moves. The experiment sweeps how far an update spreads over the
+// map — one interior arc changed in each of k partition cells — and reports
+// the arcs re-derived and the milliseconds per update beside two baselines on
+// identical changes: the full re-customization (ch.Overlay.Recustomize, E16's
+// refresh) and the witness rebuild (ch.Build, the frozen-graph alternative).
 //
-// The speedup column is full re-customization against the cell-limited
-// refresh. The acceptance bar is ≥ 5x for a single touched cell on the
-// full-scale (50k-node) graph; the gap narrows as more cells are touched
-// and closes near all-cells-touched, where the incremental pass degenerates
-// to the full one plus the diff scan. Every incremental overlay is verified
-// against reference Dijkstra on the updated graph before its row is
-// reported, and a row fails outright if the refresh touched more cells than
-// its changes occupy.
+// The speedup column is full re-customization against the arc-level update.
+// The acceptance bar is ≥ 5x for a single changed arc on the full-scale
+// (50k-node) graph; work grows with the number of changed arcs, not with the
+// cells they lie in. Every incremental overlay is verified against reference
+// Dijkstra on the updated graph before its row is reported, and a row fails
+// outright if the update re-derived arcs of a cell it changed nothing in —
+// an interior change can only move arcs of its own cell and of the boundary
+// top layer.
 type E17CellUpdates struct{}
 
 // ID implements Runner.
@@ -36,12 +35,12 @@ func (E17CellUpdates) ID() string { return "E17" }
 
 // Description implements Runner.
 func (E17CellUpdates) Description() string {
-	return "Partitioned overlay: cell-limited re-customization vs full pass vs witness rebuild"
+	return "Arc-level weight updates: arcs re-derived and ms per update vs full pass vs witness rebuild"
 }
 
 // e17Cells is the partition size E17 contracts with: small enough that every
-// cell has interior arcs at both scales, large enough that a one-cell
-// refresh skips a meaningful share of the triangle work (31/32 of it).
+// cell has interior arcs at both scales, large enough to spread an update
+// over 16 distinct cells.
 const e17Cells = 32
 
 // Run implements Runner.
@@ -73,9 +72,14 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Untimed no-op update: builds the overlay's downward adjacency, which a
+	// serving overlay derives once, on its first update.
+	if _, _, err := overlay.RecustomizeIncremental(g); err != nil {
+		return nil, err
+	}
 
 	// One interior arc per cell (both endpoints inside, neither boundary):
-	// changing it dirties exactly that cell's weight layer.
+	// changing it can move arcs of that cell and of the top layer only.
 	cellArc := make(map[int]roadnet.ArcWeightChange, e17Cells)
 	for v := 0; v < g.NumNodes(); v++ {
 		cv, bv := overlay.CellOfNode(roadnet.NodeID(v))
@@ -107,10 +111,11 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 
 	tbl := &Table{
 		ID: "E17",
-		Title: "Cell-limited re-customization: touched cells vs full pass vs rebuild (" +
-			itoa(nodes) + " nodes, " + itoa(e17Cells) + " cells)",
-		Columns: []string{"touched cells", "cell-limited ms", "full recustomize ms",
-			"rebuild (witness) ms", "speedup vs full recustomize"},
+		Title: "Arc-level weight updates: arcs re-derived vs full pass vs rebuild (" +
+			itoa(nodes) + " nodes, " + itoa(e17Cells) + " cells, " +
+			itoa(overlay.NumOriginalArcs()+overlay.NumShortcuts()) + " arena arcs)",
+		Columns: []string{"changed arcs (one per cell)", "arcs re-derived", "arc-level ms",
+			"full recustomize ms", "rebuild (witness) ms", "speedup vs full recustomize"},
 	}
 
 	rng := rand.New(rand.NewSource(1719))
@@ -131,32 +136,53 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 			return nil, err
 		}
 
-		incStart := time.Now()
-		fresh, stats, err := overlay.RecustomizeIncremental(g2)
+		// Both sides are deterministic functions of (overlay, g2); the fastest
+		// of three repetitions keeps a collector cycle out of the row.
+		var fresh *ch.Overlay
+		var stats ch.RecustomizeStats
+		incMS, err := fastestMS(3, func() (err error) {
+			fresh, stats, err = overlay.RecustomizeIncremental(g2)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		incMS := float64(time.Since(incStart).Microseconds()) / 1000
-		if stats.Full || len(stats.Recustomized) != k {
-			return nil, fmt.Errorf("experiments: E17: %d interior-arc changes re-customized %d cells (full=%v)",
-				k, len(stats.Recustomized), stats.Full)
+		if stats.Full || stats.ArcsRederived < k || len(stats.Recustomized) != k {
+			return nil, fmt.Errorf("experiments: E17: %d interior-arc changes in %d cells re-derived %d arcs in cells %v (full=%v)",
+				k, k, stats.ArcsRederived, stats.Recustomized, stats.Full)
 		}
 
-		fullStart := time.Now()
-		if _, err := overlay.Recustomize(g2); err != nil {
+		fullMS, err := fastestMS(3, func() error {
+			_, err := overlay.Recustomize(g2)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		fullMS := float64(time.Since(fullStart).Microseconds()) / 1000
 
 		if err := verifyOverlay(fresh, g2, checks, rng); err != nil {
 			return nil, err
 		}
-		tbl.AddRow(k, incMS, fullMS, witnessMS, fullMS/incMS)
+		tbl.AddRow(k, stats.ArcsRederived, incMS, fullMS, witnessMS, fullMS/incMS)
 		overlay, g = fresh, g2
 	}
 
-	tbl.AddNote("cell-limited = ch.Overlay.RecustomizeIncremental: diff against the last-customized weights, re-run the triangle pass of the touched cells only (one goroutine per cell), fold their boundary exports and refresh the top layer. full = ch.Overlay.Recustomize on identical changes.")
-	tbl.AddNote("One changed arc lies strictly inside each touched cell, so the touched-cell count is exact; the run fails if the refresh touches any other cell. Each incremental overlay was verified against reference Dijkstra on the updated graph (%d sampled pairs per row).", checks)
-	tbl.AddNote("Acceptance bar: cell-limited >= 5x faster than the full re-customization for a single touched cell at full scale; the advantage shrinks as touched cells approach the partition size.")
+	tbl.AddNote("arc-level = ch.Overlay.RecustomizeIncremental: diff against the last-customized road costs, re-derive each changed arc from its lower triangles in rank order, and follow a change upwards only through triangles whose new leg sum beats the target or whose old leg sum supported it. full = ch.Overlay.Recustomize on identical changes (one goroutine per cell). Both clone the weight layer first, an O(arena) copy that is the floor of the arc-level column; the overlay's downward adjacency was built by an untimed no-op update.")
+	tbl.AddNote("One changed arc lies strictly inside each of k cells; the run fails if arcs of any other cell are re-derived. Each incremental overlay was verified against reference Dijkstra on the updated graph (%d sampled pairs per row).", checks)
+	tbl.AddNote("Acceptance bar: arc-level >= 5x faster than the full re-customization for a single changed arc at full scale; the arc-level cost follows the arcs re-derived column, the full pass is flat.")
 	return []*Table{tbl}, nil
+}
+
+// fastestMS runs fn reps times and returns the shortest wall time in
+// milliseconds.
+func fastestMS(reps int, fn func() error) (float64, error) {
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		best = min(best, time.Since(start))
+	}
+	return float64(best.Microseconds()) / 1000, nil
 }

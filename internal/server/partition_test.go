@@ -41,8 +41,8 @@ func gridTestGraph(t *testing.T, w, h int, seed int64) *roadnet.Graph {
 
 // TestPartitionedServerMatchesReference: all three overlay strategies on a
 // partition-aware server serve reference-Dijkstra distances, before and
-// after weight updates absorbed by cell-local re-customization, and the
-// partition metrics report the cell work.
+// after weight updates absorbed by arc-level re-customization, and the
+// metrics report the arcs re-derived and the cells they belong to.
 func TestPartitionedServerMatchesReference(t *testing.T) {
 	for _, strat := range []search.Strategy{StrategyCH, StrategyCHMTM, StrategyHybrid} {
 		g := gridTestGraph(t, 12, 10, 601)
@@ -102,10 +102,11 @@ func TestPartitionedServerMatchesReference(t *testing.T) {
 		if m.Counter("recustomize_runs") < 3 {
 			t.Fatalf("%s: recustomize_runs = %d", strat, m.Counter("recustomize_runs"))
 		}
-		// A freshly built partitioned overlay is primed for incremental
-		// refreshes, so the cell-local path ran and counted its cells.
 		if m.Counter("cells_recustomized") < 1 {
 			t.Fatalf("%s: cells_recustomized = %d, want >= 1", strat, m.Counter("cells_recustomized"))
+		}
+		if m.Gauge("recustomize_arcs_last") < 1 {
+			t.Fatalf("%s: recustomize_arcs_last = %v, want >= 1", strat, m.Gauge("recustomize_arcs_last"))
 		}
 	}
 }
@@ -150,7 +151,7 @@ func twoCellArcs(t *testing.T, s *Server) (a1, a2 roadnet.ArcWeightChange, c1, c
 // -race. The served content is always one of four states (two costs per
 // arc), and every returned table must match exactly one of the four
 // reference tables — all cells of one snapshot, never a mixed-metric table,
-// even while per-cell re-customizations run concurrently.
+// even while back-to-back re-customizations swap overlays underneath.
 func TestConcurrentUpdatesAndBatchesTwoCells(t *testing.T) {
 	g := gridTestGraph(t, 12, 10, 603)
 	cfg := DefaultConfig()

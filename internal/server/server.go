@@ -116,9 +116,9 @@ type Config struct {
 	// PartitionCells makes the startup contraction partition-aware: the
 	// road map is cut into this many spatial cells
 	// (roadnet.BuildPartition) and contracted cell by cell with boundary
-	// nodes last, so live weight updates re-customize only the touched
-	// cells' weight layers (ch.RecustomizeIncremental) instead of the whole
-	// overlay, and paged deployments page overlay weight layers per cell.
+	// nodes last, so the overlay customizes its cells in parallel, weight
+	// updates are attributed to the cells they reach (cells_recustomized),
+	// and paged deployments page overlay weight layers per cell.
 	// 0 or 1 keeps the flat single-layer contraction. Ignored unless the
 	// overlay is built at startup (BuildCH without CHOverlay) — a loaded
 	// CHOverlay carries its own partition, or none.
@@ -229,6 +229,11 @@ type Server struct {
 	// spawned at a time.
 	recustomizeMu sync.Mutex
 	recustomizing atomic.Bool
+	// afterRecustomize, when set (tests only, before the first update), runs
+	// in the background refresh goroutine between RecustomizeNow returning
+	// and the recustomizing flag clearing — the window in which a concurrent
+	// update's kick is dropped.
+	afterRecustomize func()
 	// pendingCells is the union of overlay weight layers dirtied by applied
 	// weight changes that no completed re-customization has covered yet
 	// (cell index, or -1 for the boundary top layer / a flat overlay). It

@@ -26,8 +26,9 @@ import (
 //     slip past it) diverts overlay traffic to the SSMD fallback — counted
 //     in overlay_stale_queries — while kickRecustomize refreshes the weight
 //     layer in the background and swaps the fresh overlay state in
-//     atomically. On the measured 50k-node network the refresh costs well
-//     under a second against ~10 s for a re-contraction (experiment E16).
+//     atomically. The refresh is arc-level (ch.RecustomizeIncremental):
+//     milliseconds for a traffic batch (experiment E17), against ~10 s for
+//     a re-contraction of the measured 50k-node network (experiment E16).
 
 // UpdateWeights applies live weight changes to the served road network and
 // returns the new data generation. Queries already admitted complete against
@@ -81,12 +82,12 @@ func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 }
 
 // notePendingCells records which overlay weight layers the applied changes
-// dirtied, feeding the recustomize_pending_cells gauge: the union of touched
-// cells the next incremental re-customization will have to re-run. An arc
-// interior to one cell dirties that cell; a boundary or cell-crossing arc —
-// and any change on an unpartitioned overlay — dirties the top layer,
-// tracked as the pseudo-cell -1. RecustomizeNow clears the set once the
-// installed overlay has caught up with the current graph.
+// dirtied, feeding the recustomize_pending_cells gauge: the layers the next
+// re-customization starts in. An arc interior to one cell dirties that cell;
+// a boundary or cell-crossing arc — and any change on an unpartitioned
+// overlay — dirties the top layer, tracked as the pseudo-cell -1.
+// RecustomizeNow clears the set once the installed overlay has caught up
+// with the current graph.
 func (s *Server) notePendingCells(changes []roadnet.ArcWeightChange) {
 	st := s.chSt.Load()
 	if st == nil {
@@ -151,11 +152,22 @@ func (s *Server) kickRecustomize() {
 		return
 	}
 	go func() {
-		defer s.recustomizing.Store(false)
 		// Failures are counted (recustomize_failures) rather than returned —
 		// there is no caller — and the server keeps answering through the
 		// SSMD fallback, which stays correct on the current snapshot.
-		_ = s.RecustomizeNow()
+		err := s.RecustomizeNow()
+		if s.afterRecustomize != nil {
+			s.afterRecustomize()
+		}
+		s.recustomizing.Store(false)
+		// An update that landed after RecustomizeNow's last freshness check
+		// found the flag still set and had its own kick dropped; with no
+		// query traffic to issue another, nobody would catch the overlay up.
+		// Re-check now that the flag is clear. (Not after a failure: the
+		// same refresh would fail again, in a loop.)
+		if err == nil {
+			s.kickRecustomize()
+		}
 	}()
 }
 
@@ -197,12 +209,10 @@ func (s *Server) RecustomizeNow() error {
 			return fmt.Errorf("server: overlay is witness-pruned and cannot absorb weight updates; queries fall back to SSMD (rebuild with a customizable overlay to restore CH serving)")
 		}
 		start := time.Now()
-		// Partitioned overlays diff the pinned snapshot against the weights
-		// they were customized for and re-run only the touched cells (plus
-		// the boundary top layer); unpartitioned ones — and the first
-		// refresh of an overlay loaded from disk, which carries no
-		// incremental state — take the full customization pass and report
-		// stats.Full.
+		// Arc-level: the overlay diffs the pinned snapshot against the road
+		// costs it was customized for and re-derives only the arcs the
+		// changes move. Every overlay this server installs carries those
+		// base costs (server.New's Matches records them for a loaded one).
 		fresh, stats, err := st.overlay.RecustomizeIncremental(g)
 		if err != nil {
 			s.mRecustFail.Add(1)
@@ -212,16 +222,7 @@ func (s *Server) RecustomizeNow() error {
 		s.mRecustomize.Add(1)
 		s.mCellsRecust.Add(int64(len(stats.Recustomized)))
 		s.metrics.SetGauge("recustomize_last_ms", float64(time.Since(start).Microseconds())/1000)
-		var worstCell time.Duration
-		for _, d := range stats.CellDuration {
-			if d > worstCell {
-				worstCell = d
-			}
-		}
-		// The slowest touched cell of the last run: with one goroutine per
-		// cell this is the parallel pass's critical path, the number E17's
-		// cell-locality speedup shows up in.
-		s.metrics.SetGauge("recustomize_cell_last_ms", float64(worstCell.Microseconds())/1000)
+		s.metrics.SetGauge("recustomize_arcs_last", float64(stats.ArcsRederived))
 		// Loop: another update may have landed while this round customized.
 	}
 }

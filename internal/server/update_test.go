@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"opaque/internal/ch"
 	"opaque/internal/protocol"
@@ -195,6 +197,97 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 			t.Fatalf("%s: overlay routing did not resume after refresh (ch+mtm = %d)", strat, got)
 		}
 	}
+}
+
+// TestUpdateDuringRefreshWindDownIsNotLost pins the lost-kick race: an
+// update that lands after the background refresh's last freshness check but
+// before its in-flight flag clears finds the flag still set, so its own kick
+// is dropped. With no query traffic to issue another, the refresh goroutine
+// itself must notice on its way out, or the overlay stays stale for good.
+// The update is applied from the hook that runs in exactly that window, and
+// not one query is sent.
+func TestUpdateDuringRefreshWindDownIsNotLost(t *testing.T) {
+	g := updateTestGraph(t, 70, 504)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.BuildCH = true
+	s := MustNew(g, cfg)
+
+	first := doubleOneArc(t, g)
+	second := first
+	second.NewCost++
+	var once sync.Once
+	hooked := make(chan error, 1)
+	s.afterRecustomize = func() {
+		once.Do(func() {
+			_, err := s.UpdateWeights([]roadnet.ArcWeightChange{second})
+			hooked <- err
+		})
+	}
+	if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{first}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hooked; err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !s.OverlayFresh(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("overlay still stale: the update that landed while the refresh wound down was never picked up")
+		}
+	}
+	if err := s.Overlay().Matches(s.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Counter("queries_processed"); got != 0 {
+		t.Fatalf("%d queries were sent; the refresh must not depend on any", got)
+	}
+}
+
+// TestLoadedOverlayFirstRefreshIsArcLevel: an overlay installed from its
+// OCH1 file carries no base costs, but server.New matches it against the
+// graph, which records them — so the first weight update already re-derives
+// a handful of arcs, not every cell.
+func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
+	g := gridTestGraph(t, 12, 10, 605)
+	part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := ch.BuildCustomizablePartitioned(g, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := ch.Write(built, &file); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ch.Read(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.CHOverlay = loaded
+	s := MustNew(g, cfg)
+	if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecustomizeNow(); err != nil {
+		t.Fatal(err)
+	}
+	arcs := int(s.Metrics().Gauge("recustomize_arcs_last"))
+	total := loaded.NumOriginalArcs() + loaded.NumShortcuts()
+	if arcs < 1 || arcs >= total/4 {
+		t.Fatalf("first refresh of a loaded overlay re-derived %d of %d arcs", arcs, total)
+	}
+	if cells := s.Metrics().Counter("cells_recustomized"); cells >= 6 {
+		t.Fatalf("first refresh of a loaded overlay touched %d of 6 cells", cells)
+	}
+	reply, err := s.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{0, 5}, Dests: []roadnet.NodeID{119, 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReplyMatchesGraph(t, s.Graph(), reply)
 }
 
 // TestNoOpUpdateRebindsEngines: an update that bumps the generation without
