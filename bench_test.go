@@ -554,12 +554,22 @@ func BenchmarkMTMTable(b *testing.B) {
 		}
 	})
 	b.Run("mtm-table/64x64", func(b *testing.B) {
+		// The table and every cell's route, unpacked the way the server lays a
+		// reply out: appended back to back into one arena, no per-cell slice.
 		m := ch.NewMTM(overlay, nil)
+		var arena []NodeID
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Table(sources, targets); err != nil {
+			tbl, err := m.Table(sources, targets)
+			if err != nil {
 				b.Fatal(err)
+			}
+			arena = arena[:0]
+			for si := range sources {
+				for ti := range targets {
+					arena = tbl.AppendPath(arena, si, ti)
+				}
 			}
 		}
 	})

@@ -28,7 +28,6 @@ func main() {
 		fs             = flag.Int("fs", 2, "desired source-set size fS")
 		ft             = flag.Int("ft", 2, "desired destination-set size fT")
 		profile        = flag.String("profile", "", `answer under a named server-side weight profile (e.g. "am-peak") instead of the live metric`)
-		legacy         = flag.Bool("legacy-oneshot", false, "speak the legacy one-shot gob protocol (to an obfuscator started with -legacy-oneshot)")
 		verbose        = flag.Bool("v", false, "print the full node sequence of the path")
 	)
 	flag.Parse()
@@ -37,11 +36,7 @@ func main() {
 		log.Fatal("both -source and -dest node ids are required")
 	}
 
-	opts := []client.Option{client.WithProtection(*fs, *ft), client.WithProfile(*profile)}
-	if *legacy {
-		opts = append(opts, client.WithLegacyOneShot())
-	}
-	c, err := client.Dial(*user, *obfuscatorAddr, opts...)
+	c, err := client.Dial(*user, *obfuscatorAddr, client.WithProtection(*fs, *ft), client.WithProfile(*profile))
 	if err != nil {
 		log.Fatalf("connecting to obfuscator: %v", err)
 	}

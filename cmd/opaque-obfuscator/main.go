@@ -38,7 +38,6 @@ func main() {
 		strategy    = flag.String("fakes", "ringband", "fake endpoint strategy: uniform | ringband | density")
 		window      = flag.Duration("window", 50*time.Millisecond, "batching window for shared obfuscation")
 		maxBatch    = flag.Int("max-batch", 64, "maximum requests obfuscated together")
-		legacy      = flag.Bool("legacy-oneshot", false, "speak the legacy one-shot gob protocol on both sides (to a -legacy-oneshot server, for -legacy-oneshot clients)")
 	)
 	flag.Parse()
 
@@ -50,23 +49,12 @@ func main() {
 
 	// Upstream connection to the directions search server (or a fleet
 	// router, which speaks the same protocol): one persistent multiplexed
-	// connection by default, the one-shot protocol under -legacy-oneshot.
-	var exec obfsvc.QueryExecutor
-	if *legacy {
-		conn, err := protocol.Dial(*serverAddr)
-		if err != nil {
-			log.Fatalf("connecting to directions search server: %v", err)
-		}
-		defer conn.Close()
-		exec = obfsvc.NewRemoteExecutor(conn)
-	} else {
-		mexec, err := obfsvc.DialMuxExecutor(*serverAddr)
-		if err != nil {
-			log.Fatalf("connecting to directions search server: %v", err)
-		}
-		defer mexec.Close()
-		exec = mexec
+	// connection.
+	exec, err := obfsvc.DialMuxExecutor(*serverAddr)
+	if err != nil {
+		log.Fatalf("connecting to directions search server: %v", err)
 	}
+	defer exec.Close()
 
 	cfg := obfsvc.DefaultConfig()
 	cfg.BatchWindow = *window
@@ -86,13 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)
 	}
-	log.Printf("obfuscator ready on %s (mode=%s, fakes=%s, server=%s, legacy=%v)", ln.Addr(), *mode, *strategy, *serverAddr, *legacy)
-	if *legacy {
-		if err := svc.Serve(ln); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		return
-	}
+	log.Printf("obfuscator ready on %s (mode=%s, fakes=%s, server=%s)", ln.Addr(), *mode, *strategy, *serverAddr)
 	if err := svc.ServeMux(ln, protocol.MuxServerConfig{}); err != nil {
 		log.Fatalf("serve: %v", err)
 	}

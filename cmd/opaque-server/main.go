@@ -67,7 +67,6 @@ func main() {
 		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
 		churnArcs     = flag.Int("churn-arcs", 64, "hot-arc pool size of the synthetic -churn stream")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
-		legacyOneShot = flag.Bool("legacy-oneshot", false, "serve the legacy one-shot gob protocol instead of the multiplexed framed transport")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the multiplexed transport (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
 	)
@@ -201,13 +200,6 @@ func main() {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)
-	}
-	if *legacyOneShot {
-		log.Printf("obfuscated path query processor ready on %s (strategy=%s, paged=%v, legacy one-shot protocol)", ln.Addr(), cfg.Strategy, cfg.Paged)
-		if err := srv.Serve(ln); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		return
 	}
 	log.Printf("obfuscated path query processor ready on %s (strategy=%s, paged=%v, multiplexed transport)", ln.Addr(), cfg.Strategy, cfg.Paged)
 	if err := srv.ServeMux(ln, protocol.MuxServerConfig{MaxInFlight: *maxInFlight, ShedAt: *shedAt}); err != nil {

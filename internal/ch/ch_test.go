@@ -368,7 +368,7 @@ func TestEngineEdgeCases(t *testing.T) {
 		t.Fatal("out-of-range dest accepted")
 	}
 	bigger := randomIntCostGraph(t, 10, 5, 3)
-	if _, _, err := eng.ShortestPath(storage.NewMemoryGraph(bigger), 0, 1); err == nil {
+	if _, _, _, err := eng.AppendShortestPath(nil, storage.NewMemoryGraph(bigger), 0, 1); err == nil {
 		t.Fatal("accessor with mismatched node count accepted")
 	}
 	// Same node count, different arcs: the checksum binding must refuse.
@@ -379,21 +379,26 @@ func TestEngineEdgeCases(t *testing.T) {
 	same.MustAddBidirectionalEdge(0, 1, 6) // cost differs from the build graph
 	same.MustAddBidirectionalEdge(2, 3, 7)
 	same.Freeze()
-	if _, _, err := eng.ShortestPath(storage.NewMemoryGraph(same), 0, 1); err == nil {
+	if _, _, _, err := eng.AppendShortestPath(nil, storage.NewMemoryGraph(same), 0, 1); err == nil {
 		t.Fatal("accessor with same shape but different arcs accepted")
 	}
 	// Filtered accessors report the unfiltered graph but traverse a subset
 	// of its arcs, so the overlay must refuse them outright.
 	filtered := storage.NewFilteredGraph(storage.NewMemoryGraph(g), storage.AvoidNodes(1))
-	if _, _, err := eng.ShortestPath(filtered, 0, 1); err == nil {
+	if _, _, _, err := eng.AppendShortestPath(nil, filtered, 0, 1); err == nil {
 		t.Fatal("filtered accessor accepted")
 	}
 	// The matching unfiltered accessor passes, including on the memoised
 	// second call.
 	acc := storage.NewMemoryGraph(g)
 	for i := 0; i < 2; i++ {
-		if _, _, err := eng.ShortestPath(acc, 0, 1); err != nil {
+		// The path lands behind whatever the arena already holds.
+		nodes, d, _, err := eng.AppendShortestPath([]roadnet.NodeID{42}, acc, 0, 1)
+		if err != nil {
 			t.Fatalf("matching accessor rejected on call %d: %v", i+1, err)
+		}
+		if d != 5 || len(nodes) != 3 || nodes[0] != 42 || nodes[1] != 0 || nodes[2] != 1 {
+			t.Fatalf("appended path = %v at cost %v, want [42 0 1] at 5", nodes, d)
 		}
 	}
 }

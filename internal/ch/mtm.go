@@ -484,18 +484,6 @@ type Table struct {
 	stats            search.Stats
 }
 
-// NumSources returns |S|.
-func (t *Table) NumSources() int { return len(t.sources) }
-
-// NumTargets returns |T|.
-func (t *Table) NumTargets() int { return len(t.targets) }
-
-// Sources returns the source set the table was computed for.
-func (t *Table) Sources() []roadnet.NodeID { return t.sources }
-
-// Targets returns the target set the table was computed for.
-func (t *Table) Targets() []roadnet.NodeID { return t.targets }
-
 // Stats returns the search work the evaluation performed.
 func (t *Table) Stats() search.Stats { return t.stats }
 
@@ -503,26 +491,35 @@ func (t *Table) Stats() search.Stats { return t.stats }
 // unreachable.
 func (t *Table) Dist(i, j int) float64 { return t.dist[i*len(t.targets)+j] }
 
-// Path unpacks and returns the shortest path for cell (i, j), or an empty
-// path when the target is unreachable. Each call materialises the route
-// afresh from the recorded arc chain.
-func (t *Table) Path(i, j int) search.Path {
+// AppendPath unpacks cell (i, j)'s route and appends it to dst; nothing is
+// appended when the target is unreachable. Each call unpacks afresh from the
+// recorded arc chain, so a caller laying many cells into one arena pays no
+// per-cell allocation.
+func (t *Table) AppendPath(dst []roadnet.NodeID, i, j int) []roadnet.NodeID {
 	cell := i*len(t.targets) + j
-	d := t.dist[cell]
-	if math.IsInf(d, 1) {
-		return search.Path{}
+	if math.IsInf(t.dist[cell], 1) {
+		return dst
 	}
-	chain := t.arcs[t.cellOff[cell]:t.cellOff[cell+1]]
-	nodes := make([]roadnet.NodeID, 1, len(chain)+1)
-	nodes[0] = t.sources[i]
-	emit := func(v roadnet.NodeID) { nodes = append(nodes, v) }
-	for _, a := range chain {
-		t.o.unpackArc(a, emit)
+	dst = append(dst, t.sources[i])
+	for _, a := range t.arcs[t.cellOff[cell]:t.cellOff[cell+1]] {
+		dst = t.o.appendArc(dst, a)
 	}
-	return search.Path{Nodes: nodes, Cost: d}
+	return dst
 }
 
-// verifyAccessor mirrors Engine.ShortestPath's binding rules: filtered
+// Path unpacks and returns the shortest path for cell (i, j) as a Path of
+// its own, or an empty path when the target is unreachable.
+func (t *Table) Path(i, j int) search.Path {
+	cell := i*len(t.targets) + j
+	if math.IsInf(t.dist[cell], 1) {
+		return search.Path{}
+	}
+	// Every chain arc unpacks to at least one node; shortcuts grow the slice.
+	nodes := make([]roadnet.NodeID, 0, 2+2*(t.cellOff[cell+1]-t.cellOff[cell]))
+	return search.Path{Nodes: t.AppendPath(nodes, i, j), Cost: t.dist[cell]}
+}
+
+// verifyAccessor mirrors Engine.AppendShortestPath's binding rules: filtered
 // accessors are rejected outright and any other accessor's graph must
 // checksum-match the overlay (memoised per graph).
 func (m *MTM) verifyAccessor(acc storage.Accessor) error {
@@ -542,52 +539,47 @@ func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 	return nil
 }
 
-// EvaluateTable implements search.TableEngine: the full Q(S, T) result with
-// candidate paths materialised (the wire reply needs every cell) and the
-// distance matrix filled.
-func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.MSMDResult, error) {
+// EvaluateTable implements search.TableEngine: the full Q(S, T) result, every
+// cell's route unpacked straight into the result's one node arena (the wire
+// reply needs every cell).
+func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
-		return search.MSMDResult{}, err
+		return search.Table{}, err
 	}
 	tbl, err := m.Table(sources, dests)
 	if err != nil {
-		return search.MSMDResult{}, err
+		return search.Table{}, err
 	}
-	res := search.MSMDResult{
+	res := search.Table{
 		Sources: tbl.sources,
 		Dests:   tbl.targets,
-		Paths:   make([][]search.Path, len(sources)),
-		Dists:   make([][]float64, len(sources)),
+		Dist:    tbl.dist,
+		Ends:    make([]int32, 0, len(tbl.dist)),
 		Stats:   tbl.stats,
 	}
 	for i := range sources {
-		res.Paths[i] = make([]search.Path, len(dests))
-		res.Dists[i] = tbl.dist[i*len(dests) : (i+1)*len(dests)]
 		for j := range dests {
-			res.Paths[i][j] = tbl.Path(i, j)
+			res.Nodes = tbl.AppendPath(res.Nodes, i, j)
+			res.Ends = append(res.Ends, int32(len(res.Nodes)))
 		}
 	}
 	return res, nil
 }
 
 // EvaluateDistances implements search.TableEngine's distance-only fast path:
-// Dists is filled, Paths stays nil, and no route is ever unpacked.
-func (m *MTM) EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.MSMDResult, error) {
+// Dist is filled, there are no paths, and no route is ever unpacked.
+func (m *MTM) EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
-		return search.MSMDResult{}, err
+		return search.Table{}, err
 	}
 	flat, stats, err := m.Distances(sources, dests)
 	if err != nil {
-		return search.MSMDResult{}, err
+		return search.Table{}, err
 	}
-	res := search.MSMDResult{
+	return search.Table{
 		Sources: append([]roadnet.NodeID(nil), sources...),
 		Dests:   append([]roadnet.NodeID(nil), dests...),
-		Dists:   make([][]float64, len(sources)),
+		Dist:    flat,
 		Stats:   stats,
-	}
-	for i := range sources {
-		res.Dists[i] = flat[i*len(dests) : (i+1)*len(dests)]
-	}
-	return res, nil
+	}, nil
 }

@@ -341,14 +341,15 @@ func TestMTMEdgeCases(t *testing.T) {
 		if !res.HasPaths() {
 			t.Fatal("EvaluateTable result has no paths")
 		}
-		if d, ok := res.Distance(2, 3); !ok || math.IsInf(d, 1) {
+		if d, ok := res.MSMD().Distance(2, 3); !ok || math.IsInf(d, 1) {
 			t.Fatalf("Distance(2,3) = %v, %v", d, ok)
 		}
 	}
-	res, err := m.EvaluateDistances(acc, []roadnet.NodeID{2, 7}, []roadnet.NodeID{3, 9})
+	tbl2, err := m.EvaluateDistances(acc, []roadnet.NodeID{2, 7}, []roadnet.NodeID{3, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := tbl2.MSMD()
 	if res.HasPaths() {
 		t.Fatal("EvaluateDistances materialised paths")
 	}

@@ -57,61 +57,66 @@ func (e *Engine) BindGeneration(gen uint64) { e.gen.Store(gen) }
 // Generation implements search.Generational.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
 
-// ShortestPath implements search.PointEngine: the full shortest path from
-// source to dest with shortcuts unpacked, or an empty path when dest is
-// unreachable. CH reads the preprocessed index, not the graph — which is the
-// whole point — so the accessor must present exactly the arcs the overlay
-// was contracted over: its underlying graph is checksum-verified against the
-// overlay (once per graph, memoised), and arc-filtering accessors
-// (storage.FilteredGraph), whose effective arc set differs from the graph
-// they report, are rejected outright. acc may be nil for direct callers that
-// take responsibility for the binding themselves.
-func (e *Engine) ShortestPath(acc storage.Accessor, source, dest roadnet.NodeID) (search.Path, search.Stats, error) {
+// AppendShortestPath implements search.PointEngine: the full shortest path
+// from source to dest with shortcuts unpacked, appended to dst (nothing, at
+// cost +Inf, when dest is unreachable). CH reads the preprocessed index, not
+// the graph — which is the whole point — so the accessor must present exactly
+// the arcs the overlay was contracted over: its underlying graph is
+// checksum-verified against the overlay (once per graph, memoised), and
+// arc-filtering accessors (storage.FilteredGraph), whose effective arc set
+// differs from the graph they report, are rejected outright. acc may be nil
+// for direct callers that take responsibility for the binding themselves.
+func (e *Engine) AppendShortestPath(dst []roadnet.NodeID, acc storage.Accessor, source, dest roadnet.NodeID) ([]roadnet.NodeID, float64, search.Stats, error) {
 	if acc != nil {
 		if _, filtered := acc.(*storage.FilteredGraph); filtered {
-			return search.Path{}, search.Stats{}, fmt.Errorf("ch: overlay cannot serve a filtered accessor — the hierarchy was contracted over the unfiltered arcs; query the filtered graph with the flat searches instead")
+			return dst, 0, search.Stats{}, fmt.Errorf("ch: overlay cannot serve a filtered accessor — the hierarchy was contracted over the unfiltered arcs; query the filtered graph with the flat searches instead")
 		}
 		g := acc.Graph()
 		if e.verified.Load() != g {
 			if err := e.o.Matches(g); err != nil {
-				return search.Path{}, search.Stats{}, fmt.Errorf("ch: accessor does not present the overlay's graph (%v): %w", err, search.ErrStaleEngine)
+				return dst, 0, search.Stats{}, fmt.Errorf("ch: accessor does not present the overlay's graph (%v): %w", err, search.ErrStaleEngine)
 			}
 			e.verified.Store(g)
 		}
 	}
-	return e.Path(source, dest)
+	return e.query(dst, source, dest, true)
 }
 
 // Path returns the shortest path from source to dest with shortcuts
 // unpacked, or an empty path when dest is unreachable.
 func (e *Engine) Path(source, dest roadnet.NodeID) (search.Path, search.Stats, error) {
-	path, _, stats, err := e.query(source, dest, true)
-	return path, stats, err
+	nodes, d, stats, err := e.query(nil, source, dest, true)
+	if err != nil || len(nodes) == 0 {
+		return search.Path{}, stats, err
+	}
+	return search.Path{Nodes: nodes, Cost: d}, stats, nil
 }
 
 // Distance returns only the shortest-path distance from source to dest
 // (+Inf when unreachable). It skips meeting-node bookkeeping for the path
 // and performs no heap allocation in steady state.
 func (e *Engine) Distance(source, dest roadnet.NodeID) (float64, search.Stats, error) {
-	_, d, stats, err := e.query(source, dest, false)
+	_, d, stats, err := e.query(nil, source, dest, false)
 	return d, stats, err
 }
 
-// query is the bidirectional upward search shared by Path and Distance.
-func (e *Engine) query(source, dest roadnet.NodeID, needPath bool) (search.Path, float64, search.Stats, error) {
+// query is the bidirectional upward search shared by the path and distance
+// faces: it returns the distance (+Inf when unreachable) and, when needPath
+// is set, dst extended by the unpacked route.
+func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPath bool) ([]roadnet.NodeID, float64, search.Stats, error) {
 	o := e.o
 	var stats search.Stats
 	if !validNode(o, source) {
-		return search.Path{}, 0, stats, fmt.Errorf("ch: invalid source node %d", source)
+		return dst, 0, stats, fmt.Errorf("ch: invalid source node %d", source)
 	}
 	if !validNode(o, dest) {
-		return search.Path{}, 0, stats, fmt.Errorf("ch: invalid destination node %d", dest)
+		return dst, 0, stats, fmt.Errorf("ch: invalid destination node %d", dest)
 	}
 	if source == dest {
-		if !needPath {
-			return search.Path{}, 0, stats, nil
+		if needPath {
+			dst = append(dst, source)
 		}
-		return search.Path{Nodes: []roadnet.NodeID{source}, Cost: 0}, 0, stats, nil
+		return dst, 0, stats, nil
 	}
 
 	fw := e.pool.Get(o.n)
@@ -140,17 +145,15 @@ func (e *Engine) query(source, dest roadnet.NodeID, needPath bool) (search.Path,
 		}
 	}
 
-	if meet == roadnet.InvalidNode {
-		return search.Path{}, math.Inf(1), stats, nil
+	if meet == roadnet.InvalidNode || !needPath {
+		return dst, best, stats, nil
 	}
-	if !needPath {
-		return search.Path{}, best, stats, nil
-	}
-	nodes, err := o.unpackRoute(fw, bw, source, dest, meet)
+	start := len(dst)
+	dst, err := o.appendRoute(dst, fw, bw, source, dest, meet)
 	if err != nil {
-		return search.Path{}, 0, stats, err
+		return dst[:start], 0, stats, err
 	}
-	return search.Path{Nodes: nodes, Cost: best}, best, stats, nil
+	return dst, best, stats, nil
 }
 
 // step advances one direction of the bidirectional search by one settled
@@ -193,28 +196,28 @@ func (o *Overlay) step(this, other *search.Workspace,
 	return true
 }
 
-// unpackRoute rebuilds the full original-arc path source→…→meet→…→dest from
-// the two search trees, expanding every shortcut through the arena.
-func (o *Overlay) unpackRoute(fw, bw *search.Workspace, source, dest, meet roadnet.NodeID) ([]roadnet.NodeID, error) {
-	nodes := []roadnet.NodeID{source}
-	emit := func(v roadnet.NodeID) { nodes = append(nodes, v) }
-
-	// Forward half: walk meet→source through fw's parents, then unpack each
-	// up-arc in source→meet order.
-	var chain []roadnet.NodeID
-	for at := meet; at != roadnet.InvalidNode; at = fw.ParentOf(at) {
-		chain = append(chain, at)
-	}
-	if chain[len(chain)-1] != source {
-		return nil, fmt.Errorf("ch: internal error: forward search tree does not reach source %d", source)
-	}
-	for i := len(chain) - 1; i > 0; i-- {
-		from, to := chain[i], chain[i-1]
-		idx := o.findArc(o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, from, to, fw.DistOf(from), fw.DistOf(to))
+// appendRoute appends the full original-arc path source→…→meet→…→dest
+// rebuilt from the two search trees to dst, expanding every shortcut through
+// the arena.
+func (o *Overlay) appendRoute(dst []roadnet.NodeID, fw, bw *search.Workspace, source, dest, meet roadnet.NodeID) ([]roadnet.NodeID, error) {
+	// Forward half: the up-arcs meet→source come off fw's parents backwards,
+	// so their arena indices are stacked and unpacked in source→meet order.
+	var chainBuf [32]int32
+	chain := chainBuf[:0]
+	at := meet
+	for p := fw.ParentOf(at); p != roadnet.InvalidNode; at, p = p, fw.ParentOf(p) {
+		idx := o.findArc(o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, p, at, fw.DistOf(p), fw.DistOf(at))
 		if idx < 0 {
-			return nil, fmt.Errorf("ch: internal error: no upward arc %d→%d on forward path", from, to)
+			return dst, fmt.Errorf("ch: internal error: no upward arc %d→%d on forward path", p, at)
 		}
-		o.unpackArc(idx, emit)
+		chain = append(chain, idx)
+	}
+	if at != source {
+		return dst, fmt.Errorf("ch: internal error: forward search tree does not reach source %d", source)
+	}
+	dst = append(dst, source)
+	for i := len(chain) - 1; i >= 0; i-- {
+		dst = o.appendArc(dst, chain[i])
 	}
 
 	// Backward half: bw's parent chain already runs meet→dest in original
@@ -223,16 +226,16 @@ func (o *Overlay) unpackRoute(fw, bw *search.Workspace, source, dest, meet roadn
 	for at := meet; at != dest; {
 		next := bw.ParentOf(at)
 		if next == roadnet.InvalidNode {
-			return nil, fmt.Errorf("ch: internal error: backward search tree does not reach destination %d", dest)
+			return dst, fmt.Errorf("ch: internal error: backward search tree does not reach destination %d", dest)
 		}
 		idx := o.findArc(o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, next, at, bw.DistOf(next), bw.DistOf(at))
 		if idx < 0 {
-			return nil, fmt.Errorf("ch: internal error: no upward arc %d→%d on backward path", at, next)
+			return dst, fmt.Errorf("ch: internal error: no upward arc %d→%d on backward path", at, next)
 		}
-		o.unpackArc(idx, emit)
+		dst = o.appendArc(dst, idx)
 		at = next
 	}
-	return nodes, nil
+	return dst, nil
 }
 
 // findArc locates the arena index of the CSR arc at owner whose head is head
@@ -251,17 +254,15 @@ func (o *Overlay) findArc(off []int32, heads []roadnet.NodeID, costs []float64, 
 	return -1
 }
 
-// unpackArc emits the node sequence of arena arc idx excluding its tail:
-// original arcs emit their head, shortcuts recurse into their two halves in
+// appendArc appends the node sequence of arena arc idx excluding its tail:
+// original arcs append their head, shortcuts recurse into their two halves in
 // travel order.
-func (o *Overlay) unpackArc(idx int32, emit func(roadnet.NodeID)) {
+func (o *Overlay) appendArc(dst []roadnet.NodeID, idx int32) []roadnet.NodeID {
 	a := &o.arcs[idx]
 	if a.childA < 0 {
-		emit(roadnet.NodeID(a.to))
-		return
+		return append(dst, roadnet.NodeID(a.to))
 	}
-	o.unpackArc(a.childA, emit)
-	o.unpackArc(a.childB, emit)
+	return o.appendArc(o.appendArc(dst, a.childA), a.childB)
 }
 
 func validNode(o *Overlay, v roadnet.NodeID) bool {

@@ -27,26 +27,15 @@ type Client struct {
 	user      obfuscate.UserID
 	fs, ft    int
 	profile   string
-	legacy    bool
 	requestID atomic.Uint64
 
 	// exactly one of the following is set
-	local   *obfsvc.Service
-	remote  *protocol.MuxClient
-	oneshot *protocol.Conn
+	local  *obfsvc.Service
+	remote *protocol.MuxClient
 }
 
 // Option customises a Client.
 type Option func(*Client)
-
-// WithLegacyOneShot makes Dial use the legacy one-shot gob protocol instead
-// of the multiplexed framed transport — the compatibility path for talking
-// to an obfuscator started with -legacy-oneshot.
-func WithLegacyOneShot() Option {
-	return func(c *Client) {
-		c.legacy = true
-	}
-}
 
 // WithProtection sets the user's desired obfuscation power (fS, fT).
 func WithProtection(fs, ft int) Option {
@@ -93,8 +82,7 @@ func MustNewLocal(user string, svc *obfsvc.Service, opts ...Option) *Client {
 }
 
 // Dial returns a client connected to a networked obfuscator at addr over the
-// multiplexed framed transport (or the legacy one-shot protocol with
-// WithLegacyOneShot).
+// multiplexed framed transport.
 func Dial(user, addr string, opts ...Option) (*Client, error) {
 	if user == "" {
 		return nil, fmt.Errorf("client: empty user id")
@@ -102,14 +90,6 @@ func Dial(user, addr string, opts ...Option) (*Client, error) {
 	c := &Client{user: obfuscate.UserID(user), fs: 2, ft: 2}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.legacy {
-		conn, err := protocol.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.oneshot = conn
-		return c, nil
 	}
 	conn, err := protocol.DialMux(addr, protocol.Hello{Node: user, Role: "client"})
 	if err != nil {
@@ -124,9 +104,6 @@ func Dial(user, addr string, opts ...Option) (*Client, error) {
 func (c *Client) Close() error {
 	if c.remote != nil {
 		return c.remote.Close()
-	}
-	if c.oneshot != nil {
-		return c.oneshot.Close()
 	}
 	return nil
 }
@@ -157,7 +134,7 @@ func (c *Client) QueryWithProtection(source, dest roadnet.NodeID, fs, ft int) (R
 			return Result{}, res.Err
 		}
 		return Result{Path: res.Path, Found: res.Found}, nil
-	case c.remote != nil, c.oneshot != nil:
+	case c.remote != nil:
 		req := protocol.ClientRequest{
 			RequestID: c.requestID.Add(1),
 			User:      string(c.user),
@@ -167,13 +144,7 @@ func (c *Client) QueryWithProtection(source, dest roadnet.NodeID, fs, ft int) (R
 			FT:        ft,
 			Profile:   c.profile,
 		}
-		var reply any
-		var err error
-		if c.remote != nil {
-			reply, err = c.remote.Do(req)
-		} else {
-			reply, err = c.oneshot.Call(req)
-		}
+		reply, err := c.remote.Do(req)
 		if err != nil {
 			return Result{}, err
 		}
@@ -186,8 +157,6 @@ func (c *Client) QueryWithProtection(source, dest roadnet.NodeID, fs, ft int) (R
 				return Result{Found: false}, nil
 			}
 			return Result{Path: search.Path{Nodes: m.Path, Cost: m.Cost}, Found: true}, nil
-		case protocol.ErrorReply:
-			return Result{}, fmt.Errorf("client: obfuscator error: %s", m.Message)
 		default:
 			return Result{}, fmt.Errorf("client: unexpected reply type %T", reply)
 		}

@@ -91,42 +91,8 @@ func TestRemoteClientOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 1, Seed: 96})
-	res, err := c.Query(wl[0].Source, wl[0].Dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Path.Empty() {
-		t.Errorf("remote query result = %+v", res)
-	}
-	acc := storage.NewMemoryGraph(g)
-	truth, _, err := search.Dijkstra(acc, wl[0].Source, wl[0].Dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(truth.Cost-res.Path.Cost) > 1e-6 {
-		t.Errorf("remote client cost %v, shortest %v", res.Path.Cost, truth.Cost)
-	}
-}
-
-// TestLegacyOneShotRoundTrip pins the -legacy-oneshot compatibility path: an
-// obfuscator serving the one-shot gob protocol, a client dialled with
-// WithLegacyOneShot, one full query round trip.
-func TestLegacyOneShotRoundTrip(t *testing.T) {
-	g, svc, _ := testSetup(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = svc.Serve(ln) }()
-	defer ln.Close()
-
-	c, err := Dial("carol", ln.Addr().String(), WithProtection(2, 2), WithLegacyOneShot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 2, Seed: 98})
+	// Several queries over the one connection.
+	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 3, Seed: 96})
 	acc := storage.NewMemoryGraph(g)
 	for _, pr := range wl {
 		res, err := c.Query(pr.Source, pr.Dest)
@@ -134,14 +100,14 @@ func TestLegacyOneShotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Found || res.Path.Empty() {
-			t.Fatalf("legacy query result = %+v", res)
+			t.Fatalf("remote query result = %+v", res)
 		}
 		truth, _, err := search.Dijkstra(acc, pr.Source, pr.Dest)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(truth.Cost-res.Path.Cost) > 1e-6 {
-			t.Errorf("legacy client cost %v, shortest %v", res.Path.Cost, truth.Cost)
+			t.Errorf("remote client cost %v, shortest %v", res.Path.Cost, truth.Cost)
 		}
 	}
 }

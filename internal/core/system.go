@@ -201,31 +201,24 @@ func (s *System) EvaluateObfuscatedQuery(q obfuscate.ObfuscatedQuery) (search.MS
 	if err != nil {
 		return search.MSMDResult{}, err
 	}
-	res := search.MSMDResult{
-		Sources: append([]roadnet.NodeID(nil), q.Sources...),
-		Dests:   append([]roadnet.NodeID(nil), q.Dests...),
-		Paths:   make([][]search.Path, len(q.Sources)),
-		Dists:   make([][]float64, len(q.Sources)),
+	// The reply is the source-major |S|×|T| table of the query: lay it back
+	// into a search.Table and take the nested view.
+	nT := len(q.Dests)
+	if len(reply.Paths) != len(q.Sources)*nT {
+		return search.MSMDResult{}, fmt.Errorf("core: reply carries %d candidates for a %d×%d query", len(reply.Paths), len(q.Sources), nT)
 	}
-	res.Stats.SettledNodes = reply.SettledNodes
-	index := make(map[[2]roadnet.NodeID]search.Path, len(reply.Paths))
-	for _, c := range reply.Paths {
-		index[[2]roadnet.NodeID{c.Source, c.Dest}] = protocol.PathFromCandidate(c)
-	}
-	for i, src := range q.Sources {
-		res.Paths[i] = make([]search.Path, len(q.Dests))
-		res.Dists[i] = make([]float64, len(q.Dests))
-		for j, dst := range q.Dests {
-			p := index[[2]roadnet.NodeID{src, dst}]
-			res.Paths[i][j] = p
-			// Wire candidates carry no cost for unreachable pairs; mirror
-			// the processor's Dists convention (+Inf, 0 for s == t).
-			if p.Empty() && src != dst {
-				res.Dists[i][j] = math.Inf(1)
-			} else {
-				res.Dists[i][j] = p.Cost
-			}
+	tbl := search.NewTable(q.Sources, q.Dests)
+	tbl.Stats.SettledNodes = reply.SettledNodes
+	for k, c := range reply.Paths {
+		if c.Source != q.Sources[k/nT] || c.Dest != q.Dests[k%nT] {
+			return search.MSMDResult{}, fmt.Errorf("core: candidate %d is (%d,%d), the query's cell is (%d,%d)", k, c.Source, c.Dest, q.Sources[k/nT], q.Dests[k%nT])
+		}
+		tbl.Nodes = append(tbl.Nodes, c.Nodes...)
+		if c.Found {
+			tbl.EndCell(c.Cost)
+		} else {
+			tbl.EndCell(math.Inf(1))
 		}
 	}
-	return res, nil
+	return tbl.MSMD(), nil
 }

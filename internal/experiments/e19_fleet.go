@@ -144,7 +144,7 @@ func (E19Fleet) Run(scale Scale) ([]*Table, error) {
 
 	tbl.AddNote("Router + 2 shards per fleet row, each shard a full server over the replicated map; partition mode splits each query's sources by cell ownership (subq/query > 1) and stitches the partial tables source-major, replicate mode round-robins whole queries (subq/query = 1).")
 	tbl.AddNote("Every fleet reply was verified candidate-by-candidate (reachability, cost, node sequence) against the single-server reference table; gen skew counts merges the router refused — 0 on this quiescent fleet, and any refused merge retries rather than ever mixing weight generations.")
-	tbl.AddNote("Acceptance bar: verified = queries for every config; the fleet rows pay the gob/frame transport plus scatter/gather on top of evaluation, so queries/s below the single-server row measures serving-tier overhead, not lost correctness.")
+	tbl.AddNote("Acceptance bar: verified = queries for every config; the fleet rows pay the framed transport and its codec plus scatter/gather on top of evaluation, so queries/s below the single-server row measures serving-tier overhead, not lost correctness.")
 	return []*Table{tbl}, nil
 }
 

@@ -541,15 +541,16 @@ func isRemoteError(err error) bool {
 	return errors.As(err, &re)
 }
 
-// callShard performs one request on one shard under the retry budget:
-// transport failures drop the connection, count against the shard's breaker,
-// redial and retry (counted in fleet_shard_retries) behind a jittered
-// exponential backoff that the router's Close and the request deadline both
-// interrupt; handler-level failures return immediately — the shard answered,
-// retrying the same request cannot help. An open breaker fails the call fast
-// so the caller can fail over instead of burning its retry budget on a
-// corpse. Total in-retry wall time is capped by Config.RetryTimeCap.
-func (r *Router) callShard(idx int, msg any, deadline time.Time) (any, error) {
+// withShard runs one exchange (do) on one shard's connection under the retry
+// budget: transport failures drop the connection, count against the shard's
+// breaker, redial and retry (counted in fleet_shard_retries) behind a
+// jittered exponential backoff that the router's Close and the request
+// deadline both interrupt; handler-level failures (and a *ShardError from do
+// itself) return immediately — the shard answered, retrying the same request
+// cannot help. An open breaker fails the call fast so the caller can fail
+// over instead of burning its retry budget on a corpse. Total in-retry wall
+// time is capped by Config.RetryTimeCap.
+func (r *Router) withShard(idx int, deadline time.Time, do func(c *protocol.MuxClient) error) error {
 	l := r.shards[idx]
 	var lastErr error
 	start := time.Now()
@@ -572,13 +573,17 @@ func (r *Router) callShard(idx int, msg any, deadline time.Time) (any, error) {
 			}
 			continue
 		}
-		res, err := c.DoDeadline(msg, deadline)
+		err = do(c)
 		if err == nil {
 			r.noteSuccess(l)
-			return res, nil
+			return nil
+		}
+		var se *ShardError
+		if errors.As(err, &se) {
+			return err
 		}
 		if isRemoteError(err) {
-			return nil, &ShardError{Shard: idx, Err: err}
+			return &ShardError{Shard: idx, Err: err}
 		}
 		lastErr = err
 		r.noteFailure(l)
@@ -588,7 +593,16 @@ func (r *Router) callShard(idx int, msg any, deadline time.Time) (any, error) {
 		}
 	}
 	r.mFailures.Add(1)
-	return nil, &ShardError{Shard: idx, Err: lastErr}
+	return &ShardError{Shard: idx, Err: lastErr}
+}
+
+// callShard performs one unary request on one shard (see withShard).
+func (r *Router) callShard(idx int, msg any, deadline time.Time) (res any, err error) {
+	err = r.withShard(idx, deadline, func(c *protocol.MuxClient) (err error) {
+		res, err = c.DoDeadline(msg, deadline)
+		return err
+	})
+	return res, err
 }
 
 // subquery is one shard's share of a scattered query: the source rows it
@@ -943,51 +957,16 @@ func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.T
 	return replies, errs
 }
 
-// callShardBatch sends one shard its whole share of a batch under the retry
-// budget, mirroring callShard: jittered cancellable backoff, breaker
-// accounting, fast-fail on an open circuit and deadline propagation.
-func (r *Router) callShardBatch(idx int, batch []protocol.ServerQuery, deadline time.Time) (protocol.BatchReply, error) {
-	l := r.shards[idx]
+// callShardBatch sends one shard its whole share of a batch as one streaming
+// exchange (see withShard).
+func (r *Router) callShardBatch(idx int, batch []protocol.ServerQuery, deadline time.Time) (br protocol.BatchReply, err error) {
 	b := protocol.BatchQuery{BatchID: r.batchID.Add(1), Queries: batch}
-	var lastErr error
-	start := time.Now()
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			if time.Since(start) > r.cfg.RetryTimeCap {
-				break
-			}
-			r.mRetries.Add(1)
-			if err := r.sleep(backoffDelay(attempt, r.cfg.RetryBackoff, r.cfg.BackoffCap), deadline); err != nil {
-				lastErr = err
-				break
-			}
+	err = r.withShard(idx, deadline, func(c *protocol.MuxClient) (err error) {
+		br, err = c.DoBatchDeadline(b, deadline)
+		if err == nil && (len(br.Replies) != len(batch) || len(br.Errors) != len(batch)) {
+			return &ShardError{Shard: idx, Err: fmt.Errorf("fleet: batch reply shape %d/%d for %d queries", len(br.Replies), len(br.Errors), len(batch))}
 		}
-		c, err := r.connect(l)
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, errShardDown) {
-				break // circuit open: every retry would fast-fail the same way
-			}
-			continue
-		}
-		br, err := c.DoBatchDeadline(b, deadline)
-		if err == nil {
-			if len(br.Replies) != len(batch) || len(br.Errors) != len(batch) {
-				return protocol.BatchReply{}, &ShardError{Shard: idx, Err: fmt.Errorf("fleet: batch reply shape %d/%d for %d queries", len(br.Replies), len(br.Errors), len(batch))}
-			}
-			r.noteSuccess(l)
-			return br, nil
-		}
-		if isRemoteError(err) {
-			return protocol.BatchReply{}, &ShardError{Shard: idx, Err: err}
-		}
-		lastErr = err
-		r.noteFailure(l)
-		l.dropClient(c)
-		if protocol.IsDeadlineExceeded(err) {
-			break // no time left for another attempt
-		}
-	}
-	r.mFailures.Add(1)
-	return protocol.BatchReply{}, &ShardError{Shard: idx, Err: lastErr}
+		return err
+	})
+	return br, err
 }

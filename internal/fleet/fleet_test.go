@@ -509,3 +509,42 @@ func TestFleetOverloadShedding(t *testing.T) {
 		t.Error("fleet_degraded_replies = 0 with every reply shed")
 	}
 }
+
+// TestReplayStateOwnsItsCopy pins an ownership rule of the update path: the
+// router's cumulative replay state keeps values, not the caller's slice — a
+// caller that reuses its change buffer after UpdateWeights returns cannot
+// rewrite what a reconnecting shard is later replayed.
+func TestReplayStateOwnsItsCopy(t *testing.T) {
+	g := testGraph(t, 300, 1901)
+	// Quorum 2: both shards have applied the update before anything is killed.
+	cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Fleet: fleet.Config{UpdateQuorum: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	v := roadnet.NodeID(0)
+	for len(g.Arcs(v)) == 0 {
+		v++
+	}
+	arc := g.Arcs(v)[0]
+	changes := []roadnet.ArcWeightChange{{From: v, To: arc.To, NewCost: arc.Cost * 3}}
+	if err := cl.Router.UpdateWeights(changes); err != nil {
+		t.Fatal(err)
+	}
+	changes[0].NewCost = arc.Cost * 100 // the caller's buffer moves on
+
+	cl.Kill(0)
+	if err := cl.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	// The restarted shard comes up on base weights; the first query through
+	// the router reconnects it and replays the recorded state into it.
+	for _, q := range makeQueries(g, 8, 4901) {
+		if _, err := cl.Router.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := cl.Shard(0).Server().Graph().ArcCost(v, arc.To); got != arc.Cost*3 {
+		t.Errorf("replayed cost of arc %d→%d = %v, want the recorded %v", v, arc.To, got, arc.Cost*3)
+	}
+}

@@ -45,7 +45,8 @@ type routerMuxHandler struct {
 
 // HandleMux implements protocol.MuxHandler. The request deadline (if any)
 // propagates into the scatter/gather engine: shard sub-requests carry it and
-// retry backoff never sleeps past it.
+// retry backoff never sleeps past it. Batches never arrive here: the
+// transport hands them to HandleMuxBatch.
 func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error) {
 	switch m := msg.(type) {
 	case protocol.ServerQuery:
@@ -53,8 +54,6 @@ func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 			m.DistanceOnly = true
 		}
 		return h.r.ExecuteDeadline(m, h.r.reqDeadline(info))
-	case protocol.BatchQuery:
-		return h.r.batchReply(m, info), nil
 	case protocol.WeightUpdate:
 		if err := h.r.UpdateWeights(m.Changes); err != nil {
 			return nil, err
@@ -87,30 +86,6 @@ func (h routerMuxHandler) HandleMuxBatch(b protocol.BatchQuery, info protocol.Re
 		emit(item)
 	}
 	return nil
-}
-
-// batchReply is the unary (non-streaming) batch answer.
-func (r *Router) batchReply(b protocol.BatchQuery, info protocol.ReqInfo) protocol.BatchReply {
-	qs := b.Queries
-	if info.Shed {
-		qs = make([]protocol.ServerQuery, len(b.Queries))
-		copy(qs, b.Queries)
-		for i := range qs {
-			qs[i].DistanceOnly = true
-		}
-	}
-	replies, errs := r.ExecuteBatchDeadline(qs, r.reqDeadline(info))
-	reply := protocol.BatchReply{
-		BatchID: b.BatchID,
-		Replies: replies,
-		Errors:  make([]string, len(errs)),
-	}
-	for i, err := range errs {
-		if err != nil {
-			reply.Errors[i] = err.Error()
-		}
-	}
-	return reply
 }
 
 // MuxHandler returns the router's multiplexed-transport handler; its dynamic

@@ -4,22 +4,21 @@ package obfsvc
 // MuxExecutor that sends obfuscated queries to a directions search server —
 // or to a fleet router, which serves the identical interface — over one
 // persistent framed connection, and the service's own multiplexed listener
-// for clients. The one-shot RemoteExecutor remains for the -legacy-oneshot
-// compatibility path.
+// for clients.
 
 import (
 	"fmt"
 	"net"
 	"sync/atomic"
 
+	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
 )
 
 // MuxExecutor sends queries over a multiplexed connection. It implements
 // BatchExecutor: whole obfuscation plans travel as one streaming BatchQuery,
-// with per-query replies arriving as they complete. Unlike the one-shot
-// RemoteExecutor, any number of goroutines may execute queries concurrently
-// on one connection.
+// with per-query replies arriving as they complete. Any number of goroutines
+// may execute queries concurrently on one connection.
 type MuxExecutor struct {
 	conn    *protocol.MuxClient
 	batchID atomic.Uint64
@@ -37,9 +36,6 @@ func DialMuxExecutor(addr string) (*MuxExecutor, error) {
 	}
 	return NewMuxExecutor(conn), nil
 }
-
-// Conn exposes the underlying connection (peer identity, Close).
-func (e *MuxExecutor) Conn() *protocol.MuxClient { return e.conn }
 
 // Close tears down the connection.
 func (e *MuxExecutor) Close() error { return e.conn.Close() }
@@ -86,20 +82,42 @@ func (e *MuxExecutor) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.Server
 	return replies, errs
 }
 
-// MuxHandler returns the service's handler for the multiplexed transport:
-// client requests are answered through the batching path exactly like the
-// one-shot Handler, but many requests share one connection.
+// MuxHandler returns the service's handler for the multiplexed transport: it
+// answers ClientRequest messages. Each request is submitted through the
+// batching path and answered when its batch completes; many requests share
+// one connection. The obfuscator has no cheaper degraded answer to shed to —
+// load shedding happens downstream at the server/router — so ReqInfo is
+// ignored.
 func (s *Service) MuxHandler() protocol.MuxHandler {
-	h := s.Handler()
 	return protocol.MuxHandlerFunc(func(msg any, _ protocol.ReqInfo) (any, error) {
-		// The obfuscator has no cheaper degraded answer to shed to — load
-		// shedding happens downstream at the server/router.
-		return h(msg)
+		req, ok := msg.(protocol.ClientRequest)
+		if !ok {
+			return nil, fmt.Errorf("obfsvc: unexpected message type %T", msg)
+		}
+		res := <-s.Submit(obfuscate.Request{
+			User:    obfuscate.UserID(req.User),
+			Source:  req.Source,
+			Dest:    req.Dest,
+			FS:      req.FS,
+			FT:      req.FT,
+			Profile: req.Profile,
+		})
+		reply := protocol.ClientReply{RequestID: req.RequestID, Found: res.Found}
+		if res.Err != nil {
+			reply.Error = res.Err.Error()
+		}
+		if res.Found {
+			reply.Path = res.Path.Nodes
+			reply.Cost = res.Path.Cost
+		}
+		return reply, nil
 	})
 }
 
 // ServeMux accepts multiplexed client connections on ln until the listener
-// closes.
+// closes. The channel between clients and the obfuscator is assumed secure
+// (e.g. TLS in a real deployment); securing it is outside the paper's scope
+// and ours.
 func (s *Service) ServeMux(ln net.Listener, cfg protocol.MuxServerConfig) error {
 	if cfg.Hello == nil {
 		cfg.Hello = func() protocol.Hello { return protocol.Hello{Role: "obfuscator"} }

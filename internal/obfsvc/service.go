@@ -9,7 +9,7 @@ package obfsvc
 
 import (
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +24,10 @@ import (
 
 // QueryExecutor abstracts the connection to the directions search server: the
 // in-process deployment calls the server directly, the networked deployment
-// sends the query over TCP.
+// sends the query over the multiplexed transport (MuxExecutor). A reply's
+// Paths must be the source-major |S|×|T| table of the query, as every server
+// and router builds it; the service copies out the members' own paths and
+// retains nothing else of the reply.
 type QueryExecutor interface {
 	Execute(q protocol.ServerQuery) (protocol.ServerReply, error)
 }
@@ -46,67 +49,6 @@ type ExecutorFunc func(q protocol.ServerQuery) (protocol.ServerReply, error)
 
 // Execute implements QueryExecutor.
 func (f ExecutorFunc) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) { return f(q) }
-
-// RemoteExecutor sends queries to a server over a protocol.Conn. It
-// implements BatchExecutor: whole obfuscation plans travel as one
-// protocol.BatchQuery round trip.
-type RemoteExecutor struct {
-	conn    *protocol.Conn
-	batchID atomic.Uint64
-}
-
-// NewRemoteExecutor wraps an established connection to the server.
-func NewRemoteExecutor(conn *protocol.Conn) *RemoteExecutor { return &RemoteExecutor{conn: conn} }
-
-// Execute implements QueryExecutor.
-func (r *RemoteExecutor) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
-	reply, err := r.conn.Call(q)
-	if err != nil {
-		return protocol.ServerReply{}, err
-	}
-	switch m := reply.(type) {
-	case protocol.ServerReply:
-		return m, nil
-	case protocol.ErrorReply:
-		return protocol.ServerReply{}, fmt.Errorf("obfsvc: server error: %s", m.Message)
-	default:
-		return protocol.ServerReply{}, fmt.Errorf("obfsvc: unexpected server reply type %T", reply)
-	}
-}
-
-// ExecuteBatch implements BatchExecutor over one BatchQuery round trip. A
-// transport or whole-batch failure is reported in every error slot.
-func (r *RemoteExecutor) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
-	replies := make([]protocol.ServerReply, len(qs))
-	errs := make([]error, len(qs))
-	failAll := func(err error) ([]protocol.ServerReply, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return replies, errs
-	}
-	raw, err := r.conn.Call(protocol.BatchQuery{BatchID: r.batchID.Add(1), Queries: qs})
-	if err != nil {
-		return failAll(err)
-	}
-	switch m := raw.(type) {
-	case protocol.BatchReply:
-		if len(m.Replies) != len(qs) || len(m.Errors) > len(qs) {
-			return failAll(fmt.Errorf("obfsvc: batch reply has %d replies / %d errors for %d queries", len(m.Replies), len(m.Errors), len(qs)))
-		}
-		copy(replies, m.Replies)
-		for i, msg := range m.Errors {
-			if msg != "" {
-				errs[i] = fmt.Errorf("obfsvc: server error: %s", msg)
-			}
-		}
-		return replies, errs
-	case protocol.ErrorReply:
-		return failAll(fmt.Errorf("obfsvc: server error: %s", m.Message))
-	default:
-		return failAll(fmt.Errorf("obfsvc: unexpected server reply type %T", raw))
-	}
-}
 
 // Config parameterises the obfuscator service.
 type Config struct {
@@ -360,34 +302,31 @@ func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupO
 	}
 
 	for qi, q := range plan.Queries {
-		reply, err := replies[qi], errs[qi]
-		if err != nil {
-			// Mark every member of this query as failed but keep processing
-			// the other queries of the plan.
+		// failMembers marks every member of this query as failed; the other
+		// queries of the plan keep processing.
+		failMembers := func(err error) {
 			for i := range batch {
-				if qi, ok := plan.Assignment[i]; ok && qi == q.ID {
+				if id, ok := plan.Assignment[i]; ok && id == q.ID {
 					out.results[i].Err = err
 				}
 			}
+		}
+		if errs[qi] != nil {
+			failMembers(errs[qi])
 			continue
 		}
-		out.candidates += int64(len(reply.Paths))
+		out.candidates += int64(len(replies[qi].Paths))
 		fstart := time.Now()
-		set := newCandidateSet(reply)
-		extracted, ferr := s.filt.Extract(q, set)
+		extracted, ferr := s.filt.Extract(q, candidateSet{sources: q.Sources, dests: q.Dests, paths: replies[qi].Paths})
 		out.filterDur += time.Since(fstart)
 		if ferr != nil {
-			for i := range batch {
-				if qi, ok := plan.Assignment[i]; ok && qi == q.ID {
-					out.results[i].Err = ferr
-				}
-			}
+			failMembers(ferr)
 			continue
 		}
 		// Map member results back to batch positions by user and pair.
 		for _, ext := range extracted {
 			for i := range batch {
-				if qi, ok := plan.Assignment[i]; !ok || qi != q.ID {
+				if id, ok := plan.Assignment[i]; !ok || id != q.ID {
 					continue
 				}
 				if batch[i].User == ext.Request.User && batch[i].Source == ext.Request.Source && batch[i].Dest == ext.Request.Dest {
@@ -454,65 +393,30 @@ func (s *Service) flush() {
 // shutdown paths use it.
 func (s *Service) Flush() { s.flush() }
 
-// Handler returns a protocol.Handler that answers ClientRequest messages from
-// networked clients. Each request is submitted through the batching path and
-// the reply is sent when its batch completes.
-func (s *Service) Handler() protocol.Handler {
-	return func(msg any) (any, error) {
-		req, ok := msg.(protocol.ClientRequest)
-		if !ok {
-			return nil, fmt.Errorf("obfsvc: unexpected message type %T", msg)
-		}
-		res := <-s.Submit(obfuscate.Request{
-			User:    obfuscate.UserID(req.User),
-			Source:  req.Source,
-			Dest:    req.Dest,
-			FS:      req.FS,
-			FT:      req.FT,
-			Profile: req.Profile,
-		})
-		reply := protocol.ClientReply{RequestID: req.RequestID, Found: res.Found}
-		if res.Err != nil {
-			reply.Error = res.Err.Error()
-		}
-		if res.Found {
-			reply.Path = res.Path.Nodes
-			reply.Cost = res.Path.Cost
-		}
-		return reply, nil
-	}
-}
-
-// Serve accepts client connections on ln until the listener closes. The
-// channel between clients and the obfuscator is assumed secure (e.g. TLS in a
-// real deployment); securing it is outside the paper's scope and ours.
-func (s *Service) Serve(ln net.Listener) error {
-	return protocol.ServeListener(ln, s.Handler())
-}
-
-// candidateSet adapts a ServerReply to the filter.CandidateSet interface.
-// It indexes the wire candidates as-is and converts a candidate to a
-// search.Path (which copies the node sequence) only when the filter actually
-// extracts it — so the |S|·|T| − |members| candidate paths every obfuscated
-// query is padded with are discarded without ever being materialised on
-// this side of the wire.
+// candidateSet adapts a ServerReply to the filter.CandidateSet interface
+// without indexing it: a reply is the source-major |S|×|T| table of the
+// query that asked for it, so a member's cell is found by position — where
+// its source sits in the query's source list, where its destination sits in
+// the destination list — and verified against the endpoints the cell itself
+// claims. Only the cells the filter extracts are ever touched; the
+// |S|·|T| − |members| candidates every obfuscated query is padded with are
+// discarded without being looked at.
 type candidateSet struct {
-	candidates map[[2]roadnet.NodeID]protocol.CandidatePath
+	sources, dests []roadnet.NodeID
+	paths          []protocol.CandidatePath
 }
 
-func newCandidateSet(reply protocol.ServerReply) candidateSet {
-	set := candidateSet{candidates: make(map[[2]roadnet.NodeID]protocol.CandidatePath, len(reply.Paths))}
-	for _, c := range reply.Paths {
-		set.candidates[[2]roadnet.NodeID{c.Source, c.Dest}] = c
-	}
-	return set
-}
-
-// Path implements filter.CandidateSet, materialising lazily.
+// Path implements filter.CandidateSet. The returned path owns its memory: it
+// is an exactly-sized copy, never a window of the reply's node arena, so the
+// reply can be dropped (or overwritten) the moment the filter is done.
 func (c candidateSet) Path(source, dest roadnet.NodeID) (search.Path, bool) {
-	cp, ok := c.candidates[[2]roadnet.NodeID{source, dest}]
-	if !ok {
+	i, j := slices.Index(c.sources, source), slices.Index(c.dests, dest)
+	if i < 0 || j < 0 || len(c.paths) != len(c.sources)*len(c.dests) {
 		return search.Path{}, false
 	}
-	return protocol.PathFromCandidate(cp), true
+	cell := c.paths[i*len(c.dests)+j]
+	if cell.Source != source || cell.Dest != dest {
+		return search.Path{}, false // not the table we asked for
+	}
+	return protocol.PathFromCandidate(cell), true
 }

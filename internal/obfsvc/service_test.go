@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -218,23 +219,23 @@ func TestFlushProcessesPending(t *testing.T) {
 	}
 }
 
-func TestHandlerAndServeOverTCP(t *testing.T) {
+func TestMuxHandlerOverTCP(t *testing.T) {
 	g := testGraph(t)
 	svc, _ := testService(t, g, obfuscate.Independent, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = svc.Serve(ln) }()
+	go func() { _ = svc.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
 
-	conn, err := protocol.Dial(ln.Addr().String())
+	conn, err := protocol.DialMux(ln.Addr().String(), protocol.Hello{Role: "client"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 1, Seed: 90})
-	reply, err := conn.Call(protocol.ClientRequest{RequestID: 9, User: "tcp-user", Source: wl[0].Source, Dest: wl[0].Dest, FS: 2, FT: 2})
+	reply, err := conn.Do(protocol.ClientRequest{RequestID: 9, User: "tcp-user", Source: wl[0].Source, Dest: wl[0].Dest, FS: 2, FT: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,29 +246,114 @@ func TestHandlerAndServeOverTCP(t *testing.T) {
 	if !cr.Found || cr.RequestID != 9 || len(cr.Path) == 0 {
 		t.Errorf("reply = %+v", cr)
 	}
+	// Anything but a client request is refused, on a connection that stays up.
+	var re *protocol.RemoteError
+	if _, err := conn.Do(protocol.ServerQuery{QueryID: 1}); !errors.As(err, &re) {
+		t.Errorf("server query to the obfuscator: err = %v, want a RemoteError", err)
+	}
 }
 
-func TestRemoteExecutor(t *testing.T) {
+func TestMuxExecutor(t *testing.T) {
 	g := testGraph(t)
 	srv := server.MustNew(g, server.DefaultConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(ln) }()
+	go func() { _ = srv.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
-	conn, err := protocol.Dial(ln.Addr().String())
+	exec, err := DialMuxExecutor(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	exec := NewRemoteExecutor(conn)
+	defer exec.Close()
 	reply, err := exec.Execute(protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.QueryID != 2 || len(reply.Paths) != 1 {
-		t.Errorf("remote executor reply = %+v", reply)
+		t.Errorf("mux executor reply = %+v", reply)
+	}
+	// A whole plan travels as one streaming batch; a malformed query fails
+	// in its own slot.
+	replies, errs := exec.ExecuteBatch([]protocol.ServerQuery{
+		{QueryID: 3, Sources: []roadnet.NodeID{0, 1}, Dests: []roadnet.NodeID{5, 6}},
+		{QueryID: 4, Sources: []roadnet.NodeID{0}},
+	})
+	if errs[0] != nil || len(replies[0].Paths) != 4 {
+		t.Errorf("batch slot 0: reply %+v, err %v", replies[0], errs[0])
+	}
+	if errs[1] == nil {
+		t.Error("batch slot 1: a query without destinations succeeded")
+	}
+}
+
+// TestExtractedPathOwnsItsMemory pins the ownership rule at the filter: the
+// path a client receives is an exactly-sized copy of its cell, so scribbling
+// over the reply's node arena after Extract cannot reach it — and the reply,
+// arena and all, is garbage the moment the batch is answered.
+func TestExtractedPathOwnsItsMemory(t *testing.T) {
+	g := testGraph(t)
+	srv := server.MustNew(g, server.DefaultConfig())
+	var arenas [][]roadnet.NodeID
+	exec := ExecutorFunc(func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+		// What a networked executor hands back: a reply decoded from the wire,
+		// every path a window of one arena.
+		reply, err := srv.Evaluate(q)
+		if err != nil {
+			return reply, err
+		}
+		payload, err := protocol.AppendMessage(nil, reply, 0)
+		if err != nil {
+			return reply, err
+		}
+		msg, _, err := protocol.DecodeMessage(payload)
+		if err != nil {
+			return reply, err
+		}
+		decoded := msg.(protocol.ServerReply)
+		for _, c := range decoded.Paths {
+			if len(c.Nodes) > 0 {
+				// Capacity is clipped per path; recover the window to scribble on.
+				arenas = append(arenas, c.Nodes)
+			}
+		}
+		return decoded, nil
+	})
+	cfg := DefaultConfig()
+	cfg.Obfuscation.Mode = obfuscate.Independent
+	minX, minY, maxX, maxY := g.Bounds()
+	extent := math.Max(maxX-minX, maxY-minY)
+	cfg.Obfuscation.Selector = obfuscate.MustNewRingBandSelector(0.02*extent, 0.2*extent, 92)
+	svc := MustNew(g, exec, cfg)
+
+	batch := testRequests(t, g, 3)
+	results, err := svc.ProcessBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]roadnet.NodeID, len(results))
+	for i, res := range results {
+		if res.Err != nil || !res.Found {
+			t.Fatalf("request %d: %+v", i, res)
+		}
+		want[i] = append([]roadnet.NodeID(nil), res.Path.Nodes...)
+		if cap(res.Path.Nodes) != len(res.Path.Nodes) {
+			t.Errorf("request %d: extracted path has cap %d for len %d", i, cap(res.Path.Nodes), len(res.Path.Nodes))
+		}
+	}
+	for _, window := range arenas {
+		for k := range window {
+			window[k] = -1
+		}
+	}
+	for i, res := range results {
+		if !reflect.DeepEqual(res.Path.Nodes, want[i]) {
+			t.Errorf("request %d: the client's path changed when the reply arena was overwritten", i)
+		}
+		if res.Path.Nodes[0] != batch[i].Source || res.Path.Nodes[len(res.Path.Nodes)-1] != batch[i].Dest {
+			t.Errorf("request %d: path does not run %d→%d", i, batch[i].Source, batch[i].Dest)
+		}
 	}
 }
 

@@ -34,22 +34,23 @@ type FrameType uint8
 // Frame types.
 const (
 	// FrameHello opens a connection: the dialling side announces itself
-	// (payload: gob Hello).
+	// (payload: a Hello message, whose header names the sender's codec
+	// version).
 	FrameHello FrameType = iota + 1
 	// FrameWelcome answers a FrameHello: the accepting side's Hello, carrying
 	// its data generation and content checksum for the fleet handshake.
 	FrameWelcome
-	// FrameMsg carries one protocol Envelope; requests and unary replies are
-	// correlated by the request ID.
+	// FrameMsg carries one protocol message (codec.go); requests and unary
+	// replies are correlated by the request ID.
 	FrameMsg
 	// FrameStreamItem carries one item of a streaming reply (a BatchItem
-	// envelope): batch replies stream per-query results as they complete
+	// message): batch replies stream per-query results as they complete
 	// instead of buffering the whole batch.
 	FrameStreamItem
 	// FrameStreamEnd closes a streaming reply; its payload is empty.
 	FrameStreamEnd
 	// FrameErr reports a failure answering the request ID (payload: an
-	// ErrorReply envelope). The connection stays usable.
+	// ErrorReply message). The connection stays usable.
 	FrameErr
 	// FrameGoAway tells the peer the sender is shutting down and will answer
 	// no further requests on this connection.
@@ -59,9 +60,8 @@ const (
 	// still heartbeats) with a FramePong. The payload is empty.
 	FramePing
 	// FramePong answers a FramePing; the payload is the sender's current Hello
-	// (a self-contained gob, like the handshake frames), so every heartbeat
-	// refreshes the peer's identity — generation, content checksum, partition
-	// shape — without a reconnect.
+	// message, so every heartbeat refreshes the peer's identity — generation,
+	// content checksum, partition shape — without a reconnect.
 	FramePong
 
 	maxFrameType = FramePong

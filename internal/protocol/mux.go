@@ -1,9 +1,9 @@
 package protocol
 
-// This file is the multiplexed transport that replaces the one-shot
-// request/response Conn for production serving: one persistent connection
-// carries many concurrent requests as OPMX1 frames (frame.go), correlated by
-// request ID. On top of the frame layer it provides
+// This file is the multiplexed transport every networked hop runs on: one
+// persistent connection carries many concurrent requests as OPMX1 frames
+// (frame.go), correlated by request ID. On top of the frame layer it
+// provides
 //
 //   - a Hello/Welcome handshake: the dialling side announces itself, the
 //     accepting side answers with its identity, data generation, weight
@@ -17,13 +17,16 @@ package protocol
 //     the transport), and above the ShedAt watermark incoming work is marked
 //     for degradation so the handler can shed to distance-only evaluation.
 //
-// Payloads are gob-encoded Envelopes on one persistent stream per direction
-// (type descriptions travel once per connection, not once per frame); a
-// payload that fails to decode poisons the stream and closes the connection.
+// Payloads are the self-contained binary messages of codec.go, so neither
+// read loop decodes: the serving side peeks the header (to refuse expired
+// work) and hands the bytes to the request's own goroutine, the dialling side
+// hands them to the waiting caller. One large reply therefore never blocks
+// the frames queued behind it, and a payload that fails to decode fails its
+// own request (FrameErr) and nothing else. Encoding happens under the
+// connection's send lock into one reused buffer per connection.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -72,7 +75,7 @@ var (
 )
 
 // DeadlineExceededMsg is the RemoteError message the serving side answers
-// with when it drops a request whose envelope deadline expired before
+// with when it drops a request whose header deadline expired before
 // evaluation started.
 const DeadlineExceededMsg = "deadline exceeded before evaluation"
 
@@ -98,77 +101,81 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "protocol: remote error: " + e.Msg }
 
-// envelopeCodec encodes and decodes envelopes on one persistent gob stream,
-// buffering each message so it can travel as a frame payload. Not safe for
-// concurrent use; callers serialise.
-type envelopeCodec struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
-	dec *gob.Decoder
+// maxRetainedBuf caps the write buffer a connection keeps between sends: a
+// one-off multi-megabyte reply must not pin its buffer for the connection's
+// lifetime.
+const maxRetainedBuf = 64 << 10
+
+// appendMessageFrame appends one whole frame carrying msg (nil = empty
+// payload) to dst: the frame header is reserved, the payload encoded in
+// place behind it, and the length patched in.
+//
+//opaque:noalloc
+func appendMessageFrame(dst []byte, ft FrameType, id uint64, msg any, deadline int64) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	dst = append(dst, hdr[:]...) //opaque:allow(noalloc) appends into the connection's reused write buffer; no growth once warm
+	if msg != nil {
+		var err error
+		if dst, err = AppendMessage(dst, msg, deadline); err != nil {
+			return dst[:0], err
+		}
+	}
+	n := len(dst) - frameHeaderLen
+	if n > MaxFramePayload {
+		//opaque:allow(noalloc) refusal path: the frame is never sent, steady state never gets here
+		return dst[:0], fmt.Errorf("%w: payload %d > %d", ErrFrameTooLarge, n, MaxFramePayload)
+	}
+	binary.BigEndian.PutUint32(dst[0:4], uint32(frameOverhead+n))
+	dst[4] = byte(ft)
+	binary.BigEndian.PutUint64(dst[5:13], id)
+	return dst, nil
 }
 
-func newEnvelopeCodec() *envelopeCodec {
-	c := &envelopeCodec{}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&c.buf)
-	return c
+// frameWriter serialises the writers of one connection and owns its reused
+// write buffer.
+type frameWriter struct {
+	mu  sync.Mutex
+	raw net.Conn
+	buf []byte
 }
 
-// encode appends msg's envelope (stamped with the request deadline, 0 =
-// none) to the stream and returns its bytes, valid until the next encode
-// call.
-func (c *envelopeCodec) encode(msg any, deadline int64) ([]byte, error) {
-	env, err := Wrap(msg)
+// errEncode marks a send that failed before any byte reached the wire: the
+// message could not be encoded, the connection is untouched.
+var errEncode = errors.New("protocol: encoding message")
+
+// send encodes and writes one frame. A non-zero deadline doubles as the raw
+// connection's write deadline, so a peer that stopped reading (a blackholed
+// route pushing back through the transport) cannot wedge the sender forever.
+func (w *frameWriter) send(ft FrameType, id uint64, msg any, deadline int64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf, err := appendMessageFrame(w.buf[:0], ft, id, msg, deadline)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("%w: %w", errEncode, err)
 	}
-	env.Deadline = deadline
-	c.buf.Reset()
-	if err := c.enc.Encode(env); err != nil {
-		return nil, fmt.Errorf("protocol: encoding envelope: %w", err)
+	if cap(buf) <= maxRetainedBuf {
+		w.buf = buf
 	}
-	return c.buf.Bytes(), nil
+	if deadline != 0 {
+		_ = w.raw.SetWriteDeadline(time.Unix(0, deadline))
+		defer func() { _ = w.raw.SetWriteDeadline(time.Time{}) }()
+	}
+	_, err = w.raw.Write(buf)
+	return err
 }
 
-// decode feeds one frame payload into the stream and decodes the envelope it
-// carries, returning the message and the envelope deadline (Unix nanos, 0 =
-// none).
-func (c *envelopeCodec) decode(payload []byte) (any, int64, error) {
-	c.buf.Write(payload)
-	var env Envelope
-	if err := c.dec.Decode(&env); err != nil {
-		return nil, 0, fmt.Errorf("protocol: decoding envelope: %w", err)
-	}
-	msg, err := env.Unwrap()
-	return msg, env.Deadline, err
-}
-
-// helloCodec carries the handshake Hellos on their own self-contained gob
-// payloads (the envelope streams start after the handshake).
-func encodeHello(h Hello) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
+// decodeHello decodes a handshake or heartbeat payload. A peer speaking
+// another codec version is refused here, before any request is exchanged.
 func decodeHello(payload []byte) (Hello, error) {
-	var h Hello
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&h)
-	return h, err
-}
-
-// muxEvent is one frame delivered to a waiting call.
-type muxEvent struct {
-	frameType FrameType
-	msg       any
-}
-
-// muxCall is one in-flight request on a MuxClient. Streaming replies deliver
-// several events; unary replies exactly one.
-type muxCall struct {
-	events chan muxEvent
+	msg, _, err := DecodeMessage(payload)
+	if err != nil {
+		return Hello{}, err
+	}
+	h, ok := msg.(Hello)
+	if !ok {
+		return Hello{}, fmt.Errorf("%w: handshake payload carries a %T", ErrPayloadMalformed, msg)
+	}
+	return h, nil
 }
 
 // MuxClient is the dialling side of a multiplexed connection: any number of
@@ -177,16 +184,16 @@ type muxCall struct {
 // ErrMuxClosed (wrapping the cause); the client is then dead and a new one
 // must be dialled.
 type MuxClient struct {
-	raw  net.Conn
+	w    frameWriter // owns the raw connection
 	peer Hello
-
-	sendMu sync.Mutex
-	enc    *envelopeCodec
 
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	pending map[uint64]*muxCall
+	mu sync.Mutex
+	// pending maps each in-flight request to the channel its reply frames —
+	// several for a streaming reply, exactly one for a unary one — are
+	// delivered on, undecoded: the caller decodes on its own goroutine.
+	pending map[uint64]chan Frame
 	err     error // terminal cause, set once under mu
 
 	closeOnce sync.Once
@@ -211,11 +218,12 @@ func DialMux(addr string, hello Hello) (*MuxClient, error) {
 // NewMuxClient wraps an established stream connection, sends hello and waits
 // for the peer's welcome. On error the raw connection is left to the caller.
 func NewMuxClient(raw net.Conn, hello Hello) (*MuxClient, error) {
-	payload, err := encodeHello(hello)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding hello: %v", ErrHandshake, err)
+	c := &MuxClient{
+		w:       frameWriter{raw: raw},
+		pending: make(map[uint64]chan Frame),
+		done:    make(chan struct{}),
 	}
-	if err := WriteFrame(raw, Frame{Type: FrameHello, Payload: payload}); err != nil {
+	if err := c.w.send(FrameHello, 0, hello, 0); err != nil {
 		return nil, fmt.Errorf("%w: sending hello: %v", ErrHandshake, err)
 	}
 	f, err := ReadFrame(raw)
@@ -225,16 +233,8 @@ func NewMuxClient(raw net.Conn, hello Hello) (*MuxClient, error) {
 	if f.Type != FrameWelcome {
 		return nil, fmt.Errorf("%w: expected welcome frame, got type %d", ErrHandshake, f.Type)
 	}
-	peer, err := decodeHello(f.Payload)
-	if err != nil {
+	if c.peer, err = decodeHello(f.Payload); err != nil {
 		return nil, fmt.Errorf("%w: decoding welcome: %v", ErrHandshake, err)
-	}
-	c := &MuxClient{
-		raw:     raw,
-		peer:    peer,
-		enc:     newEnvelopeCodec(),
-		pending: make(map[uint64]*muxCall),
-		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
@@ -273,19 +273,18 @@ func (c *MuxClient) fail(cause error) {
 		c.pending = nil
 		c.mu.Unlock()
 		close(c.done)
-		c.raw.Close()
-		for _, call := range pending {
-			close(call.events)
+		c.w.raw.Close()
+		for _, events := range pending {
+			close(events)
 		}
 	})
 }
 
-// readLoop delivers reply frames to their pending calls until the connection
-// dies.
+// readLoop hands reply frames to their pending calls until the connection
+// dies. It never decodes a payload and never blocks on a caller.
 func (c *MuxClient) readLoop() {
-	dec := newEnvelopeCodec()
 	for {
-		f, err := ReadFrame(c.raw)
+		f, err := ReadFrame(c.w.raw)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrMuxClosed, err))
 			return
@@ -294,87 +293,59 @@ func (c *MuxClient) readLoop() {
 			c.fail(fmt.Errorf("%w: peer sent go-away", ErrMuxClosed))
 			return
 		}
-		var msg any
-		switch f.Type {
-		case FrameStreamEnd:
-			// No payload.
-		case FramePong:
-			// Pongs carry a self-contained Hello gob, outside the envelope
-			// stream; a bad pong only fails the probe, not the connection.
-			h, derr := decodeHello(f.Payload)
-			if derr == nil {
-				c.mu.Lock()
-				c.peer = h
-				c.mu.Unlock()
-			}
-			msg = h
-		default:
-			msg, _, err = dec.decode(f.Payload)
-			if err != nil {
-				// The per-direction gob stream is poisoned; nothing after
-				// this frame can decode.
-				c.fail(fmt.Errorf("%w: %v", ErrMuxClosed, err))
-				return
-			}
-		}
-		terminal := f.Type == FrameMsg || f.Type == FrameErr || f.Type == FrameStreamEnd || f.Type == FramePong
+		terminal := f.Type != FrameStreamItem
 		c.mu.Lock()
-		call := c.pending[f.ID]
-		if call != nil && terminal {
+		events := c.pending[f.ID]
+		if events != nil && terminal {
 			// Terminal frame for this ID: no more events will follow.
 			delete(c.pending, f.ID)
 		}
 		c.mu.Unlock()
-		if call == nil {
+		if events == nil {
 			continue // reply for a caller that gave up; drop
 		}
-		call.events <- muxEvent{frameType: f.Type, msg: msg}
+		select {
+		case events <- f:
+		default:
+			// Every call's channel holds all the frames its request can
+			// legally be answered with; a full one means the peer sent more.
+			c.fail(fmt.Errorf("%w: peer overran the reply stream of request %d", ErrMuxClosed, f.ID))
+			return
+		}
 		if terminal {
-			close(call.events)
+			close(events)
 		}
 	}
 }
 
-// register allocates a request ID and its pending call.
-func (c *MuxClient) register() (uint64, *muxCall, error) {
+// register allocates a request ID and its reply channel, sized to the frames
+// the request can be answered with: 1 for a unary call, one per query plus
+// the stream end for a batch.
+func (c *MuxClient) register(frames int) (uint64, chan Frame, error) {
 	id := c.nextID.Add(1)
-	// Stream replies can deliver many items before the caller drains them;
-	// size the channel generously so the read loop never blocks on a slow
-	// caller of a unary request (streaming callers drain promptly).
-	call := &muxCall{events: make(chan muxEvent, 64)}
+	events := make(chan Frame, frames)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return 0, nil, fmt.Errorf("%w: %v", ErrMuxClosed, err)
 	}
-	c.pending[id] = call
+	c.pending[id] = events
 	c.mu.Unlock()
-	return id, call, nil
+	return id, events, nil
 }
 
-// send encodes and writes one request frame, stamping the envelope deadline
-// (Unix nanos, 0 = none). When a deadline is set it doubles as the raw
-// connection's write deadline, so a peer that stopped reading (a blackholed
-// route pushing back through the transport) cannot wedge the sender forever.
-func (c *MuxClient) send(id uint64, msg any, deadline int64) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	payload, err := c.enc.encode(msg, deadline)
-	if err != nil {
+// send encodes and writes one request frame, stamping the header deadline
+// (Unix nanos, 0 = none).
+func (c *MuxClient) send(ft FrameType, id uint64, msg any, deadline int64) error {
+	err := c.w.send(ft, id, msg, deadline)
+	if err == nil || errors.Is(err, errEncode) {
 		return err
 	}
-	if deadline != 0 {
-		_ = c.raw.SetWriteDeadline(time.Unix(0, deadline))
-		defer func() { _ = c.raw.SetWriteDeadline(time.Time{}) }()
-	}
-	if err := WriteFrame(c.raw, Frame{Type: FrameMsg, ID: id, Payload: payload}); err != nil {
-		// A failed or timed-out write leaves a partial frame on the wire; the
-		// connection is unusable either way.
-		c.fail(fmt.Errorf("%w: %v", ErrMuxClosed, err))
-		return fmt.Errorf("%w: %v", ErrMuxClosed, err)
-	}
-	return nil
+	// A failed or timed-out write leaves a partial frame on the wire; the
+	// connection is unusable either way.
+	c.fail(fmt.Errorf("%w: %v", ErrMuxClosed, err))
+	return fmt.Errorf("%w: %v", ErrMuxClosed, err)
 }
 
 // abandon forgets an in-flight call after a send failure.
@@ -384,7 +355,7 @@ func (c *MuxClient) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// deadlineNanos validates a deadline and converts it to envelope form. It
+// deadlineNanos validates a deadline and converts it to header form. It
 // returns an error when the deadline has already passed — the request must
 // not be sent at all.
 func deadlineNanos(deadline time.Time) (int64, error) {
@@ -397,22 +368,6 @@ func deadlineNanos(deadline time.Time) (int64, error) {
 	return deadline.UnixNano(), nil
 }
 
-// wait blocks for the next event of an in-flight call, bounded by deadline
-// (zero = wait forever). A timeout abandons the call — a late reply is
-// dropped by the read loop — and returns ErrDeadlineExceeded.
-func (c *MuxClient) wait(id uint64, call *muxCall, timeout <-chan time.Time) (muxEvent, error) {
-	select {
-	case ev, ok := <-call.events:
-		if !ok {
-			return muxEvent{}, fmt.Errorf("%w: %v", ErrMuxClosed, c.Err())
-		}
-		return ev, nil
-	case <-timeout:
-		c.abandon(id)
-		return muxEvent{}, fmt.Errorf("%w: no reply for request %d", ErrDeadlineExceeded, id)
-	}
-}
-
 // deadlineTimer returns a channel firing at deadline (nil = never) and its
 // stop function.
 func deadlineTimer(deadline time.Time) (<-chan time.Time, func()) {
@@ -423,44 +378,97 @@ func deadlineTimer(deadline time.Time) (<-chan time.Time, func()) {
 	return tm.C, func() { tm.Stop() }
 }
 
+// inflight is one sent request whose reply frames are being awaited.
+type inflight struct {
+	c       *MuxClient
+	id      uint64
+	events  chan Frame
+	timeout <-chan time.Time
+	stop    func()
+}
+
+// start sends one request — msg in a frame of type ft, answerable with up to
+// events frames — bounded by deadline (zero = none). The caller must stop()
+// the returned inflight.
+func (c *MuxClient) start(ft FrameType, msg any, events int, deadline time.Time) (inflight, error) {
+	dl, err := deadlineNanos(deadline)
+	if err != nil {
+		return inflight{}, err
+	}
+	id, ch, err := c.register(events)
+	if err != nil {
+		return inflight{}, err
+	}
+	if err := c.send(ft, id, msg, dl); err != nil {
+		c.abandon(id)
+		return inflight{}, err
+	}
+	timeout, stop := deadlineTimer(deadline)
+	return inflight{c: c, id: id, events: ch, timeout: timeout, stop: stop}, nil
+}
+
+// next blocks for the request's next reply frame, bounded by its deadline. A
+// timeout abandons the request — a late reply is dropped by the read loop —
+// and returns ErrDeadlineExceeded.
+func (f inflight) next() (Frame, error) {
+	select {
+	case ev, ok := <-f.events:
+		if !ok {
+			return Frame{}, fmt.Errorf("%w: %v", ErrMuxClosed, f.c.Err())
+		}
+		return ev, nil
+	case <-f.timeout:
+		f.c.abandon(f.id)
+		return Frame{}, fmt.Errorf("%w: no reply for request %d", ErrDeadlineExceeded, f.id)
+	}
+}
+
+// giveUp abandons the request after a reply the caller cannot use and returns
+// err: whatever else the peer sends for it is dropped by the read loop.
+func (f inflight) giveUp(err error) error {
+	f.c.abandon(f.id)
+	return err
+}
+
+// decodeEvent decodes the payload of a reply frame on the caller's
+// goroutine. A FrameErr becomes a *RemoteError; a payload that does not
+// decode fails this call only.
+func decodeEvent(ev Frame) (any, error) {
+	msg, _, err := DecodeMessage(ev.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: undecodable %d frame from peer: %w", ev.Type, err)
+	}
+	if ev.Type == FrameErr {
+		if er, isErr := msg.(ErrorReply); isErr {
+			return nil, &RemoteError{Msg: er.Message}
+		}
+		return nil, &RemoteError{Msg: fmt.Sprintf("malformed error reply %T", msg)}
+	}
+	return msg, nil
+}
+
 // Do sends one unary request and waits for its reply. A FrameErr answer is
 // returned as *RemoteError; a transport failure as ErrMuxClosed.
 func (c *MuxClient) Do(msg any) (any, error) { return c.DoDeadline(msg, time.Time{}) }
 
 // DoDeadline is Do with an absolute deadline (zero = none): the deadline
-// rides in the request envelope so the serving side drops the work if it
+// rides in the request header so the serving side drops the work if it
 // expires before evaluation, and the wait for the reply is bounded by the
 // same clock — ErrDeadlineExceeded either way.
 func (c *MuxClient) DoDeadline(msg any, deadline time.Time) (any, error) {
-	dl, err := deadlineNanos(deadline)
+	req, err := c.start(FrameMsg, msg, 1, deadline)
 	if err != nil {
 		return nil, err
 	}
-	id, call, err := c.register()
+	defer req.stop()
+	ev, err := req.next()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.send(id, msg, dl); err != nil {
-		c.abandon(id)
-		return nil, err
+	if ev.Type != FrameMsg && ev.Type != FrameErr {
+		return nil, req.giveUp(fmt.Errorf("protocol: unexpected %d frame answering unary request", ev.Type))
 	}
-	timeout, stop := deadlineTimer(deadline)
-	defer stop()
-	ev, err := c.wait(id, call, timeout)
-	if err != nil {
-		return nil, err
-	}
-	switch ev.frameType {
-	case FrameMsg:
-		return ev.msg, nil
-	case FrameErr:
-		if er, isErr := ev.msg.(ErrorReply); isErr {
-			return nil, &RemoteError{Msg: er.Message}
-		}
-		return nil, &RemoteError{Msg: fmt.Sprintf("malformed error reply %T", ev.msg)}
-	default:
-		return nil, fmt.Errorf("protocol: unexpected %d frame answering unary request", ev.frameType)
-	}
+	return decodeEvent(ev)
 }
 
 // Ping probes the peer over the identity stream: a FramePing is answered
@@ -469,108 +477,76 @@ func (c *MuxClient) DoDeadline(msg any, deadline time.Time) (any, error) {
 // Peer(). The deadline bounds the whole probe (zero = wait forever, which is
 // almost never what a health checker wants).
 func (c *MuxClient) Ping(deadline time.Time) (Hello, error) {
-	if _, err := deadlineNanos(deadline); err != nil {
-		return Hello{}, err
-	}
-	id, call, err := c.register()
+	req, err := c.start(FramePing, nil, 1, deadline)
 	if err != nil {
 		return Hello{}, err
 	}
-	c.sendMu.Lock()
-	if !deadline.IsZero() {
-		_ = c.raw.SetWriteDeadline(deadline)
-	}
-	err = WriteFrame(c.raw, Frame{Type: FramePing, ID: id})
-	if !deadline.IsZero() {
-		_ = c.raw.SetWriteDeadline(time.Time{})
-	}
-	c.sendMu.Unlock()
-	if err != nil {
-		c.abandon(id)
-		c.fail(fmt.Errorf("%w: %v", ErrMuxClosed, err))
-		return Hello{}, fmt.Errorf("%w: %v", ErrMuxClosed, err)
-	}
-	timeout, stop := deadlineTimer(deadline)
-	defer stop()
-	ev, err := c.wait(id, call, timeout)
+	defer req.stop()
+	ev, err := req.next()
 	if err != nil {
 		return Hello{}, err
 	}
-	if ev.frameType != FramePong {
-		return Hello{}, fmt.Errorf("protocol: unexpected %d frame answering ping", ev.frameType)
+	if ev.Type != FramePong {
+		return Hello{}, req.giveUp(fmt.Errorf("protocol: unexpected %d frame answering ping", ev.Type))
 	}
-	h, ok := ev.msg.(Hello)
-	if !ok {
-		return Hello{}, fmt.Errorf("protocol: malformed pong payload %T", ev.msg)
+	// A bad pong only fails the probe, not the connection.
+	h, err := decodeHello(ev.Payload)
+	if err != nil {
+		return Hello{}, fmt.Errorf("protocol: undecodable pong: %w", err)
 	}
+	c.mu.Lock()
+	c.peer = h
+	c.mu.Unlock()
 	return h, nil
 }
 
 // DoBatch sends a batch query and reassembles its streamed reply: one
-// BatchItem per query in any completion order, closed by a stream end. A
-// server answering with a buffered BatchReply (one FrameMsg) is accepted
-// too. Per-query failures land in the returned BatchReply.Errors; the error
+// BatchItem per query in any completion order, closed by a stream end.
+// Per-query failures land in the returned BatchReply.Errors; the error
 // return is reserved for whole-batch and transport failures.
 func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 	return c.DoBatchDeadline(b, time.Time{})
 }
 
 // DoBatchDeadline is DoBatch with an absolute deadline (zero = none)
-// stamped into the request envelope and bounding the streamed reply drain.
+// stamped into the request header and bounding the streamed reply drain.
 func (c *MuxClient) DoBatchDeadline(b BatchQuery, deadline time.Time) (BatchReply, error) {
-	dl, err := deadlineNanos(deadline)
+	req, err := c.start(FrameMsg, b, len(b.Queries)+1, deadline)
 	if err != nil {
 		return BatchReply{}, err
 	}
-	id, call, err := c.register()
-	if err != nil {
-		return BatchReply{}, err
-	}
-	if err := c.send(id, b, dl); err != nil {
-		c.abandon(id)
-		return BatchReply{}, err
-	}
-	timeout, stop := deadlineTimer(deadline)
-	defer stop()
+	defer req.stop()
 	reply := BatchReply{
 		BatchID: b.BatchID,
 		Replies: make([]ServerReply, len(b.Queries)),
 		Errors:  make([]string, len(b.Queries)),
 	}
 	for {
-		ev, werr := c.wait(id, call, timeout)
+		ev, werr := req.next()
 		if werr != nil {
 			return BatchReply{}, werr
 		}
-		switch ev.frameType {
-		case FrameStreamItem:
-			item, ok := ev.msg.(BatchItem)
-			if !ok {
-				return BatchReply{}, fmt.Errorf("protocol: unexpected stream item %T", ev.msg)
-			}
-			if item.Index < 0 || item.Index >= len(b.Queries) {
-				return BatchReply{}, fmt.Errorf("protocol: stream item index %d outside batch of %d", item.Index, len(b.Queries))
-			}
-			reply.Replies[item.Index] = item.Reply
-			reply.Errors[item.Index] = item.Error
-		case FrameStreamEnd:
+		if ev.Type == FrameStreamEnd {
 			return reply, nil
-		case FrameMsg:
-			// Buffered whole-batch answer from a non-streaming server.
-			if br, ok := ev.msg.(BatchReply); ok {
-				return br, nil
-			}
-			return BatchReply{}, fmt.Errorf("protocol: unexpected batch reply %T", ev.msg)
-		case FrameErr:
-			if er, ok := ev.msg.(ErrorReply); ok {
-				return BatchReply{}, &RemoteError{Msg: er.Message}
-			}
-			return BatchReply{}, &RemoteError{Msg: fmt.Sprintf("malformed error reply %T", ev.msg)}
-		default:
+		}
+		if ev.Type != FrameStreamItem && ev.Type != FrameErr {
 			// Connection-level frames never reach a registered call; anything
 			// else here is a peer protocol bug, not something to spin on.
-			return BatchReply{}, fmt.Errorf("protocol: unexpected %d frame in batch reply stream", ev.frameType)
+			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: unexpected %d frame in batch reply stream", ev.Type))
 		}
+		msg, derr := decodeEvent(ev)
+		if derr != nil {
+			return BatchReply{}, req.giveUp(derr)
+		}
+		m, ok := msg.(BatchItem)
+		if !ok {
+			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: unexpected %T in batch reply stream", msg))
+		}
+		if m.Index < 0 || m.Index >= len(b.Queries) {
+			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: stream item index %d outside batch of %d", m.Index, len(b.Queries)))
+		}
+		reply.Replies[m.Index] = m.Reply
+		reply.Errors[m.Index] = m.Error
 	}
 }
 
@@ -587,6 +563,8 @@ type ReqInfo struct {
 }
 
 // MuxHandler answers unary messages arriving on a multiplexed connection.
+// The transport only ever reads what a handler returns: a handler may return
+// the same value any number of times, to any number of connections.
 type MuxHandler interface {
 	HandleMux(msg any, info ReqInfo) (any, error)
 }
@@ -629,41 +607,11 @@ type MuxServerConfig struct {
 // MuxServerConfig.MaxInFlight is unset.
 const DefaultMaxInFlight = 64
 
-// muxServerConn is the serving side of one multiplexed connection.
-type muxServerConn struct {
-	raw    net.Conn
-	sendMu sync.Mutex
-	enc    *envelopeCodec
-}
-
-// reply writes one frame, serialising with all other writers on the
-// connection.
-func (sc *muxServerConn) reply(f FrameType, id uint64, msg any) error {
-	sc.sendMu.Lock()
-	defer sc.sendMu.Unlock()
-	var payload []byte
-	if msg != nil {
-		var err error
-		payload, err = sc.enc.encode(msg, 0)
-		if err != nil {
-			return err
-		}
-	}
-	return WriteFrame(sc.raw, Frame{Type: f, ID: id, Payload: payload})
-}
-
-// replyRaw writes one frame with a pre-encoded payload (a self-contained gob,
-// like the handshake frames), bypassing the per-connection envelope stream.
-func (sc *muxServerConn) replyRaw(f FrameType, id uint64, payload []byte) error {
-	sc.sendMu.Lock()
-	defer sc.sendMu.Unlock()
-	return WriteFrame(sc.raw, Frame{Type: f, ID: id, Payload: payload})
-}
-
 // ServeMuxConn serves one multiplexed connection: handshake, then one
 // goroutine per request under the admission window, until the connection
-// fails or closes. Handler errors are reported to the peer as FrameErr and
-// do not terminate the connection.
+// fails or closes. Handler errors — and request payloads that do not decode
+// — are reported to the peer as FrameErr for that request and do not
+// terminate the connection.
 func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 	defer raw.Close()
 	f, err := ReadFrame(raw)
@@ -673,30 +621,36 @@ func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 	if f.Type != FrameHello {
 		return fmt.Errorf("%w: expected hello frame, got type %d", ErrHandshake, f.Type)
 	}
-	if _, err := decodeHello(f.Payload); err != nil {
-		return fmt.Errorf("%w: decoding hello: %v", ErrHandshake, err)
-	}
-	var hello Hello
-	if cfg.Hello != nil {
-		hello = cfg.Hello()
+	_, helloErr := decodeHello(f.Payload)
+	if helloErr != nil && !errors.Is(helloErr, ErrCodecVersion) {
+		return fmt.Errorf("%w: decoding hello: %v", ErrHandshake, helloErr)
 	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
 	}
-	if hello.MaxInFlight == 0 {
-		hello.MaxInFlight = maxInFlight
+	hello := func() Hello {
+		var hello Hello
+		if cfg.Hello != nil {
+			hello = cfg.Hello()
+		}
+		if hello.MaxInFlight == 0 {
+			hello.MaxInFlight = maxInFlight
+		}
+		return hello
 	}
-	payload, err := encodeHello(hello)
-	if err != nil {
-		return fmt.Errorf("%w: encoding welcome: %v", ErrHandshake, err)
-	}
-	if err := WriteFrame(raw, Frame{Type: FrameWelcome, Payload: payload}); err != nil {
+	w := &frameWriter{raw: raw}
+	// The welcome goes out even to a peer of another codec version: its header
+	// tells that peer which version this side speaks, so both ends report the
+	// mismatch instead of one seeing a bare disconnect.
+	if err := w.send(FrameWelcome, 0, hello(), 0); err != nil {
 		return fmt.Errorf("%w: sending welcome: %v", ErrHandshake, err)
 	}
+	if helloErr != nil {
+		return fmt.Errorf("%w: %v", ErrHandshake, helloErr)
+	}
 
-	sc := &muxServerConn{raw: raw, enc: newEnvelopeCodec()}
-	dec := newEnvelopeCodec()
+	reply := func(ft FrameType, id uint64, msg any) { _ = w.send(ft, id, msg, 0) }
 	slots := make(chan struct{}, maxInFlight)
 	var inFlight atomic.Int64
 	var wg sync.WaitGroup
@@ -716,18 +670,7 @@ func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 			// Answered inline, before the admission slot gate, so a shard
 			// saturated with work still heartbeats. The pong carries a fresh
 			// Hello — every probe refreshes the peer's view of our identity.
-			var hello Hello
-			if cfg.Hello != nil {
-				hello = cfg.Hello()
-			}
-			if hello.MaxInFlight == 0 {
-				hello.MaxInFlight = maxInFlight
-			}
-			payload, err := encodeHello(hello)
-			if err != nil {
-				return fmt.Errorf("protocol: encoding pong: %v", err)
-			}
-			if err := sc.replyRaw(FramePong, f.ID, payload); err != nil {
+			if err := w.send(FramePong, f.ID, hello(), 0); err != nil {
 				return err
 			}
 			continue
@@ -735,18 +678,20 @@ func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 		if f.Type != FrameMsg {
 			return fmt.Errorf("protocol: unexpected %d frame from mux peer", f.Type)
 		}
-		// Decode in read order — the per-direction gob stream demands it —
-		// then hand off to a bounded worker.
-		msg, dlNanos, err := dec.decode(f.Payload)
+		// Only the header is read here; the body is decoded by the request's
+		// own goroutine, so a large request never delays the frames behind it.
+		_, dlNanos, err := PeekHeader(f.Payload)
 		if err != nil {
-			return err
+			reply(FrameErr, f.ID, ErrorReply{Message: err.Error()})
+			continue
 		}
 		var deadline time.Time
 		if dlNanos != 0 {
 			deadline = time.Unix(0, dlNanos)
 			if !time.Now().Before(deadline) {
-				// Expired before admission: refuse without burning a slot.
-				_ = sc.reply(FrameErr, f.ID, ErrorReply{Message: DeadlineExceededMsg})
+				// Expired before admission: refuse without burning a slot or
+				// decoding the body.
+				reply(FrameErr, f.ID, ErrorReply{Message: DeadlineExceededMsg})
 				continue
 			}
 		}
@@ -754,7 +699,7 @@ func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 		n := inFlight.Add(1)
 		shed := cfg.ShedAt > 0 && n >= int64(cfg.ShedAt)
 		wg.Add(1)
-		go func(id uint64, msg any, info ReqInfo) {
+		go func(id uint64, payload []byte, info ReqInfo) {
 			defer func() {
 				inFlight.Add(-1)
 				<-slots
@@ -763,29 +708,40 @@ func ServeMuxConn(raw net.Conn, h MuxHandler, cfg MuxServerConfig) error {
 			if !info.Deadline.IsZero() && !time.Now().Before(info.Deadline) {
 				// Expired while queued behind the slot gate: drop the work
 				// instead of evaluating an answer nobody is waiting for.
-				_ = sc.reply(FrameErr, id, ErrorReply{Message: DeadlineExceededMsg})
+				reply(FrameErr, id, ErrorReply{Message: DeadlineExceededMsg})
+				return
+			}
+			msg, _, err := DecodeMessage(payload)
+			if err != nil {
+				reply(FrameErr, id, ErrorReply{Message: err.Error()})
 				return
 			}
 			if b, ok := msg.(BatchQuery); ok {
 				if streamer, ok := h.(MuxBatchStreamer); ok {
 					err := streamer.HandleMuxBatch(b, info, func(item BatchItem) {
-						_ = sc.reply(FrameStreamItem, id, item)
+						// An item that cannot be encoded still answers its query.
+						if err := w.send(FrameStreamItem, id, &item, 0); errors.Is(err, errEncode) {
+							reply(FrameStreamItem, id, BatchItem{BatchID: item.BatchID, Index: item.Index, Error: err.Error()})
+						}
 					})
 					if err != nil {
-						_ = sc.reply(FrameErr, id, ErrorReply{RefID: b.BatchID, Message: err.Error()})
+						reply(FrameErr, id, ErrorReply{RefID: b.BatchID, Message: err.Error()})
 						return
 					}
-					_ = sc.reply(FrameStreamEnd, id, nil)
+					reply(FrameStreamEnd, id, nil)
 					return
 				}
 			}
 			res, err := h.HandleMux(msg, info)
-			if err != nil {
-				_ = sc.reply(FrameErr, id, ErrorReply{Message: err.Error()})
-				return
+			if err == nil {
+				err = w.send(FrameMsg, id, res, 0)
+				if !errors.Is(err, errEncode) {
+					return // sent, or the connection is failing and the read loop will notice
+				}
+				// A reply that cannot be encoded must still answer the request.
 			}
-			_ = sc.reply(FrameMsg, id, res)
-		}(f.ID, msg, ReqInfo{Shed: shed, Deadline: deadline})
+			reply(FrameErr, id, ErrorReply{Message: err.Error()})
+		}(f.ID, f.Payload, ReqInfo{Shed: shed, Deadline: deadline})
 	}
 }
 

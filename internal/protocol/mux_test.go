@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,15 +391,210 @@ func TestMuxDeadlineServerDrop(t *testing.T) {
 	}
 }
 
+// rawMuxPeer handshakes with a ServeMuxConn by hand and returns the raw
+// connection, for tests that put bytes on the wire no MuxClient would.
+func rawMuxPeer(t *testing.T, h MuxHandler) net.Conn {
+	t.Helper()
+	clientEnd, serverEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = ServeMuxConn(serverEnd, h, MuxServerConfig{})
+	}()
+	t.Cleanup(func() {
+		clientEnd.Close()
+		<-done
+	})
+	hello, err := AppendMessage(nil, Hello{Role: "client"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(clientEnd, Frame{Type: FrameHello, Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(clientEnd); err != nil || f.Type != FrameWelcome {
+		t.Fatalf("welcome: frame %+v, err %v", f, err)
+	}
+	return clientEnd
+}
+
+// readReply reads one frame and decodes its payload.
+func readReply(t *testing.T, conn net.Conn) (Frame, any) {
+	t.Helper()
+	f, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("reading reply frame: %v", err)
+	}
+	msg, _, err := DecodeMessage(f.Payload)
+	if err != nil {
+		t.Fatalf("decoding %d frame: %v", f.Type, err)
+	}
+	return f, msg
+}
+
+// TestMalformedPayloadFailsOneRequestNotTheConnection: a FrameMsg whose body
+// is garbage is answered with FrameErr for its request ID, and a good call
+// already in flight on the same connection still completes.
+func TestMalformedPayloadFailsOneRequestNotTheConnection(t *testing.T) {
+	release := make(chan struct{})
+	h := MuxHandlerFunc(func(msg any, info ReqInfo) (any, error) {
+		<-release
+		return echoHandler(msg, info)
+	})
+	conn := rawMuxPeer(t, h)
+	good, err := AppendMessage(nil, ServerQuery{QueryID: 41}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, Frame{Type: FrameMsg, ID: 1, Payload: good}); err != nil {
+		t.Fatal(err)
+	}
+	// Valid header, then a body that is no ServerQuery at all; and a payload
+	// too short to even carry a header.
+	garbage := append(append([]byte{}, good[:payloadHeaderLen]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	for id, payload := range map[uint64][]byte{2: garbage, 3: {0x01}} {
+		if err := WriteFrame(conn, Frame{Type: FrameMsg, ID: id, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, msg := readReply(t, conn)
+		if er, ok := msg.(ErrorReply); f.Type != FrameErr || f.ID != id || !ok || er.Message == "" {
+			t.Fatalf("garbage request %d answered with frame %d for id %d carrying %+v, want FrameErr", id, f.Type, f.ID, msg)
+		}
+	}
+	close(release)
+	f, msg := readReply(t, conn)
+	if rep, ok := msg.(ServerReply); f.Type != FrameMsg || f.ID != 1 || !ok || rep.QueryID != 41 {
+		t.Fatalf("concurrent good call answered with frame %d for id %d carrying %+v", f.Type, f.ID, msg)
+	}
+}
+
+// TestExpiredDeadlineRefusedWithoutDecode: the serving side reads the
+// deadline from the payload header; expired work is refused before its body
+// is looked at — here the body would not even decode.
+func TestExpiredDeadlineRefusedWithoutDecode(t *testing.T) {
+	var calls atomic.Int64
+	conn := rawMuxPeer(t, MuxHandlerFunc(func(msg any, info ReqInfo) (any, error) {
+		calls.Add(1)
+		return echoHandler(msg, info)
+	}))
+	payload, err := AppendMessage(nil, ServerQuery{QueryID: 1}, time.Now().Add(-time.Second).UnixNano())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(payload[:payloadHeaderLen], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	if err := WriteFrame(conn, Frame{Type: FrameMsg, ID: 9, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	f, msg := readReply(t, conn)
+	if er, ok := msg.(ErrorReply); f.Type != FrameErr || f.ID != 9 || !ok || er.Message != DeadlineExceededMsg {
+		t.Fatalf("expired request answered with frame %d carrying %+v, want the deadline refusal", f.Type, msg)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("handler ran %d times for expired work", n)
+	}
+}
+
+// TestHandshakeRefusesForeignCodecVersion: peers speaking different codec
+// versions refuse each other with a typed ErrHandshake on both ends.
+func TestHandshakeRefusesForeignCodecVersion(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeMuxConn(serverEnd, echoHandler, MuxServerConfig{}) }()
+	hello, err := AppendMessage(nil, Hello{Role: "client"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello[1] = CodecVersion + 1
+	if err := WriteFrame(clientEnd, Frame{Type: FrameHello, Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	// The welcome still arrives, so the dialling side can see which version
+	// the accepting side speaks.
+	if f, err := ReadFrame(clientEnd); err != nil || f.Type != FrameWelcome || f.Payload[1] != CodecVersion {
+		t.Fatalf("welcome: frame %+v, err %v", f, err)
+	}
+	if err := <-served; !errors.Is(err, ErrHandshake) {
+		t.Errorf("serving side: err = %v, want ErrHandshake", err)
+	}
+	clientEnd.Close()
+
+	// And the dialling side refuses a welcome of another version.
+	clientEnd, serverEnd = net.Pipe()
+	go func() {
+		defer serverEnd.Close()
+		if _, err := ReadFrame(serverEnd); err != nil {
+			return
+		}
+		welcome, _ := AppendMessage(nil, Hello{Role: "server"}, 0)
+		welcome[1] = CodecVersion + 1
+		_ = WriteFrame(serverEnd, Frame{Type: FrameWelcome, Payload: welcome})
+	}()
+	if _, err := NewMuxClient(clientEnd, Hello{Role: "client"}); !errors.Is(err, ErrHandshake) {
+		t.Errorf("dialling side: err = %v, want ErrHandshake", err)
+	}
+	clientEnd.Close()
+}
+
+// TestHandlerMayReturnTheSameReplyForever: the transport only reads what a
+// handler hands it — one reply value, returned to many concurrent calls,
+// arrives intact every time and is never modified.
+func TestHandlerMayReturnTheSameReplyForever(t *testing.T) {
+	shared := ServerReply{QueryID: 7, ContentSum: 1, Paths: []CandidatePath{
+		{Source: 1, Dest: 5, Found: true, Cost: 3, Nodes: []roadnet.NodeID{1, 2, 5}},
+		{Source: 1, Dest: 6, Found: true, Cost: 4, Nodes: []roadnet.NodeID{1, 2, 6}},
+	}}
+	want := ServerReply{QueryID: 7, ContentSum: 1, Paths: []CandidatePath{
+		{Source: 1, Dest: 5, Found: true, Cost: 3, Nodes: []roadnet.NodeID{1, 2, 5}},
+		{Source: 1, Dest: 6, Found: true, Cost: 4, Nodes: []roadnet.NodeID{1, 2, 6}},
+	}}
+	c := muxPair(t, MuxHandlerFunc(func(any, ReqInfo) (any, error) { return shared, nil }), MuxServerConfig{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				res, err := c.Do(ServerQuery{QueryID: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Errorf("echoed reply arrived as %+v", res)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(shared, want) {
+		t.Errorf("the transport modified the handler's value: %+v", shared)
+	}
+}
+
+// TestUnaryCallRegistersOneSlot pins the per-call footprint: a unary call's
+// event channel holds exactly the one frame that can answer it.
+func TestUnaryCallRegistersOneSlot(t *testing.T) {
+	c := muxPair(t, echoHandler, MuxServerConfig{})
+	_, events, err := c.register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(events) != 1 {
+		t.Errorf("unary call registered %d event slots, want 1", cap(events))
+	}
+}
+
 // FuzzMuxHello hammers the handshake/pong decoder with arbitrary payloads:
-// decodeHello must never panic, and any hello it accepts must re-encode.
+// decodeHello must never panic, and any hello it accepts must re-encode to
+// the same bytes' meaning.
 func FuzzMuxHello(f *testing.F) {
 	for _, h := range []Hello{
 		{},
 		{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64, Profiles: []string{"am-peak", "pm-peak"}},
 		{Node: "router", Role: "router"},
 	} {
-		payload, err := encodeHello(h)
+		payload, err := AppendMessage(nil, h, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -411,8 +607,6 @@ func FuzzMuxHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := encodeHello(h); err != nil {
-			t.Errorf("accepted hello %+v does not re-encode: %v", h, err)
-		}
+		checkDecoded(t, data, h)
 	})
 }

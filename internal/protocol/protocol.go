@@ -1,8 +1,10 @@
-// Package protocol defines the messages exchanged between the three OPAQUE
-// roles (client, obfuscator, directions search server) and codecs/transports
-// to carry them. Two transports are provided: an in-process transport for
-// experiments and tests, and a length-prefixed gob transport over TCP for the
-// networked deployment built by the cmd/ binaries.
+// Package protocol defines the messages exchanged between the OPAQUE roles
+// (client, obfuscator, fleet router, directions search server), their one
+// wire encoding and the one transport that carries them: OPMX1, a
+// multiplexed framed connection (frame.go, mux.go) whose payloads are the
+// hand-written, versioned binary encoding of codec.go — no reflection, no
+// per-connection stream state, every payload self-contained. In-process
+// deployments skip the wire and pass the same message values directly.
 //
 // The message boundary mirrors Figure 6 of the paper:
 //
@@ -11,26 +13,23 @@
 //	server      → obfuscator : ServerReply    candidate result paths
 //	obfuscator  → client     : ClientReply    P(s, t)
 //
-// On top of the per-query exchange, BatchQuery/BatchReply carry a whole batch
-// of obfuscated queries in one round trip, so a networked obfuscator can hand
-// the server's batch engine an entire obfuscation plan (all Q(S, T) of one
-// batching window) and amortise both framing and evaluation.
+// On top of the per-query exchange, a BatchQuery carries a whole batch of
+// obfuscated queries in one round trip — answered as a stream of BatchItems
+// the dialling side reassembles into a BatchReply — so a networked obfuscator
+// can hand the server's batch engine an entire obfuscation plan (all Q(S, T)
+// of one batching window) and amortise both framing and evaluation.
 package protocol
 
 import (
-	"encoding/gob"
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 )
 
-// MessageType tags a framed message on the wire.
+// MessageType tags a message payload on the wire (the first byte of its
+// header, see codec.go).
 type MessageType uint8
 
-// Message type constants.
+// Message type constants. The values are wire format; append, never renumber.
 const (
 	TypeClientRequest MessageType = iota + 1
 	TypeClientReply
@@ -38,10 +37,10 @@ const (
 	TypeServerReply
 	TypeError
 	TypeBatchQuery
-	TypeBatchReply
 	TypeBatchItem
 	TypeWeightUpdate
 	TypeWeightUpdateAck
+	TypeHello
 )
 
 // ClientRequest is the client-to-obfuscator request over the secure channel.
@@ -90,7 +89,11 @@ type ServerQuery struct {
 	DistanceOnly bool
 }
 
-// CandidatePath is one (s, t, path) triple of a ServerReply.
+// CandidatePath is one (s, t, path) triple of a ServerReply. Nodes usually
+// sub-slices a node arena the whole reply shares (the server unpacks into
+// one, the codec decodes into one, the router's stitch copies the structs and
+// keeps the aliases): treat it as read-only, and copy it (PathFromCandidate)
+// before retaining it past the reply.
 type CandidatePath struct {
 	Source roadnet.NodeID
 	Dest   roadnet.NodeID
@@ -102,7 +105,9 @@ type CandidatePath struct {
 // ServerReply returns every candidate result path of one obfuscated query.
 type ServerReply struct {
 	QueryID uint64
-	Paths   []CandidatePath
+	// Paths is the |S|×|T| candidate table, source-major: cell (i, j) of
+	// Q(S, T) is Paths[i*|T|+j]. The wire encoding relies on that shape.
+	Paths []CandidatePath
 	// SettledNodes and PageFaults let experiments observe the server-side
 	// cost without another channel; a production server would omit them.
 	// PageFaults is exact under sequential evaluation and an upper bound
@@ -117,7 +122,7 @@ type ServerReply struct {
 	// not pin a stable identity because an update raced the evaluation), so
 	// a distributed answer never mixes generations across shards. Generation
 	// numbers are per-server and not comparable across shards; ContentSum
-	// is content-derived and is. Both are 0 on legacy replies.
+	// is content-derived and is.
 	Generation uint64
 	ContentSum uint64
 	// Profile echoes the weight profile the query was answered under ("" =
@@ -140,7 +145,9 @@ type BatchQuery struct {
 
 // BatchReply answers a BatchQuery: one reply per query, in query order.
 // Queries that failed individually have their error message in Errors at the
-// same index (empty string = success) rather than failing the whole batch.
+// same index (empty string = success) rather than failing the whole batch. It
+// has no wire form: it travels as one BatchItem per query and is what DoBatch
+// reassembles them into.
 type BatchReply struct {
 	BatchID uint64
 	Replies []ServerReply
@@ -184,191 +191,15 @@ type ErrorReply struct {
 	Message string
 }
 
-// PathFromCandidate converts a wire CandidatePath back to a search.Path.
+// PathFromCandidate converts a wire CandidatePath back to a search.Path. The
+// node sequence is copied into an exactly-sized slice of its own: a decoded
+// reply's candidates all sub-slice one node arena, and a path that outlives
+// the reply must neither keep that arena alive nor alias it.
 func PathFromCandidate(c CandidatePath) search.Path {
 	if !c.Found {
 		return search.Path{}
 	}
-	return search.Path{Nodes: append([]roadnet.NodeID(nil), c.Nodes...), Cost: c.Cost}
+	nodes := make([]roadnet.NodeID, len(c.Nodes))
+	copy(nodes, c.Nodes)
+	return search.Path{Nodes: nodes, Cost: c.Cost}
 }
-
-// CandidateFromPath converts a search.Path to its wire form for the pair
-// (s, t).
-func CandidateFromPath(s, t roadnet.NodeID, p search.Path) CandidatePath {
-	return CandidatePath{
-		Source: s,
-		Dest:   t,
-		Nodes:  append([]roadnet.NodeID(nil), p.Nodes...),
-		Cost:   p.Cost,
-		Found:  !p.Empty(),
-	}
-}
-
-// Envelope wraps any protocol message with its type tag for gob framing.
-type Envelope struct {
-	Type MessageType
-	// Deadline is the request's absolute deadline in Unix nanoseconds (0 =
-	// none). It rides in the envelope so every hop of a multiplexed chain
-	// (obfuscator → router → shard) sees the same wall-clock budget: the
-	// serving side drops work whose deadline expired before evaluation
-	// started instead of burning cycles on an answer nobody is waiting for.
-	Deadline  int64            `json:",omitempty"`
-	Request   *ClientRequest   `json:",omitempty"`
-	Reply     *ClientReply     `json:",omitempty"`
-	Query     *ServerQuery     `json:",omitempty"`
-	Result    *ServerReply     `json:",omitempty"`
-	Batch     *BatchQuery      `json:",omitempty"`
-	BatchRes  *BatchReply      `json:",omitempty"`
-	BatchItem *BatchItem       `json:",omitempty"`
-	Update    *WeightUpdate    `json:",omitempty"`
-	UpdateAck *WeightUpdateAck `json:",omitempty"`
-	Err       *ErrorReply      `json:",omitempty"`
-}
-
-// Wrap builds an Envelope from a concrete message. It returns an error for
-// unsupported message types.
-func Wrap(msg any) (Envelope, error) {
-	switch m := msg.(type) {
-	case ClientRequest:
-		return Envelope{Type: TypeClientRequest, Request: &m}, nil
-	case *ClientRequest:
-		return Envelope{Type: TypeClientRequest, Request: m}, nil
-	case ClientReply:
-		return Envelope{Type: TypeClientReply, Reply: &m}, nil
-	case *ClientReply:
-		return Envelope{Type: TypeClientReply, Reply: m}, nil
-	case ServerQuery:
-		return Envelope{Type: TypeServerQuery, Query: &m}, nil
-	case *ServerQuery:
-		return Envelope{Type: TypeServerQuery, Query: m}, nil
-	case ServerReply:
-		return Envelope{Type: TypeServerReply, Result: &m}, nil
-	case *ServerReply:
-		return Envelope{Type: TypeServerReply, Result: m}, nil
-	case BatchQuery:
-		return Envelope{Type: TypeBatchQuery, Batch: &m}, nil
-	case *BatchQuery:
-		return Envelope{Type: TypeBatchQuery, Batch: m}, nil
-	case BatchReply:
-		return Envelope{Type: TypeBatchReply, BatchRes: &m}, nil
-	case *BatchReply:
-		return Envelope{Type: TypeBatchReply, BatchRes: m}, nil
-	case BatchItem:
-		return Envelope{Type: TypeBatchItem, BatchItem: &m}, nil
-	case *BatchItem:
-		return Envelope{Type: TypeBatchItem, BatchItem: m}, nil
-	case WeightUpdate:
-		return Envelope{Type: TypeWeightUpdate, Update: &m}, nil
-	case *WeightUpdate:
-		return Envelope{Type: TypeWeightUpdate, Update: m}, nil
-	case WeightUpdateAck:
-		return Envelope{Type: TypeWeightUpdateAck, UpdateAck: &m}, nil
-	case *WeightUpdateAck:
-		return Envelope{Type: TypeWeightUpdateAck, UpdateAck: m}, nil
-	case ErrorReply:
-		return Envelope{Type: TypeError, Err: &m}, nil
-	case *ErrorReply:
-		return Envelope{Type: TypeError, Err: m}, nil
-	default:
-		return Envelope{}, fmt.Errorf("protocol: unsupported message type %T", msg)
-	}
-}
-
-// Unwrap returns the concrete message held by the envelope.
-func (e Envelope) Unwrap() (any, error) {
-	switch e.Type {
-	case TypeClientRequest:
-		if e.Request == nil {
-			return nil, fmt.Errorf("protocol: client request envelope without payload")
-		}
-		return *e.Request, nil
-	case TypeClientReply:
-		if e.Reply == nil {
-			return nil, fmt.Errorf("protocol: client reply envelope without payload")
-		}
-		return *e.Reply, nil
-	case TypeServerQuery:
-		if e.Query == nil {
-			return nil, fmt.Errorf("protocol: server query envelope without payload")
-		}
-		return *e.Query, nil
-	case TypeServerReply:
-		if e.Result == nil {
-			return nil, fmt.Errorf("protocol: server reply envelope without payload")
-		}
-		return *e.Result, nil
-	case TypeBatchQuery:
-		if e.Batch == nil {
-			return nil, fmt.Errorf("protocol: batch query envelope without payload")
-		}
-		return *e.Batch, nil
-	case TypeBatchReply:
-		if e.BatchRes == nil {
-			return nil, fmt.Errorf("protocol: batch reply envelope without payload")
-		}
-		return *e.BatchRes, nil
-	case TypeBatchItem:
-		if e.BatchItem == nil {
-			return nil, fmt.Errorf("protocol: batch item envelope without payload")
-		}
-		return *e.BatchItem, nil
-	case TypeWeightUpdate:
-		if e.Update == nil {
-			return nil, fmt.Errorf("protocol: weight update envelope without payload")
-		}
-		return *e.Update, nil
-	case TypeWeightUpdateAck:
-		if e.UpdateAck == nil {
-			return nil, fmt.Errorf("protocol: weight update ack envelope without payload")
-		}
-		return *e.UpdateAck, nil
-	case TypeError:
-		if e.Err == nil {
-			return nil, fmt.Errorf("protocol: error envelope without payload")
-		}
-		return *e.Err, nil
-	default:
-		return nil, fmt.Errorf("protocol: unknown message type %d", e.Type)
-	}
-}
-
-// Codec encodes and decodes envelopes on a stream.
-type Codec interface {
-	Encode(Envelope) error
-	Decode(*Envelope) error
-}
-
-// GobCodec frames envelopes with encoding/gob; it is the default wire codec.
-type GobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// NewGobCodec builds a codec reading from r and writing to w.
-func NewGobCodec(r io.Reader, w io.Writer) *GobCodec {
-	return &GobCodec{enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
-}
-
-// Encode implements Codec.
-func (c *GobCodec) Encode(e Envelope) error { return c.enc.Encode(e) }
-
-// Decode implements Codec.
-func (c *GobCodec) Decode(e *Envelope) error { return c.dec.Decode(e) }
-
-// JSONCodec frames envelopes as newline-delimited JSON; useful for debugging
-// and cross-language clients.
-type JSONCodec struct {
-	enc *json.Encoder
-	dec *json.Decoder
-}
-
-// NewJSONCodec builds a JSON codec reading from r and writing to w.
-func NewJSONCodec(r io.Reader, w io.Writer) *JSONCodec {
-	return &JSONCodec{enc: json.NewEncoder(w), dec: json.NewDecoder(r)}
-}
-
-// Encode implements Codec.
-func (c *JSONCodec) Encode(e Envelope) error { return c.enc.Encode(e) }
-
-// Decode implements Codec.
-func (c *JSONCodec) Decode(e *Envelope) error { return c.dec.Decode(e) }

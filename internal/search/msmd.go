@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"opaque/internal/roadnet"
@@ -48,41 +47,44 @@ const (
 // processor can evaluate Q(S, T) pairwise on (StrategyPointEngine). The
 // contraction-hierarchy overlay of internal/ch implements it.
 //
-// ShortestPath must return results semantically identical to Dijkstra on the
-// same accessor: the shortest-path cost and one optimal path (an empty Path
-// when dest is unreachable). An engine backed by a preprocessed index must
-// verify the accessor presents exactly the data it was built from and return
-// an error wrapping ErrStaleEngine otherwise, rather than answer from a
-// stale or mismatched index (internal/ch checksum-binds its overlay this
-// way); engines additionally implementing Generational get that staleness
-// check performed by the processor up front, before any per-pair work.
-// Implementations must be safe for concurrent use — the processor calls
-// them from its per-source worker fan-out.
+// AppendShortestPath appends one optimal source→dest path to dst — straight
+// into the evaluation's path arena, no per-pair slice — and returns the
+// extended slice with the path's cost; an unreachable dest appends nothing
+// and costs +Inf. Results must be semantically identical to Dijkstra on the
+// same accessor. An engine backed by a preprocessed index must verify the
+// accessor presents exactly the data it was built from and return an error
+// wrapping ErrStaleEngine otherwise, rather than answer from a stale or
+// mismatched index (internal/ch checksum-binds its overlay this way); engines
+// additionally implementing Generational get that staleness check performed
+// by the processor up front, before any per-pair work. Implementations must
+// be safe for concurrent use — the processor calls them from its per-source
+// worker fan-out.
 type PointEngine interface {
-	ShortestPath(acc storage.Accessor, source, dest roadnet.NodeID) (Path, Stats, error)
+	AppendShortestPath(dst []roadnet.NodeID, acc storage.Accessor, source, dest roadnet.NodeID) ([]roadnet.NodeID, float64, Stats, error)
 }
 
 // TableEngine is a pluggable many-to-many engine the processor can hand a
 // whole Q(S, T) evaluation to (StrategyTableEngine). The contraction-
 // hierarchy bucket engine (internal/ch's MTM) implements it.
 //
-// EvaluateTable must return an MSMDResult whose Paths and Dists agree with
+// EvaluateTable must return a Table whose paths and distances agree with
 // per-pair Dijkstra on the same accessor; EvaluateDistances is the
-// distance-only fast path — Dists filled, Paths nil — for callers that
-// never read routes. Like PointEngine, an implementation backed by a
-// preprocessed index must verify the accessor presents exactly the data it
-// was built from (erroring with ErrStaleEngine when it does not; engines
-// implementing Generational get the generation half of that check performed
-// by the processor up front), must reject empty source or destination sets
-// with ErrEmptyQuery, and must be safe for concurrent use.
+// distance-only fast path — Dist filled, no paths — for callers that never
+// read routes. Like PointEngine, an implementation backed by a preprocessed
+// index must verify the accessor presents exactly the data it was built from
+// (erroring with ErrStaleEngine when it does not; engines implementing
+// Generational get the generation half of that check performed by the
+// processor up front), must reject empty source or destination sets with
+// ErrEmptyQuery, and must be safe for concurrent use.
 type TableEngine interface {
-	EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (MSMDResult, error)
-	EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (MSMDResult, error)
+	EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error)
+	EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error)
 }
 
-// MSMDResult is the result of evaluating one obfuscated path query Q(S, T):
-// the |S|·|T| candidate result paths and distances, addressable by
-// (source, dest).
+// MSMDResult is the nested view of one evaluated obfuscated path query
+// Q(S, T) (Table.MSMD): the |S|·|T| candidate result paths and distances,
+// addressable by (source, dest). The paths are windows of the evaluation's
+// one node arena; treat them as read-only.
 type MSMDResult struct {
 	Sources []roadnet.NodeID
 	Dests   []roadnet.NodeID
@@ -277,12 +279,12 @@ func (p *Processor) validateQuery(acc storage.Accessor, sources, dests []roadnet
 
 // evaluateOnTableEngine hands the whole query to the installed TableEngine
 // under one gate slot, distance-only or with paths.
-func (p *Processor) evaluateOnTableEngine(acc storage.Accessor, sources, dests []roadnet.NodeID, distancesOnly bool) (MSMDResult, error) {
+func (p *Processor) evaluateOnTableEngine(acc storage.Accessor, sources, dests []roadnet.NodeID, distancesOnly bool) (Table, error) {
 	if p.tableEngine == nil {
-		return MSMDResult{}, fmt.Errorf("search: strategy %q requires WithTableEngine", StrategyTableEngine)
+		return Table{}, fmt.Errorf("search: strategy %q requires WithTableEngine", StrategyTableEngine)
 	}
 	if !engineCurrent(p.tableEngine, acc) {
-		return MSMDResult{}, fmt.Errorf("search: table engine generation trails the accessor: %w", ErrStaleEngine)
+		return Table{}, fmt.Errorf("search: table engine generation trails the accessor: %w", ErrStaleEngine)
 	}
 	p.gate.Acquire()
 	defer p.gate.Release()
@@ -292,153 +294,106 @@ func (p *Processor) evaluateOnTableEngine(acc storage.Accessor, sources, dests [
 	return p.tableEngine.EvaluateTable(acc, sources, dests)
 }
 
-// fillDists derives the distance matrix from materialised paths: the path
-// cost, or +Inf for an empty path of a non-degenerate pair.
-func fillDists(res *MSMDResult) {
-	res.Dists = make([][]float64, len(res.Sources))
-	for i := range res.Paths {
-		row := make([]float64, len(res.Dests))
-		for j, pth := range res.Paths[i] {
-			if pth.Empty() && res.Sources[i] != res.Dests[j] {
-				row[j] = math.Inf(1)
-			} else {
-				row[j] = pth.Cost
-			}
+// appendRow evaluates source against every destination under one gate slot
+// and appends the row's cells to t.
+func (p *Processor) appendRow(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID, t *Table) (Stats, error) {
+	p.gate.Acquire()
+	defer p.gate.Release()
+	if p.strategy == StrategySSMD || p.strategy == "" {
+		if p.cache != nil {
+			// Cached trees carry their own long-lived workspaces; no per-row
+			// checkout is needed.
+			return p.cache.AppendPaths(acc, source, dests, t)
 		}
-		res.Dists[i] = row
+		w := p.wsPool.Get(acc.NumNodes())
+		defer w.Release()
+		return w.AppendSSMD(acc, source, dests, t)
 	}
+	if p.strategy == StrategyPointEngine {
+		if p.engine == nil {
+			return Stats{}, fmt.Errorf("search: strategy %q requires WithPointEngine", StrategyPointEngine)
+		}
+		var stats Stats
+		for _, d := range dests {
+			nodes, dist, st, err := p.engine.AppendShortestPath(t.Nodes, acc, source, d)
+			if err != nil {
+				return stats, err
+			}
+			t.Nodes = nodes
+			t.EndCell(dist)
+			stats = stats.Add(st)
+		}
+		return stats, nil
+	}
+	// The pairwise baselines: one independent search per destination on one
+	// workspace, each materialising its own path.
+	var pair func(w *Workspace, d roadnet.NodeID) (Path, Stats, error)
+	switch p.strategy {
+	case StrategyPairwise:
+		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) { return w.Dijkstra(acc, source, d) }
+	case StrategyPairwiseAStar:
+		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) { return w.AStarScaled(acc, source, d, 0.8) }
+	case StrategyPairwiseALT:
+		if p.landmarks == nil {
+			return Stats{}, fmt.Errorf("search: strategy %q requires WithLandmarks", StrategyPairwiseALT)
+		}
+		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) {
+			return w.AStarALT(acc, p.landmarks, source, d)
+		}
+	default:
+		return Stats{}, fmt.Errorf("search: unknown strategy %q", p.strategy)
+	}
+	w := p.wsPool.Get(acc.NumNodes())
+	defer w.Release()
+	var stats Stats
+	for _, d := range dests {
+		path, st, err := pair(w, d)
+		if err != nil {
+			return stats, err
+		}
+		t.appendPath(path, source, d)
+		stats = stats.Add(st)
+	}
+	return stats, nil
 }
 
-// Evaluate processes the obfuscated path query Q(sources, dests) and returns
-// every candidate result path (and the derived distance matrix). The whole
-// evaluation runs against one pinned snapshot of the accessor's data (see
-// pin), so concurrent weight updates never produce a mixed-generation table.
-func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error) {
+// EvaluateTable processes the obfuscated path query Q(sources, dests) into
+// its flat form: the distance table and — unless distancesOnly — every
+// candidate result path, appended by the engines into one node arena. The
+// whole evaluation runs against one pinned snapshot of the accessor's data
+// (see pin), so concurrent weight updates never produce a mixed-generation
+// table. distancesOnly is a genuine fast path only with a table engine
+// installed (no route is unpacked or materialised anywhere); the per-source
+// strategies compute paths regardless and return them.
+func (p *Processor) EvaluateTable(sources, dests []roadnet.NodeID, distancesOnly bool) (Table, error) {
 	acc := p.pin()
 	if err := p.validateQuery(acc, sources, dests); err != nil {
-		return MSMDResult{}, err
+		return Table{}, err
 	}
 	if p.strategy == StrategyTableEngine {
-		return p.evaluateOnTableEngine(acc, sources, dests, false)
+		return p.evaluateOnTableEngine(acc, sources, dests, distancesOnly)
 	}
 	if p.strategy == StrategyPointEngine && p.engine != nil && !engineCurrent(p.engine, acc) {
-		return MSMDResult{}, fmt.Errorf("search: point engine generation trails the accessor: %w", ErrStaleEngine)
+		return Table{}, fmt.Errorf("search: point engine generation trails the accessor: %w", ErrStaleEngine)
 	}
-	res := MSMDResult{
-		Sources: append([]roadnet.NodeID(nil), sources...),
-		Dests:   append([]roadnet.NodeID(nil), dests...),
-		Paths:   make([][]Path, len(sources)),
-	}
-
-	type rowResult struct {
-		idx   int
-		paths []Path
-		stats Stats
-		err   error
-	}
-
-	evalRow := func(i int) rowResult {
-		p.gate.Acquire()
-		defer p.gate.Release()
-		s := sources[i]
-		switch p.strategy {
-		case StrategySSMD, "":
-			var r SSMDResult
-			var err error
-			if p.cache != nil {
-				// Cached trees carry their own long-lived workspaces; no
-				// per-row checkout is needed.
-				r, err = p.cache.Evaluate(acc, s, dests)
-			} else {
-				w := p.wsPool.Get(acc.NumNodes())
-				r, err = w.SSMD(acc, s, dests)
-				w.Release()
-			}
-			if err != nil {
-				return rowResult{idx: i, err: err}
-			}
-			return rowResult{idx: i, paths: r.Paths, stats: r.Stats}
-		case StrategyPairwise:
-			w := p.wsPool.Get(acc.NumNodes())
-			defer w.Release()
-			paths := make([]Path, len(dests))
-			var stats Stats
-			for j, t := range dests {
-				path, st, err := w.Dijkstra(acc, s, t)
-				if err != nil {
-					return rowResult{idx: i, err: err}
-				}
-				paths[j] = path
-				stats = stats.Add(st)
-			}
-			return rowResult{idx: i, paths: paths, stats: stats}
-		case StrategyPairwiseAStar:
-			w := p.wsPool.Get(acc.NumNodes())
-			defer w.Release()
-			paths := make([]Path, len(dests))
-			var stats Stats
-			for j, t := range dests {
-				path, st, err := w.AStarScaled(acc, s, t, 0.8)
-				if err != nil {
-					return rowResult{idx: i, err: err}
-				}
-				paths[j] = path
-				stats = stats.Add(st)
-			}
-			return rowResult{idx: i, paths: paths, stats: stats}
-		case StrategyPointEngine:
-			if p.engine == nil {
-				return rowResult{idx: i, err: fmt.Errorf("search: strategy %q requires WithPointEngine", StrategyPointEngine)}
-			}
-			paths := make([]Path, len(dests))
-			var stats Stats
-			for j, t := range dests {
-				path, st, err := p.engine.ShortestPath(acc, s, t)
-				if err != nil {
-					return rowResult{idx: i, err: err}
-				}
-				paths[j] = path
-				stats = stats.Add(st)
-			}
-			return rowResult{idx: i, paths: paths, stats: stats}
-		case StrategyPairwiseALT:
-			if p.landmarks == nil {
-				return rowResult{idx: i, err: fmt.Errorf("search: strategy %q requires WithLandmarks", StrategyPairwiseALT)}
-			}
-			w := p.wsPool.Get(acc.NumNodes())
-			defer w.Release()
-			paths := make([]Path, len(dests))
-			var stats Stats
-			for j, t := range dests {
-				path, st, err := w.AStarALT(acc, p.landmarks, s, t)
-				if err != nil {
-					return rowResult{idx: i, err: err}
-				}
-				paths[j] = path
-				stats = stats.Add(st)
-			}
-			return rowResult{idx: i, paths: paths, stats: stats}
-		default:
-			return rowResult{idx: i, err: fmt.Errorf("search: unknown strategy %q", p.strategy)}
-		}
-	}
+	res := NewTable(sources, dests)
 
 	if p.workers <= 1 || len(sources) == 1 {
-		for i := range sources {
-			rr := evalRow(i)
-			if rr.err != nil {
-				return MSMDResult{}, rr.err
+		for _, s := range sources {
+			stats, err := p.appendRow(acc, s, dests, &res)
+			if err != nil {
+				return Table{}, err
 			}
-			res.Paths[rr.idx] = rr.paths
-			res.Stats = res.Stats.Add(rr.stats)
+			res.Stats = res.Stats.Add(stats)
 		}
-		fillDists(&res)
 		return res, nil
 	}
 
-	// Bounded fan-out over sources.
+	// Bounded fan-out over sources: every row is evaluated into a table of
+	// its own and the rows are concatenated in source order afterwards.
+	rows := make([]Table, len(sources))
+	errs := make([]error, len(sources))
 	jobs := make(chan int)
-	results := make(chan rowResult, len(sources))
 	var wg sync.WaitGroup
 	workers := p.workers
 	if workers > len(sources) {
@@ -449,7 +404,8 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results <- evalRow(i)
+				rows[i] = Table{Dist: make([]float64, 0, len(dests)), Ends: make([]int32, 0, len(dests))}
+				rows[i].Stats, errs[i] = p.appendRow(acc, sources[i], dests, &rows[i])
 			}
 		}()
 	}
@@ -458,37 +414,38 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error
 	}
 	close(jobs)
 	wg.Wait()
-	close(results)
-	var firstErr error
-	for rr := range results {
-		if rr.err != nil {
-			if firstErr == nil {
-				firstErr = rr.err
-			}
-			continue
+	total := 0
+	for i := range rows {
+		if errs[i] != nil {
+			return Table{}, errs[i]
 		}
-		res.Paths[rr.idx] = rr.paths
-		res.Stats = res.Stats.Add(rr.stats)
+		total += len(rows[i].Nodes)
 	}
-	if firstErr != nil {
-		return MSMDResult{}, firstErr
+	res.Nodes = make([]roadnet.NodeID, 0, total)
+	for i := range rows {
+		res.appendTable(&rows[i])
+		res.Stats = res.Stats.Add(rows[i].Stats)
 	}
-	fillDists(&res)
 	return res, nil
 }
 
-// EvaluateDistances processes Q(sources, dests) for callers that only need
-// the |S|×|T| distance matrix. With a table engine installed
-// (StrategyTableEngine) this is a genuine fast path — no route is unpacked
-// or materialised anywhere; other strategies fall back to Evaluate, whose
-// result already carries Dists alongside the paths.
-func (p *Processor) EvaluateDistances(sources, dests []roadnet.NodeID) (MSMDResult, error) {
-	if p.strategy == StrategyTableEngine {
-		acc := p.pin()
-		if err := p.validateQuery(acc, sources, dests); err != nil {
-			return MSMDResult{}, err
-		}
-		return p.evaluateOnTableEngine(acc, sources, dests, true)
+// Evaluate processes the obfuscated path query Q(sources, dests) and returns
+// every candidate result path and the distance matrix — the nested view of
+// EvaluateTable.
+func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (MSMDResult, error) {
+	t, err := p.EvaluateTable(sources, dests, false)
+	if err != nil {
+		return MSMDResult{}, err
 	}
-	return p.Evaluate(sources, dests)
+	return t.MSMD(), nil
+}
+
+// EvaluateDistances processes Q(sources, dests) for callers that only need
+// the |S|×|T| distance matrix (see EvaluateTable's distancesOnly).
+func (p *Processor) EvaluateDistances(sources, dests []roadnet.NodeID) (MSMDResult, error) {
+	t, err := p.EvaluateTable(sources, dests, true)
+	if err != nil {
+		return MSMDResult{}, err
+	}
+	return t.MSMD(), nil
 }

@@ -15,45 +15,30 @@ type stubTableEngine struct {
 	tableCalls, distCalls int
 }
 
-func (e *stubTableEngine) evaluate(acc storage.Accessor, sources, dests []roadnet.NodeID, needPaths bool) (MSMDResult, error) {
-	res := MSMDResult{
-		Sources: append([]roadnet.NodeID(nil), sources...),
-		Dests:   append([]roadnet.NodeID(nil), dests...),
-		Dists:   make([][]float64, len(sources)),
-	}
-	if needPaths {
-		res.Paths = make([][]Path, len(sources))
-	}
-	for i, s := range sources {
-		res.Dists[i] = make([]float64, len(dests))
-		if needPaths {
-			res.Paths[i] = make([]Path, len(dests))
-		}
-		for j, d := range dests {
+func (e *stubTableEngine) evaluate(acc storage.Accessor, sources, dests []roadnet.NodeID, needPaths bool) (Table, error) {
+	res := NewTable(sources, dests)
+	for _, s := range sources {
+		for _, d := range dests {
 			p, st, err := Dijkstra(acc, s, d)
 			if err != nil {
-				return MSMDResult{}, err
+				return Table{}, err
 			}
 			res.Stats = res.Stats.Add(st)
-			if p.Empty() && s != d {
-				res.Dists[i][j] = math.Inf(1)
-			} else {
-				res.Dists[i][j] = p.Cost
-			}
-			if needPaths {
-				res.Paths[i][j] = p
-			}
+			res.appendPath(p, s, d)
 		}
+	}
+	if !needPaths {
+		res.Nodes, res.Ends = nil, nil
 	}
 	return res, nil
 }
 
-func (e *stubTableEngine) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (MSMDResult, error) {
+func (e *stubTableEngine) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error) {
 	e.tableCalls++
 	return e.evaluate(acc, sources, dests, true)
 }
 
-func (e *stubTableEngine) EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (MSMDResult, error) {
+func (e *stubTableEngine) EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error) {
 	e.distCalls++
 	return e.evaluate(acc, sources, dests, false)
 }

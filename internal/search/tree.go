@@ -119,41 +119,39 @@ func (t *Tree) Release() {
 // call performed — zero when every destination was already settled, which is
 // exactly the saving the tree cache exists to harvest.
 func (t *Tree) Paths(dests []roadnet.NodeID) (SSMDResult, error) {
+	row := NewTable(nil, dests)
+	stats, err := t.AppendPaths(dests, &row)
+	if err != nil {
+		return SSMDResult{}, err
+	}
+	return ssmdResult(t.source, &row, stats), nil
+}
+
+// AppendPaths is Paths appending the row straight into a table, one cell per
+// destination (see Workspace.AppendSSMD).
+func (t *Tree) AppendPaths(dests []roadnet.NodeID, row *Table) (Stats, error) {
 	if len(dests) == 0 {
-		return SSMDResult{}, errNoDestinations()
+		return Stats{}, errNoDestinations()
 	}
 	for _, d := range dests {
 		if !validNode(t.acc, d) {
-			return SSMDResult{}, errInvalidDest(d)
+			return Stats{}, errInvalidDest(d)
 		}
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ws == nil {
-		return SSMDResult{}, fmt.Errorf("search: Paths on a released tree (source %d)", t.source)
+		return Stats{}, fmt.Errorf("search: Paths on a released tree (source %d)", t.source)
 	}
 
 	stats := t.grow(dests)
-
-	res := SSMDResult{
-		Source: t.source,
-		Dests:  append([]roadnet.NodeID(nil), dests...),
-		Paths:  make([]Path, len(dests)),
-		Stats:  stats,
+	for _, d := range dests {
+		// An unsettled destination means the frontier was exhausted without
+		// reaching it; its tentative label, if any, is not a shortest path.
+		t.ws.appendCell(row, t.source, d, d == t.source || t.ws.settled(d))
 	}
-	for i, d := range dests {
-		if d == t.source {
-			res.Paths[i] = Path{Nodes: []roadnet.NodeID{t.source}, Cost: 0}
-			continue
-		}
-		if !t.ws.settled(d) {
-			res.Paths[i] = Path{} // frontier exhausted without reaching d
-			continue
-		}
-		res.Paths[i] = t.ws.reconstruct(t.source, d)
-	}
-	return res, nil
+	return stats, nil
 }
 
 // grow continues the Dijkstra expansion until every destination is settled or

@@ -135,26 +135,38 @@ func (c *TreeCache) Stats() TreeCacheStats {
 // Results are identical to a cold SSMD call; the Stats inside the result
 // count only the incremental work performed.
 func (c *TreeCache) Evaluate(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) (SSMDResult, error) {
-	tree, hit, err := c.lookup(acc, source)
+	row := NewTable(nil, dests)
+	stats, err := c.AppendPaths(acc, source, dests, &row)
 	if err != nil {
 		return SSMDResult{}, err
+	}
+	return ssmdResult(source, &row, stats), nil
+}
+
+// AppendPaths is Evaluate appending the row straight into a table (see
+// Workspace.AppendSSMD). The table owns what it receives: nothing in it
+// aliases the cached tree.
+func (c *TreeCache) AppendPaths(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID, row *Table) (Stats, error) {
+	tree, hit, err := c.lookup(acc, source)
+	if err != nil {
+		return Stats{}, err
 	}
 	// lookup pinned the tree for us; let go once the paths are extracted so
 	// an eviction that raced this call can recycle the tree's workspace.
 	defer tree.Release()
-	res, err := tree.Paths(dests)
+	stats, err := tree.AppendPaths(dests, row)
 	if err != nil {
-		return SSMDResult{}, err
+		return Stats{}, err
 	}
 	if hit {
 		c.hits.Add(1)
-		if res.Stats.SettledNodes > 0 || res.Stats.RelaxedArcs > 0 {
+		if stats.SettledNodes > 0 || stats.RelaxedArcs > 0 {
 			c.resumes.Add(1) // partial hit: the tree had to grow further
 		}
 	} else {
 		c.misses.Add(1)
 	}
-	return res, nil
+	return stats, nil
 }
 
 // lookup returns the cached tree for (source, current generation), creating

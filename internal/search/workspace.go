@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -235,26 +236,51 @@ func (w *Workspace) expand(u roadnet.NodeID) {
 	w.acc.ForEachArc(u, w.relaxPlain)
 }
 
-// reconstruct walks parent pointers backward from dest and returns the path,
-// mirroring the package-level reconstruct but on the stamped arrays.
-func (w *Workspace) reconstruct(source, dest roadnet.NodeID) Path {
+// appendPath appends the source→dest path recorded in the parent pointers to
+// dst: the walk runs dest→source, so the nodes are appended backwards and the
+// new segment reversed in place — no scratch slice. Nothing is appended when
+// dest is unlabelled or its chain does not reach source.
+func (w *Workspace) appendPath(dst []roadnet.NodeID, source, dest roadnet.NodeID) []roadnet.NodeID {
 	if w.stamp[dest] != w.epoch || math.IsInf(w.dist[dest], 1) {
-		return Path{}
+		return dst
 	}
-	var rev []roadnet.NodeID
+	start := len(dst)
 	for at := dest; at != roadnet.InvalidNode; at = w.parentOf(at) {
-		rev = append(rev, at)
+		dst = append(dst, at)
 		if at == source {
 			break
 		}
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	if dst[len(dst)-1] != source {
+		return dst[:start]
 	}
-	if len(rev) == 0 || rev[0] != source {
+	slices.Reverse(dst[start:])
+	return dst
+}
+
+// reconstruct returns the source→dest path recorded in the parent pointers
+// as a Path of its own (empty when dest was not reached).
+func (w *Workspace) reconstruct(source, dest roadnet.NodeID) Path {
+	nodes := w.appendPath(nil, source, dest)
+	if len(nodes) == 0 {
 		return Path{}
 	}
-	return Path{Nodes: rev, Cost: w.dist[dest]}
+	return Path{Nodes: nodes, Cost: w.dist[dest]}
+}
+
+// appendCell appends dest's cell to t once the search that labelled it is
+// over: its path and distance, or an empty path at +Inf when settled is
+// false (the frontier was exhausted without reaching it).
+func (w *Workspace) appendCell(t *Table, source, dest roadnet.NodeID, settled bool) {
+	before := len(t.Nodes)
+	if settled {
+		t.Nodes = w.appendPath(t.Nodes, source, dest)
+	}
+	if len(t.Nodes) == before {
+		t.EndCell(math.Inf(1))
+		return
+	}
+	t.EndCell(w.dist[dest])
 }
 
 // Dijkstra computes the shortest path from source to dest with early
@@ -378,8 +404,32 @@ func (w *Workspace) runAStar(source, dest roadnet.NodeID) Path {
 // destination has been settled (or the frontier is exhausted). Results and
 // statistics are identical to the package-level SSMD.
 func (w *Workspace) SSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) (SSMDResult, error) {
-	if err := checkSSMDEndpoints(acc, source, dests); err != nil {
+	t := NewTable(nil, dests)
+	stats, err := w.AppendSSMD(acc, source, dests, &t)
+	if err != nil {
 		return SSMDResult{}, err
+	}
+	return ssmdResult(source, &t, stats), nil
+}
+
+// ssmdResult presents a one-row table as an SSMDResult; its paths are windows
+// of the table's arena.
+func ssmdResult(source roadnet.NodeID, t *Table, stats Stats) SSMDResult {
+	res := SSMDResult{Source: source, Dests: t.Dests, Paths: make([]Path, len(t.Dests)), Stats: stats}
+	for i := range res.Paths {
+		if nodes := t.Path(i); nodes != nil {
+			res.Paths[i] = Path{Nodes: nodes, Cost: t.Dist[i]}
+		}
+	}
+	return res
+}
+
+// AppendSSMD is SSMD appending the row straight into a table: one cell per
+// destination, in order — the parent walk of each reached destination goes
+// into t's arena, an unreachable one gets an empty path at +Inf.
+func (w *Workspace) AppendSSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID, t *Table) (Stats, error) {
+	if err := checkSSMDEndpoints(acc, source, dests); err != nil {
+		return Stats{}, err
 	}
 	w.begin(acc)
 
@@ -422,20 +472,10 @@ func (w *Workspace) SSMD(acc storage.Accessor, source roadnet.NodeID, dests []ro
 		w.expand(u)
 	}
 
-	res := SSMDResult{
-		Source: source,
-		Dests:  append([]roadnet.NodeID(nil), dests...),
-		Paths:  make([]Path, len(dests)),
-		Stats:  w.stats,
+	for _, d := range dests {
+		w.appendCell(t, source, d, true)
 	}
-	for i, d := range dests {
-		if d == source {
-			res.Paths[i] = Path{Nodes: []roadnet.NodeID{source}, Cost: 0}
-			continue
-		}
-		res.Paths[i] = w.reconstruct(source, d)
-	}
-	return res, nil
+	return w.stats, nil
 }
 
 // SingleSourceTree computes shortest-path distances from source to every

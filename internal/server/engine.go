@@ -97,21 +97,3 @@ func (s *Server) EvaluateBatchStream(queries []protocol.ServerQuery, emit func(i
 	s.metrics.SetGauge("last_batch_size", float64(len(queries)))
 	s.publishDerivedMetrics()
 }
-
-// evaluateBatchMessage answers a wire BatchQuery with a BatchReply, mapping
-// per-query errors to their slot instead of failing the message.
-func (s *Server) evaluateBatchMessage(b protocol.BatchQuery) protocol.BatchReply {
-	results := s.EvaluateBatch(b.Queries)
-	reply := protocol.BatchReply{
-		BatchID: b.BatchID,
-		Replies: make([]protocol.ServerReply, len(results)),
-		Errors:  make([]string, len(results)),
-	}
-	for i, r := range results {
-		reply.Replies[i] = r.Reply
-		if r.Err != nil {
-			reply.Errors[i] = r.Err.Error()
-		}
-	}
-	return reply
-}

@@ -201,36 +201,36 @@ func TestBatchMetricsExposeCacheHitRatio(t *testing.T) {
 }
 
 // TestBatchQueryMessageRoundTrip drives the wire-level batch path: a
-// BatchQuery through the server's protocol handler yields one reply per
-// query with per-slot errors.
+// BatchQuery through the server's streaming handler yields one item per
+// query, failures in their own slot.
 func TestBatchQueryMessageRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	srv := MustNew(g, batchConfig())
 	queries := overlappingBatch(g, 3)
 	queries[1].Dests = nil // malformed slot
 
-	raw, err := srv.Handler()(protocol.BatchQuery{BatchID: 77, Queries: queries})
+	var mu sync.Mutex
+	items := make(map[int]protocol.BatchItem)
+	streamer := srv.MuxHandler().(protocol.MuxBatchStreamer)
+	err := streamer.HandleMuxBatch(protocol.BatchQuery{BatchID: 77, Queries: queries}, protocol.ReqInfo{}, func(item protocol.BatchItem) {
+		mu.Lock()
+		items[item.Index] = item
+		mu.Unlock()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, ok := raw.(protocol.BatchReply)
-	if !ok {
-		t.Fatalf("handler returned %T, want protocol.BatchReply", raw)
+	if len(items) != 3 {
+		t.Fatalf("got %d items, want 3", len(items))
 	}
-	if reply.BatchID != 77 {
-		t.Errorf("BatchID = %d, want 77", reply.BatchID)
-	}
-	if len(reply.Replies) != 3 || len(reply.Errors) != 3 {
-		t.Fatalf("got %d replies / %d errors, want 3 / 3", len(reply.Replies), len(reply.Errors))
-	}
-	if reply.Errors[1] == "" {
+	if items[1].Error == "" {
 		t.Error("malformed query 1 produced no error message")
 	}
 	for _, i := range []int{0, 2} {
-		if reply.Errors[i] != "" {
-			t.Errorf("query %d failed: %s", i, reply.Errors[i])
+		if items[i].BatchID != 77 || items[i].Error != "" {
+			t.Errorf("query %d: batch %d, error %q", i, items[i].BatchID, items[i].Error)
 		}
-		if len(reply.Replies[i].Paths) == 0 {
+		if len(items[i].Reply.Paths) == 0 {
 			t.Errorf("query %d returned no candidate paths", i)
 		}
 	}

@@ -48,7 +48,8 @@ type serverMuxHandler struct {
 	s *Server
 }
 
-// HandleMux implements protocol.MuxHandler.
+// HandleMux implements protocol.MuxHandler. Batches never arrive here: the
+// transport hands them to HandleMuxBatch.
 func (h serverMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error) {
 	switch m := msg.(type) {
 	case protocol.ServerQuery:
@@ -56,9 +57,6 @@ func (h serverMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 			m.DistanceOnly = true
 		}
 		return h.s.Evaluate(m)
-	case protocol.BatchQuery:
-		// Unary fallback; the transport normally takes HandleMuxBatch.
-		return h.s.evaluateBatchMessage(shedBatch(m, info.Shed)), nil
 	case protocol.WeightUpdate:
 		return h.s.applyWeightUpdate(m)
 	default:

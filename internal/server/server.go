@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,8 +479,12 @@ func (s *Server) Accessor() storage.Accessor { return s.acc }
 
 // Evaluate processes one obfuscated path query and returns all candidate
 // result paths. This is the entry point used both by the in-process
-// deployment and by the TCP handler; EvaluateBatch fans it out over a worker
-// pool for whole batches.
+// deployment and by the multiplexed transport's handler (mux.go);
+// EvaluateBatch fans it out over a worker pool for whole batches.
+//
+// The reply's candidate paths all sub-slice one node arena that belongs to
+// the reply alone: nothing the server retains (the query log copies its
+// endpoint sets, the tree cache keeps trees, not results) aliases it.
 func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) {
 	if len(q.Sources) == 0 || len(q.Dests) == 0 {
 		return protocol.ServerReply{}, fmt.Errorf("server: query %d has empty source or destination set", q.QueryID)
@@ -503,7 +506,7 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		faultsBefore = s.pool.Stats().Faults
 	}
 	start := time.Now()
-	var res search.MSMDResult
+	var res search.Table
 	var ident replyIdentity
 	var err error
 	if q.Profile != "" {
@@ -538,22 +541,18 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		s.metrics.SetGauge("page_faults", float64(poolStats.Faults))
 		s.metrics.SetGauge("buffer_hit_ratio", poolStats.HitRatio())
 	}
-	if q.DistanceOnly {
-		// Degraded answer: the |S|×|T| cost table without node sequences.
-		for i, src := range res.Sources {
-			for j, dst := range res.Dests {
-				c := protocol.CandidatePath{Source: src, Dest: dst}
-				if d := res.Dists[i][j]; !math.IsInf(d, 1) {
-					c.Found = true
-					c.Cost = d
-				}
-				reply.Paths = append(reply.Paths, c)
-			}
-		}
-	} else {
-		for i, src := range res.Sources {
-			for j, dst := range res.Dests {
-				reply.Paths = append(reply.Paths, protocol.CandidateFromPath(src, dst, res.Paths[i][j]))
+	// The reply is the table itself: one candidate slab whose Nodes are
+	// windows of the arena the engines unpacked into — no path is copied. A
+	// degraded answer is the cost table alone.
+	nT := len(res.Dests)
+	reply.Paths = make([]protocol.CandidatePath, len(res.Dist))
+	for c := range reply.Paths {
+		cand := &reply.Paths[c]
+		cand.Source, cand.Dest = res.Sources[c/nT], res.Dests[c%nT]
+		if d := res.Dist[c]; !math.IsInf(d, 1) {
+			cand.Found, cand.Cost = true, d
+			if !q.DistanceOnly {
+				cand.Nodes = res.Path(c)
 			}
 		}
 	}
@@ -582,24 +581,15 @@ func (s *Server) liveIdentity() (uint64, uint64) {
 	return storage.GenerationOf(snap), ch.GraphChecksum(snap.Graph())
 }
 
-// procEvaluate runs one query on proc, taking the distance-only face when the
-// query was shed to it.
-func (s *Server) procEvaluate(proc *search.Processor, q protocol.ServerQuery) (search.MSMDResult, error) {
-	if q.DistanceOnly {
-		return proc.EvaluateDistances(q.Sources, q.Dests)
-	}
-	return proc.Evaluate(q.Sources, q.Dests)
-}
-
 // evaluateProfile answers one profile query from its precustomized state. The
 // identity is trivially stable: profile accessors are immutable (generation
 // 0) and the content checksum is the profile graph's.
-func (s *Server) evaluateProfile(q protocol.ServerQuery) (search.MSMDResult, replyIdentity, error) {
+func (s *Server) evaluateProfile(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
 	proc, contentSum, err := s.profileProcessor(q)
 	if err != nil {
-		return search.MSMDResult{}, replyIdentity{}, err
+		return search.Table{}, replyIdentity{}, err
 	}
-	res, err := s.procEvaluate(proc, q)
+	res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 	return res, replyIdentity{contentSum: contentSum}, err
 }
 
@@ -617,11 +607,11 @@ const identityRetries = 3
 // then stamped unknown (zero identity), which the fleet router refuses to
 // merge — a shard under churn degrades to retries, never to a mixed-metric
 // answer.
-func (s *Server) evaluateLive(q protocol.ServerQuery) (search.MSMDResult, replyIdentity, error) {
+func (s *Server) evaluateLive(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
 	for attempt := 0; ; attempt++ {
 		gen1, sum1 := s.liveIdentity()
 		proc, routed := s.chooseProcessor(q)
-		res, err := s.procEvaluate(proc, q)
+		res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 		if err != nil && errors.Is(err, search.ErrStaleEngine) {
 			// A weight update landed between routing and the engine's own
 			// verification. The overlay answer was refused, nothing stale was
@@ -635,7 +625,7 @@ func (s *Server) evaluateLive(q protocol.ServerQuery) (search.MSMDResult, replyI
 			s.mFallback.Add(1)
 			routed = s.mFallback
 			s.kickRecustomize()
-			res, err = s.procEvaluate(s.processor, q)
+			res, err = s.processor.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 		}
 		if err != nil {
 			return res, replyIdentity{}, err
@@ -878,23 +868,6 @@ func (s *Server) Metrics() *metrics.Registry {
 	return s.metrics
 }
 
-// Handler returns a protocol.Handler that answers ServerQuery, BatchQuery and
-// WeightUpdate messages; anything else is rejected.
-func (s *Server) Handler() protocol.Handler {
-	return func(msg any) (any, error) {
-		switch m := msg.(type) {
-		case protocol.ServerQuery:
-			return s.Evaluate(m)
-		case protocol.BatchQuery:
-			return s.evaluateBatchMessage(m), nil
-		case protocol.WeightUpdate:
-			return s.applyWeightUpdate(m)
-		default:
-			return nil, fmt.Errorf("server: unexpected message type %T", msg)
-		}
-	}
-}
-
 // applyWeightUpdate answers a wire WeightUpdate: apply the changes, kick the
 // background re-customization, and acknowledge with the server's post-apply
 // metric identity.
@@ -904,9 +877,4 @@ func (s *Server) applyWeightUpdate(m protocol.WeightUpdate) (protocol.WeightUpda
 	}
 	gen, sum := s.liveIdentity()
 	return protocol.WeightUpdateAck{UpdateID: m.UpdateID, Generation: gen, ContentSum: sum}, nil
-}
-
-// Serve accepts obfuscator connections on ln until the listener closes.
-func (s *Server) Serve(ln net.Listener) error {
-	return protocol.ServeListener(ln, s.Handler())
 }

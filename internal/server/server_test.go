@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -216,15 +218,15 @@ func TestServeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(ln) }()
+	go func() { _ = srv.ServeMux(ln, protocol.MuxServerConfig{}) }()
 	defer ln.Close()
 
-	conn, err := protocol.Dial(ln.Addr().String())
+	conn, err := protocol.DialMux(ln.Addr().String(), protocol.Hello{Role: "obfuscator"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	reply, err := conn.Call(protocol.ServerQuery{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}})
+	reply, err := conn.Do(protocol.ServerQuery{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +234,63 @@ func TestServeOverTCP(t *testing.T) {
 	if !ok || sr.QueryID != 3 || len(sr.Paths) != 1 {
 		t.Errorf("TCP reply = %+v", reply)
 	}
-	// A malformed message type gets an error reply, not a dropped connection.
-	badReply, err := conn.Call(protocol.ClientRequest{RequestID: 1, User: "x", Source: 0, Dest: 1})
+	// The wire form is the in-process answer, node for node.
+	direct, err := srv.Evaluate(protocol.ServerQuery{QueryID: 3, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := badReply.(protocol.ErrorReply); !ok {
-		t.Errorf("expected ErrorReply for wrong message type, got %T", badReply)
+	if !reflect.DeepEqual(sr, direct) {
+		t.Errorf("TCP reply %+v differs from the in-process reply %+v", sr, direct)
+	}
+	// A message of the wrong type gets an error reply, not a dropped
+	// connection.
+	var re *protocol.RemoteError
+	if _, err := conn.Do(protocol.ClientRequest{RequestID: 1, User: "x", Source: 0, Dest: 1}); !errors.As(err, &re) {
+		t.Errorf("expected a RemoteError for the wrong message type, got %v", err)
+	}
+	if _, err := conn.Do(protocol.ServerQuery{QueryID: 4, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{10}}); err != nil {
+		t.Errorf("connection did not survive a refused message: %v", err)
+	}
+}
+
+// TestServerRetainsNoAliases pins the ownership rules on the serving side:
+// the query log keeps its own copy of the endpoint sets (the request's belong
+// to its caller, who may reuse them), and a reply
+// owns its node arena outright — overwriting it cannot reach the tree cache,
+// which answers the same query again correctly.
+func TestServerRetainsNoAliases(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	cfg.TreeCache = 8
+	srv := MustNew(g, cfg)
+	q := protocol.ServerQuery{QueryID: 7, Sources: []roadnet.NodeID{0, 3}, Dests: []roadnet.NodeID{10, 20}}
+	first, err := srv.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]roadnet.NodeID, len(first.Paths))
+	for i, c := range first.Paths {
+		want[i] = append([]roadnet.NodeID(nil), c.Nodes...)
+		for k := range c.Nodes {
+			c.Nodes[k] = -1 // scribble over the reply's arena
+		}
+	}
+	q.Sources[0], q.Dests[0] = 99, 99 // and over the request's endpoint sets
+
+	log := srv.QueryLog()
+	if len(log) != 1 || log[0].Sources[0] != 0 || log[0].Dests[0] != 10 {
+		t.Errorf("query log changed with the request buffer: %+v", log)
+	}
+	again, err := srv.Evaluate(protocol.ServerQuery{QueryID: 8, Sources: []roadnet.NodeID{0, 3}, Dests: []roadnet.NodeID{10, 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.TreeCacheStats().Hits == 0 {
+		t.Fatal("second evaluation did not come from the tree cache")
+	}
+	for i, c := range again.Paths {
+		if !reflect.DeepEqual(c.Nodes, want[i]) {
+			t.Errorf("candidate %d from the cache = %v, want %v", i, c.Nodes, want[i])
+		}
 	}
 }
