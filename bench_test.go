@@ -512,8 +512,7 @@ func BenchmarkCHQuery(b *testing.B) {
 //   - pairwise-ch runs all 4096 pairs through the bidirectional overlay
 //     engine — the other pre-MTM option;
 //   - mtm-table runs the many-to-many bucket engine with per-cell path
-//     recording (what the server's ch-mtm strategy and wide hybrid queries
-//     use);
+//     recording (what the server's wide hybrid queries use);
 //   - mtm-distance is the distance-only fast path on a reused output
 //     buffer.
 //

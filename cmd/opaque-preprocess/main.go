@@ -60,7 +60,7 @@ func run(args []string, out, errOut io.Writer) error {
 		outFile      = fs.String("out", "", "output overlay file (required)")
 		witnessLimit = fs.Int("witness-limit", 0, "witness search settle budget (0 = default; larger = slower build, fewer redundant shortcuts)")
 		customizable = fs.Bool("customizable", false, "contract metric-independently: the overlay absorbs live weight updates via re-customization (larger file, required for opaque-server deployments that call UpdateWeights)")
-		partition    = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last): the full customization pass then runs one goroutine per cell, weight updates are attributed to cells, and paged servers page overlay layers per cell (0 = flat contraction)")
+		partition    = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last): the full customization pass then runs one goroutine per cell and weight updates are attributed to cells (0 = flat contraction)")
 		check        = fs.Int("check", 0, "verify this many random queries against Dijkstra after building")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -7,7 +7,10 @@
 //	opaque-server -network network.txt -listen :7001
 //	opaque-server -generate tigerlike -nodes 20000 -listen :7001
 //	opaque-server -network network.txt -strategy hybrid -ch-overlay network.och
-//	opaque-server -network network.txt -strategy ch-mtm -ch-overlay network.och
+//
+// -strategy is ssmd (SSMD sharing, no overlay) or hybrid (the CH overlay:
+// pairwise for point-ish queries, many-to-many for wide ones). A hybrid
+// server without -ch-overlay contracts the map at startup.
 //
 // With -profiles the server precustomizes time-of-day weight-profile layers
 // (e.g. am-peak) that queries select by name with zero customization work on
@@ -51,17 +54,15 @@ func main() {
 		nodes         = flag.Int("nodes", 10000, "node count when generating")
 		seed          = flag.Uint64("seed", 42, "generation seed")
 		listen        = flag.String("listen", ":7001", "TCP listen address for obfuscator connections")
-		strategy      = flag.String("strategy", "ssmd", "query evaluation strategy: ssmd | pairwise | pairwise-astar | pairwise-alt | ch | ch-mtm | hybrid")
+		strategy      = flag.String("strategy", "ssmd", "query evaluation strategy: ssmd | hybrid")
 		workers       = flag.Int("workers", 1, "concurrent per-source searches per query")
 		batchWorkers  = flag.Int("batch-workers", 0, "concurrent queries per batch in the batch engine (0 = GOMAXPROCS)")
 		maxSearches   = flag.Int("max-searches", 0, "server-wide cap on concurrent per-source searches (0 = unbounded)")
 		treeCache     = flag.Int("tree-cache", 0, "SSMD tree cache capacity in trees (0 disables the cache)")
 		paged         = flag.Bool("paged", false, "simulate disk-resident storage with an LRU buffer pool")
 		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
-		landmarks     = flag.Int("landmarks", 0, "prepare this many ALT landmarks at startup (required for -strategy pairwise-alt)")
-		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy ch|hybrid; empty = contract at startup)")
-		chMaxPairs    = flag.Int("ch-max-pairs", 0, "hybrid cutover: queries with at most this many |S|·|T| pairs go to the CH overlay (0 = default)")
-		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; ignored with -ch-overlay, whose file carries its own partition)")
+		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
+		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
 		profiles      = flag.String("profiles", "", `precustomize weight-profile layers: "timeofday" for the built-in catalog, or a comma list of catalog names (am-peak,pm-peak,offpeak,night); queries select one by name`)
 		profileCap    = flag.Int("profile-capacity", 0, "max resident profile layers behind the LRU (0 = all configured; with -profiles)")
 		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
@@ -87,62 +88,22 @@ func main() {
 	cfg.Paged = *paged
 	cfg.PageConfig = storage.DefaultConfig()
 	cfg.BufferPages = *bufferPages
-	cfg.Landmarks = *landmarks
-	cfg.CHMaxPairs = *chMaxPairs
-	// Refuse misdirected CH flags rather than silently serve with them
-	// ignored: -ch-overlay needs a CH-capable strategy, and the pair cutover
-	// only exists in hybrid routing (-strategy ch sends everything to CH).
-	if *chOverlay != "" && cfg.Strategy != server.StrategyCH && cfg.Strategy != server.StrategyCHMTM && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-ch-overlay requires -strategy ch, ch-mtm or hybrid (got %q)", cfg.Strategy)
-	}
-	if *chMaxPairs != 0 && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-ch-max-pairs requires -strategy hybrid (got %q)", cfg.Strategy)
-	}
-	if *chMaxPairs < 0 {
-		log.Fatalf("-ch-max-pairs must be non-negative (got %d); server.New would silently fall back to the default cutover", *chMaxPairs)
-	}
 	if *partition > 0 && *chOverlay != "" {
 		log.Fatalf("-partition-cells shapes the startup contraction and cannot apply to a loaded overlay; build the partitioned file with opaque-preprocess -partition-cells instead")
 	}
-	if *partition > 0 && cfg.Strategy != server.StrategyCH && cfg.Strategy != server.StrategyCHMTM && cfg.Strategy != server.StrategyHybrid {
-		log.Fatalf("-partition-cells requires -strategy ch, ch-mtm or hybrid (got %q)", cfg.Strategy)
-	}
-	if cfg.Strategy == server.StrategyCH || cfg.Strategy == server.StrategyCHMTM || cfg.Strategy == server.StrategyHybrid {
-		if *chOverlay != "" {
-			overlay, err := ch.ReadFile(*chOverlay)
-			if err != nil {
-				log.Fatalf("loading CH overlay: %v", err)
-			}
-			log.Printf("CH overlay loaded from %s: %d shortcuts, max level %d", *chOverlay, overlay.NumShortcuts(), overlay.MaxLevel())
-			cfg.CHOverlay = overlay
-		} else {
-			// Contract here rather than through Config.BuildCH so the logged
-			// duration covers exactly the contraction pass, not the rest of
-			// server construction (page store, landmarks, …).
-			log.Printf("no -ch-overlay given; contracting the map at startup (persist one with opaque-preprocess to skip this)")
-			buildCfg := ch.DefaultBuildConfig()
-			// Customizable contraction lets the in-memory server absorb live
-			// weight updates (UpdateWeights); paged deployments serve a frozen
-			// store, so they keep the smaller witness-pruned overlay.
-			buildCfg.Customizable = !cfg.Paged
-			if *partition > 1 {
-				part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: *partition, Seed: int64(*seed)})
-				if err != nil {
-					log.Fatalf("partitioning the map: %v", err)
-				}
-				buildCfg.Partition = part
-				log.Printf("partitioned into %d cells (%d boundary nodes, %d cut arcs)",
-					part.NumCells(), part.NumBoundary(), part.CutArcCount())
-			}
-			contractStart := time.Now()
-			overlay, err := ch.BuildWithConfig(g, buildCfg)
-			if err != nil {
-				log.Fatalf("contracting the map: %v", err)
-			}
-			log.Printf("CH overlay contracted in %v: %d shortcuts, max level %d",
-				time.Since(contractStart).Round(time.Millisecond), overlay.NumShortcuts(), overlay.MaxLevel())
-			cfg.CHOverlay = overlay
+	// server.New refuses the other misdirected overlay flags (-ch-overlay or
+	// -partition-cells without -strategy hybrid, an overlay on a -paged
+	// server) before any contraction work starts.
+	if *chOverlay != "" {
+		overlay, err := ch.ReadFile(*chOverlay)
+		if err != nil {
+			log.Fatalf("loading CH overlay: %v", err)
 		}
+		log.Printf("CH overlay loaded from %s: %d shortcuts, max level %d", *chOverlay, overlay.NumShortcuts(), overlay.MaxLevel())
+		cfg.CHOverlay = overlay
+	} else {
+		cfg.BuildCH = cfg.Strategy == server.StrategyHybrid
+		cfg.PartitionCells = *partition
 	}
 
 	if *profiles != "" {
@@ -169,18 +130,22 @@ func main() {
 		log.Fatalf("-churn-arcs must be positive (got %d)", *churnArcs)
 	}
 
-	prewarmStart := time.Now()
+	buildStart := time.Now()
 	srv, err := server.New(g, cfg)
 	if err != nil {
 		log.Fatalf("building server: %v", err)
+	}
+	log.Printf("server built in %v", time.Since(buildStart).Round(time.Millisecond))
+	if o := srv.Overlay(); o != nil && cfg.BuildCH {
+		log.Printf("CH overlay contracted at startup (persist one with opaque-preprocess to skip this): %d shortcuts, max level %d, %d partition cells",
+			o.NumShortcuts(), o.MaxLevel(), o.PartitionCells())
 	}
 	if len(cfg.Profiles) > 0 {
 		capacity := *profileCap
 		if capacity <= 0 {
 			capacity = len(cfg.Profiles)
 		}
-		log.Printf("prewarmed %d weight profile layers in %v (LRU capacity %d)",
-			srv.ProfileLayerStats().Layers, time.Since(prewarmStart).Round(time.Millisecond), capacity)
+		log.Printf("prewarmed %d weight profile layers (LRU capacity %d)", srv.ProfileLayerStats().Layers, capacity)
 	}
 
 	if *churn > 0 {

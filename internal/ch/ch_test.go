@@ -405,7 +405,7 @@ func TestEngineEdgeCases(t *testing.T) {
 
 // TestEngineThroughProcessor installs the overlay as the processor's point
 // engine and asserts Q(S, T) answers match the SSMD strategy — the exact
-// wiring the server uses for StrategyCH.
+// wiring of the hybrid server's pairwise route.
 func TestEngineThroughProcessor(t *testing.T) {
 	g := randomIntCostGraph(t, 150, 200, 21)
 	acc := storage.NewMemoryGraph(g)

@@ -153,7 +153,7 @@ type MTMStats struct {
 // the overlay itself is read-only.
 //
 // MTM implements search.TableEngine, which is how the server installs it for
-// the "ch-mtm" strategy and the wide half of "hybrid" routing.
+// the wide half of "hybrid" routing.
 type MTM struct {
 	o      *Overlay
 	pool   *search.WorkspacePool

@@ -16,13 +16,13 @@ import (
 // candidate table on one map — SSMD spanning trees, pairwise CH, and the
 // many-to-many bucket engine — across table shapes from point queries (1×1)
 // to very wide tables (128×128 at full scale). The table's job is to expose
-// the crossover the "hybrid" strategy's CHMaxPairs cutover must encode:
+// the crossover the "hybrid" strategy's DefaultCHMaxPairs cutover encodes:
 // pairwise CH wins true point queries (its bidirectional stopping rule
 // prunes each search; MTM's sweeps run to exhaustion), MTM wins everything
 // wide (|S|+|T| upward sweeps against |S|·|T| point queries, from 2×2 up in
 // measurements on both graph scales), and SSMD — the paper's evaluation —
 // trails both once an overlay exists. The "hybrid route" column states
-// where the server's default cutover (server.DefaultCHMaxPairs, inclusive)
+// where the server's cutover (server.DefaultCHMaxPairs, inclusive)
 // actually sends each shape, so an inconsistency between measurement and
 // routing is visible in one glance. A final distance-only MTM column shows
 // what candidate filtering pays when no caller ever reads the paths.
@@ -147,7 +147,7 @@ func (E15ManyToMany) Run(scale Scale) ([]*Table, error) {
 	}
 
 	tbl.AddNote("One CH overlay serves the pairwise and MTM engines; contraction took %d ms (offline, persisted in deployments). All engines evaluated identical endpoint sets; times are per table, averaged over %d repetitions.", int(buildMS), reps)
-	tbl.AddNote("Expectation: pairwise-ch wins 1x1 (pruned bidirectional searches; mtm sweeps run to exhaustion), mtm wins from 2x2 up and by orders of magnitude on wide tables. The 'hybrid route' column is the server's inclusive CHMaxPairs = %d cutover, chosen to agree with this table: only point-ish shapes stay pairwise.", server.DefaultCHMaxPairs)
+	tbl.AddNote("Expectation: pairwise-ch wins 1x1 (pruned bidirectional searches; mtm sweeps run to exhaustion), mtm wins from 2x2 up and by orders of magnitude on wide tables. The 'hybrid route' column is the server's inclusive DefaultCHMaxPairs = %d cutover, chosen to agree with this table: only point-ish shapes stay pairwise.", server.DefaultCHMaxPairs)
 	tbl.AddNote("'mtm dist-only' reuses one output buffer (0 allocs/op steady state) and skips path materialisation — the fast path for distance-only candidate filtering.")
 	return []*Table{tbl}, nil
 }

@@ -5,8 +5,7 @@ import (
 
 	"opaque/internal/gen"
 	"opaque/internal/obfuscate"
-	"opaque/internal/protocol"
-	"opaque/internal/server"
+	"opaque/internal/search"
 	"opaque/internal/storage"
 )
 
@@ -82,35 +81,33 @@ func (E7Scaling) Run(scale Scale) ([]*Table, error) {
 			plans[i] = p
 		}
 
-		for _, strategy := range []string{"ssmd", "pairwise"} {
-			srvCfg := server.DefaultConfig()
-			srvCfg.Paged = true
-			srvCfg.PageConfig = storage.DefaultConfig()
-			srvCfg.BufferPages = 128
-			if strategy == "ssmd" {
-				srvCfg.Strategy = "ssmd"
-			} else {
-				srvCfg.Strategy = "pairwise"
-			}
-			srv, err := server.New(g, srvCfg)
+		// One page layout per graph; each strategy runs over its own warm
+		// 128-page pool shared by all of its queries, so the fault column
+		// includes cross-query page reuse (E3 measures cold per-query faults).
+		store, err := storage.Build(g, storage.DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
+		for _, strategy := range []search.Strategy{search.StrategySSMD, search.StrategyPairwise} {
+			pool, err := storage.NewBufferPool(128)
 			if err != nil {
 				return nil, err
 			}
+			proc := search.NewProcessor(storage.NewPagedGraph(store, pool), search.WithStrategy(strategy))
 			var settled, faults, wallMS []float64
 			for _, plan := range plans {
 				q := plan.Queries[0]
-				ioBefore := srv.IOStats()
+				faultsBefore := pool.Stats().Faults
 				start := time.Now()
-				reply, err := srv.Evaluate(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
+				res, err := proc.Evaluate(q.Sources, q.Dests)
 				if err != nil {
 					return nil, err
 				}
 				wallMS = append(wallMS, float64(time.Since(start).Nanoseconds())/1e6)
-				ioAfter := srv.IOStats()
-				settled = append(settled, float64(reply.SettledNodes))
-				faults = append(faults, float64(ioAfter.Faults-ioBefore.Faults))
+				settled = append(settled, float64(res.Stats.SettledNodes))
+				faults = append(faults, float64(pool.Stats().Faults-faultsBefore))
 			}
-			table.AddRow(g.NumNodes(), strategy, meanFloat(settled), meanFloat(faults), meanFloat(wallMS))
+			table.AddRow(g.NumNodes(), string(strategy), meanFloat(settled), meanFloat(faults), meanFloat(wallMS))
 		}
 	}
 	table.AddNote("Expectation: SSMD stays below pairwise at every size; per-query cost grows with the (extent-proportional) query radius, roughly quadratically in it, consistent with the O(||s,t||²) model.")

@@ -96,9 +96,11 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 }
 
 // TestFleetEquivalence is the scatter/gather property test behind the
-// acceptance criteria: for every evaluation strategy and both fleet shapes, a
+// acceptance criteria: for both serving strategies and both fleet shapes, a
 // router over two shards answers an E15-style workload with exactly the
-// distance tables and paths a single server produces.
+// distance tables and paths a single server produces. The workload's shapes
+// straddle the hybrid cutover, so the shards serve through pairwise CH and
+// the many-to-many engine alike.
 func TestFleetEquivalence(t *testing.T) {
 	g := testGraph(t, 400, 1201)
 	qs := makeQueries(g, 20, 4301)
@@ -109,18 +111,6 @@ func TestFleetEquivalence(t *testing.T) {
 		pathsMayDiffer bool
 	}{
 		{"ssmd", server.DefaultConfig, false},
-		{"ch", func() server.Config {
-			c := server.DefaultConfig()
-			c.Strategy = server.StrategyCH
-			c.BuildCH = true
-			return c
-		}, false},
-		{"ch-mtm", func() server.Config {
-			c := server.DefaultConfig()
-			c.Strategy = server.StrategyCHMTM
-			c.BuildCH = true
-			return c
-		}, false},
 		{"hybrid", func() server.Config {
 			c := server.DefaultConfig()
 			c.Strategy = server.StrategyHybrid
@@ -163,6 +153,17 @@ func TestFleetEquivalence(t *testing.T) {
 					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), replies[i], want, st.pathsMayDiffer)
 				}
 
+				if st.name == "hybrid" {
+					var chQueries, mtmQueries int64
+					for i := 0; i < cl.NumShards(); i++ {
+						m := cl.Shard(i).Server().Metrics()
+						chQueries += m.Counter("ch_queries")
+						mtmQueries += m.Counter("mtm_queries")
+					}
+					if chQueries == 0 || mtmQueries == 0 {
+						t.Errorf("shards served ch_queries = %d, mtm_queries = %d; the workload must cover both routes", chQueries, mtmQueries)
+					}
+				}
 				if mode == fleet.ModePartition {
 					m := cl.Router.Metrics()
 					if m.Counter("fleet_subqueries") <= m.Counter("fleet_queries") {

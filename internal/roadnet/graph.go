@@ -13,7 +13,7 @@
 //     traversals and weak-connectivity analysis,
 //   - a spatial grid index for nearest-node and range lookups,
 //   - connectivity analysis (components, reachability),
-//   - text and binary (gob) serialization.
+//   - text serialization.
 //
 // All other OPAQUE packages (search, storage, obfuscation, …) are built on
 // top of this package. The CSR layout is what the query hot path of

@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -117,42 +116,6 @@ func ReadText(r io.Reader) (*Graph, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	g.Freeze()
-	return g, nil
-}
-
-// gobGraph is the gob wire representation of a Graph.
-type gobGraph struct {
-	Nodes []Node
-	Edges []Edge
-}
-
-// WriteGob serialises the graph in a compact binary form.
-func WriteGob(w io.Writer, g *Graph) error {
-	gg := gobGraph{Nodes: g.Nodes()}
-	for _, n := range g.Nodes() {
-		for _, a := range g.Arcs(n.ID) {
-			gg.Edges = append(gg.Edges, Edge{From: n.ID, To: a.To, Cost: a.Cost})
-		}
-	}
-	return gob.NewEncoder(w).Encode(&gg)
-}
-
-// ReadGob deserialises a graph written by WriteGob and returns it frozen.
-func ReadGob(r io.Reader) (*Graph, error) {
-	var gg gobGraph
-	if err := gob.NewDecoder(r).Decode(&gg); err != nil {
-		return nil, err
-	}
-	g := NewGraph(len(gg.Nodes), len(gg.Edges))
-	for _, n := range gg.Nodes {
-		g.AddWeightedNode(n.X, n.Y, n.Weight)
-	}
-	for _, e := range gg.Edges {
-		if err := g.AddEdge(e.From, e.To, e.Cost); err != nil {
-			return nil, err
-		}
 	}
 	g.Freeze()
 	return g, nil

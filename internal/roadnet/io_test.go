@@ -19,19 +19,6 @@ func TestTextRoundTrip(t *testing.T) {
 	assertGraphsEqual(t, g, got)
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	g := buildTriangle(t)
-	var buf bytes.Buffer
-	if err := WriteGob(&buf, g); err != nil {
-		t.Fatalf("WriteGob: %v", err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatalf("ReadGob: %v", err)
-	}
-	assertGraphsEqual(t, g, got)
-}
-
 func assertGraphsEqual(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumArcs() != want.NumArcs() {
@@ -100,12 +87,6 @@ func TestReadTextErrors(t *testing.T) {
 				t.Errorf("ReadText accepted %q, want error", input)
 			}
 		})
-	}
-}
-
-func TestReadGobError(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("this is not gob")); err == nil {
-		t.Error("ReadGob accepted garbage input")
 	}
 }
 

@@ -23,24 +23,24 @@ func chTestOverlay(t testing.TB, g *roadnet.Graph) *ch.Overlay {
 	return o
 }
 
-// TestStrategyCHMatchesSSMD runs the same obfuscated queries through a CH
-// server and a plain SSMD server and asserts identical candidate costs and
-// reachability — the server-level face of the CH correctness property.
-func TestStrategyCHMatchesSSMD(t *testing.T) {
+// hybridAndSSMD builds a hybrid server over testGraph's overlay and a plain
+// SSMD server over the same graph, the pair every SSMD-equivalence test
+// compares.
+func hybridAndSSMD(t *testing.T) (hybrid, ssmd *Server) {
+	t.Helper()
 	g := testGraph(t)
-	chCfg := DefaultConfig()
-	chCfg.Strategy = StrategyCH
-	chCfg.CHOverlay = chTestOverlay(t, g)
-	chSrv := MustNew(g, chCfg)
-	ssmdSrv := MustNew(g, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.CHOverlay = chTestOverlay(t, g)
+	return MustNew(g, cfg), MustNew(g, DefaultConfig())
+}
 
-	queries := []protocol.ServerQuery{
-		{QueryID: 1, Sources: []roadnet.NodeID{1, 50}, Dests: []roadnet.NodeID{200, 400, 600}},
-		{QueryID: 2, Sources: []roadnet.NodeID{700}, Dests: []roadnet.NodeID{3}},
-		{QueryID: 3, Sources: []roadnet.NodeID{10, 20, 30}, Dests: []roadnet.NodeID{11, 21, 31}},
-	}
+// assertMatchesSSMD evaluates every query on both servers and asserts the
+// candidates pair up with identical endpoints, reachability and cost.
+func assertMatchesSSMD(t *testing.T, srv, ssmdSrv *Server, queries []protocol.ServerQuery) {
+	t.Helper()
 	for _, q := range queries {
-		got, err := chSrv.Evaluate(q)
+		got, err := srv.Evaluate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +60,31 @@ func TestStrategyCHMatchesSSMD(t *testing.T) {
 				t.Fatalf("query %d pair (%d,%d): reachability disagrees", q.QueryID, gp.Source, gp.Dest)
 			}
 			if len(gp.Nodes) != 0 && math.Abs(gp.Cost-wp.Cost) > 1e-9*(1+wp.Cost) {
-				t.Fatalf("query %d pair (%d,%d): CH cost %v, SSMD cost %v", q.QueryID, gp.Source, gp.Dest, gp.Cost, wp.Cost)
+				t.Fatalf("query %d pair (%d,%d): hybrid cost %v, SSMD cost %v", q.QueryID, gp.Source, gp.Dest, gp.Cost, wp.Cost)
 			}
 		}
 	}
+}
+
+// TestStrategyCHMatchesSSMD runs point-ish obfuscated queries — at most
+// DefaultCHMaxPairs pairs, duplicates and s==t cells included — through a
+// hybrid server and a plain SSMD server and asserts identical candidate
+// costs and reachability: the server-level face of the CH correctness
+// property. Every query must route pairwise to the overlay.
+func TestStrategyCHMatchesSSMD(t *testing.T) {
+	chSrv, ssmdSrv := hybridAndSSMD(t)
+	queries := []protocol.ServerQuery{
+		{QueryID: 1, Sources: []roadnet.NodeID{700}, Dests: []roadnet.NodeID{3}},
+		{QueryID: 2, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{200, 400, 600}},
+		{QueryID: 3, Sources: []roadnet.NodeID{10, 20}, Dests: []roadnet.NodeID{11, 21}},
+		{QueryID: 4, Sources: []roadnet.NodeID{5, 5}, Dests: []roadnet.NodeID{5, 9}},
+	}
+	assertMatchesSSMD(t, chSrv, ssmdSrv, queries)
 	if n := chSrv.Metrics().Counter("ch_queries"); n != int64(len(queries)) {
 		t.Fatalf("ch_queries = %d, want %d", n, len(queries))
+	}
+	if n := chSrv.Metrics().Counter("mtm_queries"); n != 0 {
+		t.Fatalf("mtm_queries = %d, want 0 (no query is wider than DefaultCHMaxPairs)", n)
 	}
 }
 
@@ -77,7 +96,6 @@ func TestStrategyHybridRouting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyHybrid
 	cfg.CHOverlay = chTestOverlay(t, g)
-	cfg.CHMaxPairs = 4
 	srv := MustNew(g, cfg)
 	acc := storage.NewMemoryGraph(g)
 
@@ -109,15 +127,13 @@ func TestStrategyHybridRouting(t *testing.T) {
 	}
 }
 
-// TestCHStrategyConfigValidation covers the overlay requirements: missing
-// overlay without BuildCH, a mismatched overlay, and BuildCH building one.
+// TestCHStrategyConfigValidation covers the overlay requirements of a hybrid
+// server: a mismatched overlay is refused, and BuildCH builds a customizable
+// one over the server's graph.
 func TestCHStrategyConfigValidation(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
-	cfg.Strategy = StrategyCH
-	if _, err := New(g, cfg); err == nil {
-		t.Fatal("StrategyCH without overlay or BuildCH accepted")
-	}
+	cfg.Strategy = StrategyHybrid
 	otherCfg := gen.DefaultNetworkConfig()
 	otherCfg.Nodes = 300
 	otherCfg.Seed = 1234
@@ -137,6 +153,9 @@ func TestCHStrategyConfigValidation(t *testing.T) {
 	}
 	if srv.Overlay().NumNodes() != g.NumNodes() {
 		t.Fatalf("built overlay covers %d nodes, graph has %d", srv.Overlay().NumNodes(), g.NumNodes())
+	}
+	if !srv.Overlay().Customizable() {
+		t.Fatal("BuildCH contracted a witness-pruned overlay; live updates could never refresh it")
 	}
 }
 

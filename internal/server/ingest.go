@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"opaque/internal/search"
 	"opaque/internal/traffic"
 )
 
@@ -19,20 +18,15 @@ import (
 //
 // cfg.Topology defaults to the server's startup graph, so unknown-arc events
 // are rejected per event at the boundary instead of failing whole batches at
-// apply time. Like UpdateWeights, ingestion requires the in-memory backend
-// and refuses the heuristic pairwise strategies; a witness-pruned overlay is
-// refused too, because a sustained update stream would permanently park it
-// on the SSMD fallback.
+// apply time. Like UpdateWeights, ingestion requires the in-memory backend;
+// a witness-pruned overlay is refused too, because a sustained update stream
+// would permanently park it on the SSMD fallback.
 func (s *Server) NewIngestor(cfg traffic.Config) (*traffic.Ingestor, error) {
 	if s.mutable == nil {
 		return nil, fmt.Errorf("server: streaming ingestion requires the in-memory backend (paged deployments serve a frozen page layout)")
 	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT, search.StrategyPairwiseAStar:
-		return nil, fmt.Errorf("server: streaming ingestion is unsupported under strategy %q — its heuristic bounds are admissible for the startup metric only", s.cfg.Strategy)
-	}
 	var refresher traffic.Refresher
-	if st := s.chSt.Load(); st != nil {
+	if st := s.live.Load(); st.overlay != nil {
 		if !st.overlay.Customizable() {
 			return nil, fmt.Errorf("server: streaming ingestion needs a customizable overlay (this one is witness-pruned and cannot absorb weight updates)")
 		}
@@ -60,13 +54,9 @@ func (s *Server) IngestStats() traffic.Stats {
 
 // OverlayFresh reports whether the installed overlay state matches the
 // current graph on both axes (content checksum and engine generation).
-// Servers without an overlay, or with an immutable backend, are trivially
-// fresh. Experiments use it to measure the stale-query window under a
-// sustained update stream.
+// Servers without an overlay are trivially fresh. Experiments use it to
+// measure the stale-query window under a sustained update stream.
 func (s *Server) OverlayFresh() bool {
-	st := s.chSt.Load()
-	if st == nil {
-		return true
-	}
-	return !s.overlayStale(st) && !s.engineStale(st)
+	st := s.live.Load()
+	return st.overlay == nil || (!s.overlayStale(st) && !s.engineStale(st))
 }

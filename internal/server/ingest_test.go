@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
@@ -345,7 +346,8 @@ func TestChurnSoak(t *testing.T) {
 }
 
 // TestIngestorRefusedConfigurations mirrors the UpdateWeights refusals at
-// pipeline-construction time.
+// pipeline-construction time, plus the witness-pruned overlay a sustained
+// update stream could never refresh.
 func TestIngestorRefusedConfigurations(t *testing.T) {
 	g := updateTestGraph(t, 40, 721)
 
@@ -356,11 +358,15 @@ func TestIngestorRefusedConfigurations(t *testing.T) {
 		t.Error("ingestion on a paged server must be refused")
 	}
 
-	alt := DefaultConfig()
-	alt.Strategy = search.StrategyPairwiseALT
-	alt.Landmarks = 4
-	sa := MustNew(g, alt)
-	if _, err := sa.NewIngestor(traffic.Config{}); err == nil {
-		t.Error("ingestion under pairwise-alt must be refused")
+	witness, err := ch.Build(g) // not customizable
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := DefaultConfig()
+	pruned.Strategy = StrategyHybrid
+	pruned.CHOverlay = witness
+	sw := MustNew(g, pruned)
+	if _, err := sw.NewIngestor(traffic.Config{}); err == nil {
+		t.Error("ingestion over a witness-pruned overlay must be refused")
 	}
 }

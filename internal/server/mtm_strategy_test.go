@@ -1,89 +1,65 @@
 package server
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 )
 
-// TestStrategyCHMTMMatchesSSMD runs the same obfuscated queries through a
-// ch-mtm server and a plain SSMD server and asserts identical candidate
-// costs and reachability — the server-level face of the many-to-many
-// correctness property.
+// TestStrategyCHMTMMatchesSSMD runs wide obfuscated queries — more than
+// DefaultCHMaxPairs pairs, duplicates and s==t cells included — through a
+// hybrid server and a plain SSMD server and asserts identical candidate
+// costs and reachability: the server-level face of the many-to-many
+// correctness property. Every query must route to the bucket engine.
 func TestStrategyCHMTMMatchesSSMD(t *testing.T) {
-	g := testGraph(t)
-	mtmCfg := DefaultConfig()
-	mtmCfg.Strategy = StrategyCHMTM
-	mtmCfg.CHOverlay = chTestOverlay(t, g)
-	mtmSrv := MustNew(g, mtmCfg)
-	ssmdSrv := MustNew(g, DefaultConfig())
-
+	mtmSrv, ssmdSrv := hybridAndSSMD(t)
 	queries := []protocol.ServerQuery{
 		{QueryID: 1, Sources: []roadnet.NodeID{1, 50}, Dests: []roadnet.NodeID{200, 400, 600}},
-		{QueryID: 2, Sources: []roadnet.NodeID{700}, Dests: []roadnet.NodeID{3}},
+		{QueryID: 2, Sources: []roadnet.NodeID{10, 20, 30}, Dests: []roadnet.NodeID{11, 21, 31}},
 		{QueryID: 3, Sources: []roadnet.NodeID{10, 20, 30, 40}, Dests: []roadnet.NodeID{11, 21, 31, 41, 51, 61}},
-		{QueryID: 4, Sources: []roadnet.NodeID{5, 5}, Dests: []roadnet.NodeID{5, 9}}, // duplicates and s==t cells
+		{QueryID: 4, Sources: []roadnet.NodeID{5, 5, 9}, Dests: []roadnet.NodeID{5, 9, 9}}, // duplicates and s==t cells
 	}
-	for _, q := range queries {
-		got, err := mtmSrv.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ssmdSrv.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Paths) != len(want.Paths) {
-			t.Fatalf("query %d: %d paths vs %d", q.QueryID, len(got.Paths), len(want.Paths))
-		}
-		for i := range got.Paths {
-			gp, wp := got.Paths[i], want.Paths[i]
-			if gp.Source != wp.Source || gp.Dest != wp.Dest {
-				t.Fatalf("query %d: candidate %d is for (%d,%d), want (%d,%d)", q.QueryID, i, gp.Source, gp.Dest, wp.Source, wp.Dest)
-			}
-			if (len(gp.Nodes) == 0) != (len(wp.Nodes) == 0) {
-				t.Fatalf("query %d pair (%d,%d): reachability disagrees", q.QueryID, gp.Source, gp.Dest)
-			}
-			if len(gp.Nodes) != 0 && math.Abs(gp.Cost-wp.Cost) > 1e-9*(1+wp.Cost) {
-				t.Fatalf("query %d pair (%d,%d): MTM cost %v, SSMD cost %v", q.QueryID, gp.Source, gp.Dest, gp.Cost, wp.Cost)
-			}
-		}
-	}
+	assertMatchesSSMD(t, mtmSrv, ssmdSrv, queries)
 	if n := mtmSrv.Metrics().Counter("mtm_queries"); n != int64(len(queries)) {
 		t.Fatalf("mtm_queries = %d, want %d", n, len(queries))
+	}
+	if n := mtmSrv.Metrics().Counter("ch_queries"); n != 0 {
+		t.Fatalf("ch_queries = %d, want 0 (every query is wider than DefaultCHMaxPairs)", n)
 	}
 	if st := mtmSrv.MTMStats(); st.Tables != int64(len(queries)) {
 		t.Fatalf("MTM Tables = %d, want %d", st.Tables, len(queries))
 	}
 }
 
-// TestHybridCutoverBoundary pins the Config.CHMaxPairs routing semantics at
-// the boundary: |S|·|T| of CHMaxPairs−1 and CHMaxPairs route pairwise to
-// the overlay (the cutover is inclusive), CHMaxPairs+1 routes to the
-// many-to-many engine.
+// TestHybridCutoverBoundary pins the DefaultCHMaxPairs routing semantics at
+// the boundary: |S|·|T| of DefaultCHMaxPairs−1 and DefaultCHMaxPairs route
+// pairwise to the overlay (the cutover is inclusive), DefaultCHMaxPairs+1
+// routes to the many-to-many engine.
 func TestHybridCutoverBoundary(t *testing.T) {
 	g := testGraph(t)
 	overlay := chTestOverlay(t, g)
-	const maxPairs = 6
 	cases := []struct {
 		name            string
-		sources, dests  []roadnet.NodeID
+		pairs           int
 		wantCH, wantMTM int64
 	}{
-		{"below (5 = CHMaxPairs-1)", []roadnet.NodeID{10}, []roadnet.NodeID{20, 30, 40, 50, 60}, 1, 0},
-		{"at (6 = CHMaxPairs)", []roadnet.NodeID{10, 11}, []roadnet.NodeID{20, 30, 40}, 1, 0},
-		{"above (7 = CHMaxPairs+1)", []roadnet.NodeID{10}, []roadnet.NodeID{20, 30, 40, 50, 60, 70, 80}, 0, 1},
+		{fmt.Sprintf("below (%d = DefaultCHMaxPairs-1)", DefaultCHMaxPairs-1), DefaultCHMaxPairs - 1, 1, 0},
+		{fmt.Sprintf("at (%d = DefaultCHMaxPairs)", DefaultCHMaxPairs), DefaultCHMaxPairs, 1, 0},
+		{fmt.Sprintf("above (%d = DefaultCHMaxPairs+1)", DefaultCHMaxPairs+1), DefaultCHMaxPairs + 1, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Strategy = StrategyHybrid
 			cfg.CHOverlay = overlay
-			cfg.CHMaxPairs = maxPairs
 			srv := MustNew(g, cfg)
-			if _, err := srv.Evaluate(protocol.ServerQuery{Sources: tc.sources, Dests: tc.dests}); err != nil {
+			dests := make([]roadnet.NodeID, tc.pairs)
+			for i := range dests {
+				dests[i] = roadnet.NodeID(20 + 10*i)
+			}
+			if _, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{10}, Dests: dests}); err != nil {
 				t.Fatal(err)
 			}
 			if n := srv.Metrics().Counter("ch_queries"); n != tc.wantCH {
@@ -133,15 +109,21 @@ func TestHybridWithoutOverlayFallsBackToSSMD(t *testing.T) {
 }
 
 // TestMTMMetricsSurfaced asserts the bucket-engine instrumentation reaches
-// the metrics registry the periodic stats log reads.
+// the metrics registry the periodic stats log reads — and counts only the
+// wide table, not the point query routed pairwise beside it.
 func TestMTMMetricsSurfaced(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
-	cfg.Strategy = StrategyCHMTM
+	cfg.Strategy = StrategyHybrid
 	cfg.CHOverlay = chTestOverlay(t, g)
 	srv := MustNew(g, cfg)
-	if _, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2, 3}, Dests: []roadnet.NodeID{500, 501, 502, 503}}); err != nil {
-		t.Fatal(err)
+	for _, q := range []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{1, 2, 3}, Dests: []roadnet.NodeID{500, 501, 502, 503}},
+		{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{500}},
+	} {
+		if _, err := srv.Evaluate(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m := srv.Metrics()
 	st := srv.MTMStats()

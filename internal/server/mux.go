@@ -27,8 +27,8 @@ func (s *Server) HelloInfo() protocol.Hello {
 		Generation: gen,
 		ContentSum: sum,
 	}
-	if st := s.chSt.Load(); st != nil {
-		h.Cells = st.overlay.PartitionCells()
+	if o := s.Overlay(); o != nil {
+		h.Cells = o.PartitionCells()
 	}
 	if s.profiles != nil {
 		names := make([]string, 0, len(s.profiles.defs))

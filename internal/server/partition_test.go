@@ -6,10 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 )
 
 // gridTestGraph builds a w×h lattice with integer costs. Its spatial
@@ -39,75 +37,78 @@ func gridTestGraph(t *testing.T, w, h int, seed int64) *roadnet.Graph {
 	return g
 }
 
-// TestPartitionedServerMatchesReference: all three overlay strategies on a
-// partition-aware server serve reference-Dijkstra distances, before and
-// after weight updates absorbed by arc-level re-customization, and the
-// metrics report the arcs re-derived and the cells they belong to.
+// TestPartitionedServerMatchesReference: a hybrid server over a
+// partition-aware overlay serves reference-Dijkstra distances on both routes
+// (pairwise CH and many-to-many), before and after weight updates absorbed
+// by arc-level re-customization, and the metrics report the arcs re-derived
+// and the cells they belong to.
 func TestPartitionedServerMatchesReference(t *testing.T) {
-	for _, strat := range []search.Strategy{StrategyCH, StrategyCHMTM, StrategyHybrid} {
-		g := gridTestGraph(t, 12, 10, 601)
-		cfg := DefaultConfig()
-		cfg.Strategy = strat
-		cfg.BuildCH = true
-		cfg.PartitionCells = 6
-		s := MustNew(g, cfg)
-		if got := s.Overlay().PartitionCells(); got != 6 {
-			t.Fatalf("%s: overlay has %d cells, want 6", strat, got)
-		}
+	g := gridTestGraph(t, 12, 10, 601)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.BuildCH = true
+	cfg.PartitionCells = 6
+	s := MustNew(g, cfg)
+	if got := s.Overlay().PartitionCells(); got != 6 {
+		t.Fatalf("overlay has %d cells, want 6", got)
+	}
 
-		queries := []protocol.ServerQuery{
-			{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{119}},
-			{Sources: []roadnet.NodeID{1, 12, 40}, Dests: []roadnet.NodeID{80, 117}},
-			{Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{7}},
+	queries := []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{119}},                    // 1 pair → CH
+		{Sources: []roadnet.NodeID{1, 12, 40}, Dests: []roadnet.NodeID{80, 117}},        // 6 pairs → MTM
+		{Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{7}},                   // 2 pairs → CH
+		{Sources: []roadnet.NodeID{3, 30, 90}, Dests: []roadnet.NodeID{14, 60, 100, 8}}, // 12 pairs → MTM
+	}
+	for _, q := range queries {
+		reply, err := s.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReplyMatchesGraph(t, s.Graph(), reply)
+	}
+	if got := s.Metrics().Gauge("partition_cells"); got != 6 {
+		t.Fatalf("partition_cells gauge = %v, want 6", got)
+	}
+
+	rng := rand.New(rand.NewSource(602))
+	for round := 0; round < 3; round++ {
+		cur := s.Graph()
+		var changes []roadnet.ArcWeightChange
+		for i := 0; i < 4; i++ {
+			v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
+			arcs := cur.Arcs(v)
+			if len(arcs) == 0 {
+				continue
+			}
+			a := arcs[rng.Intn(len(arcs))]
+			changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(15))})
+		}
+		if _, err := s.UpdateWeights(changes); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RecustomizeNow(); err != nil {
+			t.Fatal(err)
 		}
 		for _, q := range queries {
 			reply, err := s.Evaluate(q)
 			if err != nil {
-				t.Fatalf("%s: %v", strat, err)
+				t.Fatal(err)
 			}
 			checkReplyMatchesGraph(t, s.Graph(), reply)
 		}
-		if got := s.Metrics().Gauge("partition_cells"); got != 6 {
-			t.Fatalf("%s: partition_cells gauge = %v, want 6", strat, got)
-		}
-
-		rng := rand.New(rand.NewSource(602))
-		for round := 0; round < 3; round++ {
-			cur := s.Graph()
-			var changes []roadnet.ArcWeightChange
-			for i := 0; i < 4; i++ {
-				v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
-				arcs := cur.Arcs(v)
-				if len(arcs) == 0 {
-					continue
-				}
-				a := arcs[rng.Intn(len(arcs))]
-				changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(15))})
-			}
-			if _, err := s.UpdateWeights(changes); err != nil {
-				t.Fatalf("%s: %v", strat, err)
-			}
-			if err := s.RecustomizeNow(); err != nil {
-				t.Fatalf("%s: %v", strat, err)
-			}
-			for _, q := range queries {
-				reply, err := s.Evaluate(q)
-				if err != nil {
-					t.Fatalf("%s: %v", strat, err)
-				}
-				checkReplyMatchesGraph(t, s.Graph(), reply)
-			}
-		}
-		m := s.Metrics()
-		if m.Counter("recustomize_runs") < 3 {
-			t.Fatalf("%s: recustomize_runs = %d", strat, m.Counter("recustomize_runs"))
-		}
-		if m.Counter("cells_recustomized") < 1 {
-			t.Fatalf("%s: cells_recustomized = %d, want >= 1", strat, m.Counter("cells_recustomized"))
-		}
-		if m.Gauge("recustomize_arcs_last") < 1 {
-			t.Fatalf("%s: recustomize_arcs_last = %v, want >= 1", strat, m.Gauge("recustomize_arcs_last"))
-		}
+	}
+	m := s.Metrics()
+	if m.Counter("ch_queries") < 8 || m.Counter("mtm_queries") < 8 {
+		t.Fatalf("ch_queries = %d, mtm_queries = %d: both routes must serve after every refresh", m.Counter("ch_queries"), m.Counter("mtm_queries"))
+	}
+	if m.Counter("recustomize_runs") < 3 {
+		t.Fatalf("recustomize_runs = %d", m.Counter("recustomize_runs"))
+	}
+	if m.Counter("cells_recustomized") < 1 {
+		t.Fatalf("cells_recustomized = %d, want >= 1", m.Counter("cells_recustomized"))
+	}
+	if m.Gauge("recustomize_arcs_last") < 1 {
+		t.Fatalf("recustomize_arcs_last = %v, want >= 1", m.Gauge("recustomize_arcs_last"))
 	}
 }
 
@@ -276,75 +277,5 @@ func TestConcurrentUpdatesAndBatchesTwoCells(t *testing.T) {
 	}
 	if err := s.Overlay().Matches(s.Graph()); err != nil {
 		t.Fatalf("overlay not fresh after quiescence: %v", err)
-	}
-}
-
-// TestPagedPartitionedLayerResidency: a paged deployment serving a
-// partitioned overlay charges the buffer pool for the per-cell weight layers
-// a query touches — synthetic pages after the graph's own — so overlay
-// residency shows up in the same fault accounting as graph I/O.
-func TestPagedPartitionedLayerResidency(t *testing.T) {
-	g := gridTestGraph(t, 12, 10, 605)
-	part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildCfg := ch.DefaultBuildConfig()
-	buildCfg.Partition = part
-	overlay, err := ch.BuildWithConfig(g, buildCfg) // witness-pruned: paged servers never re-customize
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	newServer := func(o *ch.Overlay) *Server {
-		cfg := DefaultConfig()
-		cfg.Strategy = StrategyHybrid
-		cfg.Paged = true
-		cfg.BufferPages = 1024 // big enough that faults == distinct pages touched
-		cfg.CHOverlay = o
-		return MustNew(g, cfg)
-	}
-	flat, err := ch.Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	q := protocol.ServerQuery{Sources: []roadnet.NodeID{0, 1}, Dests: []roadnet.NodeID{118, 119}}
-
-	sPart := newServer(overlay)
-	sFlat := newServer(flat)
-	rp, err := sPart.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReplyMatchesGraph(t, g, rp)
-	rf, err := sFlat.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReplyMatchesGraph(t, g, rf)
-
-	// Same graph, same page layout, same query: the partitioned server's
-	// extra faults are exactly the overlay layer pages — at least the top
-	// layer plus one cell layer (sources/dests are interior lattice corners
-	// under this seed, but boundary-only is conceivable, hence >= 1).
-	extra := sPart.IOStats().Faults - sFlat.IOStats().Faults
-	if extra < 1 {
-		t.Fatalf("partitioned paged server charged %d extra faults, want >= 1 (overlay layer pages)", extra)
-	}
-	// Re-running the identical query faults nothing: graph pages and layer
-	// pages are all resident now.
-	before := sPart.IOStats().Faults
-	if _, err := sPart.Evaluate(q); err != nil {
-		t.Fatal(err)
-	}
-	if after := sPart.IOStats().Faults; after != before {
-		t.Fatalf("resident layers still faulted: %d → %d", before, after)
-	}
-
-	// Paged deployments stay immutable: updates are rejected even with a
-	// partitioned overlay installed.
-	if _, err := sPart.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-		t.Fatal("paged partitioned server accepted a live weight update")
 	}
 }

@@ -7,9 +7,7 @@ import (
 
 	"opaque/internal/ch"
 	"opaque/internal/costmodel"
-	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 	"opaque/internal/storage"
 )
 
@@ -17,14 +15,14 @@ import (
 // profile (costmodel.WeightProfile) is a deterministic reweighting of the
 // startup metric — "the morning peak", "night free-flow" — and a profile
 // query asks to be answered under that regime instead of the live metric.
-// The server precustomizes one complete evaluation state per profile: the
-// profile graph, an immutable accessor over it, and (when the server runs a
-// CH strategy) a customized overlay weight layer sharing the base overlay's
-// frozen topology (ch.ProfileSet) with engines and processors bound to it.
-// Profile queries route onto that state with zero customization work on the
-// query path, and — because the state is immutable — they keep full CH
-// speed even while the live overlay is mid-re-customization under a heavy
-// update stream.
+// The server precustomizes one evaluation state (evalState) per profile: an
+// immutable accessor over the profile graph and (when the server serves
+// through an overlay) a customized overlay weight layer sharing the base
+// overlay's frozen topology (ch.ProfileSet) with engines and processors bound
+// to it. Profile queries route onto that state exactly like live queries do
+// onto the live one, with zero customization work on the query path, and —
+// because the state never swaps — they keep full CH speed even while the
+// live overlay is mid-re-customization under a heavy update stream.
 //
 // Profiles deliberately bind to the *startup* graph, not the live snapshot:
 // they answer what a trip usually costs under a recurring regime, which the
@@ -32,18 +30,6 @@ import (
 // layers precustomizable at all — a layer chasing the live metric would
 // re-customize on every update, which is exactly the work profile serving
 // exists to avoid.
-
-// profileState is everything needed to evaluate queries under one profile.
-type profileState struct {
-	graph *roadnet.Graph
-	acc   storage.Accessor
-	// flat is the always-available processor (SSMD for CH-strategy servers,
-	// the configured flat strategy otherwise); chProcessor/mtmProcessor are
-	// set when the server serves through an overlay.
-	flat         *search.Processor
-	chProcessor  *search.Processor
-	mtmProcessor *search.Processor
-}
 
 // profileCache resolves profile names to their precustomized states,
 // building on demand and bounded by the layer LRU.
@@ -56,7 +42,7 @@ type profileCache struct {
 	layers *ch.ProfileSet
 
 	mu     sync.Mutex
-	states map[string]*profileState
+	states map[string]*evalState
 }
 
 // initProfiles validates the profile configuration and builds the cache
@@ -68,10 +54,6 @@ func (s *Server) initProfiles() error {
 	if s.mutable == nil {
 		return fmt.Errorf("server: weight profiles require the in-memory backend (the paged simulation serves exactly one page layout)")
 	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT, search.StrategyPairwiseAStar:
-		return fmt.Errorf("server: weight profiles are unsupported under strategy %q — its heuristic bounds are admissible for the startup metric only", s.cfg.Strategy)
-	}
 	defs := make(map[string]costmodel.WeightProfile, len(s.cfg.Profiles))
 	for _, p := range s.cfg.Profiles {
 		if p.Name == "" {
@@ -82,8 +64,8 @@ func (s *Server) initProfiles() error {
 		}
 		defs[p.Name] = p
 	}
-	pc := &profileCache{s: s, defs: defs, states: make(map[string]*profileState)}
-	if st := s.chSt.Load(); st != nil {
+	pc := &profileCache{s: s, defs: defs, states: make(map[string]*evalState)}
+	if st := s.live.Load(); st.overlay != nil {
 		if !st.overlay.Customizable() {
 			return fmt.Errorf("server: weight profiles need a customizable overlay to precustomize layers for (this one is witness-pruned)")
 		}
@@ -117,45 +99,11 @@ func (s *Server) initProfiles() error {
 	return nil
 }
 
-// profileProcessor resolves the query's profile to a processor, building the
-// profile state on first use (or after an LRU eviction). The returned
-// processor never goes stale: its accessor is immutable and its engines are
-// bound to that accessor's constant generation. The second return is the
-// profile graph's weight-content checksum — the ContentSum replies under this
-// profile are stamped with, so a fleet router can verify every shard answered
-// a profile query from the same precustomized metric.
-func (s *Server) profileProcessor(q protocol.ServerQuery) (*search.Processor, uint64, error) {
-	if s.profiles == nil {
-		return nil, 0, fmt.Errorf("query requests weight profile %q but the server has no profiles configured", q.Profile)
-	}
-	st, err := s.profiles.state(q.Profile)
-	if err != nil {
-		return nil, 0, err
-	}
-	sum := st.graph.ContentChecksum()
-	if st.chProcessor == nil {
-		return st.flat, sum, nil
-	}
-	switch s.cfg.Strategy {
-	case StrategyCH:
-		return st.chProcessor, sum, nil
-	case StrategyCHMTM:
-		return st.mtmProcessor, sum, nil
-	case StrategyHybrid:
-		if len(q.Sources)*len(q.Dests) <= s.chMaxPairs {
-			return st.chProcessor, sum, nil
-		}
-		return st.mtmProcessor, sum, nil
-	default:
-		return st.flat, sum, nil
-	}
-}
-
 // state returns the evaluation state for the named profile, counting
 // profile_layer_hits/misses. Builds serialise behind the cache lock — with
 // PrewarmProfiles (the intended deployment) on-demand builds only happen
 // after LRU evictions.
-func (pc *profileCache) state(name string) (*profileState, error) {
+func (pc *profileCache) state(name string) (*evalState, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if st, ok := pc.states[name]; ok {
@@ -188,7 +136,14 @@ func (pc *profileCache) state(name string) (*profileState, error) {
 			return nil, fmt.Errorf("customizing layer for weight profile %q: %w", name, err)
 		}
 	}
-	st := pc.s.newProfileState(pg, layer)
+	// The profile accessor is a plain immutable MemoryGraph: its generation
+	// is constant 0, the engines bind to 0, and the state can therefore never
+	// fail the processors' staleness checks. No tree cache is attached — the
+	// server's cache keys trees by (source, generation) and every profile
+	// accessor reports generation 0, so sharing it would mix trees across
+	// metrics.
+	acc := storage.NewMemoryGraph(pg)
+	st := pc.s.newEvalState(acc, layer, storage.GenerationOf(acc), nil)
 	pc.states[name] = st
 	return st, nil
 }
@@ -198,66 +153,6 @@ func (pc *profileCache) layerCount() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return len(pc.states)
-}
-
-// newProfileState derives the accessor, engines and processors for one
-// profile graph. layer is nil for overlay-less servers. The profile accessor
-// is a plain immutable MemoryGraph: its generation is constant 0, the
-// engines bind to 0, and the state can therefore never fail the processors'
-// staleness checks. No tree cache is attached — the server's cache keys
-// trees by (source, generation) and every profile accessor reports
-// generation 0, so sharing it would mix trees across metrics.
-func (s *Server) newProfileState(pg *roadnet.Graph, layer *ch.Overlay) *profileState {
-	acc := storage.NewMemoryGraph(pg)
-	st := &profileState{graph: pg, acc: acc}
-
-	flatStrategy := s.cfg.Strategy
-	switch flatStrategy {
-	case StrategyCH, StrategyCHMTM, StrategyHybrid:
-		flatStrategy = search.StrategySSMD
-	}
-	flatOpts := []search.ProcessorOption{
-		search.WithStrategy(flatStrategy),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if s.cfg.Workers > 1 {
-		flatOpts = append(flatOpts, search.WithWorkers(s.cfg.Workers))
-	}
-	if s.gate != nil {
-		flatOpts = append(flatOpts, search.WithGate(s.gate))
-	}
-	st.flat = search.NewProcessor(acc, flatOpts...)
-
-	if layer != nil {
-		engine := ch.NewEngine(layer, s.wsPool)
-		engine.BindGeneration(storage.GenerationOf(acc))
-		mtm := ch.NewMTM(layer, s.wsPool)
-		mtm.BindGeneration(storage.GenerationOf(acc))
-
-		chOpts := []search.ProcessorOption{
-			search.WithStrategy(search.StrategyPointEngine),
-			search.WithPointEngine(engine),
-			search.WithWorkspacePool(s.wsPool),
-		}
-		if s.cfg.Workers > 1 {
-			chOpts = append(chOpts, search.WithWorkers(s.cfg.Workers))
-		}
-		if s.gate != nil {
-			chOpts = append(chOpts, search.WithGate(s.gate))
-		}
-		st.chProcessor = search.NewProcessor(acc, chOpts...)
-
-		mtmOpts := []search.ProcessorOption{
-			search.WithStrategy(search.StrategyTableEngine),
-			search.WithTableEngine(mtm),
-			search.WithWorkspacePool(s.wsPool),
-		}
-		if s.gate != nil {
-			mtmOpts = append(mtmOpts, search.WithGate(s.gate))
-		}
-		st.mtmProcessor = search.NewProcessor(acc, mtmOpts...)
-	}
-	return st
 }
 
 // ProfileLayerStats returns the profile layer cache counters (hits, misses,
@@ -286,5 +181,5 @@ func (s *Server) ProfileGraph(name string) (*roadnet.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.graph, nil
+	return st.acc.Graph(), nil
 }

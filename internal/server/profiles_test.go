@@ -233,3 +233,39 @@ func TestProfileOnFlatServer(t *testing.T) {
 	}
 	checkReplyMatchesMetric(t, metric, reply)
 }
+
+// TestRouteCountersCoverProfileQueries: live and profile queries route
+// through the same function, so ch_queries + mtm_queries + fallback_queries
+// equals queries_processed however the traffic mixes metrics and shapes — on
+// a hybrid server (both overlay routes) and on a flat one (SSMD only).
+func TestRouteCountersCoverProfileQueries(t *testing.T) {
+	flatCfg := DefaultConfig()
+	flatCfg.Profiles = costmodel.TimeOfDayProfiles()
+	flatServer := MustNew(updateTestGraph(t, 60, 610), flatCfg)
+	hybridServer, _ := profileServer(t, 60, 611)
+
+	for name, s := range map[string]*Server{"hybrid": hybridServer, "flat": flatServer} {
+		for i, profile := range []string{"", costmodel.ProfileAMPeak, "", costmodel.ProfileNight} {
+			for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {4, 4}} {
+				q := protocol.ServerQuery{Profile: profile}
+				for j := 0; j < shape[0]; j++ {
+					q.Sources = append(q.Sources, roadnet.NodeID(i+3*j))
+				}
+				for j := 0; j < shape[1]; j++ {
+					q.Dests = append(q.Dests, roadnet.NodeID(30+i+5*j))
+				}
+				if _, err := s.Evaluate(q); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		m := s.Metrics()
+		routed := m.Counter("ch_queries") + m.Counter("mtm_queries") + m.Counter("fallback_queries")
+		if served := m.Counter("queries_processed"); routed != served || served != 16 {
+			t.Errorf("%s: ch+mtm+fallback = %d, queries_processed = %d, want both 16", name, routed, served)
+		}
+		if name == "hybrid" && (m.Counter("ch_queries") != 8 || m.Counter("mtm_queries") != 8) {
+			t.Errorf("hybrid: ch_queries = %d, mtm_queries = %d, want 8 each", m.Counter("ch_queries"), m.Counter("mtm_queries"))
+		}
+	}
+}

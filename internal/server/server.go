@@ -38,35 +38,21 @@ import (
 	"opaque/internal/traffic"
 )
 
-// Server-level evaluation strategies layered on top of the search package's.
-// StrategyCH and StrategyCHMTM require a contraction-hierarchy overlay
-// (Config.CHOverlay or Config.BuildCH); StrategyHybrid uses one when
-// available and degrades to pure SSMD sharing when not.
-const (
-	// StrategyCH evaluates every (source, dest) pair of Q(S, T) on the
-	// contraction-hierarchy overlay — the preprocessed bidirectional search
-	// of internal/ch, typically an order of magnitude faster than flat
-	// Dijkstra per pair on large maps.
-	StrategyCH = search.Strategy("ch")
-	// StrategyCHMTM evaluates every query with the many-to-many bucket
-	// algorithm on the overlay (internal/ch's MTM): |S|+|T| upward sweeps
-	// joined at bucket entries instead of |S|·|T| bidirectional searches —
-	// the fastest engine for wide candidate tables.
-	StrategyCHMTM = search.Strategy("ch-mtm")
-	// StrategyHybrid routes each query by shape: point-ish queries (up to
-	// Config.CHMaxPairs candidate pairs) go pairwise to the CH overlay,
-	// wider obfuscated queries go to the many-to-many bucket engine. When
-	// the server has no overlay at all, every query falls back to the SSMD
-	// spanning-tree sharing (and the tree cache, when enabled).
-	StrategyHybrid = search.Strategy("hybrid")
-)
+// StrategyHybrid serves through the contraction-hierarchy overlay
+// (Config.CHOverlay or Config.BuildCH) and routes each query by shape:
+// point-ish queries (up to DefaultCHMaxPairs candidate pairs) go pairwise to
+// the overlay, wider obfuscated queries go to the many-to-many bucket engine.
+// When the server has no overlay at all, every query falls back to the SSMD
+// spanning-tree sharing (and the tree cache, when enabled).
+const StrategyHybrid = search.Strategy("hybrid")
 
 // Config parameterises a Server.
 type Config struct {
-	// Strategy selects how Q(S,T) is evaluated (default: SSMD sharing).
-	// Besides the search-package strategies, the server accepts StrategyCH,
-	// StrategyCHMTM and StrategyHybrid, which run on the
-	// contraction-hierarchy overlay.
+	// Strategy selects how Q(S,T) is served: search.StrategySSMD (also the
+	// zero value) answers every query with SSMD sharing and takes no
+	// overlay; StrategyHybrid serves through the CH overlay. New refuses
+	// anything else. The per-pair, A* and ALT searches of internal/search
+	// are library code for the paper's baselines, not serving strategies.
 	Strategy search.Strategy
 	// Workers bounds per-query source-level parallelism (default 1).
 	Workers int
@@ -96,17 +82,10 @@ type Config struct {
 	BufferPages int
 	// KeepLog records every received query for adversary analysis.
 	KeepLog bool
-	// Landmarks enables ALT preprocessing with the given number of landmark
-	// nodes (0 disables it). Required when Strategy is
-	// search.StrategyPairwiseALT; harmless otherwise. Preprocessing runs
-	// |Landmarks| full Dijkstra trees at startup and is charged to the
-	// buffer pool when Paged is set, exactly like an offline index build.
-	Landmarks int
 	// CHOverlay installs a prebuilt contraction-hierarchy overlay (usually
 	// loaded from a cmd/opaque-preprocess file); it must Match the server's
-	// graph. Required by StrategyCH and StrategyCHMTM unless BuildCH is
-	// set; optional for StrategyHybrid, which falls back to pure SSMD
-	// sharing without one.
+	// graph. StrategyHybrid only, and in-memory only: a Paged server is
+	// flat. Hybrid without an overlay falls back to pure SSMD sharing.
 	CHOverlay *ch.Overlay
 	// BuildCH contracts the graph at startup when no CHOverlay is given —
 	// the in-process equivalent of running cmd/opaque-preprocess. Expect
@@ -115,9 +94,8 @@ type Config struct {
 	// PartitionCells makes the startup contraction partition-aware: the
 	// road map is cut into this many spatial cells
 	// (roadnet.BuildPartition) and contracted cell by cell with boundary
-	// nodes last, so the overlay customizes its cells in parallel, weight
-	// updates are attributed to the cells they reach (cells_recustomized),
-	// and paged deployments page overlay weight layers per cell.
+	// nodes last, so the overlay customizes its cells in parallel and weight
+	// updates are attributed to the cells they reach (cells_recustomized).
 	// 0 or 1 keeps the flat single-layer contraction. Ignored unless the
 	// overlay is built at startup (BuildCH without CHOverlay) — a loaded
 	// CHOverlay carries its own partition, or none.
@@ -129,10 +107,8 @@ type Config struct {
 	// from its precustomized layer with zero customization work on the query
 	// path; live weight updates never touch profile layers (profiles answer
 	// "what does this trip usually cost at 8am" over the reference metric,
-	// not the live one). Requires the in-memory backend and, like live
-	// updates, refuses the heuristic pairwise strategies whose bounds are
-	// only admissible for the startup metric. With a CH strategy the overlay
-	// must be customizable.
+	// not the live one). Requires the in-memory backend; with an overlay,
+	// the overlay must be customizable.
 	Profiles []costmodel.WeightProfile
 	// ProfileCapacity bounds how many profile layers stay hot behind the
 	// LRU (0 = all configured profiles). Evicted layers rebuild on demand,
@@ -142,17 +118,10 @@ type Config struct {
 	// the first query of each profile pays nothing. Off, layers build on
 	// first use.
 	PrewarmProfiles bool
-	// CHMaxPairs is the StrategyHybrid cutover, with *inclusive* pairwise
-	// semantics: queries with |S|·|T| ≤ CHMaxPairs are evaluated pairwise
-	// on the CH overlay, queries with |S|·|T| > CHMaxPairs go to the
-	// many-to-many bucket engine (or to the SSMD processor when the server
-	// has no overlay). 0 means DefaultCHMaxPairs. Ignored by other
-	// strategies.
-	CHMaxPairs int
 }
 
-// DefaultCHMaxPairs is the hybrid cutover used when Config.CHMaxPairs is 0:
-// obfuscated queries up to this many candidate pairs (inclusive) run
+// DefaultCHMaxPairs is the hybrid cutover: obfuscated queries of up to this
+// many candidate pairs (|S|·|T| ≤ DefaultCHMaxPairs, inclusive) run
 // pairwise on the CH overlay, whose bidirectional stopping rule prunes each
 // individual search; strictly wider tables go to the many-to-many bucket
 // engine, whose |S|+|T| exhaustive sweeps amortise across cells. Experiment
@@ -188,41 +157,68 @@ type LogEntry struct {
 	Profile string
 }
 
-// chState bundles everything derived from one contraction-hierarchy overlay:
-// the overlay itself, the two engines bound to it, and the processors that
-// route queries onto them. The server holds the current state behind one
-// atomic pointer so a background re-customization swaps a complete,
-// consistent replacement in one store — queries either see the old state
-// (and its staleness is caught by the routing check or the engines' own
-// verification) or the new one, never a half-installed mix.
-type chState struct {
-	overlay      *ch.Overlay
-	engine       *ch.Engine
-	mtm          *ch.MTM
-	chProcessor  *search.Processor
-	mtmProcessor *search.Processor
+// ConfigError is the error New returns for a Config it refuses to serve:
+// Field names the offending Config field, Reason says why.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("server: Config.%s: %s", e.Field, e.Reason)
+}
+
+// validate refuses the configurations New cannot serve as asked: an unknown
+// strategy, overlay settings on an ssmd server (which would be silently
+// ignored) and an overlay on a paged server (which is flat).
+func (cfg Config) validate() error {
+	overlay := cfg.CHOverlay != nil || cfg.BuildCH
+	switch cfg.Strategy {
+	case "", search.StrategySSMD:
+		if overlay || cfg.PartitionCells != 0 {
+			return &ConfigError{"Strategy", "ssmd serves without an overlay; CHOverlay, BuildCH and PartitionCells need hybrid"}
+		}
+	case StrategyHybrid:
+		if cfg.Paged && overlay {
+			return &ConfigError{"Paged", "a paged server is flat; serve the overlay from an in-memory server"}
+		}
+	default:
+		return &ConfigError{"Strategy", fmt.Sprintf("%q is not a serving strategy (want %q or %q)", cfg.Strategy, search.StrategySSMD, StrategyHybrid)}
+	}
+	return nil
+}
+
+// evalState is everything one query is evaluated with: the accessor it
+// reads, the flat SSMD processor over it and — when the server serves
+// through an overlay — the overlay, the two engines bound to it and the
+// processors routed onto them. The live metric's state sits behind one
+// atomic pointer that re-customization replaces wholesale, so a query sees
+// either the old state (whose staleness evaluateLive's check or the engines'
+// own verification catches) or the new one, never a half-installed mix. A
+// weight profile is a state that never swaps.
+type evalState struct {
+	acc     storage.Accessor
+	flat    *search.Processor
+	overlay *ch.Overlay // nil: the server runs without an overlay
+	engine  *ch.Engine
+	mtm     *ch.MTM
+	point   *search.Processor // pairwise on the overlay
+	table   *search.Processor // many-to-many on the overlay
 }
 
 // Server is the directions search server.
 type Server struct {
-	graph     *roadnet.Graph
-	acc       storage.Accessor
-	pool      *storage.BufferPool
-	processor *search.Processor
+	graph *roadnet.Graph
+	acc   storage.Accessor
+	pool  *storage.BufferPool
 	// mutable is the live-update view of the accessor — non-nil exactly for
 	// in-memory deployments, where UpdateWeights is supported. Paged
 	// deployments serve the page layout they were built over and reject
 	// updates.
 	mutable *storage.MutableGraph
-	// layerPageBase is the first synthetic page ID of the per-cell overlay
-	// weight layers in paged deployments: the graph's own pages occupy
-	// [0, layerPageBase), cell c's weight layer is page layerPageBase+c and
-	// the boundary top layer is page layerPageBase+cells. 0 when not paged.
-	layerPageBase int
-	// chSt is the current overlay state (see chState), nil when the server
-	// runs without an overlay. Replaced wholesale by re-customization.
-	chSt       atomic.Pointer[chState]
-	chMaxPairs int
+	// live is the state live-metric queries evaluate with; never nil.
+	// Replaced wholesale by re-customization.
+	live atomic.Pointer[evalState]
 	// recustomizeMu serialises re-customization runs; recustomizing
 	// additionally dedupes background kicks so at most one goroutine is ever
 	// spawned at a time.
@@ -290,6 +286,9 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	if !g.Frozen() {
 		return nil, fmt.Errorf("server: graph must be frozen")
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	s := &Server{graph: g, cfg: cfg, metrics: metrics.NewRegistry()}
 	s.mQueries = s.metrics.CounterVar("queries_processed")
 	s.mFailed = s.metrics.CounterVar("queries_failed")
@@ -324,9 +323,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 		}
 		s.pool = pool
 		s.acc = storage.NewPagedGraph(store, pool)
-		// Overlay weight layers page through the same pool as the graph:
-		// they get synthetic page IDs right after the graph's own pages.
-		s.layerPageBase = store.NumPages()
 	} else {
 		// In-memory deployments serve through the mutable weight view, so
 		// UpdateWeights works out of the box: queries pin immutable snapshots
@@ -337,121 +333,68 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	}
 	s.wsPool = search.NewWorkspacePool()
 
-	// The CH strategies are server-level: queries route between the pairwise
-	// overlay processor, the many-to-many overlay processor and the regular
-	// multi-source processor, which keeps SSMD sharing for whatever the
-	// overlay does not take (and for hybrid servers running without one).
-	useCH := cfg.Strategy == StrategyCH || cfg.Strategy == StrategyCHMTM || cfg.Strategy == StrategyHybrid
-	procStrategy := cfg.Strategy
-	if useCH {
-		procStrategy = search.StrategySSMD
-	}
-
-	opts := []search.ProcessorOption{
-		search.WithStrategy(procStrategy),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if cfg.Workers > 1 {
-		opts = append(opts, search.WithWorkers(cfg.Workers))
-	}
 	if cfg.TreeCache > 0 {
 		s.cache = search.NewTreeCacheWithPool(cfg.TreeCache, s.wsPool)
-		opts = append(opts, search.WithTreeCache(s.cache))
 	}
 	if cfg.MaxConcurrentSearches > 0 {
 		s.gate = search.NewGate(cfg.MaxConcurrentSearches)
-		opts = append(opts, search.WithGate(s.gate))
 	}
-	if cfg.Landmarks > 0 {
-		lm, err := search.PrepareLandmarks(s.acc, cfg.Landmarks, search.LandmarksFarthest)
-		if err != nil {
-			return nil, fmt.Errorf("server: preparing ALT landmarks: %w", err)
-		}
-		opts = append(opts, search.WithLandmarks(lm))
-	} else if cfg.Strategy == search.StrategyPairwiseALT {
-		return nil, fmt.Errorf("server: strategy %q requires Landmarks > 0", cfg.Strategy)
-	}
-	s.processor = search.NewProcessor(s.acc, opts...)
 
-	if useCH {
-		overlay := cfg.CHOverlay
-		if overlay == nil && cfg.BuildCH {
-			buildCfg := ch.DefaultBuildConfig()
-			// A mutable deployment contracts customizable, so live weight
-			// updates are absorbed by re-customization instead of leaving
-			// the overlay permanently stale. The overlay carries more
-			// shortcuts than a witness-pruned one; deployments that never
-			// update weights can load a witness-pruned file instead.
-			buildCfg.Customizable = s.mutable != nil
-			if cfg.PartitionCells > 1 {
-				part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cfg.PartitionCells})
-				if err != nil {
-					return nil, fmt.Errorf("server: partitioning road map: %w", err)
-				}
-				buildCfg.Partition = part
-			}
-			built, err := ch.BuildWithConfig(g, buildCfg)
+	overlay := cfg.CHOverlay
+	if overlay == nil && cfg.BuildCH {
+		buildCfg := ch.DefaultBuildConfig()
+		// An overlay server is in-memory, hence mutable: it contracts
+		// customizable, so live weight updates are absorbed by
+		// re-customization instead of leaving the overlay permanently
+		// stale. Deployments that never update weights can load a smaller
+		// witness-pruned file instead.
+		buildCfg.Customizable = true
+		if cfg.PartitionCells > 1 {
+			part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cfg.PartitionCells})
 			if err != nil {
-				return nil, fmt.Errorf("server: building CH overlay: %w", err)
+				return nil, fmt.Errorf("server: partitioning road map: %w", err)
 			}
-			overlay = built
+			buildCfg.Partition = part
 		}
-		if overlay == nil {
-			// Hybrid degrades gracefully to the SSMD processor — a replica
-			// can come up before its overlay file is provisioned. The pure
-			// overlay strategies have nothing to run on and must refuse.
-			if cfg.Strategy != StrategyHybrid {
-				return nil, fmt.Errorf("server: strategy %q requires a CHOverlay (load one built by opaque-preprocess) or BuildCH", cfg.Strategy)
-			}
-		} else {
-			if err := overlay.Matches(g); err != nil {
-				return nil, fmt.Errorf("server: installing CH overlay: %w", err)
-			}
-			s.chMaxPairs = cfg.CHMaxPairs
-			if s.chMaxPairs <= 0 {
-				s.chMaxPairs = DefaultCHMaxPairs
-			}
-			s.chSt.Store(s.newCHState(overlay, storage.GenerationOf(s.acc)))
+		built, err := ch.BuildWithConfig(g, buildCfg)
+		if err != nil {
+			return nil, fmt.Errorf("server: building CH overlay: %w", err)
+		}
+		overlay = built
+	}
+	// Without an overlay hybrid degrades gracefully to the SSMD processor —
+	// a replica can come up before its overlay file is provisioned.
+	if overlay != nil {
+		if err := overlay.Matches(g); err != nil {
+			return nil, fmt.Errorf("server: installing CH overlay: %w", err)
 		}
 	}
+	s.live.Store(s.newEvalState(s.acc, overlay, storage.GenerationOf(s.acc), s.cache))
 	if err := s.initProfiles(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// newCHState derives the engines and processors for one overlay, binding
-// both engines to the accessor generation the overlay's weights are valid
-// for. Called at startup and by every re-customization swap.
-func (s *Server) newCHState(overlay *ch.Overlay, gen uint64) *chState {
-	st := &chState{overlay: overlay}
-	st.engine = ch.NewEngine(overlay, s.wsPool)
-	st.engine.BindGeneration(gen)
-	st.mtm = ch.NewMTM(overlay, s.wsPool)
-	st.mtm.BindGeneration(gen)
-
-	chOpts := []search.ProcessorOption{
-		search.WithStrategy(search.StrategyPointEngine),
-		search.WithPointEngine(st.engine),
-		search.WithWorkspacePool(s.wsPool),
+// newEvalState builds the evaluation state over acc: the flat SSMD processor
+// (with cache, nil for none) and, for a non-nil overlay, both engines bound
+// to gen — the accessor generation the overlay's weights are valid for —
+// with their processors. Called at startup, by every re-customization swap
+// and for every profile.
+func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, gen uint64, cache *search.TreeCache) *evalState {
+	newProcessor := func(opts ...search.ProcessorOption) *search.Processor {
+		opts = append(opts, search.WithWorkspacePool(s.wsPool), search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate))
+		return search.NewProcessor(acc, opts...)
 	}
-	if s.cfg.Workers > 1 {
-		chOpts = append(chOpts, search.WithWorkers(s.cfg.Workers))
+	st := &evalState{acc: acc, overlay: overlay, flat: newProcessor(search.WithTreeCache(cache))}
+	if overlay != nil {
+		st.engine = ch.NewEngine(overlay, s.wsPool)
+		st.engine.BindGeneration(gen)
+		st.mtm = ch.NewMTM(overlay, s.wsPool)
+		st.mtm.BindGeneration(gen)
+		st.point = newProcessor(search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(st.engine))
+		st.table = newProcessor(search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(st.mtm))
 	}
-	if s.gate != nil {
-		chOpts = append(chOpts, search.WithGate(s.gate))
-	}
-	st.chProcessor = search.NewProcessor(s.acc, chOpts...)
-
-	mtmOpts := []search.ProcessorOption{
-		search.WithStrategy(search.StrategyTableEngine),
-		search.WithTableEngine(st.mtm),
-		search.WithWorkspacePool(s.wsPool),
-	}
-	if s.gate != nil {
-		mtmOpts = append(mtmOpts, search.WithGate(s.gate))
-	}
-	st.mtmProcessor = search.NewProcessor(s.acc, mtmOpts...)
 	return st
 }
 
@@ -583,14 +526,21 @@ func (s *Server) liveIdentity() (uint64, uint64) {
 
 // evaluateProfile answers one profile query from its precustomized state. The
 // identity is trivially stable: profile accessors are immutable (generation
-// 0) and the content checksum is the profile graph's.
+// 0) and the content checksum is the profile graph's — so a fleet router can
+// verify every shard answered from the same precustomized metric. A profile
+// state never goes stale: its engines are bound to its accessor's constant
+// generation.
 func (s *Server) evaluateProfile(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
-	proc, contentSum, err := s.profileProcessor(q)
+	if s.profiles == nil {
+		return search.Table{}, replyIdentity{}, fmt.Errorf("query requests weight profile %q but the server has no profiles configured", q.Profile)
+	}
+	st, err := s.profiles.state(q.Profile)
 	if err != nil {
 		return search.Table{}, replyIdentity{}, err
 	}
+	proc, _ := s.route(st, q)
 	res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
-	return res, replyIdentity{contentSum: contentSum}, err
+	return res, replyIdentity{contentSum: st.acc.Graph().ContentChecksum()}, err
 }
 
 // identityRetries bounds how many times evaluateLive discards an evaluation
@@ -607,25 +557,34 @@ const identityRetries = 3
 // then stamped unknown (zero identity), which the fleet router refuses to
 // merge — a shard under churn degrades to retries, never to a mixed-metric
 // answer.
+//
+// Before routing onto the overlay, its content checksum and the engines'
+// bound generation are compared against the current graph's (O(1): all sides
+// are cached or atomic). A stale overlay state — a live weight update moved
+// the graph past it — sends the query to the SSMD fallback instead of
+// serving distances from the dead metric (see staleFallback).
 func (s *Server) evaluateLive(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
 	for attempt := 0; ; attempt++ {
 		gen1, sum1 := s.liveIdentity()
-		proc, routed := s.chooseProcessor(q)
+		st := s.live.Load()
+		var proc *search.Processor
+		var routed *metrics.Counter
+		if st.overlay != nil && (s.overlayStale(st) || s.engineStale(st)) {
+			proc, routed = s.staleFallback(st)
+		} else {
+			proc, routed = s.route(st, q)
+		}
 		res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
-		if err != nil && errors.Is(err, search.ErrStaleEngine) {
+		if errors.Is(err, search.ErrStaleEngine) {
 			// A weight update landed between routing and the engine's own
 			// verification. The overlay answer was refused, nothing stale was
-			// served; re-evaluate on the always-current SSMD processor and let
-			// the background re-customization catch the overlay up. The
+			// served; re-evaluate on the always-current SSMD processor. The
 			// overlay route counter bumped at routing time is reversed so the
 			// ch/mtm/fallback counters keep summing to the queries actually
 			// served by each route.
 			routed.Add(-1)
-			s.mStaleQueries.Add(1)
-			s.mFallback.Add(1)
-			routed = s.mFallback
-			s.kickRecustomize()
-			res, err = s.processor.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
+			proc, routed = s.staleFallback(st)
+			res, err = proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 		}
 		if err != nil {
 			return res, replyIdentity{}, err
@@ -643,100 +602,43 @@ func (s *Server) evaluateLive(q protocol.ServerQuery) (search.Table, replyIdenti
 	}
 }
 
-// chooseProcessor routes one query between the regular processor and the two
-// overlay processors. StrategyCH sends everything pairwise to the overlay
-// and StrategyCHMTM everything to the many-to-many bucket engine.
-// StrategyHybrid routes by shape: queries small enough
-// (|S|·|T| ≤ CHMaxPairs, inclusive) that per-pair bidirectional searches
-// prune hardest go pairwise, strictly wider tables go to the many-to-many
-// engine, and — when the server has no overlay at all — everything keeps
-// SSMD's per-source sharing. The ch_queries / mtm_queries / fallback_queries
-// counters record the routing decisions.
-//
-// Before routing onto the overlay, its content checksum and the engines'
-// bound generation are compared against the current graph's (O(1): all
-// sides are cached or atomic). A stale overlay state — a live weight update
-// moved the graph past it — routes the query to the SSMD fallback instead
-// of serving distances from the dead metric, counts it in
-// overlay_stale_queries, and kicks the background refresh that swaps a
-// fresh overlay state in.
-//
-// The second return is the route counter this call bumped (mFallback on the
-// fallback routes, never nil); evaluateLive reverses it when the evaluation
-// is abandoned — the engine refused the query and the fallback re-served it,
-// or an identity race discarded the attempt — so every route counter keeps
-// summing to the queries its route actually served.
-func (s *Server) chooseProcessor(q protocol.ServerQuery) (*search.Processor, *metrics.Counter) {
-	st := s.chSt.Load()
-	if st == nil {
-		s.mFallback.Add(1)
-		return s.processor, s.mFallback
-	}
-	if s.overlayStale(st) || s.engineStale(st) {
-		s.mStaleQueries.Add(1)
-		s.mFallback.Add(1)
-		s.kickRecustomize()
-		return s.processor, s.mFallback
-	}
-	s.chargeOverlayLayers(st, q)
-	switch s.cfg.Strategy {
-	case StrategyCH:
-		s.mCHQueries.Add(1)
-		return st.chProcessor, s.mCHQueries
-	case StrategyCHMTM:
-		s.mMTMQueries.Add(1)
-		return st.mtmProcessor, s.mMTMQueries
-	default: // StrategyHybrid
-		if len(q.Sources)*len(q.Dests) <= s.chMaxPairs {
-			s.mCHQueries.Add(1)
-			return st.chProcessor, s.mCHQueries
-		}
-		s.mMTMQueries.Add(1)
-		return st.mtmProcessor, s.mMTMQueries
-	}
+// staleFallback diverts one live query off st's stale overlay onto its
+// always-current SSMD processor: it counts the query in
+// overlay_stale_queries and fallback_queries and kicks the background
+// refresh that swaps a fresh state in.
+func (s *Server) staleFallback(st *evalState) (*search.Processor, *metrics.Counter) {
+	s.mStaleQueries.Add(1)
+	s.mFallback.Add(1)
+	s.kickRecustomize()
+	return st.flat, s.mFallback
 }
 
-// chargeOverlayLayers charges the buffer pool for the overlay weight layers
-// one query routed onto a partitioned overlay touches. An upward CH search
-// from node v reads exactly two layers: v's cell layer (skipped when v is a
-// boundary node — it starts directly in the top layer) and the boundary top
-// layer, which every query needs. The layers occupy synthetic page IDs after
-// the graph's own pages (see layerPageBase), so cell layers compete for
-// buffer-pool residency with graph pages exactly like any other I/O the
-// simulation accounts: a deployment whose traffic concentrates in a few
-// cells keeps those layers resident, and the page_faults counter shows the
-// paging cost of scattering queries across many cells. No-op for in-memory
-// or unpartitioned deployments.
-func (s *Server) chargeOverlayLayers(st *chState, q protocol.ServerQuery) {
-	cells := st.overlay.PartitionCells()
-	if s.pool == nil || cells == 0 {
-		return
-	}
-	seen := make(map[int]struct{}, len(q.Sources)+len(q.Dests))
-	charge := func(nodes []roadnet.NodeID) {
-		for _, v := range nodes {
-			c, boundary := st.overlay.CellOfNode(v)
-			if boundary {
-				continue
-			}
-			if _, dup := seen[c]; dup {
-				continue
-			}
-			seen[c] = struct{}{}
-			s.pool.Access(storage.PageID(s.layerPageBase + c))
+// route picks the processor of st that answers q and bumps that route's
+// counter: the SSMD processor when st has no overlay (fallback_queries);
+// otherwise pairwise CH for queries small enough (|S|·|T| ≤
+// DefaultCHMaxPairs, inclusive) that per-pair bidirectional searches prune
+// hardest (ch_queries), and the many-to-many bucket engine for strictly
+// wider tables (mtm_queries). Live and profile queries both route here, so
+// the three counters together count every query served. The second return is
+// the counter bumped, which evaluateLive reverses when it abandons an
+// evaluation.
+func (s *Server) route(st *evalState, q protocol.ServerQuery) (*search.Processor, *metrics.Counter) {
+	proc, routed := st.flat, s.mFallback
+	if st.overlay != nil {
+		if len(q.Sources)*len(q.Dests) <= DefaultCHMaxPairs {
+			proc, routed = st.point, s.mCHQueries
+		} else {
+			proc, routed = st.table, s.mMTMQueries
 		}
 	}
-	charge(q.Sources)
-	charge(q.Dests)
-	s.pool.Access(storage.PageID(s.layerPageBase + cells)) // boundary top layer
+	routed.Add(1)
+	return proc, routed
 }
 
 // overlayStale reports whether st's overlay content no longer matches the
-// current graph. Immutable deployments (paged storage) can never go stale.
-func (s *Server) overlayStale(st *chState) bool {
-	if s.mutable == nil {
-		return false
-	}
+// current graph. Only asked of a state with an overlay, whose server is
+// in-memory and therefore mutable.
+func (s *Server) overlayStale(st *evalState) bool {
 	return st.overlay.Checksum() != ch.GraphChecksum(storage.SnapshotOf(s.mutable).Graph())
 }
 
@@ -745,29 +647,21 @@ func (s *Server) overlayStale(st *chState) bool {
 // matches (an update that did not change any cost still bumps the
 // generation); the processors' search.Generational check would refuse such
 // engines, so routing treats it as staleness and the refresh rebinds them.
-func (s *Server) engineStale(st *chState) bool {
-	if s.mutable == nil {
-		return false
-	}
+func (s *Server) engineStale(st *evalState) bool {
 	return st.engine.Generation() != storage.GenerationOf(s.mutable)
 }
 
 // Overlay returns the currently installed contraction-hierarchy overlay
 // (after a weight update and re-customization, the freshly customized one),
 // or nil when the server runs without an overlay.
-func (s *Server) Overlay() *ch.Overlay {
-	if st := s.chSt.Load(); st != nil {
-		return st.overlay
-	}
-	return nil
-}
+func (s *Server) Overlay() *ch.Overlay { return s.live.Load().overlay }
 
 // MTMStats returns the many-to-many bucket engine's counters (tables
 // evaluated, bucket entries deposited/scanned, arena high-water mark), or
 // zeroes when the server has no overlay installed. The counters reset when a
 // re-customization swaps the engine.
 func (s *Server) MTMStats() ch.MTMStats {
-	if st := s.chSt.Load(); st != nil {
+	if st := s.live.Load(); st.overlay != nil {
 		return st.mtm.Stats()
 	}
 	return ch.MTMStats{}
@@ -833,7 +727,7 @@ func (s *Server) publishDerivedMetrics() {
 		s.metrics.SetGauge("tree_cache_evictions", float64(st.Evictions))
 		s.metrics.SetGauge("tree_cache_invalidations", float64(st.Invalidations))
 	}
-	if st := s.chSt.Load(); st != nil {
+	if st := s.live.Load(); st.overlay != nil {
 		mt := st.mtm.Stats()
 		s.metrics.SetGauge("mtm_tables", float64(mt.Tables))
 		s.metrics.SetGauge("mtm_bucket_entries", float64(mt.BucketEntries))

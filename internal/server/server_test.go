@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"opaque/internal/ch"
 	"opaque/internal/gen"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
@@ -38,6 +39,51 @@ func TestNewValidation(t *testing.T) {
 	badPage.PageConfig.NodesPerPage = 0
 	if _, err := New(g, badPage); err == nil {
 		t.Error("invalid page config accepted")
+	}
+
+	// The serving surface is ssmd or hybrid; everything else, and every
+	// overlay setting New would otherwise ignore or cannot serve, is a
+	// typed error at startup rather than a failure on every query.
+	overlay, err := ch.Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]func(*Config){
+		"bogus strategy":       func(c *Config) { c.Strategy = "bogus" },
+		"pairwise":             func(c *Config) { c.Strategy = search.StrategyPairwise },
+		"pairwise-astar":       func(c *Config) { c.Strategy = search.StrategyPairwiseAStar },
+		"pairwise-alt":         func(c *Config) { c.Strategy = search.StrategyPairwiseALT },
+		"point-engine":         func(c *Config) { c.Strategy = search.StrategyPointEngine },
+		"table-engine":         func(c *Config) { c.Strategy = search.StrategyTableEngine },
+		"ch":                   func(c *Config) { c.Strategy = "ch" },
+		"ch-mtm":               func(c *Config) { c.Strategy = "ch-mtm" },
+		"ssmd with CHOverlay":  func(c *Config) { c.CHOverlay = overlay },
+		"ssmd with BuildCH":    func(c *Config) { c.BuildCH = true },
+		"ssmd with partitions": func(c *Config) { c.PartitionCells = 4 },
+		"unset with BuildCH":   func(c *Config) { c.Strategy, c.BuildCH = "", true },
+		"paged with CHOverlay": func(c *Config) { c.Strategy, c.Paged, c.CHOverlay = StrategyHybrid, true, overlay },
+		"paged with BuildCH":   func(c *Config) { c.Strategy, c.Paged, c.BuildCH = StrategyHybrid, true, true },
+	}
+	for name, mutate := range refused {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		var ce *ConfigError
+		if _, err := New(g, cfg); !errors.As(err, &ce) {
+			t.Errorf("%s: New returned %v, want a *ConfigError", name, err)
+		}
+	}
+	accepted := map[string]func(*Config){
+		"unset strategy":         func(c *Config) { c.Strategy = "" },
+		"hybrid without overlay": func(c *Config) { c.Strategy = StrategyHybrid },
+		"paged hybrid, flat":     func(c *Config) { c.Strategy, c.Paged = StrategyHybrid, true },
+		"hybrid with CHOverlay":  func(c *Config) { c.Strategy, c.CHOverlay = StrategyHybrid, overlay },
+	}
+	for name, mutate := range accepted {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if _, err := New(g, cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -153,33 +199,34 @@ func TestPagedServerCountsFaults(t *testing.T) {
 	}
 }
 
+// TestStrategiesProduceSameCosts: the two serving strategies answer the same
+// costs, with hybrid queries on both sides of its cutover.
 func TestStrategiesProduceSameCosts(t *testing.T) {
 	g := testGraph(t)
-	q := protocol.ServerQuery{Sources: []roadnet.NodeID{3, 9}, Dests: []roadnet.NodeID{100, 300}}
-	cfgA := DefaultConfig()
-	cfgA.Strategy = search.StrategySSMD
-	cfgB := DefaultConfig()
-	cfgB.Strategy = search.StrategyPairwise
-	a, err := MustNew(g, cfgA).Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MustNew(g, cfgB).Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := func(r protocol.ServerReply) map[[2]roadnet.NodeID]float64 {
-		m := map[[2]roadnet.NodeID]float64{}
-		for _, c := range r.Paths {
-			m[[2]roadnet.NodeID{c.Source, c.Dest}] = c.Cost
+	hybridCfg := DefaultConfig()
+	hybridCfg.Strategy = StrategyHybrid
+	hybridCfg.CHOverlay = chTestOverlay(t, g)
+	ssmd, hybrid := MustNew(g, DefaultConfig()), MustNew(g, hybridCfg)
+	for _, q := range []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{3, 9}, Dests: []roadnet.NodeID{100, 300}},
+		{Sources: []roadnet.NodeID{3, 9, 27}, Dests: []roadnet.NodeID{100, 300, 500}},
+	} {
+		a, err := ssmd.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
-	}
-	ca, cb := costs(a), costs(b)
-	for k, v := range ca {
-		if math.Abs(cb[k]-v) > 1e-6 {
-			t.Errorf("pair %v: ssmd cost %v, pairwise cost %v", k, v, cb[k])
+		b, err := hybrid.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, c := range a.Paths {
+			if math.Abs(b.Paths[i].Cost-c.Cost) > 1e-6 {
+				t.Errorf("pair (%d,%d): ssmd cost %v, hybrid cost %v", c.Source, c.Dest, c.Cost, b.Paths[i].Cost)
+			}
+		}
+	}
+	if m := hybrid.Metrics(); m.Counter("ch_queries") != 1 || m.Counter("mtm_queries") != 1 {
+		t.Fatalf("hybrid routed ch=%d mtm=%d, want one query each", m.Counter("ch_queries"), m.Counter("mtm_queries"))
 	}
 }
 

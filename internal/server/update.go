@@ -6,7 +6,6 @@ import (
 
 	"opaque/internal/ch"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 	"opaque/internal/storage"
 )
 
@@ -21,7 +20,7 @@ import (
 //  2. The SSMD tree cache invalidates itself: cached spanning trees are
 //     keyed by accessor generation, which the swap bumped.
 //  3. The CH overlay cannot serve the new metric until its weight layer is
-//     re-customized. Until then the routing check in chooseProcessor (and
+//     re-customized. Until then the staleness check in evaluateLive (and
 //     the engines' own checksum/generation verification, for races that
 //     slip past it) diverts overlay traffic to the SSMD fallback — counted
 //     in overlay_stale_queries — while kickRecustomize refreshes the weight
@@ -38,10 +37,7 @@ import (
 // overlay in. Use RecustomizeNow to wait for that swap deterministically.
 //
 // Updates require the in-memory backend: paged deployments serve a frozen
-// page layout and reject updates. The heuristic pairwise strategies refuse
-// them too: pairwise-alt's landmark bounds and pairwise-astar's scaled
-// Euclidean heuristic are admissible for the startup metric only — a
-// lowered weight would silently turn both into non-shortest-path searches.
+// page layout and reject updates.
 func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	gen, err := s.applyWeights(changes)
 	if err != nil {
@@ -66,12 +62,6 @@ func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 	if s.mutable == nil {
 		return 0, fmt.Errorf("server: live weight updates require the in-memory backend (paged deployments serve a frozen page layout)")
 	}
-	switch s.cfg.Strategy {
-	case search.StrategyPairwiseALT:
-		return 0, fmt.Errorf("server: live weight updates are unsupported under strategy %q — ALT landmark bounds are computed for the startup metric and would become inadmissible", s.cfg.Strategy)
-	case search.StrategyPairwiseAStar:
-		return 0, fmt.Errorf("server: live weight updates are unsupported under strategy %q — the scaled Euclidean heuristic is admissible for the startup metric only", s.cfg.Strategy)
-	}
 	gen, err := s.mutable.UpdateWeights(changes)
 	if err != nil {
 		return gen, fmt.Errorf("server: %w", err)
@@ -89,8 +79,8 @@ func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 // RecustomizeNow clears the set once the installed overlay has caught up
 // with the current graph.
 func (s *Server) notePendingCells(changes []roadnet.ArcWeightChange) {
-	st := s.chSt.Load()
-	if st == nil {
+	st := s.live.Load()
+	if st.overlay == nil {
 		return
 	}
 	cells := st.overlay.PartitionCells()
@@ -139,8 +129,8 @@ func (s *Server) pendingCellCount() int {
 // cannot be refreshed — the server keeps serving through the SSMD fallback,
 // which overlay_stale_queries makes visible.
 func (s *Server) kickRecustomize() {
-	st := s.chSt.Load()
-	if st == nil || s.mutable == nil {
+	st := s.live.Load()
+	if st.overlay == nil {
 		return
 	}
 	if contentStale := s.overlayStale(st); contentStale && !st.overlay.Customizable() {
@@ -174,16 +164,16 @@ func (s *Server) kickRecustomize() {
 // RecustomizeNow synchronously refreshes the CH overlay's weight layer until
 // it matches the current graph, swapping each refreshed overlay state in
 // atomically, and returns when the installed overlay is fresh (or the server
-// has nothing to refresh: no overlay, an immutable backend, or an already
-// fresh overlay). Updates that land mid-refresh are absorbed by another
-// round of the loop. It is safe to call concurrently with queries, updates
-// and the background refresh; runs serialise internally.
+// has nothing to refresh: no overlay, or an already fresh one). Updates that
+// land mid-refresh are absorbed by another round of the loop. It is safe to
+// call concurrently with queries, updates and the background refresh; runs
+// serialise internally.
 func (s *Server) RecustomizeNow() error {
 	s.recustomizeMu.Lock()
 	defer s.recustomizeMu.Unlock()
 	for {
-		st := s.chSt.Load()
-		if st == nil || s.mutable == nil {
+		st := s.live.Load()
+		if st.overlay == nil {
 			return nil
 		}
 		// Pin one snapshot for the whole round: the overlay is customized
@@ -218,7 +208,7 @@ func (s *Server) RecustomizeNow() error {
 			s.mRecustFail.Add(1)
 			return fmt.Errorf("server: re-customizing overlay: %w", err)
 		}
-		s.chSt.Store(s.newCHState(fresh, storage.GenerationOf(snap)))
+		s.live.Store(s.newEvalState(s.acc, fresh, storage.GenerationOf(snap), s.cache))
 		s.mRecustomize.Add(1)
 		s.mCellsRecust.Add(int64(len(stats.Recustomized)))
 		s.metrics.SetGauge("recustomize_last_ms", float64(time.Since(start).Microseconds())/1000)

@@ -138,64 +138,65 @@ func TestHybridFallsBackOnStaleOverlay(t *testing.T) {
 
 // TestUpdateRecustomizeRestoresOverlay: with a customizable overlay, a
 // weight update diverts overlay traffic to the fallback only until
-// re-customization swaps the fresh overlay in; afterwards CH routing resumes
-// and all three overlay strategies serve current-graph distances.
+// re-customization swaps the fresh overlay in; afterwards both overlay routes
+// (pairwise CH and many-to-many) resume and serve current-graph distances.
 func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
-	for _, strat := range []search.Strategy{StrategyCH, StrategyCHMTM, StrategyHybrid} {
-		g := updateTestGraph(t, 70, 502)
-		cfg := DefaultConfig()
-		cfg.Strategy = strat
-		cfg.BuildCH = true
-		s := MustNew(g, cfg)
-		if !s.Overlay().Customizable() {
-			t.Fatalf("%s: BuildCH on a mutable deployment should contract customizable", strat)
-		}
-		oldOverlay := s.Overlay()
+	g := updateTestGraph(t, 70, 502)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.BuildCH = true
+	s := MustNew(g, cfg)
+	if !s.Overlay().Customizable() {
+		t.Fatal("BuildCH on a mutable deployment should contract customizable")
+	}
+	oldOverlay := s.Overlay()
+	queries := []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{1, 2, 7}, Dests: []roadnet.NodeID{3, 9}}, // 6 pairs → MTM
+		{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{3, 9}},       // 2 pairs → CH
+	}
 
-		rng := rand.New(rand.NewSource(503))
-		for round := 0; round < 3; round++ {
-			cur := s.Graph()
-			var changes []roadnet.ArcWeightChange
-			for i := 0; i < 5; i++ {
-				v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
-				arcs := cur.Arcs(v)
-				if len(arcs) == 0 {
-					continue
-				}
-				a := arcs[rng.Intn(len(arcs))]
-				changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(40))})
+	rng := rand.New(rand.NewSource(503))
+	for round := 0; round < 3; round++ {
+		cur := s.Graph()
+		var changes []roadnet.ArcWeightChange
+		for i := 0; i < 5; i++ {
+			v := roadnet.NodeID(rng.Intn(cur.NumNodes()))
+			arcs := cur.Arcs(v)
+			if len(arcs) == 0 {
+				continue
 			}
-			if _, err := s.UpdateWeights(changes); err != nil {
-				t.Fatalf("%s: %v", strat, err)
-			}
-			if err := s.RecustomizeNow(); err != nil {
-				t.Fatalf("%s: RecustomizeNow: %v", strat, err)
-			}
-			if s.Overlay() == oldOverlay {
-				t.Fatalf("%s: re-customization did not swap the overlay", strat)
-			}
-			oldOverlay = s.Overlay()
-			if err := s.Overlay().Matches(s.Graph()); err != nil {
-				t.Fatalf("%s: refreshed overlay does not match current graph: %v", strat, err)
-			}
-			reply, err := s.Evaluate(protocol.ServerQuery{
-				Sources: []roadnet.NodeID{1, 2, 7},
-				Dests:   []roadnet.NodeID{3, 9},
-			})
+			a := arcs[rng.Intn(len(arcs))]
+			changes = append(changes, roadnet.ArcWeightChange{From: v, To: a.To, NewCost: float64(1 + rng.Intn(40))})
+		}
+		if _, err := s.UpdateWeights(changes); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RecustomizeNow(); err != nil {
+			t.Fatalf("RecustomizeNow: %v", err)
+		}
+		if s.Overlay() == oldOverlay {
+			t.Fatal("re-customization did not swap the overlay")
+		}
+		oldOverlay = s.Overlay()
+		if err := s.Overlay().Matches(s.Graph()); err != nil {
+			t.Fatalf("refreshed overlay does not match current graph: %v", err)
+		}
+		for _, q := range queries {
+			reply, err := s.Evaluate(q)
 			if err != nil {
-				t.Fatalf("%s: %v", strat, err)
+				t.Fatal(err)
 			}
 			checkReplyMatchesGraph(t, s.Graph(), reply)
 		}
-		m := s.Metrics()
-		if got := m.Counter("recustomize_runs"); got < 3 {
-			t.Fatalf("%s: recustomize_runs = %d, want >= 3", strat, got)
-		}
-		// After each explicit RecustomizeNow, queries must route onto the
-		// overlay again, not the fallback.
-		if got := m.Counter("ch_queries") + m.Counter("mtm_queries"); got < 3 {
-			t.Fatalf("%s: overlay routing did not resume after refresh (ch+mtm = %d)", strat, got)
-		}
+	}
+	m := s.Metrics()
+	if got := m.Counter("recustomize_runs"); got < 3 {
+		t.Fatalf("recustomize_runs = %d, want >= 3", got)
+	}
+	// After each explicit RecustomizeNow, queries must route onto the
+	// overlay again, not the fallback — on both sides of the cutover.
+	if ch, mtm := m.Counter("ch_queries"), m.Counter("mtm_queries"); ch < 3 || mtm < 3 {
+		t.Fatalf("overlay routing did not resume after refresh (ch = %d, mtm = %d)", ch, mtm)
 	}
 }
 
@@ -293,15 +294,16 @@ func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
 // TestNoOpUpdateRebindsEngines: an update that bumps the generation without
 // changing any cost (a no-op change, or a revert restoring the exact old
 // weights) must not strand the overlay behind the generation check — the
-// refresh rebinds the engines instead of re-customizing, and CH routing
-// resumes.
+// refresh rebinds both engines instead of re-customizing, and pairwise CH
+// and many-to-many routing resume.
 func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	g := updateTestGraph(t, 50, 509)
 	cfg := DefaultConfig()
-	cfg.Strategy = StrategyCH
+	cfg.Strategy = StrategyHybrid
 	cfg.BuildCH = true
 	s := MustNew(g, cfg)
 	q := protocol.ServerQuery{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}}
+	wide := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 4, 5}, Dests: []roadnet.NodeID{2, 6}}
 	if _, err := s.Evaluate(q); err != nil {
 		t.Fatal(err)
 	}
@@ -322,25 +324,30 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	if err := s.RecustomizeNow(); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Metrics().Counter("ch_queries")
+	before, beforeMTM := s.Metrics().Counter("ch_queries"), s.Metrics().Counter("mtm_queries")
 	for i := 0; i < 3; i++ {
-		reply, err := s.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
+		for _, query := range []protocol.ServerQuery{q, wide} {
+			reply, err := s.Evaluate(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReplyMatchesGraph(t, s.Graph(), reply)
 		}
-		checkReplyMatchesGraph(t, s.Graph(), reply)
 	}
 	if got := s.Metrics().Counter("ch_queries"); got != before+3 {
 		t.Fatalf("CH routing did not resume after a no-op update: ch_queries went %d → %d", before, got)
+	}
+	if got := s.Metrics().Counter("mtm_queries"); got != beforeMTM+3 {
+		t.Fatalf("MTM routing did not resume after a no-op update: mtm_queries went %d → %d", beforeMTM, got)
 	}
 	if s.Overlay() != overlayBefore {
 		t.Fatal("no-op update triggered a full re-customization instead of a rebind")
 	}
 }
 
-// TestUpdateWeightsRejected pins the refusal paths: paged deployments and
-// the heuristic pairwise strategies cannot absorb live updates, and invalid
-// changes do not move the generation.
+// TestUpdateWeightsRejected pins the refusal paths: paged deployments
+// cannot absorb live updates, and invalid changes do not move the
+// generation.
 func TestUpdateWeightsRejected(t *testing.T) {
 	g := updateTestGraph(t, 40, 504)
 
@@ -349,21 +356,6 @@ func TestUpdateWeightsRejected(t *testing.T) {
 	paged := MustNew(g, pagedCfg)
 	if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
 		t.Fatal("paged server accepted a live weight update")
-	}
-
-	altCfg := DefaultConfig()
-	altCfg.Strategy = search.StrategyPairwiseALT
-	altCfg.Landmarks = 2
-	alt := MustNew(g, altCfg)
-	if _, err := alt.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-		t.Fatal("pairwise-alt server accepted a live weight update over its frozen landmark bounds")
-	}
-
-	astarCfg := DefaultConfig()
-	astarCfg.Strategy = search.StrategyPairwiseAStar
-	astar := MustNew(g, astarCfg)
-	if _, err := astar.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-		t.Fatal("pairwise-astar server accepted a live weight update over its startup-metric heuristic")
 	}
 
 	s := MustNew(g, DefaultConfig())
@@ -496,21 +488,23 @@ func TestConcurrentUpdatesAndBatches(t *testing.T) {
 	}
 }
 
-// TestEmptyQueryContract pins the unified empty-S/T contract across every
-// server strategy and both processor entry points: an error wrapping
+// TestEmptyQueryContract pins the unified empty-S/T contract across both
+// serving strategies — with the non-empty side on either side of the hybrid
+// cutover — and every processor entry point: an error wrapping
 // search.ErrEmptyQuery, never a silent empty table.
 func TestEmptyQueryContract(t *testing.T) {
 	g := updateTestGraph(t, 30, 507)
-	for _, strat := range []search.Strategy{
-		search.StrategySSMD, search.StrategyPairwise, StrategyCH, StrategyCHMTM, StrategyHybrid,
-	} {
+	wide := []roadnet.NodeID{1, 2, 3, 4, 5, 6}
+	for _, strat := range []search.Strategy{search.StrategySSMD, StrategyHybrid} {
 		cfg := DefaultConfig()
 		cfg.Strategy = strat
-		cfg.BuildCH = strat == StrategyCH || strat == StrategyCHMTM || strat == StrategyHybrid
+		cfg.BuildCH = strat == StrategyHybrid
 		s := MustNew(g, cfg)
 		for _, q := range []protocol.ServerQuery{
 			{Sources: nil, Dests: []roadnet.NodeID{1}},
 			{Sources: []roadnet.NodeID{1}, Dests: nil},
+			{Sources: nil, Dests: wide},
+			{Sources: wide, Dests: nil},
 			{},
 		} {
 			if _, err := s.Evaluate(q); err == nil {
