@@ -74,6 +74,16 @@ type mtmState struct {
 	chain     []roadnet.NodeID // forward parent-chain scratch
 }
 
+// mtmStates recycles evaluation states across every MTM engine: a state
+// holds nothing of an overlay and reset sizes it for each table, so one
+// pool serves every overlay and every re-customized generation. The pool
+// must not live inside MTM: the runtime keeps a used sync.Pool reachable
+// until two collections have passed, and a pool field would keep its engine
+// — and through it the overlay's weight layer — alive with it. On a server
+// that re-customizes several times between two collections, that pinned one
+// retired weight layer per refresh.
+var mtmStates = sync.Pool{New: func() any { return new(mtmState) }}
+
 // reset prepares the state for the next table over an n-node overlay.
 func (st *mtmState) reset(n int) {
 	if n > len(st.stamp) {
@@ -149,15 +159,14 @@ type MTMStats struct {
 
 // MTM is the many-to-many table engine on an Overlay. It is safe for
 // concurrent use: every evaluation checks a private mtmState out of the
-// engine's pool and a search workspace out of the shared WorkspacePool, and
-// the overlay itself is read-only.
+// package's state pool and a search workspace out of the shared
+// WorkspacePool, and the overlay itself is read-only.
 //
 // MTM implements search.TableEngine, which is how the server installs it for
 // the wide half of "hybrid" routing.
 type MTM struct {
-	o      *Overlay
-	pool   *search.WorkspacePool
-	states sync.Pool
+	o    *Overlay
+	pool *search.WorkspacePool
 	// verified memoises the accessor graph proven to match the overlay,
 	// exactly like Engine.verified.
 	verified atomic.Pointer[roadnet.Graph]
@@ -178,9 +187,7 @@ func NewMTM(o *Overlay, wp *search.WorkspacePool) *MTM {
 	if wp == nil {
 		wp = search.NewWorkspacePool()
 	}
-	m := &MTM{o: o, pool: wp}
-	m.states.New = func() any { return &mtmState{} }
-	return m
+	return &MTM{o: o, pool: wp}
 }
 
 // Overlay returns the overlay the engine evaluates on.
@@ -279,8 +286,8 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 		}
 	}
 
-	st := m.states.Get().(*mtmState)
-	defer m.states.Put(st)
+	st := mtmStates.Get().(*mtmState)
+	defer mtmStates.Put(st)
 	st.reset(o.n)
 	w := m.pool.Get(o.n)
 	defer w.Release()

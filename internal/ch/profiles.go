@@ -42,8 +42,12 @@ func (s ProfileSetStats) HitRatio() float64 {
 // ProfileSet is an LRU-bounded set of precustomized overlay weight layers
 // sharing one frozen topology. Safe for concurrent use; the customization
 // pass itself (Install's input) is the caller's to run outside any lock.
+//
+// The set holds its own layers and nothing else: Install is handed the
+// overlay to customize from on every call rather than keeping a base, so a
+// server whose live overlay moves on through re-customizations does not pin
+// its startup weight layer here.
 type ProfileSet struct {
-	base     *Overlay
 	capacity int
 
 	mu      sync.Mutex
@@ -61,25 +65,13 @@ type profileLayer struct {
 	graph *roadnet.Graph
 }
 
-// NewProfileSet builds an empty set over base, keeping at most capacity
-// layers hot (capacity <= 0 defaults to 8). The base must be customizable:
-// witness-pruned overlays carry metric-dependent shortcut prunings and
-// cannot host other metrics' weight layers.
-func NewProfileSet(base *Overlay, capacity int) (*ProfileSet, error) {
-	if base == nil {
-		return nil, fmt.Errorf("ch: profile set needs a base overlay")
-	}
-	if !base.Customizable() {
-		return nil, fmt.Errorf("ch: profile set needs a customizable base overlay (witness-pruned shortcuts are valid for one metric only)")
-	}
+// NewProfileSet builds an empty set keeping at most capacity layers hot
+// (capacity <= 0 defaults to 8).
+func NewProfileSet(capacity int) *ProfileSet {
 	if capacity <= 0 {
 		capacity = 8
 	}
-	return &ProfileSet{
-		base:     base,
-		capacity: capacity,
-		entries:  make(map[string]*profileLayer),
-	}, nil
+	return &ProfileSet{capacity: capacity, entries: make(map[string]*profileLayer)}
 }
 
 // SetOnEvict installs a hook called (under the set's lock — it must not call
@@ -106,16 +98,21 @@ func (ps *ProfileSet) Layer(name string) (layer *Overlay, graph *roadnet.Graph, 
 	return e.layer, e.graph, true
 }
 
-// Install customizes the base overlay's weight layer for the profile graph g
-// (one full customization pass — seconds on large maps, so callers build at
-// startup or accept the latency on first use) and inserts it under name,
-// evicting the least recently used layer beyond capacity. Reinstalling a
-// name replaces its layer.
-func (ps *ProfileSet) Install(name string, g *roadnet.Graph) (*Overlay, error) {
+// Install customizes a weight layer for the profile graph g on base's frozen
+// half (one full customization pass — seconds on large maps, so callers
+// build at startup or accept the latency on first use) and inserts it under
+// name, evicting the least recently used layer beyond capacity. Reinstalling
+// a name replaces its layer. base may be any customized generation of the
+// overlay — the pass reads its topology, not its weights — but must be
+// customizable: witness-pruned shortcuts are valid for one metric only.
+func (ps *ProfileSet) Install(name string, base *Overlay, g *roadnet.Graph) (*Overlay, error) {
 	if name == "" {
 		return nil, fmt.Errorf("ch: profile layer needs a non-empty name")
 	}
-	layer, err := ps.base.Recustomize(g)
+	if base == nil {
+		return nil, fmt.Errorf("ch: profile layer %q needs a base overlay", name)
+	}
+	layer, err := base.Recustomize(g)
 	if err != nil {
 		return nil, fmt.Errorf("ch: customizing profile layer %q: %w", name, err)
 	}

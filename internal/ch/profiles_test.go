@@ -31,17 +31,14 @@ func TestProfileSetLayersAnswerTheirMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewProfileSet(base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := NewProfileSet(8)
 	rng := rand.New(rand.NewSource(55))
 	for _, p := range costmodel.TimeOfDayProfiles() {
 		pg, err := p.Apply(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		layer, err := ps.Install(p.Name, pg)
+		layer, err := ps.Install(p.Name, base, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,10 +80,7 @@ func TestProfileSetLRUAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewProfileSet(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := NewProfileSet(2)
 	var evicted []string
 	ps.SetOnEvict(func(name string) { evicted = append(evicted, name) })
 
@@ -102,17 +96,17 @@ func TestProfileSetLRUAndStats(t *testing.T) {
 		return pg
 	}
 
-	if _, err := ps.Install("a", uniformGraph(0.5)); err != nil {
+	if _, err := ps.Install("a", base, uniformGraph(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Install("b", uniformGraph(0.6)); err != nil {
+	if _, err := ps.Install("b", base, uniformGraph(0.6)); err != nil {
 		t.Fatal(err)
 	}
 	// Touch a so b becomes the LRU victim when c lands.
 	if _, _, ok := ps.Layer("a"); !ok {
 		t.Fatal("layer a missing")
 	}
-	if _, err := ps.Install("c", uniformGraph(0.7)); err != nil {
+	if _, err := ps.Install("c", base, uniformGraph(0.7)); err != nil {
 		t.Fatal(err)
 	}
 	if len(evicted) != 1 || evicted[0] != "b" {
@@ -142,7 +136,7 @@ func TestProfileSetRefusesWitnessPrunedBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProfileSet(pruned, 4); err == nil {
+	if _, err := NewProfileSet(4).Install("x", pruned, g); err == nil {
 		t.Error("witness-pruned base must be refused; its shortcuts are valid for one metric only")
 	}
 }
@@ -153,10 +147,7 @@ func TestProfileSetRejectsForeignTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewProfileSet(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := NewProfileSet(4)
 	cfg := gen.DefaultNetworkConfig()
 	cfg.Kind = gen.TigerLike
 	cfg.Nodes = 300
@@ -165,7 +156,7 @@ func TestProfileSetRejectsForeignTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Install("x", other); err == nil {
+	if _, err := ps.Install("x", base, other); err == nil {
 		t.Error("installing a layer for a different topology must fail")
 	}
 }

@@ -1,9 +1,10 @@
 package obfuscate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"opaque/internal/roadnet"
 )
@@ -348,19 +349,13 @@ func (o *Obfuscator) spatialClusters(batch []Request, maxSize int) [][]int {
 	if math.IsInf(cell, 1) || cell <= 0 {
 		cell = extent
 	}
-	sort.Slice(items, func(a, b int) bool {
-		ra := int((items[a].dy - minY) / cell)
-		rb := int((items[b].dy - minY) / cell)
-		if ra != rb {
-			return ra < rb
-		}
-		if items[a].dx != items[b].dx {
-			return items[a].dx < items[b].dx
-		}
-		if items[a].dy != items[b].dy {
-			return items[a].dy < items[b].dy
-		}
-		return items[a].idx < items[b].idx
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(
+			cmp.Compare(int((a.dy-minY)/cell), int((b.dy-minY)/cell)),
+			cmp.Compare(a.dx, b.dx),
+			cmp.Compare(a.dy, b.dy),
+			cmp.Compare(a.idx, b.idx),
+		)
 	})
 	var out [][]int
 	var cur []int
@@ -404,7 +399,7 @@ func setToShuffledSlice(set map[roadnet.NodeID]struct{}, rng *rngLike) []roadnet
 	}
 	// Sort first for determinism across map iteration order, then shuffle
 	// with the seeded generator.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	for i := len(out) - 1; i > 0; i-- {
 		j := rng.intn(i + 1)
 		out[i], out[j] = out[j], out[i]

@@ -1,7 +1,7 @@
 package obfuscate
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"opaque/internal/roadnet"
@@ -143,6 +143,6 @@ func mergeNodeSets(a, b []roadnet.NodeID) []roadnet.NodeID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

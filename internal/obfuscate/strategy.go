@@ -3,7 +3,7 @@ package obfuscate
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"opaque/internal/roadnet"
 )
@@ -14,7 +14,10 @@ import (
 //
 // Implementations must not return the true node or nodes already in exclude,
 // and should return fewer than count nodes only when the network genuinely
-// cannot supply enough distinct candidates.
+// cannot supply enough distinct candidates. The returned slice belongs to the
+// caller. The selectors of this package carry a seeded generator (and the
+// ring band a reused enumeration buffer), so one selector is not safe for
+// concurrent use.
 type EndpointSelector interface {
 	// SelectFakes returns up to count fake endpoints for the given true
 	// endpoint.
@@ -68,34 +71,29 @@ func NewUniformSelector(seed uint64) *UniformSelector {
 // Name implements EndpointSelector.
 func (u *UniformSelector) Name() string { return "uniform" }
 
-// SelectFakes implements EndpointSelector.
+// SelectFakes implements EndpointSelector. The truth, exclude and the fakes
+// already drawn are checked in place; count is small, so a draw's duplicate
+// check is a scan of the output.
 func (u *UniformSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	n := g.NumNodes()
 	out := make([]roadnet.NodeID, 0, count)
-	seen := make(map[roadnet.NodeID]struct{}, count+len(exclude)+1)
-	seen[truth] = struct{}{}
-	for id := range exclude {
-		seen[id] = struct{}{}
+	taken := func(id roadnet.NodeID) bool {
+		if _, skip := exclude[id]; skip {
+			return true
+		}
+		return id == truth || slices.Contains(out, id)
 	}
 	// Rejection sampling with a cap proportional to the need; on tiny graphs
 	// fall back to a scan.
 	maxAttempts := 50 * (count + 1)
 	for attempts := 0; len(out) < count && attempts < maxAttempts; attempts++ {
-		id := roadnet.NodeID(u.rng.intn(n))
-		if _, dup := seen[id]; dup {
-			continue
+		if id := roadnet.NodeID(u.rng.intn(n)); !taken(id) {
+			out = append(out, id)
 		}
-		seen[id] = struct{}{}
-		out = append(out, id)
 	}
-	if len(out) < count {
-		for id := 0; id < n && len(out) < count; id++ {
-			nid := roadnet.NodeID(id)
-			if _, dup := seen[nid]; dup {
-				continue
-			}
-			seen[nid] = struct{}{}
-			out = append(out, nid)
+	for id := roadnet.NodeID(0); int(id) < n && len(out) < count; id++ {
+		if !taken(id) {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -112,6 +110,7 @@ type RingBandSelector struct {
 	MinRadius float64
 	MaxRadius float64
 	rng       *rngLike
+	band      []roadnet.NodeID // enumeration buffer reused across calls
 }
 
 // NewRingBandSelector builds a ring-band selector. MaxRadius must exceed
@@ -135,17 +134,20 @@ func MustNewRingBandSelector(minRadius, maxRadius float64, seed uint64) *RingBan
 // Name implements EndpointSelector.
 func (s *RingBandSelector) Name() string { return "ringband" }
 
-// SelectFakes implements EndpointSelector.
+// SelectFakes implements EndpointSelector: a uniform sample of the band
+// around the truth minus the truth and exclude. It costs one unsorted
+// enumeration of the band plus one draw per fake and per rejected node —
+// nothing orders the band or filters it up front (drawExcluding).
 func (s *RingBandSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	t := g.Node(truth)
-	candidates := g.NodesInBand(t.X, t.Y, s.MinRadius, s.MaxRadius)
+	s.band = g.NodesInBand(s.band[:0], t.X, t.Y, s.MinRadius, s.MaxRadius)
 	// Widen the band progressively if the annulus is too sparse.
 	widen := s.MaxRadius
-	for len(candidates) < count+len(exclude)+1 && widen < 64*s.MaxRadius {
+	for len(s.band) < count+len(exclude)+1 && widen < 64*s.MaxRadius {
 		widen *= 2
-		candidates = g.NodesInBand(t.X, t.Y, s.MinRadius, widen)
+		s.band = g.NodesInBand(s.band[:0], t.X, t.Y, s.MinRadius, widen)
 	}
-	return sampleExcluding(candidates, truth, count, exclude, s.rng)
+	return drawExcluding(s.band, truth, count, exclude, s.rng)
 }
 
 // DensityAwareSelector picks fake endpoints with probability proportional to
@@ -183,19 +185,16 @@ func (s *DensityAwareSelector) Name() string { return "density" }
 func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}) []roadnet.NodeID {
 	t := g.Node(truth)
 	radius := s.Radius
-	candidates := g.NodesWithin(t.X, t.Y, radius)
-	for len(candidates) < count+len(exclude)+1 && radius < 64*s.Radius {
+	disc := g.NodesInBand(nil, t.X, t.Y, 0, radius)
+	for len(disc) < count+len(exclude)+1 && radius < 64*s.Radius {
 		radius *= 2
-		candidates = g.NodesWithin(t.X, t.Y, radius)
+		disc = g.NodesInBand(disc[:0], t.X, t.Y, 0, radius)
 	}
 	// Weighted sampling without replacement by exponential sort keys
-	// (Efraimidis–Spirakis): key = u^(1/w); take the largest keys.
-	type keyed struct {
-		id  roadnet.NodeID
-		key float64
-	}
-	var pool []keyed
-	for _, id := range candidates {
+	// (Efraimidis–Spirakis): key = u^(1/w); the count largest keys win. Only
+	// the winners are kept in order, so the disc is never sorted.
+	top := make([]keyed, 0, min(count, len(disc)))
+	for _, id := range disc {
 		if id == truth {
 			continue
 		}
@@ -210,44 +209,71 @@ func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeI
 		if u == 0 {
 			u = 1e-12
 		}
-		pool = append(pool, keyed{id: id, key: math.Pow(u, 1/w)})
+		top = pushTopK(top, keyed{id: id, key: math.Pow(u, 1/w)}, count)
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].key != pool[j].key {
-			return pool[i].key > pool[j].key
-		}
-		return pool[i].id < pool[j].id
-	})
-	if count > len(pool) {
-		count = len(pool)
-	}
-	out := make([]roadnet.NodeID, count)
-	for i := 0; i < count; i++ {
-		out[i] = pool[i].id
+	out := make([]roadnet.NodeID, len(top))
+	for i, k := range top {
+		out[i] = k.id
 	}
 	return out
 }
 
-// sampleExcluding uniformly samples up to count node IDs from candidates,
-// skipping the truth and excluded nodes.
-func sampleExcluding(candidates []roadnet.NodeID, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}, rng *rngLike) []roadnet.NodeID {
-	pool := make([]roadnet.NodeID, 0, len(candidates))
-	for _, id := range candidates {
+// keyed is one candidate of the density-aware draw with its sampling key.
+type keyed struct {
+	id  roadnet.NodeID
+	key float64
+}
+
+// before reports whether a ranks ahead of b: the larger key first, the lower
+// id on equal keys.
+func (a keyed) before(b keyed) bool {
+	if a.key != b.key {
+		return a.key > b.key
+	}
+	return a.id < b.id
+}
+
+// pushTopK offers c to top, the at most k best candidates seen so far in
+// before order, and returns the updated list — the first k of a full sort of
+// every candidate offered, at O(k) per candidate that makes the cut.
+func pushTopK(top []keyed, c keyed, k int) []keyed {
+	if len(top) == k {
+		if k == 0 || !c.before(top[k-1]) {
+			return top
+		}
+		top = top[:k-1]
+	}
+	i := len(top)
+	for i > 0 && c.before(top[i-1]) {
+		i--
+	}
+	return slices.Insert(top, i, c)
+}
+
+// drawExcluding returns min(count, |pool∖exclude∖{truth}|) distinct members
+// of pool drawn uniformly without replacement, in draw order, in a slice the
+// caller owns; pool is scratch and is overwritten. It is a partial
+// Fisher–Yates shuffle (Knuth, TAOCP Vol. 2, Algorithm P) that rejects
+// lazily: each step draws uniformly from the live prefix of pool and retires
+// the drawn member by moving the prefix's last member into its slot. Only
+// drawn members are checked against the truth and exclude, so a call costs
+// one step per fake plus one per excluded member it happens to draw, not a
+// pass over pool. Retiring rejected members keeps every acceptable member
+// not yet drawn in the live prefix, so each accepted draw is uniform over
+// exactly those.
+func drawExcluding(pool []roadnet.NodeID, truth roadnet.NodeID, count int, exclude map[roadnet.NodeID]struct{}, rng *rngLike) []roadnet.NodeID {
+	out := make([]roadnet.NodeID, 0, min(count, len(pool)))
+	for live := len(pool); len(out) < count && live > 0; live-- {
+		j := rng.intn(live)
+		id := pool[j]
+		pool[j] = pool[live-1]
 		if id == truth {
 			continue
 		}
 		if _, skip := exclude[id]; skip {
 			continue
 		}
-		pool = append(pool, id)
+		out = append(out, id)
 	}
-	if count >= len(pool) {
-		return pool
-	}
-	// Partial Fisher–Yates.
-	for i := 0; i < count; i++ {
-		j := i + rng.intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return pool[:count]
+	return out
 }

@@ -1,8 +1,9 @@
 package roadnet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // gridIndex is a uniform spatial grid over the graph's bounding box used for
@@ -140,77 +141,65 @@ func (g *Graph) linearNearest(x, y float64) NodeID {
 }
 
 // NodesWithin returns the IDs of all nodes whose Euclidean distance from
-// (x, y) is at most radius, sorted by increasing distance. The graph must be
-// frozen for efficient lookup; on mutable graphs it scans linearly.
+// (x, y) is at most radius, sorted by increasing distance (ties by ID). The
+// graph must be frozen for efficient lookup; on mutable graphs it scans
+// linearly.
 func (g *Graph) NodesWithin(x, y, radius float64) []NodeID {
 	type cand struct {
 		id NodeID
 		d  float64
 	}
-	var out []cand
-	collect := func(id NodeID) {
-		n := g.nodes[id]
-		d := math.Hypot(n.X-x, n.Y-y)
-		if d <= radius {
-			out = append(out, cand{id, d})
-		}
+	ids := g.NodesInBand(nil, x, y, 0, radius)
+	out := make([]cand, len(ids))
+	for i, id := range ids {
+		n := &g.nodes[id]
+		out[i] = cand{id, math.Hypot(n.X-x, n.Y-y)}
 	}
-	if !g.frozen {
-		for _, n := range g.nodes {
-			collect(n.ID)
+	slices.SortFunc(out, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-	} else {
-		idx := g.grid
-		x0 := int((x - radius - idx.minX) / idx.cellW)
-		x1 := int((x + radius - idx.minX) / idx.cellW)
-		y0 := int((y - radius - idx.minY) / idx.cellH)
-		y1 := int((y + radius - idx.minY) / idx.cellH)
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 >= idx.cols {
-			x1 = idx.cols - 1
-		}
-		if y1 >= idx.rows {
-			y1 = idx.rows - 1
-		}
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				for _, id := range idx.cells[cy*idx.cols+cx] {
-					collect(id)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].d != out[j].d {
-			return out[i].d < out[j].d
-		}
-		return out[i].id < out[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	ids := make([]NodeID, len(out))
 	for i, c := range out {
 		ids[i] = c.id
 	}
 	return ids
 }
 
-// NodesInBand returns the IDs of all nodes whose Euclidean distance from
-// (x, y) lies in [inner, outer], sorted by increasing distance. It is the
-// primitive used by the ring-band fake-endpoint selection strategy.
-func (g *Graph) NodesInBand(x, y, inner, outer float64) []NodeID {
-	within := g.NodesWithin(x, y, outer)
-	out := within[:0]
-	for _, id := range within {
-		n := g.nodes[id]
-		if math.Hypot(n.X-x, n.Y-y) >= inner {
-			out = append(out, id)
+// NodesInBand appends to dst the IDs of all nodes whose Euclidean distance
+// from (x, y) lies in [inner, outer] and returns the extended slice. The
+// order is the grid walk's — deterministic for a given graph, but not by
+// distance: the ring-band fake-endpoint selector samples from the band
+// uniformly, so it pays for the enumeration alone, O(nodes in the band's
+// bounding box), and reuses one buffer across calls. NodesWithin is the
+// distance-ordered variant. On a mutable graph it scans linearly.
+func (g *Graph) NodesInBand(dst []NodeID, x, y, inner, outer float64) []NodeID {
+	if !g.frozen {
+		for i := range g.nodes {
+			n := &g.nodes[i]
+			if d := math.Hypot(n.X-x, n.Y-y); d >= inner && d <= outer {
+				dst = append(dst, n.ID)
+			}
+		}
+		return dst
+	}
+	idx := g.grid
+	x0 := max(int((x-outer-idx.minX)/idx.cellW), 0)
+	x1 := min(int((x+outer-idx.minX)/idx.cellW), idx.cols-1)
+	y0 := max(int((y-outer-idx.minY)/idx.cellH), 0)
+	y1 := min(int((y+outer-idx.minY)/idx.cellH), idx.rows-1)
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			for _, id := range idx.cells[cy*idx.cols+cx] {
+				n := &g.nodes[id]
+				if d := math.Hypot(n.X-x, n.Y-y); d >= inner && d <= outer {
+					dst = append(dst, id)
+				}
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 func abs(v int) int {

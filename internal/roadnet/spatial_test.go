@@ -117,26 +117,41 @@ func TestNodesWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// NodesInBand reports the band in grid-walk order, so it is checked as a set
+// against brute force: every node in [inner, outer] exactly once, nothing
+// else, appended after whatever dst already held.
 func TestNodesInBand(t *testing.T) {
-	g := scatterGraph(300)
-	inner, outer := 10.0, 30.0
-	got := g.NodesInBand(50, 50, inner, outer)
-	for _, id := range got {
-		d := math.Hypot(g.Node(id).X-50, g.Node(id).Y-50)
-		if d < inner-1e-9 || d > outer+1e-9 {
-			t.Errorf("node %d at distance %v outside band [%v,%v]", id, d, inner, outer)
+	frozen := scatterGraph(300)
+	mutable := NewGraph(0, 0)
+	for _, n := range frozen.Nodes() {
+		mutable.AddNode(n.X, n.Y)
+	}
+	for _, g := range []*Graph{frozen, mutable} {
+		for _, band := range [][2]float64{{10, 30}, {0, 15}, {0, 200}, {40, 41}, {0, 0}} {
+			inner, outer := band[0], band[1]
+			prefix := []NodeID{InvalidNode}
+			got := g.NodesInBand(prefix, 50, 50, inner, outer)
+			if got[0] != InvalidNode {
+				t.Fatalf("NodesInBand overwrote dst[0]")
+			}
+			seen := make(map[NodeID]bool)
+			for _, id := range got[1:] {
+				if seen[id] {
+					t.Errorf("frozen=%v band %v: node %d reported twice", g.Frozen(), band, id)
+				}
+				seen[id] = true
+			}
+			for _, n := range g.Nodes() {
+				d := math.Hypot(n.X-50, n.Y-50)
+				if want := d >= inner && d <= outer; seen[n.ID] != want {
+					t.Errorf("frozen=%v band %v: node %d at distance %v reported=%v, want %v", g.Frozen(), band, n.ID, d, seen[n.ID], want)
+				}
+			}
 		}
 	}
-	// Every node in the band must be reported.
-	count := 0
-	for _, n := range g.Nodes() {
-		d := math.Hypot(n.X-50, n.Y-50)
-		if d >= inner && d <= outer {
-			count++
-		}
-	}
-	if len(got) != count {
-		t.Errorf("NodesInBand returned %d nodes, brute force found %d", len(got), count)
+	// A band off the map entirely is empty, not a panic.
+	if got := frozen.NodesInBand(nil, -500, 50, 0, 100); len(got) != 0 {
+		t.Errorf("NodesInBand off the map = %v, want none", got)
 	}
 }
 

@@ -73,10 +73,7 @@ func (s *Server) initProfiles() error {
 		if capacity <= 0 {
 			capacity = len(defs)
 		}
-		layers, err := ch.NewProfileSet(st.overlay, capacity)
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
+		layers := ch.NewProfileSet(capacity)
 		// Layer evictions drop the derived state too. The hook runs under
 		// the layer set's lock, which is only ever taken while pc.mu is
 		// held (state() is the sole caller), so the plain delete is safe.
@@ -131,7 +128,9 @@ func (pc *profileCache) state(name string) (*evalState, error) {
 	}
 	var layer *ch.Overlay
 	if pc.layers != nil {
-		layer, err = pc.layers.Install(name, pg)
+		// Any generation of the live overlay shares the frozen half the layer
+		// is customized on; taking the current one pins no retired weights.
+		layer, err = pc.layers.Install(name, pc.s.live.Load().overlay, pg)
 		if err != nil {
 			return nil, fmt.Errorf("customizing layer for weight profile %q: %w", name, err)
 		}

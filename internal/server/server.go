@@ -86,6 +86,9 @@ type Config struct {
 	// loaded from a cmd/opaque-preprocess file); it must Match the server's
 	// graph. StrategyHybrid only, and in-memory only: a Paged server is
 	// flat. Hybrid without an overlay falls back to pure SSMD sharing.
+	// New takes the overlay over: the server keeps no reference to it beyond
+	// the installed state, so the first re-customization after a weight
+	// update releases it.
 	CHOverlay *ch.Overlay
 	// BuildCH contracts the graph at startup when no CHOverlay is given —
 	// the in-process equivalent of running cmd/opaque-preprocess. Expect
@@ -289,6 +292,11 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// New consumes CHOverlay: from here on the installed evaluation state is
+	// the overlay's only owner, so the first re-customization that replaces it
+	// leaves the startup weight layer collectable instead of pinned by s.cfg.
+	overlay := cfg.CHOverlay
+	cfg.CHOverlay = nil
 	s := &Server{graph: g, cfg: cfg, metrics: metrics.NewRegistry()}
 	s.mQueries = s.metrics.CounterVar("queries_processed")
 	s.mFailed = s.metrics.CounterVar("queries_failed")
@@ -340,7 +348,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 		s.gate = search.NewGate(cfg.MaxConcurrentSearches)
 	}
 
-	overlay := cfg.CHOverlay
 	if overlay == nil && cfg.BuildCH {
 		buildCfg := ch.DefaultBuildConfig()
 		// An overlay server is in-memory, hence mutable: it contracts
