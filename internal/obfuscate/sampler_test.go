@@ -185,45 +185,14 @@ func TestSelectorsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// byKeyThenID is the full-sort order the density-aware draw keeps the head
-// of: larger key first, lower id on equal keys.
-func byKeyThenID(a, b keyed) int {
-	return cmp.Or(cmp.Compare(b.key, a.key), cmp.Compare(a.id, b.id))
-}
-
-// TestPushTopKMatchesFullSort offers candidates with heavily tied keys and
-// checks the kept head against a full sort for every k.
-func TestPushTopKMatchesFullSort(t *testing.T) {
-	rng := newSelectorRNG(9)
-	all := make([]keyed, 300)
-	for i := range all {
-		all[i] = keyed{id: roadnet.NodeID(rng.intn(1 << 20)), key: float64(rng.intn(4)) / 4}
-	}
-	ref := slices.Clone(all)
-	slices.SortFunc(ref, byKeyThenID)
-	for _, k := range []int{0, 1, 2, 7, 50, 299, 300, 400} {
-		var top []keyed
-		for _, c := range all {
-			top = pushTopK(top, c, k)
-		}
-		want := ref[:min(k, len(ref))]
-		if len(top) != len(want) {
-			t.Errorf("k=%d: kept %d candidates, want %d", k, len(top), len(want))
-			continue
-		}
-		for i := range want {
-			if top[i] != want[i] {
-				t.Errorf("k=%d: rank %d is %v, the full sort has %v", k, i, top[i], want[i])
-				break
-			}
-		}
-	}
-}
-
 // TestDensityAwareMatchesFullSortReference recomputes one density-aware draw
-// the way a full sort would — same enumeration, same key stream, every key
-// sorted — and expects the selector's exact output.
+// by hand — same enumeration, same key stream, every key sorted by larger
+// key then lower id — and expects the selector's exact output.
 func TestDensityAwareMatchesFullSortReference(t *testing.T) {
+	type keyed struct {
+		id  roadnet.NodeID
+		key float64
+	}
 	g := testGraph(t)
 	minX, minY, maxX, maxY := g.Bounds()
 	radius := 0.2 * math.Max(maxX-minX, maxY-minY)
@@ -250,7 +219,9 @@ func TestDensityAwareMatchesFullSortReference(t *testing.T) {
 		}
 		pool = append(pool, keyed{id: id, key: math.Pow(u, 1/w)})
 	}
-	slices.SortFunc(pool, byKeyThenID)
+	slices.SortFunc(pool, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.key, a.key), cmp.Compare(a.id, b.id))
+	})
 	want := make([]roadnet.NodeID, count)
 	for i := range want {
 		want[i] = pool[i].id

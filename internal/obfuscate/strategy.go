@@ -1,6 +1,7 @@
 package obfuscate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -191,9 +192,12 @@ func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeI
 		disc = g.NodesInBand(disc[:0], t.X, t.Y, 0, radius)
 	}
 	// Weighted sampling without replacement by exponential sort keys
-	// (Efraimidis–Spirakis): key = u^(1/w); the count largest keys win. Only
-	// the winners are kept in order, so the disc is never sorted.
-	top := make([]keyed, 0, min(count, len(disc)))
+	// (Efraimidis–Spirakis): key = u^(1/w); take the largest keys.
+	type keyed struct {
+		id  roadnet.NodeID
+		key float64
+	}
+	pool := make([]keyed, 0, len(disc))
 	for _, id := range disc {
 		if id == truth {
 			continue
@@ -209,45 +213,17 @@ func (s *DensityAwareSelector) SelectFakes(g *roadnet.Graph, truth roadnet.NodeI
 		if u == 0 {
 			u = 1e-12
 		}
-		top = pushTopK(top, keyed{id: id, key: math.Pow(u, 1/w)}, count)
+		pool = append(pool, keyed{id: id, key: math.Pow(u, 1/w)})
 	}
-	out := make([]roadnet.NodeID, len(top))
-	for i, k := range top {
-		out[i] = k.id
+	// Larger key first, lower id on equal keys.
+	slices.SortFunc(pool, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.key, a.key), cmp.Compare(a.id, b.id))
+	})
+	out := make([]roadnet.NodeID, min(count, len(pool)))
+	for i := range out {
+		out[i] = pool[i].id
 	}
 	return out
-}
-
-// keyed is one candidate of the density-aware draw with its sampling key.
-type keyed struct {
-	id  roadnet.NodeID
-	key float64
-}
-
-// before reports whether a ranks ahead of b: the larger key first, the lower
-// id on equal keys.
-func (a keyed) before(b keyed) bool {
-	if a.key != b.key {
-		return a.key > b.key
-	}
-	return a.id < b.id
-}
-
-// pushTopK offers c to top, the at most k best candidates seen so far in
-// before order, and returns the updated list — the first k of a full sort of
-// every candidate offered, at O(k) per candidate that makes the cut.
-func pushTopK(top []keyed, c keyed, k int) []keyed {
-	if len(top) == k {
-		if k == 0 || !c.before(top[k-1]) {
-			return top
-		}
-		top = top[:k-1]
-	}
-	i := len(top)
-	for i > 0 && c.before(top[i-1]) {
-		i--
-	}
-	return slices.Insert(top, i, c)
 }
 
 // drawExcluding returns min(count, |pool∖exclude∖{truth}|) distinct members
