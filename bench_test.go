@@ -28,6 +28,7 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
+	"opaque/internal/roadnet"
 	"opaque/internal/search"
 	"opaque/internal/server"
 	"opaque/internal/storage"
@@ -446,6 +447,34 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 	return chBench.graph, chBench.wl, chBench.overlay
 }
 
+// chBenchCustomizable is the same graph's customizable, partitioned overlay —
+// the kind the server is deployed with, whose searches walk the elimination
+// tree instead of popping a heap. Built on first use, so benchmarks that
+// never read it do not pay its contraction.
+var chBenchCustomizable struct {
+	once    sync.Once
+	err     error
+	overlay *ch.Overlay
+}
+
+func chBenchCustomizableSetup(b *testing.B) *ch.Overlay {
+	b.Helper()
+	g, _, _ := chBenchSetup(b)
+	chBenchCustomizable.once.Do(func() {
+		// 64 cells keep the cell size near the served configuration's.
+		p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 64})
+		if err != nil {
+			chBenchCustomizable.err = err
+			return
+		}
+		chBenchCustomizable.overlay, chBenchCustomizable.err = ch.BuildCustomizablePartitioned(g, p)
+	})
+	if chBenchCustomizable.err != nil {
+		b.Fatal(chBenchCustomizable.err)
+	}
+	return chBenchCustomizable.overlay
+}
+
 // BenchmarkCHQuery is the headline contraction-hierarchy measurement: point
 // queries on the 50k-node benchmark graph with uniform (map-scale) pairs,
 // the regime the overlay is built for.
@@ -455,7 +484,10 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 //     ball covers a large share of the map on long trips);
 //   - ch-distance runs the bidirectional upward search on the overlay,
 //     also at 0 allocs/op in steady state;
-//   - ch-path additionally unpacks every shortcut into the full node path.
+//   - ch-path additionally unpacks every shortcut into the full node path;
+//   - cch-distance and cch-path are the same queries on the customizable,
+//     partitioned overlay the server is deployed with, where both searches
+//     walk elimination-tree ancestors (distance at 0 allocs/op).
 //
 // Expectation (the PR's acceptance bar): ch-distance exceeds
 // dijkstra-distance throughput by well over 5x at this graph size, with
@@ -463,6 +495,32 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 func BenchmarkCHQuery(b *testing.B) {
 	g, wl, overlay := chBenchSetup(b)
 	acc := storage.NewMemoryGraph(g)
+
+	b.Run("cch-distance", func(b *testing.B) {
+		eng := ch.NewEngine(chBenchCustomizableSetup(b), nil)
+		if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
+			b.Fatal(err) // warm the engine's label pool
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pr := wl[i%len(wl)]
+			if _, _, err := eng.Distance(pr.Source, pr.Dest); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cch-path", func(b *testing.B) {
+		eng := ch.NewEngine(chBenchCustomizableSetup(b), nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pr := wl[i%len(wl)]
+			if _, _, err := eng.Path(pr.Source, pr.Dest); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	b.Run("dijkstra-distance", func(b *testing.B) {
 		w := search.AcquireWorkspace(acc.NumNodes())
@@ -514,7 +572,10 @@ func BenchmarkCHQuery(b *testing.B) {
 //   - mtm-table runs the many-to-many bucket engine with per-cell path
 //     recording (what the server's wide hybrid queries use);
 //   - mtm-distance is the distance-only fast path on a reused output
-//     buffer.
+//     buffer;
+//   - cch-mtm-table and cch-mtm-distance are the last two on the
+//     customizable, partitioned overlay the server is deployed with, whose
+//     sweeps walk elimination-tree ancestors instead of popping a heap.
 //
 // Expectation (the PR's acceptance bar): mtm-table beats hybrid-pr3 — and
 // pairwise-ch — by well over 3x, and mtm-distance reports 0 allocs/op in
@@ -553,40 +614,56 @@ func BenchmarkMTMTable(b *testing.B) {
 		}
 	})
 	b.Run("mtm-table/64x64", func(b *testing.B) {
-		// The table and every cell's route, unpacked the way the server lays a
-		// reply out: appended back to back into one arena, no per-cell slice.
-		m := ch.NewMTM(overlay, nil)
-		var arena []NodeID
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tbl, err := m.Table(sources, targets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena = arena[:0]
-			for si := range sources {
-				for ti := range targets {
-					arena = tbl.AppendPath(arena, si, ti)
-				}
-			}
-		}
+		benchMTMTable(b, overlay, sources, targets)
 	})
 	b.Run("mtm-distance/64x64", func(b *testing.B) {
-		m := ch.NewMTM(overlay, nil)
-		var dst []float64
-		var err error
-		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-			b.Fatal(err) // warm the state pool so the loop is steady state
+		benchMTMDistance(b, overlay, sources, targets)
+	})
+	b.Run("cch-mtm-table/64x64", func(b *testing.B) {
+		benchMTMTable(b, chBenchCustomizableSetup(b), sources, targets)
+	})
+	b.Run("cch-mtm-distance/64x64", func(b *testing.B) {
+		benchMTMDistance(b, chBenchCustomizableSetup(b), sources, targets)
+	})
+}
+
+// benchMTMTable times a path-capable table with every cell's route
+// unpacked the way the server lays a reply out: appended back to back into
+// one arena, no per-cell slice.
+func benchMTMTable(b *testing.B, overlay *ch.Overlay, sources, targets []NodeID) {
+	m := ch.NewMTM(overlay, nil)
+	var arena []NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl, err := m.Table(sources, targets)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-				b.Fatal(err)
+		arena = arena[:0]
+		for si := range sources {
+			for ti := range targets {
+				arena = tbl.AppendPath(arena, si, ti)
 			}
 		}
-	})
+	}
+}
+
+// benchMTMDistance times the distance-only table on a reused output buffer.
+func benchMTMDistance(b *testing.B, overlay *ch.Overlay, sources, targets []NodeID) {
+	m := ch.NewMTM(overlay, nil)
+	var dst []float64
+	var err error
+	if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+		b.Fatal(err) // warm the state pool so the loop is steady state
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkNetworkGeneration measures the synthetic map generators used by

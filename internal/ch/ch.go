@@ -18,16 +18,24 @@
 //   - Overlay (this file) is the immutable preprocessed index: the node
 //     ranks, the upward forward/backward CSR adjacency, and the arc arena
 //     every shortcut can be recursively unpacked through.
-//   - Engine (query.go) answers point queries on the overlay with a
-//     bidirectional upward Dijkstra running on two pooled epoch-stamped
-//     search.Workspace instances — 0 allocs/op for distance queries in
-//     steady state, and full path unpacking for path queries. Engine
-//     implements search.PointEngine, which is how the server installs it.
+//   - Engine (query.go) answers point queries on the overlay — 0 allocs/op
+//     for distance queries in steady state, and full path unpacking for
+//     path queries. Engine implements search.PointEngine, which is how the
+//     server installs it.
 //   - MTM (mtm.go) answers whole Q(S, T) tables with the many-to-many
 //     bucket algorithm — |S|+|T| upward sweeps joined at per-node bucket
 //     entries instead of |S|·|T| point queries, 0 allocs/op for
 //     distance-only tables. MTM implements search.TableEngine, which is
 //     how the server routes wide obfuscated queries to it.
+//   - The upward searches of both engines depend on the overlay kind. On a
+//     customizable overlay (the kind servers are deployed with) every
+//     upward search walks the start node's ancestors in the overlay's
+//     elimination tree (etree.go) in rank order, with no priority queue;
+//     the point query takes the minimum over the two chains' common
+//     ancestors. On a witness-pruned overlay, whose pruned search spaces
+//     are far smaller than its tree's ancestor sets, they are heap-driven
+//     upward Dijkstras on pooled epoch-stamped search.Workspace instances,
+//     and the point query is bidirectional with the CH stopping rule.
 //   - Recustomize (customize.go) is the live-update half: a customizable
 //     overlay (BuildCustomizable) separates the metric-independent
 //     contraction structure from a weight layer that a bottom-up triangle
@@ -122,6 +130,11 @@ type Overlay struct {
 	// path (customize.go). Pure topology, so every re-customized generation
 	// shares the one instance through this pointer.
 	upd *updateIndex
+	// etree is the elimination tree of a customizable overlay (etree.go):
+	// each node's parent, -1 at roots; nil on witness-pruned overlays, whose
+	// searches keep the heap. Derived with the CSR views, never persisted,
+	// and shared by every re-customized generation like upd.
+	etree []int32
 	// baseCost[i] is the road-segment cost original arena arc i was last
 	// customized for — the one piece of per-generation state
 	// RecustomizeIncremental needs: it diffs the updated graph against it to
@@ -276,6 +289,9 @@ func (o *Overlay) buildCSR() {
 	for v := 0; v < n; v++ {
 		sortSegmentByHead(o.fwdTo, o.fwdCost, o.fwdArc, int(o.fwdOff[v]), int(o.fwdOff[v+1]))
 		sortSegmentByHead(o.bwdTo, o.bwdCost, o.bwdArc, int(o.bwdOff[v]), int(o.bwdOff[v+1]))
+	}
+	if o.customizable {
+		o.etree = eliminationTree(n, o.rank, o.arcs)
 	}
 }
 

@@ -445,34 +445,37 @@ func TestEngineThroughProcessor(t *testing.T) {
 }
 
 // TestDistanceQueryAllocFree pins the steady-state allocation contract of
-// the bidirectional query: after warmup, distance queries on pooled
-// workspaces perform zero heap allocations.
+// point queries: after warmup, distance queries — bidirectional heap search
+// on pooled workspaces (witness-pruned overlay) or tree walks on pooled
+// label stores (customizable overlay) — perform zero heap allocations.
 func TestDistanceQueryAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := randomIntCostGraph(t, 400, 500, 31)
-	o, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := search.NewWorkspacePool()
-	eng := NewEngine(o, pool)
-	// Warm the pool so the measured runs reuse sized workspaces. Two
-	// sequential queries suffice: each checks out and returns two
-	// workspaces.
-	for i := 0; i < 4; i++ {
-		if _, _, err := eng.Distance(1, 200); err != nil {
+	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
+		o, err := build(g)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := eng.Distance(1, 200); err != nil {
-			t.Fatal(err)
+		pool := search.NewWorkspacePool()
+		eng := NewEngine(o, pool)
+		// Warm the pools so the measured runs reuse sized state. Two
+		// sequential queries suffice: each checks out and returns two
+		// workspaces or one label pair.
+		for i := 0; i < 4; i++ {
+			if _, _, err := eng.Distance(1, 200); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("distance query allocated %v times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := eng.Distance(1, 200); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("distance query (customizable=%v) allocated %v times per run, want 0", o.Customizable(), allocs)
+		}
 	}
 }
 

@@ -190,6 +190,7 @@ func (o *Overlay) recustomizeClone(g *roadnet.Graph) (*Overlay, error) {
 		customizable: true,
 		part:         o.part,
 		upd:          o.upd,
+		etree:        o.etree,
 	}, nil
 }
 

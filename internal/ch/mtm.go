@@ -25,6 +25,12 @@ import (
 //     node u it settles and relaxes table cells:
 //     dist[i][j] = min(dist[i][j], d↑(s_i, u) + d↑(u, t_j)).
 //
+// On a customizable overlay each sweep is an elimination-tree walk over the
+// start node's ancestors (etree.go); on a witness-pruned one it is a heap
+// Dijkstra on a pooled search.Workspace. Both settle exactly the nodes
+// upward-reachable from the start, so the buckets, and the join over them,
+// are the same either way.
+//
 // Correctness rests on the standard CH theorem the bidirectional query
 // already relies on: for every pair (s, t) some shortest path is an up-down
 // path, its apex is settled by both the forward sweep from s and the
@@ -45,8 +51,8 @@ import (
 // downward from this node at cost dist". Entries for one node form a chain
 // through next (-1 terminates) in the state's flat arena. via is the arena
 // arc the backward search relaxed to reach this node (-1 at the target
-// itself, and in distance-only sweeps, which skip via recovery entirely);
-// it is what lets Table.Path walk the apex→target half of a route without
+// itself, and in distance-only heap sweeps, which skip recording it); it is
+// what lets Table.Path walk the apex→target half of a route without
 // retaining |T| search trees.
 type bucketEntry struct {
 	next   int32
@@ -56,22 +62,28 @@ type bucketEntry struct {
 }
 
 // mtmState is the reusable per-evaluation state of one many-to-many table:
-// the bucket arena and the per-row reduction scratch. Like search.Workspace
-// it is epoch-stamped — resetting the per-node chain heads for the next
-// table is a counter bump, not an O(n) fill — and pooled, so steady-state
-// tables allocate nothing.
+// the bucket arena, the sweep labels and the per-row reduction scratch. The
+// bucket heads are epoch-stamped — resetting the per-node chain heads for
+// the next table is a counter bump, not an O(n) fill — and the state is
+// pooled, so steady-state tables allocate nothing.
 type mtmState struct {
 	epoch   uint32
 	stamp   []uint32 // head[v] valid iff stamp[v] == epoch
 	head    []int32
 	entries []bucketEntry
 
+	// lab holds the labels of elimination-tree sweeps. Heap sweeps label
+	// their workspace instead but, in path mode, record relaxing arcs in
+	// lab.via as well, so path recording reads the forward tree from one
+	// place.
+	lab treeLabels
+
 	// Per-row scratch for path-recording sweeps: the bucket entry and
 	// meeting node realising the current best of each cell. Only read for
 	// cells whose distance is finite, so no per-row reset is needed.
 	bestEntry []int32
 	bestMeet  []roadnet.NodeID
-	chain     []roadnet.NodeID // forward parent-chain scratch
+	chain     []int32 // forward arc-chain scratch
 }
 
 // mtmStates recycles evaluation states across every MTM engine: a state
@@ -91,6 +103,7 @@ func (st *mtmState) reset(n int) {
 		st.stamp = append(st.stamp, make([]uint32, grow)...)
 		st.head = append(st.head, make([]int32, grow)...)
 	}
+	st.lab.grow(n)
 	if st.epoch == ^uint32(0) {
 		for i := range st.stamp {
 			st.stamp[i] = 0
@@ -141,6 +154,25 @@ func (st *mtmState) findEntry(u roadnet.NodeID, target int32) int32 {
 	return -1
 }
 
+// scan joins the bucket of node u, settled at distance du by a forward
+// sweep, into the row: every entry that improves its cell lowers it and, in
+// path mode, becomes the cell's best. It returns the entries examined.
+func (st *mtmState) scan(u roadnet.NodeID, du float64, row []float64, needPaths bool) int64 {
+	scanned := int64(0)
+	for e := st.headOf(u); e >= 0; e = st.entries[e].next {
+		scanned++
+		en := &st.entries[e]
+		if nd := du + en.dist; nd < row[en.target] {
+			row[en.target] = nd
+			if needPaths {
+				st.bestEntry[en.target] = e
+				st.bestMeet[en.target] = u
+			}
+		}
+	}
+	return scanned
+}
+
 // MTMStats is a snapshot of an MTM engine's lifetime instrumentation; the
 // server mirrors it into its metrics registry and -stats-interval log.
 type MTMStats struct {
@@ -159,8 +191,8 @@ type MTMStats struct {
 
 // MTM is the many-to-many table engine on an Overlay. It is safe for
 // concurrent use: every evaluation checks a private mtmState out of the
-// package's state pool and a search workspace out of the shared
-// WorkspacePool, and the overlay itself is read-only.
+// package's state pool (and, on a witness-pruned overlay, a search workspace
+// out of the shared WorkspacePool), and the overlay itself is read-only.
 //
 // MTM implements search.TableEngine, which is how the server installs it for
 // the wide half of "hybrid" routing.
@@ -183,6 +215,8 @@ type MTM struct {
 // NewMTM returns a many-to-many engine over o drawing search workspaces from
 // wp. A nil wp gets a private pool; servers pass their own so MTM sweeps,
 // pairwise CH queries and SSMD searches all recycle the same workspaces.
+// Sweeps on a customizable overlay walk its elimination tree and draw no
+// workspace at all.
 func NewMTM(o *Overlay, wp *search.WorkspacePool) *MTM {
 	if wp == nil {
 		wp = search.NewWorkspacePool()
@@ -289,13 +323,19 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 	st := mtmStates.Get().(*mtmState)
 	defer mtmStates.Put(st)
 	st.reset(o.n)
-	w := m.pool.Get(o.n)
-	defer w.Release()
+	// A nil workspace selects the elimination-tree sweeps.
+	var w *search.Workspace
+	if o.etree == nil {
+		w = m.pool.Get(o.n)
+		defer w.Release()
+	}
 
 	// Phase 1: one backward upward sweep per target deposits buckets.
 	for j, t := range targets {
-		if err := m.backwardSweep(st, w, t, int32(j), needPaths, &stats); err != nil {
-			return stats, chains, err
+		if w == nil {
+			m.backwardWalk(st, t, int32(j), &stats)
+		} else {
+			m.backwardSweep(st, w, t, int32(j), needPaths, &stats)
 		}
 	}
 	m.deposited.Add(int64(len(st.entries)))
@@ -313,17 +353,21 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 
 	// Phase 2: one forward upward sweep per source scans buckets and, when
 	// paths were requested, records each finite cell's arc chain while the
-	// forward tree is still on the workspace.
+	// sweep's relaxing arcs are still in st.lab.via.
 	scanned := int64(0)
 	for i, s := range sources {
 		row := dist[i*len(targets) : (i+1)*len(targets)]
 		for j := range row {
 			row[j] = math.Inf(1)
 		}
-		scanned += m.forwardSweep(st, w, s, row, needPaths, &stats)
+		if w == nil {
+			scanned += m.forwardWalk(st, s, row, needPaths, &stats)
+		} else {
+			scanned += m.forwardSweep(st, w, s, row, needPaths, &stats)
+		}
 		if needPaths {
 			var err error
-			chains.arcs, chains.cellOff, err = m.recordChains(st, w, s, row, chains.arcs, chains.cellOff)
+			chains.arcs, chains.cellOff, err = m.recordChains(st, s, row, chains.arcs, chains.cellOff)
 			if err != nil {
 				return stats, chains, err
 			}
@@ -334,16 +378,56 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 	return stats, chains, nil
 }
 
-// backwardSweep runs the upward search from target t over the backward CSR
-// view, depositing a bucket entry at every settled node. In path mode each
-// deposit carries the arena arc the search stepped through, recovered from
-// the parent label the same way the bidirectional query's unpacking does.
+// backwardWalk is the backward sweep from target t on a customizable
+// overlay: an elimination-tree walk over the backward CSR view, then a
+// second pass over t's ancestor chain that deposits a bucket entry at every
+// settled node and returns its label to rest.
 //
 //opaque:noalloc
-func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID, j int32, needPaths bool, stats *search.Stats) error {
+func (m *MTM) backwardWalk(st *mtmState, t roadnet.NodeID, j int32, stats *search.Stats) {
+	o := m.o
+	o.walkUp(&st.lab, t, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, stats)
+	dist := st.lab.dist
+	for u := int32(t); u >= 0; u = o.etree[u] {
+		if d := dist[u]; !math.IsInf(d, 1) {
+			st.deposit(roadnet.NodeID(u), j, st.lab.via[u], d)
+			dist[u] = math.Inf(1)
+		}
+	}
+}
+
+// forwardWalk is the forward sweep from source s on a customizable overlay:
+// an elimination-tree walk over the forward CSR view, then a second pass
+// over s's ancestor chain that scans the bucket of every settled node into
+// the row and returns its label to rest. It returns the number of bucket
+// entries examined; the relaxing arcs stay in st.lab.via for recordChains.
+//
+//opaque:noalloc
+func (m *MTM) forwardWalk(st *mtmState, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
+	o := m.o
+	o.walkUp(&st.lab, s, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, stats)
+	dist := st.lab.dist
+	scanned := int64(0)
+	for u := int32(s); u >= 0; u = o.etree[u] {
+		if d := dist[u]; !math.IsInf(d, 1) {
+			scanned += st.scan(roadnet.NodeID(u), d, row, needPaths)
+			dist[u] = math.Inf(1)
+		}
+	}
+	return scanned
+}
+
+// backwardSweep runs the heap-driven upward search from target t over the
+// backward CSR view of a witness-pruned overlay, depositing a bucket entry
+// at every settled node. Relaxing arcs are recorded in path mode only; a
+// distance-only deposit carries via -1.
+//
+//opaque:noalloc
+func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID, j int32, needPaths bool, stats *search.Stats) {
 	o := m.o
 	w.Reset(o.n)
 	w.Label(t, 0, roadnet.InvalidNode)
+	st.lab.via[t] = -1
 	h := w.Heap()
 	h.Push(int32(t), 0)
 	stats.QueueOps++
@@ -359,13 +443,7 @@ func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID,
 		stats.SettledNodes++
 		via := int32(-1)
 		if needPaths {
-			if p := w.ParentOf(u); p != roadnet.InvalidNode {
-				via = o.findArc(o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, p, u, w.DistOf(p), item.Priority)
-				if via < 0 {
-					//opaque:allow(noalloc) unreachable unless the overlay is corrupt; allocating here is already a failed sweep
-					return fmt.Errorf("ch: internal error: no upward arc %d→%d on backward sweep for target %d", u, p, t)
-				}
-			}
+			via = st.lab.via[u]
 		}
 		st.deposit(u, j, via, item.Priority)
 		for i := o.bwdOff[u]; i < o.bwdOff[u+1]; i++ {
@@ -374,25 +452,28 @@ func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID,
 			nd := item.Priority + o.bwdCost[i]
 			if nd < w.DistOf(head) {
 				w.Label(head, nd, u)
+				if needPaths {
+					st.lab.via[head] = o.bwdArc[i]
+				}
 				h.Push(int32(head), nd)
 				stats.QueueOps++
 			}
 		}
 	}
-	return nil
 }
 
-// forwardSweep runs the upward search from source s over the forward CSR
-// view, scanning the bucket of every settled node to relax the row's cells.
-// It returns the number of bucket entries examined. In path mode the best
-// entry and meeting node of each improved cell are recorded in the row
-// scratch; the forward tree is left on w for recordChains.
+// forwardSweep runs the heap-driven upward search from source s over the
+// forward CSR view of a witness-pruned overlay, scanning the bucket of every
+// settled node into the row. It returns the number of bucket entries
+// examined; in path mode the relaxing arcs stay in st.lab.via for
+// recordChains.
 //
 //opaque:noalloc
 func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
 	o := m.o
 	w.Reset(o.n)
 	w.Label(s, 0, roadnet.InvalidNode)
+	st.lab.via[s] = -1
 	h := w.Heap()
 	h.Push(int32(s), 0)
 	stats.QueueOps++
@@ -407,23 +488,16 @@ func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, 
 			continue
 		}
 		stats.SettledNodes++
-		for e := st.headOf(u); e >= 0; e = st.entries[e].next {
-			scanned++
-			en := &st.entries[e]
-			if nd := item.Priority + en.dist; nd < row[en.target] {
-				row[en.target] = nd
-				if needPaths {
-					st.bestEntry[en.target] = e
-					st.bestMeet[en.target] = u
-				}
-			}
-		}
+		scanned += st.scan(u, item.Priority, row, needPaths)
 		for i := o.fwdOff[u]; i < o.fwdOff[u+1]; i++ {
 			stats.RelaxedArcs++
 			head := o.fwdTo[i]
 			nd := item.Priority + o.fwdCost[i]
 			if nd < w.DistOf(head) {
 				w.Label(head, nd, u)
+				if needPaths {
+					st.lab.via[head] = o.fwdArc[i]
+				}
 				h.Push(int32(head), nd)
 				stats.QueueOps++
 			}
@@ -433,30 +507,26 @@ func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, 
 }
 
 // recordChains appends, for every finite cell of s's row, the overlay arc
-// chain source→apex (walked off the forward tree still on w) followed by
-// apex→target (walked through the bucket entries' via arcs), and closes the
-// row's cell offsets.
-func (m *MTM) recordChains(st *mtmState, w *search.Workspace, s roadnet.NodeID, row []float64, arcs []int32, cellOff []int32) ([]int32, []int32, error) {
+// chain source→apex (the forward sweep's relaxing arcs, walked back from
+// the meeting node) followed by apex→target (walked through the bucket
+// entries' via arcs), and closes the row's cell offsets.
+func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64, arcs []int32, cellOff []int32) ([]int32, []int32, error) {
 	o := m.o
 	for j := range row {
 		if !math.IsInf(row[j], 1) {
-			meet := st.bestMeet[j]
-			// Forward half: meet→source through the forward parents, emitted
+			// Forward half: meet→source through the relaxing arcs, emitted
 			// in source→meet travel order.
 			st.chain = st.chain[:0]
-			for at := meet; at != roadnet.InvalidNode; at = w.ParentOf(at) {
-				st.chain = append(st.chain, at)
-			}
-			if st.chain[len(st.chain)-1] != s {
-				return nil, nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
-			}
-			for k := len(st.chain) - 1; k > 0; k-- {
-				from, to := st.chain[k], st.chain[k-1]
-				idx := o.findArc(o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, from, to, w.DistOf(from), w.DistOf(to))
-				if idx < 0 {
-					return nil, nil, fmt.Errorf("ch: internal error: no upward arc %d→%d on forward sweep from %d", from, to, s)
+			for at := st.bestMeet[j]; at != s; {
+				a := st.lab.via[at]
+				if a < 0 {
+					return nil, nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
 				}
-				arcs = append(arcs, idx)
+				st.chain = append(st.chain, a)
+				at = roadnet.NodeID(o.arcs[a].from)
+			}
+			for k := len(st.chain) - 1; k >= 0; k-- {
+				arcs = append(arcs, st.chain[k])
 			}
 			// Backward half: follow the via arcs from the meeting node's
 			// bucket entry down to the target.

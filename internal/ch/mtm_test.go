@@ -173,17 +173,21 @@ func TestMTMAfterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMTMConcurrentTables runs many tables on one shared engine from
-// concurrent goroutines and asserts each matches its precomputed expectation
-// — the race detector makes this the concurrency-safety proof.
+// TestMTMConcurrentTables runs many tables on shared engines — one over a
+// witness-pruned overlay, one over a customizable one — from concurrent
+// goroutines and asserts each matches its precomputed expectation — the race
+// detector makes this the concurrency-safety proof.
 func TestMTMConcurrentTables(t *testing.T) {
 	g := randomIntCostGraph(t, 200, 250, 401)
 	acc := storage.NewMemoryGraph(g)
-	o, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
+	var engines []*MTM
+	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
+		o, err := build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, NewMTM(o, nil))
 	}
-	m := NewMTM(o, nil)
 
 	type job struct {
 		sources, targets []roadnet.NodeID
@@ -212,8 +216,9 @@ func TestMTMConcurrentTables(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, len(jobs)*3)
-	for w := 0; w < 3; w++ {
+	errs := make(chan error, len(jobs)*4)
+	for w := 0; w < 4; w++ {
+		m := engines[w%len(engines)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -254,32 +259,35 @@ func TestMTMConcurrentTables(t *testing.T) {
 
 // TestMTMDistancesAllocFree pins the steady-state allocation contract of the
 // distance-only table: with a reused output buffer, evaluations perform zero
-// heap allocations.
+// heap allocations — heap sweeps on a witness-pruned overlay and tree walks
+// on a customizable one alike.
 func TestMTMDistancesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := randomIntCostGraph(t, 400, 500, 501)
-	o, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMTM(o, nil)
-	sources := []roadnet.NodeID{1, 40, 80, 120, 160, 200, 240, 280}
-	targets := []roadnet.NodeID{5, 45, 85, 125, 165, 205, 245, 285}
-	var dst []float64
-	for i := 0; i < 4; i++ { // warm the state and workspace pools
-		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
+		o, err := build(g)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(30, func() {
-		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-			t.Fatal(err)
+		m := NewMTM(o, nil)
+		sources := []roadnet.NodeID{1, 40, 80, 120, 160, 200, 240, 280}
+		targets := []roadnet.NodeID{5, 45, 85, 125, 165, 205, 245, 285}
+		var dst []float64
+		for i := 0; i < 4; i++ { // warm the state and workspace pools
+			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("distance-only table allocated %v times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(30, func() {
+			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("distance-only table (customizable=%v) allocated %v times per run, want 0", o.Customizable(), allocs)
+		}
 	}
 }
 

@@ -429,8 +429,8 @@ func TestOverlayV2Compatibility(t *testing.T) {
 
 // FuzzPartitionedRecustomize is the partition fuzz target: random graph
 // shape, random cell count, random change set — incremental re-customization
-// must equal the full pass arc for arc, and spot queries must equal
-// reference Dijkstra.
+// must equal the full pass arc for arc, and spot queries and a path-recording
+// table on the re-customized overlay must equal reference Dijkstra.
 func FuzzPartitionedRecustomize(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(60), uint8(4), uint8(3))
 	f.Add(int64(2), uint8(12), uint8(0), uint8(12), uint8(1))
@@ -465,5 +465,6 @@ func FuzzPartitionedRecustomize(f *testing.F) {
 		}
 		checkSameWeightLayer(t, inc, full)
 		checkAgainstReference(t, storage.NewMemoryGraph(g2), inc, 10, seed+9)
+		checkTableAgainstReference(t, g2, NewMTM(inc, nil), randomEndpointSet(rng, nn, 4), randomEndpointSet(rng, nn, 4))
 	})
 }

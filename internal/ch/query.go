@@ -3,6 +3,7 @@ package ch
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"opaque/internal/roadnet"
@@ -10,18 +11,20 @@ import (
 	"opaque/internal/storage"
 )
 
-// Engine answers point shortest-path queries on an Overlay with a
-// bidirectional upward Dijkstra: the forward search from s relaxes only
-// overlay arcs toward higher-ranked nodes, the backward search from t only
-// reversed arcs from higher-ranked nodes, and the two meet at the apex of
-// the optimal up-down path. Each direction runs on an epoch-stamped
-// search.Workspace checked out of the engine's pool, so a distance query
-// performs zero heap allocations in steady state; path queries additionally
-// unpack the shortcut chain into the original-arc route.
+// Engine answers point shortest-path queries on an Overlay with two upward
+// searches: the forward search from s relaxes only overlay arcs toward
+// higher-ranked nodes, the backward search from t only reversed arcs from
+// higher-ranked nodes, and the two meet at the apex of the optimal up-down
+// path. On a customizable overlay both searches walk elimination-tree
+// ancestors on a pooled pair of label stores (etree.go); on a witness-pruned
+// one they run as a bidirectional Dijkstra, each direction on an
+// epoch-stamped search.Workspace checked out of the engine's pool. Either
+// way a distance query performs zero heap allocations in steady state; path
+// queries additionally unpack the shortcut chain into the original-arc
+// route.
 //
 // Engine implements search.PointEngine and is safe for concurrent use: the
-// overlay is read-only and all per-query state lives in the two pooled
-// workspaces.
+// overlay is read-only and all per-query state is pooled.
 type Engine struct {
 	o    *Overlay
 	pool *search.WorkspacePool
@@ -38,7 +41,8 @@ type Engine struct {
 
 // NewEngine returns a query engine over o drawing workspaces from wp. A nil
 // wp gets a private pool; servers pass their own so CH queries, SSMD
-// searches and cached trees all recycle the same workspaces.
+// searches and cached trees all recycle the same workspaces. Queries on a
+// customizable overlay draw no workspace.
 func NewEngine(o *Overlay, wp *search.WorkspacePool) *Engine {
 	if wp == nil {
 		wp = search.NewWorkspacePool()
@@ -100,9 +104,10 @@ func (e *Engine) Distance(source, dest roadnet.NodeID) (float64, search.Stats, e
 	return d, stats, err
 }
 
-// query is the bidirectional upward search shared by the path and distance
-// faces: it returns the distance (+Inf when unreachable) and, when needPath
-// is set, dst extended by the unpacked route.
+// query is the point search shared by the path and distance faces: it
+// returns the distance (+Inf when unreachable) and, when needPath is set, dst
+// extended by the unpacked route. Customizable overlays take walkQuery; the
+// rest of this function is the bidirectional heap search.
 func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPath bool) ([]roadnet.NodeID, float64, search.Stats, error) {
 	o := e.o
 	var stats search.Stats
@@ -117,6 +122,9 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 			dst = append(dst, source)
 		}
 		return dst, 0, stats, nil
+	}
+	if o.etree != nil {
+		return o.walkQuery(dst, source, dest, needPath)
 	}
 
 	fw := e.pool.Get(o.n)
@@ -152,6 +160,66 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 	dst, err := o.appendRoute(dst, fw, bw, source, dest, meet)
 	if err != nil {
 		return dst[:start], 0, stats, err
+	}
+	return dst, best, stats, nil
+}
+
+// pointLabels recycles the forward and backward label stores of
+// elimination-tree point queries. Like mtmStates it lives outside the engine
+// and holds nothing of an overlay.
+var pointLabels = sync.Pool{New: func() any { return new([2]treeLabels) }}
+
+// walkQuery is query on a customizable overlay: the forward search walks
+// the source's elimination-tree ancestors, the backward search the
+// destination's, and the shortest up-down path meets at a common ancestor —
+// the minimum of df + db over the destination's chain, where df is finite
+// only on the source's.
+func (o *Overlay) walkQuery(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPath bool) ([]roadnet.NodeID, float64, search.Stats, error) {
+	var stats search.Stats
+	lab := pointLabels.Get().(*[2]treeLabels)
+	defer pointLabels.Put(lab)
+	f, b := &lab[0], &lab[1]
+	f.grow(o.n)
+	b.grow(o.n)
+	o.walkUp(f, source, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, &stats)
+	o.walkUp(b, dest, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, &stats)
+	best, meet := math.Inf(1), roadnet.InvalidNode
+	for u := int32(dest); u >= 0; u = o.etree[u] {
+		if d := f.dist[u] + b.dist[u]; d < best {
+			best, meet = d, roadnet.NodeID(u)
+		}
+		b.dist[u] = math.Inf(1)
+	}
+	o.clearChain(f, source)
+	if meet == roadnet.InvalidNode || !needPath {
+		return dst, best, stats, nil
+	}
+
+	// Forward half: the relaxing arcs meet→source, stacked and unpacked in
+	// source→meet order. Backward half: the relaxing arcs already run
+	// meet→dest in travel order.
+	start := len(dst)
+	var chainBuf [32]int32
+	chain := chainBuf[:0]
+	for at := meet; at != source; {
+		a := f.via[at]
+		if a < 0 {
+			return dst, 0, stats, fmt.Errorf("ch: internal error: forward walk does not reach source %d", source)
+		}
+		chain = append(chain, a)
+		at = roadnet.NodeID(o.arcs[a].from)
+	}
+	dst = append(dst, source)
+	for i := len(chain) - 1; i >= 0; i-- {
+		dst = o.appendArc(dst, chain[i])
+	}
+	for at := meet; at != dest; {
+		a := b.via[at]
+		if a < 0 {
+			return dst[:start], 0, stats, fmt.Errorf("ch: internal error: backward walk does not reach destination %d", dest)
+		}
+		dst = o.appendArc(dst, a)
+		at = roadnet.NodeID(o.arcs[a].to)
 	}
 	return dst, best, stats, nil
 }

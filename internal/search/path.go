@@ -137,8 +137,11 @@ type Stats struct {
 	// RelaxedArcs is the number of arcs examined.
 	RelaxedArcs int
 	// QueueOps is the number of priority-queue pushes and decrease-keys.
+	// It is 0 for searches that use no queue, such as the elimination-tree
+	// walks on a customizable CH overlay.
 	QueueOps int
-	// MaxFrontier is the peak size of the priority queue.
+	// MaxFrontier is the peak size of the priority queue; 0 where QueueOps
+	// is.
 	MaxFrontier int
 }
 

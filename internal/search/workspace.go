@@ -174,8 +174,10 @@ func (w *Workspace) parentOf(v roadnet.NodeID) roadnet.NodeID {
 }
 
 // Heap returns the workspace's dense priority queue. It is exposed for
-// algorithms composed outside this package (the contraction-hierarchy query
-// in internal/ch drives two workspaces directly); Reset empties it, so
+// algorithms composed outside this package (on a witness-pruned overlay the
+// contraction-hierarchy point query in internal/ch drives two workspaces
+// directly, and each many-to-many sweep one; on a customizable overlay both
+// walk the elimination tree and use no workspace); Reset empties it, so
 // callers that use Reset + Heap + Label + DistOf get the same O(1)
 // preparation cost as the built-in searches. The heap must not be used after
 // the workspace is released to its pool.

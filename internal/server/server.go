@@ -127,12 +127,15 @@ type Config struct {
 // many candidate pairs (|S|·|T| ≤ DefaultCHMaxPairs, inclusive) run
 // pairwise on the CH overlay, whose bidirectional stopping rule prunes each
 // individual search; strictly wider tables go to the many-to-many bucket
-// engine, whose |S|+|T| exhaustive sweeps amortise across cells. Experiment
-// E15 measures the crossover this constant encodes: MTM is fastest from
-// 2×2 tables upward on both measured graph scales and pairwise wins only
-// true point queries, so the default keeps just the point-ish shapes
-// (1×1 … 2×2, where the two engines are within noise of each other)
-// on the pairwise engine.
+// engine, whose |S|+|T| sweeps amortise across cells. Experiment E15
+// measures the crossover on the overlay kind servers are deployed with
+// (customizable, partitioned), where every upward search is an
+// elimination-tree walk: the two engines do the same search work on 1×1
+// (within 0.1 ms of each other in three runs), and MTM is about twice
+// as fast at 1×4 and 2×2 and an order of magnitude faster from 16×16 up
+// (6 000-node map, small scale). The cutover stays at 4 all the same:
+// moving it changes how point-open's small queries are routed, which needs a
+// benchmark claim of its own.
 const DefaultCHMaxPairs = 4
 
 // DefaultConfig returns an in-memory SSMD server with logging enabled. The
