@@ -19,7 +19,7 @@
 // the witness rebuild, per number of cells the update spreads over), and the
 // streaming ingestion measurement (E18: coalesced update batches and
 // pipelined re-customization under concurrent live and profile-layer query load,
-// events/sec versus p99 latency versus the stale-query window), the fleet
+// events/sec versus p99 latency versus the visibility lag), the fleet
 // serving-tier measurement (E19: scatter/gather throughput over partition
 // and replicate shards versus a single server, every merged table verified
 // against the reference), and the availability-under-faults measurement

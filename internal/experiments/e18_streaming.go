@@ -30,14 +30,17 @@ import (
 //     refresh runs (folding means runs <= batches, and both grow with
 //     batches, not raw events);
 //   - the p99 latency of live-metric and profile-layer queries under churn;
-//   - the longest contiguous stretch the overlay spent stale — the
-//     stale-query window, bounded near one incremental re-customization
-//     latency because each refresh starts from the freshest snapshot.
+//   - the longest contiguous stretch an applied batch waited to be published
+//     — the visibility lag, during which queries are answered on the
+//     previous epoch — bounded near one incremental re-customization latency
+//     because each refresh starts from the freshest snapshot.
 //
 // Every applied batch is verified on the coalescer goroutine, before the next
-// batch can land: one sampled pair of the post-batch snapshot is checked
-// against reference Dijkstra, so a broken coalesce/apply path cannot survive
-// into the table. Profile-layer misses are asserted to stay flat across the
+// batch can land: its changes must be in the post-batch snapshot, and one
+// sampled pair is served and checked against reference Dijkstra on the graph
+// the reply's ContentSum names (the batch's own or an earlier one still
+// published), so a broken coalesce/apply/publish path cannot survive into the
+// table. Profile-layer misses are asserted to stay flat across the
 // whole run — churn must never touch the precustomized layers.
 type E18Streaming struct{}
 
@@ -82,7 +85,7 @@ func (E18Streaming) Run(scale Scale) ([]*Table, error) {
 		ID:    "E18",
 		Title: "Streaming ingestion under query load (" + itoa(nodes) + " nodes, hot pool, prewarmed profiles)",
 		Columns: []string{"target ev/s", "achieved ev/s", "events", "batches", "coalesce ratio",
-			"refresh runs", "p99 live ms", "p99 profile ms", "max stale ms"},
+			"refresh runs", "p99 live ms", "p99 profile ms", "max visibility lag ms"},
 	}
 
 	pool, orig := hotArcPool(g, 64)
@@ -93,12 +96,12 @@ func (E18Streaming) Run(scale Scale) ([]*Table, error) {
 			return nil, err
 		}
 		tbl.AddRow(rate, row.achieved, row.events, row.batches, row.ratio,
-			row.refreshRuns, row.p99Live, row.p99Profile, row.maxStaleMS)
+			row.refreshRuns, row.p99Live, row.p99Profile, row.maxLagMS)
 	}
 
 	tbl.AddNote("Pipeline: traffic.Ingestor coalescing last-write-wins over a %d-arc hot pool (max batch %d, max delay %v), applied through Server.ApplyWeights — one snapshot swap per batch — with the pipelined refresh worker folding batches into single RecustomizeNow runs.", len(pool), streamMaxBatch, streamMaxDelay)
-	tbl.AddNote("Every applied batch was verified against reference Dijkstra on the post-batch snapshot before the next batch could land; profile queries ran on the prewarmed am-peak layer with zero customization work (layer misses stayed flat across the sweep).")
-	tbl.AddNote("Acceptance bar: >= 100 events/sec coalesced at full scale; refresh runs track batches (not raw events); the stale window stays near one incremental re-customization latency.")
+	tbl.AddNote("Every applied batch was verified before the next batch could land: its changes against the post-batch snapshot, one served pair against reference Dijkstra on the graph its reply's ContentSum names; profile queries ran on the prewarmed am-peak layer with zero customization work (layer misses stayed flat across the sweep).")
+	tbl.AddNote("Acceptance bar: >= 100 events/sec coalesced at full scale; refresh runs track batches (not raw events); the visibility lag stays near one incremental re-customization latency.")
 	return []*Table{tbl}, nil
 }
 
@@ -119,7 +122,7 @@ type streamRow struct {
 	refreshRuns int64
 	p99Live     float64
 	p99Profile  float64
-	maxStaleMS  float64
+	maxLagMS    float64
 }
 
 // runStreamingRate drives one paced event stream against srv with concurrent
@@ -127,56 +130,66 @@ type streamRow struct {
 func runStreamingRate(srv *server.Server, g *roadnet.Graph, pool [][2]roadnet.NodeID, orig map[[2]roadnet.NodeID]float64, rng *rand.Rand, rate int, dur time.Duration) (streamRow, error) {
 	var row streamRow
 
-	// Per-batch verification: one sampled pair of the snapshot the batch
-	// produced, against reference Dijkstra. Runs on the coalescer goroutine —
-	// the snapshot cannot move under it — so errors are collected, not
-	// returned, and checked after Close.
+	// Per-batch verification on the coalescer goroutine — the snapshot
+	// cannot move under it — so errors are collected, not returned, and
+	// checked after Close. The refresh worker publishes concurrently, so the
+	// sampled pair may be served from an earlier graph than the batch's:
+	// every graph of the run is recorded by content checksum and the reply
+	// is checked against the one its ContentSum names. The run starts
+	// published (the previous rate's Close published its last batch).
 	var verifyMu sync.Mutex
 	var verifyErr error
-	vrng := rand.New(rand.NewSource(int64(1820 + rate)))
-	onApplied := func(changes []roadnet.ArcWeightChange, gen uint64) {
-		cur := srv.Graph()
-		for _, c := range changes {
-			if got, ok := cur.ArcCost(c.From, c.To); !ok || got != c.NewCost {
-				verifyMu.Lock()
-				if verifyErr == nil {
-					verifyErr = fmt.Errorf("experiments: E18 gen %d: arc (%d,%d) applied cost %v, snapshot has %v", gen, c.From, c.To, c.NewCost, got)
-				}
-				verifyMu.Unlock()
-				return
-			}
+	fail := func(err error) {
+		verifyMu.Lock()
+		if verifyErr == nil {
+			verifyErr = err
 		}
-		s := roadnet.NodeID(vrng.Intn(g.NumNodes()))
-		d := roadnet.NodeID(vrng.Intn(g.NumNodes()))
-		want, _, err := search.ReferenceDijkstra(storage.NewMemoryGraph(cur), s, d)
+		verifyMu.Unlock()
+	}
+	first := srv.Graph()
+	graphs := map[uint64]*roadnet.Graph{first.ContentChecksum(): first}
+	// servedExactly serves the pair (s, d) and checks the reply against
+	// reference Dijkstra on the graph its ContentSum names.
+	servedExactly := func(gen uint64, s, d roadnet.NodeID) error {
+		reply, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{s}, Dests: []roadnet.NodeID{d}})
 		if err != nil {
-			verifyMu.Lock()
-			if verifyErr == nil {
-				verifyErr = err
-			}
-			verifyMu.Unlock()
-			return
+			return err
+		}
+		served := graphs[reply.ContentSum]
+		if served == nil {
+			return fmt.Errorf("experiments: E18 gen %d: reply ContentSum %x names no graph of the run", gen, reply.ContentSum)
+		}
+		want, _, err := search.ReferenceDijkstra(storage.NewMemoryGraph(served), s, d)
+		if err != nil {
+			return err
 		}
 		wantDist := want.Cost
 		if len(want.Nodes) == 0 && s != d {
 			wantDist = math.Inf(1)
 		}
-		reply, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{s}, Dests: []roadnet.NodeID{d}})
-		if err == nil {
-			got := math.Inf(1)
-			if len(reply.Paths) > 0 && (len(reply.Paths[0].Nodes) > 0 || s == d) {
-				got = reply.Paths[0].Cost
-			}
-			if got != wantDist && math.Abs(got-wantDist) > 1e-9*(1+math.Abs(wantDist)) {
-				err = fmt.Errorf("experiments: E18 gen %d: pair (%d,%d) served %v, reference says %v", gen, s, d, got, wantDist)
+		got := math.Inf(1)
+		if len(reply.Paths) > 0 && (len(reply.Paths[0].Nodes) > 0 || s == d) {
+			got = reply.Paths[0].Cost
+		}
+		if got != wantDist && math.Abs(got-wantDist) > 1e-9*(1+math.Abs(wantDist)) {
+			return fmt.Errorf("experiments: E18 gen %d: pair (%d,%d) served %v, reference says %v", gen, s, d, got, wantDist)
+		}
+		return nil
+	}
+	vrng := rand.New(rand.NewSource(int64(1820 + rate)))
+	onApplied := func(changes []roadnet.ArcWeightChange, gen uint64) {
+		cur := srv.Graph()
+		graphs[cur.ContentChecksum()] = cur
+		for _, c := range changes {
+			if got, ok := cur.ArcCost(c.From, c.To); !ok || got != c.NewCost {
+				fail(fmt.Errorf("experiments: E18 gen %d: arc (%d,%d) applied cost %v, snapshot has %v", gen, c.From, c.To, c.NewCost, got))
+				return
 			}
 		}
-		if err != nil {
-			verifyMu.Lock()
-			if verifyErr == nil {
-				verifyErr = err
-			}
-			verifyMu.Unlock()
+		s := roadnet.NodeID(vrng.Intn(g.NumNodes()))
+		d := roadnet.NodeID(vrng.Intn(g.NumNodes()))
+		if err := servedExactly(gen, s, d); err != nil {
+			fail(err)
 		}
 	}
 
@@ -228,9 +241,9 @@ func runStreamingRate(srv *server.Server, g *roadnet.Graph, pool [][2]roadnet.No
 		}
 	}()
 
-	// Stale-window monitor.
-	var staleMu sync.Mutex
-	var worstStale time.Duration
+	// Visibility-lag monitor.
+	var lagMu sync.Mutex
+	var worstLag time.Duration
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -248,10 +261,10 @@ func runStreamingRate(srv *server.Server, g *roadnet.Graph, pool [][2]roadnet.No
 				}
 				if since.IsZero() {
 					since = time.Now()
-				} else if d := time.Since(since); d > worstStale {
-					staleMu.Lock()
-					worstStale = d
-					staleMu.Unlock()
+				} else if d := time.Since(since); d > worstLag {
+					lagMu.Lock()
+					worstLag = d
+					lagMu.Unlock()
 				}
 			}
 		}
@@ -298,7 +311,7 @@ func runStreamingRate(srv *server.Server, g *roadnet.Graph, pool [][2]roadnet.No
 		return row, vErr
 	}
 	if !srv.OverlayFresh() {
-		return row, fmt.Errorf("experiments: E18 rate %d: overlay still stale after Close", rate)
+		return row, fmt.Errorf("experiments: E18 rate %d: applied batches still unpublished after Close", rate)
 	}
 	if missesAfter := srv.Metrics().Counter("profile_layer_misses"); missesAfter != missesBefore {
 		return row, fmt.Errorf("experiments: E18 rate %d: profile layer misses grew %d -> %d under churn; the query path must stay precustomized", rate, missesBefore, missesAfter)
@@ -312,9 +325,9 @@ func runStreamingRate(srv *server.Server, g *roadnet.Graph, pool [][2]roadnet.No
 	row.refreshRuns = st.RefreshRuns
 	row.p99Live = percentileMS(liveLat, 0.99)
 	row.p99Profile = percentileMS(profLat, 0.99)
-	staleMu.Lock()
-	row.maxStaleMS = float64(worstStale.Microseconds()) / 1000
-	staleMu.Unlock()
+	lagMu.Lock()
+	row.maxLagMS = float64(worstLag.Microseconds()) / 1000
+	lagMu.Unlock()
 	return row, nil
 }
 

@@ -19,9 +19,9 @@
 // same metric: replies carry the shard's weight-content checksum
 // (protocol.ServerReply.ContentSum) and echoed profile, and the router
 // requires all partials of one query to agree on a nonzero checksum and on
-// the profile. A disagreement — one shard applied a weight update the other
-// has not, or a shard could not pin a stable identity under churn — counts
-// as fleet_generation_skew (or fleet_profile_skew), and the query retries
+// the profile. A disagreement — one shard published a weight update the
+// other has not, or a partial of unknown identity — counts as
+// fleet_generation_skew (or fleet_profile_skew), and the query retries
 // after a short backoff rather than ever serving a mixed-metric table.
 //
 // Weight updates flow through the router (UpdateWeights): broadcast to every

@@ -404,7 +404,8 @@ func TestFleetMergeRefusal(t *testing.T) {
 	g := testGraph(t, 300, 1701)
 	cl, err := fleettest.New(g, fleettest.Options{
 		Shards: 2,
-		Fleet:  fleet.Config{SkewRetries: 2, RetryBackoff: 1},
+		// UpdateQuorum 2: see the convergence step below.
+		Fleet: fleet.Config{SkewRetries: 2, RetryBackoff: 1, UpdateQuorum: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +454,10 @@ func TestFleetMergeRefusal(t *testing.T) {
 	}
 
 	// Converging the fleet through the router heals it: the same update
-	// broadcast everywhere makes the checksums agree again.
+	// broadcast everywhere makes the checksums agree again. A shard acks once
+	// the update is published, so the convergence step waits for both acks:
+	// with quorum 1 the already-diverged shard's ack would return before the
+	// other shard had published.
 	if err := cl.Router.UpdateWeights([]roadnet.ArcWeightChange{
 		{From: v, To: arcs[0].To, NewCost: arcs[0].Cost * 3},
 	}); err != nil {

@@ -116,13 +116,11 @@ type ServerReply struct {
 	SettledNodes int
 	PageFaults   int64
 	// Generation and ContentSum identify the metric this reply was computed
-	// under: the server's data generation and the weight-content checksum of
-	// the graph snapshot served. The fleet router refuses to merge partial
-	// tables whose ContentSums differ (or are 0 = unknown — the server could
-	// not pin a stable identity because an update raced the evaluation), so
-	// a distributed answer never mixes generations across shards. Generation
-	// numbers are per-server and not comparable across shards; ContentSum
-	// is content-derived and is.
+	// under: the data generation and the weight-content checksum of the graph
+	// snapshot served. The fleet router refuses to merge partial tables whose
+	// ContentSums differ (or are 0 = unknown), so a distributed answer never
+	// mixes generations across shards. Generation numbers are per-server and
+	// not comparable across shards; ContentSum is content-derived and is.
 	Generation uint64
 	ContentSum uint64
 	// Profile echoes the weight profile the query was answered under ("" =
@@ -176,9 +174,9 @@ type WeightUpdate struct {
 	Changes  []roadnet.ArcWeightChange
 }
 
-// WeightUpdateAck acknowledges a WeightUpdate with the server's post-apply
-// data generation and weight-content checksum — what the fleet router uses
-// to observe shards converging on one metric.
+// WeightUpdateAck acknowledges a WeightUpdate once the server has published
+// it, with the published data generation and weight-content checksum — what
+// the fleet router uses to observe shards converging on one metric.
 type WeightUpdateAck struct {
 	UpdateID   uint64
 	Generation uint64

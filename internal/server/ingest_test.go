@@ -151,10 +151,10 @@ func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 		t.Errorf("Batches = %d, ApplyFailures = %d", st.Batches, st.ApplyFailures)
 	}
 
-	// Close drained, applied and refreshed: the overlay must be fresh and
-	// full-speed queries must serve final-metric distances.
+	// Close drained, applied and published: the epoch must be the final
+	// graph's and full-speed queries must serve final-metric distances.
 	if !s.OverlayFresh() {
-		t.Fatal("overlay still stale after Close")
+		t.Fatal("applied batches still unpublished after Close")
 	}
 	if n := s.pendingCellCount(); n != 0 {
 		t.Errorf("recustomize_pending_cells = %d after Close, want 0", n)
@@ -170,9 +170,9 @@ func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 }
 
 // TestChurnSoak is the sustained-churn soak: a continuous event stream over a
-// hot arc pool, with every applied batch verified against the reference
-// Dijkstra on the post-batch snapshot, a monitor bounding the stale-query
-// window, and prewarmed profile layers that must stay untouched by the churn.
+// hot arc pool, with queries after every applied batch verified against the
+// reference Dijkstra on the snapshot their reply's ContentSum names, and a
+// monitor bounding the visibility lag.
 func TestChurnSoak(t *testing.T) {
 	g := updateTestGraph(t, 100, 711)
 	cfg := DefaultConfig()
@@ -185,24 +185,32 @@ func TestChurnSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(712))
 
 	// Per-batch verification runs on the coalescer goroutine, right after the
-	// snapshot swap and before the next batch can apply — the graph it reads
-	// is exactly the one the batch produced. Errors are collected, not
-	// Fatal-ed: FailNow must not kill the coalescer goroutine.
+	// snapshot swap and before the next batch can apply. The refresh worker
+	// publishes concurrently, so a reply may come from the batch's graph or an
+	// earlier one: every graph the stream produced is recorded by its content
+	// checksum, and each reply is checked against the one its ContentSum
+	// names. Errors are collected, not Fatal-ed: FailNow must not kill the
+	// coalescer goroutine.
 	var verifyMu sync.Mutex
 	var verifyErrs []string
 	verified := 0
 	vrng := rand.New(rand.NewSource(713))
+	graphs := map[uint64]*roadnet.Graph{g.ContentChecksum(): g}
 	onApplied := func(changes []roadnet.ArcWeightChange, gen uint64) {
 		cur := s.Graph()
-		acc := storage.NewMemoryGraph(cur)
+		graphs[cur.ContentChecksum()] = cur
 		for i := 0; i < 2; i++ {
 			src := roadnet.NodeID(vrng.Intn(g.NumNodes()))
 			dst := roadnet.NodeID(vrng.Intn(g.NumNodes()))
 			reply, err := s.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{src}, Dests: []roadnet.NodeID{dst}})
 			verifyMu.Lock()
+			served, known := graphs[reply.ContentSum]
 			if err != nil {
 				verifyErrs = append(verifyErrs, fmt.Sprintf("gen %d: query (%d,%d): %v", gen, src, dst, err))
+			} else if !known {
+				verifyErrs = append(verifyErrs, fmt.Sprintf("gen %d: reply ContentSum %x names no graph of the stream", gen, reply.ContentSum))
 			} else {
+				acc := storage.NewMemoryGraph(served)
 				for _, cand := range reply.Paths {
 					// No t.Fatal-based helpers here: FailNow on the coalescer
 					// goroutine would kill it and hang Close.
@@ -237,11 +245,11 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stale-window monitor: the longest contiguous stretch the overlay spent
-	// stale must stay near one incremental re-customization latency — far
-	// below this generous bound — because the pipelined refresh worker always
-	// has at most one run pending and each run starts from the freshest
-	// snapshot.
+	// Visibility-lag monitor: the longest contiguous stretch an applied batch
+	// spent unpublished must stay near one incremental re-customization
+	// latency — far below this generous bound — because the pipelined refresh
+	// worker always has at most one run pending and each run starts from the
+	// freshest snapshot.
 	monitorStop := make(chan struct{})
 	var monitorWg sync.WaitGroup
 	var worstStale int64 // nanoseconds
@@ -330,13 +338,13 @@ func TestChurnSoak(t *testing.T) {
 	}
 
 	if !s.OverlayFresh() {
-		t.Fatal("overlay still stale after Close")
+		t.Fatal("applied batches still unpublished after Close")
 	}
 	if n := s.pendingCellCount(); n != 0 {
 		t.Errorf("pending cells = %d after Close, want 0", n)
 	}
 	if worst := time.Duration(worstStale); worst > 5*time.Second {
-		t.Errorf("worst stale window %v: refresh pipeline is not keeping up", worst)
+		t.Errorf("worst visibility lag %v: refresh pipeline is not keeping up", worst)
 	}
 	reply, err := s.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{2}, Dests: []roadnet.NodeID{9}})
 	if err != nil {
@@ -345,9 +353,9 @@ func TestChurnSoak(t *testing.T) {
 	checkReplyMatchesGraph(t, s.Graph(), reply)
 }
 
-// TestIngestorRefusedConfigurations mirrors the UpdateWeights refusals at
-// pipeline-construction time, plus the witness-pruned overlay a sustained
-// update stream could never refresh.
+// TestIngestorRefusedConfigurations mirrors the UpdateWeights refusals —
+// paged deployments and witness-pruned overlays — at pipeline-construction
+// time.
 func TestIngestorRefusedConfigurations(t *testing.T) {
 	g := updateTestGraph(t, 40, 721)
 

@@ -16,19 +16,19 @@ import (
 	"opaque/internal/protocol"
 )
 
-// HelloInfo returns the Hello this server greets multiplexed peers with: its
-// current metric identity (generation + weight-content checksum), partition
-// cell count and profile catalog. Re-read per connection so a fleet router
-// admitting a shard sees the identity it currently serves under.
+// HelloInfo returns the Hello this server greets multiplexed peers with: the
+// published epoch's metric identity (generation + weight-content checksum),
+// partition cell count and profile catalog. Re-read per connection so a fleet
+// router admitting a shard sees the identity it currently serves under.
 func (s *Server) HelloInfo() protocol.Hello {
-	gen, sum := s.liveIdentity()
+	st := s.live.Load()
 	h := protocol.Hello{
 		Role:       "server",
-		Generation: gen,
-		ContentSum: sum,
+		Generation: st.ident.generation,
+		ContentSum: st.ident.contentSum,
 	}
-	if o := s.Overlay(); o != nil {
-		h.Cells = o.PartitionCells()
+	if st.overlay != nil {
+		h.Cells = st.overlay.PartitionCells()
 	}
 	if s.profiles != nil {
 		names := make([]string, 0, len(s.profiles.defs))

@@ -20,9 +20,9 @@ import (
 // through an overlay) a customized overlay weight layer sharing the base
 // overlay's frozen topology (ch.ProfileSet) with engines and processors bound
 // to it. Profile queries route onto that state exactly like live queries do
-// onto the live one, with zero customization work on the query path, and —
-// because the state never swaps — they keep full CH speed even while the
-// live overlay is mid-re-customization under a heavy update stream.
+// onto the live epoch, with zero customization work on the query path, and —
+// because the state never swaps — a heavy live update stream never touches
+// them.
 //
 // Profiles deliberately bind to the *startup* graph, not the live snapshot:
 // they answer what a trip usually costs under a recurring regime, which the
@@ -141,8 +141,7 @@ func (pc *profileCache) state(name string) (*evalState, error) {
 	// server's cache keys trees by (source, generation) and every profile
 	// accessor reports generation 0, so sharing it would mix trees across
 	// metrics.
-	acc := storage.NewMemoryGraph(pg)
-	st := pc.s.newEvalState(acc, layer, storage.GenerationOf(acc), nil)
+	st := pc.s.newEvalState(storage.NewMemoryGraph(pg), layer, nil)
 	pc.states[name] = st
 	return st, nil
 }

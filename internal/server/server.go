@@ -10,9 +10,10 @@
 // sharing SSMD spanning trees across queries through the tree cache and
 // composing per-query parallelism under a server-wide concurrency gate.
 // In-memory deployments additionally accept live weight updates
-// (UpdateWeights, update.go): queries pin copy-on-write snapshots, caches
-// invalidate by generation, and the CH overlay is re-customized in the
-// background while stale-routed queries take the SSMD fallback. The
+// (UpdateWeights, update.go): every update publishes one epoch — the pinned
+// weight snapshot, the CH overlay re-customized for it and the engines bound
+// to it, behind one atomic pointer — and every query evaluates on the epoch it
+// loaded, stamping that epoch's metric identity on its reply. The
 // hot path is free of global mutexes — the query log and statistics are
 // striped across shards and metrics use atomic counters — and free of
 // per-query label allocation: every search runs on an epoch-stamped
@@ -21,7 +22,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -194,16 +194,18 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// evalState is everything one query is evaluated with: the accessor it
-// reads, the flat SSMD processor over it and — when the server serves
-// through an overlay — the overlay, the two engines bound to it and the
-// processors routed onto them. The live metric's state sits behind one
-// atomic pointer that re-customization replaces wholesale, so a query sees
-// either the old state (whose staleness evaluateLive's check or the engines'
-// own verification catches) or the new one, never a half-installed mix. A
-// weight profile is a state that never swaps.
+// evalState is one epoch: everything one query is evaluated with and the
+// metric identity its reply carries. acc is the data it reads — for the live
+// metric of an in-memory server, one pinned weight snapshot — with the flat
+// SSMD processor over it and, when the server serves through an overlay, the
+// overlay customized for exactly that data, the two engines bound to it and
+// the processors routed onto them. The live epoch sits behind one atomic
+// pointer that RecustomizeNow replaces wholesale, so a query sees one whole
+// epoch, never a half-installed mix, and its answer is exact on the snapshot
+// ident names. A weight profile is an epoch that never swaps.
 type evalState struct {
 	acc     storage.Accessor
+	ident   replyIdentity
 	flat    *search.Processor
 	overlay *ch.Overlay // nil: the server runs without an overlay
 	engine  *ch.Engine
@@ -222,24 +224,16 @@ type Server struct {
 	// deployments serve the page layout they were built over and reject
 	// updates.
 	mutable *storage.MutableGraph
-	// live is the state live-metric queries evaluate with; never nil.
-	// Replaced wholesale by re-customization.
+	// live is the epoch live-metric queries evaluate with; never nil.
+	// Replaced wholesale by RecustomizeNow, its only publisher.
 	live atomic.Pointer[evalState]
-	// recustomizeMu serialises re-customization runs; recustomizing
-	// additionally dedupes background kicks so at most one goroutine is ever
-	// spawned at a time.
+	// recustomizeMu serialises publishers.
 	recustomizeMu sync.Mutex
-	recustomizing atomic.Bool
-	// afterRecustomize, when set (tests only, before the first update), runs
-	// in the background refresh goroutine between RecustomizeNow returning
-	// and the recustomizing flag clearing — the window in which a concurrent
-	// update's kick is dropped.
-	afterRecustomize func()
 	// pendingCells is the union of overlay weight layers dirtied by applied
 	// weight changes that no completed re-customization has covered yet
 	// (cell index, or -1 for the boundary top layer / a flat overlay). It
 	// feeds the recustomize_pending_cells gauge and empties when the
-	// installed overlay catches up with the current graph.
+	// published epoch catches up with the current graph.
 	pendingMu    sync.Mutex
 	pendingCells map[int]struct{}
 	// ingest is the most recently created streaming ingestion pipeline
@@ -273,7 +267,6 @@ type Server struct {
 	mCHQueries    *metrics.Counter
 	mMTMQueries   *metrics.Counter
 	mFallback     *metrics.Counter
-	mStaleQueries *metrics.Counter
 	mWeightUpd    *metrics.Counter
 	mRecustomize  *metrics.Counter
 	mRecustFail   *metrics.Counter
@@ -310,7 +303,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	s.mCHQueries = s.metrics.CounterVar("ch_queries")
 	s.mMTMQueries = s.metrics.CounterVar("mtm_queries")
 	s.mFallback = s.metrics.CounterVar("fallback_queries")
-	s.mStaleQueries = s.metrics.CounterVar("overlay_stale_queries")
 	s.mWeightUpd = s.metrics.CounterVar("weight_updates")
 	s.mRecustomize = s.metrics.CounterVar("recustomize_runs")
 	s.mRecustFail = s.metrics.CounterVar("recustomize_failures")
@@ -355,8 +347,8 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 		buildCfg := ch.DefaultBuildConfig()
 		// An overlay server is in-memory, hence mutable: it contracts
 		// customizable, so live weight updates are absorbed by
-		// re-customization instead of leaving the overlay permanently
-		// stale. Deployments that never update weights can load a smaller
+		// re-customization; a witness-pruned overlay refuses them.
+		// Deployments that never update weights can load a smaller
 		// witness-pruned file instead.
 		buildCfg.Customizable = true
 		if cfg.PartitionCells > 1 {
@@ -379,24 +371,31 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: installing CH overlay: %w", err)
 		}
 	}
-	s.live.Store(s.newEvalState(s.acc, overlay, storage.GenerationOf(s.acc), s.cache))
+	s.live.Store(s.newEvalState(storage.SnapshotOf(s.acc), overlay, s.cache))
 	if err := s.initProfiles(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// newEvalState builds the evaluation state over acc: the flat SSMD processor
-// (with cache, nil for none) and, for a non-nil overlay, both engines bound
-// to gen — the accessor generation the overlay's weights are valid for —
-// with their processors. Called at startup, by every re-customization swap
-// and for every profile.
-func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, gen uint64, cache *search.TreeCache) *evalState {
+// newEvalState builds the epoch over acc, which must not move under it (a
+// snapshot, a profile graph or the paged layout): its identity — acc's
+// generation and content checksum — the flat SSMD processor (with cache, nil
+// for none) and, for a non-nil overlay customized for acc's weights, both
+// engines bound to that generation with their processors. Called at startup,
+// by every publication and for every profile.
+func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *search.TreeCache) *evalState {
 	newProcessor := func(opts ...search.ProcessorOption) *search.Processor {
 		opts = append(opts, search.WithWorkspacePool(s.wsPool), search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate))
 		return search.NewProcessor(acc, opts...)
 	}
-	st := &evalState{acc: acc, overlay: overlay, flat: newProcessor(search.WithTreeCache(cache))}
+	gen := storage.GenerationOf(acc)
+	st := &evalState{
+		acc:     acc,
+		ident:   replyIdentity{generation: gen, contentSum: acc.Graph().ContentChecksum()},
+		overlay: overlay,
+		flat:    newProcessor(search.WithTreeCache(cache)),
+	}
 	if overlay != nil {
 		st.engine = ch.NewEngine(overlay, s.wsPool)
 		st.engine.BindGeneration(gen)
@@ -418,8 +417,8 @@ func MustNew(g *roadnet.Graph, cfg Config) *Server {
 }
 
 // Graph returns the server's road map — the current weight snapshot when
-// the deployment is mutable (it changes identity on every UpdateWeights),
-// the startup graph otherwise.
+// the deployment is mutable (it changes identity on every applied update,
+// before queries see it), the startup graph otherwise.
 func (s *Server) Graph() *roadnet.Graph {
 	if s.mutable != nil {
 		return storage.SnapshotOf(s.mutable).Graph()
@@ -427,7 +426,9 @@ func (s *Server) Graph() *roadnet.Graph {
 	return s.graph
 }
 
-// Accessor returns the accessor queries are evaluated against.
+// Accessor returns the server's data accessor: the mutable weight view of an
+// in-memory server, whose generation is the applied one, or the paged
+// layout. Queries evaluate on the published epoch's snapshot of it.
 func (s *Server) Accessor() storage.Accessor { return s.acc }
 
 // Evaluate processes one obfuscated path query and returns all candidate
@@ -459,13 +460,10 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		faultsBefore = s.pool.Stats().Faults
 	}
 	start := time.Now()
+	st, err := s.state(q.Profile)
 	var res search.Table
-	var ident replyIdentity
-	var err error
-	if q.Profile != "" {
-		res, ident, err = s.evaluateProfile(q)
-	} else {
-		res, ident, err = s.evaluateLive(q)
+	if err == nil {
+		res, err = s.route(st, q).EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 	}
 	if err != nil {
 		s.mFailed.Add(1)
@@ -478,8 +476,8 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 	reply := protocol.ServerReply{
 		QueryID:      id,
 		SettledNodes: res.Stats.SettledNodes,
-		Generation:   ident.generation,
-		ContentSum:   ident.contentSum,
+		Generation:   st.ident.generation,
+		ContentSum:   st.ident.contentSum,
 		Profile:      q.Profile,
 		Degraded:     q.DistanceOnly,
 	}
@@ -513,114 +511,29 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 	return reply, nil
 }
 
-// replyIdentity is the metric identity stamped on one reply: the data
-// generation the query was evaluated under and the weight-content checksum of
-// that snapshot. The zero value means unknown — the fleet router treats it as
-// generation skew and retries rather than merging it.
+// replyIdentity is the metric identity of one epoch, stamped on every reply
+// evaluated on it: the data generation of the epoch's snapshot and that
+// snapshot's weight-content checksum. A zero ContentSum on a reply means
+// unknown — the fleet router treats it as generation skew and retries rather
+// than merging it.
 type replyIdentity struct {
 	generation uint64
 	contentSum uint64
 }
 
-// liveIdentity returns the (generation, content checksum) pair of the metric
-// live queries are admitted under right now. Mutable deployments read one
-// pinned snapshot so the pair is consistent; immutable deployments report
-// their constant identity.
-func (s *Server) liveIdentity() (uint64, uint64) {
-	if s.mutable == nil {
-		return storage.GenerationOf(s.acc), ch.GraphChecksum(s.graph)
+// state returns the epoch a query evaluates on: the live one, or the named
+// profile's precustomized one. A profile epoch's identity is stable — its
+// accessor is immutable (generation 0) and its content checksum is the
+// profile graph's — so a fleet router can verify every shard answered from
+// the same precustomized metric.
+func (s *Server) state(profile string) (*evalState, error) {
+	if profile == "" {
+		return s.live.Load(), nil
 	}
-	snap := s.mutable.Snapshot()
-	return storage.GenerationOf(snap), ch.GraphChecksum(snap.Graph())
-}
-
-// evaluateProfile answers one profile query from its precustomized state. The
-// identity is trivially stable: profile accessors are immutable (generation
-// 0) and the content checksum is the profile graph's — so a fleet router can
-// verify every shard answered from the same precustomized metric. A profile
-// state never goes stale: its engines are bound to its accessor's constant
-// generation.
-func (s *Server) evaluateProfile(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
 	if s.profiles == nil {
-		return search.Table{}, replyIdentity{}, fmt.Errorf("query requests weight profile %q but the server has no profiles configured", q.Profile)
+		return nil, fmt.Errorf("query requests weight profile %q but the server has no profiles configured", profile)
 	}
-	st, err := s.profiles.state(q.Profile)
-	if err != nil {
-		return search.Table{}, replyIdentity{}, err
-	}
-	proc, _ := s.route(st, q)
-	res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
-	return res, replyIdentity{contentSum: st.acc.Graph().ContentChecksum()}, err
-}
-
-// identityRetries bounds how many times evaluateLive discards an evaluation
-// whose metric identity moved underneath it before stamping the reply
-// unknown.
-const identityRetries = 3
-
-// evaluateLive answers one live-metric query and pins the identity of the
-// metric that actually answered it. The identity is read before routing and
-// re-read after evaluating: if the generation moved in between, a weight
-// update raced the evaluation and the reply cannot honestly claim either
-// identity — the evaluation is discarded (its route counter reversed) and
-// retried. Under sustained churn the retry budget can exhaust; the reply is
-// then stamped unknown (zero identity), which the fleet router refuses to
-// merge — a shard under churn degrades to retries, never to a mixed-metric
-// answer.
-//
-// Before routing onto the overlay, its content checksum and the engines'
-// bound generation are compared against the current graph's (O(1): all sides
-// are cached or atomic). A stale overlay state — a live weight update moved
-// the graph past it — sends the query to the SSMD fallback instead of
-// serving distances from the dead metric (see staleFallback).
-func (s *Server) evaluateLive(q protocol.ServerQuery) (search.Table, replyIdentity, error) {
-	for attempt := 0; ; attempt++ {
-		gen1, sum1 := s.liveIdentity()
-		st := s.live.Load()
-		var proc *search.Processor
-		var routed *metrics.Counter
-		if st.overlay != nil && (s.overlayStale(st) || s.engineStale(st)) {
-			proc, routed = s.staleFallback(st)
-		} else {
-			proc, routed = s.route(st, q)
-		}
-		res, err := proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
-		if errors.Is(err, search.ErrStaleEngine) {
-			// A weight update landed between routing and the engine's own
-			// verification. The overlay answer was refused, nothing stale was
-			// served; re-evaluate on the always-current SSMD processor. The
-			// overlay route counter bumped at routing time is reversed so the
-			// ch/mtm/fallback counters keep summing to the queries actually
-			// served by each route.
-			routed.Add(-1)
-			proc, routed = s.staleFallback(st)
-			res, err = proc.EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
-		}
-		if err != nil {
-			return res, replyIdentity{}, err
-		}
-		gen2, _ := s.liveIdentity()
-		if gen1 == gen2 {
-			// No update landed while evaluating: the evaluation pinned a
-			// snapshot from this very window, so (gen1, sum1) is its identity.
-			return res, replyIdentity{generation: gen1, contentSum: sum1}, nil
-		}
-		if attempt >= identityRetries {
-			return res, replyIdentity{}, nil // unknown — router-side skew
-		}
-		routed.Add(-1) // discard: keep route counters = queries served
-	}
-}
-
-// staleFallback diverts one live query off st's stale overlay onto its
-// always-current SSMD processor: it counts the query in
-// overlay_stale_queries and fallback_queries and kicks the background
-// refresh that swaps a fresh state in.
-func (s *Server) staleFallback(st *evalState) (*search.Processor, *metrics.Counter) {
-	s.mStaleQueries.Add(1)
-	s.mFallback.Add(1)
-	s.kickRecustomize()
-	return st.flat, s.mFallback
+	return s.profiles.state(profile)
 }
 
 // route picks the processor of st that answers q and bumps that route's
@@ -629,47 +542,30 @@ func (s *Server) staleFallback(st *evalState) (*search.Processor, *metrics.Count
 // DefaultCHMaxPairs, inclusive) that per-pair bidirectional searches prune
 // hardest (ch_queries), and the many-to-many bucket engine for strictly
 // wider tables (mtm_queries). Live and profile queries both route here, so
-// the three counters together count every query served. The second return is
-// the counter bumped, which evaluateLive reverses when it abandons an
-// evaluation.
-func (s *Server) route(st *evalState, q protocol.ServerQuery) (*search.Processor, *metrics.Counter) {
-	proc, routed := st.flat, s.mFallback
-	if st.overlay != nil {
-		if len(q.Sources)*len(q.Dests) <= DefaultCHMaxPairs {
-			proc, routed = st.point, s.mCHQueries
-		} else {
-			proc, routed = st.table, s.mMTMQueries
-		}
+// the three counters together count every query served.
+func (s *Server) route(st *evalState, q protocol.ServerQuery) *search.Processor {
+	switch {
+	case st.overlay == nil:
+		s.mFallback.Add(1)
+		return st.flat
+	case len(q.Sources)*len(q.Dests) <= DefaultCHMaxPairs:
+		s.mCHQueries.Add(1)
+		return st.point
+	default:
+		s.mMTMQueries.Add(1)
+		return st.table
 	}
-	routed.Add(1)
-	return proc, routed
 }
 
-// overlayStale reports whether st's overlay content no longer matches the
-// current graph. Only asked of a state with an overlay, whose server is
-// in-memory and therefore mutable.
-func (s *Server) overlayStale(st *evalState) bool {
-	return st.overlay.Checksum() != ch.GraphChecksum(storage.SnapshotOf(s.mutable).Graph())
-}
-
-// engineStale reports whether st's engines are bound to a generation behind
-// the accessor's current one. This can lag even when the content checksum
-// matches (an update that did not change any cost still bumps the
-// generation); the processors' search.Generational check would refuse such
-// engines, so routing treats it as staleness and the refresh rebinds them.
-func (s *Server) engineStale(st *evalState) bool {
-	return st.engine.Generation() != storage.GenerationOf(s.mutable)
-}
-
-// Overlay returns the currently installed contraction-hierarchy overlay
-// (after a weight update and re-customization, the freshly customized one),
-// or nil when the server runs without an overlay.
+// Overlay returns the published epoch's contraction-hierarchy overlay (after
+// a weight update, the one re-customized for it), or nil when the server runs
+// without an overlay.
 func (s *Server) Overlay() *ch.Overlay { return s.live.Load().overlay }
 
 // MTMStats returns the many-to-many bucket engine's counters (tables
 // evaluated, bucket entries deposited/scanned, arena high-water mark), or
 // zeroes when the server has no overlay installed. The counters reset when a
-// re-customization swaps the engine.
+// publication swaps the engine.
 func (s *Server) MTMStats() ch.MTMStats {
 	if st := s.live.Load(); st.overlay != nil {
 		return st.mtm.Stats()
@@ -737,15 +633,18 @@ func (s *Server) publishDerivedMetrics() {
 		s.metrics.SetGauge("tree_cache_evictions", float64(st.Evictions))
 		s.metrics.SetGauge("tree_cache_invalidations", float64(st.Invalidations))
 	}
-	if st := s.live.Load(); st.overlay != nil {
+	st := s.live.Load()
+	if st.overlay != nil {
 		mt := st.mtm.Stats()
 		s.metrics.SetGauge("mtm_tables", float64(mt.Tables))
 		s.metrics.SetGauge("mtm_bucket_entries", float64(mt.BucketEntries))
 		s.metrics.SetGauge("mtm_bucket_entries_scanned", float64(mt.BucketEntriesScanned))
 		s.metrics.SetGauge("mtm_arena_high_water", float64(mt.ArenaHighWater))
-		s.metrics.SetGauge("overlay_generation", float64(st.engine.Generation()))
 		s.metrics.SetGauge("partition_cells", float64(st.overlay.PartitionCells()))
 	}
+	// graph_generation − overlay_generation is the visibility lag, in
+	// generations: updates applied but not yet published.
+	s.metrics.SetGauge("overlay_generation", float64(st.ident.generation))
 	s.metrics.SetGauge("graph_generation", float64(storage.GenerationOf(s.acc)))
 	s.metrics.SetGauge("recustomize_pending_cells", float64(s.pendingCellCount()))
 	if in := s.ingest.Load(); in != nil {
@@ -772,13 +671,13 @@ func (s *Server) Metrics() *metrics.Registry {
 	return s.metrics
 }
 
-// applyWeightUpdate answers a wire WeightUpdate: apply the changes, kick the
-// background re-customization, and acknowledge with the server's post-apply
-// metric identity.
+// applyWeightUpdate answers a wire WeightUpdate: apply and publish the
+// changes, then acknowledge with the identity of the published epoch — the
+// ack means the update is visible.
 func (s *Server) applyWeightUpdate(m protocol.WeightUpdate) (protocol.WeightUpdateAck, error) {
 	if _, err := s.UpdateWeights(m.Changes); err != nil {
 		return protocol.WeightUpdateAck{}, err
 	}
-	gen, sum := s.liveIdentity()
-	return protocol.WeightUpdateAck{UpdateID: m.UpdateID, Generation: gen, ContentSum: sum}, nil
+	id := s.live.Load().ident
+	return protocol.WeightUpdateAck{UpdateID: m.UpdateID, Generation: id.generation, ContentSum: id.contentSum}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"opaque/internal/ch"
 	"opaque/internal/protocol"
@@ -75,71 +74,69 @@ func checkReplyMatchesGraph(t *testing.T, g *roadnet.Graph, reply protocol.Serve
 	}
 }
 
-// TestHybridFallsBackOnStaleOverlay is the staleness regression test: a
-// hybrid server whose overlay no longer checksum-matches the graph (weight
-// mutated, overlay not yet refreshed) must serve current-graph distances via
-// the SSMD fallback — never stale overlay distances. Pinned with a
-// witness-pruned overlay, which can never be re-customized, so the overlay
-// stays permanently stale and every post-update query must take the
-// fallback.
-func TestHybridFallsBackOnStaleOverlay(t *testing.T) {
-	g := updateTestGraph(t, 60, 501)
-	witness, err := ch.Build(g) // deliberately not customizable
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestApplyWeightsServesPreviousEpochUntilPublished pins the epoch contract
+// on a hybrid server: ApplyWeights moves the graph but publishes nothing, so a
+// point query and a wide query keep routing onto the overlay — never the SSMD
+// fallback — and answer exactly on the previous snapshot, stamped with its
+// ContentSum. RecustomizeNow publishes the new epoch and both follow it.
+func TestApplyWeightsServesPreviousEpochUntilPublished(t *testing.T) {
+	g := updateTestGraph(t, 70, 510)
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyHybrid
-	cfg.CHOverlay = witness
+	cfg.BuildCH = true
 	s := MustNew(g, cfg)
-
-	q := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}}
-	reply, err := s.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
+	// Make the first arc of node 0 far cheaper than any integer cost, so the
+	// queried pair (0, to) changes distance with the update.
+	to := g.Arcs(0)[0].To
+	if to == 0 {
+		t.Fatal("test setup: node 0's first arc is a self-loop")
 	}
-	checkReplyMatchesGraph(t, s.Graph(), reply)
-	if got := s.Metrics().Counter("ch_queries"); got != 1 {
-		t.Fatalf("pre-update hybrid query should route to CH, ch_queries = %d", got)
-	}
+	point := protocol.ServerQuery{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{to, 9}}
+	wide := protocol.ServerQuery{Sources: []roadnet.NodeID{0, 2, 7}, Dests: []roadnet.NodeID{to, 9}}
 
-	if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
+	if _, err := s.ApplyWeights([]roadnet.ArcWeightChange{{From: 0, To: to, NewCost: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
 	cur := s.Graph()
-	if cur == g {
-		t.Fatal("UpdateWeights did not swap the served graph")
+	if referenceDistance(t, g, 0, to) == referenceDistance(t, cur, 0, to) {
+		t.Fatal("test setup: the update does not move the queried distance")
 	}
-	// Re-query: every candidate must reflect the *current* graph.
-	reply, err = s.Evaluate(q)
-	if err != nil {
+	if s.OverlayFresh() {
+		t.Fatal("ApplyWeights published the epoch")
+	}
+	check := func(want *roadnet.Graph, wantCH, wantMTM int64) {
+		t.Helper()
+		for _, q := range []protocol.ServerQuery{point, wide} {
+			reply, err := s.Evaluate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.ContentSum != want.ContentChecksum() {
+				t.Fatalf("reply ContentSum %x, want %x", reply.ContentSum, want.ContentChecksum())
+			}
+			checkReplyMatchesGraph(t, want, reply)
+		}
+		m := s.Metrics()
+		if got := m.Counter("fallback_queries"); got != 0 {
+			t.Fatalf("fallback_queries = %d, want 0", got)
+		}
+		if gotCH, gotMTM := m.Counter("ch_queries"), m.Counter("mtm_queries"); gotCH != wantCH || gotMTM != wantMTM {
+			t.Fatalf("ch_queries = %d, mtm_queries = %d, want %d and %d", gotCH, gotMTM, wantCH, wantMTM)
+		}
+	}
+	check(g, 1, 1)
+	if err := s.RecustomizeNow(); err != nil {
 		t.Fatal(err)
 	}
-	checkReplyMatchesGraph(t, cur, reply)
-	wide := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2, 4}, Dests: []roadnet.NodeID{3, 5, 6}}
-	wreply, err := s.Evaluate(wide)
-	if err != nil {
-		t.Fatal(err)
+	if !s.OverlayFresh() {
+		t.Fatal("RecustomizeNow did not publish the applied generation")
 	}
-	checkReplyMatchesGraph(t, cur, wreply)
-
-	m := s.Metrics()
-	if got := m.Counter("overlay_stale_queries"); got < 2 {
-		t.Fatalf("overlay_stale_queries = %d, want >= 2", got)
-	}
-	if got := m.Counter("ch_queries"); got != 1 {
-		t.Fatalf("post-update queries still routed to the stale overlay (ch_queries = %d)", got)
-	}
-	// The witness overlay can never be refreshed; RecustomizeNow must say so.
-	if err := s.RecustomizeNow(); err == nil {
-		t.Fatal("RecustomizeNow on a witness-pruned overlay should report the permanent fallback")
-	}
+	check(cur, 2, 2)
 }
 
-// TestUpdateRecustomizeRestoresOverlay: with a customizable overlay, a
-// weight update diverts overlay traffic to the fallback only until
-// re-customization swaps the fresh overlay in; afterwards both overlay routes
-// (pairwise CH and many-to-many) resume and serve current-graph distances.
+// TestUpdateRecustomizeRestoresOverlay: with a customizable overlay, every
+// weight update publishes a re-customized overlay, and both overlay routes
+// (pairwise CH and many-to-many) serve current-graph distances on it.
 func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 	g := updateTestGraph(t, 70, 502)
 	cfg := DefaultConfig()
@@ -200,50 +197,6 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 	}
 }
 
-// TestUpdateDuringRefreshWindDownIsNotLost pins the lost-kick race: an
-// update that lands after the background refresh's last freshness check but
-// before its in-flight flag clears finds the flag still set, so its own kick
-// is dropped. With no query traffic to issue another, the refresh goroutine
-// itself must notice on its way out, or the overlay stays stale for good.
-// The update is applied from the hook that runs in exactly that window, and
-// not one query is sent.
-func TestUpdateDuringRefreshWindDownIsNotLost(t *testing.T) {
-	g := updateTestGraph(t, 70, 504)
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyHybrid
-	cfg.BuildCH = true
-	s := MustNew(g, cfg)
-
-	first := doubleOneArc(t, g)
-	second := first
-	second.NewCost++
-	var once sync.Once
-	hooked := make(chan error, 1)
-	s.afterRecustomize = func() {
-		once.Do(func() {
-			_, err := s.UpdateWeights([]roadnet.ArcWeightChange{second})
-			hooked <- err
-		})
-	}
-	if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{first}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-hooked; err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); !s.OverlayFresh(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("overlay still stale: the update that landed while the refresh wound down was never picked up")
-		}
-	}
-	if err := s.Overlay().Matches(s.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Metrics().Counter("queries_processed"); got != 0 {
-		t.Fatalf("%d queries were sent; the refresh must not depend on any", got)
-	}
-}
-
 // TestLoadedOverlayFirstRefreshIsArcLevel: an overlay installed from its
 // OCH1 file carries no base costs, but server.New matches it against the
 // graph, which records them — so the first weight update already re-derives
@@ -294,8 +247,8 @@ func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
 // TestNoOpUpdateRebindsEngines: an update that bumps the generation without
 // changing any cost (a no-op change, or a revert restoring the exact old
 // weights) must not strand the overlay behind the generation check — the
-// refresh rebinds both engines instead of re-customizing, and pairwise CH
-// and many-to-many routing resume.
+// publication reuses the overlay with engines bound to the new generation
+// instead of re-customizing, and pairwise CH and many-to-many routing resume.
 func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	g := updateTestGraph(t, 50, 509)
 	cfg := DefaultConfig()
@@ -345,9 +298,9 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	}
 }
 
-// TestUpdateWeightsRejected pins the refusal paths: paged deployments
-// cannot absorb live updates, and invalid changes do not move the
-// generation.
+// TestUpdateWeightsRejected pins the refusal paths: paged deployments and
+// witness-pruned overlays cannot absorb live updates, and invalid changes do
+// not move the generation.
 func TestUpdateWeightsRejected(t *testing.T) {
 	g := updateTestGraph(t, 40, 504)
 
@@ -356,6 +309,44 @@ func TestUpdateWeightsRejected(t *testing.T) {
 	paged := MustNew(g, pagedCfg)
 	if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
 		t.Fatal("paged server accepted a live weight update")
+	}
+
+	// A witness-pruned overlay can never be re-customized: its server refuses
+	// updates, applied or published, and keeps its generation and answers.
+	witness, err := ch.Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prunedCfg := DefaultConfig()
+	prunedCfg.Strategy = StrategyHybrid
+	prunedCfg.CHOverlay = witness
+	pruned := MustNew(g, prunedCfg)
+	q := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}}
+	before, err := pruned.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, update := range map[string]func([]roadnet.ArcWeightChange) (uint64, error){
+		"UpdateWeights": pruned.UpdateWeights,
+		"ApplyWeights":  pruned.ApplyWeights,
+	} {
+		if _, err := update([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
+			t.Fatalf("%s accepted a weight update over a witness-pruned overlay", name)
+		}
+	}
+	if gen := storage.GenerationOf(pruned.Accessor()); gen != 0 || pruned.Graph() != g {
+		t.Fatalf("refused update moved the witness-pruned server to generation %d", gen)
+	}
+	after, err := pruned.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Generation != before.Generation || after.ContentSum != before.ContentSum {
+		t.Fatalf("identity moved from (%d, %x) to (%d, %x)", before.Generation, before.ContentSum, after.Generation, after.ContentSum)
+	}
+	checkReplyMatchesGraph(t, g, after)
+	if got := pruned.Metrics().Counter("ch_queries"); got != 2 {
+		t.Fatalf("ch_queries = %d, want both queries on the overlay", got)
 	}
 
 	s := MustNew(g, DefaultConfig())
@@ -369,10 +360,9 @@ func TestUpdateWeightsRejected(t *testing.T) {
 
 // TestConcurrentUpdatesAndBatches is the -race consistency test: batches
 // evaluate while weight updates land concurrently, and every returned table
-// must be internally consistent — all cells from one generation's graph,
-// all-old or all-new, never mixed. With updates flipping a single arc
-// between two costs, every consistent table matches exactly one of the two
-// reference tables computed up front.
+// must be exact on the graph its reply's ContentSum names — one epoch, never
+// a mix. With updates flipping a single arc between two costs, that is one of
+// the two reference tables computed up front.
 func TestConcurrentUpdatesAndBatches(t *testing.T) {
 	g := updateTestGraph(t, 50, 505)
 	cfg := DefaultConfig()
@@ -414,10 +404,15 @@ func TestConcurrentUpdatesAndBatches(t *testing.T) {
 		}
 		queries[i] = q
 	}
-	// Reference tables for both generations, computed before the race.
+	// Reference tables for both graphs, keyed by their content checksums and
+	// computed before the race.
+	if gOld.ContentChecksum() == gNew.ContentChecksum() {
+		t.Fatal("test setup: the two graphs share a content checksum")
+	}
 	type key struct{ s, d roadnet.NodeID }
 	refOld := map[key]float64{}
 	refNew := map[key]float64{}
+	refs := map[uint64]map[key]float64{gOld.ContentChecksum(): refOld, gNew.ContentChecksum(): refNew}
 	for _, q := range queries {
 		for _, src := range q.Sources {
 			for _, dst := range q.Dests {
@@ -457,24 +452,18 @@ func TestConcurrentUpdatesAndBatches(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("round %d query %d: %v", round, i, r.Err)
 			}
-			// Classify each candidate against both references; the whole
-			// table must fit a single generation.
-			okOld, okNew := true, true
+			ref, ok := refs[r.Reply.ContentSum]
+			if !ok {
+				t.Fatalf("round %d query %d: ContentSum %x names neither graph", round, i, r.Reply.ContentSum)
+			}
 			for _, cand := range r.Reply.Paths {
 				got := cand.Cost
 				if len(cand.Nodes) == 0 && cand.Source != cand.Dest {
 					got = math.Inf(1)
 				}
-				k := key{cand.Source, cand.Dest}
-				if got != refOld[k] {
-					okOld = false
+				if want := ref[key{cand.Source, cand.Dest}]; got != want {
+					t.Fatalf("round %d query %d: pair (%d,%d) served %v, the graph its ContentSum names says %v", round, i, cand.Source, cand.Dest, got, want)
 				}
-				if got != refNew[k] {
-					okNew = false
-				}
-			}
-			if !okOld && !okNew {
-				t.Fatalf("round %d query %d: table matches neither the old nor the new generation (mixed-generation evaluation)", round, i)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 // Package traffic implements the streaming ingestion pipeline that sits in
 // front of the server's live weight updates. A real traffic feed emits
 // thousands of per-segment cost events per second; applying each one through
-// Server.UpdateWeights would pay one copy-on-write snapshot swap and kick one
-// overlay re-customization per event, thrashing the overlay and parking most
-// queries on the SSMD fallback. The pipeline turns that stream into a
-// sustainable load in three stages:
+// Server.UpdateWeights would pay one copy-on-write snapshot swap and one
+// overlay re-customization per event, and hold each event until its epoch is
+// published. The pipeline turns that stream into a sustainable load in three
+// stages:
 //
 //  1. Validation at the boundary. Every event is checked before it can touch
 //     any shared state: NaN, infinite, negative and out-of-range costs — and,
@@ -19,16 +19,17 @@
 //     events become one snapshot swap and one incremental re-customization
 //     instead of N, while no event is delayed longer than MaxDelay.
 //  3. Pipelined refresh. Each applied batch signals a dedicated refresh
-//     worker through a capacity-1 channel: while one re-customization runs,
-//     any number of newly applied batches fold into a single pending signal,
-//     and the next run starts from the freshest snapshot (the Refresher
-//     loops internally until the overlay matches it). Back-to-back batches
-//     never queue redundant passes, and the stale-query window stays near
-//     one incremental re-customization latency regardless of arrival rate.
+//     worker through a capacity-1 channel: while one refresh runs, any
+//     number of newly applied batches fold into a single pending signal, and
+//     the next run starts from the freshest snapshot (the Refresher loops
+//     internally until it has published it). Back-to-back batches never
+//     queue redundant passes. Until a batch is published, queries are
+//     answered on the previous one, so the visibility lag stays near one
+//     incremental re-customization latency regardless of arrival rate.
 //
 // The pipeline is deliberately decoupled from the server: it speaks to a
-// Sink (apply a batch, return the new generation) and an optional Refresher
-// (catch the overlay up), which the server implements with ApplyWeights and
+// Sink (apply a batch, return the new generation) and a Refresher (publish
+// what the sink applied), which the server implements with ApplyWeights and
 // RecustomizeNow.
 package traffic
 
@@ -49,10 +50,11 @@ type Sink interface {
 	ApplyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 }
 
-// Refresher catches derived structures (the CH overlay's weight layer) up
-// with the sink's current snapshot. It must be safe to call repeatedly and
+// Refresher makes what the sink applied visible: it catches derived
+// structures (the CH overlay's weight layer) up with the sink's current
+// snapshot and publishes them. It must be safe to call repeatedly and
 // concurrently with applies; the server's RecustomizeNow implements it by
-// looping until the installed overlay matches the freshest snapshot.
+// looping until the published epoch is the freshest snapshot.
 type Refresher interface {
 	RecustomizeNow() error
 }
@@ -170,12 +172,14 @@ type Ingestor struct {
 	lastErr     atomic.Pointer[error]
 }
 
-// NewIngestor starts the pipeline over sink. refresher may be nil for sinks
-// with no derived state to catch up (a plain SSMD server); everything else
-// behaves identically. Close releases the two goroutines this starts.
+// NewIngestor starts the pipeline over sink, published by refresher. Close
+// releases the two goroutines this starts.
 func NewIngestor(sink Sink, refresher Refresher, cfg Config) (*Ingestor, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("traffic: nil sink")
+	}
+	if refresher == nil {
+		return nil, fmt.Errorf("traffic: nil refresher")
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -197,12 +201,9 @@ func NewIngestor(sink Sink, refresher Refresher, cfg Config) (*Ingestor, error) 
 		flushC:    make(chan chan struct{}),
 		refresh:   make(chan struct{}, 1),
 	}
-	in.wg.Add(1)
+	in.wg.Add(2)
 	go in.coalesceLoop()
-	if refresher != nil {
-		in.wg.Add(1)
-		go in.refreshLoop()
-	}
+	go in.refreshLoop()
 	return in, nil
 }
 
@@ -251,8 +252,8 @@ func (in *Ingestor) validate(ev roadnet.ArcWeightChange) error {
 
 // Flush applies every event ingested before the call and returns once the
 // sink has absorbed them. It does not wait for the refresh worker; tests
-// that need a fresh overlay follow with the refresher's own entry point (or
-// Close, which waits for everything).
+// that need the batches published follow with the refresher's own entry
+// point (or Close, which waits for everything).
 func (in *Ingestor) Flush() error {
 	in.closeMu.RLock()
 	if in.closed {
@@ -266,11 +267,10 @@ func (in *Ingestor) Flush() error {
 	return nil
 }
 
-// Close drains and applies all accepted events, runs one final refresh (when
-// a Refresher is configured) and stops both goroutines. After Close returns,
-// the sink has seen every event and the refresher has caught up with the
-// final snapshot. Ingest and Flush return ErrClosed afterwards. Close is
-// idempotent.
+// Close drains and applies all accepted events, runs one final refresh and
+// stops both goroutines. After Close returns, the sink has seen every event
+// and the refresher has caught up with the final snapshot. Ingest and Flush
+// return ErrClosed afterwards. Close is idempotent.
 func (in *Ingestor) Close() error {
 	in.closeMu.Lock()
 	if in.closed {
@@ -306,11 +306,7 @@ func (in *Ingestor) Stats() Stats {
 // delay, explicit Flush, or shutdown.
 func (in *Ingestor) coalesceLoop() {
 	defer in.wg.Done()
-	defer func() {
-		if in.refresher != nil {
-			close(in.refresh)
-		}
-	}()
+	defer close(in.refresh)
 
 	pending := make(map[[2]roadnet.NodeID]float64, in.cfg.MaxBatch)
 	var order [][2]roadnet.NodeID
@@ -364,13 +360,11 @@ func (in *Ingestor) coalesceLoop() {
 		if in.cfg.OnApplied != nil {
 			in.cfg.OnApplied(changes, gen)
 		}
-		if in.refresher != nil {
-			// Capacity-1 signal: batches applied while a refresh runs fold
-			// into one pending run instead of queueing one run each.
-			select {
-			case in.refresh <- struct{}{}:
-			default:
-			}
+		// Capacity-1 signal: batches applied while a refresh runs fold into
+		// one pending run instead of queueing one run each.
+		select {
+		case in.refresh <- struct{}{}:
+		default:
 		}
 	}
 

@@ -89,6 +89,11 @@ func (r *countingRefresher) RecustomizeNow() error {
 	return nil
 }
 
+// noopRefresher publishes nothing: graphSink has no derived state.
+type noopRefresher struct{}
+
+func (noopRefresher) RecustomizeNow() error { return nil }
+
 // anyArc returns one arc of g with a positive cost.
 func anyArc(t *testing.T, g *roadnet.Graph) roadnet.ArcWeightChange {
 	t.Helper()
@@ -105,7 +110,10 @@ func anyArc(t *testing.T, g *roadnet.Graph) roadnet.ArcWeightChange {
 func TestIngestBoundaryValidation(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, nil, Config{MaxWeight: 1e6, Topology: g})
+	if _, err := NewIngestor(sink, nil, Config{}); err == nil {
+		t.Fatal("nil refresher accepted")
+	}
+	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxWeight: 1e6, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +153,7 @@ func TestCoalescingLastWriteWins(t *testing.T) {
 	// Huge delay and batch size: only Flush triggers the apply, so all ten
 	// writes to the same arc must coalesce into one change with the last
 	// value.
-	in, err := NewIngestor(sink, nil, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +189,7 @@ func TestCoalescingLastWriteWins(t *testing.T) {
 func TestMaxBatchTrigger(t *testing.T) {
 	g := testGraph(t, 200, 9)
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, nil, Config{MaxBatch: 4, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 4, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +220,7 @@ func TestMaxBatchTrigger(t *testing.T) {
 func TestMaxDelayTrigger(t *testing.T) {
 	g := testGraph(t, 200, 10)
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, nil, Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond, Topology: g})
+	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +355,7 @@ func TestCoalescedEquivalentToSequential(t *testing.T) {
 	}
 
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, nil, Config{MaxBatch: 32, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 32, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
