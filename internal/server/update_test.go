@@ -304,58 +304,64 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 func TestUpdateWeightsRejected(t *testing.T) {
 	g := updateTestGraph(t, 40, 504)
 
-	pagedCfg := DefaultConfig()
-	pagedCfg.Paged = true
-	paged := MustNew(g, pagedCfg)
-	if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-		t.Fatal("paged server accepted a live weight update")
-	}
+	t.Run("paged", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Paged = true
+		paged := MustNew(g, cfg)
+		if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
+			t.Fatal("paged server accepted a live weight update")
+		}
+	})
 
 	// A witness-pruned overlay can never be re-customized: its server refuses
 	// updates, applied or published, and keeps its generation and answers.
-	witness, err := ch.Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prunedCfg := DefaultConfig()
-	prunedCfg.Strategy = StrategyHybrid
-	prunedCfg.CHOverlay = witness
-	pruned := MustNew(g, prunedCfg)
-	q := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}}
-	before, err := pruned.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, update := range map[string]func([]roadnet.ArcWeightChange) (uint64, error){
-		"UpdateWeights": pruned.UpdateWeights,
-		"ApplyWeights":  pruned.ApplyWeights,
-	} {
-		if _, err := update([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-			t.Fatalf("%s accepted a weight update over a witness-pruned overlay", name)
+	t.Run("witness_pruned_hybrid", func(t *testing.T) {
+		witness, err := ch.Build(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if gen := storage.GenerationOf(pruned.Accessor()); gen != 0 || pruned.Graph() != g {
-		t.Fatalf("refused update moved the witness-pruned server to generation %d", gen)
-	}
-	after, err := pruned.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Generation != before.Generation || after.ContentSum != before.ContentSum {
-		t.Fatalf("identity moved from (%d, %x) to (%d, %x)", before.Generation, before.ContentSum, after.Generation, after.ContentSum)
-	}
-	checkReplyMatchesGraph(t, g, after)
-	if got := pruned.Metrics().Counter("ch_queries"); got != 2 {
-		t.Fatalf("ch_queries = %d, want both queries on the overlay", got)
-	}
+		cfg := DefaultConfig()
+		cfg.Strategy = StrategyHybrid
+		cfg.CHOverlay = witness
+		pruned := MustNew(g, cfg)
+		q := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}}
+		before, err := pruned.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, update := range map[string]func([]roadnet.ArcWeightChange) (uint64, error){
+			"UpdateWeights": pruned.UpdateWeights,
+			"ApplyWeights":  pruned.ApplyWeights,
+		} {
+			if _, err := update([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
+				t.Fatalf("%s accepted a weight update over a witness-pruned overlay", name)
+			}
+		}
+		if gen := storage.GenerationOf(pruned.Accessor()); gen != 0 || pruned.Graph() != g {
+			t.Fatalf("refused update moved the witness-pruned server to generation %d", gen)
+		}
+		after, err := pruned.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Generation != before.Generation || after.ContentSum != before.ContentSum {
+			t.Fatalf("identity moved from (%d, %x) to (%d, %x)", before.Generation, before.ContentSum, after.Generation, after.ContentSum)
+		}
+		checkReplyMatchesGraph(t, g, after)
+		if got := pruned.Metrics().Counter("ch_queries"); got != 2 {
+			t.Fatalf("ch_queries = %d, want both queries on the overlay", got)
+		}
+	})
 
-	s := MustNew(g, DefaultConfig())
-	if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{{From: 0, To: 0, NewCost: -1}}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if gen := storage.GenerationOf(s.Accessor()); gen != 0 {
-		t.Fatalf("failed update moved the generation to %d", gen)
-	}
+	t.Run("negative_weight", func(t *testing.T) {
+		s := MustNew(g, DefaultConfig())
+		if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{{From: 0, To: 0, NewCost: -1}}); err == nil {
+			t.Fatal("negative weight accepted")
+		}
+		if gen := storage.GenerationOf(s.Accessor()); gen != 0 {
+			t.Fatalf("failed update moved the generation to %d", gen)
+		}
+	})
 }
 
 // TestConcurrentUpdatesAndBatches is the -race consistency test: batches
