@@ -402,9 +402,10 @@ func BenchmarkWorkspaceReuse(b *testing.B) {
 }
 
 // chBench caches the 50k-node benchmark graph, its uniform workload and the
-// contraction-hierarchy overlay across benchmark invocations: the one-off
-// contraction pass (seconds) must not be charged to — or repeated for — the
-// per-query measurements.
+// unpartitioned contraction-hierarchy overlay — contracted in one flat lazy
+// order — across benchmark invocations: the one-off contraction pass
+// (seconds) must not be charged to — or repeated for — the per-query
+// measurements.
 var chBench struct {
 	once    sync.Once
 	err     error
@@ -434,7 +435,7 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 			chBench.err = err
 			return
 		}
-		overlay, err := ch.Build(g)
+		overlay, err := ch.BuildCustomizable(g)
 		if err != nil {
 			chBench.err = err
 			return
@@ -447,10 +448,10 @@ func chBenchSetup(b *testing.B) (*Graph, []QueryPair, *ch.Overlay) {
 	return chBench.graph, chBench.wl, chBench.overlay
 }
 
-// chBenchCustomizable is the same graph's customizable, partitioned overlay —
-// the kind the server is deployed with, whose searches walk the elimination
-// tree instead of popping a heap. Built on first use, so benchmarks that
-// never read it do not pay its contraction.
+// chBenchCustomizable is the same graph's partitioned overlay — the kind the
+// server is deployed with, contracted cell by cell with the boundary last.
+// Built on first use, so benchmarks that never read it do not pay its
+// contraction.
 var chBenchCustomizable struct {
 	once    sync.Once
 	err     error
@@ -482,12 +483,15 @@ func chBenchCustomizableSetup(b *testing.B) *ch.Overlay {
 //   - dijkstra-distance runs the workspace Dijkstra the server used for
 //     point queries before the overlay existed (0 allocs/op, but its search
 //     ball covers a large share of the map on long trips);
-//   - ch-distance runs the bidirectional upward search on the overlay,
-//     also at 0 allocs/op in steady state;
+//   - ch-distance runs the two elimination-tree upward walks on the
+//     unpartitioned (flat-order) overlay, also at 0 allocs/op in steady
+//     state;
 //   - ch-path additionally unpacks every shortcut into the full node path;
-//   - cch-distance and cch-path are the same queries on the customizable,
-//     partitioned overlay the server is deployed with, where both searches
-//     walk elimination-tree ancestors (distance at 0 allocs/op).
+//   - cch-distance and cch-path are the same queries on the partitioned
+//     overlay the server is deployed with (distance at 0 allocs/op).
+//
+// The ch-* and cch-* rows differ only in the contraction order, so side by
+// side they measure what the partition-aware order costs the queries.
 //
 // Expectation (the PR's acceptance bar): ch-distance exceeds
 // dijkstra-distance throughput by well over 5x at this graph size, with
@@ -537,7 +541,7 @@ func BenchmarkCHQuery(b *testing.B) {
 	b.Run("ch-distance", func(b *testing.B) {
 		eng := ch.NewEngine(overlay, nil)
 		if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
-			b.Fatal(err) // warm the engine's workspace pool
+			b.Fatal(err) // warm the engine's label pool
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -567,15 +571,15 @@ func BenchmarkCHQuery(b *testing.B) {
 //
 //   - hybrid-pr3 is what the pre-MTM hybrid strategy routed a 64×64 table
 //     to: the SSMD processor, one spanning tree per source;
-//   - pairwise-ch runs all 4096 pairs through the bidirectional overlay
-//     engine — the other pre-MTM option;
+//   - pairwise-ch runs all 4096 pairs through the point engine on the
+//     unpartitioned overlay — the other pre-MTM option;
 //   - mtm-table runs the many-to-many bucket engine with per-cell path
-//     recording (what the server's wide hybrid queries use);
+//     recording (what the server's wide hybrid queries use) on the
+//     unpartitioned overlay;
 //   - mtm-distance is the distance-only fast path on a reused output
 //     buffer;
 //   - cch-mtm-table and cch-mtm-distance are the last two on the
-//     customizable, partitioned overlay the server is deployed with, whose
-//     sweeps walk elimination-tree ancestors instead of popping a heap.
+//     partitioned overlay the server is deployed with.
 //
 // Expectation (the PR's acceptance bar): mtm-table beats hybrid-pr3 — and
 // pairwise-ch — by well over 3x, and mtm-distance reports 0 allocs/op in

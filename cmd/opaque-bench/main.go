@@ -13,10 +13,10 @@
 // (E15: bucket-algorithm Q(S,T) tables vs pairwise CH and SSMD across
 // |S|×|T| shapes, the crossover behind the server's hybrid cutover), and
 // the live weight update measurement (E16: copy-on-write apply cost and CH
-// re-customization versus the full-rebuild baselines, per update batch
-// size), the arc-level update measurement (E17: arcs re-derived and
-// milliseconds per update on a partitioned overlay versus the full pass and
-// the witness rebuild, per number of cells the update spreads over), and the
+// re-customization versus a full rebuild, per update batch size), the
+// arc-level update measurement (E17: arcs re-derived and milliseconds per
+// update on a partitioned overlay versus the full pass, per number of cells
+// the update spreads over), and the
 // streaming ingestion measurement (E18: coalesced update batches and
 // pipelined re-customization under concurrent live and profile-layer query load,
 // events/sec versus p99 latency versus the visibility lag), the fleet

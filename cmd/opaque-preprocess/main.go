@@ -5,10 +5,11 @@
 //
 //	opaque-preprocess -network network.txt -out network.och
 //	opaque-preprocess -generate tigerlike -nodes 50000 -out net.och -check 100
-//	opaque-server -network network.txt -strategy ch -ch-overlay network.och
+//	opaque-server -network network.txt -strategy hybrid -ch-overlay network.och
 //
-// The overlay embeds a checksum of the graph it was built from; the server
-// refuses to install it against any other map.
+// The overlay is customizable: a server serving it absorbs live weight
+// updates by re-customization. It embeds a checksum of the graph it was
+// built from; the server refuses to install it against any other map.
 package main
 
 import (
@@ -53,15 +54,13 @@ func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("opaque-preprocess", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		networkFile  = fs.String("network", "", "road network file in roadnet text format")
-		generate     = fs.String("generate", "", "generate a network instead of loading one: grid | geometric | ringradial | tigerlike")
-		nodes        = fs.Int("nodes", 10000, "node count when generating")
-		seed         = fs.Uint64("seed", 42, "generation seed")
-		outFile      = fs.String("out", "", "output overlay file (required)")
-		witnessLimit = fs.Int("witness-limit", 0, "witness search settle budget (0 = default; larger = slower build, fewer redundant shortcuts)")
-		customizable = fs.Bool("customizable", false, "contract metric-independently: the overlay absorbs live weight updates via re-customization (larger file, required for opaque-server deployments that call UpdateWeights)")
-		partition    = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last): the full customization pass then runs one goroutine per cell and weight updates are attributed to cells (0 = flat contraction)")
-		check        = fs.Int("check", 0, "verify this many random queries against Dijkstra after building")
+		networkFile = fs.String("network", "", "road network file in roadnet text format")
+		generate    = fs.String("generate", "", "generate a network instead of loading one: grid | geometric | ringradial | tigerlike")
+		nodes       = fs.Int("nodes", 10000, "node count when generating")
+		seed        = fs.Uint64("seed", 42, "generation seed")
+		outFile     = fs.String("out", "", "output overlay file (required)")
+		partition   = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last): the full customization pass then runs one goroutine per cell and weight updates are attributed to cells (0 = flat contraction)")
+		check       = fs.Int("check", 0, "verify this many random queries against Dijkstra after building")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,32 +79,23 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	fmt.Fprintf(out, "road network: %d nodes, %d arcs\n", g.NumNodes(), g.NumArcs())
 
-	cfg := ch.DefaultBuildConfig()
-	if *witnessLimit > 0 {
-		cfg.WitnessSettleLimit = *witnessLimit
-	}
-	cfg.Customizable = *customizable
+	var part *roadnet.Partition
 	if *partition > 1 {
-		part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: *partition, Seed: int64(*seed)})
+		part, err = roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: *partition, Seed: int64(*seed)})
 		if err != nil {
 			return err
 		}
-		cfg.Partition = part
 		fmt.Fprintf(out, "partitioned into %d cells (%d boundary nodes, %d cut arcs)\n",
 			part.NumCells(), part.NumBoundary(), part.CutArcCount())
 	}
 	start := time.Now()
-	overlay, err := ch.BuildWithConfig(g, cfg)
+	overlay, err := ch.BuildCustomizablePartitioned(g, part)
 	if err != nil {
 		return err
 	}
 	buildTime := time.Since(start)
-	mode := "witness-pruned"
-	if overlay.Customizable() {
-		mode = "customizable (absorbs live weight updates)"
-	}
-	fmt.Fprintf(out, "contracted in %v (%s): %d shortcuts over %d original arcs (%.2fx), max level %d\n",
-		buildTime.Round(time.Millisecond), mode, overlay.NumShortcuts(), overlay.NumOriginalArcs(),
+	fmt.Fprintf(out, "contracted in %v (customizable, absorbs live weight updates): %d shortcuts over %d original arcs (%.2fx), max level %d\n",
+		buildTime.Round(time.Millisecond), overlay.NumShortcuts(), overlay.NumOriginalArcs(),
 		float64(overlay.NumShortcuts())/float64(max(overlay.NumOriginalArcs(), 1)), overlay.MaxLevel())
 
 	if *check > 0 {
@@ -126,7 +116,7 @@ func run(args []string, out, errOut io.Writer) error {
 // verify cross-checks n random point queries between the overlay and plain
 // workspace Dijkstra and reports the observed speedup, then runs a small
 // many-to-many self-check so a shipped overlay is validated for both query
-// modes (the bidirectional point engine and the bucket table engine).
+// modes (the point engine and the bucket table engine).
 func verify(out io.Writer, g *roadnet.Graph, overlay *ch.Overlay, n int, seed uint64) error {
 	acc := storage.NewMemoryGraph(g)
 	eng := ch.NewEngine(overlay, nil)

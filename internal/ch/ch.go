@@ -1,10 +1,11 @@
 // Package ch implements a contraction-hierarchies (CH) overlay for the
 // OPAQUE road network: an offline preprocessing pass that orders the nodes by
 // importance, contracts them in that order while inserting shortcut arcs that
-// preserve all shortest-path distances, and a bidirectional online query that
-// only ever relaxes arcs leading to more important nodes. On road-shaped
-// graphs the upward search spaces are tiny (hundreds of nodes on maps where
-// plain Dijkstra settles tens of thousands), which is what lets the
+// preserve all shortest-path distances under any weight assignment, and an
+// online query whose two upward searches only ever relax arcs leading to
+// more important nodes. On road-shaped graphs the upward search spaces are
+// small (hundreds of nodes on maps where plain Dijkstra settles tens of
+// thousands), which is what lets the
 // directions search server answer point queries orders of magnitude faster
 // than the flat-graph searches in internal/search — the same offline/online
 // trade the OPAQUE paper makes with its CCAM page layout, pushed one level
@@ -12,12 +13,14 @@
 //
 // # The pieces
 //
-//   - Build (build.go) runs the offline pass over a frozen roadnet.Graph:
-//     lazy edge-difference node ordering, witness-search-guarded shortcut
-//     insertion, node levels. The result is an Overlay.
-//   - Overlay (this file) is the immutable preprocessed index: the node
-//     ranks, the upward forward/backward CSR adjacency, and the arc arena
-//     every shortcut can be recursively unpacked through.
+//   - BuildCustomizable and BuildCustomizablePartitioned (build.go) run the
+//     offline pass over a frozen roadnet.Graph: lazy edge-difference node
+//     ordering, one shortcut per in×out neighbour pair of every contracted
+//     node, node levels. The result is an Overlay.
+//   - Overlay (this file) is the preprocessed index: the node ranks, the
+//     upward forward/backward CSR adjacency, the elimination tree of the
+//     contraction order (etree.go), and the arc arena every shortcut can be
+//     recursively unpacked through.
 //   - Engine (query.go) answers point queries on the overlay — 0 allocs/op
 //     for distance queries in steady state, and full path unpacking for
 //     path queries. Engine implements search.PointEngine, which is how the
@@ -27,37 +30,32 @@
 //     entries instead of |S|·|T| point queries, 0 allocs/op for
 //     distance-only tables. MTM implements search.TableEngine, which is
 //     how the server routes wide obfuscated queries to it.
-//   - The upward searches of both engines depend on the overlay kind. On a
-//     customizable overlay (the kind servers are deployed with) every
-//     upward search walks the start node's ancestors in the overlay's
-//     elimination tree (etree.go) in rank order, with no priority queue;
-//     the point query takes the minimum over the two chains' common
-//     ancestors. On a witness-pruned overlay, whose pruned search spaces
-//     are far smaller than its tree's ancestor sets, they are heap-driven
-//     upward Dijkstras on pooled epoch-stamped search.Workspace instances,
-//     and the point query is bidirectional with the CH stopping rule.
-//   - Recustomize (customize.go) is the live-update half: a customizable
-//     overlay (BuildCustomizable) separates the metric-independent
-//     contraction structure from a weight layer that a bottom-up triangle
-//     pass recomputes after arc costs change, and RecustomizeIncremental
-//     re-derives only the arcs an update actually moves — milliseconds, no
-//     re-contraction, same query engines.
+//   - Every upward search of both engines walks the start node's ancestors
+//     in the elimination tree in rank order, with no priority queue; the
+//     point query takes the minimum over the two chains' common ancestors.
+//   - Recustomize (customize.go) is the live-update half: the overlay
+//     separates the metric-independent contraction structure from a weight
+//     layer that a bottom-up triangle pass recomputes after arc costs
+//     change, and RecustomizeIncremental re-derives only the arcs an update
+//     actually moves — milliseconds, no re-contraction, same query engines.
 //   - Write/Read (io.go) persist an Overlay in the versioned, checksummed
 //     binary format documented in docs/FORMATS.md, so deployments build the
 //     hierarchy once (cmd/opaque-preprocess) and serve from it everywhere.
 //
 // # Correctness
 //
-// Contraction preserves shortest-path distances among the not-yet-contracted
-// nodes at every step: before node v is removed, a witness search checks for
-// every in-neighbour x and out-neighbour w whether a path x→…→w avoiding v
-// exists that is no longer than the path x→v→w; when none is found (or the
-// bounded search gives up looking), the shortcut x→w with cost
-// c(x,v)+c(v,w) is inserted. Witness searches are deliberately budgeted —
-// giving up early inserts a redundant (never a wrong) shortcut, trading
-// overlay size for preprocessing time. The query property tests assert CH
-// results equal search.ReferenceDijkstra across random graphs, including
-// after a save/load round-trip.
+// Contracting node v inserts a shortcut x→w for every in-neighbour x and
+// out-neighbour w of v not yet joined by an arc, so the arena holds exactly
+// one arc per such in×out pair, whatever the weights. The customization pass
+// then sets every arc's cost to the minimum of its road cost (for original
+// arcs) and the cost of every lower triangle x→v→w through a node v ranked
+// below both endpoints, taking the two legs of the minimising triangle as
+// its unpack children. Because the structure is closed under these
+// triangles, every shortest path of the current graph is realised by an
+// up-down path over the overlay for any weight assignment on the same
+// topology. The query property tests assert CH results equal
+// search.ReferenceDijkstra across random graphs, including after a save/load
+// round-trip and after weight updates.
 package ch
 
 import (
@@ -86,7 +84,7 @@ type arc struct {
 // backward search). Every arena arc appears in exactly one of the two views.
 //
 // An Overlay is safe for concurrent use — queries only read it; all mutable
-// per-query state lives in search workspaces. It is bound to the graph it
+// per-query state lives in pooled label stores. It is bound to the graph it
 // was built from by node/arc counts and a content checksum (Matches), so a
 // persisted overlay cannot silently be served against the wrong map.
 type Overlay struct {
@@ -114,12 +112,6 @@ type Overlay struct {
 	// a weight update moves checksum but not topoSum, and Recustomize
 	// accepts any graph whose topoSum matches.
 	topoSum uint64
-	// customizable marks overlays whose contraction inserted a shortcut for
-	// every in/out neighbour pair (no witness pruning), making the shortcut
-	// structure metric-independent: after a weight update, Recustomize can
-	// recompute the weight layer bottom-up instead of re-contracting.
-	// Witness-pruned overlays are smaller but bound to one metric forever.
-	customizable bool
 
 	// part is the frozen partition structure of a partition-aware overlay
 	// (nil when unpartitioned): node→cell assignment, boundary set and the
@@ -130,10 +122,9 @@ type Overlay struct {
 	// path (customize.go). Pure topology, so every re-customized generation
 	// shares the one instance through this pointer.
 	upd *updateIndex
-	// etree is the elimination tree of a customizable overlay (etree.go):
-	// each node's parent, -1 at roots; nil on witness-pruned overlays, whose
-	// searches keep the heap. Derived with the CSR views, never persisted,
-	// and shared by every re-customized generation like upd.
+	// etree is the elimination tree of the overlay (etree.go): each node's
+	// parent, -1 at roots. Derived with the CSR views, never persisted, and
+	// shared by every re-customized generation like upd.
 	etree []int32
 	// baseCost[i] is the road-segment cost original arena arc i was last
 	// customized for — the one piece of per-generation state
@@ -185,17 +176,12 @@ func (o *Overlay) Checksum() uint64 { return o.checksum }
 // source graph — the identity of the overlay's frozen half.
 func (o *Overlay) TopologyChecksum() uint64 { return o.topoSum }
 
-// Customizable reports whether the overlay's shortcut structure is
-// metric-independent, i.e. whether Recustomize can refresh its weights after
-// a weight update without re-contracting.
-func (o *Overlay) Customizable() bool { return o.customizable }
-
 // Matches verifies the overlay was built from exactly this graph — node
 // count, arc count and content checksum — and returns a descriptive error
 // when it was not. Servers call this before installing a persisted overlay.
 //
 // A match also proves g's arc costs are the ones the weight layer was derived
-// from, so a customizable overlay that arrived without base costs (Read does
+// from, so an overlay that arrived without base costs (Read does
 // not persist them) records them here, once: its first weight update is then
 // an arc-level one like every later update, not a full pass.
 func (o *Overlay) Matches(g *roadnet.Graph) error {
@@ -208,9 +194,6 @@ func (o *Overlay) Matches(g *roadnet.Graph) error {
 	}
 	if sum := GraphChecksum(g); sum != o.checksum {
 		return fmt.Errorf("ch: overlay checksum %016x does not match graph checksum %016x (same shape, different content)", o.checksum, sum)
-	}
-	if !o.customizable {
-		return nil
 	}
 	o.baseMu.Lock()
 	defer o.baseMu.Unlock()
@@ -290,9 +273,7 @@ func (o *Overlay) buildCSR() {
 		sortSegmentByHead(o.fwdTo, o.fwdCost, o.fwdArc, int(o.fwdOff[v]), int(o.fwdOff[v+1]))
 		sortSegmentByHead(o.bwdTo, o.bwdCost, o.bwdArc, int(o.bwdOff[v]), int(o.bwdOff[v+1]))
 	}
-	if o.customizable {
-		o.etree = eliminationTree(n, o.rank, o.arcs)
-	}
+	o.etree = eliminationTree(n, o.rank, o.arcs)
 }
 
 // sortSegmentByHead insertion-sorts the CSR triple (heads, costs, arcIDs) on

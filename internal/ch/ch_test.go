@@ -17,7 +17,7 @@ import (
 // small integers. Integer costs make every shortest-path distance exactly
 // representable however the additions associate, so CH distances (sums of
 // shortcut costs) must be byte-identical to reference Dijkstra distances.
-func randomIntCostGraph(t *testing.T, n int, extraArcs int, seed int64) *roadnet.Graph {
+func randomIntCostGraph(t testing.TB, n int, extraArcs int, seed int64) *roadnet.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := roadnet.NewGraph(n, 2*n+extraArcs)
@@ -75,14 +75,14 @@ func TestCHMatchesReferenceExact(t *testing.T) {
 		{n: 120, extra: 150, seed: 2},
 		{n: 300, extra: 200, seed: 3},
 		{n: 80, extra: 0, seed: 4},   // tree-ish: unique paths
-		{n: 50, extra: 400, seed: 5}, // dense: many witnesses
+		{n: 50, extra: 400, seed: 5}, // dense: many triangles
 	}
 	for _, tc := range cases {
 		g := randomIntCostGraph(t, tc.n, tc.extra, tc.seed)
 		acc := storage.NewMemoryGraph(g)
-		o, err := Build(g)
+		o, err := BuildCustomizable(g)
 		if err != nil {
-			t.Fatalf("Build(n=%d): %v", tc.n, err)
+			t.Fatalf("BuildCustomizable(n=%d): %v", tc.n, err)
 		}
 		eng := NewEngine(o, nil)
 		rng := rand.New(rand.NewSource(tc.seed * 977))
@@ -136,7 +136,7 @@ func TestCHOnGeneratedRoadNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := storage.NewMemoryGraph(g)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCHOnGeneratedRoadNetwork(t *testing.T) {
 // the original — the save/load half of the acceptance property.
 func TestCHRoundTrip(t *testing.T) {
 	g := randomIntCostGraph(t, 200, 250, 7)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCHRoundTrip(t *testing.T) {
 // future.
 func TestReadRejectsCorruption(t *testing.T) {
 	g := randomIntCostGraph(t, 40, 40, 11)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 		cyc.MustAddEdge(1, 2, 4)
 		cyc.MustAddEdge(2, 0, 5)
 		cyc.Freeze()
-		o, err := Build(cyc)
+		o, err := BuildCustomizable(cyc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestEngineEdgeCases(t *testing.T) {
 	g.MustAddBidirectionalEdge(0, 1, 5) // component {0,1}; {2,3} disconnected
 	g.MustAddBidirectionalEdge(2, 3, 7)
 	g.Freeze()
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestEngineEdgeCases(t *testing.T) {
 func TestEngineThroughProcessor(t *testing.T) {
 	g := randomIntCostGraph(t, 150, 200, 21)
 	acc := storage.NewMemoryGraph(g)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,54 +445,49 @@ func TestEngineThroughProcessor(t *testing.T) {
 }
 
 // TestDistanceQueryAllocFree pins the steady-state allocation contract of
-// point queries: after warmup, distance queries — bidirectional heap search
-// on pooled workspaces (witness-pruned overlay) or tree walks on pooled
-// label stores (customizable overlay) — perform zero heap allocations.
+// point queries: after warmup, distance queries — tree walks on pooled
+// label stores — perform zero heap allocations.
 func TestDistanceQueryAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := randomIntCostGraph(t, 400, 500, 31)
-	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
-		o, err := build(g)
-		if err != nil {
+	o, err := BuildCustomizable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(o, nil)
+	// Warm the pool so the measured runs reuse sized state. Sequential
+	// queries check out and return one label pair each.
+	for i := 0; i < 4; i++ {
+		if _, _, err := eng.Distance(1, 200); err != nil {
 			t.Fatal(err)
 		}
-		pool := search.NewWorkspacePool()
-		eng := NewEngine(o, pool)
-		// Warm the pools so the measured runs reuse sized state. Two
-		// sequential queries suffice: each checks out and returns two
-		// workspaces or one label pair.
-		for i := 0; i < 4; i++ {
-			if _, _, err := eng.Distance(1, 200); err != nil {
-				t.Fatal(err)
-			}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := eng.Distance(1, 200); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := eng.Distance(1, 200); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("distance query (customizable=%v) allocated %v times per run, want 0", o.Customizable(), allocs)
-		}
+	})
+	if allocs > 0 {
+		t.Fatalf("distance query allocated %v times per run, want 0", allocs)
 	}
 }
 
 // TestBuildRejectsBadInput covers the builder's input validation.
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(nil); err == nil {
+	if _, err := BuildCustomizable(nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 	g := roadnet.NewGraph(2, 1)
 	g.AddNode(0, 0)
 	g.AddNode(1, 1)
 	g.MustAddEdge(0, 1, 1)
-	if _, err := Build(g); err == nil {
+	if _, err := BuildCustomizable(g); err == nil {
 		t.Fatal("unfrozen graph accepted")
 	}
 	g.Freeze()
-	if _, err := Build(g); err != nil {
+	if _, err := BuildCustomizable(g); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // This file is the re-customizable weight layer of the overlay — the half a
 // live weight update refreshes. The frozen half (contraction order, shortcut
-// structure, the two upward CSR views) never changes after Build; what a
+// structure, the two upward CSR views) never changes after the build; what a
 // weight update invalidates is arc costs and shortcut unpack provenance, and
 // both follow from one rule of customizable contraction hierarchies:
 //
@@ -27,7 +27,7 @@ import (
 // inserted an arc x→w for every in/out pair), which is exactly the property
 // that makes the rule sufficient for any weight assignment: afterwards every
 // shortest path of the current graph is realised by an up-down path over the
-// overlay, so the bidirectional query and the many-to-many sweeps return
+// overlay, so the point query and the many-to-many sweeps return
 // current-graph distances.
 //
 // The arc whose triangle attains the minimum also takes the two legs as its
@@ -36,7 +36,7 @@ import (
 // detour. Recursion terminates because a child's via node is always ranked
 // below both of its endpoints.
 //
-// Two routines apply the rule. The full pass (Recustomize, and every Build)
+// Two routines apply the rule. The full pass (Recustomize, and every build)
 // pushes it forward: nodes bottom-up, each relaxing the targets of all its
 // triangles — linear in the triangles of the structure, cell-parallel on a
 // partitioned overlay, orders of magnitude faster than a re-contraction
@@ -53,9 +53,6 @@ import (
 //
 // g must be weight-update-compatible with the overlay's source graph: same
 // node count, same arc structure (topology checksum), only costs may differ.
-// The overlay must have been built customizable (BuildCustomizable); a
-// witness-pruned overlay's shortcut set is bound to the metric it was
-// contracted under and cannot be refreshed without a full Build.
 //
 // Recustomize always re-derives every arc; when only a few road costs
 // changed, RecustomizeIncremental re-derives just the arcs they move.
@@ -154,9 +151,6 @@ func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, Recustomiz
 // and the CSR cost arrays ready for (re)customization. The caller records
 // the new base costs.
 func (o *Overlay) recustomizeClone(g *roadnet.Graph) (*Overlay, error) {
-	if !o.customizable {
-		return nil, fmt.Errorf("ch: overlay was built witness-pruned and cannot be re-customized; rebuild with BuildCustomizable to absorb weight updates")
-	}
 	if g == nil {
 		return nil, fmt.Errorf("ch: recustomize against nil graph")
 	}
@@ -182,15 +176,14 @@ func (o *Overlay) recustomizeClone(g *roadnet.Graph) (*Overlay, error) {
 		// The CSR cost copies start as copies, not zeroed arrays: the full
 		// pass overwrites every entry anyway, and the arc-level pass patches
 		// only the entries of re-derived arcs.
-		fwdCost:      append([]float64(nil), o.fwdCost...),
-		bwdCost:      append([]float64(nil), o.bwdCost...),
-		graphArcs:    o.graphArcs,
-		checksum:     GraphChecksum(g),
-		topoSum:      o.topoSum,
-		customizable: true,
-		part:         o.part,
-		upd:          o.upd,
-		etree:        o.etree,
+		fwdCost:   append([]float64(nil), o.fwdCost...),
+		bwdCost:   append([]float64(nil), o.bwdCost...),
+		graphArcs: o.graphArcs,
+		checksum:  GraphChecksum(g),
+		topoSum:   o.topoSum,
+		part:      o.part,
+		upd:       o.upd,
+		etree:     o.etree,
 	}, nil
 }
 
@@ -295,9 +288,9 @@ func (o *Overlay) customizeAll(g *roadnet.Graph) error {
 		o.trianglePass(p.boundaryByRank, nil)
 	}
 
-	// A customizable arena cannot hold an unreachable shortcut: the shortcut
-	// x→w inserted when contracting v coexists with arena arcs x→v and v→w,
-	// so its own triangle always relaxes it to a finite cost.
+	// The arena cannot hold an unreachable shortcut: the shortcut x→w
+	// inserted when contracting v coexists with arena arcs x→v and v→w, so
+	// its own triangle always relaxes it to a finite cost.
 	for i := o.nOriginal; i < len(o.arcs); i++ {
 		if math.IsInf(o.arcs[i].cost, 1) {
 			return fmt.Errorf("ch: customize: shortcut %d (%d→%d) has no supporting triangle", i, o.arcs[i].from, o.arcs[i].to)

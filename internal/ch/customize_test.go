@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"opaque/internal/gen"
@@ -100,7 +99,7 @@ func checkAgainstReference(t *testing.T, acc storage.Accessor, o *Overlay, queri
 
 // TestCustomizableBuildMatchesReference: a customizable overlay (structure
 // from metric-independent contraction, weights from the customization pass)
-// answers exactly like the witness-pruned one — equal to reference Dijkstra.
+// answers exactly like reference Dijkstra and binds to its source graph.
 func TestCustomizableBuildMatchesReference(t *testing.T) {
 	cases := []struct {
 		n, extra int
@@ -116,9 +115,6 @@ func TestCustomizableBuildMatchesReference(t *testing.T) {
 		o, err := BuildCustomizable(g)
 		if err != nil {
 			t.Fatalf("BuildCustomizable(n=%d): %v", tc.n, err)
-		}
-		if !o.Customizable() {
-			t.Fatal("BuildCustomizable produced a non-customizable overlay")
 		}
 		if o.Checksum() != GraphChecksum(g) || o.TopologyChecksum() != g.TopologyChecksum() {
 			t.Fatal("customizable overlay checksums do not bind to the source graph")
@@ -177,9 +173,6 @@ func TestRecustomizeTracksWeightUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: reading recustomized overlay: %v", round, err)
 				}
-				if !loaded.Customizable() {
-					t.Fatal("customizable flag lost in round-trip")
-				}
 				checkAgainstReference(t, storage.NewMemoryGraph(g2), loaded, 30, tc.seed*13)
 				o2 = loaded
 			}
@@ -188,21 +181,10 @@ func TestRecustomizeTracksWeightUpdates(t *testing.T) {
 	}
 }
 
-// TestRecustomizeRejectsMisuse pins the error paths: witness-pruned overlays
-// cannot re-customize, and topology changes are refused.
+// TestRecustomizeRejectsMisuse pins the error paths: a nil graph and
+// topology changes are refused.
 func TestRecustomizeRejectsMisuse(t *testing.T) {
 	g := randomIntCostGraph(t, 40, 60, 31)
-	witness, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if witness.Customizable() {
-		t.Fatal("witness-pruned build claims to be customizable")
-	}
-	if _, err := witness.Recustomize(g); err == nil || !strings.Contains(err.Error(), "witness-pruned") {
-		t.Fatalf("witness overlay Recustomize: got %v, want witness-pruned refusal", err)
-	}
-
 	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)

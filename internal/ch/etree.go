@@ -7,8 +7,8 @@ import (
 	"opaque/internal/search"
 )
 
-// This file holds the elimination tree of a customizable overlay and the
-// ancestor walk that replaces the heap-driven upward Dijkstra on it.
+// This file holds the elimination tree of the overlay and the ancestor walk
+// every upward search runs on it in place of a heap-driven Dijkstra.
 //
 // Customizable contraction fixes the shortcut structure independently of the
 // metric, so the upward search space of a node is bounded by structure alone:
@@ -20,9 +20,6 @@ import (
 // topological order of the upward DAG: each node's label is final when the
 // walk reaches it. No priority queue is needed; the walk relaxes the upward
 // arcs of every ancestor whose label is finite and skips the rest.
-//
-// Witness-pruned overlays keep the heap search: their pruned search spaces
-// are far smaller than their elimination-tree ancestor sets.
 
 // eliminationTree derives the elimination tree of the arena's undirected
 // support under the contraction order with Liu's path-compressed algorithm:

@@ -110,9 +110,8 @@ func isAncestor(o *Overlay, a, v int32) bool {
 // outranks its child, so a walk up the tree is strictly rank-increasing, and
 // the higher endpoint of every upward arc is an ancestor of the lower one, so
 // a walk from a node reaches everything its upward search can label. Islands
-// make a forest. A loaded overlay derives the built one's tree, a
-// re-customized generation shares its source's slice, and witness-pruned
-// overlays have no tree.
+// make a forest. A loaded overlay derives the built one's tree, and a
+// re-customized generation shares its source's slice.
 func TestEliminationTreeInvariant(t *testing.T) {
 	shapes := treeWalkShapes(t)
 	byName := map[string]*Overlay{}
@@ -148,13 +147,6 @@ func TestEliminationTreeInvariant(t *testing.T) {
 	}
 	if &byName["recustomized"].etree[0] != &byName["loaded"].etree[0] {
 		t.Fatal("RecustomizeIncremental copied the elimination tree instead of sharing it")
-	}
-	pruned, err := Build(randomIntCostGraph(t, 60, 60, 910))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.etree != nil {
-		t.Fatal("witness-pruned overlay derived an elimination tree")
 	}
 }
 

@@ -22,11 +22,16 @@ import (
 // assignment); version 2 files — always unpartitioned — still load and
 // behave exactly as before (a v2 overlay simply has no cells to localise
 // re-customization to). Version 2 itself added the topology checksum and
-// the customizable flag (live weight updates), and moved the graph-binding
-// checksum to the incremental roadnet content checksum. Version 1 files
-// bind with the retired checksum algorithm and cannot be verified against a
-// graph any more; they are rejected by version, and re-running
-// cmd/opaque-preprocess regenerates them.
+// the customizable flag, and moved the graph-binding checksum to the
+// incremental roadnet content checksum. Version 1 files bind with the
+// retired checksum algorithm and cannot be verified against a graph any
+// more; they are rejected by version, and re-running cmd/opaque-preprocess
+// regenerates them.
+//
+// Every overlay this package builds is customizable, so Write always sets
+// flagCustomizable and Read refuses a file without it: such a file holds a
+// witness-pruned arena, written by an older build's default, whose shortcut
+// set is valid for one metric only.
 const (
 	// OverlayMagic is the 4-byte magic of persisted CH overlays.
 	OverlayMagic = "OCH1"
@@ -40,6 +45,8 @@ const (
 
 // Flag bits of the flags word.
 const (
+	// flagCustomizable marks an arena with one shortcut per in×out pair of
+	// every contracted node. Required: Read refuses files without it.
 	flagCustomizable = 1 << 0
 	// flagPartitioned marks a version-3 file carrying the partition section:
 	// a cell count and the node→cell assignment after the arena records.
@@ -56,10 +63,7 @@ func Write(o *Overlay, w io.Writer) error {
 	bw.U32(uint32(o.graphArcs))
 	bw.U64(o.checksum)
 	bw.U64(o.topoSum)
-	flags := uint32(0)
-	if o.customizable {
-		flags |= flagCustomizable
-	}
+	flags := uint32(flagCustomizable)
 	if o.part != nil {
 		flags |= flagPartitioned
 	}
@@ -93,10 +97,10 @@ func Write(o *Overlay, w io.Writer) error {
 }
 
 // Read loads an overlay previously persisted with Write, validating the
-// envelope (magic, version, checksum trailer) and every structural
-// invariant: in-range endpoints, ranks forming a permutation, finite
-// non-negative costs, and shortcut children that precede their shortcut in
-// the arena. The upward CSR views are rebuilt from the arena, so the result
+// envelope (magic, version, checksum trailer), the customizable flag and
+// every structural invariant: in-range endpoints, ranks forming a
+// permutation, finite non-negative costs, and unpack children that chain
+// through a via node ranked below both endpoints. The upward CSR views are rebuilt from the arena, so the result
 // is identical to the freshly built overlay. Bind it to a graph with
 // Overlay.Matches before serving queries.
 func Read(r io.Reader) (*Overlay, error) {
@@ -120,6 +124,9 @@ func Read(r io.Reader) (*Overlay, error) {
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("ch: reading overlay counts: %w", err)
 	}
+	if flags&flagCustomizable == 0 {
+		return nil, fmt.Errorf("ch: overlay file is witness-pruned (flag bit 0 clear), which this build cannot serve or re-customize; rebuild it with opaque-preprocess")
+	}
 	if flags&flagPartitioned != 0 && br.Version() < 3 {
 		return nil, fmt.Errorf("ch: version %d overlay claims a partition section, which version 3 introduced", br.Version())
 	}
@@ -134,15 +141,14 @@ func Read(r io.Reader) (*Overlay, error) {
 	// front for data the file never contained.
 	const initialCap = 1 << 16
 	o := &Overlay{
-		n:            n,
-		nOriginal:    nOriginal,
-		rank:         make([]int32, 0, min(n, initialCap)),
-		level:        make([]int32, 0, min(n, initialCap)),
-		arcs:         make([]arc, 0, min(totalArcs, initialCap)),
-		graphArcs:    graphArcs,
-		checksum:     checksum,
-		topoSum:      topoSum,
-		customizable: flags&flagCustomizable != 0,
+		n:         n,
+		nOriginal: nOriginal,
+		rank:      make([]int32, 0, min(n, initialCap)),
+		level:     make([]int32, 0, min(n, initialCap)),
+		arcs:      make([]arc, 0, min(totalArcs, initialCap)),
+		graphArcs: graphArcs,
+		checksum:  checksum,
+		topoSum:   topoSum,
 	}
 	for v := 0; v < n; v++ {
 		rk := br.U32()
@@ -232,11 +238,6 @@ func Read(r io.Reader) (*Overlay, error) {
 				return nil, fmt.Errorf("ch: shortcut arc %d has no unpack children", i)
 			}
 			continue
-		}
-		if i < nOriginal && !o.customizable {
-			// Only customization reroutes original arcs through detours; a
-			// witness-pruned arena keeps originals child-free.
-			return nil, fmt.Errorf("ch: arc %d breaks the originals-then-shortcuts arena layout", i)
 		}
 		if int(a.childA) >= totalArcs || int(a.childB) >= totalArcs {
 			return nil, fmt.Errorf("ch: arc %d has out-of-range unpack children (%d, %d)", i, a.childA, a.childB)

@@ -13,7 +13,7 @@ import (
 
 // This file implements the many-to-many bucket algorithm on the CH overlay —
 // the evaluation engine for *wide* obfuscated queries. Where the pairwise
-// Engine answers Q(S, T) with |S|·|T| bidirectional searches, MTM computes
+// Engine answers Q(S, T) with |S|·|T| point queries, MTM computes
 // the whole |S|×|T| distance table in |S| + |T| upward sweeps:
 //
 //  1. One backward upward search per target t_j deposits a bucket entry
@@ -25,14 +25,11 @@ import (
 //     node u it settles and relaxes table cells:
 //     dist[i][j] = min(dist[i][j], d↑(s_i, u) + d↑(u, t_j)).
 //
-// On a customizable overlay each sweep is an elimination-tree walk over the
-// start node's ancestors (etree.go); on a witness-pruned one it is a heap
-// Dijkstra on a pooled search.Workspace. Both settle exactly the nodes
-// upward-reachable from the start, so the buckets, and the join over them,
-// are the same either way.
+// Each sweep is an elimination-tree walk over the start node's ancestors
+// (etree.go), settling exactly the nodes upward-reachable from the start.
 //
-// Correctness rests on the standard CH theorem the bidirectional query
-// already relies on: for every pair (s, t) some shortest path is an up-down
+// Correctness rests on the standard CH theorem the point query already
+// relies on: for every pair (s, t) some shortest path is an up-down
 // path, its apex is settled by both the forward sweep from s and the
 // backward sweep from t with exact prefix/suffix distances, so the minimum
 // over meeting nodes equals the true distance. Meeting nodes whose upward
@@ -51,9 +48,8 @@ import (
 // downward from this node at cost dist". Entries for one node form a chain
 // through next (-1 terminates) in the state's flat arena. via is the arena
 // arc the backward search relaxed to reach this node (-1 at the target
-// itself, and in distance-only heap sweeps, which skip recording it); it is
-// what lets Table.Path walk the apex→target half of a route without
-// retaining |T| search trees.
+// itself); it is what lets Table.Path walk the apex→target half of a route
+// without retaining |T| search trees.
 type bucketEntry struct {
 	next   int32
 	target int32
@@ -72,10 +68,8 @@ type mtmState struct {
 	head    []int32
 	entries []bucketEntry
 
-	// lab holds the labels of elimination-tree sweeps. Heap sweeps label
-	// their workspace instead but, in path mode, record relaxing arcs in
-	// lab.via as well, so path recording reads the forward tree from one
-	// place.
+	// lab holds the labels of the elimination-tree sweeps; path recording
+	// reads the forward tree's relaxing arcs from lab.via.
 	lab treeLabels
 
 	// Per-row scratch for path-recording sweeps: the bucket entry and
@@ -191,14 +185,12 @@ type MTMStats struct {
 
 // MTM is the many-to-many table engine on an Overlay. It is safe for
 // concurrent use: every evaluation checks a private mtmState out of the
-// package's state pool (and, on a witness-pruned overlay, a search workspace
-// out of the shared WorkspacePool), and the overlay itself is read-only.
+// package's state pool, and the overlay itself is read-only.
 //
 // MTM implements search.TableEngine, which is how the server installs it for
 // the wide half of "hybrid" routing.
 type MTM struct {
-	o    *Overlay
-	pool *search.WorkspacePool
+	o *Overlay
 	// verified memoises the accessor graph proven to match the overlay,
 	// exactly like Engine.verified.
 	verified atomic.Pointer[roadnet.Graph]
@@ -212,16 +204,11 @@ type MTM struct {
 	highWater atomic.Int64
 }
 
-// NewMTM returns a many-to-many engine over o drawing search workspaces from
-// wp. A nil wp gets a private pool; servers pass their own so MTM sweeps,
-// pairwise CH queries and SSMD searches all recycle the same workspaces.
-// Sweeps on a customizable overlay walk its elimination tree and draw no
-// workspace at all.
-func NewMTM(o *Overlay, wp *search.WorkspacePool) *MTM {
-	if wp == nil {
-		wp = search.NewWorkspacePool()
-	}
-	return &MTM{o: o, pool: wp}
+// NewMTM returns a many-to-many engine over o. The second parameter is
+// unused: sweeps walk the elimination tree and draw no search workspace. It
+// goes at the next change to the benchmark harness, which still passes it.
+func NewMTM(o *Overlay, _ *search.WorkspacePool) *MTM {
+	return &MTM{o: o}
 }
 
 // Overlay returns the overlay the engine evaluates on.
@@ -323,20 +310,10 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 	st := mtmStates.Get().(*mtmState)
 	defer mtmStates.Put(st)
 	st.reset(o.n)
-	// A nil workspace selects the elimination-tree sweeps.
-	var w *search.Workspace
-	if o.etree == nil {
-		w = m.pool.Get(o.n)
-		defer w.Release()
-	}
 
 	// Phase 1: one backward upward sweep per target deposits buckets.
 	for j, t := range targets {
-		if w == nil {
-			m.backwardWalk(st, t, int32(j), &stats)
-		} else {
-			m.backwardSweep(st, w, t, int32(j), needPaths, &stats)
-		}
+		m.backwardWalk(st, t, int32(j), &stats)
 	}
 	m.deposited.Add(int64(len(st.entries)))
 	for {
@@ -360,11 +337,7 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 		for j := range row {
 			row[j] = math.Inf(1)
 		}
-		if w == nil {
-			scanned += m.forwardWalk(st, s, row, needPaths, &stats)
-		} else {
-			scanned += m.forwardSweep(st, w, s, row, needPaths, &stats)
-		}
+		scanned += m.forwardWalk(st, s, row, needPaths, &stats)
 		if needPaths {
 			var err error
 			chains.arcs, chains.cellOff, err = m.recordChains(st, s, row, chains.arcs, chains.cellOff)
@@ -378,10 +351,10 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 	return stats, chains, nil
 }
 
-// backwardWalk is the backward sweep from target t on a customizable
-// overlay: an elimination-tree walk over the backward CSR view, then a
-// second pass over t's ancestor chain that deposits a bucket entry at every
-// settled node and returns its label to rest.
+// backwardWalk is the backward sweep from target t: an elimination-tree walk
+// over the backward CSR view, then a second pass over t's ancestor chain
+// that deposits a bucket entry at every settled node and returns its label
+// to rest.
 //
 //opaque:noalloc
 func (m *MTM) backwardWalk(st *mtmState, t roadnet.NodeID, j int32, stats *search.Stats) {
@@ -396,10 +369,10 @@ func (m *MTM) backwardWalk(st *mtmState, t roadnet.NodeID, j int32, stats *searc
 	}
 }
 
-// forwardWalk is the forward sweep from source s on a customizable overlay:
-// an elimination-tree walk over the forward CSR view, then a second pass
-// over s's ancestor chain that scans the bucket of every settled node into
-// the row and returns its label to rest. It returns the number of bucket
+// forwardWalk is the forward sweep from source s: an elimination-tree walk
+// over the forward CSR view, then a second pass over s's ancestor chain that
+// scans the bucket of every settled node into the row and returns its label
+// to rest. It returns the number of bucket
 // entries examined; the relaxing arcs stay in st.lab.via for recordChains.
 //
 //opaque:noalloc
@@ -412,95 +385,6 @@ func (m *MTM) forwardWalk(st *mtmState, s roadnet.NodeID, row []float64, needPat
 		if d := dist[u]; !math.IsInf(d, 1) {
 			scanned += st.scan(roadnet.NodeID(u), d, row, needPaths)
 			dist[u] = math.Inf(1)
-		}
-	}
-	return scanned
-}
-
-// backwardSweep runs the heap-driven upward search from target t over the
-// backward CSR view of a witness-pruned overlay, depositing a bucket entry
-// at every settled node. Relaxing arcs are recorded in path mode only; a
-// distance-only deposit carries via -1.
-//
-//opaque:noalloc
-func (m *MTM) backwardSweep(st *mtmState, w *search.Workspace, t roadnet.NodeID, j int32, needPaths bool, stats *search.Stats) {
-	o := m.o
-	w.Reset(o.n)
-	w.Label(t, 0, roadnet.InvalidNode)
-	st.lab.via[t] = -1
-	h := w.Heap()
-	h.Push(int32(t), 0)
-	stats.QueueOps++
-	for !h.Empty() {
-		if h.Len() > stats.MaxFrontier {
-			stats.MaxFrontier = h.Len()
-		}
-		item := h.Pop()
-		u := roadnet.NodeID(item.Value)
-		if item.Priority > w.DistOf(u) {
-			continue // stale entry
-		}
-		stats.SettledNodes++
-		via := int32(-1)
-		if needPaths {
-			via = st.lab.via[u]
-		}
-		st.deposit(u, j, via, item.Priority)
-		for i := o.bwdOff[u]; i < o.bwdOff[u+1]; i++ {
-			stats.RelaxedArcs++
-			head := o.bwdTo[i]
-			nd := item.Priority + o.bwdCost[i]
-			if nd < w.DistOf(head) {
-				w.Label(head, nd, u)
-				if needPaths {
-					st.lab.via[head] = o.bwdArc[i]
-				}
-				h.Push(int32(head), nd)
-				stats.QueueOps++
-			}
-		}
-	}
-}
-
-// forwardSweep runs the heap-driven upward search from source s over the
-// forward CSR view of a witness-pruned overlay, scanning the bucket of every
-// settled node into the row. It returns the number of bucket entries
-// examined; in path mode the relaxing arcs stay in st.lab.via for
-// recordChains.
-//
-//opaque:noalloc
-func (m *MTM) forwardSweep(st *mtmState, w *search.Workspace, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
-	o := m.o
-	w.Reset(o.n)
-	w.Label(s, 0, roadnet.InvalidNode)
-	st.lab.via[s] = -1
-	h := w.Heap()
-	h.Push(int32(s), 0)
-	stats.QueueOps++
-	scanned := int64(0)
-	for !h.Empty() {
-		if h.Len() > stats.MaxFrontier {
-			stats.MaxFrontier = h.Len()
-		}
-		item := h.Pop()
-		u := roadnet.NodeID(item.Value)
-		if item.Priority > w.DistOf(u) {
-			continue
-		}
-		stats.SettledNodes++
-		scanned += st.scan(u, item.Priority, row, needPaths)
-		for i := o.fwdOff[u]; i < o.fwdOff[u+1]; i++ {
-			stats.RelaxedArcs++
-			head := o.fwdTo[i]
-			nd := item.Priority + o.fwdCost[i]
-			if nd < w.DistOf(head) {
-				w.Label(head, nd, u)
-				if needPaths {
-					st.lab.via[head] = o.fwdArc[i]
-				}
-				h.Push(int32(head), nd)
-				stats.QueueOps++
-			}
 		}
 	}
 	return scanned

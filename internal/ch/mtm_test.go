@@ -108,13 +108,13 @@ func TestMTMMatchesReferenceExact(t *testing.T) {
 		{n: 120, extra: 150, seed: 102},
 		{n: 300, extra: 200, seed: 103},
 		{n: 80, extra: 0, seed: 104},   // tree-ish: unique paths
-		{n: 50, extra: 400, seed: 105}, // dense: many witnesses
+		{n: 50, extra: 400, seed: 105}, // dense: many triangles
 	}
 	for _, tc := range cases {
 		g := randomIntCostGraph(t, tc.n, tc.extra, tc.seed)
-		o, err := Build(g)
+		o, err := BuildCustomizable(g)
 		if err != nil {
-			t.Fatalf("Build(n=%d): %v", tc.n, err)
+			t.Fatalf("BuildCustomizable(n=%d): %v", tc.n, err)
 		}
 		m := NewMTM(o, nil)
 		rng := rand.New(rand.NewSource(tc.seed * 31))
@@ -136,7 +136,7 @@ func TestMTMMatchesReferenceExact(t *testing.T) {
 // pathless) while intra-island cells stay exact.
 func TestMTMDisconnectedPairs(t *testing.T) {
 	g := randomComponentsGraph(t, 3, 40, 50, 201)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMTMDisconnectedPairs(t *testing.T) {
 // went through the OCH1 save/load round trip.
 func TestMTMAfterRoundTrip(t *testing.T) {
 	g := randomIntCostGraph(t, 150, 180, 301)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,21 +173,17 @@ func TestMTMAfterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMTMConcurrentTables runs many tables on shared engines — one over a
-// witness-pruned overlay, one over a customizable one — from concurrent
-// goroutines and asserts each matches its precomputed expectation — the race
-// detector makes this the concurrency-safety proof.
+// TestMTMConcurrentTables runs many tables on one shared engine from
+// concurrent goroutines and asserts each matches its precomputed
+// expectation — the race detector makes this the concurrency-safety proof.
 func TestMTMConcurrentTables(t *testing.T) {
 	g := randomIntCostGraph(t, 200, 250, 401)
 	acc := storage.NewMemoryGraph(g)
-	var engines []*MTM
-	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
-		o, err := build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, NewMTM(o, nil))
+	o, err := BuildCustomizable(g)
+	if err != nil {
+		t.Fatal(err)
 	}
+	m := NewMTM(o, nil)
 
 	type job struct {
 		sources, targets []roadnet.NodeID
@@ -218,7 +214,6 @@ func TestMTMConcurrentTables(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(jobs)*4)
 	for w := 0; w < 4; w++ {
-		m := engines[w%len(engines)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -259,35 +254,32 @@ func TestMTMConcurrentTables(t *testing.T) {
 
 // TestMTMDistancesAllocFree pins the steady-state allocation contract of the
 // distance-only table: with a reused output buffer, evaluations perform zero
-// heap allocations — heap sweeps on a witness-pruned overlay and tree walks
-// on a customizable one alike.
+// heap allocations.
 func TestMTMDistancesAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := randomIntCostGraph(t, 400, 500, 501)
-	for _, build := range []func(*roadnet.Graph) (*Overlay, error){Build, BuildCustomizable} {
-		o, err := build(g)
-		if err != nil {
+	o, err := BuildCustomizable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMTM(o, nil)
+	sources := []roadnet.NodeID{1, 40, 80, 120, 160, 200, 240, 280}
+	targets := []roadnet.NodeID{5, 45, 85, 125, 165, 205, 245, 285}
+	var dst []float64
+	for i := 0; i < 4; i++ { // warm the state pool
+		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
 			t.Fatal(err)
 		}
-		m := NewMTM(o, nil)
-		sources := []roadnet.NodeID{1, 40, 80, 120, 160, 200, 240, 280}
-		targets := []roadnet.NodeID{5, 45, 85, 125, 165, 205, 245, 285}
-		var dst []float64
-		for i := 0; i < 4; i++ { // warm the state and workspace pools
-			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-				t.Fatal(err)
-			}
+	}
+	allocs := testing.AllocsPerRun(30, func() {
+		if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(30, func() {
-			if dst, _, err = m.DistancesInto(dst, sources, targets); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("distance-only table (customizable=%v) allocated %v times per run, want 0", o.Customizable(), allocs)
-		}
+	})
+	if allocs > 0 {
+		t.Fatalf("distance-only table allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -295,7 +287,7 @@ func TestMTMDistancesAllocFree(t *testing.T) {
 // binding rules.
 func TestMTMEdgeCases(t *testing.T) {
 	g := randomIntCostGraph(t, 60, 60, 601)
-	o, err := Build(g)
+	o, err := BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}

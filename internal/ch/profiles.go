@@ -8,9 +8,9 @@ import (
 )
 
 // This file implements multi-layer overlay weight storage keyed by profile
-// name. A customizable overlay separates its frozen half (contraction order,
-// shortcut structure, CSR topology — identical for every metric) from its
-// weight layer (customized costs — one per metric). Recustomize exploits
+// name. An overlay separates its frozen half (contraction order, shortcut
+// structure, CSR topology — identical for every metric) from its weight
+// layer (customized costs — one per metric). Recustomize exploits
 // that split to produce a sibling overlay sharing the frozen half with fresh
 // weights, and a ProfileSet keeps N such siblings hot: one precustomized
 // weight layer per named weight profile (time-of-day multipliers and the
@@ -103,8 +103,7 @@ func (ps *ProfileSet) Layer(name string) (layer *Overlay, graph *roadnet.Graph, 
 // build at startup or accept the latency on first use) and inserts it under
 // name, evicting the least recently used layer beyond capacity. Reinstalling
 // a name replaces its layer. base may be any customized generation of the
-// overlay — the pass reads its topology, not its weights — but must be
-// customizable: witness-pruned shortcuts are valid for one metric only.
+// overlay — the pass reads its topology, not its weights.
 func (ps *ProfileSet) Install(name string, base *Overlay, g *roadnet.Graph) (*Overlay, error) {
 	if name == "" {
 		return nil, fmt.Errorf("ch: profile layer needs a non-empty name")

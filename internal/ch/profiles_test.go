@@ -130,17 +130,6 @@ func TestProfileSetLRUAndStats(t *testing.T) {
 	}
 }
 
-func TestProfileSetRefusesWitnessPrunedBase(t *testing.T) {
-	g := profileSetGraph(t)
-	pruned, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewProfileSet(4).Install("x", pruned, g); err == nil {
-		t.Error("witness-pruned base must be refused; its shortcuts are valid for one metric only")
-	}
-}
-
 func TestProfileSetRejectsForeignTopology(t *testing.T) {
 	g := profileSetGraph(t)
 	base, err := BuildCustomizable(g)

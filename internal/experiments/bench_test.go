@@ -15,11 +15,11 @@ func benchRunner(b *testing.B, r Runner) {
 }
 
 // BenchmarkE16 times the flat live-update pipeline: copy-on-write apply plus
-// full CH re-customization against the rebuild baselines.
+// full CH re-customization against the rebuild baseline.
 func BenchmarkE16(b *testing.B) { benchRunner(b, E16LiveUpdates{}) }
 
 // BenchmarkE17 times the live-update pipeline: arc-level re-customization
-// against the full pass and the witness rebuild.
+// against the full pass.
 func BenchmarkE17(b *testing.B) { benchRunner(b, E17CellUpdates{}) }
 
 // BenchmarkE18 times the streaming ingestion pipeline: coalesced update

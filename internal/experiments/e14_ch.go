@@ -79,7 +79,7 @@ func (E14ContractionHierarchy) Run(scale Scale) ([]*Table, error) {
 		acc := storage.NewMemoryGraph(g)
 
 		buildStart := time.Now()
-		overlay, err := ch.Build(g)
+		overlay, err := ch.BuildCustomizable(g)
 		if err != nil {
 			return nil, err
 		}

@@ -16,9 +16,9 @@ import (
 // re-derives the changed arcs and only the arcs above them that the change
 // actually moves. The experiment sweeps how far an update spreads over the
 // map — one interior arc changed in each of k partition cells — and reports
-// the arcs re-derived and the milliseconds per update beside two baselines on
+// the arcs re-derived and the milliseconds per update beside the baseline on
 // identical changes: the full re-customization (ch.Overlay.Recustomize, E16's
-// refresh) and the witness rebuild (ch.Build, the frozen-graph alternative).
+// refresh).
 //
 // The speedup column is full re-customization against the arc-level update.
 // The acceptance bar is ≥ 5x for a single changed arc on the full-scale
@@ -35,7 +35,7 @@ func (E17CellUpdates) ID() string { return "E17" }
 
 // Description implements Runner.
 func (E17CellUpdates) Description() string {
-	return "Arc-level weight updates: arcs re-derived and ms per update vs full pass vs witness rebuild"
+	return "Arc-level weight updates: arcs re-derived and ms per update vs full pass"
 }
 
 // e17Cells is the partition size E17 contracts with: small enough that every
@@ -57,12 +57,6 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	witnessStart := time.Now()
-	if _, err := ch.Build(g); err != nil {
-		return nil, err
-	}
-	witnessMS := float64(time.Since(witnessStart).Microseconds()) / 1000
 
 	part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: e17Cells, Seed: 1718})
 	if err != nil {
@@ -111,11 +105,11 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 
 	tbl := &Table{
 		ID: "E17",
-		Title: "Arc-level weight updates: arcs re-derived vs full pass vs rebuild (" +
+		Title: "Arc-level weight updates: arcs re-derived vs full pass (" +
 			itoa(nodes) + " nodes, " + itoa(e17Cells) + " cells, " +
 			itoa(overlay.NumOriginalArcs()+overlay.NumShortcuts()) + " arena arcs)",
 		Columns: []string{"changed arcs (one per cell)", "arcs re-derived", "arc-level ms",
-			"full recustomize ms", "rebuild (witness) ms", "speedup vs full recustomize"},
+			"full recustomize ms", "speedup vs full recustomize"},
 	}
 
 	rng := rand.New(rand.NewSource(1719))
@@ -163,7 +157,7 @@ func (E17CellUpdates) Run(scale Scale) ([]*Table, error) {
 		if err := verifyOverlay(fresh, g2, checks, rng); err != nil {
 			return nil, err
 		}
-		tbl.AddRow(k, stats.ArcsRederived, incMS, fullMS, witnessMS, fullMS/incMS)
+		tbl.AddRow(k, stats.ArcsRederived, incMS, fullMS, fullMS/incMS)
 		overlay, g = fresh, g2
 	}
 

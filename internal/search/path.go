@@ -27,9 +27,9 @@
 //
 // Preprocessed point-to-point engines plug into the Q(S, T) processor
 // through the PointEngine interface (StrategyPointEngine); the
-// contraction-hierarchy overlay of internal/ch is the first such engine,
-// and it composes its bidirectional search out of this package's exported
-// Workspace primitives (Heap, DistOf, Label, ParentOf).
+// contraction-hierarchy overlay of internal/ch is the first such engine.
+// Its searches walk the overlay's elimination tree on label stores of their
+// own and draw no Workspace.
 package search
 
 import (
@@ -132,13 +132,14 @@ func reconstruct(parent []roadnet.NodeID, dist []float64, source, dest roadnet.N
 // work.
 type Stats struct {
 	// SettledNodes is the number of nodes whose final shortest distance was
-	// fixed (popped from the priority queue).
+	// fixed (popped from the priority queue, or reached with a finite label
+	// by a CH elimination-tree walk).
 	SettledNodes int
 	// RelaxedArcs is the number of arcs examined.
 	RelaxedArcs int
 	// QueueOps is the number of priority-queue pushes and decrease-keys.
-	// It is 0 for searches that use no queue, such as the elimination-tree
-	// walks on a customizable CH overlay.
+	// It is 0 for searches that use no queue, such as the CH overlay's
+	// elimination-tree walks.
 	QueueOps int
 	// MaxFrontier is the peak size of the priority queue; 0 where QueueOps
 	// is.

@@ -173,40 +173,6 @@ func (w *Workspace) parentOf(v roadnet.NodeID) roadnet.NodeID {
 	return w.parent[v]
 }
 
-// Heap returns the workspace's dense priority queue. It is exposed for
-// algorithms composed outside this package (on a witness-pruned overlay the
-// contraction-hierarchy point query in internal/ch drives two workspaces
-// directly, and each many-to-many sweep one; on a customizable overlay both
-// walk the elimination tree and use no workspace); Reset empties it, so
-// callers that use Reset + Heap + Label + DistOf get the same O(1)
-// preparation cost as the built-in searches. The heap must not be used after
-// the workspace is released to its pool.
-func (w *Workspace) Heap() *pqueue.DenseHeap { return w.heap }
-
-// DistOf returns v's tentative distance this epoch, +Inf when unlabelled.
-// Exported for externally composed algorithms; identical to the check the
-// internal searches perform before relaxing an arc.
-//
-//opaque:noalloc
-func (w *Workspace) DistOf(v roadnet.NodeID) float64 { return w.distOf(v) }
-
-// Label records a tentative distance and parent pointer for v in the current
-// epoch. Exported counterpart of the internal labelling step for externally
-// composed algorithms; it does not touch the heap — callers push v with its
-// priority themselves.
-//
-//opaque:noalloc
-func (w *Workspace) Label(v roadnet.NodeID, d float64, parent roadnet.NodeID) {
-	w.label(v, d, parent)
-}
-
-// ParentOf returns v's parent pointer this epoch, roadnet.InvalidNode when v
-// is unlabelled. Exported so externally composed algorithms can walk the
-// shortest-path tree they built through Label.
-//
-//opaque:noalloc
-func (w *Workspace) ParentOf(v roadnet.NodeID) roadnet.NodeID { return w.parentOf(v) }
-
 // settled reports whether v has been marked settled this epoch.
 //
 //opaque:noalloc

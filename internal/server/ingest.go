@@ -19,15 +19,12 @@ import (
 //
 // cfg.Topology defaults to the server's startup graph, so unknown-arc events
 // are rejected per event at the boundary instead of failing whole batches at
-// apply time. Like UpdateWeights, ingestion requires the in-memory backend
-// and a customizable overlay (or none); the refusals surface here, at
-// construction, rather than as a failed apply per batch.
+// apply time. Like UpdateWeights, ingestion requires the in-memory backend;
+// the refusal surfaces here, at construction, rather than as a failed apply
+// per batch.
 func (s *Server) NewIngestor(cfg traffic.Config) (*traffic.Ingestor, error) {
 	if s.mutable == nil {
 		return nil, fmt.Errorf("server: streaming ingestion requires the in-memory backend (paged deployments serve a frozen page layout)")
-	}
-	if o := s.Overlay(); o != nil && !o.Customizable() {
-		return nil, fmt.Errorf("server: streaming ingestion needs a customizable overlay (this one is witness-pruned and cannot absorb weight updates)")
 	}
 	if cfg.Topology == nil {
 		cfg.Topology = s.graph

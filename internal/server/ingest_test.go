@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
@@ -353,9 +352,8 @@ func TestChurnSoak(t *testing.T) {
 	checkReplyMatchesGraph(t, s.Graph(), reply)
 }
 
-// TestIngestorRefusedConfigurations mirrors the UpdateWeights refusals —
-// paged deployments and witness-pruned overlays — at pipeline-construction
-// time.
+// TestIngestorRefusedConfigurations mirrors the UpdateWeights refusal of
+// paged deployments at pipeline-construction time.
 func TestIngestorRefusedConfigurations(t *testing.T) {
 	g := updateTestGraph(t, 40, 721)
 
@@ -364,17 +362,5 @@ func TestIngestorRefusedConfigurations(t *testing.T) {
 	sp := MustNew(g, paged)
 	if _, err := sp.NewIngestor(traffic.Config{}); err == nil {
 		t.Error("ingestion on a paged server must be refused")
-	}
-
-	witness, err := ch.Build(g) // not customizable
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := DefaultConfig()
-	pruned.Strategy = StrategyHybrid
-	pruned.CHOverlay = witness
-	sw := MustNew(g, pruned)
-	if _, err := sw.NewIngestor(traffic.Config{}); err == nil {
-		t.Error("ingestion over a witness-pruned overlay must be refused")
 	}
 }

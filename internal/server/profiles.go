@@ -66,9 +66,6 @@ func (s *Server) initProfiles() error {
 	}
 	pc := &profileCache{s: s, defs: defs, states: make(map[string]*evalState)}
 	if st := s.live.Load(); st.overlay != nil {
-		if !st.overlay.Customizable() {
-			return fmt.Errorf("server: weight profiles need a customizable overlay to precustomize layers for (this one is witness-pruned)")
-		}
 		capacity := s.cfg.ProfileCapacity
 		if capacity <= 0 {
 			capacity = len(defs)

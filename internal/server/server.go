@@ -110,8 +110,7 @@ type Config struct {
 	// from its precustomized layer with zero customization work on the query
 	// path; live weight updates never touch profile layers (profiles answer
 	// "what does this trip usually cost at 8am" over the reference metric,
-	// not the live one). Requires the in-memory backend; with an overlay,
-	// the overlay must be customizable.
+	// not the live one). Requires the in-memory backend.
 	Profiles []costmodel.WeightProfile
 	// ProfileCapacity bounds how many profile layers stay hot behind the
 	// LRU (0 = all configured profiles). Evicted layers rebuild on demand,
@@ -125,15 +124,13 @@ type Config struct {
 
 // DefaultCHMaxPairs is the hybrid cutover: obfuscated queries of up to this
 // many candidate pairs (|S|·|T| ≤ DefaultCHMaxPairs, inclusive) run
-// pairwise on the CH overlay, whose bidirectional stopping rule prunes each
-// individual search; strictly wider tables go to the many-to-many bucket
-// engine, whose |S|+|T| sweeps amortise across cells. Experiment E15
+// pairwise on the CH overlay; strictly wider tables go to the many-to-many
+// bucket engine, whose |S|+|T| sweeps amortise across cells. Experiment E15
 // measures the crossover on the overlay kind servers are deployed with
-// (customizable, partitioned), where every upward search is an
-// elimination-tree walk: the two engines do the same search work on 1×1
-// (within 0.1 ms of each other in three runs), and MTM is about twice
-// as fast at 1×4 and 2×2 and an order of magnitude faster from 16×16 up
-// (6 000-node map, small scale). The cutover stays at 4 all the same:
+// (partitioned), where every upward search is an elimination-tree walk: the
+// two engines do the same search work on 1×1 (within 0.1 ms of each other in
+// three runs), and MTM is about twice as fast at 1×4 and 2×2 and an order of
+// magnitude faster from 16×16 up (6 000-node map, small scale). The cutover stays at 4 all the same:
 // moving it changes how point-open's small queries are routed, which needs a
 // benchmark claim of its own.
 const DefaultCHMaxPairs = 4
@@ -344,21 +341,15 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	}
 
 	if overlay == nil && cfg.BuildCH {
-		buildCfg := ch.DefaultBuildConfig()
-		// An overlay server is in-memory, hence mutable: it contracts
-		// customizable, so live weight updates are absorbed by
-		// re-customization; a witness-pruned overlay refuses them.
-		// Deployments that never update weights can load a smaller
-		// witness-pruned file instead.
-		buildCfg.Customizable = true
+		var part *roadnet.Partition
 		if cfg.PartitionCells > 1 {
-			part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cfg.PartitionCells})
+			var err error
+			part, err = roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cfg.PartitionCells})
 			if err != nil {
 				return nil, fmt.Errorf("server: partitioning road map: %w", err)
 			}
-			buildCfg.Partition = part
 		}
-		built, err := ch.BuildWithConfig(g, buildCfg)
+		built, err := ch.BuildCustomizablePartitioned(g, part)
 		if err != nil {
 			return nil, fmt.Errorf("server: building CH overlay: %w", err)
 		}
@@ -397,9 +388,9 @@ func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *
 		flat:    newProcessor(search.WithTreeCache(cache)),
 	}
 	if overlay != nil {
-		st.engine = ch.NewEngine(overlay, s.wsPool)
+		st.engine = ch.NewEngine(overlay, nil)
 		st.engine.BindGeneration(gen)
-		st.mtm = ch.NewMTM(overlay, s.wsPool)
+		st.mtm = ch.NewMTM(overlay, nil)
 		st.mtm.BindGeneration(gen)
 		st.point = newProcessor(search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(st.engine))
 		st.table = newProcessor(search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(st.mtm))

@@ -44,7 +44,7 @@ func TestNewValidation(t *testing.T) {
 	// The serving surface is ssmd or hybrid; everything else, and every
 	// overlay setting New would otherwise ignore or cannot serve, is a
 	// typed error at startup rather than a failure on every query.
-	overlay, err := ch.Build(g)
+	overlay, err := ch.BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,7 @@ import (
 // weights. Queries already admitted complete on the epoch they loaded.
 //
 // Updates require the in-memory backend: paged deployments serve a frozen
-// page layout and reject updates. A witness-pruned overlay cannot be
-// re-customized, so a server serving one rejects them too.
+// page layout and reject updates.
 func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	gen, err := s.applyWeights(changes)
 	if err != nil {
@@ -61,9 +60,6 @@ func (s *Server) ApplyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	if s.mutable == nil {
 		return 0, fmt.Errorf("server: live weight updates require the in-memory backend (paged deployments serve a frozen page layout)")
-	}
-	if o := s.live.Load().overlay; o != nil && !o.Customizable() {
-		return 0, fmt.Errorf("server: the overlay is witness-pruned and cannot absorb weight updates (rebuild it customizable)")
 	}
 	gen, err := s.mutable.UpdateWeights(changes)
 	if err != nil {

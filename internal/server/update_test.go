@@ -143,9 +143,6 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 	cfg.Strategy = StrategyHybrid
 	cfg.BuildCH = true
 	s := MustNew(g, cfg)
-	if !s.Overlay().Customizable() {
-		t.Fatal("BuildCH on a mutable deployment should contract customizable")
-	}
 	oldOverlay := s.Overlay()
 	queries := []protocol.ServerQuery{
 		{Sources: []roadnet.NodeID{1, 2, 7}, Dests: []roadnet.NodeID{3, 9}}, // 6 pairs → MTM
@@ -298,9 +295,8 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	}
 }
 
-// TestUpdateWeightsRejected pins the refusal paths: paged deployments and
-// witness-pruned overlays cannot absorb live updates, and invalid changes do
-// not move the generation.
+// TestUpdateWeightsRejected pins the refusal paths: paged deployments cannot
+// absorb live updates, and invalid changes do not move the generation.
 func TestUpdateWeightsRejected(t *testing.T) {
 	g := updateTestGraph(t, 40, 504)
 
@@ -310,46 +306,6 @@ func TestUpdateWeightsRejected(t *testing.T) {
 		paged := MustNew(g, cfg)
 		if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
 			t.Fatal("paged server accepted a live weight update")
-		}
-	})
-
-	// A witness-pruned overlay can never be re-customized: its server refuses
-	// updates, applied or published, and keeps its generation and answers.
-	t.Run("witness_pruned_hybrid", func(t *testing.T) {
-		witness, err := ch.Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Strategy = StrategyHybrid
-		cfg.CHOverlay = witness
-		pruned := MustNew(g, cfg)
-		q := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}}
-		before, err := pruned.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, update := range map[string]func([]roadnet.ArcWeightChange) (uint64, error){
-			"UpdateWeights": pruned.UpdateWeights,
-			"ApplyWeights":  pruned.ApplyWeights,
-		} {
-			if _, err := update([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-				t.Fatalf("%s accepted a weight update over a witness-pruned overlay", name)
-			}
-		}
-		if gen := storage.GenerationOf(pruned.Accessor()); gen != 0 || pruned.Graph() != g {
-			t.Fatalf("refused update moved the witness-pruned server to generation %d", gen)
-		}
-		after, err := pruned.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Generation != before.Generation || after.ContentSum != before.ContentSum {
-			t.Fatalf("identity moved from (%d, %x) to (%d, %x)", before.Generation, before.ContentSum, after.Generation, after.ContentSum)
-		}
-		checkReplyMatchesGraph(t, g, after)
-		if got := pruned.Metrics().Counter("ch_queries"); got != 2 {
-			t.Fatalf("ch_queries = %d, want both queries on the overlay", got)
 		}
 	})
 
@@ -511,7 +467,7 @@ func TestEmptyQueryContract(t *testing.T) {
 	// Processor level: every strategy returns ErrEmptyQuery from both
 	// Evaluate and EvaluateDistances; direct engine surfaces agree.
 	acc := storage.NewMemoryGraph(g)
-	o, err := ch.Build(g)
+	o, err := ch.BuildCustomizable(g)
 	if err != nil {
 		t.Fatal(err)
 	}
