@@ -94,11 +94,13 @@ type Overlay struct {
 	level     []int32
 	arcs      []arc
 
-	// Upward CSR views over the arena. fwd holds, per node u, the arcs
-	// u→w with rank(w) > rank(u); bwd holds, per node u, the arcs x→u with
-	// rank(x) > rank(u), keyed by head x (the node the backward search
-	// steps to). The cost/head copies keep the query's inner loop on two
-	// flat arrays; the arena index is carried for path unpacking.
+	// Upward CSR views over the arena. fwd holds the arcs u→w with
+	// rank(w) > rank(u), bwd the arcs x→u with rank(x) > rank(u), keyed by
+	// head x (the node the backward search steps to); in both, u's segment
+	// sits at rank(u) (see seg), so the top of the hierarchy every walk
+	// shares is one contiguous block. The cost/head copies keep the query's
+	// inner loop on two flat arrays; the arena index is carried for path
+	// unpacking and customization.
 	fwdOff, bwdOff   []int32
 	fwdTo, bwdTo     []roadnet.NodeID
 	fwdCost, bwdCost []float64
@@ -217,9 +219,10 @@ func (o *Overlay) Matches(g *roadnet.Graph) error {
 // O(1), not O(arcs).
 func GraphChecksum(g *roadnet.Graph) uint64 { return g.ContentChecksum() }
 
-// buildCSR derives the two upward CSR views from the arena and the ranks.
-// It is called by the builder and by Read, so the in-memory layout of a
-// loaded overlay is guaranteed identical to a freshly built one.
+// buildCSR derives the two upward CSR views from the arena and the ranks,
+// laying the segments out in ascending rank of their node. It is called by
+// the builder and by Read, so the in-memory layout of a loaded overlay is
+// guaranteed identical to a freshly built one.
 func (o *Overlay) buildCSR() {
 	n := o.n
 	fwdCnt := make([]int32, n+1)
@@ -227,14 +230,14 @@ func (o *Overlay) buildCSR() {
 	for i := range o.arcs {
 		a := &o.arcs[i]
 		if o.rank[a.to] > o.rank[a.from] {
-			fwdCnt[a.from+1]++
+			fwdCnt[o.rank[a.from]+1]++
 		} else {
-			bwdCnt[a.to+1]++
+			bwdCnt[o.rank[a.to]+1]++
 		}
 	}
-	for v := 0; v < n; v++ {
-		fwdCnt[v+1] += fwdCnt[v]
-		bwdCnt[v+1] += bwdCnt[v]
+	for r := 0; r < n; r++ {
+		fwdCnt[r+1] += fwdCnt[r]
+		bwdCnt[r+1] += bwdCnt[r]
 	}
 	o.fwdOff, o.bwdOff = fwdCnt, bwdCnt
 	o.upd = new(updateIndex) // filled from these views on the first weight update
@@ -252,28 +255,38 @@ func (o *Overlay) buildCSR() {
 	for i := range o.arcs {
 		a := &o.arcs[i]
 		if o.rank[a.to] > o.rank[a.from] {
-			j := nextF[a.from]
+			r := o.rank[a.from]
+			j := nextF[r]
 			o.fwdTo[j] = roadnet.NodeID(a.to)
 			o.fwdCost[j] = a.cost
 			o.fwdArc[j] = int32(i)
-			nextF[a.from]++
+			nextF[r]++
 		} else {
-			j := nextB[a.to]
+			r := o.rank[a.to]
+			j := nextB[r]
 			o.bwdTo[j] = roadnet.NodeID(a.from)
 			o.bwdCost[j] = a.cost
 			o.bwdArc[j] = int32(i)
-			nextB[a.to]++
+			nextB[r]++
 		}
 	}
 	// Sort each node's segment by head. Queries scan whole segments, so the
 	// order is semantically free — sorted segments are what lets the
 	// customization pass binary-search "the arc u→w" out of tens of millions
 	// of triangle relaxations instead of scanning adjacency linearly.
-	for v := 0; v < n; v++ {
-		sortSegmentByHead(o.fwdTo, o.fwdCost, o.fwdArc, int(o.fwdOff[v]), int(o.fwdOff[v+1]))
-		sortSegmentByHead(o.bwdTo, o.bwdCost, o.bwdArc, int(o.bwdOff[v]), int(o.bwdOff[v+1]))
+	for r := 0; r < n; r++ {
+		sortSegmentByHead(o.fwdTo, o.fwdCost, o.fwdArc, int(o.fwdOff[r]), int(o.fwdOff[r+1]))
+		sortSegmentByHead(o.bwdTo, o.bwdCost, o.bwdArc, int(o.bwdOff[r]), int(o.bwdOff[r+1]))
 	}
 	o.etree = eliminationTree(n, o.rank, o.arcs)
+}
+
+// seg returns the slot range [lo, hi) of v's segment in the CSR view with
+// offsets off. Offsets are indexed by rank, not node ID; every reader of a
+// node's segment goes through seg.
+func (o *Overlay) seg(off []int32, v int32) (lo, hi int32) {
+	r := o.rank[v]
+	return off[r], off[r+1]
 }
 
 // sortSegmentByHead insertion-sorts the CSR triple (heads, costs, arcIDs) on

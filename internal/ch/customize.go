@@ -311,12 +311,12 @@ func (o *Overlay) customizeAll(g *roadnet.Graph) error {
 // head-sorted (w, arena index) columns of the forward CSR view; upIn returns
 // the upward in-arcs x→v, rank(x) > rank(v), keyed by x, of the backward one.
 func (o *Overlay) upOut(v int32) ([]roadnet.NodeID, []int32) {
-	lo, hi := o.fwdOff[v], o.fwdOff[v+1]
+	lo, hi := o.seg(o.fwdOff, v)
 	return o.fwdTo[lo:hi], o.fwdArc[lo:hi]
 }
 
 func (o *Overlay) upIn(v int32) ([]roadnet.NodeID, []int32) {
-	lo, hi := o.bwdOff[v], o.bwdOff[v+1]
+	lo, hi := o.seg(o.bwdOff, v)
 	return o.bwdTo[lo:hi], o.bwdArc[lo:hi]
 }
 
@@ -536,16 +536,17 @@ type updateIndex struct {
 func (o *Overlay) updateIndex() *updateIndex {
 	x := o.upd
 	x.once.Do(func() {
-		x.outOff, x.outTo, x.outArc = invertCSR(o.bwdOff, o.bwdTo, o.bwdArc)
-		x.inOff, x.inTo, x.inArc = invertCSR(o.fwdOff, o.fwdTo, o.fwdArc)
+		x.outOff, x.outTo, x.outArc = o.invertCSR(o.bwdOff, o.bwdTo, o.bwdArc)
+		x.inOff, x.inTo, x.inArc = o.invertCSR(o.fwdOff, o.fwdTo, o.fwdArc)
 	})
 	return x
 }
 
-// invertCSR regroups a CSR view's (node v, head h, arc) entries by h, keyed
-// by v. Filling in ascending v leaves every segment of the result sorted by
-// key, parallel arcs adjacent — the layout mergeJoin needs.
-func invertCSR(off []int32, to []roadnet.NodeID, arcs []int32) (iOff []int32, iTo []roadnet.NodeID, iArc []int32) {
+// invertCSR regroups an upward CSR view's (node v, head h, arc) entries by
+// h, keyed by v, into a node-indexed CSR. Filling in ascending v leaves every
+// segment of the result sorted by key, parallel arcs adjacent — the layout
+// mergeJoin needs.
+func (o *Overlay) invertCSR(off []int32, to []roadnet.NodeID, arcs []int32) (iOff []int32, iTo []roadnet.NodeID, iArc []int32) {
 	n := len(off) - 1
 	iOff = make([]int32, n+1)
 	for _, h := range to {
@@ -557,8 +558,9 @@ func invertCSR(off []int32, to []roadnet.NodeID, arcs []int32) (iOff []int32, iT
 	iTo = make([]roadnet.NodeID, len(to))
 	iArc = make([]int32, len(to))
 	next := append([]int32(nil), iOff[:n]...)
-	for v := 0; v < n; v++ {
-		for j := off[v]; j < off[v+1]; j++ {
+	for v := int32(0); v < int32(n); v++ {
+		lo, hi := o.seg(off, v)
+		for j := lo; j < hi; j++ {
 			k := next[to[j]]
 			iTo[k], iArc[k] = roadnet.NodeID(v), arcs[j]
 			next[to[j]]++
@@ -632,11 +634,11 @@ func (o *Overlay) rederive(old *Overlay, work *pqueue.IndexedHeap) ([]int32, err
 		// The arc's one CSR cost slot sits in its owner's (short) segment.
 		inLeg := o.rank[a.to] < o.rank[a.from]
 		if inLeg {
-			lo := o.bwdOff[a.to]
-			o.bwdCost[int(lo)+slices.Index(o.bwdArc[lo:o.bwdOff[a.to+1]], ai)] = a.cost
+			lo, hi := o.seg(o.bwdOff, a.to)
+			o.bwdCost[int(lo)+slices.Index(o.bwdArc[lo:hi], ai)] = a.cost
 		} else {
-			lo := o.fwdOff[a.from]
-			o.fwdCost[int(lo)+slices.Index(o.fwdArc[lo:o.fwdOff[a.from+1]], ai)] = a.cost
+			lo, hi := o.seg(o.fwdOff, a.from)
+			o.fwdCost[int(lo)+slices.Index(o.fwdArc[lo:hi], ai)] = a.cost
 		}
 		if a.cost == old.arcs[ai].cost {
 			continue

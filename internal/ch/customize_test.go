@@ -364,20 +364,7 @@ func TestRecustomizeIncrementalMatchesFull(t *testing.T) {
 // costs and double costs on the fed arcs.
 func tigerLikeFeed(tb testing.TB, nodes, cells, arcs int) (*Overlay, [2]*roadnet.Graph) {
 	tb.Helper()
-	cfg := gen.DefaultNetworkConfig()
-	cfg.Kind, cfg.Nodes, cfg.Seed = gen.TigerLike, nodes, 20090329
-	g, err := gen.Generate(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cells})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	o, err := BuildCustomizablePartitioned(g, p)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	g, p, o := tigerLikeOverlay(tb, nodes, cells, 20090329)
 	rng := rand.New(rand.NewSource(7))
 	cell := p.CellNodes(rng.Intn(cells))
 	var high []roadnet.ArcWeightChange
@@ -396,6 +383,29 @@ func tigerLikeFeed(tb testing.TB, nodes, cells, arcs int) (*Overlay, [2]*roadnet
 		tb.Fatal(err)
 	}
 	return o, [2]*roadnet.Graph{hi, g}
+}
+
+// tigerLikeOverlay generates a TigerLike map and builds its overlay, flat
+// when cells is 0 (p is then nil).
+func tigerLikeOverlay(tb testing.TB, nodes, cells int, seed uint64) (*roadnet.Graph, *roadnet.Partition, *Overlay) {
+	tb.Helper()
+	cfg := gen.DefaultNetworkConfig()
+	cfg.Kind, cfg.Nodes, cfg.Seed = gen.TigerLike, nodes, seed
+	g, err := gen.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var p *roadnet.Partition
+	if cells > 0 {
+		if p, err = roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cells}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	o, err := BuildCustomizablePartitioned(g, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, p, o
 }
 
 // TestRecustomizeIncrementalToggleIsSymmetric is the work bound: toggling a

@@ -84,11 +84,12 @@ func eliminationTree(n int, rank []int32, arcs []arc) []int32 {
 }
 
 // treeLabels is the label store of elimination-tree walks: one tentative
-// distance and one relaxing arena arc per node. Between walks every dist
+// distance and one relaxing CSR slot per node. Between walks every dist
 // entry is +Inf — a walk labels only ancestors of its start, and clearChain
 // resets exactly those — so a walk needs no epochs and no per-query O(n)
 // fill. via is never reset: it is read only for nodes the current walk
-// labelled.
+// labelled, and its slot becomes an arena arc through the walked view's
+// fwdArc or bwdArc only where a path needs one.
 type treeLabels struct {
 	dist []float64
 	via  []int32
@@ -105,15 +106,21 @@ func (l *treeLabels) grow(n int) {
 }
 
 // walkUp runs one upward search from start over the CSR view (off, heads,
-// costs, arcIDs) by walking start's elimination-tree ancestors in ascending
-// rank: every ancestor with a finite label is settled and relaxes its upward
-// arcs, recording the relaxing arc in via. The labels stay on l for the
-// caller, which walks the chain again to read them and return them to rest.
+// costs) by walking start's elimination-tree ancestors in ascending rank:
+// every ancestor with a finite label is settled and relaxes its upward arcs,
+// recording the relaxing CSR slot in via (-1 at start). The labels stay on l
+// for the caller, which walks the chain again to read them and return them
+// to rest.
+//
+// Ancestors ascend in rank, and segments are laid out by rank, so a walk
+// streams the views front to back; the inner loop reads two columns over
+// re-sliced segments, which leaves only the label stores bounds-checked.
 //
 //opaque:noalloc
 func (o *Overlay) walkUp(l *treeLabels, start roadnet.NodeID,
-	off []int32, heads []roadnet.NodeID, costs []float64, arcIDs []int32, stats *search.Stats) {
-	dist, via := l.dist, l.via
+	off []int32, heads []roadnet.NodeID, costs []float64, stats *search.Stats) {
+	dist := l.dist
+	via := l.via[:len(dist)] // one length: checking dist[h] covers via[h]
 	dist[start], via[start] = 0, -1
 	for u := int32(start); u >= 0; u = o.etree[u] {
 		du := dist[u]
@@ -121,12 +128,12 @@ func (o *Overlay) walkUp(l *treeLabels, start roadnet.NodeID,
 			continue
 		}
 		stats.SettledNodes++
-		lo, hi := off[u], off[u+1]
+		lo, hi := o.seg(off, u)
 		stats.RelaxedArcs += int(hi - lo)
-		for i := lo; i < hi; i++ {
-			h := heads[i]
-			if nd := du + costs[i]; nd < dist[h] {
-				dist[h], via[h] = nd, arcIDs[i]
+		hs, cs := heads[lo:hi], costs[lo:hi]
+		for i, h := range hs {
+			if nd := du + cs[i]; nd < dist[h] {
+				dist[h], via[h] = nd, lo+int32(i)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ch
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -151,14 +152,15 @@ func TestEliminationTreeInvariant(t *testing.T) {
 }
 
 // upwardReachable returns the nodes an upward search from s can label over
-// one CSR view, by breadth-first search on the upward DAG.
-func upwardReachable(off []int32, heads []roadnet.NodeID, s roadnet.NodeID) map[roadnet.NodeID]bool {
+// one CSR view of o, by breadth-first search on the upward DAG.
+func upwardReachable(o *Overlay, off []int32, heads []roadnet.NodeID, s roadnet.NodeID) map[roadnet.NodeID]bool {
 	seen := map[roadnet.NodeID]bool{s: true}
 	queue := []roadnet.NodeID{s}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, h := range heads[off[u]:off[u+1]] {
+		lo, hi := o.seg(off, int32(u))
+		for _, h := range heads[lo:hi] {
 			if !seen[h] {
 				seen[h] = true
 				queue = append(queue, h)
@@ -182,12 +184,12 @@ func TestTreeWalkSettlesUpwardReachableSet(t *testing.T) {
 		settled, deposited, scanned := 0, 0, 0
 		bwd := make([]map[roadnet.NodeID]bool, len(targets))
 		for j, tg := range targets {
-			bwd[j] = upwardReachable(o.bwdOff, o.bwdTo, tg)
+			bwd[j] = upwardReachable(o, o.bwdOff, o.bwdTo, tg)
 			settled += len(bwd[j])
 			deposited += len(bwd[j])
 		}
 		for _, s := range sources {
-			fwd := upwardReachable(o.fwdOff, o.fwdTo, s)
+			fwd := upwardReachable(o, o.fwdOff, o.fwdTo, s)
 			settled += len(fwd)
 			for u := range fwd {
 				for j := range targets {
@@ -229,7 +231,7 @@ func TestTreeWalkSettlesUpwardReachableSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(upwardReachable(o.fwdOff, o.fwdTo, s)) + len(upwardReachable(o.bwdOff, o.bwdTo, d)); stats.SettledNodes != want {
+		if want := len(upwardReachable(o, o.fwdOff, o.fwdTo, s)) + len(upwardReachable(o, o.bwdOff, o.bwdTo, d)); stats.SettledNodes != want {
 			t.Fatalf("%s: point query %d→%d settled %d, upward-reachable sets hold %d", sh.name, s, d, stats.SettledNodes, want)
 		}
 	}
@@ -248,5 +250,164 @@ func TestTreeWalkMatchesReference(t *testing.T) {
 				randomEndpointSet(rng, sh.o.n, 1+rng.Intn(6)))
 		}
 		checkAgainstReference(t, storage.NewMemoryGraph(sh.g), sh.o, 60, 909)
+	}
+}
+
+// checkCSRLayout asserts the layout every reader of the upward CSR views
+// relies on: in each view the segments tile [0, m) in ascending rank, each is
+// head-sorted and upward, every slot names an arena arc with the slot's
+// endpoints and cost, and the two views hold every arena arc exactly once.
+// It then walks a few starts and checks that each labelled node's via slot
+// maps to an arc ending at that node in the walk's direction.
+func checkCSRLayout(t *testing.T, name string, o *Overlay) {
+	t.Helper()
+	seen := make([]bool, len(o.arcs))
+	for _, view := range []struct {
+		fwd   bool
+		off   []int32
+		heads []roadnet.NodeID
+		costs []float64
+		arcs  []int32
+	}{
+		{true, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc},
+		{false, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc},
+	} {
+		if len(view.off) != o.n+1 || view.off[0] != 0 || int(view.off[o.n]) != len(view.heads) {
+			t.Fatalf("%s (fwd=%v): %d offsets over %d slots do not tile the view", name, view.fwd, len(view.off), len(view.heads))
+		}
+		for r := 0; r < o.n; r++ {
+			if view.off[r] > view.off[r+1] {
+				t.Fatalf("%s (fwd=%v): offsets fall at rank %d", name, view.fwd, r)
+			}
+		}
+		for v := int32(0); v < int32(o.n); v++ {
+			lo, hi := o.seg(view.off, v)
+			if !slices.IsSorted(view.heads[lo:hi]) {
+				t.Fatalf("%s (fwd=%v): segment of node %d is not head-sorted", name, view.fwd, v)
+			}
+			for j := lo; j < hi; j++ {
+				ai, h := view.arcs[j], view.heads[j]
+				a := o.arcs[ai]
+				tail, head := a.from, a.to
+				if !view.fwd {
+					tail, head = a.to, a.from
+				}
+				if tail != v || head != int32(h) || o.rank[h] <= o.rank[v] {
+					t.Fatalf("%s (fwd=%v): slot %d of node %d (head %d) holds arena arc %d %d→%d", name, view.fwd, j, v, h, ai, a.from, a.to)
+				}
+				if view.costs[j] != a.cost {
+					t.Fatalf("%s (fwd=%v): slot %d costs %v, arena arc %d costs %v", name, view.fwd, j, view.costs[j], ai, a.cost)
+				}
+				if seen[ai] {
+					t.Fatalf("%s: arena arc %d sits in two slots", name, ai)
+				}
+				seen[ai] = true
+			}
+		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("%s: arena arc %d sits in no slot", name, i)
+	}
+
+	var l treeLabels
+	l.grow(o.n)
+	rng := rand.New(rand.NewSource(911))
+	for k := 0; k < 20; k++ {
+		s := roadnet.NodeID(rng.Intn(o.n))
+		for _, fwd := range []bool{true, false} {
+			off, heads, costs, slotArc := o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc
+			if !fwd {
+				off, heads, costs, slotArc = o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc
+			}
+			var stats search.Stats
+			o.walkUp(&l, s, off, heads, costs, &stats)
+			for h := o.etree[s]; h >= 0; h = o.etree[h] {
+				if math.IsInf(l.dist[h], 1) {
+					continue
+				}
+				a := o.arcs[slotArc[l.via[h]]]
+				end := a.to
+				if !fwd {
+					end = a.from
+				}
+				if end != h {
+					t.Fatalf("%s (fwd=%v): walk from %d labels %d through slot %d, arc %d→%d", name, fwd, s, h, l.via[h], a.from, a.to)
+				}
+			}
+			o.clearChain(&l, s)
+		}
+	}
+}
+
+// tigerLikeShapes are the two overlay shapes of the end-to-end benchmark's
+// map: 16 cells, as served, and flat.
+var tigerLikeShapes = []struct {
+	name  string
+	cells int
+}{{"cells-16", 16}, {"flat", 0}}
+
+// TestCSRSegmentsRankOrdered checks the rank-ordered CSR layout on flat and
+// partitioned TigerLike overlays as built, after a Write/Read round trip,
+// after Recustomize and after RecustomizeIncremental.
+func TestCSRSegmentsRankOrdered(t *testing.T) {
+	for _, sh := range tigerLikeShapes {
+		g, _, o := tigerLikeOverlay(t, 1500, sh.cells, 42)
+		checkCSRLayout(t, sh.name+"/built", o)
+
+		var buf bytes.Buffer
+		if err := Write(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCSRLayout(t, sh.name+"/loaded", loaded)
+
+		g2, err := g.WithUpdatedWeights(randomWeightChanges(g, rand.New(rand.NewSource(912)), 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := loaded.Recustomize(g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCSRLayout(t, sh.name+"/recustomized", full)
+		inc, _, err := o.RecustomizeIncremental(g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCSRLayout(t, sh.name+"/incremental", inc)
+	}
+}
+
+// BenchmarkTreeWalk measures the upward walk kernel on the end-to-end
+// benchmark's overlay shape — a 10k-node TigerLike map, seed 42, in 16 cells
+// and flat: each op walks one of 4 000 fixed starts forward and backward and
+// returns the labels to rest. ns/walk and relaxed/walk are per single walk.
+func BenchmarkTreeWalk(b *testing.B) {
+	for _, sh := range tigerLikeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			_, _, o := tigerLikeOverlay(b, 10000, sh.cells, 42)
+			rng := rand.New(rand.NewSource(913))
+			starts := make([]roadnet.NodeID, 4000)
+			for i := range starts {
+				starts[i] = roadnet.NodeID(rng.Intn(o.n))
+			}
+			var l treeLabels
+			l.grow(o.n)
+			var stats search.Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := starts[i%len(starts)]
+				o.walkUp(&l, s, o.fwdOff, o.fwdTo, o.fwdCost, &stats)
+				o.clearChain(&l, s)
+				o.walkUp(&l, s, o.bwdOff, o.bwdTo, o.bwdCost, &stats)
+				o.clearChain(&l, s)
+			}
+			walks := float64(2 * b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/walks, "ns/walk")
+			b.ReportMetric(float64(stats.RelaxedArcs)/walks, "relaxed/walk")
+		})
 	}
 }

@@ -69,7 +69,7 @@ type mtmState struct {
 	entries []bucketEntry
 
 	// lab holds the labels of the elimination-tree sweeps; path recording
-	// reads the forward tree's relaxing arcs from lab.via.
+	// reads the forward tree's relaxing CSR slots from lab.via.
 	lab treeLabels
 
 	// Per-row scratch for path-recording sweeps: the bucket entry and
@@ -330,7 +330,7 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 
 	// Phase 2: one forward upward sweep per source scans buckets and, when
 	// paths were requested, records each finite cell's arc chain while the
-	// sweep's relaxing arcs are still in st.lab.via.
+	// sweep's relaxing CSR slots are still in st.lab.via.
 	scanned := int64(0)
 	for i, s := range sources {
 		row := dist[i*len(targets) : (i+1)*len(targets)]
@@ -359,11 +359,15 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 //opaque:noalloc
 func (m *MTM) backwardWalk(st *mtmState, t roadnet.NodeID, j int32, stats *search.Stats) {
 	o := m.o
-	o.walkUp(&st.lab, t, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, stats)
+	o.walkUp(&st.lab, t, o.bwdOff, o.bwdTo, o.bwdCost, stats)
 	dist := st.lab.dist
 	for u := int32(t); u >= 0; u = o.etree[u] {
 		if d := dist[u]; !math.IsInf(d, 1) {
-			st.deposit(roadnet.NodeID(u), j, st.lab.via[u], d)
+			via := st.lab.via[u]
+			if via >= 0 {
+				via = o.bwdArc[via]
+			}
+			st.deposit(roadnet.NodeID(u), j, via, d)
 			dist[u] = math.Inf(1)
 		}
 	}
@@ -373,12 +377,13 @@ func (m *MTM) backwardWalk(st *mtmState, t roadnet.NodeID, j int32, stats *searc
 // over the forward CSR view, then a second pass over s's ancestor chain that
 // scans the bucket of every settled node into the row and returns its label
 // to rest. It returns the number of bucket
-// entries examined; the relaxing arcs stay in st.lab.via for recordChains.
+// entries examined; the relaxing CSR slots stay in st.lab.via for
+// recordChains.
 //
 //opaque:noalloc
 func (m *MTM) forwardWalk(st *mtmState, s roadnet.NodeID, row []float64, needPaths bool, stats *search.Stats) int64 {
 	o := m.o
-	o.walkUp(&st.lab, s, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, stats)
+	o.walkUp(&st.lab, s, o.fwdOff, o.fwdTo, o.fwdCost, stats)
 	dist := st.lab.dist
 	scanned := int64(0)
 	for u := int32(s); u >= 0; u = o.etree[u] {
@@ -406,6 +411,7 @@ func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64, arcs [
 				if a < 0 {
 					return nil, nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
 				}
+				a = o.fwdArc[a]
 				st.chain = append(st.chain, a)
 				at = roadnet.NodeID(o.arcs[a].from)
 			}

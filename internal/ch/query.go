@@ -127,8 +127,8 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 	f, b := &lab[0], &lab[1]
 	f.grow(o.n)
 	b.grow(o.n)
-	o.walkUp(f, source, o.fwdOff, o.fwdTo, o.fwdCost, o.fwdArc, &stats)
-	o.walkUp(b, dest, o.bwdOff, o.bwdTo, o.bwdCost, o.bwdArc, &stats)
+	o.walkUp(f, source, o.fwdOff, o.fwdTo, o.fwdCost, &stats)
+	o.walkUp(b, dest, o.bwdOff, o.bwdTo, o.bwdCost, &stats)
 	best, meet := math.Inf(1), roadnet.InvalidNode
 	for u := int32(dest); u >= 0; u = o.etree[u] {
 		if d := f.dist[u] + b.dist[u]; d < best {
@@ -143,7 +143,8 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 
 	// Forward half: the relaxing arcs meet→source, stacked and unpacked in
 	// source→meet order. Backward half: the relaxing arcs already run
-	// meet→dest in travel order.
+	// meet→dest in travel order. via holds CSR slots; each maps to its
+	// arena arc here.
 	start := len(dst)
 	var chainBuf [32]int32
 	chain := chainBuf[:0]
@@ -152,6 +153,7 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 		if a < 0 {
 			return dst, 0, stats, fmt.Errorf("ch: internal error: forward walk does not reach source %d", source)
 		}
+		a = o.fwdArc[a]
 		chain = append(chain, a)
 		at = roadnet.NodeID(o.arcs[a].from)
 	}
@@ -164,6 +166,7 @@ func (e *Engine) query(dst []roadnet.NodeID, source, dest roadnet.NodeID, needPa
 		if a < 0 {
 			return dst[:start], 0, stats, fmt.Errorf("ch: internal error: backward walk does not reach destination %d", dest)
 		}
+		a = o.bwdArc[a]
 		dst = o.appendArc(dst, a)
 		at = roadnet.NodeID(o.arcs[a].to)
 	}
