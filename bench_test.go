@@ -478,15 +478,17 @@ func chBenchCustomizableSetup(b *testing.B) *ch.Overlay {
 
 // BenchmarkCHQuery is the headline contraction-hierarchy measurement: point
 // queries on the 50k-node benchmark graph with uniform (map-scale) pairs,
-// the regime the overlay is built for.
+// the regime the overlay is built for. An overlay answers a point query the
+// way the server does, as a 1×1 many-to-many table.
 //
 //   - dijkstra-distance runs the workspace Dijkstra the server used for
 //     point queries before the overlay existed (0 allocs/op, but its search
 //     ball covers a large share of the map on long trips);
-//   - ch-distance runs the two elimination-tree upward walks on the
-//     unpartitioned (flat-order) overlay, also at 0 allocs/op in steady
-//     state;
-//   - ch-path additionally unpacks every shortcut into the full node path;
+//   - ch-distance runs the two elimination-tree upward walks of a 1×1
+//     distance table on the unpartitioned (flat-order) overlay, into a
+//     reused one-cell buffer at 0 allocs/op in steady state;
+//   - ch-path evaluates the 1×1 table with path recording and unpacks
+//     every shortcut into the full node path;
 //   - cch-distance and cch-path are the same queries on the partitioned
 //     overlay the server is deployed with (distance at 0 allocs/op).
 //
@@ -501,29 +503,10 @@ func BenchmarkCHQuery(b *testing.B) {
 	acc := storage.NewMemoryGraph(g)
 
 	b.Run("cch-distance", func(b *testing.B) {
-		eng := ch.NewEngine(chBenchCustomizableSetup(b), nil)
-		if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
-			b.Fatal(err) // warm the engine's label pool
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Distance(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchPointDistance(b, chBenchCustomizableSetup(b), wl)
 	})
 	b.Run("cch-path", func(b *testing.B) {
-		eng := ch.NewEngine(chBenchCustomizableSetup(b), nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Path(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchPointPath(b, chBenchCustomizableSetup(b), wl)
 	})
 
 	b.Run("dijkstra-distance", func(b *testing.B) {
@@ -539,51 +522,67 @@ func BenchmarkCHQuery(b *testing.B) {
 		}
 	})
 	b.Run("ch-distance", func(b *testing.B) {
-		eng := ch.NewEngine(overlay, nil)
-		if _, _, err := eng.Distance(wl[0].Source, wl[0].Dest); err != nil {
-			b.Fatal(err) // warm the engine's label pool
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Distance(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchPointDistance(b, overlay, wl)
 	})
 	b.Run("ch-path", func(b *testing.B) {
-		eng := ch.NewEngine(overlay, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := wl[i%len(wl)]
-			if _, _, err := eng.Path(pr.Source, pr.Dest); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchPointPath(b, overlay, wl)
 	})
 }
 
+// benchPointDistance times 1×1 distance tables on overlay over the workload's
+// pairs, into a reused one-cell buffer.
+func benchPointDistance(b *testing.B, overlay *ch.Overlay, wl []QueryPair) {
+	m := ch.NewMTM(overlay, nil)
+	src, dst, cell := make([]NodeID, 1), make([]NodeID, 1), make([]float64, 1)
+	src[0], dst[0] = wl[0].Source, wl[0].Dest
+	if _, _, err := m.DistancesInto(cell, src, dst); err != nil {
+		b.Fatal(err) // warm the state pool
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := wl[i%len(wl)]
+		src[0], dst[0] = pr.Source, pr.Dest
+		if _, _, err := m.DistancesInto(cell, src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPointPath times 1×1 path tables on overlay over the workload's pairs,
+// each with its one route unpacked.
+func benchPointPath(b *testing.B, overlay *ch.Overlay, wl []QueryPair) {
+	m := ch.NewMTM(overlay, nil)
+	src, dst := make([]NodeID, 1), make([]NodeID, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := wl[i%len(wl)]
+		src[0], dst[0] = pr.Source, pr.Dest
+		tbl, err := m.Table(src, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl.Path(0, 0)
+	}
+}
+
 // BenchmarkMTMTable is the headline many-to-many measurement: a wide 64×64
-// candidate table on the 50k-node benchmark graph, evaluated the four ways
-// the server can.
+// candidate table on the 50k-node benchmark graph, evaluated the ways the
+// server can and could.
 //
 //   - hybrid-pr3 is what the pre-MTM hybrid strategy routed a 64×64 table
 //     to: the SSMD processor, one spanning tree per source;
-//   - pairwise-ch runs all 4096 pairs through the point engine on the
-//     unpartitioned overlay — the other pre-MTM option;
 //   - mtm-table runs the many-to-many bucket engine with per-cell path
-//     recording (what the server's wide hybrid queries use) on the
+//     recording (what the server's hybrid queries use) on the
 //     unpartitioned overlay;
 //   - mtm-distance is the distance-only fast path on a reused output
 //     buffer;
 //   - cch-mtm-table and cch-mtm-distance are the last two on the
 //     partitioned overlay the server is deployed with.
 //
-// Expectation (the PR's acceptance bar): mtm-table beats hybrid-pr3 — and
-// pairwise-ch — by well over 3x, and mtm-distance reports 0 allocs/op in
-// steady state.
+// Expectation (the PR's acceptance bar): mtm-table beats hybrid-pr3 by well
+// over 3x, and mtm-distance reports 0 allocs/op in steady state.
 func BenchmarkMTMTable(b *testing.B) {
 	g, wl, overlay := chBenchSetup(b)
 	acc := storage.NewMemoryGraph(g)
@@ -597,18 +596,6 @@ func BenchmarkMTMTable(b *testing.B) {
 
 	b.Run("hybrid-pr3/64x64", func(b *testing.B) {
 		proc := search.NewProcessor(acc, search.WithStrategy(search.StrategySSMD))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := proc.Evaluate(sources, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pairwise-ch/64x64", func(b *testing.B) {
-		proc := search.NewProcessor(acc,
-			search.WithStrategy(search.StrategyPointEngine),
-			search.WithPointEngine(ch.NewEngine(overlay, nil)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -10,8 +10,8 @@
 // allocs/query and queries/sec), the contraction-hierarchy measurement
 // (E14: offline contraction cost and overlay size versus point-query
 // speedup over Dijkstra and ALT), the many-to-many table measurement
-// (E15: bucket-algorithm Q(S,T) tables vs pairwise CH and SSMD across
-// |S|×|T| shapes, the crossover behind the server's hybrid cutover), and
+// (E15: bucket-algorithm Q(S,T) tables vs SSMD across |S|×|T| shapes, the
+// engine the hybrid server routes every overlay query to), and
 // the live weight update measurement (E16: copy-on-write apply cost and CH
 // re-customization versus a full rebuild, per update batch size), the
 // arc-level update measurement (E17: arcs re-derived and milliseconds per

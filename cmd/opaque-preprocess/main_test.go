@@ -118,8 +118,8 @@ func TestDefaultOverlayServesWeightUpdates(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.Counter("ch_queries") != 1 || m.Counter("mtm_queries") != 1 || m.Counter("fallback_queries") != 0 {
-		t.Fatalf("routes: ch=%d mtm=%d fallback=%d, want both queries on the overlay",
-			m.Counter("ch_queries"), m.Counter("mtm_queries"), m.Counter("fallback_queries"))
+	if m.Counter("mtm_queries") != 2 || m.Counter("fallback_queries") != 0 {
+		t.Fatalf("routes: mtm=%d fallback=%d, want both queries on the overlay",
+			m.Counter("mtm_queries"), m.Counter("fallback_queries"))
 	}
 }

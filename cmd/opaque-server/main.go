@@ -9,8 +9,8 @@
 //	opaque-server -network network.txt -strategy hybrid -ch-overlay network.och
 //
 // -strategy is ssmd (SSMD sharing, no overlay) or hybrid (the CH overlay:
-// pairwise for point-ish queries, many-to-many for wide ones). A hybrid
-// server without -ch-overlay contracts the map at startup.
+// every query is one many-to-many table on it). A hybrid server without
+// -ch-overlay contracts the map at startup.
 //
 // With -profiles the server precustomizes time-of-day weight-profile layers
 // (e.g. am-peak) that queries select by name with zero customization work on
@@ -19,7 +19,7 @@
 // pipelined overlay re-customization continuously.
 //
 // With -stats-interval the server periodically logs its throughput counters,
-// the strategy routing split (pairwise CH / many-to-many / flat fallback),
+// the strategy routing split (many-to-many / flat fallback),
 // the many-to-many bucket engine gauges, the ingestion pipeline and profile
 // layer counters, the SSMD tree cache hit ratio and the search workspace
 // pool counters.
@@ -228,9 +228,9 @@ func logStats(srv *server.Server, every time.Duration) {
 		mt := srv.MTMStats()
 		ing := srv.IngestStats()
 		prof := srv.ProfileLayerStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route ch=%d mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | profiles hits=%d misses=%d layers=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | profiles hits=%d misses=%d layers=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
-			m.Counter("ch_queries"), m.Counter("mtm_queries"), m.Counter("fallback_queries"),
+			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
 			ing.Events, ing.Batches, ing.CoalesceRatio(), ing.QueueDepth, int64(m.Gauge("recustomize_pending_cells")),
 			prof.Hits, prof.Misses, prof.Layers,

@@ -21,23 +21,20 @@
 //     upward forward/backward CSR adjacency, the elimination tree of the
 //     contraction order (etree.go), and the arc arena every shortcut can be
 //     recursively unpacked through.
-//   - Engine (query.go) answers point queries on the overlay — 0 allocs/op
-//     for distance queries in steady state, and full path unpacking for
-//     path queries. Engine implements search.PointEngine, which is how the
-//     server installs it.
-//   - MTM (mtm.go) answers whole Q(S, T) tables with the many-to-many
-//     bucket algorithm — |S|+|T| upward sweeps joined at per-node bucket
-//     entries instead of |S|·|T| point queries, 0 allocs/op for
-//     distance-only tables. MTM implements search.TableEngine, which is
-//     how the server routes wide obfuscated queries to it.
-//   - Every upward search of both engines walks the start node's ancestors
-//     in the elimination tree in rank order, with no priority queue; the
-//     point query takes the minimum over the two chains' common ancestors.
+//   - MTM (mtm.go) answers every query on the overlay as a whole Q(S, T)
+//     table with the many-to-many bucket algorithm — |S|+|T| upward sweeps
+//     joined at per-node bucket entries instead of |S|·|T| point queries, 0
+//     allocs/op for distance-only tables, shortcut chains unpacked into
+//     full paths on demand. A point query is the 1×1 table. MTM implements
+//     search.TableEngine, which is how the server routes every overlay
+//     query to it. Engine (query.go) is a Path-only face over it.
+//   - Every upward sweep walks the start node's ancestors in the
+//     elimination tree in rank order, with no priority queue.
 //   - Recustomize (customize.go) is the live-update half: the overlay
 //     separates the metric-independent contraction structure from a weight
 //     layer that a bottom-up triangle pass recomputes after arc costs
 //     change, and RecustomizeIncremental re-derives only the arcs an update
-//     actually moves — milliseconds, no re-contraction, same query engines.
+//     actually moves — milliseconds, no re-contraction, same query engine.
 //   - Write/Read (io.go) persist an Overlay in the versioned, checksummed
 //     binary format documented in docs/FORMATS.md, so deployments build the
 //     hierarchy once (cmd/opaque-preprocess) and serve from it everywhere.

@@ -84,7 +84,7 @@ func TestCHMatchesReferenceExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildCustomizable(n=%d): %v", tc.n, err)
 		}
-		eng := NewEngine(o, nil)
+		eng, mtm := NewEngine(o, nil), NewMTM(o, nil)
 		rng := rand.New(rand.NewSource(tc.seed * 977))
 		for q := 0; q < 150; q++ {
 			s := roadnet.NodeID(rng.Intn(tc.n))
@@ -93,7 +93,7 @@ func TestCHMatchesReferenceExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotDist, _, err := eng.Distance(s, d)
+			gotDist, _, err := pointDistance(mtm, s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,14 +196,14 @@ func TestCHRoundTrip(t *testing.T) {
 			t.Fatalf("node %d: rank/level differ after round-trip", v)
 		}
 	}
-	orig := NewEngine(o, nil)
-	reread := NewEngine(loaded, nil)
+	orig, reread := NewEngine(o, nil), NewEngine(loaded, nil)
+	origMTM, rereadMTM := NewMTM(o, nil), NewMTM(loaded, nil)
 	rng := rand.New(rand.NewSource(71))
 	for q := 0; q < 120; q++ {
 		s := roadnet.NodeID(rng.Intn(200))
 		d := roadnet.NodeID(rng.Intn(200))
-		d1, _, err1 := orig.Distance(s, d)
-		d2, _, err2 := reread.Distance(s, d)
+		d1, _, err1 := pointDistance(origMTM, s, d)
+		d2, _, err2 := pointDistance(rereadMTM, s, d)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -333,8 +333,9 @@ func TestReadRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestEngineEdgeCases covers s == t, invalid endpoints, unreachable pairs on
-// a disconnected graph, and accessor mismatch through the PointEngine face.
+// TestEngineEdgeCases covers s == t, invalid endpoints and unreachable pairs
+// on a disconnected graph through the Engine face and the 1×1 distance
+// table. MTM's accessor binding is covered by TestMTMEdgeCases.
 func TestEngineEdgeCases(t *testing.T) {
 	g := roadnet.NewGraph(4, 2)
 	for i := 0; i < 4; i++ {
@@ -347,13 +348,17 @@ func TestEngineEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(o, nil)
+	eng, mtm := NewEngine(o, nil), NewMTM(o, nil)
 
 	p, _, err := eng.Path(1, 1)
 	if err != nil || len(p.Nodes) != 1 || p.Cost != 0 {
 		t.Fatalf("s==t: got %v, %v", p, err)
 	}
-	d, _, err := eng.Distance(0, 2)
+	p, _, err = eng.Path(0, 1)
+	if err != nil || len(p.Nodes) != 2 || p.Nodes[0] != 0 || p.Nodes[1] != 1 || p.Cost != 5 {
+		t.Fatalf("adjacent pair path: got %v, %v; want [0 1] at 5", p, err)
+	}
+	d, _, err := pointDistance(mtm, 0, 2)
 	if err != nil || !math.IsInf(d, 1) {
 		t.Fatalf("disconnected pair: got %v, %v", d, err)
 	}
@@ -361,92 +366,32 @@ func TestEngineEdgeCases(t *testing.T) {
 	if err != nil || len(p.Nodes) != 0 {
 		t.Fatalf("disconnected pair path: got %v, %v", p, err)
 	}
-	if _, _, err := eng.Distance(-1, 0); err == nil {
+	if _, _, err := eng.Path(-1, 0); err == nil {
 		t.Fatal("negative source accepted")
 	}
-	if _, _, err := eng.Distance(0, 99); err == nil {
+	if _, _, err := eng.Path(0, 99); err == nil {
 		t.Fatal("out-of-range dest accepted")
 	}
-	bigger := randomIntCostGraph(t, 10, 5, 3)
-	if _, _, _, err := eng.AppendShortestPath(nil, storage.NewMemoryGraph(bigger), 0, 1); err == nil {
-		t.Fatal("accessor with mismatched node count accepted")
-	}
-	// Same node count, different arcs: the checksum binding must refuse.
-	same := roadnet.NewGraph(4, 2)
-	for i := 0; i < 4; i++ {
-		same.AddNode(float64(i), 0)
-	}
-	same.MustAddBidirectionalEdge(0, 1, 6) // cost differs from the build graph
-	same.MustAddBidirectionalEdge(2, 3, 7)
-	same.Freeze()
-	if _, _, _, err := eng.AppendShortestPath(nil, storage.NewMemoryGraph(same), 0, 1); err == nil {
-		t.Fatal("accessor with same shape but different arcs accepted")
-	}
-	// Filtered accessors report the unfiltered graph but traverse a subset
-	// of its arcs, so the overlay must refuse them outright.
-	filtered := storage.NewFilteredGraph(storage.NewMemoryGraph(g), storage.AvoidNodes(1))
-	if _, _, _, err := eng.AppendShortestPath(nil, filtered, 0, 1); err == nil {
-		t.Fatal("filtered accessor accepted")
-	}
-	// The matching unfiltered accessor passes, including on the memoised
-	// second call.
-	acc := storage.NewMemoryGraph(g)
-	for i := 0; i < 2; i++ {
-		// The path lands behind whatever the arena already holds.
-		nodes, d, _, err := eng.AppendShortestPath([]roadnet.NodeID{42}, acc, 0, 1)
-		if err != nil {
-			t.Fatalf("matching accessor rejected on call %d: %v", i+1, err)
-		}
-		if d != 5 || len(nodes) != 3 || nodes[0] != 42 || nodes[1] != 0 || nodes[2] != 1 {
-			t.Fatalf("appended path = %v at cost %v, want [42 0 1] at 5", nodes, d)
-		}
+	if _, _, err := pointDistance(mtm, 0, 99); err == nil {
+		t.Fatal("out-of-range dest accepted by the distance table")
 	}
 }
 
-// TestEngineThroughProcessor installs the overlay as the processor's point
-// engine and asserts Q(S, T) answers match the SSMD strategy — the exact
-// wiring of the hybrid server's pairwise route.
-func TestEngineThroughProcessor(t *testing.T) {
-	g := randomIntCostGraph(t, 150, 200, 21)
-	acc := storage.NewMemoryGraph(g)
-	o, err := BuildCustomizable(g)
+// pointDistance answers one s→d distance query the way every overlay caller
+// does: a 1×1 table into a one-cell buffer.
+func pointDistance(m *MTM, s, d roadnet.NodeID) (float64, search.Stats, error) {
+	var cell [1]float64
+	out, stats, err := m.DistancesInto(cell[:], []roadnet.NodeID{s}, []roadnet.NodeID{d})
 	if err != nil {
-		t.Fatal(err)
+		return 0, stats, err
 	}
-	chProc := search.NewProcessor(acc,
-		search.WithStrategy(search.StrategyPointEngine),
-		search.WithPointEngine(NewEngine(o, nil)))
-	ssmdProc := search.NewProcessor(acc, search.WithStrategy(search.StrategySSMD))
-
-	sources := []roadnet.NodeID{3, 77, 140}
-	dests := []roadnet.NodeID{9, 58, 101, 3}
-	got, err := chProc.Evaluate(sources, dests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ssmdProc.Evaluate(sources, dests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sources {
-		for j := range dests {
-			gp, wp := got.Paths[i][j], want.Paths[i][j]
-			if (len(gp.Nodes) == 0) != (len(wp.Nodes) == 0) {
-				t.Fatalf("pair (%d,%d): reachability disagrees", sources[i], dests[j])
-			}
-			if len(gp.Nodes) != 0 && gp.Cost != wp.Cost {
-				t.Fatalf("pair (%d,%d): CH %v vs SSMD %v", sources[i], dests[j], gp.Cost, wp.Cost)
-			}
-		}
-	}
-	if _, err := search.NewProcessor(acc, search.WithStrategy(search.StrategyPointEngine)).Evaluate(sources, dests); err == nil {
-		t.Fatal("StrategyPointEngine without WithPointEngine accepted")
-	}
+	return out[0], stats, nil
 }
 
 // TestDistanceQueryAllocFree pins the steady-state allocation contract of
-// point queries: after warmup, distance queries — tree walks on pooled
-// label stores — perform zero heap allocations.
+// point queries: after warmup, a 1×1 distance table into a reused one-cell
+// buffer — two tree walks on the pooled state — performs zero heap
+// allocations.
 func TestDistanceQueryAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
@@ -456,16 +401,18 @@ func TestDistanceQueryAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(o, nil)
+	m := NewMTM(o, nil)
+	sources, targets := []roadnet.NodeID{1}, []roadnet.NodeID{200}
+	dst := make([]float64, 1)
 	// Warm the pool so the measured runs reuse sized state. Sequential
-	// queries check out and return one label pair each.
+	// queries check out and return one state each.
 	for i := 0; i < 4; i++ {
-		if _, _, err := eng.Distance(1, 200); err != nil {
+		if _, _, err := m.DistancesInto(dst, sources, targets); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := eng.Distance(1, 200); err != nil {
+		if _, _, err := m.DistancesInto(dst, sources, targets); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -27,8 +27,7 @@ import (
 // inserted an arc x→w for every in/out pair), which is exactly the property
 // that makes the rule sufficient for any weight assignment: afterwards every
 // shortest path of the current graph is realised by an up-down path over the
-// overlay, so the point query and the many-to-many sweeps return
-// current-graph distances.
+// overlay, so the many-to-many sweeps return current-graph distances.
 //
 // The arc whose triangle attains the minimum also takes the two legs as its
 // unpack children, so path unpacking follows the metric: a "direct" road

@@ -76,7 +76,7 @@ func checkAgainstReference(t *testing.T, acc storage.Accessor, o *Overlay, queri
 		if len(want.Nodes) == 0 && s != d {
 			wantDist = math.Inf(1)
 		}
-		gotDist, _, err := eng.Distance(s, d)
+		gotDist, _, err := pointDistance(mtm, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestCustomizableBuildMatchesReference(t *testing.T) {
 
 // TestRecustomizeTracksWeightUpdates is the acceptance property: after a
 // random sequence of weight updates, a re-customized overlay answers every
-// sampled query (point engine and many-to-many engine) exactly like
+// sampled query (point queries and many-to-many tables) exactly like
 // reference Dijkstra on the *current* graph — never the pre-update one —
 // including save/load round-trips between updates.
 func TestRecustomizeTracksWeightUpdates(t *testing.T) {

@@ -227,7 +227,7 @@ func TestTreeWalkSettlesUpwardReachableSet(t *testing.T) {
 		if s == d {
 			continue
 		}
-		_, stats, err := NewEngine(o, nil).Distance(s, d)
+		_, stats, err := pointDistance(NewMTM(o, nil), s, d)
 		if err != nil {
 			t.Fatal(err)
 		}

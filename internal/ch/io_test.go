@@ -197,7 +197,7 @@ func FuzzReadOverlay(f *testing.F) {
 			return
 		}
 		last := roadnet.NodeID(o.NumNodes() - 1)
-		if _, _, err := NewEngine(o, nil).Distance(0, last); err != nil {
+		if _, _, err := pointDistance(NewMTM(o, nil), 0, last); err != nil {
 			t.Fatalf("point distance on an accepted overlay: %v", err)
 		}
 		ends := []roadnet.NodeID{0, last}

@@ -3,6 +3,7 @@ package ch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +13,9 @@ import (
 )
 
 // This file implements the many-to-many bucket algorithm on the CH overlay —
-// the evaluation engine for *wide* obfuscated queries. Where the pairwise
-// Engine answers Q(S, T) with |S|·|T| point queries, MTM computes
-// the whole |S|×|T| distance table in |S| + |T| upward sweeps:
+// the evaluation engine for every obfuscated query on an overlay. Where
+// point queries would answer Q(S, T) with |S|·|T| pairs of upward searches,
+// MTM computes the whole |S|×|T| distance table in |S| + |T| upward sweeps:
 //
 //  1. One backward upward search per target t_j deposits a bucket entry
 //     (j, d↑(u, t_j)) at every node u it settles. Buckets live in a flat,
@@ -28,21 +29,21 @@ import (
 // Each sweep is an elimination-tree walk over the start node's ancestors
 // (etree.go), settling exactly the nodes upward-reachable from the start.
 //
-// Correctness rests on the standard CH theorem the point query already
-// relies on: for every pair (s, t) some shortest path is an up-down
-// path, its apex is settled by both the forward sweep from s and the
-// backward sweep from t with exact prefix/suffix distances, so the minimum
-// over meeting nodes equals the true distance. Meeting nodes whose upward
-// labels exceed the true distance only ever produce over-estimates, never
-// under-estimates, so they cannot corrupt the minimum.
+// Correctness rests on the standard CH theorem: for every pair (s, t) some
+// shortest path is an up-down path, its apex is settled by both the forward
+// sweep from s and the backward sweep from t with exact prefix/suffix
+// distances, so the minimum over meeting nodes equals the true distance.
+// Meeting nodes whose upward labels exceed the true distance only ever
+// produce over-estimates, never under-estimates, so they cannot corrupt the
+// minimum.
 //
 // Distance-only callers (candidate filtering, experiments) use DistancesInto
 // with a reused output buffer: the steady-state evaluation performs zero
-// heap allocations. Path callers use Table, which additionally records, per
-// cell, the overlay arc chain source→apex→target; the expensive part — the
-// recursive shortcut unpacking into original-arc node sequences — happens
-// lazily in Table.Path, so even a path-capable table only materialises the
-// cells actually read.
+// heap allocations. Path callers additionally record, per cell, the overlay
+// arc chain source→apex→target, and unpack it — the recursive shortcut
+// expansion into original-arc node sequences — on demand: Table.Path
+// unpacks only the cells a caller reads, EvaluateTable every cell straight
+// into the reply's node arena.
 
 // bucketEntry is one deposit of a backward sweep: "target tgt is reachable
 // downward from this node at cost dist". Entries for one node form a chain
@@ -78,6 +79,12 @@ type mtmState struct {
 	bestEntry []int32
 	bestMeet  []roadnet.NodeID
 	chain     []int32 // forward arc-chain scratch
+
+	// The per-cell overlay arc chains of a path-recording evaluation: cell
+	// c's chain is arcs[cellOff[c]:cellOff[c+1]], in travel order
+	// source→apex→target. Valid until the state returns to the pool.
+	arcs    []int32
+	cellOff []int32
 }
 
 // mtmStates recycles evaluation states across every MTM engine: a state
@@ -187,15 +194,18 @@ type MTMStats struct {
 // concurrent use: every evaluation checks a private mtmState out of the
 // package's state pool, and the overlay itself is read-only.
 //
-// MTM implements search.TableEngine, which is how the server installs it for
-// the wide half of "hybrid" routing.
+// MTM implements search.TableEngine, which is how the hybrid server answers
+// every query on an overlay, 1×1 included.
 type MTM struct {
 	o *Overlay
-	// verified memoises the accessor graph proven to match the overlay,
-	// exactly like Engine.verified.
+	// verified memoises the last accessor graph proven (by checksum) to be
+	// the one the overlay was built from, so the O(arcs) Matches check runs
+	// once per graph instead of once per table.
 	verified atomic.Pointer[roadnet.Graph]
 	// gen is the accessor data generation the overlay's weights are valid
-	// for, exactly like Engine.gen (search.Generational).
+	// for (search.Generational): the installer binds it with BindGeneration
+	// so the processor refuses the engine once the accessor's generation
+	// moves past it, without waiting for the checksum check to fail.
 	gen atomic.Uint64
 
 	tables    atomic.Int64
@@ -215,7 +225,8 @@ func NewMTM(o *Overlay, _ *search.WorkspacePool) *MTM {
 func (m *MTM) Overlay() *Overlay { return m.o }
 
 // BindGeneration records the accessor data generation the overlay's weights
-// were customized for (see Engine.BindGeneration).
+// were customized for. Servers call it when installing or swapping the
+// engine; see search.Generational.
 func (m *MTM) BindGeneration(gen uint64) { m.gen.Store(gen) }
 
 // Generation implements search.Generational.
@@ -245,7 +256,9 @@ func (m *MTM) DistancesInto(dst []float64, sources, targets []roadnet.NodeID) ([
 		dst = make([]float64, cells) //opaque:allow(noalloc) cold grow path: steady state reuses the previously returned dst
 	}
 	dst = dst[:cells]
-	stats, _, err := m.evaluate(dst, sources, targets, false)
+	st := mtmStates.Get().(*mtmState)
+	defer mtmStates.Put(st)
+	stats, err := m.evaluate(st, dst, sources, targets, false)
 	return dst, stats, err
 }
 
@@ -260,55 +273,46 @@ func (m *MTM) Distances(sources, targets []roadnet.NodeID) ([]float64, search.St
 // the route lazily. The returned table is self-contained — it shares no
 // state with the engine and stays valid indefinitely.
 func (m *MTM) Table(sources, targets []roadnet.NodeID) (*Table, error) {
-	tbl := &Table{
-		o:       m.o,
-		sources: append([]roadnet.NodeID(nil), sources...),
-		targets: append([]roadnet.NodeID(nil), targets...),
-		dist:    make([]float64, len(sources)*len(targets)),
-	}
-	stats, arcs, err := m.evaluate(tbl.dist, sources, targets, true)
+	st := mtmStates.Get().(*mtmState)
+	defer mtmStates.Put(st)
+	dist := make([]float64, len(sources)*len(targets))
+	stats, err := m.evaluate(st, dist, sources, targets, true)
 	if err != nil {
 		return nil, err
 	}
-	tbl.stats = stats
-	tbl.arcs = arcs.arcs
-	tbl.cellOff = arcs.cellOff
-	return tbl, nil
+	return &Table{
+		o:       m.o,
+		sources: slices.Clone(sources),
+		targets: slices.Clone(targets),
+		dist:    dist,
+		arcs:    slices.Clone(st.arcs),
+		cellOff: slices.Clone(st.cellOff),
+		stats:   stats,
+	}, nil
 }
 
-// cellChains is the per-cell overlay arc recording a path-capable evaluation
-// produces: cell c's chain is arcs[cellOff[c]:cellOff[c+1]], in travel order
-// source→apex→target.
-type cellChains struct {
-	arcs    []int32
-	cellOff []int32
-}
-
-// evaluate is the shared core: the backward deposit phase followed by the
-// forward scan phase. dist must have len(sources)*len(targets) cells; it is
-// +Inf-initialised here. When needPaths is set, each finite cell's overlay
-// arc chain is recorded and returned.
-func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPaths bool) (search.Stats, cellChains, error) {
+// evaluate is the shared core on the checked-out state st: the backward
+// deposit phase followed by the forward scan phase. dist must have
+// len(sources)*len(targets) cells; it is +Inf-initialised here. When
+// needPaths is set, each finite cell's overlay arc chain is recorded into
+// st.arcs and st.cellOff.
+func (m *MTM) evaluate(st *mtmState, dist []float64, sources, targets []roadnet.NodeID, needPaths bool) (search.Stats, error) {
 	o := m.o
 	var stats search.Stats
-	var chains cellChains
 	if len(sources) == 0 || len(targets) == 0 {
-		return stats, chains, fmt.Errorf("ch: many-to-many table needs at least one source and one target (got |S|=%d, |T|=%d): %w",
+		return stats, fmt.Errorf("ch: many-to-many table needs at least one source and one target (got |S|=%d, |T|=%d): %w",
 			len(sources), len(targets), search.ErrEmptyQuery)
 	}
 	for _, s := range sources {
 		if !validNode(o, s) {
-			return stats, chains, fmt.Errorf("ch: invalid source node %d", s)
+			return stats, fmt.Errorf("ch: invalid source node %d", s)
 		}
 	}
 	for _, t := range targets {
 		if !validNode(o, t) {
-			return stats, chains, fmt.Errorf("ch: invalid target node %d", t)
+			return stats, fmt.Errorf("ch: invalid target node %d", t)
 		}
 	}
-
-	st := mtmStates.Get().(*mtmState)
-	defer mtmStates.Put(st)
 	st.reset(o.n)
 
 	// Phase 1: one backward upward sweep per target deposits buckets.
@@ -325,7 +329,8 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 
 	if needPaths {
 		st.ensureRow(len(targets))
-		chains.cellOff = make([]int32, 1, len(dist)+1)
+		st.arcs = st.arcs[:0]
+		st.cellOff = append(st.cellOff[:0], 0)
 	}
 
 	// Phase 2: one forward upward sweep per source scans buckets and, when
@@ -339,16 +344,14 @@ func (m *MTM) evaluate(dist []float64, sources, targets []roadnet.NodeID, needPa
 		}
 		scanned += m.forwardWalk(st, s, row, needPaths, &stats)
 		if needPaths {
-			var err error
-			chains.arcs, chains.cellOff, err = m.recordChains(st, s, row, chains.arcs, chains.cellOff)
-			if err != nil {
-				return stats, chains, err
+			if err := m.recordChains(st, s, row); err != nil {
+				return stats, err
 			}
 		}
 	}
 	m.scanned.Add(scanned)
 	m.tables.Add(1)
-	return stats, chains, nil
+	return stats, nil
 }
 
 // backwardWalk is the backward sweep from target t: an elimination-tree walk
@@ -395,12 +398,14 @@ func (m *MTM) forwardWalk(st *mtmState, s roadnet.NodeID, row []float64, needPat
 	return scanned
 }
 
-// recordChains appends, for every finite cell of s's row, the overlay arc
-// chain source→apex (the forward sweep's relaxing arcs, walked back from
-// the meeting node) followed by apex→target (walked through the bucket
-// entries' via arcs), and closes the row's cell offsets.
-func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64, arcs []int32, cellOff []int32) ([]int32, []int32, error) {
+// recordChains appends to st.arcs, for every finite cell of s's row, the
+// overlay arc chain source→apex (the forward sweep's relaxing arcs, walked
+// back from the meeting node) followed by apex→target (walked through the
+// bucket entries' via arcs), and closes the row's cell offsets in
+// st.cellOff.
+func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64) error {
 	o := m.o
+	arcs := st.arcs
 	for j := range row {
 		if !math.IsInf(row[j], 1) {
 			// Forward half: meet→source through the relaxing arcs, emitted
@@ -409,7 +414,7 @@ func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64, arcs [
 			for at := st.bestMeet[j]; at != s; {
 				a := st.lab.via[at]
 				if a < 0 {
-					return nil, nil, fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
+					return fmt.Errorf("ch: internal error: forward sweep tree does not reach source %d", s)
 				}
 				a = o.fwdArc[a]
 				st.chain = append(st.chain, a)
@@ -428,13 +433,14 @@ func (m *MTM) recordChains(st *mtmState, s roadnet.NodeID, row []float64, arcs [
 				arcs = append(arcs, en.via)
 				next := roadnet.NodeID(o.arcs[en.via].to)
 				if e = st.findEntry(next, en.target); e < 0 {
-					return nil, nil, fmt.Errorf("ch: internal error: backward sweep chain broken at node %d", next)
+					return fmt.Errorf("ch: internal error: backward sweep chain broken at node %d", next)
 				}
 			}
 		}
-		cellOff = append(cellOff, int32(len(arcs)))
+		st.cellOff = append(st.cellOff, int32(len(arcs)))
 	}
-	return arcs, cellOff, nil
+	st.arcs = arcs
+	return nil
 }
 
 // Table is a completed many-to-many result: the distance matrix plus the
@@ -467,9 +473,15 @@ func (t *Table) AppendPath(dst []roadnet.NodeID, i, j int) []roadnet.NodeID {
 	if math.IsInf(t.dist[cell], 1) {
 		return dst
 	}
-	dst = append(dst, t.sources[i])
-	for _, a := range t.arcs[t.cellOff[cell]:t.cellOff[cell+1]] {
-		dst = t.o.appendArc(dst, a)
+	return t.o.appendChain(dst, t.sources[i], t.arcs[t.cellOff[cell]:t.cellOff[cell+1]])
+}
+
+// appendChain appends one recorded cell's route to dst: its source, then
+// every arc of its overlay chain unpacked.
+func (o *Overlay) appendChain(dst []roadnet.NodeID, source roadnet.NodeID, chain []int32) []roadnet.NodeID {
+	dst = append(dst, source)
+	for _, a := range chain {
+		dst = o.appendArc(dst, a)
 	}
 	return dst
 }
@@ -486,9 +498,13 @@ func (t *Table) Path(i, j int) search.Path {
 	return search.Path{Nodes: t.AppendPath(nodes, i, j), Cost: t.dist[cell]}
 }
 
-// verifyAccessor mirrors Engine.AppendShortestPath's binding rules: filtered
-// accessors are rejected outright and any other accessor's graph must
-// checksum-match the overlay (memoised per graph).
+// verifyAccessor binds an evaluation to the overlay's graph. CH reads the
+// preprocessed index, not the graph — which is the whole point — so the
+// accessor must present exactly the arcs the overlay was contracted over:
+// arc-filtering accessors (storage.FilteredGraph), whose effective arc set
+// differs from the graph they report, are rejected outright, and any other
+// accessor's graph must checksum-match the overlay (memoised per graph). A
+// nil accessor is the caller taking responsibility for the binding.
 func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 	if acc == nil {
 		return nil
@@ -508,27 +524,29 @@ func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 
 // EvaluateTable implements search.TableEngine: the full Q(S, T) result, every
 // cell's route unpacked straight into the result's one node arena (the wire
-// reply needs every cell).
+// reply needs every cell). The distances land in the result's Dist and the
+// arc chains stay in the pooled state, unpacked before it returns to the
+// pool.
 func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
 		return search.Table{}, err
 	}
-	tbl, err := m.Table(sources, dests)
+	st := mtmStates.Get().(*mtmState)
+	defer mtmStates.Put(st)
+	res := search.Table{Dist: make([]float64, len(sources)*len(dests))}
+	stats, err := m.evaluate(st, res.Dist, sources, dests, true)
 	if err != nil {
 		return search.Table{}, err
 	}
-	res := search.Table{
-		Sources: tbl.sources,
-		Dests:   tbl.targets,
-		Dist:    tbl.dist,
-		Ends:    make([]int32, 0, len(tbl.dist)),
-		Stats:   tbl.stats,
-	}
-	for i := range sources {
-		for j := range dests {
-			res.Nodes = tbl.AppendPath(res.Nodes, i, j)
-			res.Ends = append(res.Ends, int32(len(res.Nodes)))
+	res.Sources, res.Dests, res.Stats = slices.Clone(sources), slices.Clone(dests), stats
+	res.Ends = make([]int32, len(res.Dist))
+	// Every chain arc unpacks to at least one node; shortcuts grow the arena.
+	res.Nodes = make([]roadnet.NodeID, 0, len(res.Dist)+2*len(st.arcs))
+	for c, d := range res.Dist {
+		if !math.IsInf(d, 1) {
+			res.Nodes = m.o.appendChain(res.Nodes, sources[c/len(dests)], st.arcs[st.cellOff[c]:st.cellOff[c+1]])
 		}
+		res.Ends[c] = int32(len(res.Nodes))
 	}
 	return res, nil
 }

@@ -2,11 +2,13 @@ package ch
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"opaque/internal/gen"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 	"opaque/internal/storage"
@@ -333,6 +335,15 @@ func TestMTMEdgeCases(t *testing.T) {
 	if _, err := m.EvaluateTable(storage.NewMemoryGraph(other), []roadnet.NodeID{2}, []roadnet.NodeID{3}); err == nil {
 		t.Fatal("accessor for a different graph accepted")
 	}
+	// Same node count, one arc cost moved: the checksum binding refuses it.
+	arc := g.Arcs(2)[0]
+	same, err := g.WithUpdatedWeights([]roadnet.ArcWeightChange{{From: 2, To: arc.To, NewCost: arc.Cost + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.EvaluateTable(storage.NewMemoryGraph(same), []roadnet.NodeID{2}, []roadnet.NodeID{3}); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("accessor with same shape but a different arc cost: err = %v, want ErrStaleEngine", err)
+	}
 	for i := 0; i < 2; i++ {
 		res, err := m.EvaluateTable(acc, []roadnet.NodeID{2, 7}, []roadnet.NodeID{3, 9})
 		if err != nil {
@@ -364,5 +375,50 @@ func TestMTMEdgeCases(t *testing.T) {
 	st := m.Stats()
 	if st.Tables == 0 || st.BucketEntries == 0 || st.ArenaHighWater == 0 {
 		t.Fatalf("engine stats did not accumulate: %+v", st)
+	}
+}
+
+// TestEvaluateTableAllocs pins the allocation budget of one path-producing
+// Q(S, T) evaluation through the processor on the many-to-many engine: the
+// arc chains live in the pooled state and are unpacked straight into the
+// result's node arena, so a small table costs the result's own arrays and
+// little else.
+func TestEvaluateTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
+	}
+	cfg := gen.DefaultNetworkConfig()
+	cfg.Kind = gen.TigerLike
+	cfg.Nodes = 3000
+	cfg.Seed = 42
+	g, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := BuildCustomizable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := search.NewProcessor(storage.NewMemoryGraph(g),
+		search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(NewMTM(o, nil)))
+	for _, tc := range []struct {
+		k         int
+		maxAllocs float64
+	}{{1, 10}, {2, 12}, {3, 13}} {
+		sources, targets := make([]roadnet.NodeID, tc.k), make([]roadnet.NodeID, tc.k)
+		for i := range sources {
+			sources[i], targets[i] = roadnet.NodeID(17+311*i), roadnet.NodeID(1500+97*i)
+		}
+		evaluate := func() {
+			if _, err := proc.EvaluateTable(sources, targets, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evaluate() // warm the state pool
+		if allocs := testing.AllocsPerRun(50, evaluate); allocs > tc.maxAllocs {
+			t.Errorf("%dx%d table with paths allocated %v times per evaluation, want at most %v", tc.k, tc.k, allocs, tc.maxAllocs)
+		} else {
+			t.Logf("%dx%d: %v allocs", tc.k, tc.k, allocs)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestProfileSetLayersAnswerTheirMetric(t *testing.T) {
 		// Every layer must answer distances for its own profile metric,
 		// verified against reference Dijkstra on the profile graph.
 		acc := storage.NewMemoryGraph(pg)
-		eng := NewEngine(layer, nil)
+		mtm := NewMTM(layer, nil)
 		for i := 0; i < 15; i++ {
 			s := roadnet.NodeID(rng.Intn(g.NumNodes()))
 			d := roadnet.NodeID(rng.Intn(g.NumNodes()))
@@ -60,7 +60,7 @@ func TestProfileSetLayersAnswerTheirMetric(t *testing.T) {
 			if len(want.Nodes) == 0 && s != d {
 				wantDist = math.Inf(1)
 			}
-			got, _, err := eng.Distance(s, d)
+			got, _, err := pointDistance(mtm, s, d)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,25 +8,19 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
-// E15ManyToMany measures the three ways the server can evaluate a Q(S, T)
-// candidate table on one map — SSMD spanning trees, pairwise CH, and the
-// many-to-many bucket engine — across table shapes from point queries (1×1)
-// to very wide tables (128×128 at full scale). Both CH engines run on the
-// overlay kind the server is deployed with, customizable and partitioned,
-// where every upward search walks elimination-tree ancestors. The table's
-// job is to expose the crossover the "hybrid" strategy's DefaultCHMaxPairs
-// cutover encodes: a point query costs two walks, an |S|×|T| table |S|+|T|
-// walks plus the bucket join, so pairwise CH can only win the smallest
-// shapes, MTM wins everything wide, and SSMD — the paper's evaluation —
-// trails both once an overlay exists. The "hybrid route" column states
-// where the server's cutover (server.DefaultCHMaxPairs, inclusive)
-// actually sends each shape, so an inconsistency between measurement and
-// routing is visible in one glance. A final distance-only MTM column shows
-// what candidate filtering pays when no caller ever reads the paths.
+// E15ManyToMany measures the two ways the server can evaluate a Q(S, T)
+// candidate table on one map — SSMD spanning trees, and the many-to-many
+// bucket engine every "hybrid" query with an overlay routes to — across
+// table shapes from point queries (1×1) to very wide tables (128×128 at
+// full scale). MTM runs on the overlay kind the server is deployed with,
+// customizable and partitioned, where every upward sweep walks
+// elimination-tree ancestors: an |S|×|T| table costs |S|+|T| walks plus the
+// bucket join, so SSMD — the paper's evaluation — trails it at every shape
+// once an overlay exists. A final distance-only MTM column shows what
+// candidate filtering pays when no caller ever reads the paths.
 type E15ManyToMany struct{}
 
 // ID implements Runner.
@@ -34,7 +28,7 @@ func (E15ManyToMany) ID() string { return "E15" }
 
 // Description implements Runner.
 func (E15ManyToMany) Description() string {
-	return "Many-to-many bucket tables on the CH overlay: crossover vs pairwise CH and SSMD across |S|x|T| shapes"
+	return "Many-to-many bucket tables on the CH overlay vs SSMD across |S|x|T| shapes"
 }
 
 // Run implements Runner.
@@ -74,10 +68,6 @@ func (E15ManyToMany) Run(scale Scale) ([]*Table, error) {
 	ssmdProc := search.NewProcessor(acc,
 		search.WithStrategy(search.StrategySSMD),
 		search.WithWorkspacePool(wsPool))
-	chProc := search.NewProcessor(acc,
-		search.WithStrategy(search.StrategyPointEngine),
-		search.WithPointEngine(ch.NewEngine(overlay, wsPool)),
-		search.WithWorkspacePool(wsPool))
 	mtmProc := search.NewProcessor(acc,
 		search.WithStrategy(search.StrategyTableEngine),
 		search.WithTableEngine(mtm),
@@ -85,8 +75,8 @@ func (E15ManyToMany) Run(scale Scale) ([]*Table, error) {
 
 	tbl := &Table{
 		ID:      "E15",
-		Title:   "Q(S,T) table evaluation: SSMD vs pairwise CH vs many-to-many buckets (" + itoa(nodes) + " nodes)",
-		Columns: []string{"|S|x|T|", "pairs", "ssmd ms", "pairwise-ch ms", "mtm ms", "mtm dist-only ms", "fastest", "hybrid route"},
+		Title:   "Q(S,T) table evaluation: SSMD vs many-to-many buckets (" + itoa(nodes) + " nodes)",
+		Columns: []string{"|S|x|T|", "pairs", "ssmd ms", "mtm ms", "mtm dist-only ms", "fastest"},
 	}
 
 	rng := rand.New(rand.NewSource(1516))
@@ -105,7 +95,6 @@ func (E15ManyToMany) Run(scale Scale) ([]*Table, error) {
 	var dst []float64
 	engines := []engine{
 		{"ssmd", func(S, T []roadnet.NodeID) error { _, err := ssmdProc.Evaluate(S, T); return err }},
-		{"pairwise-ch", func(S, T []roadnet.NodeID) error { _, err := chProc.Evaluate(S, T); return err }},
 		{"mtm", func(S, T []roadnet.NodeID) error { _, err := mtmProc.Evaluate(S, T); return err }},
 		{"mtm dist-only", func(S, T []roadnet.NodeID) error {
 			var err error
@@ -139,22 +128,15 @@ func (E15ManyToMany) Run(scale Scale) ([]*Table, error) {
 		}
 		// The fastest *path-producing* engine decides the row; the
 		// distance-only column is informational.
-		best := 0
-		for ei := 1; ei < 3; ei++ {
-			if wall[ei] < wall[best] {
-				best = ei
-			}
+		fastest := engines[0].name
+		if wall[1] < wall[0] {
+			fastest = engines[1].name
 		}
-		fastest := engines[best].name
-		route := "mtm"
-		if ns*nt <= server.DefaultCHMaxPairs {
-			route = "ch"
-		}
-		tbl.AddRow(itoa(ns)+"x"+itoa(nt), ns*nt, wall[0], wall[1], wall[2], wall[3], fastest, route)
+		tbl.AddRow(itoa(ns)+"x"+itoa(nt), ns*nt, wall[0], wall[1], wall[2], fastest)
 	}
 
-	tbl.AddNote("One customizable, partitioned CH overlay (%d cells) serves the pairwise and MTM engines; partitioning, contraction and customization took %d ms (offline, persisted in deployments). All engines evaluated identical endpoint sets; times are per table, averaged over %d repetitions.", part.NumCells(), int(buildMS), reps)
-	tbl.AddNote("Expectation: a point query is two elimination-tree walks and a 1x1 table the same two walks plus one bucket, so at 1x1 the CH engines do the same search work (measured within 0.1 ms of each other, mtm usually ahead); mtm wins from 1x4 and 2x2 up (about 2x at 4 pairs) and by an order of magnitude on wide tables. The 'hybrid route' column is the server's inclusive DefaultCHMaxPairs = %d cutover, which keeps the shapes of up to 4 pairs pairwise although mtm is at least as fast there: moving it moves point-open routing, which needs its own benchmark claim.", server.DefaultCHMaxPairs)
+	tbl.AddNote("One customizable, partitioned CH overlay (%d cells) serves the MTM engine; partitioning, contraction and customization took %d ms (offline, persisted in deployments). All engines evaluated identical endpoint sets; times are per table, averaged over %d repetitions.", part.NumCells(), int(buildMS), reps)
+	tbl.AddNote("Expectation: a 1x1 table is two elimination-tree walks plus one bucket, the same search work a pairwise point query would do, and an |S|x|T| table costs |S|+|T| walks, so mtm beats ssmd at every shape and by an order of magnitude on wide tables. The hybrid server routes every query with an overlay, 1x1 included, to mtm.")
 	tbl.AddNote("'mtm dist-only' reuses one output buffer (0 allocs/op steady state) and skips path materialisation — the fast path for distance-only candidate filtering.")
 	return []*Table{tbl}, nil
 }

@@ -99,8 +99,8 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 // acceptance criteria: for both serving strategies and both fleet shapes, a
 // router over two shards answers an E15-style workload with exactly the
 // distance tables and paths a single server produces. The workload's shapes
-// straddle the hybrid cutover, so the shards serve through pairwise CH and
-// the many-to-many engine alike.
+// run from point queries to wide tables, all of which hybrid shards serve
+// through the many-to-many engine.
 func TestFleetEquivalence(t *testing.T) {
 	g := testGraph(t, 400, 1201)
 	qs := makeQueries(g, 20, 4301)
@@ -154,14 +154,14 @@ func TestFleetEquivalence(t *testing.T) {
 				}
 
 				if st.name == "hybrid" {
-					var chQueries, mtmQueries int64
+					var mtmQueries, fallback int64
 					for i := 0; i < cl.NumShards(); i++ {
 						m := cl.Shard(i).Server().Metrics()
-						chQueries += m.Counter("ch_queries")
 						mtmQueries += m.Counter("mtm_queries")
+						fallback += m.Counter("fallback_queries")
 					}
-					if chQueries == 0 || mtmQueries == 0 {
-						t.Errorf("shards served ch_queries = %d, mtm_queries = %d; the workload must cover both routes", chQueries, mtmQueries)
+					if mtmQueries == 0 || fallback != 0 {
+						t.Errorf("shards served mtm_queries = %d, fallback_queries = %d; the workload must run on the overlay", mtmQueries, fallback)
 					}
 				}
 				if mode == fleet.ModePartition {

@@ -27,8 +27,8 @@ var ErrEmptyQuery = errors.New("search: query has an empty source or destination
 // server re-customizes its CH overlay in the background).
 var ErrStaleEngine = errors.New("search: engine index is stale for the accessor's current data")
 
-// Generational is the validity contract for plug-in engines backed by a
-// preprocessed index (PointEngine, TableEngine): Generation returns the
+// Generational is the validity contract for plug-in table engines backed by
+// a preprocessed index (TableEngine): Generation returns the
 // accessor data generation (storage.Versioned) the index was built or last
 // refreshed under. The processor refuses to evaluate on an engine whose
 // generation trails a versioned accessor's current one — the index is stale
@@ -39,8 +39,8 @@ type Generational interface {
 	Generation() uint64
 }
 
-// engineCurrent reports whether engine (any value; typically a PointEngine
-// or TableEngine) is current for acc under the Generational contract.
+// engineCurrent reports whether engine (any value; typically a TableEngine)
+// is current for acc under the Generational contract.
 // Engines that do not implement Generational are treated as always current,
 // as are accessors that are not Versioned.
 func engineCurrent(engine any, acc storage.Accessor) bool {

@@ -29,39 +29,14 @@ const (
 	// strongest per-pair engine, used by the ablation that asks whether a
 	// very good point-to-point search can close the gap to SSMD sharing.
 	StrategyPairwiseALT Strategy = "pairwise-alt"
-	// StrategyPointEngine runs an independent query per (s, t) pair on a
-	// pluggable point-to-point engine supplied with WithPointEngine. This is
-	// the hook the server uses to install the contraction-hierarchy overlay
-	// (internal/ch) without this package depending on it; any preprocessed
-	// point-to-point index can be threaded through the same option.
-	StrategyPointEngine Strategy = "point-engine"
 	// StrategyTableEngine evaluates the whole Q(S, T) table in one shot on a
 	// pluggable many-to-many engine supplied with WithTableEngine — no
 	// per-source fan-out, the engine owns the entire evaluation. This is how
 	// the server installs the CH many-to-many bucket engine (internal/ch's
-	// MTM) for wide obfuscated queries.
+	// MTM) for every query on an overlay, without this package depending on
+	// it.
 	StrategyTableEngine Strategy = "table-engine"
 )
-
-// PointEngine is a pluggable point-to-point shortest-path engine the
-// processor can evaluate Q(S, T) pairwise on (StrategyPointEngine). The
-// contraction-hierarchy overlay of internal/ch implements it.
-//
-// AppendShortestPath appends one optimal source→dest path to dst — straight
-// into the evaluation's path arena, no per-pair slice — and returns the
-// extended slice with the path's cost; an unreachable dest appends nothing
-// and costs +Inf. Results must be semantically identical to Dijkstra on the
-// same accessor. An engine backed by a preprocessed index must verify the
-// accessor presents exactly the data it was built from and return an error
-// wrapping ErrStaleEngine otherwise, rather than answer from a stale or
-// mismatched index (internal/ch checksum-binds its overlay this way); engines
-// additionally implementing Generational get that staleness check performed
-// by the processor up front, before any per-pair work. Implementations must
-// be safe for concurrent use — the processor calls them from its per-source
-// worker fan-out.
-type PointEngine interface {
-	AppendShortestPath(dst []roadnet.NodeID, acc storage.Accessor, source, dest roadnet.NodeID) ([]roadnet.NodeID, float64, Stats, error)
-}
 
 // TableEngine is a pluggable many-to-many engine the processor can hand a
 // whole Q(S, T) evaluation to (StrategyTableEngine). The contraction-
@@ -70,12 +45,14 @@ type PointEngine interface {
 // EvaluateTable must return a Table whose paths and distances agree with
 // per-pair Dijkstra on the same accessor; EvaluateDistances is the
 // distance-only fast path — Dist filled, no paths — for callers that never
-// read routes. Like PointEngine, an implementation backed by a preprocessed
-// index must verify the accessor presents exactly the data it was built from
-// (erroring with ErrStaleEngine when it does not; engines implementing
-// Generational get the generation half of that check performed by the
-// processor up front), must reject empty source or destination sets with
-// ErrEmptyQuery, and must be safe for concurrent use.
+// read routes. An implementation backed by a preprocessed index must verify
+// the accessor presents exactly the data it was built from and return an
+// error wrapping ErrStaleEngine otherwise, rather than answer from a stale or
+// mismatched index (internal/ch checksum-binds its overlay this way); engines
+// additionally implementing Generational get the generation half of that
+// check performed by the processor up front. Implementations must reject
+// empty source or destination sets with ErrEmptyQuery, and must be safe for
+// concurrent use.
 type TableEngine interface {
 	EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error)
 	EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (Table, error)
@@ -158,7 +135,6 @@ type Processor struct {
 	strategy    Strategy
 	workers     int
 	landmarks   *Landmarks
-	engine      PointEngine
 	tableEngine TableEngine
 	cache       *TreeCache
 	gate        Gate
@@ -192,14 +168,6 @@ func WithWorkers(n int) ProcessorOption {
 // StrategyPairwiseALT.
 func WithLandmarks(lm *Landmarks) ProcessorOption {
 	return func(p *Processor) { p.landmarks = lm }
-}
-
-// WithPointEngine installs a pluggable point-to-point engine, required by
-// StrategyPointEngine. The engine answers every (s, t) pair of an obfuscated
-// query independently; the processor contributes only the fan-out, the gate
-// and the statistics accounting.
-func WithPointEngine(pe PointEngine) ProcessorOption {
-	return func(p *Processor) { p.engine = pe }
 }
 
 // WithTableEngine installs a pluggable many-to-many engine, required by
@@ -309,22 +277,6 @@ func (p *Processor) appendRow(acc storage.Accessor, source roadnet.NodeID, dests
 		defer w.Release()
 		return w.AppendSSMD(acc, source, dests, t)
 	}
-	if p.strategy == StrategyPointEngine {
-		if p.engine == nil {
-			return Stats{}, fmt.Errorf("search: strategy %q requires WithPointEngine", StrategyPointEngine)
-		}
-		var stats Stats
-		for _, d := range dests {
-			nodes, dist, st, err := p.engine.AppendShortestPath(t.Nodes, acc, source, d)
-			if err != nil {
-				return stats, err
-			}
-			t.Nodes = nodes
-			t.EndCell(dist)
-			stats = stats.Add(st)
-		}
-		return stats, nil
-	}
 	// The pairwise baselines: one independent search per destination on one
 	// workspace, each materialising its own path.
 	var pair func(w *Workspace, d roadnet.NodeID) (Path, Stats, error)
@@ -372,9 +324,6 @@ func (p *Processor) EvaluateTable(sources, dests []roadnet.NodeID, distancesOnly
 	}
 	if p.strategy == StrategyTableEngine {
 		return p.evaluateOnTableEngine(acc, sources, dests, distancesOnly)
-	}
-	if p.strategy == StrategyPointEngine && p.engine != nil && !engineCurrent(p.engine, acc) {
-		return Table{}, fmt.Errorf("search: point engine generation trails the accessor: %w", ErrStaleEngine)
 	}
 	res := NewTable(sources, dests)
 

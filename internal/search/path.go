@@ -25,11 +25,11 @@
 // executable specification the equivalence property tests and the E13
 // experiment compare against.
 //
-// Preprocessed point-to-point engines plug into the Q(S, T) processor
-// through the PointEngine interface (StrategyPointEngine); the
-// contraction-hierarchy overlay of internal/ch is the first such engine.
-// Its searches walk the overlay's elimination tree on label stores of their
-// own and draw no Workspace.
+// Preprocessed engines plug into the Q(S, T) processor as whole-table
+// engines through the TableEngine interface (StrategyTableEngine); the
+// contraction-hierarchy many-to-many engine of internal/ch is the one such
+// engine. Its sweeps walk the overlay's elimination tree on label stores of
+// their own and draw no Workspace.
 package search
 
 import (

@@ -10,8 +10,8 @@ import (
 // Table is the flat form of one evaluated obfuscated path query Q(S, T): a
 // row-major |S|×|T| distance table and every candidate path laid back to
 // back in one node arena. It is what the evaluation engines build — the SSMD
-// parent walk, the contraction-hierarchy unpacking and the many-to-many
-// engine all append straight into Nodes — and what the server turns into a
+// parent walk and the many-to-many engine's shortcut unpacking both append
+// straight into Nodes — and what the server turns into a
 // wire reply without copying a path; MSMD gives the nested per-pair view the
 // experiments read.
 //

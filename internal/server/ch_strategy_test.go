@@ -8,8 +8,6 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
-	"opaque/internal/storage"
 )
 
 // chTestOverlay builds the overlay for testGraph once per test binary; the
@@ -66,11 +64,11 @@ func assertMatchesSSMD(t *testing.T, srv, ssmdSrv *Server, queries []protocol.Se
 	}
 }
 
-// TestStrategyCHMatchesSSMD runs point-ish obfuscated queries — at most
-// DefaultCHMaxPairs pairs, duplicates and s==t cells included — through a
-// hybrid server and a plain SSMD server and asserts identical candidate
-// costs and reachability: the server-level face of the CH correctness
-// property. Every query must route pairwise to the overlay.
+// TestStrategyCHMatchesSSMD runs point-ish obfuscated queries — at most 4
+// pairs, duplicates and s==t cells included — through a hybrid server and a
+// plain SSMD server and asserts identical candidate costs and reachability:
+// the server-level face of the CH correctness property. Every query must
+// route to the overlay's many-to-many engine.
 func TestStrategyCHMatchesSSMD(t *testing.T) {
 	chSrv, ssmdSrv := hybridAndSSMD(t)
 	queries := []protocol.ServerQuery{
@@ -80,50 +78,8 @@ func TestStrategyCHMatchesSSMD(t *testing.T) {
 		{QueryID: 4, Sources: []roadnet.NodeID{5, 5}, Dests: []roadnet.NodeID{5, 9}},
 	}
 	assertMatchesSSMD(t, chSrv, ssmdSrv, queries)
-	if n := chSrv.Metrics().Counter("ch_queries"); n != int64(len(queries)) {
-		t.Fatalf("ch_queries = %d, want %d", n, len(queries))
-	}
-	if n := chSrv.Metrics().Counter("mtm_queries"); n != 0 {
-		t.Fatalf("mtm_queries = %d, want 0 (no query is wider than DefaultCHMaxPairs)", n)
-	}
-}
-
-// TestStrategyHybridRouting asserts the pair-count cutover: small queries
-// route pairwise to the overlay, wide ones to the many-to-many bucket
-// engine, and both produce correct results.
-func TestStrategyHybridRouting(t *testing.T) {
-	g := testGraph(t)
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyHybrid
-	cfg.CHOverlay = chTestOverlay(t, g)
-	srv := MustNew(g, cfg)
-	acc := storage.NewMemoryGraph(g)
-
-	small := protocol.ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{5}, Dests: []roadnet.NodeID{300, 301}}         // 2 pairs → pairwise CH
-	large := protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{300, 301, 302}} // 6 pairs → MTM
-	for _, q := range []protocol.ServerQuery{small, large} {
-		reply, err := srv.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range reply.Paths {
-			want, _, err := search.Dijkstra(acc, c.Source, c.Dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(c.Nodes) != 0 && math.Abs(c.Cost-want.Cost) > 1e-9*(1+want.Cost) {
-				t.Fatalf("pair (%d,%d): hybrid cost %v, Dijkstra %v", c.Source, c.Dest, c.Cost, want.Cost)
-			}
-		}
-	}
-	if n := srv.Metrics().Counter("ch_queries"); n != 1 {
-		t.Fatalf("ch_queries = %d, want 1 (only the small query routes to pairwise CH)", n)
-	}
-	if n := srv.Metrics().Counter("mtm_queries"); n != 1 {
-		t.Fatalf("mtm_queries = %d, want 1 (the wide query routes to the bucket engine)", n)
-	}
-	if st := srv.MTMStats(); st.Tables != 1 || st.BucketEntries == 0 {
-		t.Fatalf("MTM engine stats do not reflect the wide query: %+v", st)
+	if n := chSrv.Metrics().Counter("mtm_queries"); n != int64(len(queries)) {
+		t.Fatalf("mtm_queries = %d, want %d", n, len(queries))
 	}
 }
 

@@ -2,17 +2,20 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
+	"opaque/internal/search"
+	"opaque/internal/storage"
 )
 
-// TestStrategyCHMTMMatchesSSMD runs wide obfuscated queries — more than
-// DefaultCHMaxPairs pairs, duplicates and s==t cells included — through a
-// hybrid server and a plain SSMD server and asserts identical candidate
-// costs and reachability: the server-level face of the many-to-many
-// correctness property. Every query must route to the bucket engine.
+// TestStrategyCHMTMMatchesSSMD runs wide obfuscated queries — 2×3 and up,
+// duplicates and s==t cells included — through a hybrid server and a plain
+// SSMD server and asserts identical candidate costs and reachability: the
+// server-level face of the many-to-many correctness property. Every query
+// must route to the bucket engine.
 func TestStrategyCHMTMMatchesSSMD(t *testing.T) {
 	mtmSrv, ssmdSrv := hybridAndSSMD(t)
 	queries := []protocol.ServerQuery{
@@ -25,53 +28,109 @@ func TestStrategyCHMTMMatchesSSMD(t *testing.T) {
 	if n := mtmSrv.Metrics().Counter("mtm_queries"); n != int64(len(queries)) {
 		t.Fatalf("mtm_queries = %d, want %d", n, len(queries))
 	}
-	if n := mtmSrv.Metrics().Counter("ch_queries"); n != 0 {
-		t.Fatalf("ch_queries = %d, want 0 (every query is wider than DefaultCHMaxPairs)", n)
-	}
 	if st := mtmSrv.MTMStats(); st.Tables != int64(len(queries)) {
 		t.Fatalf("MTM Tables = %d, want %d", st.Tables, len(queries))
 	}
 }
 
-// TestHybridCutoverBoundary pins the DefaultCHMaxPairs routing semantics at
-// the boundary: |S|·|T| of DefaultCHMaxPairs−1 and DefaultCHMaxPairs route
-// pairwise to the overlay (the cutover is inclusive), DefaultCHMaxPairs+1
-// routes to the many-to-many engine.
-func TestHybridCutoverBoundary(t *testing.T) {
-	g := testGraph(t)
-	overlay := chTestOverlay(t, g)
-	cases := []struct {
-		name            string
-		pairs           int
-		wantCH, wantMTM int64
-	}{
-		{fmt.Sprintf("below (%d = DefaultCHMaxPairs-1)", DefaultCHMaxPairs-1), DefaultCHMaxPairs - 1, 1, 0},
-		{fmt.Sprintf("at (%d = DefaultCHMaxPairs)", DefaultCHMaxPairs), DefaultCHMaxPairs, 1, 0},
-		{fmt.Sprintf("above (%d = DefaultCHMaxPairs+1)", DefaultCHMaxPairs+1), DefaultCHMaxPairs + 1, 0, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Strategy = StrategyHybrid
-			cfg.CHOverlay = overlay
-			srv := MustNew(g, cfg)
-			dests := make([]roadnet.NodeID, tc.pairs)
-			for i := range dests {
-				dests[i] = roadnet.NodeID(20 + 10*i)
-			}
-			if _, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{10}, Dests: dests}); err != nil {
+// TestHybridRoutesEveryOverlayQueryToMTM pins the one overlay route: every
+// query shape on a hybrid server with an overlay, 1×1 included, is one
+// many-to-many table — counted in mtm_queries and in the engine's Tables,
+// never in fallback_queries — and its costs equal reference Dijkstra.
+func TestHybridRoutesEveryOverlayQueryToMTM(t *testing.T) {
+	srv, _ := hybridAndSSMD(t)
+	acc := storage.NewMemoryGraph(srv.Graph())
+	for i, shape := range [][2]int{{1, 1}, {1, 2}, {2, 2}, {1, 4}, {1, 5}, {3, 3}} {
+		q := protocol.ServerQuery{}
+		for k := 0; k < shape[0]; k++ {
+			q.Sources = append(q.Sources, roadnet.NodeID(10+7*k))
+		}
+		for k := 0; k < shape[1]; k++ {
+			q.Dests = append(q.Dests, roadnet.NodeID(300+11*k))
+		}
+		reply, err := srv.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range reply.Paths {
+			want, _, err := search.ReferenceDijkstra(acc, c.Source, c.Dest)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if n := srv.Metrics().Counter("ch_queries"); n != tc.wantCH {
-				t.Fatalf("ch_queries = %d, want %d", n, tc.wantCH)
+			if !sameCandidateCost(c, want) {
+				t.Fatalf("%dx%d pair (%d,%d): hybrid found=%v cost %v, reference %v", shape[0], shape[1], c.Source, c.Dest, c.Found, c.Cost, want.Cost)
 			}
-			if n := srv.Metrics().Counter("mtm_queries"); n != tc.wantMTM {
-				t.Fatalf("mtm_queries = %d, want %d", n, tc.wantMTM)
+		}
+		m := srv.Metrics()
+		if n := m.Counter("mtm_queries"); n != int64(i+1) {
+			t.Fatalf("%dx%d: mtm_queries = %d, want %d", shape[0], shape[1], n, i+1)
+		}
+		if st := srv.MTMStats(); st.Tables != int64(i+1) {
+			t.Fatalf("%dx%d: MTM Tables = %d, want %d", shape[0], shape[1], st.Tables, i+1)
+		}
+		if n := m.Counter("fallback_queries"); n != 0 {
+			t.Fatalf("%dx%d: fallback_queries = %d, want 0", shape[0], shape[1], n)
+		}
+	}
+}
+
+// sameCandidateCost reports whether candidate c agrees with the reference
+// path on reachability and, within float re-association, on cost.
+func sameCandidateCost(c protocol.CandidatePath, want search.Path) bool {
+	if found := len(want.Nodes) > 0; c.Found != found {
+		return false
+	}
+	return !c.Found || math.Abs(c.Cost-want.Cost) <= 1e-9*(1+want.Cost)
+}
+
+// TestShedSmallQuerySkipsUnpacking: a shed (DistanceOnly) query of a few
+// pairs takes the many-to-many engine's distance-only fast path — its costs
+// equal reference Dijkstra, no candidate carries nodes, and it allocates
+// strictly less than the same query with paths.
+func TestShedSmallQuerySkipsUnpacking(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.CHOverlay = chTestOverlay(t, g)
+	cfg.KeepLog = false
+	srv := MustNew(g, cfg)
+	acc := storage.NewMemoryGraph(g)
+	for _, q := range []protocol.ServerQuery{
+		{Sources: []roadnet.NodeID{12}, Dests: []roadnet.NodeID{640}},
+		{Sources: []roadnet.NodeID{12, 90}, Dests: []roadnet.NodeID{640, 333}},
+	} {
+		shape := fmt.Sprintf("%dx%d", len(q.Sources), len(q.Dests))
+		shed := q
+		shed.DistanceOnly = true
+		reply, err := srv.Evaluate(shed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range reply.Paths {
+			want, _, err := search.ReferenceDijkstra(acc, c.Source, c.Dest)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n := srv.Metrics().Counter("fallback_queries"); n != 0 {
-				t.Fatalf("fallback_queries = %d, want 0 (hybrid with an overlay never routes to SSMD)", n)
+			if !sameCandidateCost(c, want) {
+				t.Fatalf("%s pair (%d,%d): shed found=%v cost %v, reference %v", shape, c.Source, c.Dest, c.Found, c.Cost, want.Cost)
 			}
-		})
+			if c.Nodes != nil {
+				t.Fatalf("%s pair (%d,%d): shed candidate carries %d nodes", shape, c.Source, c.Dest, len(c.Nodes))
+			}
+		}
+		if raceEnabled {
+			continue // race instrumentation allocates and defeats sync.Pool reuse
+		}
+		allocs := func(q protocol.ServerQuery) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if _, err := srv.Evaluate(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if withPaths, distOnly := allocs(q), allocs(shed); distOnly >= withPaths {
+			t.Fatalf("%s: shed query allocated %v times, the same query with paths %v; want strictly fewer", shape, distOnly, withPaths)
+		}
 	}
 }
 
@@ -97,8 +156,8 @@ func TestHybridWithoutOverlayFallsBackToSSMD(t *testing.T) {
 	if n := srv.Metrics().Counter("fallback_queries"); n != 1 {
 		t.Fatalf("fallback_queries = %d, want 1", n)
 	}
-	if n := srv.Metrics().Counter("ch_queries") + srv.Metrics().Counter("mtm_queries"); n != 0 {
-		t.Fatalf("overlay routing counters moved without an overlay: %d", n)
+	if n := srv.Metrics().Counter("mtm_queries"); n != 0 {
+		t.Fatalf("overlay routing counter moved without an overlay: %d", n)
 	}
 	if st := srv.TreeCacheStats(); st.Hits+st.Misses == 0 {
 		t.Fatal("fallback query bypassed the SSMD tree cache")
@@ -109,8 +168,8 @@ func TestHybridWithoutOverlayFallsBackToSSMD(t *testing.T) {
 }
 
 // TestMTMMetricsSurfaced asserts the bucket-engine instrumentation reaches
-// the metrics registry the periodic stats log reads — and counts only the
-// wide table, not the point query routed pairwise beside it.
+// the metrics registry the periodic stats log reads — and counts the point
+// query beside the wide table, since both are tables.
 func TestMTMMetricsSurfaced(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
@@ -127,8 +186,11 @@ func TestMTMMetricsSurfaced(t *testing.T) {
 	}
 	m := srv.Metrics()
 	st := srv.MTMStats()
-	if st.Tables != 1 || st.BucketEntries == 0 || st.BucketEntriesScanned == 0 || st.ArenaHighWater == 0 {
-		t.Fatalf("MTM stats after one table: %+v", st)
+	if st.Tables != 2 || st.BucketEntries == 0 || st.BucketEntriesScanned == 0 || st.ArenaHighWater == 0 {
+		t.Fatalf("MTM stats after two tables: %+v", st)
+	}
+	if n := m.Counter("mtm_queries"); n != 2 {
+		t.Fatalf("mtm_queries = %d, want 2", n)
 	}
 	if got := m.Gauge("mtm_tables"); got != float64(st.Tables) {
 		t.Fatalf("mtm_tables gauge = %v, engine says %d", got, st.Tables)

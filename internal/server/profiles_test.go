@@ -55,7 +55,7 @@ func TestProfileQueriesServeProfileMetric(t *testing.T) {
 		if metric.ContentChecksum() == g.ContentChecksum() {
 			t.Fatalf("%s: profile metric identical to base metric", name)
 		}
-		// Point-shaped (pairwise CH route) and wide (MTM route) queries.
+		// Point-shaped and wide queries.
 		for _, shape := range []int{1, 4} {
 			srcs := make([]roadnet.NodeID, shape)
 			dsts := make([]roadnet.NodeID, shape)
@@ -232,9 +232,9 @@ func TestProfileOnFlatServer(t *testing.T) {
 }
 
 // TestRouteCountersCoverProfileQueries: live and profile queries route
-// through the same function, so ch_queries + mtm_queries + fallback_queries
-// equals queries_processed however the traffic mixes metrics and shapes — on
-// a hybrid server (both overlay routes) and on a flat one (SSMD only).
+// through the same function, so mtm_queries + fallback_queries equals
+// queries_processed however the traffic mixes metrics and shapes — on a
+// hybrid server (every query on the overlay) and on a flat one (SSMD only).
 func TestRouteCountersCoverProfileQueries(t *testing.T) {
 	flatCfg := DefaultConfig()
 	flatCfg.Profiles = costmodel.TimeOfDayProfiles()
@@ -257,12 +257,12 @@ func TestRouteCountersCoverProfileQueries(t *testing.T) {
 			}
 		}
 		m := s.Metrics()
-		routed := m.Counter("ch_queries") + m.Counter("mtm_queries") + m.Counter("fallback_queries")
+		routed := m.Counter("mtm_queries") + m.Counter("fallback_queries")
 		if served := m.Counter("queries_processed"); routed != served || served != 16 {
-			t.Errorf("%s: ch+mtm+fallback = %d, queries_processed = %d, want both 16", name, routed, served)
+			t.Errorf("%s: mtm+fallback = %d, queries_processed = %d, want both 16", name, routed, served)
 		}
-		if name == "hybrid" && (m.Counter("ch_queries") != 8 || m.Counter("mtm_queries") != 8) {
-			t.Errorf("hybrid: ch_queries = %d, mtm_queries = %d, want 8 each", m.Counter("ch_queries"), m.Counter("mtm_queries"))
+		if name == "hybrid" && m.Counter("mtm_queries") != 16 {
+			t.Errorf("hybrid: mtm_queries = %d, want 16", m.Counter("mtm_queries"))
 		}
 	}
 }

@@ -11,7 +11,7 @@
 // composing per-query parallelism under a server-wide concurrency gate.
 // In-memory deployments additionally accept live weight updates
 // (UpdateWeights, update.go): every update publishes one epoch — the pinned
-// weight snapshot, the CH overlay re-customized for it and the engines bound
+// weight snapshot, the CH overlay re-customized for it and the engine bound
 // to it, behind one atomic pointer — and every query evaluates on the epoch it
 // loaded, stamping that epoch's metric identity on its reply. The
 // hot path is free of global mutexes — the query log and statistics are
@@ -39,11 +39,10 @@ import (
 )
 
 // StrategyHybrid serves through the contraction-hierarchy overlay
-// (Config.CHOverlay or Config.BuildCH) and routes each query by shape:
-// point-ish queries (up to DefaultCHMaxPairs candidate pairs) go pairwise to
-// the overlay, wider obfuscated queries go to the many-to-many bucket engine.
-// When the server has no overlay at all, every query falls back to the SSMD
-// spanning-tree sharing (and the tree cache, when enabled).
+// (Config.CHOverlay or Config.BuildCH): every query, 1×1 included, is one
+// many-to-many bucket table on the overlay. When the server has no overlay
+// at all, every query falls back to the SSMD spanning-tree sharing (and the
+// tree cache, when enabled).
 const StrategyHybrid = search.Strategy("hybrid")
 
 // Config parameterises a Server.
@@ -122,19 +121,6 @@ type Config struct {
 	PrewarmProfiles bool
 }
 
-// DefaultCHMaxPairs is the hybrid cutover: obfuscated queries of up to this
-// many candidate pairs (|S|·|T| ≤ DefaultCHMaxPairs, inclusive) run
-// pairwise on the CH overlay; strictly wider tables go to the many-to-many
-// bucket engine, whose |S|+|T| sweeps amortise across cells. Experiment E15
-// measures the crossover on the overlay kind servers are deployed with
-// (partitioned), where every upward search is an elimination-tree walk: the
-// two engines do the same search work on 1×1 (within 0.1 ms of each other in
-// three runs), and MTM is about twice as fast at 1×4 and 2×2 and an order of
-// magnitude faster from 16×16 up (6 000-node map, small scale). The cutover stays at 4 all the same:
-// moving it changes how point-open's small queries are routed, which needs a
-// benchmark claim of its own.
-const DefaultCHMaxPairs = 4
-
 // DefaultConfig returns an in-memory SSMD server with logging enabled. The
 // tree cache is off by default so single-query experiments report cold-search
 // work; batch deployments enable it via TreeCache.
@@ -195,8 +181,8 @@ func (cfg Config) validate() error {
 // metric identity its reply carries. acc is the data it reads — for the live
 // metric of an in-memory server, one pinned weight snapshot — with the flat
 // SSMD processor over it and, when the server serves through an overlay, the
-// overlay customized for exactly that data, the two engines bound to it and
-// the processors routed onto them. The live epoch sits behind one atomic
+// overlay customized for exactly that data, the many-to-many engine bound to
+// it and the processor routed onto it. The live epoch sits behind one atomic
 // pointer that RecustomizeNow replaces wholesale, so a query sees one whole
 // epoch, never a half-installed mix, and its answer is exact on the snapshot
 // ident names. A weight profile is an epoch that never swaps.
@@ -205,9 +191,7 @@ type evalState struct {
 	ident   replyIdentity
 	flat    *search.Processor
 	overlay *ch.Overlay // nil: the server runs without an overlay
-	engine  *ch.Engine
 	mtm     *ch.MTM
-	point   *search.Processor // pairwise on the overlay
 	table   *search.Processor // many-to-many on the overlay
 }
 
@@ -261,7 +245,6 @@ type Server struct {
 	mSettled      *metrics.Counter
 	mBatches      *metrics.Counter
 	mBatchQueries *metrics.Counter
-	mCHQueries    *metrics.Counter
 	mMTMQueries   *metrics.Counter
 	mFallback     *metrics.Counter
 	mWeightUpd    *metrics.Counter
@@ -297,7 +280,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	s.mSettled = s.metrics.CounterVar("nodes_settled")
 	s.mBatches = s.metrics.CounterVar("batches_processed")
 	s.mBatchQueries = s.metrics.CounterVar("batch_queries")
-	s.mCHQueries = s.metrics.CounterVar("ch_queries")
 	s.mMTMQueries = s.metrics.CounterVar("mtm_queries")
 	s.mFallback = s.metrics.CounterVar("fallback_queries")
 	s.mWeightUpd = s.metrics.CounterVar("weight_updates")
@@ -372,9 +354,9 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 // newEvalState builds the epoch over acc, which must not move under it (a
 // snapshot, a profile graph or the paged layout): its identity — acc's
 // generation and content checksum — the flat SSMD processor (with cache, nil
-// for none) and, for a non-nil overlay customized for acc's weights, both
-// engines bound to that generation with their processors. Called at startup,
-// by every publication and for every profile.
+// for none) and, for a non-nil overlay customized for acc's weights, the
+// many-to-many engine bound to that generation with its processor. Called
+// at startup, by every publication and for every profile.
 func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *search.TreeCache) *evalState {
 	newProcessor := func(opts ...search.ProcessorOption) *search.Processor {
 		opts = append(opts, search.WithWorkspacePool(s.wsPool), search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate))
@@ -388,11 +370,8 @@ func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *
 		flat:    newProcessor(search.WithTreeCache(cache)),
 	}
 	if overlay != nil {
-		st.engine = ch.NewEngine(overlay, nil)
-		st.engine.BindGeneration(gen)
 		st.mtm = ch.NewMTM(overlay, nil)
 		st.mtm.BindGeneration(gen)
-		st.point = newProcessor(search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(st.engine))
 		st.table = newProcessor(search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(st.mtm))
 	}
 	return st
@@ -454,7 +433,7 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 	st, err := s.state(q.Profile)
 	var res search.Table
 	if err == nil {
-		res, err = s.route(st, q).EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
+		res, err = s.route(st).EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
 	}
 	if err != nil {
 		s.mFailed.Add(1)
@@ -527,25 +506,18 @@ func (s *Server) state(profile string) (*evalState, error) {
 	return s.profiles.state(profile)
 }
 
-// route picks the processor of st that answers q and bumps that route's
-// counter: the SSMD processor when st has no overlay (fallback_queries);
-// otherwise pairwise CH for queries small enough (|S|·|T| ≤
-// DefaultCHMaxPairs, inclusive) that per-pair bidirectional searches prune
-// hardest (ch_queries), and the many-to-many bucket engine for strictly
-// wider tables (mtm_queries). Live and profile queries both route here, so
-// the three counters together count every query served.
-func (s *Server) route(st *evalState, q protocol.ServerQuery) *search.Processor {
-	switch {
-	case st.overlay == nil:
+// route picks the processor of st that answers a query and bumps that
+// route's counter: the many-to-many bucket engine whenever st has an overlay
+// (mtm_queries), the SSMD processor otherwise (fallback_queries). Live and
+// profile queries both route here, so the two counters together count every
+// query served.
+func (s *Server) route(st *evalState) *search.Processor {
+	if st.overlay == nil {
 		s.mFallback.Add(1)
 		return st.flat
-	case len(q.Sources)*len(q.Dests) <= DefaultCHMaxPairs:
-		s.mCHQueries.Add(1)
-		return st.point
-	default:
-		s.mMTMQueries.Add(1)
-		return st.table
 	}
+	s.mMTMQueries.Add(1)
+	return st.table
 }
 
 // Overlay returns the published epoch's contraction-hierarchy overlay (after

@@ -53,7 +53,6 @@ func TestNewValidation(t *testing.T) {
 		"pairwise":             func(c *Config) { c.Strategy = search.StrategyPairwise },
 		"pairwise-astar":       func(c *Config) { c.Strategy = search.StrategyPairwiseAStar },
 		"pairwise-alt":         func(c *Config) { c.Strategy = search.StrategyPairwiseALT },
-		"point-engine":         func(c *Config) { c.Strategy = search.StrategyPointEngine },
 		"table-engine":         func(c *Config) { c.Strategy = search.StrategyTableEngine },
 		"ch":                   func(c *Config) { c.Strategy = "ch" },
 		"ch-mtm":               func(c *Config) { c.Strategy = "ch-mtm" },
@@ -200,7 +199,7 @@ func TestPagedServerCountsFaults(t *testing.T) {
 }
 
 // TestStrategiesProduceSameCosts: the two serving strategies answer the same
-// costs, with hybrid queries on both sides of its cutover.
+// costs, point-ish and wide queries alike.
 func TestStrategiesProduceSameCosts(t *testing.T) {
 	g := testGraph(t)
 	hybridCfg := DefaultConfig()
@@ -225,8 +224,8 @@ func TestStrategiesProduceSameCosts(t *testing.T) {
 			}
 		}
 	}
-	if m := hybrid.Metrics(); m.Counter("ch_queries") != 1 || m.Counter("mtm_queries") != 1 {
-		t.Fatalf("hybrid routed ch=%d mtm=%d, want one query each", m.Counter("ch_queries"), m.Counter("mtm_queries"))
+	if m := hybrid.Metrics(); m.Counter("mtm_queries") != 2 {
+		t.Fatalf("hybrid routed mtm=%d, want both queries", m.Counter("mtm_queries"))
 	}
 }
 

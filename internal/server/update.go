@@ -15,13 +15,13 @@ import (
 //  1. applyWeights hands the changes to storage.MutableGraph, which derives
 //     the next weight snapshot copy-on-write and swaps it in atomically. No
 //     query reads it yet: every query keeps evaluating on the published
-//     epoch, whose snapshot, overlay and engines all describe one metric.
+//     epoch, whose snapshot, overlay and engine all describe one metric.
 //  2. RecustomizeNow publishes the snapshot: it re-customizes the CH
 //     overlay's weight layer for it when its content moved — arc-level
 //     (ch.RecustomizeIncremental), milliseconds for a traffic batch
 //     (experiment E17) against ~10 s for a re-contraction of the measured
 //     50k-node network (experiment E16) — and swaps one evalState holding
-//     the snapshot, the overlay, engines bound to it and its identity in
+//     the snapshot, the overlay, the engine bound to it and its identity in
 //     behind the live pointer.
 //
 // A query loads that pointer once, so its answer is exact on the snapshot its

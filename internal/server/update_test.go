@@ -104,7 +104,7 @@ func TestApplyWeightsServesPreviousEpochUntilPublished(t *testing.T) {
 	if s.OverlayFresh() {
 		t.Fatal("ApplyWeights published the epoch")
 	}
-	check := func(want *roadnet.Graph, wantCH, wantMTM int64) {
+	check := func(want *roadnet.Graph, wantMTM int64) {
 		t.Helper()
 		for _, q := range []protocol.ServerQuery{point, wide} {
 			reply, err := s.Evaluate(q)
@@ -120,23 +120,23 @@ func TestApplyWeightsServesPreviousEpochUntilPublished(t *testing.T) {
 		if got := m.Counter("fallback_queries"); got != 0 {
 			t.Fatalf("fallback_queries = %d, want 0", got)
 		}
-		if gotCH, gotMTM := m.Counter("ch_queries"), m.Counter("mtm_queries"); gotCH != wantCH || gotMTM != wantMTM {
-			t.Fatalf("ch_queries = %d, mtm_queries = %d, want %d and %d", gotCH, gotMTM, wantCH, wantMTM)
+		if got := m.Counter("mtm_queries"); got != wantMTM {
+			t.Fatalf("mtm_queries = %d, want %d", got, wantMTM)
 		}
 	}
-	check(g, 1, 1)
+	check(g, 2)
 	if err := s.RecustomizeNow(); err != nil {
 		t.Fatal(err)
 	}
 	if !s.OverlayFresh() {
 		t.Fatal("RecustomizeNow did not publish the applied generation")
 	}
-	check(cur, 2, 2)
+	check(cur, 4)
 }
 
 // TestUpdateRecustomizeRestoresOverlay: with a customizable overlay, every
-// weight update publishes a re-customized overlay, and both overlay routes
-// (pairwise CH and many-to-many) serve current-graph distances on it.
+// weight update publishes a re-customized overlay, and point-ish and wide
+// queries alike serve current-graph distances on it.
 func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 	g := updateTestGraph(t, 70, 502)
 	cfg := DefaultConfig()
@@ -145,8 +145,8 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 	s := MustNew(g, cfg)
 	oldOverlay := s.Overlay()
 	queries := []protocol.ServerQuery{
-		{Sources: []roadnet.NodeID{1, 2, 7}, Dests: []roadnet.NodeID{3, 9}}, // 6 pairs → MTM
-		{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{3, 9}},       // 2 pairs → CH
+		{Sources: []roadnet.NodeID{1, 2, 7}, Dests: []roadnet.NodeID{3, 9}},
+		{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{3, 9}},
 	}
 
 	rng := rand.New(rand.NewSource(503))
@@ -188,9 +188,9 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 		t.Fatalf("recustomize_runs = %d, want >= 3", got)
 	}
 	// After each explicit RecustomizeNow, queries must route onto the
-	// overlay again, not the fallback — on both sides of the cutover.
-	if ch, mtm := m.Counter("ch_queries"), m.Counter("mtm_queries"); ch < 3 || mtm < 3 {
-		t.Fatalf("overlay routing did not resume after refresh (ch = %d, mtm = %d)", ch, mtm)
+	// overlay again, not the fallback — point-ish and wide alike.
+	if mtm, fallback := m.Counter("mtm_queries"), m.Counter("fallback_queries"); mtm < 6 || fallback != 0 {
+		t.Fatalf("overlay routing did not resume after refresh (mtm = %d, fallback = %d)", mtm, fallback)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
 // changing any cost (a no-op change, or a revert restoring the exact old
 // weights) must not strand the overlay behind the generation check — the
 // publication reuses the overlay with engines bound to the new generation
-// instead of re-customizing, and pairwise CH and many-to-many routing resume.
+// instead of re-customizing, and overlay routing resumes.
 func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	g := updateTestGraph(t, 50, 509)
 	cfg := DefaultConfig()
@@ -274,7 +274,7 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	if err := s.RecustomizeNow(); err != nil {
 		t.Fatal(err)
 	}
-	before, beforeMTM := s.Metrics().Counter("ch_queries"), s.Metrics().Counter("mtm_queries")
+	before := s.Metrics().Counter("mtm_queries")
 	for i := 0; i < 3; i++ {
 		for _, query := range []protocol.ServerQuery{q, wide} {
 			reply, err := s.Evaluate(query)
@@ -284,11 +284,8 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 			checkReplyMatchesGraph(t, s.Graph(), reply)
 		}
 	}
-	if got := s.Metrics().Counter("ch_queries"); got != before+3 {
-		t.Fatalf("CH routing did not resume after a no-op update: ch_queries went %d → %d", before, got)
-	}
-	if got := s.Metrics().Counter("mtm_queries"); got != beforeMTM+3 {
-		t.Fatalf("MTM routing did not resume after a no-op update: mtm_queries went %d → %d", beforeMTM, got)
+	if got := s.Metrics().Counter("mtm_queries"); got != before+6 {
+		t.Fatalf("MTM routing did not resume after a no-op update: mtm_queries went %d → %d", before, got)
 	}
 	if s.Overlay() != overlayBefore {
 		t.Fatal("no-op update triggered a full re-customization instead of a rebind")
@@ -440,8 +437,8 @@ func TestConcurrentUpdatesAndBatches(t *testing.T) {
 }
 
 // TestEmptyQueryContract pins the unified empty-S/T contract across both
-// serving strategies — with the non-empty side on either side of the hybrid
-// cutover — and every processor entry point: an error wrapping
+// serving strategies — with a non-empty side of one node or of several — and
+// every processor entry point: an error wrapping
 // search.ErrEmptyQuery, never a silent empty table.
 func TestEmptyQueryContract(t *testing.T) {
 	g := updateTestGraph(t, 30, 507)
@@ -475,7 +472,6 @@ func TestEmptyQueryContract(t *testing.T) {
 	procs := map[string]*search.Processor{
 		"ssmd":         search.NewProcessor(acc),
 		"pairwise":     search.NewProcessor(acc, search.WithStrategy(search.StrategyPairwise)),
-		"point-engine": search.NewProcessor(acc, search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(ch.NewEngine(o, nil))),
 		"table-engine": search.NewProcessor(acc, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(mtm)),
 	}
 	for name, p := range procs {
@@ -498,8 +494,10 @@ func TestEmptyQueryContract(t *testing.T) {
 }
 
 // TestStaleEngineGenerationContract exercises the search.Generational
-// contract directly: a processor whose point/table engine generation trails
-// a versioned accessor refuses with ErrStaleEngine instead of serving.
+// contract directly: a processor whose table engine generation trails a
+// versioned accessor refuses with ErrStaleEngine instead of serving — a 1×1
+// path table and a distance-only table alike — and serves again once a
+// re-customized engine is bound to the new generation.
 func TestStaleEngineGenerationContract(t *testing.T) {
 	g := updateTestGraph(t, 30, 508)
 	mg := storage.NewMutableGraph(g)
@@ -507,14 +505,11 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := ch.NewEngine(o, nil)
-	mtm := ch.NewMTM(o, nil)
-	pePoint := search.NewProcessor(mg, search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(eng))
-	peTable := search.NewProcessor(mg, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(mtm))
+	peTable := search.NewProcessor(mg, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(ch.NewMTM(o, nil)))
 
 	S, T := []roadnet.NodeID{1}, []roadnet.NodeID{2}
-	if _, err := pePoint.Evaluate(S, T); err != nil {
-		t.Fatalf("fresh point engine refused: %v", err)
+	if _, err := peTable.Evaluate(S, T); err != nil {
+		t.Fatalf("fresh table engine refused a point query: %v", err)
 	}
 	if _, err := peTable.EvaluateDistances(S, T); err != nil {
 		t.Fatalf("fresh table engine refused: %v", err)
@@ -523,8 +518,8 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pePoint.Evaluate(S, T); !errors.Is(err, search.ErrStaleEngine) {
-		t.Fatalf("stale point engine: err = %v, want ErrStaleEngine", err)
+	if _, err := peTable.Evaluate(S, T); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("stale table engine, point query: err = %v, want ErrStaleEngine", err)
 	}
 	if _, err := peTable.EvaluateDistances(S, T); !errors.Is(err, search.ErrStaleEngine) {
 		t.Fatalf("stale table engine: err = %v, want ErrStaleEngine", err)
@@ -535,9 +530,9 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := ch.NewEngine(fresh, nil)
-	eng2.BindGeneration(storage.GenerationOf(mg))
-	p2 := search.NewProcessor(mg, search.WithStrategy(search.StrategyPointEngine), search.WithPointEngine(eng2))
+	mtm2 := ch.NewMTM(fresh, nil)
+	mtm2.BindGeneration(storage.GenerationOf(mg))
+	p2 := search.NewProcessor(mg, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(mtm2))
 	res, err := p2.Evaluate(S, T)
 	if err != nil {
 		t.Fatalf("re-bound engine refused: %v", err)
