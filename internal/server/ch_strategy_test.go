@@ -83,6 +83,17 @@ func TestStrategyCHMatchesSSMD(t *testing.T) {
 	}
 }
 
+// TestStrategyHybridRouting asserts a hybrid server with an overlay routes
+// a small query (2 pairs) and a wide one (6 pairs) alike to the
+// many-to-many bucket engine, and both produce correct results.
+func TestStrategyHybridRouting(t *testing.T) {
+	srv, _ := hybridAndSSMD(t)
+	small := protocol.ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{5}, Dests: []roadnet.NodeID{300, 301}}
+	large := protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{5, 6}, Dests: []roadnet.NodeID{300, 301, 302}}
+	assertRoutedToMTM(t, srv, small, 1)
+	assertRoutedToMTM(t, srv, large, 2)
+}
+
 // TestCHStrategyConfigValidation covers the overlay requirements of a hybrid
 // server: a mismatched overlay is refused, and BuildCH builds a customizable
 // one over the server's graph.

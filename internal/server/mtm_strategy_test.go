@@ -39,7 +39,6 @@ func TestStrategyCHMTMMatchesSSMD(t *testing.T) {
 // never in fallback_queries — and its costs equal reference Dijkstra.
 func TestHybridRoutesEveryOverlayQueryToMTM(t *testing.T) {
 	srv, _ := hybridAndSSMD(t)
-	acc := storage.NewMemoryGraph(srv.Graph())
 	for i, shape := range [][2]int{{1, 1}, {1, 2}, {2, 2}, {1, 4}, {1, 5}, {3, 3}} {
 		q := protocol.ServerQuery{}
 		for k := 0; k < shape[0]; k++ {
@@ -48,29 +47,61 @@ func TestHybridRoutesEveryOverlayQueryToMTM(t *testing.T) {
 		for k := 0; k < shape[1]; k++ {
 			q.Dests = append(q.Dests, roadnet.NodeID(300+11*k))
 		}
-		reply, err := srv.Evaluate(q)
+		assertRoutedToMTM(t, srv, q, int64(i+1))
+	}
+}
+
+// TestHybridCutoverBoundary checks the pair counts around the former
+// pairwise/many-to-many cutover of 4 pairs: 3, 4 and 5 pairs from one
+// source each route to the many-to-many engine on a fresh hybrid server,
+// so no pair count takes another overlay route.
+func TestHybridCutoverBoundary(t *testing.T) {
+	g := testGraph(t)
+	overlay := chTestOverlay(t, g)
+	for _, pairs := range []int{3, 4, 5} {
+		t.Run(fmt.Sprintf("1x%d", pairs), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Strategy = StrategyHybrid
+			cfg.CHOverlay = overlay
+			srv := MustNew(g, cfg)
+			dests := make([]roadnet.NodeID, pairs)
+			for i := range dests {
+				dests[i] = roadnet.NodeID(20 + 10*i)
+			}
+			assertRoutedToMTM(t, srv, protocol.ServerQuery{Sources: []roadnet.NodeID{10}, Dests: dests}, 1)
+		})
+	}
+}
+
+// assertRoutedToMTM evaluates q on srv, asserts every candidate agrees with
+// reference Dijkstra, and asserts the server has now routed wantTables
+// queries to the many-to-many engine and none to the SSMD fallback.
+func assertRoutedToMTM(t *testing.T, srv *Server, q protocol.ServerQuery, wantTables int64) {
+	t.Helper()
+	shape := fmt.Sprintf("%dx%d", len(q.Sources), len(q.Dests))
+	reply, err := srv.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := storage.NewMemoryGraph(srv.Graph())
+	for _, c := range reply.Paths {
+		want, _, err := search.ReferenceDijkstra(acc, c.Source, c.Dest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range reply.Paths {
-			want, _, err := search.ReferenceDijkstra(acc, c.Source, c.Dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCandidateCost(c, want) {
-				t.Fatalf("%dx%d pair (%d,%d): hybrid found=%v cost %v, reference %v", shape[0], shape[1], c.Source, c.Dest, c.Found, c.Cost, want.Cost)
-			}
+		if !sameCandidateCost(c, want) {
+			t.Fatalf("%s pair (%d,%d): hybrid found=%v cost %v, reference %v", shape, c.Source, c.Dest, c.Found, c.Cost, want.Cost)
 		}
-		m := srv.Metrics()
-		if n := m.Counter("mtm_queries"); n != int64(i+1) {
-			t.Fatalf("%dx%d: mtm_queries = %d, want %d", shape[0], shape[1], n, i+1)
-		}
-		if st := srv.MTMStats(); st.Tables != int64(i+1) {
-			t.Fatalf("%dx%d: MTM Tables = %d, want %d", shape[0], shape[1], st.Tables, i+1)
-		}
-		if n := m.Counter("fallback_queries"); n != 0 {
-			t.Fatalf("%dx%d: fallback_queries = %d, want 0", shape[0], shape[1], n)
-		}
+	}
+	m := srv.Metrics()
+	if n := m.Counter("mtm_queries"); n != wantTables {
+		t.Fatalf("%s: mtm_queries = %d, want %d", shape, n, wantTables)
+	}
+	if st := srv.MTMStats(); st.Tables != wantTables || st.BucketEntries == 0 {
+		t.Fatalf("%s: MTM stats = %+v, want %d tables with bucket entries", shape, st, wantTables)
+	}
+	if n := m.Counter("fallback_queries"); n != 0 {
+		t.Fatalf("%s: fallback_queries = %d, want 0 (hybrid with an overlay never routes to SSMD)", shape, n)
 	}
 }
 
