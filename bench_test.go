@@ -1,11 +1,12 @@
 // Benchmark harness for the OPAQUE reproduction.
 //
-// One benchmark per experiment of DESIGN.md §5 / EXPERIMENTS.md (E1–E15): each
-// runs the corresponding experiment at small scale and reports the table it
-// produces (with -v, via b.Log), so `go test -bench=.` regenerates every
-// figure of the reproduction. Micro-benchmarks of the underlying primitives
-// (Dijkstra, SSMD, the obfuscator, the end-to-end pipeline) follow, so the
-// per-operation costs behind the experiment tables are visible too.
+// One benchmark per paper experiment (E1–E11): each runs the corresponding
+// experiment at small scale and reports the table it produces (with -v, via
+// b.Log), so `go test -bench=.` regenerates every table of the reproduction.
+// Micro-benchmarks of the underlying primitives (Dijkstra, SSMD, the
+// obfuscator, the batch engine, the overlay kernels, the end-to-end
+// pipeline) follow; they hold the kernel numbers, and bench/ holds the
+// end-to-end ones.
 //
 // Run everything:
 //
@@ -55,24 +56,19 @@ func benchmarkExperiment(b *testing.B, id string) {
 	}
 }
 
-// Experiment benchmarks (one per table of EXPERIMENTS.md).
+// Experiment benchmarks (one per paper experiment).
 
-func BenchmarkE1Baselines(b *testing.B)             { benchmarkExperiment(b, "E1") }
-func BenchmarkE2Breach(b *testing.B)                { benchmarkExperiment(b, "E2") }
-func BenchmarkE3CostModel(b *testing.B)             { benchmarkExperiment(b, "E3") }
-func BenchmarkE4SSMD(b *testing.B)                  { benchmarkExperiment(b, "E4") }
-func BenchmarkE5SharedVsIndependent(b *testing.B)   { benchmarkExperiment(b, "E5") }
-func BenchmarkE6ObfuscatorOverhead(b *testing.B)    { benchmarkExperiment(b, "E6") }
-func BenchmarkE7Scaling(b *testing.B)               { benchmarkExperiment(b, "E7") }
-func BenchmarkE8Strategies(b *testing.B)            { benchmarkExperiment(b, "E8") }
-func BenchmarkE9Collusion(b *testing.B)             { benchmarkExperiment(b, "E9") }
-func BenchmarkE10Linkage(b *testing.B)              { benchmarkExperiment(b, "E10") }
-func BenchmarkE11ServerLog(b *testing.B)            { benchmarkExperiment(b, "E11") }
-func BenchmarkE12BatchThroughput(b *testing.B)      { benchmarkExperiment(b, "E12") }
-func BenchmarkE13WorkspaceHotPath(b *testing.B)     { benchmarkExperiment(b, "E13") }
-func BenchmarkE14ContractionHierarchy(b *testing.B) { benchmarkExperiment(b, "E14") }
-func BenchmarkE15ManyToMany(b *testing.B)           { benchmarkExperiment(b, "E15") }
-func BenchmarkE16LiveUpdates(b *testing.B)          { benchmarkExperiment(b, "E16") }
+func BenchmarkE1Baselines(b *testing.B)           { benchmarkExperiment(b, "E1") }
+func BenchmarkE2Breach(b *testing.B)              { benchmarkExperiment(b, "E2") }
+func BenchmarkE3CostModel(b *testing.B)           { benchmarkExperiment(b, "E3") }
+func BenchmarkE4SSMD(b *testing.B)                { benchmarkExperiment(b, "E4") }
+func BenchmarkE5SharedVsIndependent(b *testing.B) { benchmarkExperiment(b, "E5") }
+func BenchmarkE6ObfuscatorOverhead(b *testing.B)  { benchmarkExperiment(b, "E6") }
+func BenchmarkE7Scaling(b *testing.B)             { benchmarkExperiment(b, "E7") }
+func BenchmarkE8Strategies(b *testing.B)          { benchmarkExperiment(b, "E8") }
+func BenchmarkE9Collusion(b *testing.B)           { benchmarkExperiment(b, "E9") }
+func BenchmarkE10Linkage(b *testing.B)            { benchmarkExperiment(b, "E10") }
+func BenchmarkE11ServerLog(b *testing.B)          { benchmarkExperiment(b, "E11") }
 
 // Micro-benchmarks of the primitives behind the experiments.
 

@@ -39,11 +39,11 @@ import (
 // pushes it forward: nodes bottom-up, each relaxing the targets of all its
 // triangles — linear in the triangles of the structure, cell-parallel on a
 // partitioned overlay, orders of magnitude faster than a re-contraction
-// (experiment E16). The arc-level pass (RecustomizeIncremental) pulls it: a
-// rank-ordered worklist seeded with the arcs whose road cost changed
-// re-derives one arc at a time from its lower triangles and goes on to the
-// arcs above only where the new value can move them — milliseconds for a
-// traffic batch (experiment E17).
+// (BenchmarkRecustomizeFull). The arc-level pass (RecustomizeIncremental)
+// pulls it: a rank-ordered worklist seeded with the arcs whose road cost
+// changed re-derives one arc at a time from its lower triangles and goes on
+// to the arcs above only where the new value can move them — milliseconds
+// for a traffic batch (BenchmarkRecustomizeIncremental).
 
 // Recustomize derives a fresh overlay whose weight layer matches g's current
 // arc costs, sharing the frozen topology (ranks, levels, CSR structure) with

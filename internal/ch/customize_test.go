@@ -449,3 +449,18 @@ func BenchmarkRecustomizeIncremental(b *testing.B) {
 	}
 	b.ReportMetric(float64(arcs)/float64(b.N), "arcs/op")
 }
+
+// BenchmarkRecustomizeFull is the full pass on the same feed: every triangle
+// of the overlay re-derived for the same 20-arc toggle. Beside
+// BenchmarkRecustomizeIncremental it gives the incremental-vs-full ratio.
+func BenchmarkRecustomizeFull(b *testing.B) {
+	o, graphs := tigerLikeFeed(b, 10000, 16, 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next, err := o.Recustomize(graphs[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		o = next
+	}
+}

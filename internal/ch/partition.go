@@ -203,13 +203,3 @@ func (o *Overlay) LayerArcCount(layer int) int {
 	}
 	return int(o.part.layerOff[layer+1] - o.part.layerOff[layer])
 }
-
-// PartitionAssignment returns the node→cell assignment of a partitioned
-// overlay (nil for unpartitioned ones). The slice aliases overlay storage
-// and must not be modified.
-func (o *Overlay) PartitionAssignment() []int32 {
-	if o.part == nil {
-		return nil
-	}
-	return o.part.cellOf
-}

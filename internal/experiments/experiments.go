@@ -1,12 +1,12 @@
-// Package experiments contains one runner per experiment of the reproduction
-// plan (DESIGN.md §5). The OPAQUE paper is a four-page short paper whose
+// Package experiments contains one runner per experiment of the
+// reproduction, E1–E11. The OPAQUE paper is a four-page short paper whose
 // figures are architectural, so each experiment operationalises one of the
 // paper's quantitative claims (breach probability, the Lemma 1 cost model,
 // the SSMD sharing argument, the independent-vs-shared trade-off, the
 // Section II comparison with prior techniques, and the collusion-resistance
-// claim) as a measured table. cmd/opaque-bench prints the tables;
-// bench_test.go wraps each runner in a testing.B benchmark; EXPERIMENTS.md
-// records the expected versus measured shapes.
+// claim) as a measured table. cmd/opaque-bench prints the tables, and the
+// root bench_test.go wraps each runner in a testing.B benchmark. Each table
+// carries notes stating the expected shape next to the measured one.
 package experiments
 
 import (
@@ -138,15 +138,6 @@ func All() []Runner {
 		E9Collusion{},
 		E10Linkage{},
 		E11ServerLog{},
-		E12BatchThroughput{},
-		E13WorkspaceHotPath{},
-		E14ContractionHierarchy{},
-		E15ManyToMany{},
-		E16LiveUpdates{},
-		E17CellUpdates{},
-		E18Streaming{},
-		E19Fleet{},
-		E20Faults{},
 	}
 }
 
@@ -163,25 +154,4 @@ func ByID(id string) (Runner, error) {
 		ids = append(ids, r.ID())
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (valid: %s)", id, strings.Join(ids, ", "))
-}
-
-// RunAll executes every experiment at the given scale, writing each table to
-// w as it completes, and returns the tables.
-func RunAll(w io.Writer, scale Scale) ([]*Table, error) {
-	var out []*Table
-	for _, r := range All() {
-		tables, err := r.Run(scale)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", r.ID(), err)
-		}
-		for _, t := range tables {
-			if w != nil {
-				if err := t.Render(w); err != nil {
-					return out, err
-				}
-			}
-			out = append(out, t)
-		}
-	}
-	return out, nil
 }

@@ -25,8 +25,8 @@ func TestTableFormatting(t *testing.T) {
 
 func TestAllAndByID(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(all))
+	if len(all) != 11 {
+		t.Fatalf("expected 11 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {
@@ -89,12 +89,6 @@ func TestHelperFunctions(t *testing.T) {
 	}
 	if got := itoa(1234); got != "1234" {
 		t.Errorf("itoa(1234) = %q", got)
-	}
-	if got := meanInt([]int{1, 2, 3}); got != 2 {
-		t.Errorf("meanInt = %v", got)
-	}
-	if got := meanInt(nil); got != 0 {
-		t.Errorf("meanInt(nil) = %v", got)
 	}
 	if got := meanFloat([]float64{1, 3}); got != 2 {
 		t.Errorf("meanFloat = %v", got)

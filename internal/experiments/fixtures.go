@@ -115,18 +115,6 @@ func itoa(i int) string {
 	return string(digits)
 }
 
-// meanInt returns the mean of an int slice (0 for empty).
-func meanInt(v []int) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0
-	for _, x := range v {
-		s += x
-	}
-	return float64(s) / float64(len(v))
-}
-
 // meanFloat returns the mean of a float64 slice (0 for empty).
 func meanFloat(v []float64) float64 {
 	if len(v) == 0 {

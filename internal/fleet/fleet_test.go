@@ -33,7 +33,7 @@ func testGraph(t testing.TB, nodes int, seed uint64) *roadnet.Graph {
 	return gen.MustGenerate(cfg)
 }
 
-// makeQueries generates E15-style obfuscated query shapes: source and
+// makeQueries generates obfuscated query shapes: source and
 // destination sets of mixed sizes |S|,|T| ∈ [1,4] drawn uniformly from the
 // map, the workload shape the obfuscator produces for mixed fS/fT client
 // populations.
@@ -97,7 +97,7 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 
 // TestFleetEquivalence is the scatter/gather property test behind the
 // acceptance criteria: for both serving strategies and both fleet shapes, a
-// router over two shards answers an E15-style workload with exactly the
+// router over two shards answers a mixed-shape workload with exactly the
 // distance tables and paths a single server produces. The workload's shapes
 // run from point queries to wide tables, all of which hybrid shards serve
 // through the many-to-many engine.

@@ -1,8 +1,7 @@
 // Package fleettest is the in-process fleet harness: a router and N shard
 // servers wired together over net.Pipe connections, with kill/restart
-// controls for fault-injection tests. Nothing here depends on testing — the
-// E19 fleet-throughput experiment builds the same cluster the test battery
-// does.
+// controls for fault-injection tests. Nothing here depends on testing, so
+// any harness can build the same cluster the test battery does.
 //
 // Each shard is a complete server.Server over the full road map; killing a
 // shard severs its live connections and makes its dialer refuse, and
@@ -94,13 +93,6 @@ func (sh *Shard) Server() *server.Server {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.srv
-}
-
-// Down reports whether the shard is killed.
-func (sh *Shard) Down() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.down
 }
 
 // Cluster is a router fronting N in-process shards.

@@ -76,11 +76,3 @@ func (r *rng) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the provided slice of ints in place.
-func (r *rng) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}

@@ -1,10 +1,10 @@
 // Package metrics is a small, dependency-free instrumentation registry used
 // by the OPAQUE server and obfuscator service: named counters, gauges and
-// latency histograms that can be snapshotted for logs, tests and the
-// load-test example. It is how the reproduction observes the quantities the
-// paper's evaluation (Section V) reports — queries processed, nodes settled,
-// page faults, batch sizes, cache hit ratios — without wiring an external
-// metrics stack into a research codebase.
+// latency histograms that can be snapshotted for logs and tests. It is how
+// the reproduction observes the quantities the paper's evaluation
+// (Section V) reports — queries processed, nodes settled, page faults, batch
+// sizes, cache hit ratios — without wiring an external metrics stack into a
+// research codebase.
 //
 // The hot path is lock-free: counters are atomic integers obtained once with
 // CounterVar and bumped without touching the registry map, and histograms use
@@ -17,8 +17,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -172,33 +170,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	return snap
-}
-
-// WriteTo renders the snapshot as plain text, one metric per line.
-func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	write := func(format string, args ...any) error {
-		n, err := fmt.Fprintf(w, format, args...)
-		total += int64(n)
-		return err
-	}
-	for _, c := range s.Counters {
-		if err := write("counter %s = %.0f\n", c.Name, c.Value); err != nil {
-			return total, err
-		}
-	}
-	for _, g := range s.Gauges {
-		if err := write("gauge %s = %g\n", g.Name, g.Value); err != nil {
-			return total, err
-		}
-	}
-	for _, h := range s.Histograms {
-		if err := write("histogram %s count=%d mean=%v p50=%v p90=%v p99=%v max=%v\n",
-			h.Name, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Maximum); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // histogram bucket boundaries: 16 exponentially growing latency buckets from

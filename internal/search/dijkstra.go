@@ -32,16 +32,6 @@ func DijkstraDistance(acc storage.Accessor, source, dest roadnet.NodeID) (float6
 	return d, err
 }
 
-// SingleSourceTree computes shortest-path distances from source to every
-// reachable node (a full Dijkstra run with no early termination). It returns
-// the distance and parent arrays; unreachable nodes have distance +Inf. It is
-// used by experiments that need exact network distances as ground truth.
-func SingleSourceTree(acc storage.Accessor, source roadnet.NodeID) ([]float64, []roadnet.NodeID, Stats, error) {
-	w := AcquireWorkspace(acc.NumNodes())
-	defer w.Release()
-	return w.SingleSourceTree(acc, source)
-}
-
 func checkEndpoints(acc storage.Accessor, source, dest roadnet.NodeID) error {
 	if !validNode(acc, source) {
 		return errInvalidSource(source)

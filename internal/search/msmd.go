@@ -24,11 +24,6 @@ const (
 	// StrategyPairwiseAStar runs an independent A* search per pair; a
 	// stronger pairwise baseline that still pays the |S|·|T| multiplier.
 	StrategyPairwiseAStar Strategy = "pairwise-astar"
-	// StrategyPairwiseALT runs an independent A* search per pair using the
-	// precomputed landmark (ALT) lower bounds; requires WithLandmarks. The
-	// strongest per-pair engine, used by the ablation that asks whether a
-	// very good point-to-point search can close the gap to SSMD sharing.
-	StrategyPairwiseALT Strategy = "pairwise-alt"
 	// StrategyTableEngine evaluates the whole Q(S, T) table in one shot on a
 	// pluggable many-to-many engine supplied with WithTableEngine — no
 	// per-source fan-out, the engine owns the entire evaluation. This is how
@@ -134,7 +129,6 @@ type Processor struct {
 	acc         storage.Accessor
 	strategy    Strategy
 	workers     int
-	landmarks   *Landmarks
 	tableEngine TableEngine
 	cache       *TreeCache
 	gate        Gate
@@ -162,12 +156,6 @@ func WithWorkers(n int) ProcessorOption {
 			p.workers = n
 		}
 	}
-}
-
-// WithLandmarks supplies precomputed ALT landmark tables, required by
-// StrategyPairwiseALT.
-func WithLandmarks(lm *Landmarks) ProcessorOption {
-	return func(p *Processor) { p.landmarks = lm }
 }
 
 // WithTableEngine installs a pluggable many-to-many engine, required by
@@ -285,13 +273,6 @@ func (p *Processor) appendRow(acc storage.Accessor, source roadnet.NodeID, dests
 		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) { return w.Dijkstra(acc, source, d) }
 	case StrategyPairwiseAStar:
 		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) { return w.AStarScaled(acc, source, d, 0.8) }
-	case StrategyPairwiseALT:
-		if p.landmarks == nil {
-			return Stats{}, fmt.Errorf("search: strategy %q requires WithLandmarks", StrategyPairwiseALT)
-		}
-		pair = func(w *Workspace, d roadnet.NodeID) (Path, Stats, error) {
-			return w.AStarALT(acc, p.landmarks, source, d)
-		}
 	default:
 		return Stats{}, fmt.Errorf("search: unknown strategy %q", p.strategy)
 	}

@@ -22,8 +22,8 @@
 // streams arcs through storage.Accessor.ForEachArc over the road network's
 // CSR arc array and allocates nothing in steady state. The pre-workspace
 // fresh-slice implementations are preserved in reference.go as the
-// executable specification the equivalence property tests and the E13
-// experiment compare against.
+// executable specification the equivalence property tests and
+// BenchmarkWorkspaceReuse compare against.
 //
 // Preprocessed engines plug into the Q(S, T) processor as whole-table
 // engines through the TableEngine interface (StrategyTableEngine); the

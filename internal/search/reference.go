@@ -17,9 +17,9 @@ import (
 //     assert that a pooled, epoch-stamped Workspace reused across randomized
 //     queries (and across graph generations) returns byte-identical paths
 //     and statistics to these references;
-//   - measured baseline: experiment E13 and BenchmarkWorkspaceReuse quantify
-//     the hot-path win (allocs/op, queries/sec) against exactly the code the
-//     refactor replaced.
+//   - measured baseline: BenchmarkWorkspaceReuse quantifies the hot-path
+//     win (allocs/op, queries/sec) against exactly the code the refactor
+//     replaced.
 //
 // They must not be used on any serving path.
 

@@ -135,13 +135,13 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	sources := []roadnet.NodeID{0, roadnet.NodeID(g.NumNodes() / 2), roadnet.NodeID(g.NumNodes() - 1)}
 	for _, s := range sources {
 		ref := bellmanFord(g, s)
-		dist, _, _, err := SingleSourceTree(acc, s)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for v := 0; v < g.NumNodes(); v += 13 {
-			if math.Abs(ref[v]-dist[v]) > 1e-6 && !(math.IsInf(ref[v], 1) && math.IsInf(dist[v], 1)) {
-				t.Fatalf("source %d dest %d: Dijkstra %v, Bellman-Ford %v", s, v, dist[v], ref[v])
+			dist, err := DijkstraDistance(acc, s, roadnet.NodeID(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(ref[v]-dist) > 1e-6 && !(math.IsInf(ref[v], 1) && math.IsInf(dist, 1)) {
+				t.Fatalf("source %d dest %d: Dijkstra %v, Bellman-Ford %v", s, v, dist, ref[v])
 			}
 		}
 	}
@@ -297,5 +297,42 @@ func TestStatsAdd(t *testing.T) {
 	sum := a.Add(b)
 	if sum.SettledNodes != 11 || sum.RelaxedArcs != 22 || sum.QueueOps != 33 || sum.MaxFrontier != 4 {
 		t.Errorf("Add = %+v", sum)
+	}
+}
+
+// TestFilteredSearchAvoidsNodes exercises the constrained-search accessor
+// end to end: the avoided node never appears on the returned path and the
+// detour is at least as costly as the unconstrained optimum.
+func TestFilteredSearchAvoidsNodes(t *testing.T) {
+	g := mediumGraph(t)
+	plain := storage.NewMemoryGraph(g)
+	// Find an unconstrained path with at least one interior node, then ban
+	// one of its interior nodes and re-search.
+	p, _, err := Dijkstra(plain, 3, roadnet.NodeID(g.NumNodes()-5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() < 3 {
+		t.Skip("path too short to have an interior node to avoid")
+	}
+	banned := p.Nodes[p.Len()/2]
+	filtered := storage.NewFilteredGraph(plain, storage.AvoidNodes(banned))
+	q, _, err := Dijkstra(filtered, 3, roadnet.NodeID(g.NumNodes()-5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Empty() {
+		t.Skip("avoiding the node disconnects the pair on this instance")
+	}
+	for _, n := range q.Nodes {
+		if n == banned {
+			t.Fatalf("avoided node %d appears on the constrained path", banned)
+		}
+	}
+	if q.Cost < p.Cost-1e-9 {
+		t.Errorf("constrained path cost %v is cheaper than the unconstrained optimum %v", q.Cost, p.Cost)
+	}
+	if err := q.Validate(g); err != nil {
+		t.Errorf("constrained path invalid: %v", err)
 	}
 }

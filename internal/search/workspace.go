@@ -57,16 +57,14 @@ type Workspace struct {
 	acc storage.Accessor
 	u   roadnet.NodeID
 	du  float64
-	h   func(roadnet.NodeID) float64
 
-	// Euclidean heuristic parameters for AStarScaled, so the common A*
-	// configuration needs no per-call closure either.
+	// Euclidean heuristic parameters for AStarScaled, so A* needs no
+	// per-call closure either.
 	hScale float64
 	hDest  roadnet.NodeID
 
 	relaxPlain func(roadnet.Arc) bool
 	relaxAStar func(roadnet.Arc) bool
-	euclidH    func(roadnet.NodeID) float64
 }
 
 // NewWorkspace returns a workspace sized for an n-node graph. It grows
@@ -91,13 +89,10 @@ func NewWorkspace(n int) *Workspace {
 		nd := w.du + a.Cost
 		if nd < w.distOf(a.To) {
 			w.label(a.To, nd, w.u)
-			w.heap.Push(int32(a.To), nd+w.h(a.To))
+			w.heap.Push(int32(a.To), nd+w.heuristic(a.To))
 			w.stats.QueueOps++
 		}
 		return true
-	}
-	w.euclidH = func(v roadnet.NodeID) float64 {
-		return w.hScale * w.acc.Euclid(v, w.hDest)
 	}
 	w.Reset(n)
 	return w
@@ -121,7 +116,6 @@ func (w *Workspace) Reset(n int) {
 	w.heap.Reset(n)
 	w.stats = Stats{}
 	w.acc = nil
-	w.h = nil
 }
 
 // ensure grows the label arrays to cover nodes 0..n-1. Grown slots carry
@@ -326,25 +320,20 @@ func (w *Workspace) AStarScaled(acc storage.Accessor, source, dest roadnet.NodeI
 	}
 	w.begin(acc)
 	w.hScale, w.hDest = scale, dest
-	w.h = w.euclidH
 	return w.runAStar(source, dest), w.stats, nil
 }
 
-// AStarHeuristic is A* with an arbitrary admissible heuristic; AStarALT and
-// the ALT strategy use it with the landmark lower bound.
-func (w *Workspace) AStarHeuristic(acc storage.Accessor, source, dest roadnet.NodeID, h func(roadnet.NodeID) float64) (Path, Stats, error) {
-	if err := checkEndpoints(acc, source, dest); err != nil {
-		return Path{}, Stats{}, err
-	}
-	w.begin(acc)
-	w.h = h
-	return w.runAStar(source, dest), w.stats, nil
+// heuristic is AStarScaled's lower bound: the scaled Euclidean distance
+// from v to the destination.
+func (w *Workspace) heuristic(v roadnet.NodeID) float64 {
+	return w.hScale * w.acc.Euclid(v, w.hDest)
 }
 
-// runAStar is the A* core: the workspace must have been begun and w.h set.
+// runAStar is the A* core: the workspace must have been begun and the
+// heuristic parameters set.
 func (w *Workspace) runAStar(source, dest roadnet.NodeID) Path {
 	w.label(source, 0, roadnet.InvalidNode)
-	w.heap.Push(int32(source), w.h(source))
+	w.heap.Push(int32(source), w.heuristic(source))
 	w.stats.QueueOps++
 
 	for !w.heap.Empty() {
@@ -446,45 +435,6 @@ func (w *Workspace) AppendSSMD(acc storage.Accessor, source roadnet.NodeID, dest
 	return w.stats, nil
 }
 
-// SingleSourceTree computes shortest-path distances from source to every
-// reachable node (a full Dijkstra run with no early termination) on this
-// workspace, then copies the labels out into freshly allocated full-size
-// arrays — the contract callers such as landmark preprocessing rely on.
-func (w *Workspace) SingleSourceTree(acc storage.Accessor, source roadnet.NodeID) ([]float64, []roadnet.NodeID, Stats, error) {
-	if !validNode(acc, source) {
-		return nil, nil, Stats{}, errInvalidSource(source)
-	}
-	w.begin(acc)
-	w.label(source, 0, roadnet.InvalidNode)
-	w.heap.Push(int32(source), 0)
-	w.stats.QueueOps++
-	for !w.heap.Empty() {
-		if w.heap.Len() > w.stats.MaxFrontier {
-			w.stats.MaxFrontier = w.heap.Len()
-		}
-		item := w.heap.Pop()
-		u := roadnet.NodeID(item.Value)
-		if item.Priority > w.dist[u] {
-			continue
-		}
-		w.stats.SettledNodes++
-		w.expand(u)
-	}
-	n := acc.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]roadnet.NodeID, n)
-	for v := 0; v < n; v++ {
-		if w.stamp[v] == w.epoch {
-			dist[v] = w.dist[v]
-			parent[v] = w.parent[v]
-		} else {
-			dist[v] = math.Inf(1)
-			parent[v] = roadnet.InvalidNode
-		}
-	}
-	return dist, parent, w.stats, nil
-}
-
 // checkSSMDEndpoints validates an SSMD query's endpoints.
 func checkSSMDEndpoints(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) error {
 	if !validNode(acc, source) {
@@ -575,7 +525,6 @@ func (wp *WorkspacePool) Put(w *Workspace) {
 	wp.puts.Add(1)
 	w.pool = nil
 	w.acc = nil // do not pin graphs from inside the pool
-	w.h = nil
 	wp.p.Put(w)
 }
 

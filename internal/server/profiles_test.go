@@ -141,6 +141,10 @@ func TestProfileServingSurvivesLiveUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Live updates must never touch the precustomized layers: the miss
+	// counter stays where prewarming left it through the whole update.
+	m := s.Metrics()
+	misses0 := m.Counter("profile_layer_misses")
 	if _, err := s.ApplyWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +159,17 @@ func TestProfileServingSurvivesLiveUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReplyMatchesMetric(t, metric, reply)
+	if misses := m.Counter("profile_layer_misses"); misses != misses0 {
+		t.Errorf("profile_layer_misses grew %d → %d on a profile query under a live update", misses0, misses)
+	}
 	if err := s.RecustomizeNow(); err != nil {
 		t.Fatal(err)
 	}
 	if !s.OverlayFresh() {
 		t.Error("applied update still unpublished after RecustomizeNow")
+	}
+	if misses := m.Counter("profile_layer_misses"); misses != misses0 {
+		t.Errorf("profile_layer_misses grew %d → %d across RecustomizeNow; publication must not rebuild profile layers", misses0, misses)
 	}
 }
 

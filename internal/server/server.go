@@ -50,7 +50,7 @@ type Config struct {
 	// Strategy selects how Q(S,T) is served: search.StrategySSMD (also the
 	// zero value) answers every query with SSMD sharing and takes no
 	// overlay; StrategyHybrid serves through the CH overlay. New refuses
-	// anything else. The per-pair, A* and ALT searches of internal/search
+	// anything else. The per-pair and A* searches of internal/search
 	// are library code for the paper's baselines, not serving strategies.
 	Strategy search.Strategy
 	// Workers bounds per-query source-level parallelism (default 1).

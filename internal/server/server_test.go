@@ -52,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 		"bogus strategy":       func(c *Config) { c.Strategy = "bogus" },
 		"pairwise":             func(c *Config) { c.Strategy = search.StrategyPairwise },
 		"pairwise-astar":       func(c *Config) { c.Strategy = search.StrategyPairwiseAStar },
-		"pairwise-alt":         func(c *Config) { c.Strategy = search.StrategyPairwiseALT },
+		"pairwise-alt":         func(c *Config) { c.Strategy = "pairwise-alt" },
 		"table-engine":         func(c *Config) { c.Strategy = search.StrategyTableEngine },
 		"ch":                   func(c *Config) { c.Strategy = "ch" },
 		"ch-mtm":               func(c *Config) { c.Strategy = "ch-mtm" },

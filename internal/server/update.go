@@ -19,9 +19,9 @@ import (
 //  2. RecustomizeNow publishes the snapshot: it re-customizes the CH
 //     overlay's weight layer for it when its content moved — arc-level
 //     (ch.RecustomizeIncremental), milliseconds for a traffic batch
-//     (experiment E17) against ~10 s for a re-contraction of the measured
-//     50k-node network (experiment E16) — and swaps one evalState holding
-//     the snapshot, the overlay, the engine bound to it and its identity in
+//     (BenchmarkRecustomizeIncremental, beside the full pass of
+//     BenchmarkRecustomizeFull) — and swaps one evalState holding the
+//     snapshot, the overlay, the engine bound to it and its identity in
 //     behind the live pointer.
 //
 // A query loads that pointer once, so its answer is exact on the snapshot its
