@@ -25,9 +25,9 @@
 //     table with the many-to-many bucket algorithm — |S|+|T| upward sweeps
 //     joined at per-node bucket entries instead of |S|·|T| point queries, 0
 //     allocs/op for distance-only tables, shortcut chains unpacked into
-//     full paths on demand. A point query is the 1×1 table. MTM implements
-//     search.TableEngine, which is how the server routes every overlay
-//     query to it. Engine (query.go) is a Path-only face over it.
+//     full paths on demand. A point query is the 1×1 table. The server
+//     calls MTM directly for every overlay query. Engine (query.go) is a
+//     Path-only face over it.
 //   - Every upward sweep walks the start node's ancestors in the
 //     elimination tree in rank order, with no priority queue.
 //   - Recustomize (customize.go) is the live-update half: the overlay

@@ -194,8 +194,8 @@ type MTMStats struct {
 // concurrent use: every evaluation checks a private mtmState out of the
 // package's state pool, and the overlay itself is read-only.
 //
-// MTM implements search.TableEngine, which is how the hybrid server answers
-// every query on an overlay, 1×1 included.
+// The hybrid server calls EvaluateTable (or EvaluateDistances) for every
+// query on an overlay, 1×1 included.
 type MTM struct {
 	o *Overlay
 	// verified memoises the last accessor graph proven (by checksum) to be
@@ -203,9 +203,9 @@ type MTM struct {
 	// once per graph instead of once per table.
 	verified atomic.Pointer[roadnet.Graph]
 	// gen is the accessor data generation the overlay's weights are valid
-	// for (search.Generational): the installer binds it with BindGeneration
-	// so the processor refuses the engine once the accessor's generation
-	// moves past it, without waiting for the checksum check to fail.
+	// for: the installer binds it with BindGeneration so verifyAccessor
+	// refuses a versioned accessor whose generation differs, even when its
+	// content checksum still matches.
 	gen atomic.Uint64
 
 	tables    atomic.Int64
@@ -226,11 +226,8 @@ func (m *MTM) Overlay() *Overlay { return m.o }
 
 // BindGeneration records the accessor data generation the overlay's weights
 // were customized for. Servers call it when installing or swapping the
-// engine; see search.Generational.
+// engine; see verifyAccessor.
 func (m *MTM) BindGeneration(gen uint64) { m.gen.Store(gen) }
-
-// Generation implements search.Generational.
-func (m *MTM) Generation() uint64 { return m.gen.Load() }
 
 // Stats returns a snapshot of the engine's lifetime counters.
 func (m *MTM) Stats() MTMStats {
@@ -502,15 +499,21 @@ func (t *Table) Path(i, j int) search.Path {
 // preprocessed index, not the graph — which is the whole point — so the
 // accessor must present exactly the arcs the overlay was contracted over:
 // arc-filtering accessors (storage.FilteredGraph), whose effective arc set
-// differs from the graph they report, are rejected outright, and any other
-// accessor's graph must checksum-match the overlay (memoised per graph). A
-// nil accessor is the caller taking responsibility for the binding.
+// differs from the graph they report, are rejected outright; a versioned
+// accessor (storage.Versioned) must be at the generation bound with
+// BindGeneration, since a generation move marks the data changed even when
+// the weights end up the same; and the accessor's graph must checksum-match
+// the overlay (memoised per graph). A nil accessor is the caller taking
+// responsibility for the binding.
 func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 	if acc == nil {
 		return nil
 	}
 	if _, filtered := acc.(*storage.FilteredGraph); filtered {
 		return fmt.Errorf("ch: overlay cannot serve a filtered accessor — the hierarchy was contracted over the unfiltered arcs; query the filtered graph with the flat searches instead")
+	}
+	if v, ok := acc.(storage.Versioned); ok && v.Generation() != m.gen.Load() {
+		return fmt.Errorf("ch: accessor generation %d, overlay bound to %d: %w", v.Generation(), m.gen.Load(), search.ErrStaleEngine)
 	}
 	g := acc.Graph()
 	if m.verified.Load() != g {
@@ -522,11 +525,10 @@ func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 	return nil
 }
 
-// EvaluateTable implements search.TableEngine: the full Q(S, T) result, every
-// cell's route unpacked straight into the result's one node arena (the wire
-// reply needs every cell). The distances land in the result's Dist and the
-// arc chains stay in the pooled state, unpacked before it returns to the
-// pool.
+// EvaluateTable evaluates the full Q(S, T) result on acc, every cell's route
+// unpacked straight into the result's one node arena (the wire reply needs
+// every cell). The distances land in the result's Dist and the arc chains
+// stay in the pooled state, unpacked before it returns to the pool.
 func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
 		return search.Table{}, err
@@ -551,8 +553,8 @@ func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeI
 	return res, nil
 }
 
-// EvaluateDistances implements search.TableEngine's distance-only fast path:
-// Dist is filled, there are no paths, and no route is ever unpacked.
+// EvaluateDistances is EvaluateTable's distance-only fast path: Dist is
+// filled, there are no paths, and no route is ever unpacked.
 func (m *MTM) EvaluateDistances(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
 		return search.Table{}, err

@@ -285,8 +285,8 @@ func TestMTMDistancesAllocFree(t *testing.T) {
 	}
 }
 
-// TestMTMEdgeCases covers input validation and the TableEngine accessor
-// binding rules.
+// TestMTMEdgeCases covers input validation and the accessor binding rules of
+// EvaluateTable and EvaluateDistances.
 func TestMTMEdgeCases(t *testing.T) {
 	g := randomIntCostGraph(t, 60, 60, 601)
 	o, err := BuildCustomizable(g)
@@ -323,7 +323,7 @@ func TestMTMEdgeCases(t *testing.T) {
 		t.Fatalf("s==t path = %v", p)
 	}
 
-	// TableEngine accessor binding: filtered accessors are rejected, a
+	// Accessor binding: filtered accessors are rejected, a
 	// mismatched graph is rejected, the matching one passes (twice, to cover
 	// the memoised path) and the distance-only face carries no paths.
 	acc := storage.NewMemoryGraph(g)
@@ -352,23 +352,26 @@ func TestMTMEdgeCases(t *testing.T) {
 		if !res.HasPaths() {
 			t.Fatal("EvaluateTable result has no paths")
 		}
-		if d, ok := res.MSMD().Distance(2, 3); !ok || math.IsInf(d, 1) {
-			t.Fatalf("Distance(2,3) = %v, %v", d, ok)
+		// Cell 0 is the pair (2, 3).
+		if d := res.Dist[0]; math.IsInf(d, 1) {
+			t.Fatalf("d(2,3) = %v", d)
+		}
+		if p := res.Path(0); len(p) == 0 || p[0] != 2 || p[len(p)-1] != 3 {
+			t.Fatalf("path(2,3) = %v", p)
 		}
 	}
-	tbl2, err := m.EvaluateDistances(acc, []roadnet.NodeID{2, 7}, []roadnet.NodeID{3, 9})
+	res, err := m.EvaluateDistances(acc, []roadnet.NodeID{2, 7}, []roadnet.NodeID{3, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tbl2.MSMD()
 	if res.HasPaths() {
 		t.Fatal("EvaluateDistances materialised paths")
 	}
-	if _, ok := res.Path(2, 3); ok {
-		t.Fatal("distance-only result claims to hold a path")
+	if p := res.Path(0); p != nil {
+		t.Fatalf("distance-only result holds a path %v", p)
 	}
-	if d, ok := res.Distance(2, 3); !ok || math.IsInf(d, 1) {
-		t.Fatalf("distance-only Distance(2,3) = %v, %v", d, ok)
+	if d := res.Dist[0]; math.IsInf(d, 1) {
+		t.Fatalf("distance-only d(2,3) = %v", d)
 	}
 
 	// Instrumentation moved.
@@ -379,7 +382,7 @@ func TestMTMEdgeCases(t *testing.T) {
 }
 
 // TestEvaluateTableAllocs pins the allocation budget of one path-producing
-// Q(S, T) evaluation through the processor on the many-to-many engine: the
+// Q(S, T) evaluation on the many-to-many engine: the
 // arc chains live in the pooled state and are unpacked straight into the
 // result's node arena, so a small table costs the result's own arrays and
 // little else.
@@ -399,8 +402,7 @@ func TestEvaluateTableAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := search.NewProcessor(storage.NewMemoryGraph(g),
-		search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(NewMTM(o, nil)))
+	acc, m := storage.NewMemoryGraph(g), NewMTM(o, nil)
 	for _, tc := range []struct {
 		k         int
 		maxAllocs float64
@@ -410,7 +412,7 @@ func TestEvaluateTableAllocs(t *testing.T) {
 			sources[i], targets[i] = roadnet.NodeID(17+311*i), roadnet.NodeID(1500+97*i)
 		}
 		evaluate := func() {
-			if _, err := proc.EvaluateTable(sources, targets, false); err != nil {
+			if _, err := m.EvaluateTable(acc, sources, targets); err != nil {
 				t.Fatal(err)
 			}
 		}

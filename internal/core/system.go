@@ -7,16 +7,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"opaque/internal/baseline"
 	"opaque/internal/client"
-	"opaque/internal/gen"
 	"opaque/internal/obfsvc"
 	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
-	"opaque/internal/search"
 	"opaque/internal/server"
 )
 
@@ -120,17 +117,6 @@ func (s *System) ProcessBatch(batch []obfuscate.Request) ([]obfsvc.ClientResult,
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// QuickSystem builds a complete demo system on a freshly generated network:
-// the quickest way to get a runnable OPAQUE deployment, used by the
-// quickstart example and documentation snippets.
-func QuickSystem(networkCfg gen.NetworkConfig, cfg Config) (*System, error) {
-	g, err := gen.Generate(networkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating network: %w", err)
-	}
-	return NewSystem(g, cfg)
-}
-
 // Mechanism adapts the full OPAQUE pipeline to the baseline.Mechanism
 // interface so experiment E1 can tabulate it alongside the Section II
 // techniques. Each Run processes the request as a batch of one through the
@@ -156,13 +142,13 @@ func (m *Mechanism) Name() string { return m.name }
 
 // Run implements baseline.Mechanism.
 func (m *Mechanism) Run(req obfuscate.Request, trueCost float64) (baseline.Outcome, error) {
-	before, beforeQueries := m.sys.Server.TotalStats()
+	before, _ := m.sys.Server.TotalStats()
 	ioBefore := m.sys.Server.IOStats()
 	results, err := m.sys.ProcessBatch([]obfuscate.Request{req})
 	if err != nil {
 		return baseline.Outcome{}, err
 	}
-	after, afterQueries := m.sys.Server.TotalStats()
+	after, _ := m.sys.Server.TotalStats()
 	ioAfter := m.sys.Server.IOStats()
 	res := results[0]
 	if res.Err != nil {
@@ -185,40 +171,8 @@ func (m *Mechanism) Run(req obfuscate.Request, trueCost float64) (baseline.Outco
 		ServerPageFaults:   ioAfter.Faults - ioBefore.Faults,
 		CandidatePairs:     fs * ft,
 	}
-	_ = beforeQueries
-	_ = afterQueries
 	if !res.Found {
 		out.ResultCost = trueCost // unreachable in both views
 	}
 	return out, nil
-}
-
-// EvaluateObfuscatedQuery is a convenience wrapper evaluating one Q(S, T)
-// directly against the system's server; experiments that construct obfuscated
-// queries by hand use it.
-func (s *System) EvaluateObfuscatedQuery(q obfuscate.ObfuscatedQuery) (search.MSMDResult, error) {
-	reply, err := s.Server.Evaluate(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
-	if err != nil {
-		return search.MSMDResult{}, err
-	}
-	// The reply is the source-major |S|×|T| table of the query: lay it back
-	// into a search.Table and take the nested view.
-	nT := len(q.Dests)
-	if len(reply.Paths) != len(q.Sources)*nT {
-		return search.MSMDResult{}, fmt.Errorf("core: reply carries %d candidates for a %d×%d query", len(reply.Paths), len(q.Sources), nT)
-	}
-	tbl := search.NewTable(q.Sources, q.Dests)
-	tbl.Stats.SettledNodes = reply.SettledNodes
-	for k, c := range reply.Paths {
-		if c.Source != q.Sources[k/nT] || c.Dest != q.Dests[k%nT] {
-			return search.MSMDResult{}, fmt.Errorf("core: candidate %d is (%d,%d), the query's cell is (%d,%d)", k, c.Source, c.Dest, q.Sources[k/nT], q.Dests[k%nT])
-		}
-		tbl.Nodes = append(tbl.Nodes, c.Nodes...)
-		if c.Found {
-			tbl.EndCell(c.Cost)
-		} else {
-			tbl.EndCell(math.Inf(1))
-		}
-	}
-	return tbl.MSMD(), nil
 }

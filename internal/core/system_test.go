@@ -98,23 +98,6 @@ func TestSystemWithDifferentMaps(t *testing.T) {
 	}
 }
 
-func TestQuickSystem(t *testing.T) {
-	netCfg := gen.DefaultNetworkConfig()
-	netCfg.Nodes = 400
-	sys, err := QuickSystem(netCfg, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Graph.NumNodes() == 0 {
-		t.Error("QuickSystem produced an empty graph")
-	}
-	badNet := netCfg
-	badNet.Nodes = 0
-	if _, err := QuickSystem(badNet, DefaultConfig()); err == nil {
-		t.Error("QuickSystem accepted an invalid network config")
-	}
-}
-
 func TestDirectClientBypassesObfuscation(t *testing.T) {
 	g := testGraph(t)
 	sys := MustNewSystem(g, testConfig(g, obfuscate.Shared))
@@ -165,34 +148,6 @@ func TestMechanismAdapter(t *testing.T) {
 		}
 		if out.CandidatePairs != 4 {
 			t.Errorf("request %d: candidate pairs = %d, want 4", i, out.CandidatePairs)
-		}
-	}
-}
-
-func TestEvaluateObfuscatedQuery(t *testing.T) {
-	g := testGraph(t)
-	sys := MustNewSystem(g, testConfig(g, obfuscate.Independent))
-	q := obfuscate.ObfuscatedQuery{
-		Sources: []roadnet.NodeID{0, 5},
-		Dests:   []roadnet.NodeID{100, 200},
-	}
-	res, err := sys.EvaluateObfuscatedQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumCandidates() != 4 {
-		t.Errorf("candidates = %d, want 4", res.NumCandidates())
-	}
-	acc := storage.NewMemoryGraph(g)
-	for i, s := range q.Sources {
-		for j, d := range q.Dests {
-			truth, _, err := search.Dijkstra(acc, s, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !truth.Empty() && math.Abs(truth.Cost-res.Paths[i][j].Cost) > 1e-6 {
-				t.Errorf("pair (%d,%d): cost %v, want %v", s, d, res.Paths[i][j].Cost, truth.Cost)
-			}
 		}
 	}
 }

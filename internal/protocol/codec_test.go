@@ -381,11 +381,12 @@ func recordedReply(tb testing.TB, side int) ServerReply {
 		tb.Fatal(err)
 	}
 	rep := ServerReply{QueryID: 1, SettledNodes: res.Stats.SettledNodes, Generation: 1, ContentSum: 0x1234567890abcdef}
-	for i, s := range srcs {
-		for j, d := range dsts {
-			p := res.Paths[i][j]
-			rep.Paths = append(rep.Paths, CandidatePath{Source: s, Dest: d, Nodes: p.Nodes, Cost: p.Cost, Found: !p.Empty()})
+	for c := range res.Dist {
+		cand := CandidatePath{Source: srcs[c/side], Dest: dsts[c%side], Nodes: res.Path(c)}
+		if cand.Nodes != nil {
+			cand.Found, cand.Cost = true, res.Dist[c]
 		}
+		rep.Paths = append(rep.Paths, cand)
 	}
 	return rep
 }

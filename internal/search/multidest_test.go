@@ -132,30 +132,42 @@ func TestProcessorStrategiesAgree(t *testing.T) {
 	sources := []roadnet.NodeID{5, 105, 305}
 	dests := []roadnet.NodeID{77, 301, 512, 640}
 
-	results := map[Strategy]MSMDResult{}
-	for _, strat := range []Strategy{StrategySSMD, StrategyPairwise, StrategyPairwiseAStar} {
+	results := map[Strategy]Table{}
+	for _, strat := range []Strategy{StrategySSMD, StrategyPairwise} {
 		proc := NewProcessor(acc, WithStrategy(strat))
 		res, err := proc.Evaluate(sources, dests)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if res.NumCandidates() != len(sources)*len(dests) {
-			t.Fatalf("%s produced %d candidates, want %d", strat, res.NumCandidates(), len(sources)*len(dests))
+		if len(res.Dist) != len(sources)*len(dests) {
+			t.Fatalf("%s produced %d candidates, want %d", strat, len(res.Dist), len(sources)*len(dests))
 		}
 		results[strat] = res
 	}
+	// The A* row: one scaled-heuristic search per cell.
+	astar := make([]float64, 0, len(sources)*len(dests))
+	for _, s := range sources {
+		for _, d := range dests {
+			p, _, err := AStarScaled(acc, s, d, 0.8)
+			if err != nil {
+				t.Fatalf("astar: %v", err)
+			}
+			if p.Empty() {
+				astar = append(astar, math.Inf(1))
+			} else {
+				astar = append(astar, p.Cost)
+			}
+		}
+	}
 	base := results[StrategySSMD]
-	for _, strat := range []Strategy{StrategyPairwise, StrategyPairwiseAStar} {
-		other := results[strat]
-		for i := range sources {
-			for j := range dests {
-				a, b := base.Paths[i][j], other.Paths[i][j]
-				if a.Empty() != b.Empty() {
-					t.Fatalf("%s reachability differs for (%d,%d)", strat, sources[i], dests[j])
-				}
-				if !a.Empty() && math.Abs(a.Cost-b.Cost) > 1e-6 {
-					t.Fatalf("%s cost %v != SSMD cost %v for (%d,%d)", strat, b.Cost, a.Cost, sources[i], dests[j])
-				}
+	for name, other := range map[string][]float64{"pairwise": results[StrategyPairwise].Dist, "astar": astar} {
+		for c, b := range other {
+			a := base.Dist[c]
+			if math.IsInf(a, 1) != math.IsInf(b, 1) {
+				t.Fatalf("%s reachability differs for (%d,%d)", name, sources[c/len(dests)], dests[c%len(dests)])
+			}
+			if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-6 {
+				t.Fatalf("%s cost %v != SSMD cost %v for (%d,%d)", name, b, a, sources[c/len(dests)], dests[c%len(dests)])
 			}
 		}
 	}
@@ -179,11 +191,9 @@ func TestProcessorConcurrentWorkersMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sources {
-		for j := range dests {
-			if math.Abs(seq.Paths[i][j].Cost-par.Paths[i][j].Cost) > 1e-9 {
-				t.Fatalf("worker result differs at (%d,%d)", i, j)
-			}
+	for c := range seq.Dist {
+		if math.Abs(seq.Dist[c]-par.Dist[c]) > 1e-9 {
+			t.Fatalf("worker result differs at (%d,%d)", c/len(dests), c%len(dests))
 		}
 	}
 	if seq.Stats.SettledNodes != par.Stats.SettledNodes {
@@ -209,23 +219,5 @@ func TestProcessorErrors(t *testing.T) {
 	bad := NewProcessor(acc, WithStrategy("nonsense"))
 	if _, err := bad.Evaluate([]roadnet.NodeID{0}, []roadnet.NodeID{1}); err == nil {
 		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestMSMDResultLookup(t *testing.T) {
-	acc := storage.NewMemoryGraph(lineGraph(t))
-	res, err := NewProcessor(acc).Evaluate([]roadnet.NodeID{0, 1}, []roadnet.NodeID{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := res.Path(0, 3); !ok || p.Cost != 3 {
-		t.Errorf("Path(0,3) = %+v, %v", p, ok)
-	}
-	if _, ok := res.Path(0, 2); ok {
-		t.Error("Path for a pair outside the query should report false")
-	}
-	all := res.AllPaths()
-	if len(all) != 4 {
-		t.Errorf("AllPaths returned %d, want 4", len(all))
 	}
 }

@@ -25,11 +25,10 @@
 // executable specification the equivalence property tests and
 // BenchmarkWorkspaceReuse compare against.
 //
-// Preprocessed engines plug into the Q(S, T) processor as whole-table
-// engines through the TableEngine interface (StrategyTableEngine); the
-// contraction-hierarchy many-to-many engine of internal/ch is the one such
-// engine. Its sweeps walk the overlay's elimination tree on label stores of
-// their own and draw no Workspace.
+// The contraction-hierarchy many-to-many engine of internal/ch evaluates a
+// whole Q(S, T) into the same Table the processor builds; the server calls it
+// directly for every query on an overlay. Its sweeps walk the overlay's
+// elimination tree on label stores of their own and draw no Workspace.
 package search
 
 import (

@@ -12,8 +12,8 @@ import (
 // back in one node arena. It is what the evaluation engines build — the SSMD
 // parent walk and the many-to-many engine's shortcut unpacking both append
 // straight into Nodes — and what the server turns into a
-// wire reply without copying a path; MSMD gives the nested per-pair view the
-// experiments read.
+// wire reply without copying a path. Cell c = i*|T|+j is the pair
+// (Sources[i], Dests[j]): Dist[c] is its distance and Path(c) its route.
 //
 // A Table is also the sink the row evaluators append to: each appends |T|
 // cells (a distance, the path's nodes, the path's end offset) per source, in
@@ -94,33 +94,4 @@ func (t *Table) appendTable(row *Table) {
 	for _, e := range row.Ends {
 		t.Ends = append(t.Ends, base+e)
 	}
-}
-
-// MSMD returns the nested per-pair view of the table. The paths are windows
-// of the table's arena, not copies.
-func (t *Table) MSMD() MSMDResult {
-	nT := len(t.Dests)
-	res := MSMDResult{
-		Sources: t.Sources,
-		Dests:   t.Dests,
-		Dists:   make([][]float64, len(t.Sources)),
-		Stats:   t.Stats,
-	}
-	for i := range res.Dists {
-		res.Dists[i] = t.Dist[i*nT : (i+1)*nT : (i+1)*nT]
-	}
-	if !t.HasPaths() {
-		return res
-	}
-	cells := make([]Path, len(t.Dist))
-	for c := range cells {
-		if nodes := t.Path(c); nodes != nil {
-			cells[c] = Path{Nodes: nodes, Cost: t.Dist[c]}
-		}
-	}
-	res.Paths = make([][]Path, len(t.Sources))
-	for i := range res.Paths {
-		res.Paths[i] = cells[i*nT : (i+1)*nT : (i+1)*nT]
-	}
-	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
@@ -70,6 +71,57 @@ func TestHybridCutoverBoundary(t *testing.T) {
 			}
 			assertRoutedToMTM(t, srv, protocol.ServerQuery{Sources: []roadnet.NodeID{10}, Dests: dests}, 1)
 		})
+	}
+}
+
+// TestOverlayQueriesHoldSearchGate: an overlay query holds one slot of the
+// server-wide search gate for its whole table, so while the gate is full it
+// waits, and once the slot frees it answers with reference costs.
+func TestOverlayQueriesHoldSearchGate(t *testing.T) {
+	g := testGraph(t)
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyHybrid
+	cfg.CHOverlay = chTestOverlay(t, g)
+	cfg.MaxConcurrentSearches = 1
+	srv := MustNew(g, cfg)
+	q := protocol.ServerQuery{Sources: []roadnet.NodeID{10, 17}, Dests: []roadnet.NodeID{300, 311}}
+
+	type result struct {
+		reply protocol.ServerReply
+		err   error
+	}
+	done := make(chan result, 1)
+	srv.gate.Acquire()
+	go func() {
+		reply, err := srv.Evaluate(q)
+		done <- result{reply, err}
+	}()
+	select {
+	case r := <-done:
+		srv.gate.Release()
+		t.Fatalf("overlay query returned while the search gate was full (err = %v)", r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	srv.gate.Release()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.reply.Paths) != len(q.Sources)*len(q.Dests) {
+		t.Fatalf("reply carries %d candidates, want %d", len(r.reply.Paths), len(q.Sources)*len(q.Dests))
+	}
+	acc := storage.NewMemoryGraph(g)
+	for _, c := range r.reply.Paths {
+		want, _, err := search.ReferenceDijkstra(acc, c.Source, c.Dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCandidateCost(c, want) {
+			t.Fatalf("pair (%d,%d): found=%v cost %v, reference %v", c.Source, c.Dest, c.Found, c.Cost, want.Cost)
+		}
+	}
+	if n := srv.Metrics().Counter("mtm_queries"); n != 1 {
+		t.Fatalf("mtm_queries = %d, want 1", n)
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // The server precustomizes one evaluation state (evalState) per profile: an
 // immutable accessor over the profile graph and (when the server serves
 // through an overlay) a customized overlay weight layer sharing the base
-// overlay's frozen topology (ch.ProfileSet) with the engine and processors
-// bound to it. Profile queries route onto that state exactly like live queries do
-// onto the live epoch, with zero customization work on the query path, and —
+// overlay's frozen topology (ch.ProfileSet) with the engine bound to it.
+// Profile queries route onto that state exactly like live queries do onto
+// the live epoch, with zero customization work on the query path, and —
 // because the state never swaps — a heavy live update stream never touches
 // them.
 //
@@ -134,7 +134,7 @@ func (pc *profileCache) state(name string) (*evalState, error) {
 	}
 	// The profile accessor is a plain immutable MemoryGraph: its generation
 	// is constant 0, the engine binds to 0, and the state can therefore never
-	// fail the processors' staleness checks. No tree cache is attached — the
+	// fail the engine's staleness check. No tree cache is attached — the
 	// server's cache keys trees by (source, generation) and every profile
 	// accessor reports generation 0, so sharing it would mix trees across
 	// metrics.

@@ -60,8 +60,9 @@ type Config struct {
 	// the batch engine's parallelism: BatchWorkers queries in flight, each
 	// fanning out up to Workers per-source searches.
 	BatchWorkers int
-	// MaxConcurrentSearches caps the total number of per-source searches in
-	// flight across all queries and batches, composing Workers ×
+	// MaxConcurrentSearches caps the total number of searches in flight —
+	// SSMD per-source searches and many-to-many tables, one slot each —
+	// across all queries and batches, composing Workers ×
 	// BatchWorkers under one server-wide semaphore so large batches cannot
 	// oversubscribe the machine. 0 means no cap.
 	MaxConcurrentSearches int
@@ -181,18 +182,17 @@ func (cfg Config) validate() error {
 // metric identity its reply carries. acc is the data it reads — for the live
 // metric of an in-memory server, one pinned weight snapshot — with the flat
 // SSMD processor over it and, when the server serves through an overlay, the
-// overlay customized for exactly that data, the many-to-many engine bound to
-// it and the processor routed onto it. The live epoch sits behind one atomic
-// pointer that RecustomizeNow replaces wholesale, so a query sees one whole
-// epoch, never a half-installed mix, and its answer is exact on the snapshot
-// ident names. A weight profile is an epoch that never swaps.
+// overlay customized for exactly that data and the many-to-many engine bound
+// to it. The live epoch sits behind one atomic pointer that RecustomizeNow
+// replaces wholesale, so a query sees one whole epoch, never a half-installed
+// mix, and its answer is exact on the snapshot ident names. A weight profile
+// is an epoch that never swaps.
 type evalState struct {
 	acc     storage.Accessor
 	ident   replyIdentity
 	flat    *search.Processor
 	overlay *ch.Overlay // nil: the server runs without an overlay
 	mtm     *ch.MTM
-	table   *search.Processor // many-to-many on the overlay
 }
 
 // Server is the directions search server.
@@ -307,9 +307,9 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 		s.acc = storage.NewPagedGraph(store, pool)
 	} else {
 		// In-memory deployments serve through the mutable weight view, so
-		// UpdateWeights works out of the box: queries pin immutable snapshots
-		// (the processors do this per evaluation), updates swap the current
-		// one atomically.
+		// UpdateWeights works out of the box: queries read the immutable
+		// snapshot their epoch pinned, updates swap the current one
+		// atomically.
 		s.mutable = storage.NewMutableGraph(g)
 		s.acc = s.mutable
 	}
@@ -355,24 +355,20 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 // snapshot, a profile graph or the paged layout): its identity — acc's
 // generation and content checksum — the flat SSMD processor (with cache, nil
 // for none) and, for a non-nil overlay customized for acc's weights, the
-// many-to-many engine bound to that generation with its processor. Called
-// at startup, by every publication and for every profile.
+// many-to-many engine bound to that generation. Called at startup, by every
+// publication and for every profile.
 func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *search.TreeCache) *evalState {
-	newProcessor := func(opts ...search.ProcessorOption) *search.Processor {
-		opts = append(opts, search.WithWorkspacePool(s.wsPool), search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate))
-		return search.NewProcessor(acc, opts...)
-	}
 	gen := storage.GenerationOf(acc)
 	st := &evalState{
 		acc:     acc,
 		ident:   replyIdentity{generation: gen, contentSum: acc.Graph().ContentChecksum()},
 		overlay: overlay,
-		flat:    newProcessor(search.WithTreeCache(cache)),
+		flat: search.NewProcessor(acc, search.WithTreeCache(cache), search.WithWorkspacePool(s.wsPool),
+			search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate)),
 	}
 	if overlay != nil {
 		st.mtm = ch.NewMTM(overlay, nil)
 		st.mtm.BindGeneration(gen)
-		st.table = newProcessor(search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(st.mtm))
 	}
 	return st
 }
@@ -433,7 +429,7 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 	st, err := s.state(q.Profile)
 	var res search.Table
 	if err == nil {
-		res, err = s.route(st).EvaluateTable(q.Sources, q.Dests, q.DistanceOnly)
+		res, err = s.route(st, q)
 	}
 	if err != nil {
 		s.mFailed.Add(1)
@@ -506,18 +502,25 @@ func (s *Server) state(profile string) (*evalState, error) {
 	return s.profiles.state(profile)
 }
 
-// route picks the processor of st that answers a query and bumps that
-// route's counter: the many-to-many bucket engine whenever st has an overlay
-// (mtm_queries), the SSMD processor otherwise (fallback_queries). Live and
-// profile queries both route here, so the two counters together count every
-// query served.
-func (s *Server) route(st *evalState) *search.Processor {
+// route evaluates q on st and bumps the counter of the route that answered
+// it: the many-to-many bucket engine, holding one gate slot for the whole
+// table, whenever st has an overlay (mtm_queries), the SSMD processor
+// otherwise (fallback_queries). Only the engine has a distance-only fast
+// path; the SSMD processor computes paths regardless. Live and profile
+// queries both route here, so the two counters together count every query
+// served.
+func (s *Server) route(st *evalState, q protocol.ServerQuery) (search.Table, error) {
 	if st.overlay == nil {
 		s.mFallback.Add(1)
-		return st.flat
+		return st.flat.Evaluate(q.Sources, q.Dests)
 	}
 	s.mMTMQueries.Add(1)
-	return st.table
+	s.gate.Acquire()
+	defer s.gate.Release()
+	if q.DistanceOnly {
+		return st.mtm.EvaluateDistances(st.acc, q.Sources, q.Dests)
+	}
+	return st.mtm.EvaluateTable(st.acc, q.Sources, q.Dests)
 }
 
 // Overlay returns the published epoch's contraction-hierarchy overlay (after

@@ -51,9 +51,9 @@ func TestNewValidation(t *testing.T) {
 	refused := map[string]func(*Config){
 		"bogus strategy":       func(c *Config) { c.Strategy = "bogus" },
 		"pairwise":             func(c *Config) { c.Strategy = search.StrategyPairwise },
-		"pairwise-astar":       func(c *Config) { c.Strategy = search.StrategyPairwiseAStar },
+		"pairwise-astar":       func(c *Config) { c.Strategy = "pairwise-astar" },
 		"pairwise-alt":         func(c *Config) { c.Strategy = "pairwise-alt" },
-		"table-engine":         func(c *Config) { c.Strategy = search.StrategyTableEngine },
+		"table-engine":         func(c *Config) { c.Strategy = "table-engine" },
 		"ch":                   func(c *Config) { c.Strategy = "ch" },
 		"ch-mtm":               func(c *Config) { c.Strategy = "ch-mtm" },
 		"ssmd with CHOverlay":  func(c *Config) { c.CHOverlay = overlay },

@@ -438,7 +438,7 @@ func TestConcurrentUpdatesAndBatches(t *testing.T) {
 
 // TestEmptyQueryContract pins the unified empty-S/T contract across both
 // serving strategies — with a non-empty side of one node or of several — and
-// every processor entry point: an error wrapping
+// every processor and engine entry point: an error wrapping
 // search.ErrEmptyQuery, never a silent empty table.
 func TestEmptyQueryContract(t *testing.T) {
 	g := updateTestGraph(t, 30, 507)
@@ -461,8 +461,8 @@ func TestEmptyQueryContract(t *testing.T) {
 		}
 	}
 
-	// Processor level: every strategy returns ErrEmptyQuery from both
-	// Evaluate and EvaluateDistances; direct engine surfaces agree.
+	// Processor and engine level: every processor strategy and both MTM
+	// table faces return ErrEmptyQuery; the direct engine surfaces agree.
 	acc := storage.NewMemoryGraph(g)
 	o, err := ch.BuildCustomizable(g)
 	if err != nil {
@@ -470,17 +470,22 @@ func TestEmptyQueryContract(t *testing.T) {
 	}
 	mtm := ch.NewMTM(o, nil)
 	procs := map[string]*search.Processor{
-		"ssmd":         search.NewProcessor(acc),
-		"pairwise":     search.NewProcessor(acc, search.WithStrategy(search.StrategyPairwise)),
-		"table-engine": search.NewProcessor(acc, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(mtm)),
+		"ssmd":     search.NewProcessor(acc),
+		"pairwise": search.NewProcessor(acc, search.WithStrategy(search.StrategyPairwise)),
 	}
 	for name, p := range procs {
 		if _, err := p.Evaluate(nil, []roadnet.NodeID{1}); !errors.Is(err, search.ErrEmptyQuery) {
 			t.Fatalf("%s Evaluate(∅, T): err = %v, want ErrEmptyQuery", name, err)
 		}
-		if _, err := p.EvaluateDistances([]roadnet.NodeID{1}, nil); !errors.Is(err, search.ErrEmptyQuery) {
-			t.Fatalf("%s EvaluateDistances(S, ∅): err = %v, want ErrEmptyQuery", name, err)
+		if _, err := p.Evaluate([]roadnet.NodeID{1}, nil); !errors.Is(err, search.ErrEmptyQuery) {
+			t.Fatalf("%s Evaluate(S, ∅): err = %v, want ErrEmptyQuery", name, err)
 		}
+	}
+	if _, err := mtm.EvaluateTable(acc, nil, []roadnet.NodeID{1}); !errors.Is(err, search.ErrEmptyQuery) {
+		t.Fatalf("MTM.EvaluateTable(∅, T): err = %v, want ErrEmptyQuery", err)
+	}
+	if _, err := mtm.EvaluateDistances(acc, []roadnet.NodeID{1}, nil); !errors.Is(err, search.ErrEmptyQuery) {
+		t.Fatalf("MTM.EvaluateDistances(S, ∅): err = %v, want ErrEmptyQuery", err)
 	}
 	if _, _, err := mtm.Distances(nil, []roadnet.NodeID{1}); !errors.Is(err, search.ErrEmptyQuery) {
 		t.Fatalf("MTM.Distances(∅, T): err = %v, want ErrEmptyQuery", err)
@@ -493,11 +498,13 @@ func TestEmptyQueryContract(t *testing.T) {
 	}
 }
 
-// TestStaleEngineGenerationContract exercises the search.Generational
-// contract directly: a processor whose table engine generation trails a
-// versioned accessor refuses with ErrStaleEngine instead of serving — a 1×1
-// path table and a distance-only table alike — and serves again once a
-// re-customized engine is bound to the new generation.
+// TestStaleEngineGenerationContract exercises the many-to-many engine's
+// generation binding directly: an engine bound to one generation of a
+// versioned accessor refuses with ErrStaleEngine once the accessor moves on —
+// a 1×1 path table and a distance-only table alike — and serves again once a
+// re-customized engine is bound to the new generation. A verbatim no-op
+// update moves the generation but not the content checksum, so only the
+// generation half of the binding catches it.
 func TestStaleEngineGenerationContract(t *testing.T) {
 	g := updateTestGraph(t, 30, 508)
 	mg := storage.NewMutableGraph(g)
@@ -505,40 +512,64 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peTable := search.NewProcessor(mg, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(ch.NewMTM(o, nil)))
+	mtm := ch.NewMTM(o, nil)
 
 	S, T := []roadnet.NodeID{1}, []roadnet.NodeID{2}
-	if _, err := peTable.Evaluate(S, T); err != nil {
-		t.Fatalf("fresh table engine refused a point query: %v", err)
+	if _, err := mtm.EvaluateTable(mg, S, T); err != nil {
+		t.Fatalf("fresh engine refused a point query: %v", err)
 	}
-	if _, err := peTable.EvaluateDistances(S, T); err != nil {
-		t.Fatalf("fresh table engine refused: %v", err)
+	if _, err := mtm.EvaluateDistances(mg, S, T); err != nil {
+		t.Fatalf("fresh engine refused: %v", err)
 	}
 
 	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peTable.Evaluate(S, T); !errors.Is(err, search.ErrStaleEngine) {
-		t.Fatalf("stale table engine, point query: err = %v, want ErrStaleEngine", err)
+	if _, err := mtm.EvaluateTable(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("stale engine, point query: err = %v, want ErrStaleEngine", err)
 	}
-	if _, err := peTable.EvaluateDistances(S, T); !errors.Is(err, search.ErrStaleEngine) {
-		t.Fatalf("stale table engine: err = %v, want ErrStaleEngine", err)
+	if _, err := mtm.EvaluateDistances(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("stale engine: err = %v, want ErrStaleEngine", err)
 	}
 
 	// Re-customize and re-bind: serving resumes on the new generation.
-	fresh, err := o.Recustomize(mg.Graph())
-	if err != nil {
-		t.Fatal(err)
+	rebind := func() *ch.MTM {
+		t.Helper()
+		fresh, err := o.Recustomize(mg.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := ch.NewMTM(fresh, nil)
+		m.BindGeneration(storage.GenerationOf(mg))
+		return m
 	}
-	mtm2 := ch.NewMTM(fresh, nil)
-	mtm2.BindGeneration(storage.GenerationOf(mg))
-	p2 := search.NewProcessor(mg, search.WithStrategy(search.StrategyTableEngine), search.WithTableEngine(mtm2))
-	res, err := p2.Evaluate(S, T)
+	mtm = rebind()
+	res, err := mtm.EvaluateTable(mg, S, T)
 	if err != nil {
 		t.Fatalf("re-bound engine refused: %v", err)
 	}
-	want := referenceDistance(t, mg.Graph(), S[0], T[0])
-	if got, _ := res.Distance(S[0], T[0]); got != want {
-		t.Fatalf("re-bound engine distance %v, want %v", got, want)
+	if want := referenceDistance(t, mg.Graph(), S[0], T[0]); res.Dist[0] != want {
+		t.Fatalf("re-bound engine distance %v, want %v", res.Dist[0], want)
+	}
+
+	// A verbatim repeat of an applied change: the generation moves, the
+	// content checksum does not, and the engine must still refuse.
+	noop := roadnet.ArcWeightChange{From: 0, To: g.Arcs(0)[0].To, NewCost: 7}
+	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{noop}); err != nil {
+		t.Fatal(err)
+	}
+	mtm = rebind()
+	sum := mg.Graph().ContentChecksum()
+	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{noop}); err != nil {
+		t.Fatal(err)
+	}
+	if mg.Graph().ContentChecksum() != sum {
+		t.Fatal("a verbatim repeat of an applied change moved the content checksum")
+	}
+	if _, err := mtm.EvaluateTable(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("no-op update, path table: err = %v, want ErrStaleEngine", err)
+	}
+	if _, err := mtm.EvaluateDistances(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+		t.Fatalf("no-op update, distance table: err = %v, want ErrStaleEngine", err)
 	}
 }

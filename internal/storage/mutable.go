@@ -27,13 +27,6 @@ import (
 // update — is what checksum-bound structures (the CH overlay) compare
 // against to detect staleness.
 
-// WeightUpdater is implemented by accessors that accept live weight updates.
-// UpdateWeights applies every change atomically with respect to concurrent
-// readers and returns the data generation the updated weights carry.
-type WeightUpdater interface {
-	UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error)
-}
-
 // Snapshotter is implemented by accessors whose data can move under them.
 // Snapshot returns an immutable view of the current data: an Accessor whose
 // graph and generation never change, so one query evaluated entirely against
@@ -110,12 +103,14 @@ func NewMutableGraph(g *roadnet.Graph) *MutableGraph {
 // created by updates, not by readers.
 func (m *MutableGraph) Snapshot() Accessor { return m.cur.Load() }
 
-// UpdateWeights implements WeightUpdater: it derives a copy-on-write graph
-// with the changes applied (see roadnet.Graph.WithUpdatedWeights for the
-// change semantics and validation), bumps the generation and atomically
-// publishes the new snapshot. Concurrent readers keep their pinned snapshots;
-// no reader ever observes a partially applied update. On error nothing is
-// published and the generation does not move.
+// UpdateWeights applies every change atomically with respect to concurrent
+// readers and returns the data generation the updated weights carry. It
+// derives a copy-on-write graph with the changes applied (see
+// roadnet.Graph.WithUpdatedWeights for the change semantics and validation),
+// bumps the generation and atomically publishes the new snapshot. Concurrent
+// readers keep their pinned snapshots; no reader ever observes a partially
+// applied update. On error nothing is published and the generation does not
+// move.
 func (m *MutableGraph) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

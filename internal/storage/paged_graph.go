@@ -30,8 +30,9 @@ type Accessor interface {
 }
 
 // MemoryGraph is an Accessor with no I/O accounting: every access is free.
-// It carries a data generation (Versioned/Invalidator) so caches built over
-// it can be invalidated when the wrapped graph is replaced or re-weighted.
+// It carries a data generation (Versioned; BumpGeneration moves it) so caches
+// built over it can be invalidated when the wrapped graph is replaced or
+// re-weighted.
 type MemoryGraph struct {
 	generation
 	g *roadnet.Graph

@@ -16,14 +16,6 @@ type Versioned interface {
 	Generation() uint64
 }
 
-// Invalidator is implemented by accessors that allow external code to signal
-// a data change, bumping the generation returned by Generation.
-type Invalidator interface {
-	// BumpGeneration marks the accessor's data as changed, invalidating any
-	// cached structures keyed by the previous generation.
-	BumpGeneration()
-}
-
 // GenerationOf returns acc's current generation, or 0 when the accessor does
 // not implement Versioned (i.e. is immutable).
 func GenerationOf(acc Accessor) uint64 {
@@ -33,8 +25,8 @@ func GenerationOf(acc Accessor) uint64 {
 	return 0
 }
 
-// generation is an embeddable atomic generation counter implementing both
-// Versioned and Invalidator.
+// generation is an embeddable atomic generation counter implementing
+// Versioned, with BumpGeneration for signalling a data change.
 type generation struct {
 	gen atomic.Uint64
 }
@@ -42,5 +34,6 @@ type generation struct {
 // Generation implements Versioned.
 func (g *generation) Generation() uint64 { return g.gen.Load() }
 
-// BumpGeneration implements Invalidator.
+// BumpGeneration marks the accessor's data as changed, invalidating any
+// cached structures keyed by the previous generation.
 func (g *generation) BumpGeneration() { g.gen.Add(1) }
