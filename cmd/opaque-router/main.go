@@ -1,14 +1,10 @@
 // Command opaque-router runs the OPAQUE fleet router: it fronts N
-// opaque-server shards behind one multiplexed listener, splits every
-// obfuscated path query by shard ownership (partition mode) or spreads whole
-// queries round-robin (replicate mode), scatter/gathers the partial distance
-// tables and merges them into single replies. Weight updates are broadcast to
-// every shard and folded into a cumulative replay state, so a shard that
-// restarts is brought back to the fleet metric before it answers queries.
-//
-// The router refuses to merge partial tables computed under different weight
-// generations or profiles — skew is retried against the converging fleet and
-// surfaced on the fleet_generation_skew counter, never silently merged.
+// opaque-server shards behind one multiplexed listener and places every
+// obfuscated path query whole on one shard — the owner of the most of its
+// sources' cells (partition mode) or the next shard round-robin (replicate
+// mode) — whose reply is the answer. Weight updates are broadcast to every
+// shard and folded into a cumulative replay state, so a shard that restarts
+// is brought back to the fleet metric before it answers queries.
 //
 // Usage:
 //
@@ -17,7 +13,7 @@
 //
 // Partition mode needs the same road network the shards serve (via -network
 // or -generate/-nodes/-seed) to build the spatial partition that maps query
-// endpoints to owning shards; replicate mode needs no map.
+// sources to owning shards; replicate mode needs no map.
 package main
 
 import (
@@ -40,19 +36,19 @@ func main() {
 	var (
 		shardsFlag    = flag.String("shards", "", "comma-separated opaque-server shard addresses (required)")
 		listen        = flag.String("listen", ":7000", "TCP listen address for obfuscator connections")
-		mode          = flag.String("mode", "partition", "fleet shape: partition (split queries by cell ownership) | replicate (whole queries round-robin)")
+		mode          = flag.String("mode", "partition", "query placement: partition (each whole query to the shard owning most of its sources' cells) | replicate (whole queries round-robin)")
 		networkFile   = flag.String("network", "", "road network file the shards serve (partition mode)")
 		generate      = flag.String("generate", "", "generate the network instead of loading one: grid | geometric | ringradial | tigerlike")
 		nodes         = flag.Int("nodes", 10000, "node count when generating")
 		seed          = flag.Uint64("seed", 42, "generation seed")
 		cells         = flag.Int("cells", 0, "partition cell count for ownership mapping (0 = 4 x shards)")
-		retries       = flag.Int("retries", 0, "per-shard reconnect attempts before a subquery fails (0 = default)")
+		retries       = flag.Int("retries", 0, "per-shard reconnect attempts before a shard call fails (0 = default)")
 		quorum        = flag.Int("quorum", 0, "weight-update ack quorum: UpdateWeights returns after this many shards ack, replay covers stragglers (0 = 1, any reachable shard; clamps to the fleet size)")
 		heartbeat     = flag.Duration("heartbeat", 0, "health-probe interval: ping every shard over the mux identity stream and redial down shards through the breaker's half-open gate (0 disables; health is then tracked from query traffic alone)")
 		deadline      = flag.Duration("deadline", 0, "default per-request deadline applied to requests that carry none: expired work is dropped at the router and shards instead of evaluated (0 = unbounded)")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the client-facing listener (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
-		statsInterval = flag.Duration("stats-interval", 0, "periodically log scatter/gather and skew counters (0 disables)")
+		statsInterval = flag.Duration("stats-interval", 0, "periodically log placement, profile-skew and health counters (0 disables)")
 	)
 	flag.Parse()
 
@@ -124,12 +120,12 @@ func main() {
 	}
 }
 
-// logStats periodically prints the router's scatter/gather counters — queries
-// and subqueries (the fan-out ratio), generation/profile skew refusals,
-// reconnect retries, exhausted-shard failures, degraded (shed) replies,
-// weight-update broadcast/replay activity — plus the health model: per-shard
-// up/down states, breaker trips, heartbeat failures, failovers and
-// deadline-dropped requests.
+// logStats periodically prints the router's counters — queries and shard
+// calls (subqueries), profile skew refusals, reconnect retries,
+// exhausted-shard failures, degraded (shed) replies, weight-update
+// broadcast/replay activity — plus the health model: per-shard up/down
+// states, breaker trips, heartbeat failures, failovers and deadline-dropped
+// requests.
 func logStats(r *fleet.Router, every time.Duration) {
 	for range time.Tick(every) {
 		m := r.Metrics()
@@ -138,9 +134,9 @@ func logStats(r *fleet.Router, every time.Duration) {
 		for i, s := range states {
 			shardCol[i] = s.String()
 		}
-		log.Printf("stats: queries=%d subqueries=%d | skew gen=%d profile=%d | retries=%d failures=%d degraded=%d | weight-updates=%d replays=%d | shards=%s failovers=%d trips=%d hb-fails=%d deadline-drops=%d",
+		log.Printf("stats: queries=%d subqueries=%d | skew profile=%d | retries=%d failures=%d degraded=%d | weight-updates=%d replays=%d | shards=%s failovers=%d trips=%d hb-fails=%d deadline-drops=%d",
 			m.Counter("fleet_queries"), m.Counter("fleet_subqueries"),
-			m.Counter("fleet_generation_skew"), m.Counter("fleet_profile_skew"),
+			m.Counter("fleet_profile_skew"),
 			m.Counter("fleet_shard_retries"), m.Counter("fleet_shard_failures"), m.Counter("fleet_degraded_replies"),
 			m.Counter("fleet_weight_updates"), m.Counter("fleet_replays"),
 			strings.Join(shardCol, ","), m.Counter("fleet_failovers"), m.Counter("fleet_breaker_trips"),

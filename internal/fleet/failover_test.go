@@ -95,7 +95,7 @@ func TestFleetFailoverReplicate(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("outage q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("outage q%d", q.QueryID), got, want)
 	}
 	m := cl.Router.Metrics()
 	if m.Counter("fleet_shard_retries") == 0 {
@@ -129,7 +129,7 @@ func TestFleetFailoverReplicate(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("healed q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("healed q%d", q.QueryID), got, want)
 	}
 	if s := cl.Router.ShardStates(); s[1] != fleet.ShardUp {
 		t.Errorf("shard 1 state = %v after restart + cooldown, want up", s[1])
@@ -214,7 +214,7 @@ func TestFleetUpdateQuorum(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("query %d: %v", q.QueryID, rerr)
 		}
-		assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
 	}
 }
 

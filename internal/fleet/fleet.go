@@ -3,26 +3,21 @@
 // transport and answers obfuscated path queries as if it were a single
 // server.
 //
-// Two fleet shapes are supported. In partition mode every shard holds the
-// full replicated road map, but each spatial partition cell (roadnet.
-// Partition) is *owned* by exactly one shard: a query Q(S, T) is split by
-// the cell ownership of its sources, each shard evaluates the partial
-// distance table for the sources it owns (against all destinations), and
-// the router stitches the partial tables back together in source-major
-// order. Because every shard searches the same complete graph, the merged
-// table is exactly the single-server answer — ownership controls work
-// placement and cache locality (a shard re-customizes and keeps hot the
-// cells its traffic concentrates in), not reachability. In replicate mode
-// whole queries round-robin across shards.
+// Every query Q(S, T) is answered whole by exactly one shard: the shard
+// evaluates the full |S|×|T| table as one many-to-many computation, whose
+// target half (the backward sweeps and bucket fills) all sources share, and
+// its reply is the router's answer unchanged. Every shard holds the full
+// replicated road map, so any shard can answer any query; the fleet mode
+// only decides which one does. In partition mode each spatial partition cell
+// (roadnet.Partition) is *owned* by one shard and a query goes to the owner
+// of the most of its sources' cells, which keeps a shard's traffic near its
+// own cells; in replicate mode queries round-robin across shards. Ownership
+// is work placement, not reachability.
 //
-// The merge is refused unless every partial table was computed under the
-// same metric: replies carry the shard's weight-content checksum
-// (protocol.ServerReply.ContentSum) and echoed profile, and the router
-// requires all partials of one query to agree on a nonzero checksum and on
-// the profile. A disagreement — one shard published a weight update the
-// other has not, or a partial of unknown identity — counts as
-// fleet_generation_skew (or fleet_profile_skew), and the query retries
-// after a short backoff rather than ever serving a mixed-metric table.
+// A reply comes from one shard and one epoch, so it never mixes metrics.
+// The router still checks that a reply echoes the query's weight profile; a
+// mismatch counts as fleet_profile_skew and the query retries after a short
+// backoff.
 //
 // Weight updates flow through the router (UpdateWeights): broadcast to every
 // reachable shard, and accumulated as last-write-wins per-arc state that is
@@ -46,8 +41,8 @@ import (
 type Mode int
 
 const (
-	// ModePartition splits each query's sources by partition-cell ownership;
-	// every shard answers the partial table for the sources it owns.
+	// ModePartition sends each whole query to the shard owning the most of
+	// its sources' partition cells.
 	ModePartition Mode = iota
 	// ModeReplicate round-robins whole queries across shards.
 	ModeReplicate
@@ -81,7 +76,7 @@ type Config struct {
 	// round-robin (cell c → shard c mod N).
 	CellOwner []int
 	// Retries is the per-shard transport retry budget: how many times a
-	// failed subquery is retried (redialling between attempts) before the
+	// failed shard call is retried (redialling between attempts) before the
 	// shard is declared failed for that query. Default 3.
 	Retries int
 	// RetryBackoff is the base delay between retry attempts; each attempt
@@ -95,16 +90,14 @@ type Config struct {
 	// retry backoff: once exceeded, the call fails with its last error
 	// instead of starting another attempt. Default 2s.
 	RetryTimeCap time.Duration
-	// SkewRetries is how many times a query whose partial tables disagreed
-	// on the metric identity is retried whole before failing. Default 5 —
-	// skew is transient by construction (shards converge via update
-	// broadcast and reconnect replay), so retrying is almost always enough.
+	// SkewRetries is how many times a query whose reply echoed the wrong
+	// weight profile is retried before failing. Default 5.
 	SkewRetries int
 	// FailoverRetries is how many times a query that lost a shard (a
-	// ShardError after the per-shard retry budget) is re-scattered whole.
-	// By then the dead shard's breaker has tripped, so the re-scatter
-	// routes its work to surviving shards — replicate mode picks another
-	// replica, partition mode temporarily re-owns the cells. Default 2.
+	// ShardError after the per-shard retry budget) is placed again. By then
+	// the dead shard's breaker has tripped, so the query goes to a surviving
+	// shard — replicate mode picks another replica, partition mode
+	// temporarily re-owns the cells. Default 2.
 	FailoverRetries int
 	// FailThreshold is the consecutive-transport-failure count that trips a
 	// shard's circuit breaker open. Default 3.
@@ -147,16 +140,9 @@ func (e *ShardError) Error() string {
 // Unwrap exposes the underlying cause.
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// Skew errors: the partial tables of one query disagreed on the metric they
-// were computed under, and the retry budget did not outlast the skew.
-var (
-	// ErrGenerationSkew reports partial tables with differing (or unknown)
-	// weight-content checksums.
-	ErrGenerationSkew = errors.New("fleet: generation skew across partial tables")
-	// ErrProfileSkew reports a partial table echoing the wrong weight
-	// profile.
-	ErrProfileSkew = errors.New("fleet: profile skew across partial tables")
-)
+// ErrProfileSkew reports a reply echoing a weight profile other than the
+// query's, after the SkewRetries budget.
+var ErrProfileSkew = errors.New("fleet: reply under the wrong weight profile")
 
 // shardLink is the router's connection slot for one shard: at most one live
 // multiplexed client, redialled (and replayed into) on demand, plus the
@@ -179,6 +165,10 @@ type shardLink struct {
 	// did not touch.
 	updMu   sync.Mutex
 	lastUpd uint64
+	// updating counts weight-update broadcasts to this shard that have
+	// started but not finished; routeShard avoids a shard that is still
+	// applying one.
+	updating atomic.Int32
 }
 
 // arcKey identifies one directed arc in the cumulative weight state.
@@ -221,11 +211,9 @@ type Router struct {
 	hbOnce sync.Once
 
 	metrics *metrics.Registry
-	// Pre-resolved counters; fleet_generation_skew is the metric the
-	// acceptance criteria pin — every refused merge shows up there.
+	// Pre-resolved counters.
 	mQueries        *metrics.Counter
 	mSubqueries     *metrics.Counter
-	mGenSkew        *metrics.Counter
 	mProfSkew       *metrics.Counter
 	mRetries        *metrics.Counter
 	mFailures       *metrics.Counter
@@ -291,7 +279,6 @@ func New(cfg Config, dialers []Dialer) (*Router, error) {
 	}
 	r.mQueries = r.metrics.CounterVar("fleet_queries")
 	r.mSubqueries = r.metrics.CounterVar("fleet_subqueries")
-	r.mGenSkew = r.metrics.CounterVar("fleet_generation_skew")
 	r.mProfSkew = r.metrics.CounterVar("fleet_profile_skew")
 	r.mRetries = r.metrics.CounterVar("fleet_shard_retries")
 	r.mFailures = r.metrics.CounterVar("fleet_shard_failures")
@@ -505,12 +492,19 @@ func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 	r.mWeightUpd.Add(1)
 	n := len(r.shards)
 	results := make(chan error, n)
+	// Every shard is marked as updating before any send starts, so a query
+	// placed after this call returns skips the stragglers still applying
+	// the update for a shard that has acknowledged it (see routeShard).
+	for _, l := range r.shards {
+		l.updating.Add(1)
+	}
 	for _, l := range r.shards {
 		go func(l *shardLink) {
 			err := r.sendUpdate(l, seq, changes)
 			if err != nil {
 				r.mFailures.Add(1)
 			}
+			l.updating.Add(-1)
 			results <- err
 		}(l)
 	}
@@ -605,46 +599,40 @@ func (r *Router) callShard(idx int, msg any, deadline time.Time) (res any, err e
 	return res, err
 }
 
-// subquery is one shard's share of a scattered query: the source rows it
-// owns (in their original relative order) and their global positions.
-type subquery struct {
-	shard   int
-	sources []roadnet.NodeID
-	global  []int
-}
-
-// scatter splits q by shard ownership, consulting shard health. Partition
-// mode groups sources by the (healthy) owner of their partition cell;
-// replicate mode (and a one-shard fleet) assigns the whole query to the next
-// available shard in round-robin order.
-func (r *Router) scatter(q protocol.ServerQuery) []subquery {
+// scatter picks the one shard that answers q whole, consulting shard health.
+// Replicate mode (and a one-shard fleet) takes the next shard in round-robin
+// order; partition mode takes the owner of the most of q's sources' cells.
+func (r *Router) scatter(q protocol.ServerQuery) int {
 	n := len(r.shards)
 	if n == 1 || r.cfg.Mode == ModeReplicate {
-		idx := r.routeShard(int(r.rr.Add(1)-1) % n)
-		all := make([]int, len(q.Sources))
-		for i := range all {
-			all[i] = i
+		return r.routeShard(int(r.rr.Add(1)-1) % n)
+	}
+	return r.routeShard(r.plurality(q))
+}
+
+// plurality returns the shard owning the most of q's sources' cells. The
+// scan starts at shard QueryID mod n and keeps only a strictly larger count,
+// so a tie goes to the first tied shard at or after that one: tied queries
+// spread across their tied owners instead of piling onto the lowest index.
+// It counts in place, one pass over the sources per shard, so placement
+// allocates nothing.
+func (r *Router) plurality(q protocol.ServerQuery) int {
+	n := len(r.shards)
+	start := int(q.QueryID % uint64(n))
+	best, bestCount := start, -1
+	for k := 0; k < n; k++ {
+		shard := (start + k) % n
+		count := 0
+		for _, src := range q.Sources {
+			if r.ownerOf(src) == shard {
+				count++
+			}
 		}
-		return []subquery{{shard: idx, sources: q.Sources, global: all}}
-	}
-	bySh := make(map[int]*subquery, n)
-	order := make([]*subquery, 0, n)
-	for gi, src := range q.Sources {
-		shard := r.routeShard(r.ownerOf(src))
-		sub, ok := bySh[shard]
-		if !ok {
-			sub = &subquery{shard: shard}
-			bySh[shard] = sub
-			order = append(order, sub)
+		if count > bestCount {
+			best, bestCount = shard, count
 		}
-		sub.sources = append(sub.sources, src)
-		sub.global = append(sub.global, gi)
 	}
-	out := make([]subquery, len(order))
-	for i, sub := range order {
-		out[i] = *sub
-	}
-	return out
+	return best
 }
 
 // ownerOf resolves the shard owning a node's partition cell.
@@ -657,132 +645,70 @@ func (r *Router) ownerOf(v roadnet.NodeID) int {
 }
 
 // routeShard returns the shard that should actually receive work addressed
-// to preferred: preferred itself while it is available, else the next
-// available shard — in partition mode this temporarily re-owns the down
-// shard's cells, which is answer-preserving because every shard holds the
-// full replicated road map (ownership is work placement, not reachability).
-// Ownership restores by construction when the preferred shard's breaker
-// closes again. With no shard available the preferred one is returned and
-// the call fails on it honestly.
+// to preferred: the first available shard at or after preferred — in
+// partition mode a down owner's cells are temporarily re-owned, which is
+// answer-preserving because every shard holds the full replicated road map
+// (ownership is work placement, not reachability). Ownership restores by
+// construction when the preferred shard's breaker closes again. A shard
+// still applying a weight update is passed over for the next available
+// shard that is not, so a query placed after UpdateWeights returns is
+// answered on the updated metric even when the update quorum let a
+// straggler lag; if every available shard is updating, the first one takes
+// the query. With no shard available the preferred one is returned and the
+// call fails on it honestly.
 func (r *Router) routeShard(preferred int) int {
-	if r.available(r.shards[preferred]) {
-		return preferred
-	}
 	n := len(r.shards)
-	for k := 1; k < n; k++ {
+	first := -1
+	for k := 0; k < n; k++ {
 		idx := (preferred + k) % n
-		if r.available(r.shards[idx]) {
-			r.mFailovers.Add(1)
+		l := r.shards[idx]
+		if !r.available(l) {
+			continue
+		}
+		if first < 0 {
+			first = idx
+			if idx != preferred {
+				r.mFailovers.Add(1)
+			}
+		}
+		if l.updating.Load() == 0 {
 			return idx
 		}
 	}
-	return preferred
+	if first < 0 {
+		return preferred
+	}
+	return first
 }
 
-// checkIdentity verifies that every partial reply of one query was computed
-// under one metric: all ContentSums equal and nonzero (zero = the shard
-// could not pin a stable identity, which the router must treat as skew) and
-// every echoed profile matching the query's. Counted per refusal.
-func (r *Router) checkIdentity(q protocol.ServerQuery, replies []protocol.ServerReply) error {
-	for _, rep := range replies {
-		if rep.Profile != q.Profile {
-			r.mProfSkew.Add(1)
-			return fmt.Errorf("%w: reply under profile %q, query under %q", ErrProfileSkew, rep.Profile, q.Profile)
-		}
-	}
-	sum := replies[0].ContentSum
-	for _, rep := range replies[1:] {
-		if rep.ContentSum != sum {
-			r.mGenSkew.Add(1)
-			return fmt.Errorf("%w: content checksums %x != %x", ErrGenerationSkew, rep.ContentSum, sum)
-		}
-	}
-	if sum == 0 && len(replies) > 1 {
-		// With a single partial there is nothing to mix; with several, an
-		// unknown identity cannot be proven consistent with the others.
-		r.mGenSkew.Add(1)
-		return fmt.Errorf("%w: partial table with unknown identity", ErrGenerationSkew)
+// checkProfile verifies that a reply was computed under the query's weight
+// profile; a mismatch counts on fleet_profile_skew.
+func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.ServerReply) error {
+	if rep.Profile != q.Profile {
+		r.mProfSkew.Add(1)
+		return fmt.Errorf("%w: reply under profile %q, query under %q", ErrProfileSkew, rep.Profile, q.Profile)
 	}
 	return nil
 }
 
-// merge stitches the partial tables back into the single-server reply:
-// source-major, destinations in query order, rows ordered by the sources'
-// global positions. Every shard searched the full graph, so concatenation
-// (not minimisation) is exact.
-func (r *Router) merge(q protocol.ServerQuery, subs []subquery, replies []protocol.ServerReply) (protocol.ServerReply, error) {
-	if err := r.checkIdentity(q, replies); err != nil {
+// executeOnce places q on one shard and returns that shard's reply, which is
+// the whole answer; a shard failure after the retry budget fails the query
+// with its ShardError.
+func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
+	shard := r.scatter(q)
+	r.mSubqueries.Add(1)
+	res, err := r.callShard(shard, q, deadline)
+	if err != nil {
 		return protocol.ServerReply{}, err
 	}
-	if len(subs) == 1 {
-		// Whole query on one shard: the reply already is the answer.
-		return replies[0], nil
+	rep, ok := res.(protocol.ServerReply)
+	if !ok {
+		return protocol.ServerReply{}, &ShardError{Shard: shard, Err: fmt.Errorf("fleet: unexpected reply type %T", res)}
 	}
-	nT := len(q.Dests)
-	merged := protocol.ServerReply{
-		QueryID:    q.QueryID,
-		ContentSum: replies[0].ContentSum,
-		Profile:    q.Profile,
-		Paths:      make([]protocol.CandidatePath, len(q.Sources)*nT),
+	if err := r.checkProfile(q, rep); err != nil {
+		return protocol.ServerReply{}, err
 	}
-	for si, sub := range subs {
-		rep := replies[si]
-		if len(rep.Paths) != len(sub.sources)*nT {
-			return protocol.ServerReply{}, &ShardError{Shard: sub.shard, Err: fmt.Errorf("fleet: partial table has %d candidates for %d×%d", len(rep.Paths), len(sub.sources), nT)}
-		}
-		merged.SettledNodes += rep.SettledNodes
-		merged.PageFaults += rep.PageFaults
-		merged.Degraded = merged.Degraded || rep.Degraded
-		for j, gi := range sub.global {
-			copy(merged.Paths[gi*nT:(gi+1)*nT], rep.Paths[j*nT:(j+1)*nT])
-		}
-	}
-	// Generation numbers are per-shard and not comparable across a merged
-	// table; the content checksum is the fleet-wide identity.
-	merged.Generation = 0
-	return merged, nil
-}
-
-// executeOnce scatters q, gathers the partial tables and merges them. All
-// subqueries run in parallel; a shard failure after the retry budget fails
-// the query with its ShardError.
-func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
-	subs := r.scatter(q)
-	r.mSubqueries.Add(int64(len(subs)))
-	replies := make([]protocol.ServerReply, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for i, sub := range subs {
-		wg.Add(1)
-		go func(i int, sub subquery) {
-			defer wg.Done()
-			sq := protocol.ServerQuery{
-				QueryID:      q.QueryID,
-				Sources:      sub.sources,
-				Dests:        q.Dests,
-				Profile:      q.Profile,
-				DistanceOnly: q.DistanceOnly,
-			}
-			res, err := r.callShard(sub.shard, sq, deadline)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rep, ok := res.(protocol.ServerReply)
-			if !ok {
-				errs[i] = &ShardError{Shard: sub.shard, Err: fmt.Errorf("fleet: unexpected reply type %T", res)}
-				return
-			}
-			replies[i] = rep
-		}(i, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return protocol.ServerReply{}, err
-		}
-	}
-	return r.merge(q, subs, replies)
+	return rep, nil
 }
 
 // Execute answers one obfuscated query through the fleet; it implements
@@ -792,12 +718,11 @@ func (r *Router) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
 }
 
 // ExecuteDeadline is Execute bounded by an absolute deadline (zero = none)
-// that rides in every shard sub-request and cuts retry backoff short.
-// Queries refused for metric skew retry whole (the scatter re-runs, picking
-// up converged shards) up to Config.SkewRetries times; queries that lost a
-// shard (a transport-level ShardError after the per-shard budget — by which
-// point the shard's breaker has tripped) re-scatter up to
-// Config.FailoverRetries times, routing the dead shard's work to survivors.
+// that rides in every shard request and cuts retry backoff short. Queries
+// refused for profile skew retry up to Config.SkewRetries times; queries
+// that lost a shard (a transport-level ShardError after the per-shard budget
+// — by which point the shard's breaker has tripped) are placed again up to
+// Config.FailoverRetries times, landing on a surviving shard.
 func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
 	r.mQueries.Add(1)
 	skewLeft := r.cfg.SkewRetries
@@ -829,7 +754,7 @@ func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (pr
 			// Close quiesced the router mid-query; a failover retry would
 			// sleep against the fresh quiesce channel instead of returning.
 			return protocol.ServerReply{}, err
-		case errors.Is(err, ErrGenerationSkew) || errors.Is(err, ErrProfileSkew):
+		case errors.Is(err, ErrProfileSkew):
 			if skewLeft == 0 {
 				return protocol.ServerReply{}, lastErr
 			}
@@ -845,23 +770,23 @@ func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (pr
 	}
 }
 
-// isFailoverable reports whether a query error is worth a whole-query
-// re-scatter: a shard failed at the transport level (dial or connection
-// loss), so a re-scatter — consulting the now-tripped breaker — can route
-// its work to a surviving shard. Handler-level failures are not retried:
-// the shard answered, and every replica would answer the same.
+// isFailoverable reports whether a query error is worth placing the query
+// again: a shard failed at the transport level (dial or connection loss), so
+// a new placement — consulting the now-tripped breaker — can route it to a
+// surviving shard. Handler-level failures are not retried: the shard
+// answered, and every replica would answer the same.
 func isFailoverable(err error) bool {
 	var se *ShardError
 	return errors.As(err, &se) && !isRemoteError(se.Err)
 }
 
 // ExecuteBatch answers a whole batch through the fleet; it implements
-// obfsvc.BatchExecutor. Every query of the batch is scattered and the
-// per-shard shares travel as one streaming BatchQuery per shard — one
-// round of frames per shard for the whole batch, not one per subquery.
-// Queries whose gather failed (shard failure or metric skew) fall back to
-// the per-query Execute path with its own retry and failover budgets, so one
-// sick shard degrades the queries it owns without poisoning the batch.
+// obfsvc.BatchExecutor. Every query of the batch is placed on one shard and
+// each shard's queries travel as one streaming BatchQuery — one round of
+// frames per shard for the whole batch, not one per query. Queries that
+// failed (shard failure or profile skew) fall back to the per-query Execute
+// path with its own retry and failover budgets, so one sick shard degrades
+// the queries placed on it without poisoning the batch.
 func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
 	return r.ExecuteBatchDeadline(qs, time.Time{})
 }
@@ -875,79 +800,52 @@ func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.T
 		return replies, errs
 	}
 	r.mQueries.Add(int64(len(qs)))
+	r.mSubqueries.Add(int64(len(qs)))
 
-	// Scatter every query and group the subqueries by shard.
-	type slot struct {
-		q    int // index into qs
-		part int // index into that query's subs
-	}
-	subsPerQ := make([][]subquery, len(qs))
-	gathered := make([][]protocol.ServerReply, len(qs))
-	partErr := make([]error, len(qs))
-	shardBatch := make(map[int][]protocol.ServerQuery)
-	shardSlots := make(map[int][]slot)
+	// Place every query and group the queries (and their batch positions)
+	// by shard.
+	batches := make([][]protocol.ServerQuery, len(r.shards))
+	slots := make([][]int, len(r.shards))
 	for qi, q := range qs {
-		subs := r.scatter(q)
-		subsPerQ[qi] = subs
-		gathered[qi] = make([]protocol.ServerReply, len(subs))
-		r.mSubqueries.Add(int64(len(subs)))
-		for pi, sub := range subs {
-			shardBatch[sub.shard] = append(shardBatch[sub.shard], protocol.ServerQuery{
-				QueryID:      q.QueryID,
-				Sources:      sub.sources,
-				Dests:        q.Dests,
-				Profile:      q.Profile,
-				DistanceOnly: q.DistanceOnly,
-			})
-			shardSlots[sub.shard] = append(shardSlots[sub.shard], slot{q: qi, part: pi})
-		}
+		shard := r.scatter(q)
+		batches[shard] = append(batches[shard], q)
+		slots[shard] = append(slots[shard], qi)
 	}
 
-	// One streaming batch per shard, in parallel; per-item errors and
-	// whole-shard failures both land in the owning query's partErr.
-	var mu sync.Mutex
+	// One streaming batch per shard, in parallel. Every query sits in
+	// exactly one shard's batch, so the goroutines write disjoint slots.
 	var wg sync.WaitGroup
-	for shard, batch := range shardBatch {
+	for shard, batch := range batches {
+		if len(batch) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(shard int, batch []protocol.ServerQuery, slots []slot) {
+		go func(shard int, batch []protocol.ServerQuery, slots []int) {
 			defer wg.Done()
 			br, err := r.callShardBatch(shard, batch, deadline)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				for _, sl := range slots {
-					if partErr[sl.q] == nil {
-						partErr[sl.q] = err
-					}
+			for i, qi := range slots {
+				switch {
+				case err != nil:
+					errs[qi] = err
+				case br.Errors[i] != "":
+					errs[qi] = &ShardError{Shard: shard, Err: errors.New(br.Errors[i])}
+				default:
+					replies[qi] = br.Replies[i]
+					errs[qi] = r.checkProfile(qs[qi], br.Replies[i])
 				}
-				return
 			}
-			for i, sl := range slots {
-				if msg := br.Errors[i]; msg != "" {
-					if partErr[sl.q] == nil {
-						partErr[sl.q] = &ShardError{Shard: shard, Err: errors.New(msg)}
-					}
-					continue
-				}
-				gathered[sl.q][sl.part] = br.Replies[i]
-			}
-		}(shard, batch, shardSlots[shard])
+		}(shard, batch, slots[shard])
 	}
 	wg.Wait()
 
-	// Merge per query; anything that did not gather cleanly — or whose merge
-	// was refused for skew — retries through the per-query path.
+	// Anything that did not answer cleanly retries through the per-query
+	// path.
 	for qi, q := range qs {
-		if partErr[qi] == nil {
-			merged, err := r.merge(q, subsPerQ[qi], gathered[qi])
-			if err == nil {
-				if merged.Degraded {
-					r.mDegraded.Add(1)
-				}
-				replies[qi] = merged
-				continue
+		if errs[qi] == nil {
+			if replies[qi].Degraded {
+				r.mDegraded.Add(1)
 			}
-			partErr[qi] = err
+			continue
 		}
 		// Execute bumps fleet_queries itself; this retry is a continuation of
 		// an already-counted query, so compensate.

@@ -1,15 +1,14 @@
 package fleet_test
 
-// The fleet test battery: the scatter/gather equivalence property (a router
-// over partition or replicate shards answers exactly like one server), the
+// The fleet test battery: the equivalence property (a router over partition
+// or replicate shards answers exactly like one server), whole-query placement
+// (each query is answered by one shard, so no reply mixes metrics), and the
 // fault-injection battery (shard kill and restart mid-batch and mid-churn,
-// bounded retry, reconnect replay) and the merge-refusal guarantee (no reply
-// ever mixes weight generations across shards). Everything runs in-process
+// bounded retry, reconnect replay). Everything runs in-process
 // over net.Pipe via the fleettest harness, and the whole file is exercised
 // under -race in CI.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,7 +21,9 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
+	"opaque/internal/search"
 	"opaque/internal/server"
+	"opaque/internal/storage"
 )
 
 func testGraph(t testing.TB, nodes int, seed uint64) *roadnet.Graph {
@@ -55,11 +56,9 @@ func makeQueries(g *roadnet.Graph, n int, seed int64) []protocol.ServerQuery {
 }
 
 // assertSameReply compares a fleet reply against the single-server reference
-// table. Costs and reachability must agree exactly for every (s, t) slot;
-// node sequences must match exactly unless pathsMayDiffer (hybrid routing
-// picks CH or MTM by |S|·|T|, which the partition split changes, so equal-cost
-// ties can unpack differently).
-func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply, pathsMayDiffer bool) {
+// table: costs, reachability and node sequences must agree exactly for every
+// (s, t) slot.
+func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply) {
 	t.Helper()
 	if len(got.Paths) != len(want.Paths) {
 		t.Fatalf("%s: table has %d candidates, reference %d", label, len(got.Paths), len(want.Paths))
@@ -67,7 +66,7 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 	for i := range want.Paths {
 		g, w := got.Paths[i], want.Paths[i]
 		if g.Source != w.Source || g.Dest != w.Dest {
-			t.Fatalf("%s[%d]: slot (%d,%d), reference (%d,%d) — merge reordered the table", label, i, g.Source, g.Dest, w.Source, w.Dest)
+			t.Fatalf("%s[%d]: slot (%d,%d), reference (%d,%d) — the reply reordered the table", label, i, g.Source, g.Dest, w.Source, w.Dest)
 		}
 		if g.Found != w.Found {
 			t.Fatalf("%s[%d]: found=%v, reference %v", label, i, g.Found, w.Found)
@@ -78,12 +77,6 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 		if math.Abs(g.Cost-w.Cost) > 1e-9 {
 			t.Fatalf("%s[%d]: cost %v, reference %v", label, i, g.Cost, w.Cost)
 		}
-		if pathsMayDiffer {
-			if len(g.Nodes) > 0 && (g.Nodes[0] != g.Source || g.Nodes[len(g.Nodes)-1] != g.Dest) {
-				t.Fatalf("%s[%d]: path endpoints %d..%d for pair (%d,%d)", label, i, g.Nodes[0], g.Nodes[len(g.Nodes)-1], g.Source, g.Dest)
-			}
-			continue
-		}
 		if len(g.Nodes) != len(w.Nodes) {
 			t.Fatalf("%s[%d]: path length %d, reference %d", label, i, len(g.Nodes), len(w.Nodes))
 		}
@@ -93,6 +86,15 @@ func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply,
 			}
 		}
 	}
+}
+
+// hybridConfig is a shard serving every query through the many-to-many
+// engine over a customizable overlay it builds itself.
+func hybridConfig() server.Config {
+	c := server.DefaultConfig()
+	c.Strategy = server.StrategyHybrid
+	c.BuildCH = true
+	return c
 }
 
 // TestFleetEquivalence is the scatter/gather property test behind the
@@ -106,17 +108,11 @@ func TestFleetEquivalence(t *testing.T) {
 	qs := makeQueries(g, 20, 4301)
 
 	strategies := []struct {
-		name           string
-		cfg            func() server.Config
-		pathsMayDiffer bool
+		name string
+		cfg  func() server.Config
 	}{
-		{"ssmd", server.DefaultConfig, false},
-		{"hybrid", func() server.Config {
-			c := server.DefaultConfig()
-			c.Strategy = server.StrategyHybrid
-			c.BuildCH = true
-			return c
-		}, true},
+		{"ssmd", server.DefaultConfig},
+		{"hybrid", hybridConfig},
 	}
 	for _, st := range strategies {
 		for _, mode := range []fleet.Mode{fleet.ModePartition, fleet.ModeReplicate} {
@@ -137,7 +133,7 @@ func TestFleetEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query %d: %v", q.QueryID, err)
 					}
-					assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want, st.pathsMayDiffer)
+					assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
 				}
 
 				// The whole workload again as one scattered batch.
@@ -150,7 +146,7 @@ func TestFleetEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), replies[i], want, st.pathsMayDiffer)
+					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), replies[i], want)
 				}
 
 				if st.name == "hybrid" {
@@ -164,12 +160,9 @@ func TestFleetEquivalence(t *testing.T) {
 						t.Errorf("shards served mtm_queries = %d, fallback_queries = %d; the workload must run on the overlay", mtmQueries, fallback)
 					}
 				}
-				if mode == fleet.ModePartition {
-					m := cl.Router.Metrics()
-					if m.Counter("fleet_subqueries") <= m.Counter("fleet_queries") {
-						t.Errorf("partition mode never split a query: %d subqueries for %d queries",
-							m.Counter("fleet_subqueries"), m.Counter("fleet_queries"))
-					}
+				m := cl.Router.Metrics()
+				if sub, q := m.Counter("fleet_subqueries"), m.Counter("fleet_queries"); sub != q {
+					t.Errorf("fleet_subqueries = %d for fleet_queries = %d: every query must be answered by one shard", sub, q)
 				}
 			})
 		}
@@ -178,7 +171,7 @@ func TestFleetEquivalence(t *testing.T) {
 
 // TestFleetProfileEquivalence runs the property over precustomized weight
 // profile layers: every shard resolves the named profile to the same metric,
-// so the merged table equals the reference and no profile skew is counted.
+// so every reply equals the reference and no profile skew is counted.
 func TestFleetProfileEquivalence(t *testing.T) {
 	g := testGraph(t, 300, 1301)
 	cfg := server.DefaultConfig()
@@ -208,7 +201,7 @@ func TestFleetProfileEquivalence(t *testing.T) {
 		if got.Profile != q.Profile {
 			t.Errorf("query %d echoed profile %q, want %q", q.QueryID, got.Profile, q.Profile)
 		}
-		assertSameReply(t, fmt.Sprintf("profile %q q%d", q.Profile, q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("profile %q q%d", q.Profile, q.QueryID), got, want)
 	}
 	if n := cl.Router.Metrics().Counter("fleet_profile_skew"); n != 0 {
 		t.Errorf("fleet_profile_skew = %d on a uniform fleet", n)
@@ -255,7 +248,7 @@ func TestFleetWeightUpdateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", round, q.QueryID, err)
 			}
-			assertSameReply(t, fmt.Sprintf("round %d q%d", round, q.QueryID), got, want, false)
+			assertSameReply(t, fmt.Sprintf("round %d q%d", round, q.QueryID), got, want)
 		}
 	}
 	if n := cl.Router.Metrics().Counter("fleet_weight_updates"); n != 5 {
@@ -300,7 +293,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("failover q%d", qs[i].QueryID), replies[i], want, false)
+		assertSameReply(t, fmt.Sprintf("failover q%d", qs[i].QueryID), replies[i], want)
 	}
 	m := cl.Router.Metrics()
 	if m.Counter("fleet_shard_failures") == 0 {
@@ -334,7 +327,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("healed q%d", qs[i].QueryID), replies[i], want, false)
+		assertSameReply(t, fmt.Sprintf("healed q%d", qs[i].QueryID), replies[i], want)
 	}
 }
 
@@ -342,7 +335,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 // stream. The restarted shard comes back with base weights; the router's
 // reconnect replay must bring it to the fleet metric before it serves, so the
 // fleet answer equals the reference server that saw every update — and the
-// router never merges the restarted shard's stale table into a reply.
+// router never lets the restarted shard answer from its stale metric.
 func TestFleetRestartMidChurn(t *testing.T) {
 	g := testGraph(t, 300, 1601)
 	ref := server.MustNew(g, server.DefaultConfig())
@@ -388,84 +381,140 @@ func TestFleetRestartMidChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d after restart: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("churn q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("churn q%d", q.QueryID), got, want)
 	}
 	if cl.Router.Metrics().Counter("fleet_replays") == 0 {
 		t.Error("fleet_replays = 0: the restarted shard was admitted without a weight replay")
 	}
 }
 
-// TestFleetMergeRefusal pins the generation handshake: when one shard's
-// metric diverges (an update applied behind the router's back), the router
-// refuses to merge the mixed-generation partial tables — surfacing
-// ErrGenerationSkew and the fleet_generation_skew counter — rather than ever
-// serving a table that mixes weight generations.
-func TestFleetMergeRefusal(t *testing.T) {
+// TestDivergedShardAnswersWhole pins "never a mixed-metric table" under
+// whole-query placement. Shard 0's metric diverges behind the router's back,
+// and in both fleet modes every query still answers from exactly one shard:
+// each reply's costs are the reference distances under the metric of the
+// shard whose content checksum it carries.
+func TestDivergedShardAnswersWhole(t *testing.T) {
 	g := testGraph(t, 300, 1701)
-	cl, err := fleettest.New(g, fleettest.Options{
-		Shards: 2,
-		// UpdateQuorum 2: see the convergence step below.
-		Fleet: fleet.Config{SkewRetries: 2, RetryBackoff: 1, UpdateQuorum: 2},
-	})
+	qs := makeQueries(g, 50, 4801)
+	change := shortestPathArcChange(t, g, qs)
+
+	for _, mode := range []fleet.Mode{fleet.ModePartition, fleet.ModeReplicate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Shard(0).Server().UpdateWeights([]roadnet.ArcWeightChange{change}); err != nil {
+				t.Fatal(err)
+			}
+			metricOf := make(map[uint64]storage.Accessor)
+			for i := 0; i < cl.NumShards(); i++ {
+				srv := cl.Shard(i).Server()
+				metricOf[srv.HelloInfo().ContentSum] = storage.NewMemoryGraph(srv.Graph())
+			}
+			if len(metricOf) != 2 {
+				t.Fatalf("diverged shards report %d distinct content checksums, want 2", len(metricOf))
+			}
+
+			answeredBy := make(map[uint64]int)
+			disagreeing := 0
+			check := func(label string, q protocol.ServerQuery, rep protocol.ServerReply) {
+				t.Helper()
+				acc, ok := metricOf[rep.ContentSum]
+				if !ok {
+					t.Fatalf("%s: reply carries content checksum %x, which no shard has", label, rep.ContentSum)
+				}
+				answeredBy[rep.ContentSum]++
+				if len(rep.Paths) != len(q.Sources)*len(q.Dests) {
+					t.Fatalf("%s: table has %d candidates for %d×%d", label, len(rep.Paths), len(q.Sources), len(q.Dests))
+				}
+				for i, cand := range rep.Paths {
+					s, d := q.Sources[i/len(q.Dests)], q.Dests[i%len(q.Dests)]
+					if cand.Source != s || cand.Dest != d {
+						t.Fatalf("%s[%d]: slot (%d,%d), want (%d,%d)", label, i, cand.Source, cand.Dest, s, d)
+					}
+					want, found := referenceCost(t, acc, s, d)
+					if cand.Found != found || (found && math.Abs(cand.Cost-want) > 1e-9) {
+						t.Fatalf("%s[%d]: found=%v cost %v, reference on its shard's metric found=%v cost %v", label, i, cand.Found, cand.Cost, found, want)
+					}
+					for sum, other := range metricOf {
+						if sum == rep.ContentSum {
+							continue
+						}
+						if alt, altFound := referenceCost(t, other, s, d); altFound != found || alt != want {
+							disagreeing++
+						}
+					}
+				}
+			}
+
+			for _, q := range qs {
+				rep, err := cl.Router.Execute(q)
+				if err != nil {
+					t.Fatalf("query %d across diverged shards: %v", q.QueryID, err)
+				}
+				check(fmt.Sprintf("q%d", q.QueryID), q, rep)
+			}
+			replies, errs := cl.Router.ExecuteBatch(qs)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("batch query %d across diverged shards: %v", qs[i].QueryID, err)
+				}
+				check(fmt.Sprintf("batch q%d", qs[i].QueryID), qs[i], replies[i])
+			}
+
+			m := cl.Router.Metrics()
+			if sub, q := m.Counter("fleet_subqueries"), m.Counter("fleet_queries"); sub != q {
+				t.Errorf("fleet_subqueries = %d for fleet_queries = %d: a query was split across shards", sub, q)
+			}
+			if len(answeredBy) != 2 {
+				t.Errorf("every reply came from one metric (%v); the diverged shard was never exercised", answeredBy)
+			}
+			if disagreeing == 0 {
+				t.Error("no answered slot differs between the two metrics; the divergence proves nothing")
+			}
+		})
+	}
+}
+
+// shortestPathArcChange returns a change tripling the first arc of the first
+// multi-node shortest path among qs's pairs, so a shard that applies it
+// answers at least one slot differently.
+func shortestPathArcChange(t *testing.T, g *roadnet.Graph, qs []protocol.ServerQuery) roadnet.ArcWeightChange {
+	t.Helper()
+	acc := storage.NewMemoryGraph(g)
+	for _, q := range qs {
+		for _, s := range q.Sources {
+			for _, d := range q.Dests {
+				p, _, err := search.ReferenceDijkstra(acc, s, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(p.Nodes) < 2 {
+					continue
+				}
+				cost, ok := g.ArcCost(p.Nodes[0], p.Nodes[1])
+				if !ok {
+					t.Fatalf("shortest path uses missing arc %d→%d", p.Nodes[0], p.Nodes[1])
+				}
+				return roadnet.ArcWeightChange{From: p.Nodes[0], To: p.Nodes[1], NewCost: cost * 3}
+			}
+		}
+	}
+	t.Fatal("no query pair has a multi-node shortest path")
+	return roadnet.ArcWeightChange{}
+}
+
+// referenceCost is the reference Dijkstra distance from s to d on acc, and
+// whether d is reachable.
+func referenceCost(t *testing.T, acc storage.Accessor, s, d roadnet.NodeID) (float64, bool) {
+	t.Helper()
+	p, _, err := search.ReferenceDijkstra(acc, s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-
-	// Find a query the partition actually splits across both shards.
-	var split protocol.ServerQuery
-	for _, q := range makeQueries(g, 50, 4801) {
-		owners := make(map[int]bool)
-		for _, s := range q.Sources {
-			owners[cl.Partition.CellOf(s)%2] = true
-		}
-		if len(owners) == 2 {
-			split = q
-			break
-		}
-	}
-	if split.QueryID == 0 {
-		t.Fatal("no query split across both shards in 50 samples")
-	}
-	if _, err := cl.Router.Execute(split); err != nil {
-		t.Fatalf("pre-divergence query: %v", err)
-	}
-
-	// Diverge shard 0 behind the router's back: its ContentSum now differs
-	// from shard 1's on every reply.
-	v := split.Sources[0]
-	arcs := g.Arcs(v)
-	if len(arcs) == 0 {
-		v = roadnet.NodeID(0)
-		arcs = g.Arcs(v)
-	}
-	if _, err := cl.Shard(0).Server().UpdateWeights([]roadnet.ArcWeightChange{
-		{From: v, To: arcs[0].To, NewCost: arcs[0].Cost * 3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = cl.Router.Execute(split)
-	if !errors.Is(err, fleet.ErrGenerationSkew) {
-		t.Fatalf("query across diverged shards: err = %v, want ErrGenerationSkew", err)
-	}
-	if cl.Router.Metrics().Counter("fleet_generation_skew") == 0 {
-		t.Error("fleet_generation_skew never counted the refused merge")
-	}
-
-	// Converging the fleet through the router heals it: the same update
-	// broadcast everywhere makes the checksums agree again. A shard acks once
-	// the update is published, so the convergence step waits for both acks:
-	// with quorum 1 the already-diverged shard's ack would return before the
-	// other shard had published.
-	if err := cl.Router.UpdateWeights([]roadnet.ArcWeightChange{
-		{From: v, To: arcs[0].To, NewCost: arcs[0].Cost * 3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Router.Execute(split); err != nil {
-		t.Fatalf("query after convergence: %v", err)
-	}
+	return p.Cost, len(p.Nodes) > 0
 }
 
 // TestFleetOverloadShedding puts every shard behind a ShedAt=1 admission

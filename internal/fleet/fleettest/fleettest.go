@@ -27,14 +27,14 @@ type Options struct {
 	Shards int
 	// Mode is the fleet shape (default fleet.ModePartition).
 	Mode fleet.Mode
-	// Cells is the partition cell count the router scatters by (default
-	// 4 × Shards).
+	// Cells is the partition cell count the router places queries by
+	// (default 4 × Shards).
 	Cells int
 	// Server configures every shard (and should match the single-server
 	// reference an equivalence test compares against).
 	Server server.Config
-	// Fleet overrides router knobs (Retries, RetryBackoff, SkewRetries);
-	// Mode, Partition and CellOwner are set by the harness.
+	// Fleet overrides router knobs (Retries, RetryBackoff, CellOwner, ...);
+	// Mode and Partition are set by the harness.
 	Fleet fleet.Config
 	// Mux configures each shard's serving side (MaxInFlight, ShedAt).
 	Mux protocol.MuxServerConfig

@@ -4,7 +4,7 @@ package fleet
 // multiplexed transport the router uses toward its shards, so a fleet is a
 // drop-in replacement for a single opaque-server address. Shedding composes:
 // a request arriving above the router connection's ShedAt watermark is
-// rewritten to DistanceOnly before scattering, so every shard answers the
+// rewritten to DistanceOnly before placement, so the shard answers the
 // degraded distance-only table.
 
 import (
@@ -44,8 +44,8 @@ type routerMuxHandler struct {
 }
 
 // HandleMux implements protocol.MuxHandler. The request deadline (if any)
-// propagates into the scatter/gather engine: shard sub-requests carry it and
-// retry backoff never sleeps past it. Batches never arrive here: the
+// propagates to the shards: shard requests carry it and retry backoff never
+// sleeps past it. Batches never arrive here: the
 // transport hands them to HandleMuxBatch.
 func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error) {
 	switch m := msg.(type) {
@@ -67,7 +67,7 @@ func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 }
 
 // HandleMuxBatch implements protocol.MuxBatchStreamer: the batch is answered
-// through the scatter/gather engine and its items stream back per query.
+// through ExecuteBatchDeadline and its items stream back per query.
 func (h routerMuxHandler) HandleMuxBatch(b protocol.BatchQuery, info protocol.ReqInfo, emit func(protocol.BatchItem)) error {
 	qs := b.Queries
 	if info.Shed {

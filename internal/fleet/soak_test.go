@@ -3,10 +3,10 @@ package fleet_test
 // The fleet churn soak: router + 2 shards under a sustained weight-update
 // stream and concurrent query load, with a shard kill/restart in the middle.
 // It asserts the invariants that must hold under arbitrary interleaving —
-// every successful reply carries one consistent metric identity (the merge
-// refusal makes mixed-generation tables impossible by construction), failures
-// are only bounded-retry shard errors or skew, and after the churn stops the
-// fleet converges back to exact reference answers.
+// every successful reply is one whole table from one shard (whole-query
+// placement makes mixed-generation tables impossible by construction),
+// failures are only bounded-retry shard errors or profile skew, and after the
+// churn stops the fleet converges back to exact reference answers.
 //
 // The default run is short enough for the ordinary test suite; CI's soak step
 // stretches it with FLEET_SOAK_SECONDS=10 under -race.
@@ -102,7 +102,7 @@ func TestFleetChurnSoak(t *testing.T) {
 
 	// Query load: several workers hammering the router while the metric
 	// churns underneath. Failures must be typed — a shard error inside the
-	// kill window or residual skew — never a malformed or mixed reply.
+	// kill window or profile skew — never a malformed or mixed reply.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -119,7 +119,7 @@ func TestFleetChurnSoak(t *testing.T) {
 				queries.Add(1)
 				if err != nil {
 					var se *fleet.ShardError
-					if errors.As(err, &se) || errors.Is(err, fleet.ErrGenerationSkew) || errors.Is(err, fleet.ErrProfileSkew) {
+					if errors.As(err, &se) || errors.Is(err, fleet.ErrProfileSkew) {
 						degradedQueries.Add(1)
 						continue
 					}
@@ -176,13 +176,13 @@ func TestFleetChurnSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-soak query %d: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("post-soak q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("post-soak q%d", q.QueryID), got, want)
 	}
 
 	m := cl.Router.Metrics()
-	t.Logf("soak %v: %d updates, %d queries (%d failed in the kill windows), replays=%d gen-skew=%d retries=%d failures=%d",
+	t.Logf("soak %v: %d updates, %d queries (%d failed in the kill windows), replays=%d retries=%d failures=%d",
 		duration, updates.Load(), queries.Load(), degradedQueries.Load(),
-		m.Counter("fleet_replays"), m.Counter("fleet_generation_skew"),
+		m.Counter("fleet_replays"),
 		m.Counter("fleet_shard_retries"), m.Counter("fleet_shard_failures"))
 	if updates.Load() == 0 || queries.Load() == 0 {
 		t.Errorf("soak exercised nothing: %d updates, %d queries", updates.Load(), queries.Load())
@@ -311,7 +311,6 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 					var se *fleet.ShardError
 					switch {
 					case errors.As(err, &se),
-						errors.Is(err, fleet.ErrGenerationSkew),
 						errors.Is(err, fleet.ErrProfileSkew),
 						protocol.IsDeadlineExceeded(err):
 						failures.Add(1)
@@ -384,11 +383,11 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 	}
 	availability := 1 - float64(fail)/float64(att)
 	m := cl.Router.Metrics()
-	t.Logf("chaos %v (%s): %d updates, %d queries, availability %.4f; trips=%d heartbeat-fails=%d failovers=%d replays=%d deadline-drops=%d gen-skew=%d",
+	t.Logf("chaos %v (%s): %d updates, %d queries, availability %.4f; trips=%d heartbeat-fails=%d failovers=%d replays=%d deadline-drops=%d",
 		duration, mode, updates.Load(), att, availability,
 		m.Counter("fleet_breaker_trips"), m.Counter("fleet_heartbeat_failures"),
 		m.Counter("fleet_failovers"), m.Counter("fleet_replays"),
-		m.Counter("fleet_deadline_exceeded"), m.Counter("fleet_generation_skew"))
+		m.Counter("fleet_deadline_exceeded"))
 	// The floor: with one faulted shard at a time and failover re-owning its
 	// work, the overwhelming majority of queries must keep answering.
 	if availability < 0.9 {
@@ -411,7 +410,7 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 		if err != nil {
 			t.Fatalf("post-chaos query %d: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("post-chaos q%d", q.QueryID), got, want, false)
+		assertSameReply(t, fmt.Sprintf("post-chaos q%d", q.QueryID), got, want)
 	}
 	states := cl.Router.ShardStates()
 	for i, s := range states {
@@ -455,6 +454,6 @@ func TestFleetServedThroughObfuscator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameReply(t, fmt.Sprintf("via-obfuscator q%d", qs[i].QueryID), br.Replies[i], want, false)
+		assertSameReply(t, fmt.Sprintf("via-obfuscator q%d", qs[i].QueryID), br.Replies[i], want)
 	}
 }

@@ -91,8 +91,8 @@ type ServerQuery struct {
 
 // CandidatePath is one (s, t, path) triple of a ServerReply. Nodes usually
 // sub-slices a node arena the whole reply shares (the server unpacks into
-// one, the codec decodes into one, the router's stitch copies the structs and
-// keeps the aliases): treat it as read-only, and copy it (PathFromCandidate)
+// one, the codec decodes into one, the router forwards the reply as it
+// arrived): treat it as read-only, and copy it (PathFromCandidate)
 // before retaining it past the reply.
 type CandidatePath struct {
 	Source roadnet.NodeID
@@ -117,15 +117,14 @@ type ServerReply struct {
 	PageFaults   int64
 	// Generation and ContentSum identify the metric this reply was computed
 	// under: the data generation and the weight-content checksum of the graph
-	// snapshot served. The fleet router refuses to merge partial tables whose
-	// ContentSums differ (or are 0 = unknown), so a distributed answer never
-	// mixes generations across shards. Generation numbers are per-server and
-	// not comparable across shards; ContentSum is content-derived and is.
+	// snapshot served (ContentSum 0 = unknown). Generation numbers are
+	// per-server and not comparable across shards; ContentSum is
+	// content-derived and is.
 	Generation uint64
 	ContentSum uint64
 	// Profile echoes the weight profile the query was answered under ("" =
-	// live metric); the router refuses to merge partials whose echoed
-	// profiles differ.
+	// live metric); the fleet router refuses a reply whose echoed profile
+	// is not the query's.
 	Profile string
 	// Degraded marks a distance-only reply: admission control shed the query
 	// to the many-to-many distance table and no node sequences were

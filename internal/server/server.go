@@ -480,8 +480,7 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 // replyIdentity is the metric identity of one epoch, stamped on every reply
 // evaluated on it: the data generation of the epoch's snapshot and that
 // snapshot's weight-content checksum. A zero ContentSum on a reply means
-// unknown — the fleet router treats it as generation skew and retries rather
-// than merging it.
+// unknown.
 type replyIdentity struct {
 	generation uint64
 	contentSum uint64
