@@ -1,19 +1,13 @@
 // Command opaque-router runs the OPAQUE fleet router: it fronts N
 // opaque-server shards behind one multiplexed listener and places every
-// obfuscated path query whole on one shard — the owner of the most of its
-// sources' cells (partition mode) or the next shard round-robin (replicate
-// mode) — whose reply is the answer. Weight updates are broadcast to every
-// shard and folded into a cumulative replay state, so a shard that restarts
-// is brought back to the fleet metric before it answers queries.
+// obfuscated path query whole on one shard, round-robin, whose reply is the
+// answer. Weight updates are broadcast to every shard and folded into a
+// cumulative replay state, so a shard that restarts is brought back to the
+// fleet metric before it answers queries. The router needs no road map.
 //
 // Usage:
 //
-//	opaque-router -shards host1:7001,host2:7001 -listen :7000 -network network.txt
-//	opaque-router -shards :7001,:7011 -listen :7000 -generate tigerlike -nodes 20000 -mode replicate
-//
-// Partition mode needs the same road network the shards serve (via -network
-// or -generate/-nodes/-seed) to build the spatial partition that maps query
-// sources to owning shards; replicate mode needs no map.
+//	opaque-router -shards host1:7001,host2:7001 -listen :7000
 package main
 
 import (
@@ -24,9 +18,7 @@ import (
 	"time"
 
 	"opaque/internal/fleet"
-	"opaque/internal/gen"
 	"opaque/internal/protocol"
-	"opaque/internal/roadnet"
 )
 
 func main() {
@@ -36,12 +28,6 @@ func main() {
 	var (
 		shardsFlag    = flag.String("shards", "", "comma-separated opaque-server shard addresses (required)")
 		listen        = flag.String("listen", ":7000", "TCP listen address for obfuscator connections")
-		mode          = flag.String("mode", "partition", "query placement: partition (each whole query to the shard owning most of its sources' cells) | replicate (whole queries round-robin)")
-		networkFile   = flag.String("network", "", "road network file the shards serve (partition mode)")
-		generate      = flag.String("generate", "", "generate the network instead of loading one: grid | geometric | ringradial | tigerlike")
-		nodes         = flag.Int("nodes", 10000, "node count when generating")
-		seed          = flag.Uint64("seed", 42, "generation seed")
-		cells         = flag.Int("cells", 0, "partition cell count for ownership mapping (0 = 4 x shards)")
 		retries       = flag.Int("retries", 0, "per-shard reconnect attempts before a shard call fails (0 = default)")
 		quorum        = flag.Int("quorum", 0, "weight-update ack quorum: UpdateWeights returns after this many shards ack, replay covers stragglers (0 = 1, any reachable shard; clamps to the fleet size)")
 		heartbeat     = flag.Duration("heartbeat", 0, "health-probe interval: ping every shard over the mux identity stream and redial down shards through the breaker's half-open gate (0 disables; health is then tracked from query traffic alone)")
@@ -68,30 +54,6 @@ func main() {
 		Heartbeat:       *heartbeat,
 		DefaultDeadline: *deadline,
 	}
-	switch *mode {
-	case "partition":
-		cfg.Mode = fleet.ModePartition
-		if len(addrs) > 1 {
-			g, err := gen.LoadOrGenerate(*networkFile, *generate, *nodes, *seed)
-			if err != nil {
-				log.Fatalf("partition mode needs the shard road network (-network or -generate): %v", err)
-			}
-			nCells := *cells
-			if nCells <= 0 {
-				nCells = 4 * len(addrs)
-			}
-			part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: nCells, Seed: int64(*seed)})
-			if err != nil {
-				log.Fatalf("partitioning the map: %v", err)
-			}
-			cfg.Partition = part
-			log.Printf("partitioned %d nodes into %d cells across %d shards", g.NumNodes(), part.NumCells(), len(addrs))
-		}
-	case "replicate":
-		cfg.Mode = fleet.ModeReplicate
-	default:
-		log.Fatalf("-mode must be partition or replicate (got %q)", *mode)
-	}
 
 	dialers := make([]fleet.Dialer, len(addrs))
 	for i, addr := range addrs {
@@ -114,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)
 	}
-	log.Printf("fleet router ready on %s (%d shards, mode=%s)", ln.Addr(), len(addrs), cfg.Mode)
+	log.Printf("fleet router ready on %s (%d shards)", ln.Addr(), len(addrs))
 	if err := router.ServeMux(ln, protocol.MuxServerConfig{MaxInFlight: *maxInFlight, ShedAt: *shedAt}); err != nil {
 		log.Fatalf("serve: %v", err)
 	}

@@ -2,7 +2,8 @@ package fleet_test
 
 // Fault-tolerance battery beyond the kill-mid-batch test: replicate-mode
 // failover (the acceptance criteria demand a shard killed mid-run in *each*
-// mode), update-ack quorums, prompt Close interruption of retry backoff,
+// mode), update-ack quorums, read-after-update under overlapping updates,
+// prompt Close interruption of retry backoff,
 // deadline propagation, and the small contracts — ShardError unwrapping and
 // Mode.String on unknown modes.
 
@@ -10,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,7 +60,7 @@ func TestShardErrorUnwrap(t *testing.T) {
 // TestFleetFailoverReplicate kills one of three replicas mid-workload: every
 // query keeps answering the exact single-server table (the round-robin
 // routes around the open breaker, and queries that had already been assigned
-// the dead replica re-scatter to a survivor), and the healed shard rejoins
+// the dead replica are placed again on a survivor), and the healed shard rejoins
 // after its breaker cooldown.
 func TestFleetFailoverReplicate(t *testing.T) {
 	g := testGraph(t, 300, 1601)
@@ -215,6 +217,89 @@ func TestFleetUpdateQuorum(t *testing.T) {
 			t.Fatalf("query %d: %v", q.QueryID, rerr)
 		}
 		assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
+	}
+}
+
+// TestQueryAfterOverlappingUpdates pins read-after-update under quorum 1
+// with a lagging shard: three weight updates overlap, and a query issued as
+// soon as the middle one returns must see it, even while the fast shard is
+// still applying the last one and the slow shard is still applying the
+// first. The first and last updates rewrite arcs to their base costs, so the
+// only answer that counts as fresh is the one under the middle update.
+func TestQueryAfterOverlappingUpdates(t *testing.T) {
+	g := testGraph(t, 300, 1801)
+	src, dst := roadnet.NodeID(3), roadnet.NodeID(250)
+	cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Mode: fleet.ModeReplicate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	q := protocol.ServerQuery{Sources: []roadnet.NodeID{src}, Dests: []roadnet.NodeID{dst}}
+	// Dial both shards before the links slow down.
+	for k := 0; k < 2; k++ {
+		if _, err := cl.Router.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Shard(0).SetLatency(3 * time.Millisecond)
+	cl.Shard(1).SetLatency(40 * time.Millisecond)
+	ref := server.MustNew(g, server.DefaultConfig())
+
+	other := roadnet.NodeID(120)
+	noop := make([]roadnet.ArcWeightChange, 0, len(g.Arcs(other)))
+	for _, a := range g.Arcs(other) {
+		noop = append(noop, roadnet.ArcWeightChange{From: other, To: a.To, NewCost: a.Cost})
+	}
+	for round := 0; round < 10; round++ {
+		// Every arc out of src gets dearer each round, so each round's
+		// answer differs from the last.
+		var scale []roadnet.ArcWeightChange
+		for _, a := range g.Arcs(src) {
+			scale = append(scale, roadnet.ArcWeightChange{From: src, To: a.To, NewCost: a.Cost * float64(2+round)})
+		}
+		// The short pauses let each update's sends queue behind the
+		// previous one's on both shards.
+		others := make(chan error, 2)
+		go func() { others <- cl.Router.UpdateWeights(noop) }()
+		time.Sleep(time.Millisecond)
+		middle := make(chan error, 1)
+		go func() { middle <- cl.Router.UpdateWeights(scale) }()
+		time.Sleep(time.Millisecond)
+		go func() { others <- cl.Router.UpdateWeights(noop) }()
+		if err := <-middle; err != nil {
+			t.Fatalf("round %d: update: %v", round, err)
+		}
+		// Two queries at once: round-robin prefers a different shard for
+		// each, so one of them prefers the slow shard.
+		var replies [2]protocol.ServerReply
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k := range replies {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				replies[k], errs[k] = cl.Router.Execute(q)
+			}(k)
+		}
+		wg.Wait()
+		if _, err := ref.UpdateWeights(scale); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, got := range replies {
+			if errs[k] != nil {
+				t.Fatalf("round %d query %d: %v", round, k, errs[k])
+			}
+			assertSameReply(t, fmt.Sprintf("round %d query %d", round, k), got, want)
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-others; err != nil {
+				t.Fatalf("round %d: overlapping update: %v", round, err)
+			}
+		}
 	}
 }
 

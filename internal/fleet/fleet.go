@@ -7,12 +7,10 @@
 // evaluates the full |S|×|T| table as one many-to-many computation, whose
 // target half (the backward sweeps and bucket fills) all sources share, and
 // its reply is the router's answer unchanged. Every shard holds the full
-// replicated road map, so any shard can answer any query; the fleet mode
-// only decides which one does. In partition mode each spatial partition cell
-// (roadnet.Partition) is *owned* by one shard and a query goes to the owner
-// of the most of its sources' cells, which keeps a shard's traffic near its
-// own cells; in replicate mode queries round-robin across shards. Ownership
-// is work placement, not reachability.
+// replicated road map, so any shard can answer any query; the router places
+// whole queries round-robin across the available shards, preferring a shard
+// that has applied every weight update the router has returned from. The
+// fleet mode does not affect placement.
 //
 // A reply comes from one shard and one epoch, so it never mixes metrics.
 // The router still checks that a reply echoes the query's weight profile; a
@@ -37,14 +35,14 @@ import (
 	"opaque/internal/roadnet"
 )
 
-// Mode selects how the router spreads queries across shards.
+// Mode names the fleet shape. Both modes place whole queries round-robin;
+// the distinction is kept only for configurations that still name it.
 type Mode int
 
 const (
-	// ModePartition sends each whole query to the shard owning the most of
-	// its sources' partition cells.
+	// ModePartition is the zero-value mode.
 	ModePartition Mode = iota
-	// ModeReplicate round-robins whole queries across shards.
+	// ModeReplicate places exactly like ModePartition.
 	ModeReplicate
 )
 
@@ -67,14 +65,11 @@ type Dialer func() (*protocol.MuxClient, error)
 
 // Config parameterises a Router.
 type Config struct {
-	// Mode is the fleet shape (default ModePartition).
+	// Mode is the fleet shape (default ModePartition); it does not change
+	// placement.
 	Mode Mode
-	// Partition assigns road-map nodes to spatial cells; required in
-	// partition mode with more than one shard.
+	// Partition is accepted and ignored: placement needs no road map.
 	Partition *roadnet.Partition
-	// CellOwner maps partition cell → shard index. Nil assigns cells
-	// round-robin (cell c → shard c mod N).
-	CellOwner []int
 	// Retries is the per-shard transport retry budget: how many times a
 	// failed shard call is retried (redialling between attempts) before the
 	// shard is declared failed for that query. Default 3.
@@ -96,8 +91,7 @@ type Config struct {
 	// FailoverRetries is how many times a query that lost a shard (a
 	// ShardError after the per-shard retry budget) is placed again. By then
 	// the dead shard's breaker has tripped, so the query goes to a surviving
-	// shard — replicate mode picks another replica, partition mode
-	// temporarily re-owns the cells. Default 2.
+	// shard. Default 2.
 	FailoverRetries int
 	// FailThreshold is the consecutive-transport-failure count that trips a
 	// shard's circuit breaker open. Default 3.
@@ -158,17 +152,12 @@ type shardLink struct {
 	hmu    sync.Mutex
 	health shardHealth
 
-	// updMu serialises weight-update sends to this shard; lastUpd is the
-	// highest update sequence delivered. An update arriving out of order
-	// (a quorum return let a newer broadcast overtake it) is upgraded to a
-	// full cumulative snapshot instead of regressing arcs the newer delta
-	// did not touch.
+	// updMu serialises weight-update sends to this shard. lastUpd is the
+	// update sequence the shard has applied every update up to: it is
+	// written under updMu after an ack (or a replay), and read without the
+	// lock by routeShard.
 	updMu   sync.Mutex
-	lastUpd uint64
-	// updating counts weight-update broadcasts to this shard that have
-	// started but not finished; routeShard avoids a shard that is still
-	// applying one.
-	updating atomic.Int32
+	lastUpd atomic.Uint64
 }
 
 // arcKey identifies one directed arc in the cumulative weight state.
@@ -197,7 +186,7 @@ type Router struct {
 	seq    uint64
 
 	batchID atomic.Uint64
-	rr      atomic.Uint64 // replicate-mode round-robin cursor
+	rr      atomic.Uint64 // round-robin placement cursor
 
 	// quiesce interrupts in-flight retry backoff sleeps; Close closes the
 	// current channel and installs a fresh one, so the router stays usable
@@ -230,12 +219,6 @@ type Router struct {
 func New(cfg Config, dialers []Dialer) (*Router, error) {
 	if len(dialers) == 0 {
 		return nil, fmt.Errorf("fleet: need at least one shard dialer")
-	}
-	if cfg.Mode == ModePartition && len(dialers) > 1 && cfg.Partition == nil {
-		return nil, fmt.Errorf("fleet: partition mode with %d shards needs a Partition", len(dialers))
-	}
-	if cfg.CellOwner != nil && cfg.Partition != nil && len(cfg.CellOwner) != cfg.Partition.NumCells() {
-		return nil, fmt.Errorf("fleet: CellOwner has %d entries for %d cells", len(cfg.CellOwner), cfg.Partition.NumCells())
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 3
@@ -404,8 +387,8 @@ func (r *Router) replayTo(l *shardLink, c *protocol.MuxClient) error {
 		return fmt.Errorf("fleet: unexpected replay reply %T", res)
 	}
 	l.updMu.Lock()
-	if seq > l.lastUpd {
-		l.lastUpd = seq
+	if seq > l.lastUpd.Load() {
+		l.lastUpd.Store(seq)
 	}
 	l.updMu.Unlock()
 	r.mReplays.Add(1)
@@ -430,12 +413,13 @@ func (r *Router) record(changes []roadnet.ArcWeightChange) uint64 {
 	return seq
 }
 
-// sendUpdate delivers one weight update to one shard, keeping per-shard
-// delivery ordered: sends are serialised on the link's updMu, and a delta
-// that a newer broadcast already overtook (possible once UpdateWeights
-// returns at quorum while stragglers run on) is upgraded to a full
-// cumulative snapshot — last-write-wins and idempotent — instead of
-// regressing arcs the newer delta did not touch.
+// sendUpdate delivers one weight update to one shard, keeping what the shard
+// has applied a prefix of the update sequence: sends are serialised on the
+// link's updMu; an update the shard already holds (a snapshot covered it) is
+// not sent again; and an update that would leave a gap (possible once
+// UpdateWeights returns at quorum while stragglers run on, so a newer
+// broadcast can overtake an older one) is upgraded to a full cumulative
+// snapshot, which is last-write-wins and idempotent.
 func (r *Router) sendUpdate(l *shardLink, seq uint64, changes []roadnet.ArcWeightChange) error {
 	c, err := r.connect(l)
 	if err != nil {
@@ -447,8 +431,12 @@ func (r *Router) sendUpdate(l *shardLink, seq uint64, changes []roadnet.ArcWeigh
 	err = func() error {
 		l.updMu.Lock()
 		defer l.updMu.Unlock()
+		applied := l.lastUpd.Load()
+		if seq <= applied {
+			return nil
+		}
 		upd := protocol.WeightUpdate{UpdateID: seq, Changes: changes}
-		if seq < l.lastUpd {
+		if seq != applied+1 {
 			upd, seq = r.snapshotUpdate()
 		}
 		res, err := c.Do(upd)
@@ -458,9 +446,7 @@ func (r *Router) sendUpdate(l *shardLink, seq uint64, changes []roadnet.ArcWeigh
 		if _, ok := res.(protocol.WeightUpdateAck); !ok {
 			return fmt.Errorf("unexpected ack type %T", res)
 		}
-		if seq > l.lastUpd {
-			l.lastUpd = seq
-		}
+		l.lastUpd.Store(seq)
 		return nil
 	}()
 	if err != nil {
@@ -492,19 +478,12 @@ func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 	r.mWeightUpd.Add(1)
 	n := len(r.shards)
 	results := make(chan error, n)
-	// Every shard is marked as updating before any send starts, so a query
-	// placed after this call returns skips the stragglers still applying
-	// the update for a shard that has acknowledged it (see routeShard).
-	for _, l := range r.shards {
-		l.updating.Add(1)
-	}
 	for _, l := range r.shards {
 		go func(l *shardLink) {
 			err := r.sendUpdate(l, seq, changes)
 			if err != nil {
 				r.mFailures.Add(1)
 			}
-			l.updating.Add(-1)
 			results <- err
 		}(l)
 	}
@@ -599,86 +578,47 @@ func (r *Router) callShard(idx int, msg any, deadline time.Time) (res any, err e
 	return res, err
 }
 
-// scatter picks the one shard that answers q whole, consulting shard health.
-// Replicate mode (and a one-shard fleet) takes the next shard in round-robin
-// order; partition mode takes the owner of the most of q's sources' cells.
-func (r *Router) scatter(q protocol.ServerQuery) int {
+// place picks the one shard that answers a query whole: the next shard in
+// round-robin order, adjusted for health and update lag by routeShard.
+func (r *Router) place() int {
 	n := len(r.shards)
-	if n == 1 || r.cfg.Mode == ModeReplicate {
-		return r.routeShard(int(r.rr.Add(1)-1) % n)
-	}
-	return r.routeShard(r.plurality(q))
-}
-
-// plurality returns the shard owning the most of q's sources' cells. The
-// scan starts at shard QueryID mod n and keeps only a strictly larger count,
-// so a tie goes to the first tied shard at or after that one: tied queries
-// spread across their tied owners instead of piling onto the lowest index.
-// It counts in place, one pass over the sources per shard, so placement
-// allocates nothing.
-func (r *Router) plurality(q protocol.ServerQuery) int {
-	n := len(r.shards)
-	start := int(q.QueryID % uint64(n))
-	best, bestCount := start, -1
-	for k := 0; k < n; k++ {
-		shard := (start + k) % n
-		count := 0
-		for _, src := range q.Sources {
-			if r.ownerOf(src) == shard {
-				count++
-			}
-		}
-		if count > bestCount {
-			best, bestCount = shard, count
-		}
-	}
-	return best
-}
-
-// ownerOf resolves the shard owning a node's partition cell.
-func (r *Router) ownerOf(v roadnet.NodeID) int {
-	cell := r.cfg.Partition.CellOf(v)
-	if r.cfg.CellOwner != nil {
-		return r.cfg.CellOwner[cell] % len(r.shards)
-	}
-	return cell % len(r.shards)
+	return r.routeShard(int(r.rr.Add(1)-1) % n)
 }
 
 // routeShard returns the shard that should actually receive work addressed
-// to preferred: the first available shard at or after preferred — in
-// partition mode a down owner's cells are temporarily re-owned, which is
-// answer-preserving because every shard holds the full replicated road map
-// (ownership is work placement, not reachability). Ownership restores by
-// construction when the preferred shard's breaker closes again. A shard
-// still applying a weight update is passed over for the next available
-// shard that is not, so a query placed after UpdateWeights returns is
-// answered on the updated metric even when the update quorum let a
-// straggler lag; if every available shard is updating, the first one takes
-// the query. With no shard available the preferred one is returned and the
-// call fails on it honestly.
+// to preferred: scanning from preferred, the first available shard among
+// those that have applied the most weight updates. A shard acknowledges an
+// update only once it holds every earlier one too (see sendUpdate), so the
+// chosen shard has applied every update any returned UpdateWeights covered,
+// and a query placed after UpdateWeights returns is answered on the updated
+// metric even when the update quorum let a straggler lag. A down preferred
+// shard's work moving elsewhere counts on fleet_failovers; this is
+// answer-preserving because every shard holds the full replicated road map.
+// With no shard available the preferred one is returned and the call fails
+// on it honestly.
 func (r *Router) routeShard(preferred int) int {
 	n := len(r.shards)
-	first := -1
+	best := -1
+	var bestSeq uint64
+	preferredUp := false
 	for k := 0; k < n; k++ {
 		idx := (preferred + k) % n
 		l := r.shards[idx]
 		if !r.available(l) {
 			continue
 		}
-		if first < 0 {
-			first = idx
-			if idx != preferred {
-				r.mFailovers.Add(1)
-			}
-		}
-		if l.updating.Load() == 0 {
-			return idx
+		preferredUp = preferredUp || k == 0
+		if seq := l.lastUpd.Load(); best < 0 || seq > bestSeq {
+			best, bestSeq = idx, seq
 		}
 	}
-	if first < 0 {
+	if best < 0 {
 		return preferred
 	}
-	return first
+	if !preferredUp {
+		r.mFailovers.Add(1)
+	}
+	return best
 }
 
 // checkProfile verifies that a reply was computed under the query's weight
@@ -695,7 +635,7 @@ func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.ServerReply) 
 // the whole answer; a shard failure after the retry budget fails the query
 // with its ShardError.
 func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
-	shard := r.scatter(q)
+	shard := r.place()
 	r.mSubqueries.Add(1)
 	res, err := r.callShard(shard, q, deadline)
 	if err != nil {
@@ -807,7 +747,7 @@ func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.T
 	batches := make([][]protocol.ServerQuery, len(r.shards))
 	slots := make([][]int, len(r.shards))
 	for qi, q := range qs {
-		shard := r.scatter(q)
+		shard := r.place()
 		batches[shard] = append(batches[shard], q)
 		slots[shard] = append(slots[shard], qi)
 	}

@@ -1,7 +1,7 @@
 package fleet_test
 
-// The fleet test battery: the equivalence property (a router over partition
-// or replicate shards answers exactly like one server), whole-query placement
+// The fleet test battery: the equivalence property (a router over two shards
+// answers exactly like one server, in either fleet mode), whole-query placement
 // (each query is answered by one shard, so no reply mixes metrics), and the
 // fault-injection battery (shard kill and restart mid-batch and mid-churn,
 // bounded retry, reconnect replay). Everything runs in-process
@@ -97,9 +97,8 @@ func hybridConfig() server.Config {
 	return c
 }
 
-// TestFleetEquivalence is the scatter/gather property test behind the
-// acceptance criteria: for both serving strategies and both fleet shapes, a
-// router over two shards answers a mixed-shape workload with exactly the
+// TestFleetEquivalence is the whole-query placement property test: for both
+// serving strategies and both fleet modes, a router over two shards answers a mixed-shape workload with exactly the
 // distance tables and paths a single server produces. The workload's shapes
 // run from point queries to wide tables, all of which hybrid shards serve
 // through the many-to-many engine.
@@ -136,7 +135,7 @@ func TestFleetEquivalence(t *testing.T) {
 					assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
 				}
 
-				// The whole workload again as one scattered batch.
+				// The whole workload again as one routed batch.
 				replies, errs := cl.Router.ExecuteBatch(qs)
 				for i, err := range errs {
 					if err != nil {
@@ -258,7 +257,7 @@ func TestFleetWeightUpdateEquivalence(t *testing.T) {
 
 // TestFleetKillMidBatch kills one shard under a live batch workload: the
 // dead shard's queries fail over to the survivor — its breaker trips after
-// the bounded retry budget and the re-scatter re-owns its work — so every
+// the bounded retry budget and placement routes its work elsewhere — so every
 // query keeps answering the exact single-server table and no ShardError
 // surfaces to callers; a restart brings the fleet back whole.
 func TestFleetKillMidBatch(t *testing.T) {

@@ -25,16 +25,13 @@ import (
 type Options struct {
 	// Shards is the fleet size (default 2).
 	Shards int
-	// Mode is the fleet shape (default fleet.ModePartition).
+	// Mode is the fleet mode (default fleet.ModePartition).
 	Mode fleet.Mode
-	// Cells is the partition cell count the router places queries by
-	// (default 4 × Shards).
-	Cells int
 	// Server configures every shard (and should match the single-server
 	// reference an equivalence test compares against).
 	Server server.Config
-	// Fleet overrides router knobs (Retries, RetryBackoff, CellOwner, ...);
-	// Mode and Partition are set by the harness.
+	// Fleet overrides router knobs (Retries, RetryBackoff, ...); Mode is set
+	// by the harness.
 	Fleet fleet.Config
 	// Mux configures each shard's serving side (MaxInFlight, ShedAt).
 	Mux protocol.MuxServerConfig
@@ -97,25 +94,17 @@ func (sh *Shard) Server() *server.Server {
 
 // Cluster is a router fronting N in-process shards.
 type Cluster struct {
-	Graph     *roadnet.Graph
-	Partition *roadnet.Partition
-	Router    *fleet.Router
-	shards    []*Shard
+	Graph  *roadnet.Graph
+	Router *fleet.Router
+	shards []*Shard
 }
 
-// New builds the cluster: partition, shards, router.
+// New builds the cluster: shards, then the router.
 func New(g *roadnet.Graph, opts Options) (*Cluster, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 2
 	}
-	if opts.Cells <= 0 {
-		opts.Cells = 4 * opts.Shards
-	}
-	part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: opts.Cells})
-	if err != nil {
-		return nil, fmt.Errorf("fleettest: partitioning: %w", err)
-	}
-	c := &Cluster{Graph: g, Partition: part}
+	c := &Cluster{Graph: g}
 	dialers := make([]fleet.Dialer, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		srv, err := server.New(g, opts.Server)
@@ -128,7 +117,6 @@ func New(g *roadnet.Graph, opts Options) (*Cluster, error) {
 	}
 	fcfg := opts.Fleet
 	fcfg.Mode = opts.Mode
-	fcfg.Partition = part
 	router, err := fleet.New(fcfg, dialers)
 	if err != nil {
 		return nil, fmt.Errorf("fleettest: building router: %w", err)

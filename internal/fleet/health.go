@@ -9,16 +9,17 @@ package fleet
 // The breaker state machine is deliberately small. A shard is ShardUp until
 // FailThreshold consecutive transport failures (dial errors, dropped
 // connections, missed pongs) trip it to ShardDown; while down and inside
-// BreakerCooldown every connect attempt fails fast with errShardDown, so the
-// scatter path routes the shard's work elsewhere (failover) without paying a
-// dial timeout per query. When the cooldown elapses the breaker is half-open:
-// exactly the next connect attempt — a query routed there, or the heartbeat
-// prober — performs a real dial as the probe. Success (dial + replay) closes
-// the breaker and, in partition mode, implicitly restores the shard's cell
-// ownership, because routing always consults the current health state.
+// BreakerCooldown every connect attempt fails fast with errShardDown, and
+// query placement routes the shard's work elsewhere (failover) without paying
+// a dial timeout per query. When the cooldown elapses the breaker is
+// half-open: exactly the next connect attempt — a query placed there, or the
+// heartbeat prober — performs a real dial as the probe. Success (dial +
+// replay) closes the breaker and puts the shard back into the placement
+// rotation, because placement always consults the current health state.
 //
-// Health bookkeeping lives on its own mutex (shardLink.health.mu), never held
-// across dials or I/O, so readers (scatter, ShardStates, metrics) stay cheap.
+// Health bookkeeping lives on its own mutex (shardLink.hmu), never held
+// across dials or I/O, so readers (placement, ShardStates, metrics) stay
+// cheap.
 
 import (
 	"errors"
@@ -109,8 +110,8 @@ func (r *Router) probeAllowed(l *shardLink) bool {
 }
 
 // noteSuccess records a successful exchange: the failure streak resets and a
-// down shard comes back up (restoring its cell ownership implicitly — the
-// scatter path consults health on every query).
+// down shard comes back up (rejoining placement implicitly — placement
+// consults health on every query).
 func (r *Router) noteSuccess(l *shardLink) {
 	l.hmu.Lock()
 	l.health.consecFails = 0

@@ -1,7 +1,7 @@
 package fleet_test
 
-// Whole-query placement: which shard answers a query in partition mode, and
-// what one routed batch allocates.
+// Whole-query placement: which shard answers a query, and what one routed
+// batch allocates.
 
 import (
 	"math/rand"
@@ -13,21 +13,6 @@ import (
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 )
-
-// ownedNodes returns k nodes whose partition cell owner maps to shard.
-func ownedNodes(t *testing.T, cl *fleettest.Cluster, owner func(cell int) int, shard, k int) []roadnet.NodeID {
-	t.Helper()
-	var out []roadnet.NodeID
-	for v := 0; v < cl.Graph.NumNodes() && len(out) < k; v++ {
-		if owner(cl.Partition.CellOf(roadnet.NodeID(v))) == shard {
-			out = append(out, roadnet.NodeID(v))
-		}
-	}
-	if len(out) < k {
-		t.Fatalf("only %d nodes owned by shard %d, need %d", len(out), shard, k)
-	}
-	return out
-}
 
 // answeredBy executes q through the router and returns the one shard whose
 // server processed it.
@@ -55,93 +40,75 @@ func answeredBy(t *testing.T, cl *fleettest.Cluster, q protocol.ServerQuery) int
 	return shard
 }
 
-// TestPartitionPlacement pins where partition mode sends a whole query: to
-// the owner of the most of its sources' cells, a tie to the tied shard that
-// QueryID mod n picks, by a CellOwner override when one is set, and past a
-// blackholed owner to the next available shard.
-func TestPartitionPlacement(t *testing.T) {
+// TestWholeQueryPlacement pins where the router sends a whole query in both
+// fleet modes: round-robin across the shards, one shard per query, and past a
+// blackholed shard to the next available one, which fleet_failovers counts.
+func TestWholeQueryPlacement(t *testing.T) {
 	g := testGraph(t, 300, 2101)
-	dests := []roadnet.NodeID{7, 150}
-	query := func(id uint64, sources ...roadnet.NodeID) protocol.ServerQuery {
-		return protocol.ServerQuery{QueryID: id, Sources: sources, Dests: dests}
+	query := func(id uint64) protocol.ServerQuery {
+		return protocol.ServerQuery{QueryID: id, Sources: []roadnet.NodeID{3, 90}, Dests: []roadnet.NodeID{7, 150}}
 	}
+	// tally runs 3k queries one after another and counts the answering shard.
+	const k = 4
+	tally := func(t *testing.T, cl *fleettest.Cluster, firstID uint64) [3]int {
+		var byShard [3]int
+		for id := firstID; id < firstID+3*k; id++ {
+			byShard[answeredBy(t, cl, query(id))]++
+		}
+		return byShard
+	}
+	for _, mode := range []fleet.Mode{fleet.ModePartition, fleet.ModeReplicate} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Run("round-robin", func(t *testing.T) {
+				cl, err := fleettest.New(g, fleettest.Options{Shards: 3, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				if got, want := tally(t, cl, 1), [3]int{k, k, k}; got != want {
+					t.Errorf("queries per shard = %v, want %v", got, want)
+				}
+				if n := cl.Router.Metrics().Counter("fleet_failovers"); n != 0 {
+					t.Errorf("fleet_failovers = %d on a healthy fleet", n)
+				}
+			})
 
-	t.Run("plurality and ties", func(t *testing.T) {
-		cl, err := fleettest.New(g, fleettest.Options{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		byCell := func(cell int) int { return cell % 2 }
-		a, b := ownedNodes(t, cl, byCell, 0, 2), ownedNodes(t, cl, byCell, 1, 2)
-		cases := []struct {
-			name string
-			q    protocol.ServerQuery
-			want int
-		}{
-			// Odd and even IDs start the tie scan at the losing shard, so
-			// only the plurality can win.
-			{"plurality 0", query(1, a[0], b[0], a[1]), 0},
-			{"plurality 1", query(2, b[0], a[0], b[1]), 1},
-			{"tie, id 2", query(2, a[0], b[0]), 0},
-			{"tie, id 3", query(3, a[0], b[0]), 1},
-			{"tie, id 4", query(4, b[0], a[0]), 0},
-			{"tie, id 5", query(5, b[0], a[0]), 1},
-		}
-		for _, c := range cases {
-			if got := answeredBy(t, cl, c.q); got != c.want {
-				t.Errorf("%s: answered by shard %d, want %d", c.name, got, c.want)
-			}
-		}
-		if m := cl.Router.Metrics(); m.Counter("fleet_failovers") != 0 {
-			t.Errorf("fleet_failovers = %d on a healthy fleet", m.Counter("fleet_failovers"))
-		}
-	})
-
-	t.Run("CellOwner override", func(t *testing.T) {
-		swapped := make([]int, 8)
-		for c := range swapped {
-			swapped[c] = (c + 1) % 2
-		}
-		cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Fleet: fleet.Config{CellOwner: swapped}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		owner := func(cell int) int { return swapped[cell] }
-		a, b := ownedNodes(t, cl, owner, 0, 2), ownedNodes(t, cl, owner, 1, 2)
-		if got := answeredBy(t, cl, query(1, a[0], b[0], a[1])); got != 0 {
-			t.Errorf("sources mostly in cells CellOwner gives shard 0: answered by shard %d", got)
-		}
-		if got := answeredBy(t, cl, query(2, b[0], a[0], b[1])); got != 1 {
-			t.Errorf("sources mostly in cells CellOwner gives shard 1: answered by shard %d", got)
-		}
-	})
-
-	t.Run("blackholed owner", func(t *testing.T) {
-		cl, err := fleettest.New(g, fleettest.Options{
-			Shards: 3,
-			Fleet: fleet.Config{
-				Retries: 1, RetryBackoff: time.Millisecond,
-				FailThreshold: 1, BreakerCooldown: time.Minute,
-			},
+			t.Run("blackholed shard", func(t *testing.T) {
+				cl, err := fleettest.New(g, fleettest.Options{
+					Shards: 3,
+					Mode:   mode,
+					Fleet: fleet.Config{
+						Retries: 1, RetryBackoff: time.Millisecond,
+						FailThreshold: 1, BreakerCooldown: time.Minute,
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				cl.Shard(1).Blackhole(true)
+				defer cl.Shard(1).Blackhole(false)
+				// Trip shard 1's breaker: the first query placed on it fails
+				// its dial and is placed again.
+				id := uint64(1)
+				for ; cl.Router.ShardStates()[1] != fleet.ShardDown; id++ {
+					if id > 3 {
+						t.Fatal("shard 1's breaker did not trip within one round of placements")
+					}
+					answeredBy(t, cl, query(id))
+				}
+				before := cl.Router.Metrics().Counter("fleet_failovers")
+				// Shard 1's turns in the rotation go to the next available
+				// shard, 2.
+				if got, want := tally(t, cl, id), [3]int{k, 0, 2 * k}; got != want {
+					t.Errorf("queries per shard with shard 1 blackholed = %v, want %v", got, want)
+				}
+				if n := cl.Router.Metrics().Counter("fleet_failovers") - before; n != k {
+					t.Errorf("fleet_failovers grew by %d over %d queries placed on blackholed shard 1, want %d", n, k, k)
+				}
+			})
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		own1 := ownedNodes(t, cl, func(cell int) int { return cell % 3 }, 1, 2)
-		cl.Shard(1).Blackhole(true)
-		defer cl.Shard(1).Blackhole(false)
-		for id := uint64(1); id <= 3; id++ {
-			if got := answeredBy(t, cl, query(id, own1...)); got != 2 {
-				t.Errorf("query %d owned by blackholed shard 1: answered by shard %d, want the next available shard 2", id, got)
-			}
-		}
-		if n := cl.Router.Metrics().Counter("fleet_failovers"); n != 3 {
-			t.Errorf("fleet_failovers = %d after 3 queries moved off their owner, want 3", n)
-		}
-	})
+	}
 }
 
 // TestRouterBatchAllocs pins the allocations of one routed batch of wide
@@ -181,8 +148,8 @@ func TestRouterBatchAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run()
 	}
-	// 190 measured (Go 1.24, linux/amd64) plus 10 %; the source split read 504.
-	const budget = 209
+	// 188 measured (Go 1.24, linux/amd64) plus 10 %; the source split read 504.
+	const budget = 207
 	if allocs := testing.AllocsPerRun(20, run); allocs > budget {
 		t.Fatalf("one routed batch allocated %.0f times, budget %d", allocs, budget)
 	}

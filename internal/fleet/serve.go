@@ -30,11 +30,7 @@ func (r *Router) reqDeadline(info protocol.ReqInfo) time.Time {
 // replay — so the identity fields stay zero and per-reply ContentSums carry
 // the metric identity instead.
 func (r *Router) HelloInfo() protocol.Hello {
-	h := protocol.Hello{Role: "router"}
-	if r.cfg.Partition != nil {
-		h.Cells = r.cfg.Partition.NumCells()
-	}
-	return h
+	return protocol.Hello{Role: "router"}
 }
 
 // routerMuxHandler adapts the router to the serving side of the multiplexed
