@@ -104,19 +104,6 @@ func BenchmarkDijkstraPointToPoint(b *testing.B) {
 	}
 }
 
-func BenchmarkAStarPointToPoint(b *testing.B) {
-	g, wl := benchGraph(b, 10000)
-	acc := storage.NewMemoryGraph(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr := wl[i%len(wl)]
-		if _, _, err := search.AStar(acc, pr.Source, pr.Dest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSSMDByDestinations shows the Section III-B effect directly: cost
 // of one SSMD search as |T| grows with destinations clustered near the true
 // one.

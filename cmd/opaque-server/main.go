@@ -55,7 +55,6 @@ func main() {
 		seed          = flag.Uint64("seed", 42, "generation seed")
 		listen        = flag.String("listen", ":7001", "TCP listen address for obfuscator connections")
 		strategy      = flag.String("strategy", "ssmd", "query evaluation strategy: ssmd | hybrid")
-		workers       = flag.Int("workers", 1, "concurrent per-source searches per query")
 		batchWorkers  = flag.Int("batch-workers", 0, "concurrent queries per batch in the batch engine (0 = GOMAXPROCS)")
 		maxSearches   = flag.Int("max-searches", 0, "server-wide cap on concurrent per-source searches (0 = unbounded)")
 		treeCache     = flag.Int("tree-cache", 0, "SSMD tree cache capacity in trees (0 disables the cache)")
@@ -81,7 +80,6 @@ func main() {
 
 	cfg := server.DefaultConfig()
 	cfg.Strategy = search.Strategy(*strategy)
-	cfg.Workers = *workers
 	cfg.BatchWorkers = *batchWorkers
 	cfg.MaxConcurrentSearches = *maxSearches
 	cfg.TreeCache = *treeCache

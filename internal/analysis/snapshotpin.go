@@ -14,7 +14,6 @@ var accessorMethods = map[string]bool{
 	"NumNodes":   true,
 	"Arcs":       true,
 	"ForEachArc": true,
-	"Euclid":     true,
 	"Graph":      true,
 }
 

@@ -14,7 +14,6 @@ type Accessor interface {
 	NumNodes() int
 	Arcs(v int32) []int32
 	ForEachArc(v int32, fn func(int32))
-	Euclid(a, b int32) float64
 	Graph() *Graph
 }
 
@@ -24,7 +23,6 @@ type GraphSnapshot struct{ g *Graph }
 func (s *GraphSnapshot) NumNodes() int                      { return s.g.N }
 func (s *GraphSnapshot) Arcs(v int32) []int32               { return nil }
 func (s *GraphSnapshot) ForEachArc(v int32, fn func(int32)) {}
-func (s *GraphSnapshot) Euclid(a, b int32) float64          { return 0 }
 func (s *GraphSnapshot) Graph() *Graph                      { return s.g }
 
 // MutableGraph swaps snapshots under concurrent weight updates.
@@ -33,7 +31,6 @@ type MutableGraph struct{ cur *GraphSnapshot }
 func (m *MutableGraph) NumNodes() int                      { return m.cur.NumNodes() }
 func (m *MutableGraph) Arcs(v int32) []int32               { return m.cur.Arcs(v) }
 func (m *MutableGraph) ForEachArc(v int32, fn func(int32)) { m.cur.ForEachArc(v, fn) }
-func (m *MutableGraph) Euclid(a, b int32) float64          { return m.cur.Euclid(a, b) }
 func (m *MutableGraph) Graph() *Graph                      { return m.cur.Graph() }
 
 // Snapshot, Generation and UpdateWeights are the snapshot-discipline entry

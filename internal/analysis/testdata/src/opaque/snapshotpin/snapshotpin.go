@@ -9,9 +9,6 @@ func bad(m *storage.MutableGraph) int {
 	g := m.Graph()    // want `\[snapshotpin\] Graph called directly on \*storage\.MutableGraph`
 	_ = g
 	m.ForEachArc(0, func(int32) {}) // want `\[snapshotpin\] ForEachArc called directly on \*storage\.MutableGraph`
-	if m.Euclid(0, 1) > 0 {         // want `\[snapshotpin\] Euclid called directly on \*storage\.MutableGraph`
-		n++
-	}
 	return n
 }
 

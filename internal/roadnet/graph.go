@@ -340,8 +340,8 @@ func (g *Graph) Bounds() (minX, minY, maxX, maxY float64) {
 	return g.minX, g.minY, g.maxX, g.maxY
 }
 
-// Euclid returns the Euclidean distance between nodes a and b. It is the
-// admissible heuristic used by A* when edge costs are planar distances.
+// Euclid returns the Euclidean distance between nodes a and b, the lower
+// bound the cost model and the workload generators measure separation by.
 func (g *Graph) Euclid(a, b NodeID) float64 {
 	na, nb := g.nodes[a], g.nodes[b]
 	dx, dy := na.X-nb.X, na.Y-nb.Y

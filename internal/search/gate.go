@@ -2,10 +2,9 @@ package search
 
 // Gate is a counting semaphore bounding how many searches run concurrently
 // across an entire server, no matter how many queries are in flight. The
-// batch engine composes per-query parallelism (Processor workers) under one
-// shared Gate so a large batch cannot oversubscribe the CPU: each per-source
-// search, and each many-to-many table the server evaluates on an overlay,
-// acquires a slot for its duration.
+// batch engine's concurrent queries share one Gate so a large batch cannot
+// oversubscribe the CPU: each per-source search, and each many-to-many table
+// the server evaluates on an overlay, acquires a slot for its duration.
 //
 // A nil Gate imposes no bound; Acquire and Release on it are no-ops.
 type Gate chan struct{}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"sync"
 
 	"opaque/internal/roadnet"
 	"opaque/internal/storage"
@@ -25,12 +24,12 @@ const (
 
 // Processor is the obfuscated path query processor installed in the
 // directions search server (Figure 5/6 of the paper). It evaluates Q(S, T)
-// queries against an Accessor using a configurable strategy, optionally
-// fanning the per-source searches out over a bounded number of goroutines.
+// queries against an Accessor using a configurable strategy, one source row
+// after another. A Processor is safe for concurrent use: the server runs
+// many Evaluate calls at once under one shared Gate.
 type Processor struct {
 	acc      storage.Accessor
 	strategy Strategy
-	workers  int
 	cache    *TreeCache
 	gate     Gate
 	// wsPool supplies the epoch-stamped search workspaces the per-source
@@ -48,17 +47,6 @@ func WithStrategy(s Strategy) ProcessorOption {
 	return func(p *Processor) { p.strategy = s }
 }
 
-// WithWorkers sets the number of concurrent per-source searches (default 1 =
-// sequential). Concurrency changes wall-clock time but not the algorithmic
-// work counted in Stats.
-func WithWorkers(n int) ProcessorOption {
-	return func(p *Processor) {
-		if n > 0 {
-			p.workers = n
-		}
-	}
-}
-
 // WithTreeCache installs an SSMD tree cache: StrategySSMD evaluations answer
 // each per-source search from cached resumable spanning trees keyed by
 // (source, accessor generation) instead of running Dijkstra from scratch.
@@ -69,7 +57,7 @@ func WithTreeCache(c *TreeCache) ProcessorOption {
 }
 
 // WithGate bounds the processor's per-source searches with a shared
-// semaphore, composing per-query parallelism under a server-wide concurrency
+// semaphore, so concurrent evaluations stay under a server-wide concurrency
 // cap. A nil gate (the default) imposes no bound.
 func WithGate(g Gate) ProcessorOption {
 	return func(p *Processor) { p.gate = g }
@@ -88,7 +76,7 @@ func WithWorkspacePool(wp *WorkspacePool) ProcessorOption {
 
 // NewProcessor builds a processor over acc.
 func NewProcessor(acc storage.Accessor, opts ...ProcessorOption) *Processor {
-	p := &Processor{acc: acc, strategy: StrategySSMD, workers: 1, wsPool: sharedWorkspaces}
+	p := &Processor{acc: acc, strategy: StrategySSMD, wsPool: sharedWorkspaces}
 	for _, o := range opts {
 		o(p)
 	}
@@ -110,12 +98,12 @@ func (p *Processor) validateQuery(acc storage.Accessor, sources, dests []roadnet
 	}
 	for _, s := range sources {
 		if !validNode(acc, s) {
-			return fmt.Errorf("search: invalid source node %d", s)
+			return errInvalidSource(s)
 		}
 	}
 	for _, t := range dests {
 		if !validNode(acc, t) {
-			return fmt.Errorf("search: invalid destination node %d", t)
+			return errInvalidDest(t)
 		}
 	}
 	return nil
@@ -166,54 +154,12 @@ func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (Table, error) {
 		return Table{}, err
 	}
 	res := NewTable(sources, dests)
-
-	if p.workers <= 1 || len(sources) == 1 {
-		for _, s := range sources {
-			stats, err := p.appendRow(acc, s, dests, &res)
-			if err != nil {
-				return Table{}, err
-			}
-			res.Stats = res.Stats.Add(stats)
+	for _, s := range sources {
+		stats, err := p.appendRow(acc, s, dests, &res)
+		if err != nil {
+			return Table{}, err
 		}
-		return res, nil
-	}
-
-	// Bounded fan-out over sources: every row is evaluated into a table of
-	// its own and the rows are concatenated in source order afterwards.
-	rows := make([]Table, len(sources))
-	errs := make([]error, len(sources))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := p.workers
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rows[i] = Table{Dist: make([]float64, 0, len(dests)), Ends: make([]int32, 0, len(dests))}
-				rows[i].Stats, errs[i] = p.appendRow(acc, sources[i], dests, &rows[i])
-			}
-		}()
-	}
-	for i := range sources {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	total := 0
-	for i := range rows {
-		if errs[i] != nil {
-			return Table{}, errs[i]
-		}
-		total += len(rows[i].Nodes)
-	}
-	res.Nodes = make([]roadnet.NodeID, 0, total)
-	for i := range rows {
-		res.appendTable(&rows[i])
-		res.Stats = res.Stats.Add(rows[i].Stats)
+		res.Stats = res.Stats.Add(stats)
 	}
 	return res, nil
 }

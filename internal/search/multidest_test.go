@@ -2,6 +2,8 @@ package search
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"opaque/internal/gen"
@@ -54,11 +56,8 @@ func TestSSMDDuplicateAndSelfDestinations(t *testing.T) {
 	if res.Paths[2].Cost != 0 || len(res.Paths[2].Nodes) != 1 {
 		t.Errorf("self destination path = %+v, want zero-cost single node", res.Paths[2])
 	}
-	if p, ok := res.PathTo(3); !ok || p.Cost != 3 {
-		t.Errorf("PathTo(3) = %+v, %v", p, ok)
-	}
-	if _, ok := res.PathTo(99); ok {
-		t.Error("PathTo for a non-requested destination should report false")
+	if res.Paths[0].Cost != 3 {
+		t.Errorf("path to 3 = %+v, want cost 3", res.Paths[0])
 	}
 }
 
@@ -114,14 +113,19 @@ func TestSSMDSharingCheaperThanPairwise(t *testing.T) {
 func TestSSMDDistances(t *testing.T) {
 	g := lineGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	d, _, err := SSMDDistances(acc, 0, []roadnet.NodeID{1, 4, 0})
+	dests := []roadnet.NodeID{1, 4, 0}
+	res, err := SSMD(acc, 0, dests)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, 4, 0}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("distance[%d] = %v, want %v", i, d[i], want[i])
+	for i, p := range res.Paths {
+		d := p.Cost
+		if p.Empty() && dests[i] != 0 {
+			d = math.Inf(1)
+		}
+		if d != want[i] {
+			t.Errorf("distance[%d] = %v, want %v", i, d, want[i])
 		}
 	}
 }
@@ -144,31 +148,14 @@ func TestProcessorStrategiesAgree(t *testing.T) {
 		}
 		results[strat] = res
 	}
-	// The A* row: one scaled-heuristic search per cell.
-	astar := make([]float64, 0, len(sources)*len(dests))
-	for _, s := range sources {
-		for _, d := range dests {
-			p, _, err := AStarScaled(acc, s, d, 0.8)
-			if err != nil {
-				t.Fatalf("astar: %v", err)
-			}
-			if p.Empty() {
-				astar = append(astar, math.Inf(1))
-			} else {
-				astar = append(astar, p.Cost)
-			}
-		}
-	}
 	base := results[StrategySSMD]
-	for name, other := range map[string][]float64{"pairwise": results[StrategyPairwise].Dist, "astar": astar} {
-		for c, b := range other {
-			a := base.Dist[c]
-			if math.IsInf(a, 1) != math.IsInf(b, 1) {
-				t.Fatalf("%s reachability differs for (%d,%d)", name, sources[c/len(dests)], dests[c%len(dests)])
-			}
-			if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-6 {
-				t.Fatalf("%s cost %v != SSMD cost %v for (%d,%d)", name, b, a, sources[c/len(dests)], dests[c%len(dests)])
-			}
+	for c, b := range results[StrategyPairwise].Dist {
+		a := base.Dist[c]
+		if math.IsInf(a, 1) != math.IsInf(b, 1) {
+			t.Fatalf("pairwise reachability differs for (%d,%d)", sources[c/len(dests)], dests[c%len(dests)])
+		}
+		if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-6 {
+			t.Fatalf("pairwise cost %v != SSMD cost %v for (%d,%d)", b, a, sources[c/len(dests)], dests[c%len(dests)])
 		}
 	}
 	// The sharing strategy must do less work than pairwise Dijkstra.
@@ -178,27 +165,50 @@ func TestProcessorStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestProcessorConcurrentWorkersMatchSequential runs the concurrency the
+// server has: many goroutines share one Processor, under a Gate narrower than
+// their number and over one tree cache whose trees they grow and reuse
+// concurrently. Every table must equal the sequential, cache-free one: the
+// same distances and the same paths.
 func TestProcessorConcurrentWorkersMatchSequential(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	sources := []roadnet.NodeID{3, 33, 333, 603}
-	dests := []roadnet.NodeID{10, 20, 30}
-	seq, err := NewProcessor(acc).Evaluate(sources, dests)
-	if err != nil {
-		t.Fatal(err)
+	queries := []struct{ sources, dests []roadnet.NodeID }{
+		{[]roadnet.NodeID{3, 33, 333, 603}, []roadnet.NodeID{10, 20, 30}},
+		{[]roadnet.NodeID{33, 603, 120}, []roadnet.NodeID{640, 20, 415, 3}},
+		{[]roadnet.NodeID{333, 3}, []roadnet.NodeID{650, 10}},
 	}
-	par, err := NewProcessor(acc, WithWorkers(4)).Evaluate(sources, dests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range seq.Dist {
-		if math.Abs(seq.Dist[c]-par.Dist[c]) > 1e-9 {
-			t.Fatalf("worker result differs at (%d,%d)", c/len(dests), c%len(dests))
+	want := make([]Table, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = NewProcessor(acc).Evaluate(q.sources, q.dests); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if seq.Stats.SettledNodes != par.Stats.SettledNodes {
-		t.Errorf("algorithmic work differs: %d vs %d settled nodes", seq.Stats.SettledNodes, par.Stats.SettledNodes)
+
+	shared := NewProcessor(acc, WithGate(NewGate(2)), WithTreeCache(NewTreeCacheWithPool(8, nil)))
+	const workers = 4
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				i := (wk + round) % len(queries)
+				got, err := shared.Evaluate(queries[i].sources, queries[i].dests)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got.Dist, want[i].Dist) || !slices.Equal(got.Ends, want[i].Ends) ||
+					!slices.Equal(got.Nodes, want[i].Nodes) {
+					t.Errorf("worker %d round %d: query %d differs from the sequential table", wk, round, i)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 func TestProcessorErrors(t *testing.T) {

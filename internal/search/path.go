@@ -1,9 +1,10 @@
 // Package search implements the shortest-path machinery the OPAQUE server
-// needs: classic point-to-point searches (Dijkstra, A*, bidirectional
-// Dijkstra), the single-source multi-destination (SSMD) search the paper
-// builds its cost argument on (Section III-B), and the multi-source
-// multi-destination (MSMD) obfuscated path query processor (Section IV) that
-// evaluates Q(S, T) by running one SSMD spanning tree per source.
+// needs: the single-source multi-destination (SSMD) search the paper builds
+// its cost argument on (Section III-B), the multi-source multi-destination
+// (MSMD) obfuscated path query processor (Section IV) that evaluates Q(S, T)
+// by running one SSMD spanning tree per source, the per-pair Dijkstra
+// baseline the experiments compare it against, and the fresh-slice
+// reference searches every faster evaluator is checked against.
 //
 // Every algorithm runs against a storage.Accessor, so the same code paths are
 // measured both in memory and against the paged disk simulation, and every

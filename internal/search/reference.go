@@ -66,59 +66,6 @@ func ReferenceDijkstra(acc storage.Accessor, source, dest roadnet.NodeID) (Path,
 	return Path{}, stats, nil
 }
 
-// ReferenceAStarScaled is the fresh-slice A* the workspace refactor
-// replaced: identical semantics to AStarScaled.
-func ReferenceAStarScaled(acc storage.Accessor, source, dest roadnet.NodeID, scale float64) (Path, Stats, error) {
-	if err := checkEndpoints(acc, source, dest); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if scale < 0 {
-		scale = 0
-	}
-	n := acc.NumNodes()
-	dist := newDistSlice(n)
-	parent := newParentSlice(n)
-	settled := make([]bool, n)
-	var stats Stats
-
-	h := func(id roadnet.NodeID) float64 { return scale * acc.Euclid(id, dest) }
-
-	pq := pqueue.NewWithCapacity(64)
-	dist[source] = 0
-	pq.Push(int32(source), h(source))
-	stats.QueueOps++
-
-	for !pq.Empty() {
-		if pq.Len() > stats.MaxFrontier {
-			stats.MaxFrontier = pq.Len()
-		}
-		item := pq.Pop()
-		u := roadnet.NodeID(item.Value)
-		if settled[u] {
-			continue
-		}
-		settled[u] = true
-		stats.SettledNodes++
-		if u == dest {
-			return reconstruct(parent, dist, source, dest), stats, nil
-		}
-		for _, a := range acc.Arcs(u) {
-			stats.RelaxedArcs++
-			if settled[a.To] {
-				continue
-			}
-			nd := dist[u] + a.Cost
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = u
-				pq.Push(int32(a.To), nd+h(a.To))
-				stats.QueueOps++
-			}
-		}
-	}
-	return Path{}, stats, nil
-}
-
 // ReferenceSSMD is the fresh-slice SSMD the workspace refactor replaced:
 // identical semantics to SSMD, including the map-based pending-destination
 // set.

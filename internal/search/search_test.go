@@ -168,103 +168,6 @@ func TestDijkstraPathCostsConsistent(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g := mediumGraph(t)
-	acc := storage.NewMemoryGraph(g)
-	pairs := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 30, Seed: 5})
-	var astarSettled, dijkstraSettled int
-	for _, pr := range pairs {
-		pd, sd, err := Dijkstra(acc, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, sa, err := AStar(acc, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pd.Cost-pa.Cost) > 1e-6 {
-			t.Fatalf("A* cost %v != Dijkstra cost %v for %d->%d", pa.Cost, pd.Cost, pr.Source, pr.Dest)
-		}
-		if err := pa.Validate(g); err != nil {
-			t.Errorf("A* path invalid: %v", err)
-		}
-		astarSettled += sa.SettledNodes
-		dijkstraSettled += sd.SettledNodes
-	}
-	if astarSettled >= dijkstraSettled {
-		t.Errorf("A* settled %d nodes, expected fewer than Dijkstra's %d", astarSettled, dijkstraSettled)
-	}
-}
-
-func TestAStarScaledZeroIsDijkstra(t *testing.T) {
-	g := lineGraph(t)
-	acc := storage.NewMemoryGraph(g)
-	p, _, err := AStarScaled(acc, 0, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cost != 4 {
-		t.Errorf("cost = %v, want 4", p.Cost)
-	}
-	// Negative scale is clamped to zero rather than producing an
-	// inadmissible negative heuristic.
-	p2, _, err := AStarScaled(acc, 0, 4, -3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Cost != 4 {
-		t.Errorf("cost with negative scale = %v, want 4", p2.Cost)
-	}
-}
-
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
-	g := mediumGraph(t)
-	acc := storage.NewMemoryGraph(g)
-	rev := storage.NewMemoryGraph(g.Reverse())
-	pairs := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 30, Seed: 6})
-	for _, pr := range pairs {
-		pd, _, err := Dijkstra(acc, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, _, err := BidirectionalDijkstra(acc, rev, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pd.Cost-pb.Cost) > 1e-6 {
-			t.Fatalf("bidirectional cost %v != Dijkstra cost %v for %d->%d", pb.Cost, pd.Cost, pr.Source, pr.Dest)
-		}
-		if err := pb.Validate(g); err != nil {
-			t.Errorf("bidirectional path invalid for %d->%d: %v", pr.Source, pr.Dest, err)
-		}
-	}
-}
-
-func TestBidirectionalTrivialAndUnreachable(t *testing.T) {
-	g := roadnet.NewGraph(3, 2)
-	g.AddNode(0, 0)
-	g.AddNode(1, 0)
-	g.AddNode(9, 9)
-	g.MustAddBidirectionalEdge(0, 1, 2)
-	g.Freeze()
-	acc := storage.NewMemoryGraph(g)
-	rev := storage.NewMemoryGraph(g.Reverse())
-	p, _, err := BidirectionalDijkstra(acc, rev, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cost != 0 || p.Len() != 0 {
-		t.Errorf("self path = %+v", p)
-	}
-	p, _, err = BidirectionalDijkstra(acc, rev, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Empty() {
-		t.Errorf("unreachable pair returned %+v", p)
-	}
-}
-
 func TestPathValidateDetectsCorruption(t *testing.T) {
 	g := lineGraph(t)
 	good := Path{Nodes: []roadnet.NodeID{0, 1, 2}, Cost: 2}

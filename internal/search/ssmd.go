@@ -1,8 +1,6 @@
 package search
 
 import (
-	"math"
-
 	"opaque/internal/roadnet"
 	"opaque/internal/storage"
 )
@@ -15,17 +13,6 @@ type SSMDResult struct {
 	Dests  []roadnet.NodeID
 	Paths  []Path
 	Stats  Stats
-}
-
-// PathTo returns the path to dest and whether dest was one of the requested
-// destinations.
-func (r SSMDResult) PathTo(dest roadnet.NodeID) (Path, bool) {
-	for i, d := range r.Dests {
-		if d == dest {
-			return r.Paths[i], true
-		}
-	}
-	return Path{}, false
 }
 
 // SSMD performs the single-source multi-destination search of Section III-B:
@@ -44,22 +31,4 @@ func SSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) (
 	w := AcquireWorkspace(acc.NumNodes())
 	defer w.Release()
 	return w.SSMD(acc, source, dests)
-}
-
-// SSMDDistances runs an SSMD search and returns only the distances to each
-// destination (+Inf when unreachable), in destination order.
-func SSMDDistances(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) ([]float64, Stats, error) {
-	res, err := SSMD(acc, source, dests)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := make([]float64, len(dests))
-	for i, p := range res.Paths {
-		if p.Empty() && dests[i] != source {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = p.Cost
-		}
-	}
-	return out, res.Stats, nil
 }

@@ -84,14 +84,3 @@ func (t *Table) appendPath(p Path, source, dest roadnet.NodeID) {
 	}
 	t.EndCell(p.Cost)
 }
-
-// appendTable appends every cell of row (a table over a subset of t's
-// sources, same destinations) to t.
-func (t *Table) appendTable(row *Table) {
-	base := int32(len(t.Nodes))
-	t.Nodes = append(t.Nodes, row.Nodes...)
-	t.Dist = append(t.Dist, row.Dist...)
-	for _, e := range row.Ends {
-		t.Ends = append(t.Ends, base+e)
-	}
-}

@@ -28,44 +28,37 @@ import (
 // workspace returns to the pool only when the last holder lets go.
 //
 // Growing the tree replays exactly the relaxation sequence an uninterrupted
-// search would perform: Paths stops, like cold SSMD, right after settling the
-// last requested destination (before expanding its arcs), records that node
-// as the pending expansion, and the next growth step starts by expanding it.
+// search would perform: AppendPaths stops, like cold SSMD, right after
+// settling the last requested destination (before expanding its arcs),
+// records that node as the pending expansion, and the next growth step starts
+// by expanding it.
 // Distances and parent pointers therefore evolve identically to a single
 // long-running search, and paths extracted from a resumed tree match cold
 // SSMD results.
 //
-// A Tree serialises its own growth with an internal mutex; concurrent Paths
-// calls are safe and each observes a tree at least as grown as it needs.
+// A Tree serialises its own growth with an internal mutex; concurrent
+// AppendPaths calls are safe and each observes a tree at least as grown as it
+// needs.
 type Tree struct {
 	mu     sync.Mutex
 	acc    storage.Accessor
 	source roadnet.NodeID
 	ws     *Workspace
 	// refs counts live holders of the tree: its creator (or the cache that
-	// adopted it) plus every in-flight Paths caller pinned via retain. The
-	// workspace is recycled when the count reaches zero.
+	// adopted it) plus every in-flight AppendPaths caller pinned via retain.
+	// The workspace is recycled when the count reaches zero.
 	refs atomic.Int32
 	// unexpanded is the most recently settled node whose arcs have not been
 	// relaxed yet (cold SSMD stops before expanding the last destination);
 	// InvalidNode when none is outstanding.
 	unexpanded roadnet.NodeID
-	// grown accumulates the total work spent growing this tree across all
-	// calls; Paths reports only the incremental work of each call.
-	grown Stats
 }
 
-// NewTree initialises an empty spanning tree rooted at source, drawing its
-// workspace from the package's shared pool. It performs no search work; the
-// first Paths call grows the tree. Callers that are done with the tree may
-// call Release to recycle its workspace (the garbage collector reclaims
-// unreleased trees eventually, just without reuse).
-func NewTree(acc storage.Accessor, source roadnet.NodeID) (*Tree, error) {
-	return newTreeFromPool(sharedWorkspaces, acc, source)
-}
-
-// newTreeFromPool is NewTree with an explicit workspace pool.
-func newTreeFromPool(pool *WorkspacePool, acc storage.Accessor, source roadnet.NodeID) (*Tree, error) {
+// newTree initialises an empty spanning tree rooted at source, drawing its
+// workspace from pool. It performs no search work; the first AppendPaths
+// call grows the tree. The caller holds the one reference and recycles the
+// workspace with Release.
+func newTree(pool *WorkspacePool, acc storage.Accessor, source roadnet.NodeID) (*Tree, error) {
 	if !validNode(acc, source) {
 		return nil, errInvalidSource(source)
 	}
@@ -80,18 +73,7 @@ func newTreeFromPool(pool *WorkspacePool, acc storage.Accessor, source roadnet.N
 	t.refs.Store(1)
 	w.label(source, 0, roadnet.InvalidNode)
 	w.heap.Push(int32(source), 0)
-	t.grown.QueueOps++
 	return t, nil
-}
-
-// Source returns the root of the tree.
-func (t *Tree) Source() roadnet.NodeID { return t.source }
-
-// GrownStats returns the cumulative work spent growing the tree so far.
-func (t *Tree) GrownStats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.grown
 }
 
 // retain pins the tree for a caller about to use it; pair with Release.
@@ -99,7 +81,7 @@ func (t *Tree) retain() { t.refs.Add(1) }
 
 // Release drops one holder's reference. When the last reference is dropped
 // the tree's workspace is returned to its pool and the tree becomes
-// unusable; further Paths calls return an error.
+// unusable; further AppendPaths calls return an error.
 func (t *Tree) Release() {
 	if t.refs.Add(-1) != 0 {
 		return
@@ -113,22 +95,12 @@ func (t *Tree) Release() {
 	}
 }
 
-// Paths returns the shortest path from the tree's source to every requested
-// destination (empty when unreachable), growing the tree just far enough to
-// settle them all. The returned Stats count only the incremental work this
-// call performed — zero when every destination was already settled, which is
-// exactly the saving the tree cache exists to harvest.
-func (t *Tree) Paths(dests []roadnet.NodeID) (SSMDResult, error) {
-	row := NewTable(nil, dests)
-	stats, err := t.AppendPaths(dests, &row)
-	if err != nil {
-		return SSMDResult{}, err
-	}
-	return ssmdResult(t.source, &row, stats), nil
-}
-
-// AppendPaths is Paths appending the row straight into a table, one cell per
-// destination (see Workspace.AppendSSMD).
+// AppendPaths appends the shortest path from the tree's source to every
+// requested destination to row, one cell per destination (see
+// Workspace.AppendSSMD), growing the tree just far enough to settle them all.
+// The returned Stats count only the incremental work this call performed —
+// zero when every destination was already settled, which is exactly the
+// saving the tree cache exists to harvest.
 func (t *Tree) AppendPaths(dests []roadnet.NodeID, row *Table) (Stats, error) {
 	if len(dests) == 0 {
 		return Stats{}, errNoDestinations()
@@ -142,7 +114,7 @@ func (t *Tree) AppendPaths(dests []roadnet.NodeID, row *Table) (Stats, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.ws == nil {
-		return Stats{}, fmt.Errorf("search: Paths on a released tree (source %d)", t.source)
+		return Stats{}, fmt.Errorf("search: AppendPaths on a released tree (source %d)", t.source)
 	}
 
 	stats := t.grow(dests)
@@ -199,6 +171,5 @@ func (t *Tree) grow(dests []roadnet.NodeID) Stats {
 		}
 		w.expand(u)
 	}
-	t.grown = t.grown.Add(w.stats)
 	return w.stats
 }

@@ -11,8 +11,9 @@ import (
 
 // TreeCacheStats is a snapshot of the cache's effectiveness counters.
 type TreeCacheStats struct {
-	// Hits counts Evaluate calls served by an existing tree (possibly after
-	// resuming its growth); Misses counts calls that had to build a tree.
+	// Hits counts AppendPaths calls served by an existing tree (possibly
+	// after resuming its growth); Misses counts calls that had to build a
+	// tree.
 	Hits, Misses int64
 	// Resumes counts hits that still had to grow the tree further because a
 	// destination was not settled yet (a partial hit).
@@ -53,9 +54,9 @@ func (s TreeCacheStats) HitRatio() float64 {
 //
 // Cached trees hold their label arrays in pooled search workspaces rather
 // than private O(n) slices: the cache retains one reference per entry and
-// every Evaluate pins the tree for the duration of the call, so an eviction
-// or invalidation recycles the workspace to the pool as soon as the last
-// in-flight query on that tree finishes.
+// every AppendPaths pins the tree for the duration of the call, so an
+// eviction or invalidation recycles the workspace to the pool as soon as the
+// last in-flight query on that tree finishes.
 type TreeCache struct {
 	capacity int
 	// wsPool supplies the workspaces new trees live on; evicted trees
@@ -84,16 +85,10 @@ type cacheEntry struct {
 // and parent labels of an n-node graph.
 const DefaultTreeCacheSize = 256
 
-// NewTreeCache returns a cache holding at most capacity trees (values < 1 use
-// DefaultTreeCacheSize), drawing tree workspaces from the package's shared
-// pool.
-func NewTreeCache(capacity int) *TreeCache {
-	return NewTreeCacheWithPool(capacity, sharedWorkspaces)
-}
-
-// NewTreeCacheWithPool is NewTreeCache with an explicit workspace pool, so a
-// server can keep its cached spanning trees on the same pool its batch
-// workers draw per-query workspaces from.
+// NewTreeCacheWithPool returns a cache holding at most capacity trees (values
+// < 1 use DefaultTreeCacheSize), drawing tree workspaces from wp (nil = the
+// package's shared pool), so a server can keep its cached spanning trees on
+// the same pool its batch workers draw per-query workspaces from.
 func NewTreeCacheWithPool(capacity int, wp *WorkspacePool) *TreeCache {
 	if capacity < 1 {
 		capacity = DefaultTreeCacheSize
@@ -108,9 +103,6 @@ func NewTreeCacheWithPool(capacity int, wp *WorkspacePool) *TreeCache {
 		lru:      list.New(),
 	}
 }
-
-// Capacity returns the maximum number of trees the cache retains.
-func (c *TreeCache) Capacity() int { return c.capacity }
 
 // Len returns the number of trees currently cached.
 func (c *TreeCache) Len() int {
@@ -130,21 +122,11 @@ func (c *TreeCache) Stats() TreeCacheStats {
 	}
 }
 
-// Evaluate answers the single-source multi-destination query (source, dests)
-// from the cache, building or resuming the source's spanning tree as needed.
-// Results are identical to a cold SSMD call; the Stats inside the result
-// count only the incremental work performed.
-func (c *TreeCache) Evaluate(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) (SSMDResult, error) {
-	row := NewTable(nil, dests)
-	stats, err := c.AppendPaths(acc, source, dests, &row)
-	if err != nil {
-		return SSMDResult{}, err
-	}
-	return ssmdResult(source, &row, stats), nil
-}
-
-// AppendPaths is Evaluate appending the row straight into a table (see
-// Workspace.AppendSSMD). The table owns what it receives: nothing in it
+// AppendPaths answers the single-source multi-destination query (source,
+// dests) from the cache, building or resuming the source's spanning tree as
+// needed, and appends the row to a table (see Workspace.AppendSSMD). The
+// cells are identical to a cold SSMD call; the returned Stats count only the
+// incremental work performed. The table owns what it receives: nothing in it
 // aliases the cached tree.
 func (c *TreeCache) AppendPaths(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID, row *Table) (Stats, error) {
 	tree, hit, err := c.lookup(acc, source)
@@ -180,7 +162,7 @@ func (c *TreeCache) lookup(acc storage.Accessor, source roadnet.NodeID) (*Tree, 
 	// Build outside the lock: checking the tree's workspace out of the pool
 	// (and any array growth it triggers) must not serialise unrelated
 	// lookups.
-	tree, err := newTreeFromPool(c.wsPool, acc, source)
+	tree, err := newTree(c.wsPool, acc, source)
 	if err != nil {
 		return nil, false, err
 	}
@@ -250,16 +232,4 @@ func (c *TreeCache) removeLocked(el *list.Element) {
 	delete(c.entries, entry.source)
 	c.lru.Remove(el)
 	entry.tree.Release()
-}
-
-// Purge drops every cached tree (used by tests and by servers that swap
-// their accessor wholesale).
-func (c *TreeCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, el := range c.entries {
-		el.Value.(*cacheEntry).tree.Release()
-	}
-	c.entries = make(map[roadnet.NodeID]*list.Element, c.capacity)
-	c.lru.Init()
 }

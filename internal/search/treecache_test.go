@@ -1,7 +1,9 @@
 package search
 
 import (
-	"reflect"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"opaque/internal/roadnet"
@@ -39,34 +41,43 @@ func overlappingQueries(g *roadnet.Graph) []struct {
 	return out
 }
 
+// requireRowMatches fails unless row's cells carry exactly want's paths: the
+// same node sequences, and each path's cost (+Inf when unreachable) as the
+// cell's distance.
+func requireRowMatches(t *testing.T, what string, row *Table, want SSMDResult) {
+	t.Helper()
+	if len(row.Dist) != len(want.Paths) {
+		t.Fatalf("%s: %d cells, want %d", what, len(row.Dist), len(want.Paths))
+	}
+	for i, p := range want.Paths {
+		d := p.Cost
+		if p.Empty() {
+			d = math.Inf(1)
+		}
+		if row.Dist[i] != d || !slices.Equal(row.Path(i), p.Nodes) {
+			t.Fatalf("%s dest %d: got %v via %v, want %v via %v", what, i, row.Dist[i], row.Path(i), d, p.Nodes)
+		}
+	}
+}
+
 // TestTreeCacheMatchesColdSSMD is the cache-correctness contract: every
 // cached (hit, resumed, or cold) evaluation must return exactly the paths a
 // cold SSMD run returns.
 func TestTreeCacheMatchesColdSSMD(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	cache := NewTreeCache(8)
+	cache := NewTreeCacheWithPool(8, nil)
 
 	for i, q := range overlappingQueries(g) {
-		got, err := cache.Evaluate(acc, q.source, q.dests)
-		if err != nil {
-			t.Fatalf("query %d: cache.Evaluate: %v", i, err)
+		row := NewTable(nil, q.dests)
+		if _, err := cache.AppendPaths(acc, q.source, q.dests, &row); err != nil {
+			t.Fatalf("query %d: cache.AppendPaths: %v", i, err)
 		}
 		want, err := SSMD(acc, q.source, q.dests)
 		if err != nil {
 			t.Fatalf("query %d: cold SSMD: %v", i, err)
 		}
-		if len(got.Paths) != len(want.Paths) {
-			t.Fatalf("query %d: %d paths, want %d", i, len(got.Paths), len(want.Paths))
-		}
-		for j := range want.Paths {
-			if got.Paths[j].Cost != want.Paths[j].Cost {
-				t.Errorf("query %d dest %d: cached cost %v, cold cost %v", i, j, got.Paths[j].Cost, want.Paths[j].Cost)
-			}
-			if !reflect.DeepEqual(got.Paths[j].Nodes, want.Paths[j].Nodes) {
-				t.Errorf("query %d dest %d: cached path %v != cold path %v", i, j, got.Paths[j].Nodes, want.Paths[j].Nodes)
-			}
-		}
+		requireRowMatches(t, fmt.Sprintf("query %d", i), &row, want)
 	}
 
 	st := cache.Stats()
@@ -86,23 +97,24 @@ func TestTreeCacheMatchesColdSSMD(t *testing.T) {
 func TestTreeCacheRepeatIsFree(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	cache := NewTreeCache(4)
+	cache := NewTreeCacheWithPool(4, nil)
 	dests := []roadnet.NodeID{300, 420, 555}
+	row := NewTable(nil, dests)
 
-	first, err := cache.Evaluate(acc, 5, dests)
+	first, err := cache.AppendPaths(acc, 5, dests, &row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.SettledNodes == 0 {
+	if first.SettledNodes == 0 {
 		t.Fatal("cold evaluation settled no nodes")
 	}
-	second, err := cache.Evaluate(acc, 5, dests)
+	second, err := cache.AppendPaths(acc, 5, dests, &row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stats.SettledNodes != 0 || second.Stats.RelaxedArcs != 0 {
+	if second.SettledNodes != 0 || second.RelaxedArcs != 0 {
 		t.Errorf("repeat evaluation did work: settled=%d relaxed=%d, want 0/0",
-			second.Stats.SettledNodes, second.Stats.RelaxedArcs)
+			second.SettledNodes, second.RelaxedArcs)
 	}
 	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Resumes != 0 {
@@ -116,10 +128,11 @@ func TestTreeCacheRepeatIsFree(t *testing.T) {
 func TestTreeCacheInvalidation(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	cache := NewTreeCache(4)
+	cache := NewTreeCacheWithPool(4, nil)
 	dests := []roadnet.NodeID{300, 420}
 
-	if _, err := cache.Evaluate(acc, 9, dests); err != nil {
+	stale := NewTable(nil, dests)
+	if _, err := cache.AppendPaths(acc, 9, dests, &stale); err != nil {
 		t.Fatal(err)
 	}
 	if got := storage.GenerationOf(acc); got != 0 {
@@ -130,20 +143,19 @@ func TestTreeCacheInvalidation(t *testing.T) {
 		t.Fatalf("bumped accessor generation = %d, want 1", got)
 	}
 
-	res, err := cache.Evaluate(acc, 9, dests)
+	row := NewTable(nil, dests)
+	stats, err := cache.AppendPaths(acc, 9, dests, &row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SettledNodes == 0 {
+	if stats.SettledNodes == 0 {
 		t.Error("evaluation after invalidation did no work; stale tree was reused")
 	}
 	want, err := SSMD(acc, 9, dests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Paths, want.Paths) {
-		t.Error("post-invalidation paths differ from cold SSMD")
-	}
+	requireRowMatches(t, "post-invalidation", &row, want)
 	st := cache.Stats()
 	if st.Invalidations != 1 {
 		t.Errorf("invalidations = %d, want 1", st.Invalidations)
@@ -160,11 +172,12 @@ func TestTreeCacheInvalidation(t *testing.T) {
 func TestTreeCacheEviction(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	cache := NewTreeCache(2)
+	cache := NewTreeCacheWithPool(2, nil)
 	dests := []roadnet.NodeID{100}
 
 	for s := roadnet.NodeID(0); s < 5; s++ {
-		if _, err := cache.Evaluate(acc, s, dests); err != nil {
+		row := NewTable(nil, dests)
+		if _, err := cache.AppendPaths(acc, s, dests, &row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,11 +188,6 @@ func TestTreeCacheEviction(t *testing.T) {
 	if st.Evictions != 3 {
 		t.Errorf("evictions = %d, want 3 (5 sources through capacity 2)", st.Evictions)
 	}
-
-	cache.Purge()
-	if cache.Len() != 0 {
-		t.Errorf("cache holds %d trees after Purge, want 0", cache.Len())
-	}
 }
 
 // TestTreeResumeMatchesCold grows one tree incrementally over several
@@ -188,13 +196,11 @@ func TestTreeCacheEviction(t *testing.T) {
 func TestTreeResumeMatchesCold(t *testing.T) {
 	g := mediumGraph(t)
 	acc := storage.NewMemoryGraph(g)
-	tree, err := NewTree(acc, 3)
+	tree, err := newTree(sharedWorkspaces, acc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Source() != 3 {
-		t.Fatalf("Source() = %d, want 3", tree.Source())
-	}
+	defer tree.Release()
 
 	sets := [][]roadnet.NodeID{
 		{50},                // near: small first growth
@@ -203,19 +209,14 @@ func TestTreeResumeMatchesCold(t *testing.T) {
 		{50, 200, 650, 600}, // mostly settled already
 	}
 	for i, dests := range sets {
-		got, err := tree.Paths(dests)
-		if err != nil {
+		row := NewTable(nil, dests)
+		if _, err := tree.AppendPaths(dests, &row); err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
 		want, err := SSMD(acc, 3, dests)
 		if err != nil {
 			t.Fatalf("set %d: cold SSMD: %v", i, err)
 		}
-		if !reflect.DeepEqual(got.Paths, want.Paths) {
-			t.Errorf("set %d: resumed paths differ from cold SSMD", i)
-		}
-	}
-	if grown := tree.GrownStats(); grown.SettledNodes == 0 {
-		t.Error("GrownStats reports no settled nodes after growing the tree")
+		requireRowMatches(t, fmt.Sprintf("set %d", i), &row, want)
 	}
 }

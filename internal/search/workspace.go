@@ -26,18 +26,19 @@ import (
 // slices. The settled set (done) and the SSMD destination set (mark) use the
 // same trick with their own epochs.
 //
-// The relaxation closures (relaxPlain, relaxAStar) are allocated once per
-// workspace, with the in-flight expansion state (acc, u, du, h) passed
-// through workspace fields rather than captures. Combined with the
-// storage.Accessor.ForEachArc streaming iteration this keeps the
-// steady-state relax loop allocation-free: BenchmarkWorkspaceReuse reports 0
-// allocs/op for pooled distance queries.
+// The relaxation closure (relaxPlain) is allocated once per workspace, with
+// the in-flight expansion state (acc, u, du) passed through workspace fields
+// rather than captures. Combined with the storage.Accessor.ForEachArc
+// streaming iteration this keeps the steady-state relax loop allocation-free:
+// TestSearchKernelAllocs pins 0 allocs for a distance query and for an SSMD
+// row appended into a reused table.
 //
 // A Workspace is not safe for concurrent use; check one out per goroutine
-// from a WorkspacePool. Every one-shot search method (Dijkstra, AStar, SSMD,
-// …) resets the workspace itself, so a worker can reuse one workspace across
-// any sequence of queries — and across graph generations, since Reset sizes
-// the arrays to the accessor it is given.
+// from a WorkspacePool. Every one-shot search method (Dijkstra,
+// DijkstraDistance, SSMD, AppendSSMD) resets the workspace itself, so a
+// worker can reuse one workspace across any sequence of queries — and across
+// graph generations, since Reset sizes the arrays to the accessor it is
+// given.
 type Workspace struct {
 	pool *WorkspacePool // set while checked out of a pool; nil otherwise
 
@@ -58,13 +59,7 @@ type Workspace struct {
 	u   roadnet.NodeID
 	du  float64
 
-	// Euclidean heuristic parameters for AStarScaled, so A* needs no
-	// per-call closure either.
-	hScale float64
-	hDest  roadnet.NodeID
-
 	relaxPlain func(roadnet.Arc) bool
-	relaxAStar func(roadnet.Arc) bool
 }
 
 // NewWorkspace returns a workspace sized for an n-node graph. It grows
@@ -77,19 +72,6 @@ func NewWorkspace(n int) *Workspace {
 		if nd < w.distOf(a.To) {
 			w.label(a.To, nd, w.u)
 			w.heap.Push(int32(a.To), nd)
-			w.stats.QueueOps++
-		}
-		return true
-	}
-	w.relaxAStar = func(a roadnet.Arc) bool {
-		w.stats.RelaxedArcs++
-		if w.done[a.To] == w.epoch {
-			return true
-		}
-		nd := w.du + a.Cost
-		if nd < w.distOf(a.To) {
-			w.label(a.To, nd, w.u)
-			w.heap.Push(int32(a.To), nd+w.heuristic(a.To))
 			w.stats.QueueOps++
 		}
 		return true
@@ -307,53 +289,6 @@ func (w *Workspace) DijkstraDistance(acc storage.Accessor, source, dest roadnet.
 		w.expand(u)
 	}
 	return math.Inf(1), w.stats, nil
-}
-
-// AStarScaled is A* with the Euclidean heuristic multiplied by scale, the
-// workspace form of the package-level AStarScaled.
-func (w *Workspace) AStarScaled(acc storage.Accessor, source, dest roadnet.NodeID, scale float64) (Path, Stats, error) {
-	if err := checkEndpoints(acc, source, dest); err != nil {
-		return Path{}, Stats{}, err
-	}
-	if scale < 0 {
-		scale = 0
-	}
-	w.begin(acc)
-	w.hScale, w.hDest = scale, dest
-	return w.runAStar(source, dest), w.stats, nil
-}
-
-// heuristic is AStarScaled's lower bound: the scaled Euclidean distance
-// from v to the destination.
-func (w *Workspace) heuristic(v roadnet.NodeID) float64 {
-	return w.hScale * w.acc.Euclid(v, w.hDest)
-}
-
-// runAStar is the A* core: the workspace must have been begun and the
-// heuristic parameters set.
-func (w *Workspace) runAStar(source, dest roadnet.NodeID) Path {
-	w.label(source, 0, roadnet.InvalidNode)
-	w.heap.Push(int32(source), w.heuristic(source))
-	w.stats.QueueOps++
-
-	for !w.heap.Empty() {
-		if w.heap.Len() > w.stats.MaxFrontier {
-			w.stats.MaxFrontier = w.heap.Len()
-		}
-		item := w.heap.Pop()
-		u := roadnet.NodeID(item.Value)
-		if w.settled(u) {
-			continue
-		}
-		w.settle(u)
-		w.stats.SettledNodes++
-		if u == dest {
-			return w.reconstruct(source, dest)
-		}
-		w.u, w.du = u, w.dist[u]
-		w.acc.ForEachArc(u, w.relaxAStar)
-	}
-	return Path{}
 }
 
 // SSMD performs the single-source multi-destination search of Section III-B

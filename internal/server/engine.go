@@ -14,10 +14,9 @@ import (
 // with a bounded worker pool, (2) share settled SSMD spanning trees across
 // queries whose source sets overlap via the tree cache, and (3) amortise one
 // network round trip over the whole batch in the networked deployment
-// (protocol.BatchQuery). Per-query parallelism (Config.Workers) composes with
-// batch parallelism (Config.BatchWorkers) under the server-wide
-// Config.MaxConcurrentSearches gate, so total search concurrency stays
-// bounded no matter how many batches arrive at once.
+// (protocol.BatchQuery). Batch parallelism (Config.BatchWorkers) runs under
+// the server-wide Config.MaxConcurrentSearches gate, so total search
+// concurrency stays bounded no matter how many batches arrive at once.
 //
 // Each in-flight per-source search checks an epoch-stamped workspace out of
 // the server's shared search.WorkspacePool for its duration (the processor

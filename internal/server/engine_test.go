@@ -14,7 +14,6 @@ import (
 func batchConfig() Config {
 	cfg := DefaultConfig()
 	cfg.BatchWorkers = 4
-	cfg.Workers = 2
 	cfg.TreeCache = 64
 	cfg.MaxConcurrentSearches = 8
 	return cfg

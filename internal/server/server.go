@@ -7,8 +7,8 @@
 //
 // Two evaluation entry points are provided. Evaluate answers one obfuscated
 // query; EvaluateBatch (engine.go) answers a whole batch on a worker pool,
-// sharing SSMD spanning trees across queries through the tree cache and
-// composing per-query parallelism under a server-wide concurrency gate.
+// sharing SSMD spanning trees across queries through the tree cache, under a
+// server-wide concurrency gate.
 // In-memory deployments additionally accept live weight updates
 // (UpdateWeights, update.go): every update publishes one epoch — the pinned
 // weight snapshot, the CH overlay re-customized for it and the engine bound
@@ -50,21 +50,17 @@ type Config struct {
 	// Strategy selects how Q(S,T) is served: search.StrategySSMD (also the
 	// zero value) answers every query with SSMD sharing and takes no
 	// overlay; StrategyHybrid serves through the CH overlay. New refuses
-	// anything else. The per-pair and A* searches of internal/search
-	// are library code for the paper's baselines, not serving strategies.
+	// anything else. search.StrategyPairwise is the per-pair baseline of
+	// the paper's experiments, not a serving strategy.
 	Strategy search.Strategy
-	// Workers bounds per-query source-level parallelism (default 1).
-	Workers int
 	// BatchWorkers bounds how many queries of one EvaluateBatch call run
-	// concurrently (default: GOMAXPROCS). Together with Workers it defines
-	// the batch engine's parallelism: BatchWorkers queries in flight, each
-	// fanning out up to Workers per-source searches.
+	// concurrently (default: GOMAXPROCS). It is the batch engine's only
+	// parallelism: each query evaluates its source rows one after another.
 	BatchWorkers int
 	// MaxConcurrentSearches caps the total number of searches in flight —
 	// SSMD per-source searches and many-to-many tables, one slot each —
-	// across all queries and batches, composing Workers ×
-	// BatchWorkers under one server-wide semaphore so large batches cannot
-	// oversubscribe the machine. 0 means no cap.
+	// across all queries and batches, under one server-wide semaphore so
+	// concurrent batches cannot oversubscribe the machine. 0 means no cap.
 	MaxConcurrentSearches int
 	// TreeCache enables the SSMD tree cache with capacity for that many
 	// settled spanning trees (see search.TreeCache): obfuscated queries
@@ -128,7 +124,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Strategy:    search.StrategySSMD,
-		Workers:     1,
 		Paged:       false,
 		PageConfig:  storage.DefaultConfig(),
 		BufferPages: 256,
@@ -226,9 +221,9 @@ type Server struct {
 	cache    *search.TreeCache
 	gate     search.Gate
 	// wsPool owns the epoch-stamped search workspaces every query of this
-	// server runs on: batch workers and per-query source fan-out all check
-	// workspaces out of this one pool, so steady-state evaluation performs
-	// no per-query label allocation no matter how traffic is shaped.
+	// server runs on: every batch worker checks workspaces out of this one
+	// pool, so steady-state evaluation performs no per-query label
+	// allocation no matter how traffic is shaped.
 	wsPool *search.WorkspacePool
 	cfg    Config
 
@@ -364,7 +359,7 @@ func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *
 		ident:   replyIdentity{generation: gen, contentSum: acc.Graph().ContentChecksum()},
 		overlay: overlay,
 		flat: search.NewProcessor(acc, search.WithTreeCache(cache), search.WithWorkspacePool(s.wsPool),
-			search.WithWorkers(s.cfg.Workers), search.WithGate(s.gate)),
+			search.WithGate(s.gate)),
 	}
 	if overlay != nil {
 		st.mtm = ch.NewMTM(overlay, nil)

@@ -89,8 +89,5 @@ func (f *FilteredGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bo
 	})
 }
 
-// Euclid implements Accessor.
-func (f *FilteredGraph) Euclid(a, b roadnet.NodeID) float64 { return f.inner.Euclid(a, b) }
-
 // Graph implements Accessor.
 func (f *FilteredGraph) Graph() *roadnet.Graph { return f.inner.Graph() }

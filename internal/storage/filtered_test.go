@@ -29,9 +29,6 @@ func TestFilteredGraphNilFilterPassesThrough(t *testing.T) {
 	if f.NumNodes() != g.NumNodes() || f.Graph() != g {
 		t.Error("accessor plumbing broken")
 	}
-	if f.Euclid(0, 2) != g.Euclid(0, 2) {
-		t.Error("Euclid plumbing broken")
-	}
 }
 
 func TestAvoidNodesFilter(t *testing.T) {

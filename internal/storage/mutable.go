@@ -66,9 +66,6 @@ func (s *GraphSnapshot) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bo
 	s.g.ForEachArc(id, yield)
 }
 
-// Euclid implements Accessor.
-func (s *GraphSnapshot) Euclid(a, b roadnet.NodeID) float64 { return s.g.Euclid(a, b) }
-
 // Graph implements Accessor.
 func (s *GraphSnapshot) Graph() *roadnet.Graph { return s.g }
 
@@ -134,9 +131,6 @@ func (m *MutableGraph) Arcs(id roadnet.NodeID) []roadnet.Arc { return m.cur.Load
 func (m *MutableGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool) {
 	m.cur.Load().ForEachArc(id, yield)
 }
-
-// Euclid implements Accessor.
-func (m *MutableGraph) Euclid(a, b roadnet.NodeID) float64 { return m.cur.Load().Euclid(a, b) }
 
 // Graph implements Accessor: the current graph snapshot.
 func (m *MutableGraph) Graph() *roadnet.Graph { return m.cur.Load().g }

@@ -20,10 +20,6 @@ type Accessor interface {
 	// adjacency slice, and — unlike Arcs on buffering implementations such
 	// as FilteredGraph — is safe for concurrent use.
 	ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool)
-	// Euclid returns the Euclidean distance between two nodes (used as the
-	// A* heuristic); it is free of I/O charges because coordinates of the
-	// two query endpoints are known to the query itself.
-	Euclid(a, b roadnet.NodeID) float64
 	// Graph exposes the underlying road network for result validation and
 	// coordinate lookups that are not charged as I/O.
 	Graph() *roadnet.Graph
@@ -51,9 +47,6 @@ func (m *MemoryGraph) Arcs(id roadnet.NodeID) []roadnet.Arc { return m.g.Arcs(id
 func (m *MemoryGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool) {
 	m.g.ForEachArc(id, yield)
 }
-
-// Euclid implements Accessor.
-func (m *MemoryGraph) Euclid(a, b roadnet.NodeID) float64 { return m.g.Euclid(a, b) }
 
 // Graph implements Accessor.
 func (m *MemoryGraph) Graph() *roadnet.Graph { return m.g }
@@ -89,9 +82,6 @@ func (p *PagedGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool)
 	p.pool.Access(p.store.PageOf(id))
 	p.store.graph.ForEachArc(id, yield)
 }
-
-// Euclid implements Accessor.
-func (p *PagedGraph) Euclid(a, b roadnet.NodeID) float64 { return p.store.graph.Euclid(a, b) }
 
 // Graph implements Accessor.
 func (p *PagedGraph) Graph() *roadnet.Graph { return p.store.graph }

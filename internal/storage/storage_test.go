@@ -215,12 +215,11 @@ func TestPagedGraphAccounting(t *testing.T) {
 	if after-before != 2 {
 		t.Errorf("2 adjacency reads charged %d accesses, want 2", after-before)
 	}
-	// Euclid and Graph are not charged.
+	// Graph is not charged.
 	before = pool.Stats().Accesses
-	_ = pg.Euclid(0, 1)
 	_ = pg.Graph()
 	if pool.Stats().Accesses != before {
-		t.Error("Euclid/Graph should not be charged as page accesses")
+		t.Error("Graph should not be charged as page accesses")
 	}
 	if pg.Store() != ps || pg.Pool() != pool {
 		t.Error("accessors should expose their store and pool")
@@ -238,9 +237,6 @@ func TestMemoryGraphAccessor(t *testing.T) {
 	}
 	if m.Graph() != g {
 		t.Error("MemoryGraph.Graph should return the wrapped graph")
-	}
-	if m.Euclid(0, 1) != g.Euclid(0, 1) {
-		t.Error("MemoryGraph.Euclid disagrees with the graph")
 	}
 }
 
