@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,22 +98,25 @@ func checkTableAgainstReference(t *testing.T, g *roadnet.Graph, m *MTM, sources,
 	}
 }
 
+// mtmPropertyGraphs are the random integer-cost graphs (randomIntCostGraph)
+// the many-to-many property tests run on.
+var mtmPropertyGraphs = []struct {
+	n, extra int
+	seed     int64
+}{
+	{n: 30, extra: 40, seed: 101},
+	{n: 120, extra: 150, seed: 102},
+	{n: 300, extra: 200, seed: 103},
+	{n: 80, extra: 0, seed: 104},   // tree-ish: unique paths
+	{n: 50, extra: 400, seed: 105}, // dense: many triangles
+}
+
 // TestMTMMatchesReferenceExact is the core many-to-many property on
 // integer-cost random graphs: every cell of the table — duplicates, s == t
 // cells and all — is byte-identical to per-pair reference Dijkstra, and
 // every recorded path is a valid route.
 func TestMTMMatchesReferenceExact(t *testing.T) {
-	cases := []struct {
-		n, extra int
-		seed     int64
-	}{
-		{n: 30, extra: 40, seed: 101},
-		{n: 120, extra: 150, seed: 102},
-		{n: 300, extra: 200, seed: 103},
-		{n: 80, extra: 0, seed: 104},   // tree-ish: unique paths
-		{n: 50, extra: 400, seed: 105}, // dense: many triangles
-	}
-	for _, tc := range cases {
+	for _, tc := range mtmPropertyGraphs {
 		g := randomIntCostGraph(t, tc.n, tc.extra, tc.seed)
 		o, err := BuildCustomizable(g)
 		if err != nil {
@@ -379,6 +383,83 @@ func TestMTMEdgeCases(t *testing.T) {
 	if st.Tables == 0 || st.BucketEntries == 0 || st.ArenaHighWater == 0 {
 		t.Fatalf("engine stats did not accumulate: %+v", st)
 	}
+}
+
+// requireArenaMatchesCells asserts that EvaluateTable's node arena holds,
+// window by window, exactly what Table.AppendPath unpacks for each cell, and
+// that Ends closes every window where those per-cell paths put it — so
+// unpacking each chain arc once per table changes no node of the reply.
+func requireArenaMatchesCells(t *testing.T, acc storage.Accessor, m *MTM, sources, targets []roadnet.NodeID) {
+	t.Helper()
+	res, err := m.EvaluateTable(acc, sources, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := m.Table(sources, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Ends) != len(sources)*len(targets) {
+		t.Fatalf("%d Ends for a %dx%d table", len(res.Ends), len(sources), len(targets))
+	}
+	var want []roadnet.NodeID
+	end := 0
+	for i := range sources {
+		for j := range targets {
+			c := i*len(targets) + j
+			start := end
+			want = tbl.AppendPath(want[:0], i, j)
+			end += len(want)
+			if int(res.Ends[c]) != end {
+				t.Fatalf("cell (%d,%d): Ends %d, per-cell paths end at %d", i, j, res.Ends[c], end)
+			}
+			if got := res.Nodes[start:end]; !slices.Equal(got, want) {
+				t.Fatalf("cell (%d,%d) nodes (%d,%d): arena window %v, AppendPath %v", i, j, sources[i], targets[j], got, want)
+			}
+		}
+	}
+	if len(res.Nodes) != end {
+		t.Fatalf("arena holds %d nodes, the cells %d", len(res.Nodes), end)
+	}
+}
+
+// TestEvaluateTableArenaMatchesAppendPath pins the output of the unpacking
+// memo: on the property-test graphs (random endpoint sets, duplicates
+// allowed), with explicitly duplicated sources and targets, and on a 16×16
+// table over a TIGER-like map, where cells share most of their chain arcs.
+func TestEvaluateTableArenaMatchesAppendPath(t *testing.T) {
+	for _, tc := range mtmPropertyGraphs {
+		g := randomIntCostGraph(t, tc.n, tc.extra, tc.seed)
+		o, err := BuildCustomizable(g)
+		if err != nil {
+			t.Fatalf("BuildCustomizable(n=%d): %v", tc.n, err)
+		}
+		acc, m := storage.NewMemoryGraph(g), NewMTM(o, nil)
+		rng := rand.New(rand.NewSource(tc.seed * 37))
+		for round := 0; round < 4; round++ {
+			requireArenaMatchesCells(t, acc, m,
+				randomEndpointSet(rng, tc.n, 1+rng.Intn(8)),
+				randomEndpointSet(rng, tc.n, 1+rng.Intn(8)))
+		}
+		a, b, c := roadnet.NodeID(1), roadnet.NodeID(tc.n/2), roadnet.NodeID(tc.n-1)
+		requireArenaMatchesCells(t, acc, m, []roadnet.NodeID{a, a, b, a}, []roadnet.NodeID{c, b, c, c})
+	}
+
+	cfg := gen.DefaultNetworkConfig()
+	cfg.Kind = gen.TigerLike
+	cfg.Nodes = 3000
+	cfg.Seed = 42
+	g, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := BuildCustomizable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	requireArenaMatchesCells(t, storage.NewMemoryGraph(g), NewMTM(o, nil),
+		randomEndpointSet(rng, g.NumNodes(), 16), randomEndpointSet(rng, g.NumNodes(), 16))
 }
 
 // TestEvaluateTableAllocs pins the allocation budget of one path-producing

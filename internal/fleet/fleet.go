@@ -6,11 +6,15 @@
 // Every query Q(S, T) is answered whole by exactly one shard: the shard
 // evaluates the full |S|×|T| table as one many-to-many computation, whose
 // target half (the backward sweeps and bucket fills) all sources share, and
-// its reply is the router's answer unchanged. Every shard holds the full
-// replicated road map, so any shard can answer any query; the router places
-// whole queries round-robin across the available shards, preferring a shard
-// that has applied every weight update the router has returned from. The
-// fleet mode does not affect placement.
+// its reply is the router's answer unchanged, byte for byte: the router
+// reads only the reply's header (protocol.HeldReply) and relays the encoded
+// body to the obfuscator as it arrived, so no candidate path is decoded or
+// re-encoded on the way. Execute and ExecuteBatch, the Go API, take the same
+// path and decode each held reply once, as they return. Every shard holds
+// the full replicated road map, so any shard can answer any query; the
+// router places whole queries round-robin across the available shards,
+// preferring a shard that has applied every weight update the router has
+// returned from. The fleet mode does not affect placement.
 //
 // A reply comes from one shard and one epoch, so it never mixes metrics.
 // The router still checks that a reply echoes the query's weight profile; a
@@ -569,10 +573,11 @@ func (r *Router) withShard(idx int, deadline time.Time, do func(c *protocol.MuxC
 	return &ShardError{Shard: idx, Err: lastErr}
 }
 
-// callShard performs one unary request on one shard (see withShard).
-func (r *Router) callShard(idx int, msg any, deadline time.Time) (res any, err error) {
+// callShard sends one query to one shard and holds its reply (see
+// withShard).
+func (r *Router) callShard(idx int, q protocol.ServerQuery, deadline time.Time) (res protocol.HeldReply, err error) {
 	err = r.withShard(idx, deadline, func(c *protocol.MuxClient) (err error) {
-		res, err = c.DoDeadline(msg, deadline)
+		res, err = c.DoHeld(q, deadline)
 		return err
 	})
 	return res, err
@@ -623,7 +628,7 @@ func (r *Router) routeShard(preferred int) int {
 
 // checkProfile verifies that a reply was computed under the query's weight
 // profile; a mismatch counts on fleet_profile_skew.
-func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.ServerReply) error {
+func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.HeldReply) error {
 	if rep.Profile != q.Profile {
 		r.mProfSkew.Add(1)
 		return fmt.Errorf("%w: reply under profile %q, query under %q", ErrProfileSkew, rep.Profile, q.Profile)
@@ -634,19 +639,15 @@ func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.ServerReply) 
 // executeOnce places q on one shard and returns that shard's reply, which is
 // the whole answer; a shard failure after the retry budget fails the query
 // with its ShardError.
-func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
+func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.HeldReply, error) {
 	shard := r.place()
 	r.mSubqueries.Add(1)
-	res, err := r.callShard(shard, q, deadline)
+	rep, err := r.callShard(shard, q, deadline)
 	if err != nil {
-		return protocol.ServerReply{}, err
-	}
-	rep, ok := res.(protocol.ServerReply)
-	if !ok {
-		return protocol.ServerReply{}, &ShardError{Shard: shard, Err: fmt.Errorf("fleet: unexpected reply type %T", res)}
+		return protocol.HeldReply{}, err
 	}
 	if err := r.checkProfile(q, rep); err != nil {
-		return protocol.ServerReply{}, err
+		return protocol.HeldReply{}, err
 	}
 	return rep, nil
 }
@@ -662,8 +663,19 @@ func (r *Router) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
 // refused for profile skew retry up to Config.SkewRetries times; queries
 // that lost a shard (a transport-level ShardError after the per-shard budget
 // — by which point the shard's breaker has tripped) are placed again up to
-// Config.FailoverRetries times, landing on a surviving shard.
+// Config.FailoverRetries times, landing on a surviving shard. The shard's
+// reply is decoded here, once; a reply that does not decode fails the query.
 func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
+	held, err := r.relay(q, deadline)
+	if err != nil {
+		return protocol.ServerReply{}, err
+	}
+	return held.Decode()
+}
+
+// relay answers one query with the placed shard's reply held as it arrived;
+// the mux handler forwards it unchanged and ExecuteDeadline decodes it.
+func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.HeldReply, error) {
 	r.mQueries.Add(1)
 	skewLeft := r.cfg.SkewRetries
 	failLeft := r.cfg.FailoverRetries
@@ -674,7 +686,7 @@ func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (pr
 				if errors.Is(err, protocol.ErrDeadlineExceeded) {
 					r.mDeadlineDrops.Add(1)
 				}
-				return protocol.ServerReply{}, err
+				return protocol.HeldReply{}, err
 			}
 		}
 		reply, err := r.executeOnce(q, deadline)
@@ -689,23 +701,23 @@ func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (pr
 		case protocol.IsDeadlineExceeded(err):
 			// No budget left anywhere; retrying cannot beat the clock.
 			r.mDeadlineDrops.Add(1)
-			return protocol.ServerReply{}, err
+			return protocol.HeldReply{}, err
 		case errors.Is(err, ErrRouterClosed):
 			// Close quiesced the router mid-query; a failover retry would
 			// sleep against the fresh quiesce channel instead of returning.
-			return protocol.ServerReply{}, err
+			return protocol.HeldReply{}, err
 		case errors.Is(err, ErrProfileSkew):
 			if skewLeft == 0 {
-				return protocol.ServerReply{}, lastErr
+				return protocol.HeldReply{}, lastErr
 			}
 			skewLeft--
 		case isFailoverable(err):
 			if failLeft == 0 {
-				return protocol.ServerReply{}, lastErr
+				return protocol.HeldReply{}, lastErr
 			}
 			failLeft--
 		default:
-			return protocol.ServerReply{}, err
+			return protocol.HeldReply{}, err
 		}
 	}
 }
@@ -726,7 +738,9 @@ func isFailoverable(err error) bool {
 // frames per shard for the whole batch, not one per query. Queries that
 // failed (shard failure or profile skew) fall back to the per-query Execute
 // path with its own retry and failover budgets, so one sick shard degrades
-// the queries placed on it without poisoning the batch.
+// the queries placed on it without poisoning the batch. Shard replies are
+// held as they arrived (the mux handler relays them so) and decoded here,
+// once each; a reply that does not decode fails its own query.
 func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
 	return r.ExecuteBatchDeadline(qs, time.Time{})
 }
@@ -734,7 +748,20 @@ func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply
 // ExecuteBatchDeadline is ExecuteBatch bounded by an absolute deadline
 // (zero = none) threaded through every per-shard batch and fallback query.
 func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.Time) ([]protocol.ServerReply, []error) {
+	held, errs := r.relayBatch(qs, deadline)
 	replies := make([]protocol.ServerReply, len(qs))
+	for i := range held {
+		if errs[i] == nil {
+			replies[i], errs[i] = held[i].Decode()
+		}
+	}
+	return replies, errs
+}
+
+// relayBatch answers a batch with the placed shards' replies held as they
+// arrived; see ExecuteBatch.
+func (r *Router) relayBatch(qs []protocol.ServerQuery, deadline time.Time) ([]protocol.HeldReply, []error) {
+	replies := make([]protocol.HeldReply, len(qs))
 	errs := make([]error, len(qs))
 	if len(qs) == 0 {
 		return replies, errs
@@ -762,16 +789,16 @@ func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.T
 		wg.Add(1)
 		go func(shard int, batch []protocol.ServerQuery, slots []int) {
 			defer wg.Done()
-			br, err := r.callShardBatch(shard, batch, deadline)
+			held, itemErrs, err := r.callShardBatch(shard, batch, deadline)
 			for i, qi := range slots {
 				switch {
 				case err != nil:
 					errs[qi] = err
-				case br.Errors[i] != "":
-					errs[qi] = &ShardError{Shard: shard, Err: errors.New(br.Errors[i])}
+				case itemErrs[i] != "":
+					errs[qi] = &ShardError{Shard: shard, Err: errors.New(itemErrs[i])}
 				default:
-					replies[qi] = br.Replies[i]
-					errs[qi] = r.checkProfile(qs[qi], br.Replies[i])
+					replies[qi] = held[i]
+					errs[qi] = r.checkProfile(qs[qi], held[i])
 				}
 			}
 		}(shard, batch, slots[shard])
@@ -787,24 +814,22 @@ func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.T
 			}
 			continue
 		}
-		// Execute bumps fleet_queries itself; this retry is a continuation of
+		// relay bumps fleet_queries itself; this retry is a continuation of
 		// an already-counted query, so compensate.
 		r.mQueries.Add(-1)
-		replies[qi], errs[qi] = r.ExecuteDeadline(q, deadline)
+		replies[qi], errs[qi] = r.relay(q, deadline)
 	}
 	return replies, errs
 }
 
 // callShardBatch sends one shard its whole share of a batch as one streaming
-// exchange (see withShard).
-func (r *Router) callShardBatch(idx int, batch []protocol.ServerQuery, deadline time.Time) (br protocol.BatchReply, err error) {
+// exchange (see withShard) and holds the replies; failed queries have their
+// error message at the same index.
+func (r *Router) callShardBatch(idx int, batch []protocol.ServerQuery, deadline time.Time) (replies []protocol.HeldReply, errs []string, err error) {
 	b := protocol.BatchQuery{BatchID: r.batchID.Add(1), Queries: batch}
 	err = r.withShard(idx, deadline, func(c *protocol.MuxClient) (err error) {
-		br, err = c.DoBatchDeadline(b, deadline)
-		if err == nil && (len(br.Replies) != len(batch) || len(br.Errors) != len(batch)) {
-			return &ShardError{Shard: idx, Err: fmt.Errorf("fleet: batch reply shape %d/%d for %d queries", len(br.Replies), len(br.Errors), len(batch))}
-		}
+		replies, errs, err = c.DoBatchHeld(b, deadline)
 		return err
 	})
-	return br, err
+	return replies, errs, err
 }

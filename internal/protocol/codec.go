@@ -19,6 +19,11 @@ package protocol
 //     path is where it attaches to an earlier path of its source plus the
 //     suffix beyond. It decodes into exactly two allocations, a
 //     []CandidatePath slab and a []NodeID arena every Nodes sub-slices.
+//   - A reply's header — QueryID, Degraded, SettledNodes, PageFaults,
+//     Generation, ContentSum, Profile — precedes its table, so a relay reads
+//     the header alone and holds the body as bytes (HeldReply): the fleet
+//     router forwards shard replies without decoding or re-encoding a path.
+//     Held bodies alias their payload; every decoded message owns its memory.
 //   - Decoding validates every count against the bytes that remain before
 //     allocating, and bounds the one place the format expands (a shared
 //     prefix costs two bytes however long it is) with maxPathExpansion, so a
@@ -77,6 +82,7 @@ func (ClientRequest) wireType() MessageType   { return TypeClientRequest }
 func (ClientReply) wireType() MessageType     { return TypeClientReply }
 func (ServerQuery) wireType() MessageType     { return TypeServerQuery }
 func (ServerReply) wireType() MessageType     { return TypeServerReply }
+func (HeldReply) wireType() MessageType       { return TypeServerReply }
 func (ErrorReply) wireType() MessageType      { return TypeError }
 func (BatchQuery) wireType() MessageType      { return TypeBatchQuery }
 func (BatchItem) wireType() MessageType       { return TypeBatchItem }
@@ -152,7 +158,7 @@ func DecodeMessage(payload []byte) (any, int64, error) {
 	case TypeBatchQuery:
 		msg = r.batchQuery()
 	case TypeBatchItem:
-		item := BatchItem{BatchID: r.uvarint(), Index: r.int(), Error: r.str()}
+		item := r.batchItemHead()
 		r.serverReply(&item.Reply)
 		msg = item
 	case TypeWeightUpdate:
@@ -164,13 +170,78 @@ func DecodeMessage(payload []byte) (any, int64, error) {
 	case TypeHello:
 		msg = r.hello()
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(fmt.Errorf("%w: %d trailing bytes", ErrPayloadMalformed, len(r.b)))
-	}
+	r.end()
 	if r.err != nil {
 		return nil, 0, fmt.Errorf("decoding message type %d: %w", t, r.err)
 	}
 	return msg, deadline, nil
+}
+
+// ReadHeldReply reads a ServerReply payload's header and holds its body (see
+// HeldReply), returning the header deadline too. Only the reply header is
+// validated: a reply whose table is malformed is held, and fails where it is
+// decoded.
+func ReadHeldReply(payload []byte) (HeldReply, int64, error) {
+	t, deadline, err := PeekHeader(payload)
+	if err != nil {
+		return HeldReply{}, 0, err
+	}
+	if t != TypeServerReply {
+		return HeldReply{}, 0, fmt.Errorf("%w: message type %d is not a ServerReply", ErrPayloadMalformed, t)
+	}
+	h, err := holdReply(payload[payloadHeaderLen:])
+	return h, deadline, err
+}
+
+// holdReply reads a reply body's header fields and holds the body. The one
+// allocation is the Profile string, and only when it is not empty.
+func holdReply(body []byte) (HeldReply, error) {
+	r := wireReader{b: body}
+	h := HeldReply{QueryID: r.uvarint(), Degraded: r.bool()}
+	r.int()    // SettledNodes
+	r.varint() // PageFaults
+	h.Generation = r.uvarint()
+	h.ContentSum = r.u64()
+	h.Profile = r.str()
+	if r.err != nil {
+		return HeldReply{}, fmt.Errorf("reading reply header: %w", r.err)
+	}
+	h.body = body
+	return h, nil
+}
+
+// Decode decodes the held body into the ServerReply it carries. The result
+// shares no memory with the held bytes.
+func (h HeldReply) Decode() (ServerReply, error) { return decodeReplyBody(h.body) }
+
+// decodeReplyBody decodes one whole reply body, trailing bytes refused.
+func decodeReplyBody(body []byte) (ServerReply, error) {
+	r := wireReader{b: body}
+	var rep ServerReply
+	r.serverReply(&rep)
+	r.end()
+	if r.err != nil {
+		return ServerReply{}, fmt.Errorf("decoding reply: %w", r.err)
+	}
+	return rep, nil
+}
+
+// readItemHead reads a BatchItem payload up to its reply: the header, then
+// BatchID, Index and Error. It returns the item so far and the reply body.
+func readItemHead(payload []byte) (BatchItem, []byte, error) {
+	t, _, err := PeekHeader(payload)
+	if err != nil {
+		return BatchItem{}, nil, err
+	}
+	if t != TypeBatchItem {
+		return BatchItem{}, nil, fmt.Errorf("%w: message type %d is not a BatchItem", ErrPayloadMalformed, t)
+	}
+	r := wireReader{b: payload[payloadHeaderLen:]}
+	item := r.batchItemHead()
+	if r.err != nil {
+		return BatchItem{}, nil, fmt.Errorf("reading batch item: %w", r.err)
+	}
+	return item, r.b, nil
 }
 
 // ---- encoding ----
@@ -248,7 +319,21 @@ func (m BatchItem) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, m.BatchID)
 	dst = binary.AppendVarint(dst, int64(m.Index))
 	dst = appendString(dst, m.Error)
+	if m.Held.body != nil {
+		return m.Held.appendBody(dst)
+	}
 	return m.Reply.appendBody(dst)
+}
+
+// appendBody appends the held body exactly as it was read.
+//
+//opaque:noalloc
+func (h HeldReply) appendBody(dst []byte) ([]byte, error) {
+	if h.body == nil {
+		//opaque:allow(noalloc) refusal path: a caller bug, nothing is sent
+		return dst, fmt.Errorf("protocol: encoding a HeldReply that holds no reply")
+	}
+	return append(dst, h.body...), nil //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
 }
 
 func (m WeightUpdate) appendBody(dst []byte) ([]byte, error) {
@@ -460,6 +545,13 @@ func (r *wireReader) fail(err error) {
 	r.b = nil
 }
 
+// end fails the reader when bytes remain after the message.
+func (r *wireReader) end() {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(fmt.Errorf("%w: %d trailing bytes", ErrPayloadMalformed, len(r.b)))
+	}
+}
+
 func (r *wireReader) truncated(what string) {
 	r.fail(fmt.Errorf("%w: reading %s", ErrPayloadTruncated, what))
 }
@@ -591,6 +683,11 @@ func (r *wireReader) serverQuery() ServerQuery {
 	q.Sources = r.ids()
 	q.Dests = r.ids()
 	return q
+}
+
+// batchItemHead reads the fields a BatchItem carries before its reply.
+func (r *wireReader) batchItemHead() BatchItem {
+	return BatchItem{BatchID: r.uvarint(), Index: r.int(), Error: r.str()}
 }
 
 func (r *wireReader) batchQuery() BatchQuery {

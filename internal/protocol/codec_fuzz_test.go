@@ -78,18 +78,77 @@ func checkDecoded(t *testing.T, data []byte, msg any) {
 	}
 }
 
+// typedDecodeError reports whether err is one of the codec's typed errors.
+func typedDecodeError(err error) bool {
+	return errors.Is(err, ErrPayloadTruncated) || errors.Is(err, ErrPayloadMalformed) || errors.Is(err, ErrCodecVersion)
+}
+
+// readHeld is the relay's read of a payload: a ServerReply is held whole, a
+// BatchItem up to its held reply, anything else refused.
+func readHeld(data []byte) (any, error) {
+	if t, _, err := PeekHeader(data); err == nil && t == TypeBatchItem {
+		item, body, err := readItemHead(data)
+		if err != nil {
+			return nil, err
+		}
+		item.Held, err = holdReply(body)
+		return item, err
+	}
+	held, _, err := ReadHeldReply(data)
+	return held, err
+}
+
+// sameHeader reports whether a held reply carries a decoded reply's header.
+func sameHeader(h HeldReply, rep ServerReply) bool {
+	return h.QueryID == rep.QueryID && h.Degraded == rep.Degraded && h.Generation == rep.Generation &&
+		h.ContentSum == rep.ContentSum && h.Profile == rep.Profile
+}
+
+// checkHeld asserts the relay's read against the full decode of one payload:
+// whatever DecodeMessage accepts as a reply, the header read accepts with the
+// same header fields, and the held form re-encodes to the payload byte for
+// byte.
+func checkHeld(t *testing.T, data []byte, deadline int64, msg any, held any, heldErr error) {
+	t.Helper()
+	switch m := msg.(type) {
+	case ServerReply:
+		if heldErr != nil || !sameHeader(held.(HeldReply), m) {
+			t.Fatalf("decoded reply %+v held as %+v (err %v)", m, held, heldErr)
+		}
+	case BatchItem:
+		item, _ := held.(BatchItem)
+		if heldErr != nil || item.BatchID != m.BatchID || item.Index != m.Index || item.Error != m.Error || !sameHeader(item.Held, m.Reply) {
+			t.Fatalf("decoded item %+v held as %+v (err %v)", m, held, heldErr)
+		}
+	default:
+		if heldErr == nil {
+			t.Fatalf("a %T payload was held as a reply", msg)
+		}
+		return
+	}
+	again, err := AppendMessage(nil, held, deadline)
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("held %T re-encodes to %x (err %v), read from %x", held, again, err, data)
+	}
+}
+
 // fuzzDecode is the body of every payload fuzz target: arbitrary bytes either
-// decode to a well-behaved message or fail with a typed error; nothing
-// panics.
+// decode to a well-behaved message or fail with a typed error, and the
+// relay's header-only read agrees with the decode; nothing panics.
 func fuzzDecode(t *testing.T, data []byte) {
-	msg, _, err := DecodeMessage(data)
+	held, heldErr := readHeld(data)
+	if heldErr != nil && !typedDecodeError(heldErr) {
+		t.Fatalf("untyped header read error: %v", heldErr)
+	}
+	msg, deadline, err := DecodeMessage(data)
 	if err != nil {
-		if !errors.Is(err, ErrPayloadTruncated) && !errors.Is(err, ErrPayloadMalformed) && !errors.Is(err, ErrCodecVersion) {
+		if !typedDecodeError(err) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 		return
 	}
 	checkDecoded(t, data, msg)
+	checkHeld(t, data, deadline, msg, held, heldErr)
 }
 
 func seed(f *testing.F, msgs ...any) {

@@ -424,8 +424,10 @@ var (
 )
 
 // BenchmarkReplyCodec measures the codec on recorded replies: encoding into a
-// reused buffer (0 allocs/op) and decoding (the candidate slab, the node
-// arena and the boxing into any).
+// reused buffer (0 allocs/op), decoding (the candidate slab, the node arena
+// and the boxing into any), and relaying — what a fleet router does with a
+// shard's reply: read its header and write the held bytes back out into a
+// reused buffer.
 func BenchmarkReplyCodec(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -457,6 +459,23 @@ func BenchmarkReplyCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSink = msg
+			}
+			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		})
+		b.Run("relay/"+shape.name, func(b *testing.B) {
+			buf := make([]byte, 0, 2*len(payload))
+			var held HeldReply
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				held, _, err = ReadHeldReply(payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := AppendMessage(buf[:0], &held, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchLen = len(out)
 			}
 			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
 		})

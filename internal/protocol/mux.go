@@ -456,19 +456,48 @@ func (c *MuxClient) Do(msg any) (any, error) { return c.DoDeadline(msg, time.Tim
 // expires before evaluation, and the wait for the reply is bounded by the
 // same clock — ErrDeadlineExceeded either way.
 func (c *MuxClient) DoDeadline(msg any, deadline time.Time) (any, error) {
-	req, err := c.start(FrameMsg, msg, 1, deadline)
+	ev, err := c.unary(msg, deadline)
 	if err != nil {
 		return nil, err
+	}
+	return decodeEvent(ev)
+}
+
+// DoHeld is DoDeadline for a query whose reply the caller relays rather than
+// reads: the reply comes back held in its wire form (see HeldReply), only
+// its header decoded. A FrameErr answer is returned as *RemoteError.
+func (c *MuxClient) DoHeld(q ServerQuery, deadline time.Time) (HeldReply, error) {
+	ev, err := c.unary(q, deadline)
+	if err != nil {
+		return HeldReply{}, err
+	}
+	if ev.Type == FrameErr {
+		_, err := decodeEvent(ev)
+		return HeldReply{}, err
+	}
+	h, _, err := ReadHeldReply(ev.Payload)
+	if err != nil {
+		return HeldReply{}, fmt.Errorf("protocol: undecodable reply header from peer: %w", err)
+	}
+	return h, nil
+}
+
+// unary sends one unary request and returns its answer frame, a FrameMsg or
+// a FrameErr, undecoded.
+func (c *MuxClient) unary(msg any, deadline time.Time) (Frame, error) {
+	req, err := c.start(FrameMsg, msg, 1, deadline)
+	if err != nil {
+		return Frame{}, err
 	}
 	defer req.stop()
 	ev, err := req.next()
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	if ev.Type != FrameMsg && ev.Type != FrameErr {
-		return nil, req.giveUp(fmt.Errorf("protocol: unexpected %d frame answering unary request", ev.Type))
+		return Frame{}, req.giveUp(fmt.Errorf("protocol: unexpected %d frame answering unary request", ev.Type))
 	}
-	return decodeEvent(ev)
+	return ev, nil
 }
 
 // Ping probes the peer over the identity stream: a FramePing is answered
@@ -502,8 +531,9 @@ func (c *MuxClient) Ping(deadline time.Time) (Hello, error) {
 
 // DoBatch sends a batch query and reassembles its streamed reply: one
 // BatchItem per query in any completion order, closed by a stream end.
-// Per-query failures land in the returned BatchReply.Errors; the error
-// return is reserved for whole-batch and transport failures.
+// Per-query failures land in the returned BatchReply.Errors — among them an
+// item whose reply does not decode, which fails its own query only; the
+// error return is reserved for whole-batch and transport failures.
 func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 	return c.DoBatchDeadline(b, time.Time{})
 }
@@ -511,42 +541,64 @@ func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 // DoBatchDeadline is DoBatch with an absolute deadline (zero = none)
 // stamped into the request header and bounding the streamed reply drain.
 func (c *MuxClient) DoBatchDeadline(b BatchQuery, deadline time.Time) (BatchReply, error) {
-	req, err := c.start(FrameMsg, b, len(b.Queries)+1, deadline)
+	replies, errs, err := doBatch(c, b, deadline, decodeReplyBody)
 	if err != nil {
 		return BatchReply{}, err
 	}
-	defer req.stop()
-	reply := BatchReply{
-		BatchID: b.BatchID,
-		Replies: make([]ServerReply, len(b.Queries)),
-		Errors:  make([]string, len(b.Queries)),
+	return BatchReply{BatchID: b.BatchID, Replies: replies, Errors: errs}, nil
+}
+
+// DoBatchHeld is DoBatchDeadline for a batch whose replies the caller relays
+// rather than reads: each comes back held in its wire form (see HeldReply),
+// only its header decoded. An item whose reply header does not read fails
+// its own query, in the returned errors.
+func (c *MuxClient) DoBatchHeld(b BatchQuery, deadline time.Time) ([]HeldReply, []string, error) {
+	return doBatch(c, b, deadline, holdReply)
+}
+
+// doBatch sends b and drains its streamed reply: each item's reply body goes
+// through read into its query's slot. An item whose BatchID, Index and
+// Error read but whose reply does not fails its own slot, and the drain goes
+// on; an item that cannot be placed — unreadable, or its index outside the
+// batch — fails the whole batch, as does a FrameErr or a transport failure.
+func doBatch[R any](c *MuxClient, b BatchQuery, deadline time.Time, read func(body []byte) (R, error)) ([]R, []string, error) {
+	req, err := c.start(FrameMsg, b, len(b.Queries)+1, deadline)
+	if err != nil {
+		return nil, nil, err
 	}
+	defer req.stop()
+	replies := make([]R, len(b.Queries))
+	errs := make([]string, len(b.Queries))
 	for {
 		ev, werr := req.next()
 		if werr != nil {
-			return BatchReply{}, werr
+			return nil, nil, werr
 		}
-		if ev.Type == FrameStreamEnd {
-			return reply, nil
-		}
-		if ev.Type != FrameStreamItem && ev.Type != FrameErr {
+		switch ev.Type {
+		case FrameStreamEnd:
+			return replies, errs, nil
+		case FrameErr:
+			_, err := decodeEvent(ev)
+			return nil, nil, req.giveUp(err)
+		case FrameStreamItem:
+		default:
 			// Connection-level frames never reach a registered call; anything
 			// else here is a peer protocol bug, not something to spin on.
-			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: unexpected %d frame in batch reply stream", ev.Type))
+			return nil, nil, req.giveUp(fmt.Errorf("protocol: unexpected %d frame in batch reply stream", ev.Type))
 		}
-		msg, derr := decodeEvent(ev)
-		if derr != nil {
-			return BatchReply{}, req.giveUp(derr)
+		item, body, err := readItemHead(ev.Payload)
+		if err != nil {
+			return nil, nil, req.giveUp(fmt.Errorf("protocol: undecodable batch item from peer: %w", err))
 		}
-		m, ok := msg.(BatchItem)
-		if !ok {
-			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: unexpected %T in batch reply stream", msg))
+		if item.Index < 0 || item.Index >= len(b.Queries) {
+			return nil, nil, req.giveUp(fmt.Errorf("protocol: stream item index %d outside batch of %d", item.Index, len(b.Queries)))
 		}
-		if m.Index < 0 || m.Index >= len(b.Queries) {
-			return BatchReply{}, req.giveUp(fmt.Errorf("protocol: stream item index %d outside batch of %d", m.Index, len(b.Queries)))
+		rep, err := read(body)
+		if err != nil {
+			errs[item.Index] = fmt.Errorf("protocol: undecodable reply to batch item %d from peer: %w", item.Index, err).Error()
+			continue
 		}
-		reply.Replies[m.Index] = m.Reply
-		reply.Errors[m.Index] = m.Error
+		replies[item.Index], errs[item.Index] = rep, item.Error
 	}
 }
 

@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -569,6 +571,137 @@ func TestHandlerMayReturnTheSameReplyForever(t *testing.T) {
 	wg.Wait()
 	if !reflect.DeepEqual(shared, want) {
 		t.Errorf("the transport modified the handler's value: %+v", shared)
+	}
+}
+
+// scriptedServer handshakes a MuxClient with a serving side the test writes
+// frame by frame: script runs on the raw server end once the welcome is out.
+func scriptedServer(t *testing.T, script func(conn net.Conn) error) *MuxClient {
+	t.Helper()
+	clientEnd, serverEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer serverEnd.Close()
+		if f, err := ReadFrame(serverEnd); err != nil || f.Type != FrameHello {
+			t.Errorf("hello: frame %+v, err %v", f, err)
+			return
+		}
+		welcome, err := AppendMessage(nil, Hello{Role: "server"}, 0)
+		if err == nil {
+			err = WriteFrame(serverEnd, Frame{Type: FrameWelcome, Payload: welcome})
+		}
+		if err == nil {
+			err = script(serverEnd)
+		}
+		if err != nil {
+			t.Errorf("scripted server: %v", err)
+		}
+	}()
+	c, err := NewMuxClient(clientEnd, Hello{Role: "client"})
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	t.Cleanup(func() {
+		c.Close()
+		<-done
+	})
+	return c
+}
+
+// readRequest reads one request frame and decodes its payload.
+func readRequest(conn net.Conn) (Frame, any, error) {
+	f, err := ReadFrame(conn)
+	if err != nil {
+		return Frame{}, nil, err
+	}
+	msg, _, err := DecodeMessage(f.Payload)
+	return f, msg, err
+}
+
+// TestUndecodableBatchItemFailsItsOwnQuery: a streamed item whose BatchID,
+// Index and Error read but whose reply table does not decode fails its own
+// query — a typed decode error in its Errors slot — while the items around it
+// land and the connection keeps serving; only an item that cannot be placed
+// in the batch fails the batch.
+func TestUndecodableBatchItemFailsItsOwnQuery(t *testing.T) {
+	reply := func(q ServerQuery) ServerReply {
+		return ServerReply{QueryID: q.QueryID, Paths: []CandidatePath{
+			{Source: q.Sources[0], Dest: q.Dests[0], Found: true, Cost: 4, Nodes: []roadnet.NodeID{q.Sources[0], 9, q.Dests[0]}},
+		}}
+	}
+	c := scriptedServer(t, func(conn net.Conn) error {
+		f, msg, err := readRequest(conn)
+		if err != nil {
+			return err
+		}
+		b, ok := msg.(BatchQuery)
+		if !ok {
+			return fmt.Errorf("first request is a %T", msg)
+		}
+		items := make([][]byte, len(b.Queries))
+		for i, q := range b.Queries {
+			if items[i], err = AppendMessage(nil, BatchItem{BatchID: b.BatchID, Index: i, Reply: reply(q)}, 0); err != nil {
+				return err
+			}
+		}
+		items[1] = append(items[1], 0) // the table runs on past its end: malformed
+		for _, item := range items {
+			if err := WriteFrame(conn, Frame{Type: FrameStreamItem, ID: f.ID, Payload: item}); err != nil {
+				return err
+			}
+		}
+		if err := WriteFrame(conn, Frame{Type: FrameStreamEnd, ID: f.ID}); err != nil {
+			return err
+		}
+
+		// A later unary call on the same connection.
+		if f, msg, err = readRequest(conn); err != nil {
+			return err
+		}
+		out, err := AppendMessage(nil, reply(msg.(ServerQuery)), 0)
+		if err != nil {
+			return err
+		}
+		if err := WriteFrame(conn, Frame{Type: FrameMsg, ID: f.ID, Payload: out}); err != nil {
+			return err
+		}
+
+		// A batch whose item has an unreadable index.
+		if f, _, err = readRequest(conn); err != nil {
+			return err
+		}
+		bad := append([]byte{byte(TypeBatchItem), CodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1}, bytes.Repeat([]byte{0xff}, 11)...)
+		// The client gives up on the batch here and may close the connection
+		// at once, so nothing more is written.
+		return WriteFrame(conn, Frame{Type: FrameStreamItem, ID: f.ID, Payload: bad})
+	})
+
+	qs := []ServerQuery{
+		{QueryID: 1, Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}},
+		{QueryID: 2, Sources: []roadnet.NodeID{3}, Dests: []roadnet.NodeID{4}},
+		{QueryID: 3, Sources: []roadnet.NodeID{5}, Dests: []roadnet.NodeID{6}},
+	}
+	br, err := c.DoBatch(BatchQuery{BatchID: 4, Queries: qs})
+	if err != nil {
+		t.Fatalf("one undecodable item failed the whole batch: %v", err)
+	}
+	for _, i := range []int{0, 2} {
+		if br.Errors[i] != "" || !reflect.DeepEqual(br.Replies[i], reply(qs[i])) {
+			t.Errorf("slot %d: reply %+v, error %q", i, br.Replies[i], br.Errors[i])
+		}
+	}
+	if !strings.Contains(br.Errors[1], ErrPayloadMalformed.Error()) || br.Replies[1].Paths != nil {
+		t.Errorf("corrupt slot: reply %+v, error %q, want the malformed-payload error", br.Replies[1], br.Errors[1])
+	}
+
+	res, err := c.Do(qs[0])
+	if err != nil || !reflect.DeepEqual(res, reply(qs[0])) {
+		t.Fatalf("the connection no longer serves: %+v, %v", res, err)
+	}
+
+	if _, err := c.DoBatch(BatchQuery{BatchID: 5, Queries: qs}); !errors.Is(err, ErrPayloadMalformed) {
+		t.Fatalf("an item with an unreadable index: %v, want the batch failed as malformed", err)
 	}
 }
 

@@ -91,9 +91,8 @@ type ServerQuery struct {
 
 // CandidatePath is one (s, t, path) triple of a ServerReply. Nodes usually
 // sub-slices a node arena the whole reply shares (the server unpacks into
-// one, the codec decodes into one, the router forwards the reply as it
-// arrived): treat it as read-only, and copy it (PathFromCandidate)
-// before retaining it past the reply.
+// one, the codec decodes into one): treat it as read-only, and copy it
+// (PathFromCandidate) before retaining it past the reply.
 type CandidatePath struct {
 	Source roadnet.NodeID
 	Dest   roadnet.NodeID
@@ -132,6 +131,32 @@ type ServerReply struct {
 	Degraded bool
 }
 
+// HeldReply is a ServerReply held in its wire form: the header fields a
+// relay acts on are decoded, the candidate table stays the encoded bytes it
+// arrived as. A fleet router forwards shard replies this way — it reads the
+// header to count degraded replies and to refuse a reply under the wrong
+// weight profile, and writes the body back out unchanged, so the |S|·|T|
+// paths are encoded once, by the shard, and decoded once, by the
+// obfuscator. Read one with ReadHeldReply (or MuxClient.DoHeld and
+// DoBatchHeld), decode it with Decode; AppendMessage writes it as the
+// ServerReply payload it was read from.
+//
+// The held body aliases the payload it was read from, which must therefore
+// not be reused while the HeldReply is live; ReadFrame returns a fresh
+// payload for every frame. The zero HeldReply holds nothing and does not
+// encode.
+type HeldReply struct {
+	QueryID    uint64
+	Degraded   bool
+	Generation uint64
+	ContentSum uint64
+	Profile    string
+
+	// body is the reply's whole encoded body, QueryID first; nil when
+	// nothing is held.
+	body []byte
+}
+
 // BatchQuery carries several obfuscated path queries to the server in one
 // message, to be evaluated concurrently by the server's batch engine. Like
 // ServerQuery it carries no user identifiers.
@@ -156,10 +181,14 @@ type BatchReply struct {
 // instead of buffering the whole BatchReply. Index is the query's position in
 // the originating BatchQuery; Error carries the per-query failure ("" =
 // success), mirroring BatchReply.Errors.
+//
+// Held, when it holds a reply, is sent in place of Reply: a relay emits the
+// reply in the wire form it arrived in. Decoding never sets it.
 type BatchItem struct {
 	BatchID uint64
 	Index   int
 	Reply   ServerReply
+	Held    HeldReply
 	Error   string
 }
 
