@@ -27,7 +27,6 @@ func main() {
 		dest           = flag.Int("dest", -1, "destination node id")
 		fs             = flag.Int("fs", 2, "desired source-set size fS")
 		ft             = flag.Int("ft", 2, "desired destination-set size fT")
-		profile        = flag.String("profile", "", `answer under a named server-side weight profile (e.g. "am-peak") instead of the live metric`)
 		verbose        = flag.Bool("v", false, "print the full node sequence of the path")
 	)
 	flag.Parse()
@@ -36,7 +35,7 @@ func main() {
 		log.Fatal("both -source and -dest node ids are required")
 	}
 
-	c, err := client.Dial(*user, *obfuscatorAddr, client.WithProtection(*fs, *ft), client.WithProfile(*profile))
+	c, err := client.Dial(*user, *obfuscatorAddr, client.WithProtection(*fs, *ft))
 	if err != nil {
 		log.Fatalf("connecting to obfuscator: %v", err)
 	}

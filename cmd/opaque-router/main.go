@@ -34,7 +34,7 @@ func main() {
 		deadline      = flag.Duration("deadline", 0, "default per-request deadline applied to requests that carry none: expired work is dropped at the router and shards instead of evaluated (0 = unbounded)")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the client-facing listener (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
-		statsInterval = flag.Duration("stats-interval", 0, "periodically log placement, profile-skew and health counters (0 disables)")
+		statsInterval = flag.Duration("stats-interval", 0, "periodically log placement and health counters (0 disables)")
 	)
 	flag.Parse()
 
@@ -83,11 +83,10 @@ func main() {
 }
 
 // logStats periodically prints the router's counters — queries and shard
-// calls (subqueries), profile skew refusals, reconnect retries,
-// exhausted-shard failures, degraded (shed) replies, weight-update
-// broadcast/replay activity — plus the health model: per-shard up/down
-// states, breaker trips, heartbeat failures, failovers and deadline-dropped
-// requests.
+// calls (subqueries), reconnect retries, exhausted-shard failures, degraded
+// (shed) replies, weight-update broadcast/replay activity — plus the health
+// model: per-shard up/down states, breaker trips, heartbeat failures,
+// failovers and deadline-dropped requests.
 func logStats(r *fleet.Router, every time.Duration) {
 	for range time.Tick(every) {
 		m := r.Metrics()
@@ -96,9 +95,8 @@ func logStats(r *fleet.Router, every time.Duration) {
 		for i, s := range states {
 			shardCol[i] = s.String()
 		}
-		log.Printf("stats: queries=%d subqueries=%d | skew profile=%d | retries=%d failures=%d degraded=%d | weight-updates=%d replays=%d | shards=%s failovers=%d trips=%d hb-fails=%d deadline-drops=%d",
+		log.Printf("stats: queries=%d subqueries=%d | retries=%d failures=%d degraded=%d | weight-updates=%d replays=%d | shards=%s failovers=%d trips=%d hb-fails=%d deadline-drops=%d",
 			m.Counter("fleet_queries"), m.Counter("fleet_subqueries"),
-			m.Counter("fleet_profile_skew"),
 			m.Counter("fleet_shard_retries"), m.Counter("fleet_shard_failures"), m.Counter("fleet_degraded_replies"),
 			m.Counter("fleet_weight_updates"), m.Counter("fleet_replays"),
 			strings.Join(shardCol, ","), m.Counter("fleet_failovers"), m.Counter("fleet_breaker_trips"),

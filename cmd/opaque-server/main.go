@@ -12,17 +12,14 @@
 // every query is one many-to-many table on it). A hybrid server without
 // -ch-overlay contracts the map at startup.
 //
-// With -profiles the server precustomizes time-of-day weight-profile layers
-// (e.g. am-peak) that queries select by name with zero customization work on
-// the query path. With -churn it synthesizes a streaming traffic feed through
+// With -churn the server synthesizes a streaming traffic feed through
 // the coalescing ingestion pipeline, exercising live weight updates and
 // pipelined overlay re-customization continuously.
 //
 // With -stats-interval the server periodically logs its throughput counters,
 // the strategy routing split (many-to-many / flat fallback),
-// the many-to-many bucket engine gauges, the ingestion pipeline and profile
-// layer counters, the SSMD tree cache hit ratio and the search workspace
-// pool counters.
+// the many-to-many bucket engine gauges, the ingestion pipeline counters,
+// the SSMD tree cache hit ratio and the search workspace pool counters.
 package main
 
 import (
@@ -30,11 +27,9 @@ import (
 	"log"
 	"math/rand"
 	"net"
-	"strings"
 	"time"
 
 	"opaque/internal/ch"
-	"opaque/internal/costmodel"
 	"opaque/internal/gen"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
@@ -62,8 +57,6 @@ func main() {
 		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
 		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
-		profiles      = flag.String("profiles", "", `precustomize weight-profile layers: "timeofday" for the built-in catalog, or a comma list of catalog names (am-peak,pm-peak,offpeak,night); queries select one by name`)
-		profileCap    = flag.Int("profile-capacity", 0, "max resident profile layers behind the LRU (0 = all configured; with -profiles)")
 		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
 		churnArcs     = flag.Int("churn-arcs", 64, "hot-arc pool size of the synthetic -churn stream")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
@@ -104,26 +97,6 @@ func main() {
 		cfg.PartitionCells = *partition
 	}
 
-	if *profiles != "" {
-		var defs []costmodel.WeightProfile
-		if *profiles == "timeofday" {
-			defs = costmodel.TimeOfDayProfiles()
-		} else {
-			for _, name := range strings.Split(*profiles, ",") {
-				p, ok := costmodel.ProfileByName(strings.TrimSpace(name))
-				if !ok {
-					log.Fatalf("-profiles: unknown profile %q (catalog: %v)", strings.TrimSpace(name), costmodel.ProfileNames())
-				}
-				defs = append(defs, p)
-			}
-		}
-		cfg.Profiles = defs
-		cfg.ProfileCapacity = *profileCap
-		// Prewarm at startup so no query ever pays a customization pass.
-		cfg.PrewarmProfiles = true
-	} else if *profileCap != 0 {
-		log.Fatalf("-profile-capacity requires -profiles")
-	}
 	if *churnArcs <= 0 {
 		log.Fatalf("-churn-arcs must be positive (got %d)", *churnArcs)
 	}
@@ -138,14 +111,6 @@ func main() {
 		log.Printf("CH overlay contracted at startup (persist one with opaque-preprocess to skip this): %d shortcuts, max level %d, %d partition cells",
 			o.NumShortcuts(), o.MaxLevel(), o.PartitionCells())
 	}
-	if len(cfg.Profiles) > 0 {
-		capacity := *profileCap
-		if capacity <= 0 {
-			capacity = len(cfg.Profiles)
-		}
-		log.Printf("prewarmed %d weight profile layers (LRU capacity %d)", srv.ProfileLayerStats().Layers, capacity)
-	}
-
 	if *churn > 0 {
 		in, err := srv.NewIngestor(traffic.Config{})
 		if err != nil {
@@ -212,8 +177,7 @@ func runChurn(in *traffic.Ingestor, g *roadnet.Graph, rate float64, poolSize int
 // logStats periodically prints the server's operational counters: query and
 // batch throughput, the strategy routing split, the many-to-many bucket
 // engine's arena gauges, the streaming ingestion pipeline and pending
-// re-customization work, the profile layer cache, the partition's cell
-// counters, the last overlay refresh (duration and arcs re-derived), the SSMD
+// re-customization work, the partition's cell counters, the last overlay refresh (duration and arcs re-derived), the SSMD
 // tree cache hit ratio and the workspace pool's
 // checkout/reuse numbers — the at-a-glance health line for a long-running
 // deployment.
@@ -225,13 +189,11 @@ func logStats(srv *server.Server, every time.Duration) {
 		io := srv.IOStats()
 		mt := srv.MTMStats()
 		ing := srv.IngestStats()
-		prof := srv.ProfileLayerStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | profiles hits=%d misses=%d layers=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
 			ing.Events, ing.Batches, ing.CoalesceRatio(), ing.QueueDepth, int64(m.Gauge("recustomize_pending_cells")),
-			prof.Hits, prof.Misses, prof.Layers,
 			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
 			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),

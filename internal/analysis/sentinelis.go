@@ -9,8 +9,8 @@ import (
 
 // Sentinelis flags error-identity checks that break under wrapping. The
 // module's error contract (search's ErrStaleEngine/ErrEmptyQuery, the fleet's
-// ErrProfileSkew/ErrQuorumNotReached, the OPMX1 frame errors) wraps every
-// sentinel with fmt.Errorf("%w: detail", ...) as it crosses layers, so
+// ErrQuorumNotReached, the OPMX1 frame errors) wraps every sentinel with
+// fmt.Errorf("%w: detail", ...) as it crosses layers, so
 //
 //   - comparing err against a sentinel with == or != (including switch
 //     cases over an error value) misses every wrapped occurrence: callers

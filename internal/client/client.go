@@ -26,7 +26,6 @@ type Result struct {
 type Client struct {
 	user      obfuscate.UserID
 	fs, ft    int
-	profile   string
 	requestID atomic.Uint64
 
 	// exactly one of the following is set
@@ -41,18 +40,6 @@ type Option func(*Client)
 func WithProtection(fs, ft int) Option {
 	return func(c *Client) {
 		c.fs, c.ft = fs, ft
-	}
-}
-
-// WithProfile asks for the client's queries to be answered under a named
-// server-side weight profile — a precustomized time-of-day metric such as
-// "am-peak" — instead of the live metric. The profile names a traffic regime,
-// not a user: the obfuscator only groups the request with other requests of
-// the same profile, and the server resolves the name against its configured
-// catalog (unknown names fail the query). Empty restores the live metric.
-func WithProfile(name string) Option {
-	return func(c *Client) {
-		c.profile = name
 	}
 }
 
@@ -123,12 +110,11 @@ func (c *Client) QueryWithProtection(source, dest roadnet.NodeID, fs, ft int) (R
 	switch {
 	case c.local != nil:
 		res := <-c.local.Submit(obfuscate.Request{
-			User:    c.user,
-			Source:  source,
-			Dest:    dest,
-			FS:      fs,
-			FT:      ft,
-			Profile: c.profile,
+			User:   c.user,
+			Source: source,
+			Dest:   dest,
+			FS:     fs,
+			FT:     ft,
 		})
 		if res.Err != nil {
 			return Result{}, res.Err
@@ -142,7 +128,6 @@ func (c *Client) QueryWithProtection(source, dest roadnet.NodeID, fs, ft int) (R
 			Dest:      dest,
 			FS:        fs,
 			FT:        ft,
-			Profile:   c.profile,
 		}
 		reply, err := c.remote.Do(req)
 		if err != nil {

@@ -17,9 +17,6 @@
 // returned from. The fleet mode does not affect placement.
 //
 // A reply comes from one shard and one epoch, so it never mixes metrics.
-// The router still checks that a reply echoes the query's weight profile; a
-// mismatch counts as fleet_profile_skew and the query retries after a short
-// backoff.
 //
 // Weight updates flow through the router (UpdateWeights): broadcast to every
 // reachable shard, and accumulated as last-write-wins per-arc state that is
@@ -89,9 +86,6 @@ type Config struct {
 	// retry backoff: once exceeded, the call fails with its last error
 	// instead of starting another attempt. Default 2s.
 	RetryTimeCap time.Duration
-	// SkewRetries is how many times a query whose reply echoed the wrong
-	// weight profile is retried before failing. Default 5.
-	SkewRetries int
 	// FailoverRetries is how many times a query that lost a shard (a
 	// ShardError after the per-shard retry budget) is placed again. By then
 	// the dead shard's breaker has tripped, so the query goes to a surviving
@@ -137,10 +131,6 @@ func (e *ShardError) Error() string {
 
 // Unwrap exposes the underlying cause.
 func (e *ShardError) Unwrap() error { return e.Err }
-
-// ErrProfileSkew reports a reply echoing a weight profile other than the
-// query's, after the SkewRetries budget.
-var ErrProfileSkew = errors.New("fleet: reply under the wrong weight profile")
 
 // shardLink is the router's connection slot for one shard: at most one live
 // multiplexed client, redialled (and replayed into) on demand, plus the
@@ -207,7 +197,6 @@ type Router struct {
 	// Pre-resolved counters.
 	mQueries        *metrics.Counter
 	mSubqueries     *metrics.Counter
-	mProfSkew       *metrics.Counter
 	mRetries        *metrics.Counter
 	mFailures       *metrics.Counter
 	mDegraded       *metrics.Counter
@@ -236,9 +225,6 @@ func New(cfg Config, dialers []Dialer) (*Router, error) {
 	if cfg.RetryTimeCap <= 0 {
 		cfg.RetryTimeCap = 2 * time.Second
 	}
-	if cfg.SkewRetries <= 0 {
-		cfg.SkewRetries = 5
-	}
 	if cfg.FailoverRetries <= 0 {
 		cfg.FailoverRetries = 2
 	}
@@ -266,7 +252,6 @@ func New(cfg Config, dialers []Dialer) (*Router, error) {
 	}
 	r.mQueries = r.metrics.CounterVar("fleet_queries")
 	r.mSubqueries = r.metrics.CounterVar("fleet_subqueries")
-	r.mProfSkew = r.metrics.CounterVar("fleet_profile_skew")
 	r.mRetries = r.metrics.CounterVar("fleet_shard_retries")
 	r.mFailures = r.metrics.CounterVar("fleet_shard_failures")
 	r.mDegraded = r.metrics.CounterVar("fleet_degraded_replies")
@@ -626,32 +611,6 @@ func (r *Router) routeShard(preferred int) int {
 	return best
 }
 
-// checkProfile verifies that a reply was computed under the query's weight
-// profile; a mismatch counts on fleet_profile_skew.
-func (r *Router) checkProfile(q protocol.ServerQuery, rep protocol.HeldReply) error {
-	if rep.Profile != q.Profile {
-		r.mProfSkew.Add(1)
-		return fmt.Errorf("%w: reply under profile %q, query under %q", ErrProfileSkew, rep.Profile, q.Profile)
-	}
-	return nil
-}
-
-// executeOnce places q on one shard and returns that shard's reply, which is
-// the whole answer; a shard failure after the retry budget fails the query
-// with its ShardError.
-func (r *Router) executeOnce(q protocol.ServerQuery, deadline time.Time) (protocol.HeldReply, error) {
-	shard := r.place()
-	r.mSubqueries.Add(1)
-	rep, err := r.callShard(shard, q, deadline)
-	if err != nil {
-		return protocol.HeldReply{}, err
-	}
-	if err := r.checkProfile(q, rep); err != nil {
-		return protocol.HeldReply{}, err
-	}
-	return rep, nil
-}
-
 // Execute answers one obfuscated query through the fleet; it implements
 // obfsvc.QueryExecutor.
 func (r *Router) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
@@ -660,7 +619,6 @@ func (r *Router) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
 
 // ExecuteDeadline is Execute bounded by an absolute deadline (zero = none)
 // that rides in every shard request and cuts retry backoff short. Queries
-// refused for profile skew retry up to Config.SkewRetries times; queries
 // that lost a shard (a transport-level ShardError after the per-shard budget
 // — by which point the shard's breaker has tripped) are placed again up to
 // Config.FailoverRetries times, landing on a surviving shard. The shard's
@@ -673,13 +631,13 @@ func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (pr
 	return held.Decode()
 }
 
-// relay answers one query with the placed shard's reply held as it arrived;
-// the mux handler forwards it unchanged and ExecuteDeadline decodes it.
+// relay answers one query with the placed shard's reply held as it arrived —
+// that one shard's reply is the whole answer; the mux handler forwards it
+// unchanged and ExecuteDeadline decodes it. A shard failure after the
+// per-shard retry budget fails the attempt with its ShardError.
 func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.HeldReply, error) {
 	r.mQueries.Add(1)
-	skewLeft := r.cfg.SkewRetries
 	failLeft := r.cfg.FailoverRetries
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if err := r.sleep(backoffDelay(attempt, r.cfg.RetryBackoff, r.cfg.BackoffCap), deadline); err != nil {
@@ -689,14 +647,14 @@ func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.Hel
 				return protocol.HeldReply{}, err
 			}
 		}
-		reply, err := r.executeOnce(q, deadline)
+		r.mSubqueries.Add(1)
+		reply, err := r.callShard(r.place(), q, deadline)
 		if err == nil {
 			if reply.Degraded {
 				r.mDegraded.Add(1)
 			}
 			return reply, nil
 		}
-		lastErr = err
 		switch {
 		case protocol.IsDeadlineExceeded(err):
 			// No budget left anywhere; retrying cannot beat the clock.
@@ -706,14 +664,9 @@ func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.Hel
 			// Close quiesced the router mid-query; a failover retry would
 			// sleep against the fresh quiesce channel instead of returning.
 			return protocol.HeldReply{}, err
-		case errors.Is(err, ErrProfileSkew):
-			if skewLeft == 0 {
-				return protocol.HeldReply{}, lastErr
-			}
-			skewLeft--
 		case isFailoverable(err):
 			if failLeft == 0 {
-				return protocol.HeldReply{}, lastErr
+				return protocol.HeldReply{}, err
 			}
 			failLeft--
 		default:
@@ -736,11 +689,11 @@ func isFailoverable(err error) bool {
 // obfsvc.BatchExecutor. Every query of the batch is placed on one shard and
 // each shard's queries travel as one streaming BatchQuery — one round of
 // frames per shard for the whole batch, not one per query. Queries that
-// failed (shard failure or profile skew) fall back to the per-query Execute
-// path with its own retry and failover budgets, so one sick shard degrades
-// the queries placed on it without poisoning the batch. Shard replies are
-// held as they arrived (the mux handler relays them so) and decoded here,
-// once each; a reply that does not decode fails its own query.
+// failed fall back to the per-query Execute path with its own retry and
+// failover budgets, so one sick shard degrades the queries placed on it
+// without poisoning the batch. Shard replies are held as they arrived (the
+// mux handler relays them so) and decoded here, once each; a reply that does
+// not decode fails its own query.
 func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
 	return r.ExecuteBatchDeadline(qs, time.Time{})
 }
@@ -798,7 +751,6 @@ func (r *Router) relayBatch(qs []protocol.ServerQuery, deadline time.Time) ([]pr
 					errs[qi] = &ShardError{Shard: shard, Err: errors.New(itemErrs[i])}
 				default:
 					replies[qi] = held[i]
-					errs[qi] = r.checkProfile(qs[qi], held[i])
 				}
 			}
 		}(shard, batch, slots[shard])

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"opaque/internal/costmodel"
 	"opaque/internal/fleet"
 	"opaque/internal/fleet/fleettest"
 	"opaque/internal/gen"
@@ -168,45 +167,6 @@ func TestFleetEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetProfileEquivalence runs the property over precustomized weight
-// profile layers: every shard resolves the named profile to the same metric,
-// so every reply equals the reference and no profile skew is counted.
-func TestFleetProfileEquivalence(t *testing.T) {
-	g := testGraph(t, 300, 1301)
-	cfg := server.DefaultConfig()
-	cfg.Profiles = costmodel.TimeOfDayProfiles()
-	cfg.PrewarmProfiles = true
-
-	ref := server.MustNew(g, cfg)
-	cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Server: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	qs := makeQueries(g, 8, 4401)
-	for qi := range qs {
-		qs[qi].Profile = cfg.Profiles[qi%len(cfg.Profiles)].Name
-	}
-	for _, q := range qs {
-		want, err := ref.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.Router.Execute(q)
-		if err != nil {
-			t.Fatalf("profile %q query %d: %v", q.Profile, q.QueryID, err)
-		}
-		if got.Profile != q.Profile {
-			t.Errorf("query %d echoed profile %q, want %q", q.QueryID, got.Profile, q.Profile)
-		}
-		assertSameReply(t, fmt.Sprintf("profile %q q%d", q.Profile, q.QueryID), got, want)
-	}
-	if n := cl.Router.Metrics().Counter("fleet_profile_skew"); n != 0 {
-		t.Errorf("fleet_profile_skew = %d on a uniform fleet", n)
-	}
-}
-
 // TestFleetWeightUpdateEquivalence drives live weight updates through the
 // router and checks the fleet keeps answering exactly like a single server
 // receiving the same updates.
@@ -265,7 +225,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 	cl, err := fleettest.New(g, fleettest.Options{
 		Shards: 2,
 		Fleet: fleet.Config{
-			Retries: 1, RetryBackoff: time.Millisecond, SkewRetries: 1,
+			Retries: 1, RetryBackoff: time.Millisecond,
 			FailThreshold: 2, BreakerCooldown: time.Second,
 		},
 	})

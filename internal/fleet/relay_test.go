@@ -3,8 +3,8 @@ package fleet_test
 // The relay battery: the router forwards each shard reply to the obfuscator
 // as the bytes it arrived as, reading only the reply header. Seen from a
 // client dialled to the router's mux handler, every reply must still be the
-// shard's own answer, and the header checks — profile skew, degraded
-// counting — and per-query failure isolation must hold as before.
+// shard's own answer, and degraded counting and per-query failure isolation
+// must hold as before.
 
 import (
 	"errors"
@@ -225,7 +225,7 @@ func tamperedRouter(t *testing.T, g *roadnet.Graph, tamper func(protocol.ServerQ
 			return c, err
 		}
 	}
-	r, err := fleet.New(fleet.Config{SkewRetries: 1, RetryBackoff: time.Millisecond}, dialers)
+	r, err := fleet.New(fleet.Config{RetryBackoff: time.Millisecond}, dialers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,33 +234,6 @@ func tamperedRouter(t *testing.T, g *roadnet.Graph, tamper func(protocol.ServerQ
 		serving.Wait()
 	})
 	return r
-}
-
-// TestRelayRefusesProfileSkew: a shard reply echoing another weight profile
-// is refused from its header alone and counted on fleet_profile_skew.
-func TestRelayRefusesProfileSkew(t *testing.T) {
-	g := testGraph(t, 300, 3301)
-	r := tamperedRouter(t, g, func(_ protocol.ServerQuery, rep protocol.ServerReply) any {
-		rep.Profile = "pm-peak"
-		return rep
-	})
-	c := dialRouter(t, r, protocol.MuxServerConfig{})
-	qs := squareQueries(g, 3, 3, 3302)
-	br, err := c.DoBatch(protocol.BatchQuery{BatchID: 1, Queries: qs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, msg := range br.Errors {
-		if !strings.Contains(msg, fleet.ErrProfileSkew.Error()) {
-			t.Errorf("batch query %d under the wrong profile: error %q", qs[i].QueryID, msg)
-		}
-	}
-	if _, err := c.Do(qs[0]); err == nil || !strings.Contains(err.Error(), fleet.ErrProfileSkew.Error()) {
-		t.Errorf("unary query under the wrong profile: %v", err)
-	}
-	if n := r.Metrics().Counter("fleet_profile_skew"); n < int64(len(qs)+1) {
-		t.Errorf("fleet_profile_skew = %d after %d skewed queries", n, len(qs)+1)
-	}
 }
 
 // TestRelayedMalformedTableFailsOnlyItsQuery: the router does not read a

@@ -5,8 +5,8 @@ package fleet_test
 // It asserts the invariants that must hold under arbitrary interleaving —
 // every successful reply is one whole table from one shard (whole-query
 // placement makes mixed-generation tables impossible by construction),
-// failures are only bounded-retry shard errors or profile skew, and after the
-// churn stops the fleet converges back to exact reference answers.
+// failures are only bounded-retry shard errors, and after the churn stops
+// the fleet converges back to exact reference answers.
 //
 // The default run is short enough for the ordinary test suite; CI's soak step
 // stretches it with FLEET_SOAK_SECONDS=10 under -race.
@@ -102,7 +102,7 @@ func TestFleetChurnSoak(t *testing.T) {
 
 	// Query load: several workers hammering the router while the metric
 	// churns underneath. Failures must be typed — a shard error inside the
-	// kill window or profile skew — never a malformed or mixed reply.
+	// kill window — never a malformed or mixed reply.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -119,7 +119,7 @@ func TestFleetChurnSoak(t *testing.T) {
 				queries.Add(1)
 				if err != nil {
 					var se *fleet.ShardError
-					if errors.As(err, &se) || errors.Is(err, fleet.ErrProfileSkew) {
+					if errors.As(err, &se) {
 						degradedQueries.Add(1)
 						continue
 					}
@@ -212,7 +212,7 @@ func chaosDuration(t *testing.T) time.Duration {
 // dials — one faulted shard at a time, always restored before the next
 // strike. The assertions are the fault-tolerance contract: availability
 // stays above a floor during the chaos (failover routes around every fault
-// the health model can see), every failure is typed (shard/skew/deadline —
+// the health model can see), every failure is typed (shard/deadline —
 // never a malformed or mixed-generation reply), and once the faults stop the
 // fleet converges back to exact single-server answers via replay.
 //
@@ -310,9 +310,7 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 				if err != nil {
 					var se *fleet.ShardError
 					switch {
-					case errors.As(err, &se),
-						errors.Is(err, fleet.ErrProfileSkew),
-						protocol.IsDeadlineExceeded(err):
+					case errors.As(err, &se), protocol.IsDeadlineExceeded(err):
 						failures.Add(1)
 						continue
 					default:

@@ -95,12 +95,11 @@ func (s *Service) MuxHandler() protocol.MuxHandler {
 			return nil, fmt.Errorf("obfsvc: unexpected message type %T", msg)
 		}
 		res := <-s.Submit(obfuscate.Request{
-			User:    obfuscate.UserID(req.User),
-			Source:  req.Source,
-			Dest:    req.Dest,
-			FS:      req.FS,
-			FT:      req.FT,
-			Profile: req.Profile,
+			User:   obfuscate.UserID(req.User),
+			Source: req.Source,
+			Dest:   req.Dest,
+			FS:     req.FS,
+			FT:     req.FT,
 		})
 		reply := protocol.ClientReply{RequestID: req.RequestID, Found: res.Found}
 		if res.Err != nil {

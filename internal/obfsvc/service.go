@@ -173,16 +173,8 @@ func (s *Service) Metrics() *metrics.Registry { return s.metrics }
 // the executor, filters the candidates and returns one result per request in
 // batch order. This synchronous entry point is what experiments and the
 // in-process deployment use; Submit builds on it for the asynchronous,
-// batching-window flow.
-//
-// Requests carrying different weight profiles are obfuscated in separate
-// groups: one obfuscated query is answered under exactly one metric, so a
-// shared query mixing profiles would hand some of its members another
-// regime's distances. The grouping costs nothing in anonymity — the
-// k-anonymous padding pairs of each query are drawn per group exactly as they
-// would be per batch — but it does mean the shared-mode amortisation only
-// happens among same-profile requests. A group that fails to obfuscate fails
-// only its own requests; the other groups still complete.
+// batching-window flow. A batch that fails to obfuscate fails every request;
+// a query that fails to evaluate or filter fails only its own members.
 func (s *Service) ProcessBatch(batch []obfuscate.Request) ([]ClientResult, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("obfsvc: empty batch")
@@ -192,88 +184,19 @@ func (s *Service) ProcessBatch(batch []obfuscate.Request) ([]ClientResult, error
 		results[i] = ClientResult{Request: batch[i]}
 	}
 
-	// Group batch positions by profile, preserving first-seen order so
-	// single-profile batches (the common case) behave byte-for-byte like the
-	// ungrouped path.
-	order := make([]string, 0, 1)
-	groups := make(map[string][]int, 1)
-	for i, req := range batch {
-		if _, ok := groups[req.Profile]; !ok {
-			order = append(order, req.Profile)
-		}
-		groups[req.Profile] = append(groups[req.Profile], i)
-	}
-
-	var obfDur, filterDur time.Duration
-	var sent, candidates int64
-	for _, profile := range order {
-		idxs := groups[profile]
-		sub := make([]obfuscate.Request, len(idxs))
-		for j, i := range idxs {
-			sub[j] = batch[i]
-		}
-		g := s.processGroup(profile, sub)
-		for j, i := range idxs {
-			results[i] = g.results[j]
-		}
-		obfDur += g.obfDur
-		filterDur += g.filterDur
-		sent += g.sent
-		candidates += g.candidates
-	}
-
-	s.statsMu.Lock()
-	s.stats.Requests += int64(len(batch))
-	s.stats.Batches++
-	s.stats.ObfuscatedSent += sent
-	s.stats.CandidatesRecv += candidates
-	s.stats.ObfuscationNanos += obfDur.Nanoseconds()
-	s.stats.FilterNanos += filterDur.Nanoseconds()
-	s.statsMu.Unlock()
-
-	s.metrics.Add("requests", int64(len(batch)))
-	s.metrics.Add("batches", 1)
-	s.metrics.Add("obfuscated_queries_sent", sent)
-	s.metrics.Add("candidate_paths_received", candidates)
-	s.metrics.Observe("obfuscation_latency", obfDur)
-	s.metrics.Observe("filter_latency", filterDur)
-	s.metrics.SetGauge("last_batch_size", float64(len(batch)))
-
-	// "the satisfied requests are immediately discarded in the obfuscator"
-	// — nothing about the batch is retained beyond the counters above.
-	return results, nil
-}
-
-// groupOutcome is what processGroup hands back for one same-profile group.
-type groupOutcome struct {
-	results          []ClientResult
-	obfDur           time.Duration
-	filterDur        time.Duration
-	sent, candidates int64
-}
-
-// processGroup runs the obfuscate → evaluate → filter pipeline for one
-// same-profile group of requests, stamping the profile onto every outgoing
-// ServerQuery.
-func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupOutcome {
-	out := groupOutcome{results: make([]ClientResult, len(batch))}
-	for i := range out.results {
-		out.results[i] = ClientResult{Request: batch[i]}
-	}
-
 	start := time.Now()
 	s.obfMu.Lock()
 	plan, err := s.obf.Obfuscate(batch)
 	s.obfMu.Unlock()
-	out.obfDur = time.Since(start)
+	obfDur := time.Since(start)
 	if err != nil {
 		err = fmt.Errorf("obfsvc: obfuscation failed: %w", err)
-		for i := range out.results {
-			out.results[i].Err = err
+		for i := range results {
+			results[i].Err = err
 		}
-		return out
+		s.record(len(batch), 0, 0, obfDur, 0)
+		return results, nil
 	}
-	out.sent = int64(len(plan.Queries))
 
 	// Evaluate the whole obfuscation plan. Batch-capable executors receive
 	// every query at once — one round trip in the networked deployment, and
@@ -286,7 +209,6 @@ func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupO
 			QueryID: s.queryID.Add(1),
 			Sources: q.Sources,
 			Dests:   q.Dests,
-			Profile: profile,
 		}
 	}
 	var replies []protocol.ServerReply
@@ -301,13 +223,15 @@ func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupO
 		}
 	}
 
+	var filterDur time.Duration
+	var candidates int64
 	for qi, q := range plan.Queries {
 		// failMembers marks every member of this query as failed; the other
 		// queries of the plan keep processing.
 		failMembers := func(err error) {
 			for i := range batch {
 				if id, ok := plan.Assignment[i]; ok && id == q.ID {
-					out.results[i].Err = err
+					results[i].Err = err
 				}
 			}
 		}
@@ -315,10 +239,10 @@ func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupO
 			failMembers(errs[qi])
 			continue
 		}
-		out.candidates += int64(len(replies[qi].Paths))
+		candidates += int64(len(replies[qi].Paths))
 		fstart := time.Now()
 		extracted, ferr := s.filt.Extract(q, candidateSet{sources: q.Sources, dests: q.Dests, paths: replies[qi].Paths})
-		out.filterDur += time.Since(fstart)
+		filterDur += time.Since(fstart)
 		if ferr != nil {
 			failMembers(ferr)
 			continue
@@ -330,13 +254,37 @@ func (s *Service) processGroup(profile string, batch []obfuscate.Request) groupO
 					continue
 				}
 				if batch[i].User == ext.Request.User && batch[i].Source == ext.Request.Source && batch[i].Dest == ext.Request.Dest {
-					out.results[i].Path = ext.Path
-					out.results[i].Found = ext.Found
+					results[i].Path = ext.Path
+					results[i].Found = ext.Found
 				}
 			}
 		}
 	}
-	return out
+	s.record(len(batch), int64(len(plan.Queries)), candidates, obfDur, filterDur)
+
+	// "the satisfied requests are immediately discarded in the obfuscator"
+	// — nothing about the batch is retained beyond the counters record keeps.
+	return results, nil
+}
+
+// record adds one processed batch to the service counters and metrics.
+func (s *Service) record(requests int, sent, candidates int64, obfDur, filterDur time.Duration) {
+	s.statsMu.Lock()
+	s.stats.Requests += int64(requests)
+	s.stats.Batches++
+	s.stats.ObfuscatedSent += sent
+	s.stats.CandidatesRecv += candidates
+	s.stats.ObfuscationNanos += obfDur.Nanoseconds()
+	s.stats.FilterNanos += filterDur.Nanoseconds()
+	s.statsMu.Unlock()
+
+	s.metrics.Add("requests", int64(requests))
+	s.metrics.Add("batches", 1)
+	s.metrics.Add("obfuscated_queries_sent", sent)
+	s.metrics.Add("candidate_paths_received", candidates)
+	s.metrics.Observe("obfuscation_latency", obfDur)
+	s.metrics.Observe("filter_latency", filterDur)
+	s.metrics.SetGauge("last_batch_size", float64(requests))
 }
 
 // Submit enqueues one request and returns a channel that will receive the

@@ -27,12 +27,6 @@ type Request struct {
 	// are treated as 1 (no obfuscation on that side).
 	FS int
 	FT int
-	// Profile optionally names the server-side weight profile (time-of-day
-	// metric) the query should be answered under; empty means the live
-	// metric. Requests are only ever obfuscated together with requests of
-	// the same profile — one obfuscated query is evaluated under exactly one
-	// metric.
-	Profile string
 }
 
 // Validate checks the request against the graph it will be evaluated on.

@@ -20,9 +20,9 @@ package protocol
 //     suffix beyond. It decodes into exactly two allocations, a
 //     []CandidatePath slab and a []NodeID arena every Nodes sub-slices.
 //   - A reply's header — QueryID, Degraded, SettledNodes, PageFaults,
-//     Generation, ContentSum, Profile — precedes its table, so a relay reads
-//     the header alone and holds the body as bytes (HeldReply): the fleet
-//     router forwards shard replies without decoding or re-encoding a path.
+//     Generation, ContentSum — precedes its table, so a relay reads the
+//     header alone and holds the body as bytes (HeldReply): the fleet router
+//     forwards shard replies without decoding or re-encoding a path.
 //     Held bodies alias their payload; every decoded message owns its memory.
 //   - Decoding validates every count against the bytes that remain before
 //     allocating, and bounds the one place the format expands (a shared
@@ -43,7 +43,7 @@ import (
 // in every payload header and is checked at the handshake: peers speaking
 // different versions refuse each other with ErrHandshake instead of
 // misreading each other's bytes.
-const CodecVersion = 1
+const CodecVersion = 2
 
 // payloadHeaderLen is the fixed header every payload starts with.
 const payloadHeaderLen = 10
@@ -193,8 +193,8 @@ func ReadHeldReply(payload []byte) (HeldReply, int64, error) {
 	return h, deadline, err
 }
 
-// holdReply reads a reply body's header fields and holds the body. The one
-// allocation is the Profile string, and only when it is not empty.
+// holdReply reads a reply body's header fields and holds the body. It
+// allocates nothing.
 func holdReply(body []byte) (HeldReply, error) {
 	r := wireReader{b: body}
 	h := HeldReply{QueryID: r.uvarint(), Degraded: r.bool()}
@@ -202,7 +202,6 @@ func holdReply(body []byte) (HeldReply, error) {
 	r.varint() // PageFaults
 	h.Generation = r.uvarint()
 	h.ContentSum = r.u64()
-	h.Profile = r.str()
 	if r.err != nil {
 		return HeldReply{}, fmt.Errorf("reading reply header: %w", r.err)
 	}
@@ -283,8 +282,7 @@ func (m ClientRequest) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendVarint(dst, int64(m.Source))
 	dst = binary.AppendVarint(dst, int64(m.Dest))
 	dst = binary.AppendVarint(dst, int64(m.FS))
-	dst = binary.AppendVarint(dst, int64(m.FT))
-	return appendString(dst, m.Profile), nil
+	return binary.AppendVarint(dst, int64(m.FT)), nil
 }
 
 //opaque:noalloc
@@ -300,7 +298,6 @@ func (m ClientReply) appendBody(dst []byte) ([]byte, error) {
 func (q ServerQuery) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, q.QueryID)
 	dst = appendBool(dst, q.DistanceOnly)
-	dst = appendString(dst, q.Profile)
 	return appendIDs(appendIDs(dst, q.Sources), q.Dests), nil
 }
 
@@ -364,10 +361,6 @@ func (h Hello) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, h.Generation)
 	dst = appendU64(dst, h.ContentSum)
 	dst = binary.AppendVarint(dst, int64(h.Cells))
-	dst = binary.AppendUvarint(dst, uint64(len(h.Profiles)))
-	for _, p := range h.Profiles {
-		dst = appendString(dst, p)
-	}
 	return binary.AppendVarint(dst, int64(h.MaxInFlight)), nil
 }
 
@@ -419,7 +412,6 @@ func (r ServerReply) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendVarint(dst, r.PageFaults)
 	dst = binary.AppendUvarint(dst, r.Generation)
 	dst = appendU64(dst, r.ContentSum)
-	dst = appendString(dst, r.Profile)
 	dst = binary.AppendUvarint(dst, uint64(nS))
 	dst = binary.AppendUvarint(dst, uint64(nT))
 	if len(r.Paths) == 0 {
@@ -666,7 +658,6 @@ func (r *wireReader) clientRequest() ClientRequest {
 	m.Dest = r.nodeID(0)
 	m.FS = r.int()
 	m.FT = r.int()
-	m.Profile = r.str()
 	return m
 }
 
@@ -679,7 +670,7 @@ func (r *wireReader) clientReply() ClientReply {
 }
 
 func (r *wireReader) serverQuery() ServerQuery {
-	q := ServerQuery{QueryID: r.uvarint(), DistanceOnly: r.bool(), Profile: r.str()}
+	q := ServerQuery{QueryID: r.uvarint(), DistanceOnly: r.bool()}
 	q.Sources = r.ids()
 	q.Dests = r.ids()
 	return q
@@ -692,8 +683,8 @@ func (r *wireReader) batchItemHead() BatchItem {
 
 func (r *wireReader) batchQuery() BatchQuery {
 	b := BatchQuery{BatchID: r.uvarint()}
-	// A query is at least five bytes: id, flag, profile length, two counts.
-	if n := r.count(5, "queries"); n > 0 {
+	// A query is at least four bytes: id, flag, two counts.
+	if n := r.count(4, "queries"); n > 0 {
 		b.Queries = make([]ServerQuery, n)
 		for i := range b.Queries {
 			b.Queries[i] = r.serverQuery()
@@ -719,12 +710,6 @@ func (r *wireReader) weightUpdate() WeightUpdate {
 
 func (r *wireReader) hello() Hello {
 	h := Hello{Node: r.str(), Role: r.str(), Generation: r.uvarint(), ContentSum: r.u64(), Cells: r.int()}
-	if n := r.count(1, "profile names"); n > 0 {
-		h.Profiles = make([]string, n)
-		for i := range h.Profiles {
-			h.Profiles[i] = r.str()
-		}
-	}
 	h.MaxInFlight = r.int()
 	return h
 }
@@ -738,7 +723,6 @@ func (r *wireReader) serverReply(rep *ServerReply) {
 	rep.PageFaults = r.varint()
 	rep.Generation = r.uvarint()
 	rep.ContentSum = r.u64()
-	rep.Profile = r.str()
 	nS := r.count(1, "source ids")
 	nT := r.count(1, "destination ids")
 	// Both counts are bounded by the payload length, so the 64-bit product

@@ -13,13 +13,13 @@ import (
 // what the decoder allocated for it.
 func footprint(msg any) int {
 	reply := func(r *ServerReply) int {
-		n := 48*len(r.Paths) + len(r.Profile)
+		n := 48 * len(r.Paths)
 		for i := range r.Paths {
 			n += 4 * len(r.Paths[i].Nodes)
 		}
 		return n
 	}
-	query := func(q *ServerQuery) int { return 80 + 4*(len(q.Sources)+len(q.Dests)) + len(q.Profile) }
+	query := func(q *ServerQuery) int { return 80 + 4*(len(q.Sources)+len(q.Dests)) }
 	switch m := msg.(type) {
 	case ServerReply:
 		return reply(&m)
@@ -38,13 +38,9 @@ func footprint(msg any) int {
 	case ClientReply:
 		return 4*len(m.Path) + len(m.Error)
 	case ClientRequest:
-		return len(m.User) + len(m.Profile)
+		return len(m.User)
 	case Hello:
-		n := len(m.Node) + len(m.Role) + 16*len(m.Profiles)
-		for _, p := range m.Profiles {
-			n += len(p)
-		}
-		return n
+		return len(m.Node) + len(m.Role)
 	case ErrorReply:
 		return len(m.Message)
 	}
@@ -101,7 +97,7 @@ func readHeld(data []byte) (any, error) {
 // sameHeader reports whether a held reply carries a decoded reply's header.
 func sameHeader(h HeldReply, rep ServerReply) bool {
 	return h.QueryID == rep.QueryID && h.Degraded == rep.Degraded && h.Generation == rep.Generation &&
-		h.ContentSum == rep.ContentSum && h.Profile == rep.Profile
+		h.ContentSum == rep.ContentSum
 }
 
 // checkHeld asserts the relay's read against the full decode of one payload:
@@ -177,14 +173,14 @@ func FuzzDecodeServerReply(f *testing.F) {
 		BatchItem{BatchID: 1, Index: 2, Reply: randomReply(rng, 2, 3, false)},
 	)
 	// |S| = |T| = 2^32: the product overflows 64 bits' worth of cells.
-	f.Add([]byte{byte(TypeServerReply), CodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 0x80, 0x80, 0x10})
+	f.Add([]byte{byte(TypeServerReply), CodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x80, 0x80, 0x80, 0x10})
 	f.Fuzz(fuzzDecode)
 }
 
 // FuzzDecodeBatchQuery covers BatchQuery and, through it, ServerQuery.
 func FuzzDecodeBatchQuery(f *testing.F) {
 	seed(f,
-		ServerQuery{QueryID: 9, Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}, Profile: "am-peak"},
+		ServerQuery{QueryID: 9, Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}},
 		BatchQuery{BatchID: 5, Queries: []ServerQuery{{QueryID: 1, Sources: []roadnet.NodeID{7, 70000}, Dests: []roadnet.NodeID{8, 9}}, {QueryID: 2, DistanceOnly: true}}},
 		BatchQuery{},
 	)

@@ -36,11 +36,11 @@ func roundTrip(t testing.TB, msg any, deadline int64) any {
 
 func TestMessageRoundTrip(t *testing.T) {
 	messages := []any{
-		ClientRequest{RequestID: 1, User: "alice", Source: 2, Dest: 3, FS: 4, FT: 5, Profile: "am-peak"},
+		ClientRequest{RequestID: 1, User: "alice", Source: 2, Dest: 3, FS: 4, FT: 5},
 		ClientReply{RequestID: 1, Found: true, Path: []roadnet.NodeID{1, 2, 3}, Cost: 7},
 		ClientReply{RequestID: 2, Error: "no route"},
 		ServerQuery{QueryID: 9, Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}, DistanceOnly: true},
-		ServerReply{QueryID: 9, SettledNodes: 10, PageFaults: 3, Generation: 4, ContentSum: 0xfeedface, Profile: "pm",
+		ServerReply{QueryID: 9, SettledNodes: 10, PageFaults: 3, Generation: 4, ContentSum: 0xfeedface,
 			Paths: []CandidatePath{{Source: 1, Dest: 3, Found: true, Nodes: []roadnet.NodeID{1, 3}, Cost: 2}}},
 		ServerReply{},
 		BatchQuery{BatchID: 5, Queries: []ServerQuery{{QueryID: 1, Sources: []roadnet.NodeID{7}, Dests: []roadnet.NodeID{8, 9}}, {QueryID: 2}}},
@@ -48,7 +48,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		WeightUpdate{UpdateID: 11, Changes: []roadnet.ArcWeightChange{{From: 1, To: 2, NewCost: 3.5}}},
 		WeightUpdateAck{UpdateID: 11, Generation: 2, ContentSum: 0xbeef},
 		ErrorReply{RefID: 4, Message: "boom"},
-		Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, Profiles: []string{"am-peak"}, MaxInFlight: 64},
+		Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64},
 	}
 	for _, msg := range messages {
 		if got := roundTrip(t, msg, 12345); !reflect.DeepEqual(got, msg) {
@@ -77,9 +77,6 @@ func randomReply(rng *rand.Rand, nS, nT int, degraded bool) ServerReply {
 		Generation:   uint64(rng.Intn(100)),
 		ContentSum:   rng.Uint64(),
 		Degraded:     degraded,
-	}
-	if rng.Intn(3) == 0 {
-		rep.Profile = "am-peak"
 	}
 	srcs := make([]roadnet.NodeID, nS)
 	dsts := make([]roadnet.NodeID, nT)
@@ -191,7 +188,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 // and one node arena, every Nodes a capacity-clipped window of the arena.
 func TestDecodedReplyIsTwoAllocations(t *testing.T) {
 	rep := randomReply(rand.New(rand.NewSource(3)), 16, 16, false)
-	rep.Profile = "" // a profile name is a third, string allocation
 	payload, err := AppendMessage(nil, rep, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -298,9 +294,12 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				t.Fatalf("%T cut to %d of %d bytes: err = %v, want a typed payload error", msg, n, len(payload), err)
 			}
 		}
-		payload[1] = CodecVersion + 1
-		if _, _, err := DecodeMessage(payload); !errors.Is(err, ErrCodecVersion) {
-			t.Errorf("%T with a foreign version: err = %v, want ErrCodecVersion", msg, err)
+		// The previous version and a future one are both foreign.
+		for _, v := range []byte{CodecVersion - 1, CodecVersion + 1} {
+			payload[1] = v
+			if _, _, err := DecodeMessage(payload); !errors.Is(err, ErrCodecVersion) {
+				t.Errorf("%T with version %d: err = %v, want ErrCodecVersion", msg, v, err)
+			}
 		}
 	}
 }

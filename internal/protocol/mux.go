@@ -7,8 +7,8 @@ package protocol
 //
 //   - a Hello/Welcome handshake: the dialling side announces itself, the
 //     accepting side answers with its identity, data generation, weight
-//     content checksum, partition shape and profile catalog — what a fleet
-//     router needs to admit a shard;
+//     content checksum and partition shape — what a fleet router needs to
+//     admit a shard;
 //   - streaming batch replies: a BatchQuery is answered as one
 //     FrameStreamItem per query, emitted as each query completes, closed by
 //     FrameStreamEnd — the client reassembles the BatchReply;
@@ -51,9 +51,8 @@ type Hello struct {
 	Generation uint64
 	ContentSum uint64
 	// Cells is the partition cell count of the serving peer's overlay (0 =
-	// unpartitioned); Profiles its precustomized weight-profile catalog.
-	Cells    int
-	Profiles []string
+	// unpartitioned).
+	Cells int
 	// MaxInFlight advertises the per-connection admission window the serving
 	// peer enforces.
 	MaxInFlight int
@@ -241,7 +240,7 @@ func NewMuxClient(raw net.Conn, hello Hello) (*MuxClient, error) {
 }
 
 // Peer returns the accepting side's Hello: its identity, generation, content
-// checksum, partition shape and profile catalog — as of the handshake, or of
+// checksum and partition shape — as of the handshake, or of
 // the latest Ping pong, whichever is fresher.
 func (c *MuxClient) Peer() Hello {
 	c.mu.Lock()

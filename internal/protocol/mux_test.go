@@ -47,15 +47,12 @@ var echoHandler = MuxHandlerFunc(func(msg any, info ReqInfo) (any, error) {
 
 func TestMuxHandshakeCarriesIdentity(t *testing.T) {
 	cfg := MuxServerConfig{Hello: func() Hello {
-		return Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, Profiles: []string{"am-peak"}}
+		return Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8}
 	}}
 	c := muxPair(t, echoHandler, cfg)
 	peer := c.Peer()
 	if peer.Node != "shard-0" || peer.Role != "server" || peer.Generation != 3 || peer.ContentSum != 0xfeed || peer.Cells != 8 {
 		t.Errorf("peer hello = %+v", peer)
-	}
-	if len(peer.Profiles) != 1 || peer.Profiles[0] != "am-peak" {
-		t.Errorf("peer profiles = %v", peer.Profiles)
 	}
 	if peer.MaxInFlight != DefaultMaxInFlight {
 		t.Errorf("advertised admission window %d, want default %d", peer.MaxInFlight, DefaultMaxInFlight)
@@ -506,7 +503,7 @@ func TestHandshakeRefusesForeignCodecVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello[1] = CodecVersion + 1
+	hello[1] = CodecVersion - 1 // a peer still speaking the previous version
 	if err := WriteFrame(clientEnd, Frame{Type: FrameHello, Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +721,7 @@ func TestUnaryCallRegistersOneSlot(t *testing.T) {
 func FuzzMuxHello(f *testing.F) {
 	for _, h := range []Hello{
 		{},
-		{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64, Profiles: []string{"am-peak", "pm-peak"}},
+		{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64},
 		{Node: "router", Role: "router"},
 	} {
 		payload, err := AppendMessage(nil, h, 0)

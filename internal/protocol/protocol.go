@@ -51,10 +51,6 @@ type ClientRequest struct {
 	Dest      roadnet.NodeID
 	FS        int
 	FT        int
-	// Profile optionally names a server-side weight profile (a precustomized
-	// time-of-day metric, e.g. "am-peak") the query should be answered under.
-	// Empty means the live metric.
-	Profile string
 }
 
 // ClientReply is the obfuscator-to-client answer: the requested path.
@@ -75,12 +71,6 @@ type ServerQuery struct {
 	QueryID uint64
 	Sources []roadnet.NodeID
 	Dests   []roadnet.NodeID
-	// Profile optionally routes the query to a named precustomized weight
-	// profile layer instead of the live metric. The profile name is regime
-	// information ("plan for the morning peak"), not user identity: every
-	// member of a shared query necessarily travels under the same profile,
-	// so it reveals nothing about who is inside the query.
-	Profile string
 	// DistanceOnly asks for the |S|×|T| cost table without materialised node
 	// sequences — the degraded answer an overloaded server sheds to (the
 	// many-to-many engine computes it without unpacking a single path). The
@@ -121,10 +111,6 @@ type ServerReply struct {
 	// content-derived and is.
 	Generation uint64
 	ContentSum uint64
-	// Profile echoes the weight profile the query was answered under ("" =
-	// live metric); the fleet router refuses a reply whose echoed profile
-	// is not the query's.
-	Profile string
 	// Degraded marks a distance-only reply: admission control shed the query
 	// to the many-to-many distance table and no node sequences were
 	// materialised (every CandidatePath has nil Nodes).
@@ -134,8 +120,7 @@ type ServerReply struct {
 // HeldReply is a ServerReply held in its wire form: the header fields a
 // relay acts on are decoded, the candidate table stays the encoded bytes it
 // arrived as. A fleet router forwards shard replies this way — it reads the
-// header to count degraded replies and to refuse a reply under the wrong
-// weight profile, and writes the body back out unchanged, so the |S|·|T|
+// header to count degraded replies, and writes the body back out unchanged, so the |S|·|T|
 // paths are encoded once, by the shard, and decoded once, by the
 // obfuscator. Read one with ReadHeldReply (or MuxClient.DoHeld and
 // DoBatchHeld), decode it with Decode; AppendMessage writes it as the
@@ -150,7 +135,6 @@ type HeldReply struct {
 	Degraded   bool
 	Generation uint64
 	ContentSum uint64
-	Profile    string
 
 	// body is the reply's whole encoded body, QueryID first; nil when
 	// nothing is held.

@@ -17,7 +17,7 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 		randomReply(rng, 3, 3, false),
 		randomReply(rng, 16, 16, false),
 		randomReply(rng, 4, 2, true),
-		{QueryID: 5, Profile: "am-peak"},
+		{QueryID: 5},
 	} {
 		payload, err := AppendMessage(nil, rep, 987)
 		if err != nil {
@@ -28,7 +28,7 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 			t.Fatalf("query %d: %v", rep.QueryID, err)
 		}
 		if held.QueryID != rep.QueryID || held.Degraded != rep.Degraded || held.Generation != rep.Generation ||
-			held.ContentSum != rep.ContentSum || held.Profile != rep.Profile || deadline != 987 {
+			held.ContentSum != rep.ContentSum || deadline != 987 {
 			t.Fatalf("query %d: held header %+v (deadline %d) differs from the reply", rep.QueryID, held, deadline)
 		}
 		again, err := AppendMessage(nil, held, 987)
@@ -84,14 +84,13 @@ func TestHeldReplyDefersTableErrors(t *testing.T) {
 }
 
 // TestRelayAllocs pins the relay's allocation contract: reading a recorded
-// 16×16 reply's header allocates at most its profile string, and writing the
-// held reply into a reused buffer allocates nothing.
+// 16×16 reply's header allocates nothing, and neither does writing the held
+// reply into a reused buffer.
 func TestRelayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	rep := recordedReply(t, 16)
-	rep.Profile = "am-peak"
 	payload, err := AppendMessage(nil, rep, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +101,8 @@ func TestRelayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if read > 1 {
-		t.Errorf("header read allocated %v times, want at most 1 (the profile string)", read)
+	if read > 0 {
+		t.Errorf("header read allocated %v times, want 0", read)
 	}
 	// By pointer, as the transport hands a streamed item to the encoder:
 	// boxing the value into an interface would be an allocation of its own.

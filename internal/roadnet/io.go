@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -69,17 +70,17 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if id != g.NumNodes() {
 				return nil, fmt.Errorf("roadnet: line %d: node ids must be dense and increasing (got %d, want %d)", lineNo, id, g.NumNodes())
 			}
-			x, err := strconv.ParseFloat(fields[2], 64)
+			x, err := parseFinite(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad x: %v", lineNo, err)
 			}
-			y, err := strconv.ParseFloat(fields[3], 64)
+			y, err := parseFinite(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad y: %v", lineNo, err)
 			}
 			w := 1.0
 			if len(fields) >= 5 {
-				w, err = strconv.ParseFloat(fields[4], 64)
+				w, err = parseFinite(fields[4])
 				if err != nil {
 					return nil, fmt.Errorf("roadnet: line %d: bad weight: %v", lineNo, err)
 				}
@@ -89,24 +90,24 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) < 4 {
 				return nil, fmt.Errorf("roadnet: line %d: edge needs from to cost", lineNo)
 			}
-			from, err := strconv.Atoi(fields[1])
+			from, err := parseID(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad from: %v", lineNo, err)
 			}
-			to, err := strconv.Atoi(fields[2])
+			to, err := parseID(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad to: %v", lineNo, err)
 			}
-			cost, err := strconv.ParseFloat(fields[3], 64)
+			cost, err := parseFinite(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad cost: %v", lineNo, err)
 			}
 			if fields[0] == "e" {
-				if err := g.AddEdge(NodeID(from), NodeID(to), cost); err != nil {
+				if err := g.AddEdge(from, to, cost); err != nil {
 					return nil, fmt.Errorf("roadnet: line %d: %v", lineNo, err)
 				}
 			} else {
-				if err := g.AddBidirectionalEdge(NodeID(from), NodeID(to), cost); err != nil {
+				if err := g.AddBidirectionalEdge(from, to, cost); err != nil {
 					return nil, fmt.Errorf("roadnet: line %d: %v", lineNo, err)
 				}
 			}
@@ -119,4 +120,22 @@ func ReadText(r io.Reader) (*Graph, error) {
 	}
 	g.Freeze()
 	return g, nil
+}
+
+// parseFinite parses a coordinate, node weight or arc cost. The file comes
+// from outside the program, and ParseFloat also accepts NaN and ±Inf, which
+// would reach every extent and page layout computed from the map.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
+}
+
+// parseID parses an edge endpoint as a NodeID, refusing ids a NodeID cannot
+// hold instead of wrapping them onto another node.
+func parseID(s string) (NodeID, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	return NodeID(v), err
 }

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -107,4 +108,60 @@ func TestTextRoundTripLargerGraph(t *testing.T) {
 		t.Fatalf("ReadText: %v", err)
 	}
 	assertGraphsEqual(t, mutable, got)
+}
+
+// TestReadTextRefusesNonFinite: the file comes from outside the program, and
+// a NaN or infinite coordinate, weight or cost would reach the map's bounds
+// and everything divided by them. Each is refused with the number of the
+// line that carries it, as is an edge endpoint too large for a NodeID.
+func TestReadTextRefusesNonFinite(t *testing.T) {
+	cases := map[string]string{
+		"NaN x":           "n 0 0 0\nn 1 NaN 0\n",
+		"+Inf y":          "n 0 0 0\nn 1 1 +Inf\n",
+		"-Inf x":          "n 0 0 0\nn 1 -Inf 1\n",
+		"NaN weight":      "n 0 0 0\nn 1 1 1 nan\n",
+		"Inf cost":        "n 0 0 0\nn 1 1 1\ne 0 1 Inf\n",
+		"NaN cost (b)":    "n 0 0 0\nn 1 1 1\nb 0 1 NaN\n",
+		"wrapping from":   "n 0 0 0\nn 1 1 1\ne 4294967296 1 1\n",
+		"wrapping to (b)": "n 0 0 0\nn 1 1 1\nb 0 4294967297 1\n",
+	}
+	for name, input := range cases {
+		t.Run(name, func(t *testing.T) {
+			g, err := ReadText(strings.NewReader(input))
+			if err == nil {
+				minX, minY, maxX, maxY := g.Bounds()
+				t.Fatalf("ReadText accepted %q (bounds %v %v %v %v), want error", input, minX, minY, maxX, maxY)
+			}
+			lines := strings.Count(input, "\n")
+			if want := fmt.Sprintf("line %d:", lines); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+		})
+	}
+}
+
+// FuzzReadText: the reader never panics on arbitrary input, and a graph it
+// accepts survives WriteText → ReadText with the same nodes (coordinates and
+// weights) and arcs.
+func FuzzReadText(f *testing.F) {
+	f.Add("n 0 0 0\nn 1 1 0\nn 2 0 1\nb 0 1 1\nb 1 2 1.5\ne 2 0 2\n")
+	f.Add("# c\nn 0 0.5 -1e300 2\nn 1 1e-300 0\nb 0 1 3.5\ne 1 1 0\n")
+	f.Add("n 0 NaN 0\n")
+	f.Add("n 0 0 0\ne 0 4294967296 1\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, input string) {
+		g, err := ReadText(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteText(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadText(&out)
+		if err != nil {
+			t.Fatalf("re-reading the written graph: %v\n%s", err, out.String())
+		}
+		assertGraphsEqual(t, g, again)
+	})
 }

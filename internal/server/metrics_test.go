@@ -47,3 +47,43 @@ func TestServerRecordsMetrics(t *testing.T) {
 		t.Errorf("queries_processed after invalid query = %d, want 3", got)
 	}
 }
+
+// TestRouteCountersCoverEveryQuery: every query routes through one function,
+// so mtm_queries + fallback_queries equals queries_processed however the
+// traffic mixes shapes — on a hybrid server (every query on the overlay) and
+// on a flat one (SSMD only).
+func TestRouteCountersCoverEveryQuery(t *testing.T) {
+	hybridCfg := DefaultConfig()
+	hybridCfg.Strategy = StrategyHybrid
+	hybridCfg.BuildCH = true
+	hybridCfg.PartitionCells = 4
+	servers := map[string]*Server{
+		"hybrid": MustNew(updateTestGraph(t, 60, 611), hybridCfg),
+		"flat":   MustNew(updateTestGraph(t, 60, 610), DefaultConfig()),
+	}
+	for name, s := range servers {
+		for i := 0; i < 4; i++ {
+			for _, shape := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {4, 4}} {
+				var q protocol.ServerQuery
+				for j := 0; j < shape[0]; j++ {
+					q.Sources = append(q.Sources, roadnet.NodeID(i+3*j))
+				}
+				for j := 0; j < shape[1]; j++ {
+					q.Dests = append(q.Dests, roadnet.NodeID(30+i+5*j))
+				}
+				if _, err := s.Evaluate(q); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		m := s.Metrics()
+		routed := m.Counter("mtm_queries") + m.Counter("fallback_queries")
+		if served := m.Counter("queries_processed"); routed != served || served != 16 {
+			t.Errorf("%s: mtm+fallback = %d, queries_processed = %d, want both 16", name, routed, served)
+		}
+		want := map[string]int64{"hybrid": 16, "flat": 0}[name]
+		if got := m.Counter("mtm_queries"); got != want {
+			t.Errorf("%s: mtm_queries = %d, want %d", name, got, want)
+		}
+	}
+}

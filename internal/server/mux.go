@@ -11,14 +11,13 @@ package server
 import (
 	"fmt"
 	"net"
-	"sort"
 
 	"opaque/internal/protocol"
 )
 
 // HelloInfo returns the Hello this server greets multiplexed peers with: the
 // published epoch's metric identity (generation + weight-content checksum),
-// partition cell count and profile catalog. Re-read per connection so a fleet
+// and partition cell count. Re-read per connection so a fleet
 // router admitting a shard sees the identity it currently serves under.
 func (s *Server) HelloInfo() protocol.Hello {
 	st := s.live.Load()
@@ -29,14 +28,6 @@ func (s *Server) HelloInfo() protocol.Hello {
 	}
 	if st.overlay != nil {
 		h.Cells = st.overlay.PartitionCells()
-	}
-	if s.profiles != nil {
-		names := make([]string, 0, len(s.profiles.defs))
-		for name := range s.profiles.defs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		h.Profiles = names
 	}
 	return h
 }

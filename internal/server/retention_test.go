@@ -6,7 +6,6 @@ import (
 	"weak"
 
 	"opaque/internal/ch"
-	"opaque/internal/costmodel"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 )
@@ -14,7 +13,7 @@ import (
 // startupOverlayServer builds a hybrid server over a fresh customizable
 // overlay and hands back only a weak pointer to that overlay, so the test
 // itself keeps nothing reachable.
-func startupOverlayServer(t *testing.T, g *roadnet.Graph, profiles []costmodel.WeightProfile) (*Server, weak.Pointer[ch.Overlay]) {
+func startupOverlayServer(t *testing.T, g *roadnet.Graph) (*Server, weak.Pointer[ch.Overlay]) {
 	t.Helper()
 	o, err := ch.BuildCustomizable(g)
 	if err != nil {
@@ -23,9 +22,6 @@ func startupOverlayServer(t *testing.T, g *roadnet.Graph, profiles []costmodel.W
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyHybrid
 	cfg.CHOverlay = o
-	// One resident layer: prewarming the rest evicts all but the last, so
-	// the evicted ones rebuild on their next query.
-	cfg.Profiles, cfg.ProfileCapacity, cfg.PrewarmProfiles = profiles, 1, len(profiles) > 0
 	return MustNew(g, cfg), weak.Make(o)
 }
 
@@ -39,13 +35,18 @@ func collected(p weak.Pointer[ch.Overlay]) bool {
 	return p.Value() == nil
 }
 
-// checkStartupOverlayReleased serves a point and a wide query through the
-// startup overlay, applies one weight change, re-customizes and expects the
-// startup overlay — live until then — to be collectable by the first
-// collection after the fresh one is installed, with the server still
-// answering through the overlay.
-func checkStartupOverlayReleased(t *testing.T, g *roadnet.Graph, s *Server, startup weak.Pointer[ch.Overlay]) {
-	t.Helper()
+// TestStartupOverlayReleasedAfterRecustomize: New consumes Config.CHOverlay,
+// so the installed evaluation state is the overlay's only owner and a
+// re-customization that replaces it leaves the startup weight layer
+// collectable. The test serves a point and a wide query through the startup
+// overlay, applies one weight change, re-customizes and expects the startup
+// overlay — live until then — to be collectable by the first collection after
+// the fresh one is installed, with the server still answering through the
+// overlay.
+func TestStartupOverlayReleasedAfterRecustomize(t *testing.T) {
+	g := updateTestGraph(t, 120, 903)
+	s, startup := startupOverlayServer(t, g)
+
 	point := protocol.ServerQuery{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}}
 	wide := protocol.ServerQuery{Sources: []roadnet.NodeID{1, 3, 5}, Dests: []roadnet.NodeID{2, 4, 6}}
 	serve := func() {
@@ -76,39 +77,5 @@ func checkStartupOverlayReleased(t *testing.T, g *roadnet.Graph, s *Server, star
 	m := s.Metrics()
 	if mtm := m.Counter("mtm_queries"); mtm != 4 {
 		t.Errorf("mtm_queries = %d; want every query served by an overlay", mtm)
-	}
-}
-
-// TestStartupOverlayReleasedAfterRecustomize: New consumes Config.CHOverlay,
-// so the installed evaluation state is the overlay's only owner and a
-// re-customization that replaces it leaves the startup weight layer
-// collectable.
-func TestStartupOverlayReleasedAfterRecustomize(t *testing.T) {
-	g := updateTestGraph(t, 120, 903)
-	s, startup := startupOverlayServer(t, g, nil)
-	checkStartupOverlayReleased(t, g, s, startup)
-}
-
-// TestProfilesDoNotPinStartupOverlay is the same check on a server with
-// precustomized profiles: the profile layer set customizes from whatever
-// overlay is live when it installs a layer, and keeps no base of its own.
-func TestProfilesDoNotPinStartupOverlay(t *testing.T) {
-	g := updateTestGraph(t, 120, 904)
-	s, startup := startupOverlayServer(t, g, costmodel.TimeOfDayProfiles())
-	checkStartupOverlayReleased(t, g, s, startup)
-	// An evicted layer rebuilds from the fresh overlay and answers its own
-	// metric.
-	name := costmodel.TimeOfDayProfiles()[0].Name
-	reply, err := s.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{1}, Dests: []roadnet.NodeID{2}, Profile: name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := s.ProfileGraph(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReplyMatchesGraph(t, pg, reply)
-	if st := s.ProfileLayerStats(); st.Misses <= int64(len(costmodel.TimeOfDayProfiles())) {
-		t.Errorf("profile layer misses = %d, want the evicted layer rebuilt after the swap", st.Misses)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"opaque/internal/ch"
-	"opaque/internal/costmodel"
 	"opaque/internal/metrics"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
@@ -99,23 +98,6 @@ type Config struct {
 	// overlay is built at startup (BuildCH without CHOverlay) — a loaded
 	// CHOverlay carries its own partition, or none.
 	PartitionCells int
-	// Profiles precustomizes one overlay weight layer (and one evaluation
-	// state) per named weight profile — deterministic reweightings of the
-	// startup metric, typically costmodel.TimeOfDayProfiles(). Queries
-	// select a profile with protocol.ServerQuery.Profile and are answered
-	// from its precustomized layer with zero customization work on the query
-	// path; live weight updates never touch profile layers (profiles answer
-	// "what does this trip usually cost at 8am" over the reference metric,
-	// not the live one). Requires the in-memory backend.
-	Profiles []costmodel.WeightProfile
-	// ProfileCapacity bounds how many profile layers stay hot behind the
-	// LRU (0 = all configured profiles). Evicted layers rebuild on demand,
-	// paying one customization pass.
-	ProfileCapacity int
-	// PrewarmProfiles builds every configured profile layer during New, so
-	// the first query of each profile pays nothing. Off, layers build on
-	// first use.
-	PrewarmProfiles bool
 }
 
 // DefaultConfig returns an in-memory SSMD server with logging enabled. The
@@ -137,8 +119,8 @@ type LogEntry struct {
 	QueryID uint64
 	Sources []roadnet.NodeID
 	Dests   []roadnet.NodeID
-	// Profile is the weight profile the query asked for ("" = live metric).
-	// It is part of what the operator legitimately observes.
+	// Profile is always empty: queries carry no metric name. It stays only
+	// because bench/oracle.go reads it.
 	Profile string
 }
 
@@ -180,8 +162,7 @@ func (cfg Config) validate() error {
 // overlay customized for exactly that data and the many-to-many engine bound
 // to it. The live epoch sits behind one atomic pointer that RecustomizeNow
 // replaces wholesale, so a query sees one whole epoch, never a half-installed
-// mix, and its answer is exact on the snapshot ident names. A weight profile
-// is an epoch that never swaps.
+// mix, and its answer is exact on the snapshot ident names.
 type evalState struct {
 	acc     storage.Accessor
 	ident   replyIdentity
@@ -215,11 +196,8 @@ type Server struct {
 	// ingest is the most recently created streaming ingestion pipeline
 	// (NewIngestor), held for metrics publication only.
 	ingest atomic.Pointer[traffic.Ingestor]
-	// profiles holds the precustomized weight-profile states, nil when
-	// Config.Profiles is empty.
-	profiles *profileCache
-	cache    *search.TreeCache
-	gate     search.Gate
+	cache  *search.TreeCache
+	gate   search.Gate
 	// wsPool owns the epoch-stamped search workspaces every query of this
 	// server runs on: every batch worker checks workspaces out of this one
 	// pool, so steady-state evaluation performs no per-query label
@@ -246,8 +224,6 @@ type Server struct {
 	mRecustomize  *metrics.Counter
 	mRecustFail   *metrics.Counter
 	mCellsRecust  *metrics.Counter
-	mProfileHits  *metrics.Counter
-	mProfileMiss  *metrics.Counter
 	hLatency      *metrics.Histogram
 	hBatchLatency *metrics.Histogram
 }
@@ -281,8 +257,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	s.mRecustomize = s.metrics.CounterVar("recustomize_runs")
 	s.mRecustFail = s.metrics.CounterVar("recustomize_failures")
 	s.mCellsRecust = s.metrics.CounterVar("cells_recustomized")
-	s.mProfileHits = s.metrics.CounterVar("profile_layer_hits")
-	s.mProfileMiss = s.metrics.CounterVar("profile_layer_misses")
 	s.hLatency = s.metrics.HistogramVar("query_latency")
 	s.hBatchLatency = s.metrics.HistogramVar("batch_latency")
 	if cfg.Paged {
@@ -339,26 +313,22 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: installing CH overlay: %w", err)
 		}
 	}
-	s.live.Store(s.newEvalState(storage.SnapshotOf(s.acc), overlay, s.cache))
-	if err := s.initProfiles(); err != nil {
-		return nil, err
-	}
+	s.live.Store(s.newEvalState(storage.SnapshotOf(s.acc), overlay))
 	return s, nil
 }
 
 // newEvalState builds the epoch over acc, which must not move under it (a
-// snapshot, a profile graph or the paged layout): its identity — acc's
-// generation and content checksum — the flat SSMD processor (with cache, nil
-// for none) and, for a non-nil overlay customized for acc's weights, the
-// many-to-many engine bound to that generation. Called at startup, by every
-// publication and for every profile.
-func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay, cache *search.TreeCache) *evalState {
+// snapshot or the paged layout): its identity — acc's generation and content
+// checksum — the flat SSMD processor over the server's tree cache and, for a
+// non-nil overlay customized for acc's weights, the many-to-many engine bound
+// to that generation. Called at startup and by every publication.
+func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay) *evalState {
 	gen := storage.GenerationOf(acc)
 	st := &evalState{
 		acc:     acc,
 		ident:   replyIdentity{generation: gen, contentSum: acc.Graph().ContentChecksum()},
 		overlay: overlay,
-		flat: search.NewProcessor(acc, search.WithTreeCache(cache), search.WithWorkspacePool(s.wsPool),
+		flat: search.NewProcessor(acc, search.WithTreeCache(s.cache), search.WithWorkspacePool(s.wsPool),
 			search.WithGate(s.gate)),
 	}
 	if overlay != nil {
@@ -413,7 +383,6 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 			QueryID: id,
 			Sources: append([]roadnet.NodeID(nil), q.Sources...),
 			Dests:   append([]roadnet.NodeID(nil), q.Dests...),
-			Profile: q.Profile,
 		})
 	}
 	var faultsBefore int64
@@ -421,11 +390,8 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		faultsBefore = s.pool.Stats().Faults
 	}
 	start := time.Now()
-	st, err := s.state(q.Profile)
-	var res search.Table
-	if err == nil {
-		res, err = s.route(st, q)
-	}
+	st := s.live.Load()
+	res, err := s.route(st, q)
 	if err != nil {
 		s.mFailed.Add(1)
 		return protocol.ServerReply{}, fmt.Errorf("server: evaluating query %d: %w", id, err)
@@ -439,7 +405,6 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		SettledNodes: res.Stats.SettledNodes,
 		Generation:   st.ident.generation,
 		ContentSum:   st.ident.contentSum,
-		Profile:      q.Profile,
 		Degraded:     q.DistanceOnly,
 	}
 	if s.pool != nil {
@@ -481,28 +446,12 @@ type replyIdentity struct {
 	contentSum uint64
 }
 
-// state returns the epoch a query evaluates on: the live one, or the named
-// profile's precustomized one. A profile epoch's identity is stable — its
-// accessor is immutable (generation 0) and its content checksum is the
-// profile graph's — so a fleet router can verify every shard answered from
-// the same precustomized metric.
-func (s *Server) state(profile string) (*evalState, error) {
-	if profile == "" {
-		return s.live.Load(), nil
-	}
-	if s.profiles == nil {
-		return nil, fmt.Errorf("query requests weight profile %q but the server has no profiles configured", profile)
-	}
-	return s.profiles.state(profile)
-}
-
 // route evaluates q on st and bumps the counter of the route that answered
 // it: the many-to-many bucket engine, holding one gate slot for the whole
 // table, whenever st has an overlay (mtm_queries), the SSMD processor
 // otherwise (fallback_queries). Only the engine has a distance-only fast
-// path; the SSMD processor computes paths regardless. Live and profile
-// queries both route here, so the two counters together count every query
-// served.
+// path; the SSMD processor computes paths regardless. Every query routes
+// here, so the two counters together count every query served.
 func (s *Server) route(st *evalState, q protocol.ServerQuery) (search.Table, error) {
 	if st.overlay == nil {
 		s.mFallback.Add(1)
@@ -613,9 +562,6 @@ func (s *Server) publishDerivedMetrics() {
 		s.metrics.SetGauge("ingest_batches", float64(ist.Batches))
 		s.metrics.SetGauge("ingest_coalesce_ratio", ist.CoalesceRatio())
 		s.metrics.SetGauge("ingest_queue_depth", float64(ist.QueueDepth))
-	}
-	if s.profiles != nil {
-		s.metrics.SetGauge("profile_layers", float64(s.profiles.layerCount()))
 	}
 	ws := s.wsPool.Stats()
 	s.metrics.SetGauge("workspace_gets", float64(ws.Gets))

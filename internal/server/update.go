@@ -157,6 +157,6 @@ func (s *Server) RecustomizeNow() error {
 			s.metrics.SetGauge("recustomize_last_ms", float64(time.Since(start).Microseconds())/1000)
 			s.metrics.SetGauge("recustomize_arcs_last", float64(stats.ArcsRederived))
 		}
-		s.live.Store(s.newEvalState(snap, overlay, s.cache))
+		s.live.Store(s.newEvalState(snap, overlay))
 	}
 }
