@@ -12,31 +12,24 @@
 // every query is one many-to-many table on it). A hybrid server without
 // -ch-overlay contracts the map at startup.
 //
-// With -churn the server synthesizes a streaming traffic feed through
-// the coalescing ingestion pipeline, exercising live weight updates and
-// pipelined overlay re-customization continuously.
-//
 // With -stats-interval the server periodically logs its throughput counters,
 // the strategy routing split (many-to-many / flat fallback),
-// the many-to-many bucket engine gauges, the ingestion pipeline counters,
+// the many-to-many bucket engine gauges, the pending re-customization work,
 // the SSMD tree cache hit ratio and the search workspace pool counters.
 package main
 
 import (
 	"flag"
 	"log"
-	"math/rand"
 	"net"
 	"time"
 
 	"opaque/internal/ch"
 	"opaque/internal/gen"
 	"opaque/internal/protocol"
-	"opaque/internal/roadnet"
 	"opaque/internal/search"
 	"opaque/internal/server"
 	"opaque/internal/storage"
-	"opaque/internal/traffic"
 )
 
 func main() {
@@ -57,8 +50,6 @@ func main() {
 		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
 		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
-		churn         = flag.Float64("churn", 0, "synthesize a streaming traffic feed at this many weight-change events/sec through the coalescing ingestion pipeline (0 disables)")
-		churnArcs     = flag.Int("churn-arcs", 64, "hot-arc pool size of the synthetic -churn stream")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the multiplexed transport (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
@@ -97,10 +88,6 @@ func main() {
 		cfg.PartitionCells = *partition
 	}
 
-	if *churnArcs <= 0 {
-		log.Fatalf("-churn-arcs must be positive (got %d)", *churnArcs)
-	}
-
 	buildStart := time.Now()
 	srv, err := server.New(g, cfg)
 	if err != nil {
@@ -111,16 +98,6 @@ func main() {
 		log.Printf("CH overlay contracted at startup (persist one with opaque-preprocess to skip this): %d shortcuts, max level %d, %d partition cells",
 			o.NumShortcuts(), o.MaxLevel(), o.PartitionCells())
 	}
-	if *churn > 0 {
-		in, err := srv.NewIngestor(traffic.Config{})
-		if err != nil {
-			log.Fatalf("starting ingestion pipeline: %v", err)
-		}
-		log.Printf("synthetic traffic feed: %.0f events/sec over a %d-arc hot pool (coalesced, max delay %v)",
-			*churn, *churnArcs, traffic.DefaultMaxDelay)
-		go runChurn(in, g, *churn, *churnArcs, int64(*seed))
-	}
-
 	if *statsInterval > 0 {
 		go logStats(srv, *statsInterval)
 	}
@@ -135,52 +112,12 @@ func main() {
 	}
 }
 
-// runChurn drives a never-ending synthetic weight-change stream through the
-// ingestion pipeline: last-write-wins events over a fixed hot-arc pool, paced
-// on an absolute schedule (so coarse sleeps burst-catch-up instead of
-// undershooting the rate), with occasional reverts to the original weight.
-func runChurn(in *traffic.Ingestor, g *roadnet.Graph, rate float64, poolSize int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	type arc struct {
-		from, to roadnet.NodeID
-		orig     float64
-	}
-	pool := make([]arc, 0, poolSize)
-	stride := g.NumNodes()/poolSize + 1
-	for v := 0; v < g.NumNodes() && len(pool) < poolSize; v += stride {
-		if arcs := g.Arcs(roadnet.NodeID(v)); len(arcs) > 0 {
-			pool = append(pool, arc{roadnet.NodeID(v), arcs[0].To, arcs[0].Cost})
-		}
-	}
-	if len(pool) == 0 {
-		log.Printf("churn: no arcs to perturb; feed disabled")
-		return
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	start := time.Now()
-	for i := 0; ; i++ {
-		if wait := start.Add(time.Duration(i) * interval).Sub(time.Now()); wait > 0 {
-			time.Sleep(wait)
-		}
-		a := pool[rng.Intn(len(pool))]
-		cost := a.orig * (0.5 + rng.Float64())
-		if rng.Intn(6) == 0 {
-			cost = a.orig
-		}
-		if err := in.Ingest(roadnet.ArcWeightChange{From: a.from, To: a.to, NewCost: cost}); err != nil {
-			log.Printf("churn: ingest: %v; feed stopped", err)
-			return
-		}
-	}
-}
-
 // logStats periodically prints the server's operational counters: query and
 // batch throughput, the strategy routing split, the many-to-many bucket
-// engine's arena gauges, the streaming ingestion pipeline and pending
-// re-customization work, the partition's cell counters, the last overlay refresh (duration and arcs re-derived), the SSMD
-// tree cache hit ratio and the workspace pool's
-// checkout/reuse numbers — the at-a-glance health line for a long-running
-// deployment.
+// engine's arena gauges, the pending re-customization work, the partition's
+// cell counters, the last overlay refresh (duration and arcs re-derived), the
+// SSMD tree cache hit ratio and the workspace pool's checkout/reuse numbers —
+// the at-a-glance health line for a long-running deployment.
 func logStats(srv *server.Server, every time.Duration) {
 	for range time.Tick(every) {
 		m := srv.Metrics()
@@ -188,12 +125,11 @@ func logStats(srv *server.Server, every time.Duration) {
 		ws := srv.WorkspacePoolStats()
 		io := srv.IOStats()
 		mt := srv.MTMStats()
-		ing := srv.IngestStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | ingest events=%d batches=%d ratio=%.2f queue=%d pending-cells=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | pending-cells=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
-			ing.Events, ing.Batches, ing.CoalesceRatio(), ing.QueueDepth, int64(m.Gauge("recustomize_pending_cells")),
+			int64(m.Gauge("recustomize_pending_cells")),
 			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
 			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),

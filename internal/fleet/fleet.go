@@ -178,6 +178,10 @@ type Router struct {
 	latest map[arcKey]float64
 	order  []arcKey
 	seq    uint64
+	// umu orders UpdateWeights calls from their fold until the first shard
+	// answers, so a refused update is taken back out of the replay state
+	// before any later update can be folded over it.
+	umu sync.Mutex
 
 	batchID atomic.Uint64
 	rr      atomic.Uint64 // round-robin placement cursor
@@ -386,20 +390,37 @@ func (r *Router) replayTo(l *shardLink, c *protocol.MuxClient) error {
 
 // record folds changes into the cumulative last-write-wins replay state and
 // assigns the update's sequence number; sequence order equals fold order
-// because both happen under wmu.
-func (r *Router) record(changes []roadnet.ArcWeightChange) uint64 {
+// because both happen under wmu. undo takes the fold back out, leaving the
+// sequence number to name an empty update; it is exact only while no later
+// update has been recorded, which UpdateWeights ensures by holding umu.
+func (r *Router) record(changes []roadnet.ArcWeightChange) (seq uint64, undo func()) {
 	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	firstNew := len(r.order)
+	prior := make(map[arcKey]float64, len(changes))
 	for _, c := range changes {
 		k := arcKey{from: c.From, to: c.To}
-		if _, seen := r.latest[k]; !seen {
+		if old, seen := r.latest[k]; !seen {
 			r.order = append(r.order, k)
+		} else if _, kept := prior[k]; !kept {
+			prior[k] = old
 		}
 		r.latest[k] = c.NewCost
 	}
 	r.seq++
-	seq := r.seq
-	r.wmu.Unlock()
-	return seq
+	return r.seq, func() {
+		r.wmu.Lock()
+		defer r.wmu.Unlock()
+		for k, old := range prior {
+			r.latest[k] = old
+		}
+		// Arcs this update touched first leave the state altogether (a
+		// prior entry for one holds a value from earlier in the same update).
+		for _, k := range r.order[firstNew:] {
+			delete(r.latest, k)
+		}
+		r.order = r.order[:firstNew]
+	}
 }
 
 // sendUpdate delivers one weight update to one shard, keeping what the shard
@@ -459,11 +480,23 @@ func (r *Router) sendUpdate(l *shardLink, seq uint64, changes []roadnet.ArcWeigh
 // 1 the error return is non-nil only when *no* shard could be updated or
 // reached; a larger quorum that some but not all shards met reports
 // ErrQuorumNotReached.
+//
+// A refused update leaves no trace: a cost roadnet.CheckCost rejects fails
+// here, before the fold, and an update the first shard to answer refuses
+// (an unknown node or nonexistent arc, which only a shard's map can tell)
+// is taken back out of the replay state. Every shard validates against the
+// one road map the fleet serves, so one shard's refusal holds for all.
 func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	seq := r.record(changes)
+	for _, c := range changes {
+		if err := roadnet.CheckCost(c.NewCost); err != nil {
+			return fmt.Errorf("fleet: weight change %d→%d has invalid cost %v: %w", c.From, c.To, c.NewCost, err)
+		}
+	}
+	r.umu.Lock()
+	seq, undo := r.record(changes)
 	r.mWeightUpd.Add(1)
 	n := len(r.shards)
 	results := make(chan error, n)
@@ -476,9 +509,29 @@ func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 			results <- err
 		}(l)
 	}
-	quorum := r.cfg.UpdateQuorum
 	acks, failed := 0, 0
 	var last error
+	// Until a shard answers, the fold may still have to be undone. A refusal
+	// is a *protocol.RemoteError, whether the shard refused the update itself
+	// or a connect's replay of the state that already holds it. Transport
+	// failures are no answer: the shard may have applied the update before
+	// its connection failed, so the fold stays for its replay.
+	for acks+failed < n {
+		err := <-results
+		if err == nil {
+			acks++
+			break
+		}
+		if isRemoteError(err) {
+			undo()
+			r.umu.Unlock()
+			return fmt.Errorf("fleet: weight update refused: %w", err)
+		}
+		failed++
+		last = err
+	}
+	r.umu.Unlock()
+	quorum := r.cfg.UpdateQuorum
 	for acks < quorum && acks+failed < n {
 		if err := <-results; err != nil {
 			failed++

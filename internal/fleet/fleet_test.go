@@ -561,3 +561,93 @@ func TestReplayStateOwnsItsCopy(t *testing.T) {
 		t.Errorf("replayed cost of arc %d→%d = %v, want the recorded %v", v, arc.To, got, arc.Cost*3)
 	}
 }
+
+// TestRefusedUpdateDoesNotPoisonReplay: an update the fleet refuses leaves
+// nothing behind in the router's replay state. The refused call fails, the
+// next valid update reaches every shard, and a shard restarted on base
+// weights is replayed the valid state and answers like reference Dijkstra.
+// A refused change kept in the replay state would be resent with every
+// later snapshot and every reconnect's replay, and be refused each time.
+func TestRefusedUpdateDoesNotPoisonReplay(t *testing.T) {
+	g := testGraph(t, 300, 2001)
+	qs := makeQueries(g, 8, 5001)
+	valid := shortestPathArcChange(t, g, qs)
+	updated, err := g.WithUpdatedWeights([]roadnet.ArcWeightChange{valid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := storage.NewMemoryGraph(updated)
+	// The refused changes name other arcs than the valid one, so the valid
+	// update cannot overwrite them in a last-write-wins replay state.
+	missing := roadnet.ArcWeightChange{From: valid.From, To: valid.From, NewCost: 1}
+	if _, ok := g.ArcCost(missing.From, missing.To); ok {
+		t.Fatalf("test setup: node %d has a self-loop", missing.From)
+	}
+	negative := roadnet.ArcWeightChange{NewCost: -1}
+	for u := roadnet.NodeID(0); negative.From == negative.To; u++ {
+		if arcs := g.Arcs(u); u != valid.From && len(arcs) > 0 {
+			negative.From, negative.To = u, arcs[0].To
+		}
+	}
+
+	// A shard refuses the nonexistent arc in the replay that opens its first
+	// connection, or, once connected, in answer to the update itself.
+	for _, tc := range []struct {
+		name      string
+		bad       roadnet.ArcWeightChange
+		connected bool
+	}{
+		{"negative-cost", negative, false},
+		{"nonexistent-arc", missing, false},
+		{"nonexistent-arc-connected", missing, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Quorum 2: a returned update has reached both shards.
+			cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Fleet: fleet.Config{UpdateQuorum: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if tc.connected {
+				for _, q := range qs[:cl.NumShards()] {
+					if _, err := cl.Router.Execute(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := cl.Router.UpdateWeights([]roadnet.ArcWeightChange{tc.bad}); err == nil {
+				t.Fatalf("update %+v accepted", tc.bad)
+			}
+			if err := cl.Router.UpdateWeights([]roadnet.ArcWeightChange{valid}); err != nil {
+				t.Fatalf("valid update after a refused one: %v", err)
+			}
+			for i := 0; i < cl.NumShards(); i++ {
+				if got, _ := cl.Shard(i).Server().Graph().ArcCost(valid.From, valid.To); got != valid.NewCost {
+					t.Errorf("shard %d: arc %d→%d costs %v, want the updated %v", i, valid.From, valid.To, got, valid.NewCost)
+				}
+			}
+
+			cl.Kill(0)
+			if err := cl.Restart(0); err != nil {
+				t.Fatal(err)
+			}
+			// Round-robin placement sends some of these to the restarted
+			// shard, whose first one reconnects it through the replay.
+			for _, q := range qs {
+				rep, err := cl.Router.Execute(q)
+				if err != nil {
+					t.Fatalf("query %d after restart: %v", q.QueryID, err)
+				}
+				if msg := replyMismatch(acc, rep); msg != "" {
+					t.Fatalf("query %d after restart: %s", q.QueryID, msg)
+				}
+			}
+			if cl.Router.Metrics().Counter("fleet_replays") == 0 {
+				t.Fatal("the restarted shard was never replayed into")
+			}
+			if got, _ := cl.Shard(0).Server().Graph().ArcCost(valid.From, valid.To); got != valid.NewCost {
+				t.Errorf("restarted shard: arc %d→%d costs %v after replay, want %v", valid.From, valid.To, got, valid.NewCost)
+			}
+		})
+	}
+}

@@ -145,8 +145,8 @@ func (g *Graph) AddEdge(from, to NodeID, cost float64) error {
 	if !g.validID(from) || !g.validID(to) {
 		return fmt.Errorf("roadnet: edge (%d,%d) references unknown node (have %d nodes)", from, to, len(g.nodes))
 	}
-	if cost < 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("roadnet: edge (%d,%d) has invalid cost %v", from, to, cost)
+	if err := CheckCost(cost); err != nil {
+		return fmt.Errorf("roadnet: edge (%d,%d) has invalid cost %v: %w", from, to, cost, err)
 	}
 	g.staging[from] = append(g.staging[from], Arc{To: to, Cost: cost})
 	return nil

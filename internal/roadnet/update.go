@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -25,6 +26,22 @@ type ArcWeightChange struct {
 	NewCost  float64
 }
 
+// CheckCost is the one rule for an arc cost, at graph build, in a weight
+// update and at every boundary a weight enters the system through: finite
+// and non-negative. It returns nil for a valid cost and otherwise an error
+// saying what is wrong with it.
+func CheckCost(cost float64) error {
+	switch {
+	case math.IsNaN(cost):
+		return errors.New("cost is NaN")
+	case math.IsInf(cost, 0):
+		return errors.New("cost is infinite")
+	case cost < 0:
+		return errors.New("cost is negative")
+	}
+	return nil
+}
+
 // WithUpdatedWeights returns a new frozen graph equal to g except that every
 // arc named by changes carries its NewCost. The receiver is not modified and
 // stays fully usable; the returned graph shares g's node table, CSR offsets
@@ -43,8 +60,8 @@ func (g *Graph) WithUpdatedWeights(changes []ArcWeightChange) (*Graph, error) {
 		if !g.validID(c.From) || !g.validID(c.To) {
 			return nil, fmt.Errorf("roadnet: weight change (%d,%d) references unknown node (have %d nodes)", c.From, c.To, len(g.nodes))
 		}
-		if c.NewCost < 0 || math.IsNaN(c.NewCost) || math.IsInf(c.NewCost, 0) {
-			return nil, fmt.Errorf("roadnet: weight change (%d,%d) has invalid cost %v", c.From, c.To, c.NewCost)
+		if err := CheckCost(c.NewCost); err != nil {
+			return nil, fmt.Errorf("roadnet: weight change (%d,%d) has invalid cost %v: %w", c.From, c.To, c.NewCost, err)
 		}
 	}
 

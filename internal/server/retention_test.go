@@ -64,7 +64,7 @@ func TestStartupOverlayReleasedAfterRecustomize(t *testing.T) {
 	// Serve after that collection, so nothing the queries touched has had a
 	// collection to age through before the check below.
 	serve()
-	if _, err := s.ApplyWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
+	if _, err := s.applyWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RecustomizeNow(); err != nil {

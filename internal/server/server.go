@@ -34,7 +34,6 @@ import (
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 	"opaque/internal/storage"
-	"opaque/internal/traffic"
 )
 
 // StrategyHybrid serves through the contraction-hierarchy overlay
@@ -193,11 +192,8 @@ type Server struct {
 	// published epoch catches up with the current graph.
 	pendingMu    sync.Mutex
 	pendingCells map[int]struct{}
-	// ingest is the most recently created streaming ingestion pipeline
-	// (NewIngestor), held for metrics publication only.
-	ingest atomic.Pointer[traffic.Ingestor]
-	cache  *search.TreeCache
-	gate   search.Gate
+	cache        *search.TreeCache
+	gate         search.Gate
 	// wsPool owns the epoch-stamped search workspaces every query of this
 	// server runs on: every batch worker checks workspaces out of this one
 	// pool, so steady-state evaluation performs no per-query label
@@ -556,13 +552,6 @@ func (s *Server) publishDerivedMetrics() {
 	s.metrics.SetGauge("overlay_generation", float64(st.ident.generation))
 	s.metrics.SetGauge("graph_generation", float64(storage.GenerationOf(s.acc)))
 	s.metrics.SetGauge("recustomize_pending_cells", float64(s.pendingCellCount()))
-	if in := s.ingest.Load(); in != nil {
-		ist := in.Stats()
-		s.metrics.SetGauge("ingest_events", float64(ist.Events))
-		s.metrics.SetGauge("ingest_batches", float64(ist.Batches))
-		s.metrics.SetGauge("ingest_coalesce_ratio", ist.CoalesceRatio())
-		s.metrics.SetGauge("ingest_queue_depth", float64(ist.QueueDepth))
-	}
 	ws := s.wsPool.Stats()
 	s.metrics.SetGauge("workspace_gets", float64(ws.Gets))
 	s.metrics.SetGauge("workspace_in_flight", float64(ws.InFlight()))

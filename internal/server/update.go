@@ -46,17 +46,9 @@ func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error
 	return gen, s.RecustomizeNow()
 }
 
-// ApplyWeights is UpdateWeights without the publication: the snapshot swaps
+// applyWeights is UpdateWeights without the publication: the snapshot swaps
 // and the graph generation moves, but queries keep being answered on the
-// published epoch until RecustomizeNow publishes the new one. The streaming
-// ingestion pipeline (Server.NewIngestor) uses it as its batch sink, because
-// its own pipelined refresh worker drives RecustomizeNow with folding: one
-// pending run however many batches land while a run is in flight.
-func (s *Server) ApplyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
-	return s.applyWeights(changes)
-}
-
-// applyWeights is the shared swap path of UpdateWeights and ApplyWeights.
+// published epoch until RecustomizeNow publishes the new one.
 func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	if s.mutable == nil {
 		return 0, fmt.Errorf("server: live weight updates require the in-memory backend (paged deployments serve a frozen page layout)")
@@ -159,4 +151,12 @@ func (s *Server) RecustomizeNow() error {
 		}
 		s.live.Store(s.newEvalState(snap, overlay))
 	}
+}
+
+// OverlayFresh reports whether the published epoch is the applied one:
+// its generation equals the graph's, so every applied weight update is
+// visible to queries. Tests use it to watch the visibility lag under a
+// sustained update stream.
+func (s *Server) OverlayFresh() bool {
+	return s.live.Load().ident.generation == storage.GenerationOf(s.acc)
 }

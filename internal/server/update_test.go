@@ -75,7 +75,7 @@ func checkReplyMatchesGraph(t *testing.T, g *roadnet.Graph, reply protocol.Serve
 }
 
 // TestApplyWeightsServesPreviousEpochUntilPublished pins the epoch contract
-// on a hybrid server: ApplyWeights moves the graph but publishes nothing, so a
+// on a hybrid server: applyWeights moves the graph but publishes nothing, so a
 // point query and a wide query keep routing onto the overlay — never the SSMD
 // fallback — and answer exactly on the previous snapshot, stamped with its
 // ContentSum. RecustomizeNow publishes the new epoch and both follow it.
@@ -94,7 +94,7 @@ func TestApplyWeightsServesPreviousEpochUntilPublished(t *testing.T) {
 	point := protocol.ServerQuery{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{to, 9}}
 	wide := protocol.ServerQuery{Sources: []roadnet.NodeID{0, 2, 7}, Dests: []roadnet.NodeID{to, 9}}
 
-	if _, err := s.ApplyWeights([]roadnet.ArcWeightChange{{From: 0, To: to, NewCost: 0.25}}); err != nil {
+	if _, err := s.applyWeights([]roadnet.ArcWeightChange{{From: 0, To: to, NewCost: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
 	cur := s.Graph()
@@ -102,7 +102,7 @@ func TestApplyWeightsServesPreviousEpochUntilPublished(t *testing.T) {
 		t.Fatal("test setup: the update does not move the queried distance")
 	}
 	if s.OverlayFresh() {
-		t.Fatal("ApplyWeights published the epoch")
+		t.Fatal("applyWeights published the epoch")
 	}
 	check := func(want *roadnet.Graph, wantMTM int64) {
 		t.Helper()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,27 +28,35 @@ func testGraph(t *testing.T, nodes int, seed uint64) *roadnet.Graph {
 }
 
 // graphSink applies batches to a copy-on-write graph lineage and records
-// them, standing in for the server's ApplyWeights.
+// them, standing in for the fleet's UpdateWeights. With delay set, every
+// call blocks that long before it returns, as a publication does.
 type graphSink struct {
 	mu      sync.Mutex
 	g       *roadnet.Graph
 	batches [][]roadnet.ArcWeightChange
-	gen     uint64
+	delay   time.Duration
+	inCall  atomic.Bool
+	entered chan struct{} // when set, receives once per call on entry
 }
 
-func (s *graphSink) ApplyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
+func (s *graphSink) UpdateWeights(changes []roadnet.ArcWeightChange) error {
+	s.inCall.Store(true)
+	defer s.inCall.Store(false)
+	if s.entered != nil {
+		s.entered <- struct{}{}
+	}
+	time.Sleep(s.delay)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ng, err := s.g.WithUpdatedWeights(changes)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	s.g = ng
-	s.gen++
 	cp := make([]roadnet.ArcWeightChange, len(changes))
 	copy(cp, changes)
 	s.batches = append(s.batches, cp)
-	return s.gen, nil
+	return nil
 }
 
 func (s *graphSink) graph() *roadnet.Graph {
@@ -61,38 +70,6 @@ func (s *graphSink) numBatches() int {
 	defer s.mu.Unlock()
 	return len(s.batches)
 }
-
-// countingRefresher counts refresh runs, optionally sleeping to simulate a
-// long re-customization.
-type countingRefresher struct {
-	runs  atomic64
-	sleep time.Duration
-}
-
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) add() { a.mu.Lock(); a.v++; a.mu.Unlock() }
-func (a *atomic64) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
-}
-
-func (r *countingRefresher) RecustomizeNow() error {
-	r.runs.add()
-	if r.sleep > 0 {
-		time.Sleep(r.sleep)
-	}
-	return nil
-}
-
-// noopRefresher publishes nothing: graphSink has no derived state.
-type noopRefresher struct{}
-
-func (noopRefresher) RecustomizeNow() error { return nil }
 
 // anyArc returns one arc of g with a positive cost.
 func anyArc(t *testing.T, g *roadnet.Graph) roadnet.ArcWeightChange {
@@ -110,10 +87,13 @@ func anyArc(t *testing.T, g *roadnet.Graph) roadnet.ArcWeightChange {
 func TestIngestBoundaryValidation(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	sink := &graphSink{g: g}
-	if _, err := NewIngestor(sink, nil, Config{}); err == nil {
-		t.Fatal("nil refresher accepted")
+	if _, err := NewIngestor(nil, Config{Topology: g}); err == nil {
+		t.Fatal("nil sink accepted")
 	}
-	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxWeight: 1e6, Topology: g})
+	if _, err := NewIngestor(sink, Config{}); err == nil {
+		t.Fatal("nil topology accepted")
+	}
+	in, err := NewIngestor(sink, Config{Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +107,6 @@ func TestIngestBoundaryValidation(t *testing.T) {
 		{"nan", roadnet.ArcWeightChange{From: ok.From, To: ok.To, NewCost: math.NaN()}},
 		{"inf", roadnet.ArcWeightChange{From: ok.From, To: ok.To, NewCost: math.Inf(1)}},
 		{"negative", roadnet.ArcWeightChange{From: ok.From, To: ok.To, NewCost: -1}},
-		{"out-of-range", roadnet.ArcWeightChange{From: ok.From, To: ok.To, NewCost: 1e7}},
 		{"unknown-node", roadnet.ArcWeightChange{From: roadnet.NodeID(g.NumNodes() + 5), To: ok.To, NewCost: 1}},
 		{"missing-arc", roadnet.ArcWeightChange{From: ok.From, To: ok.From, NewCost: 1}},
 	}
@@ -153,7 +132,7 @@ func TestCoalescingLastWriteWins(t *testing.T) {
 	// Huge delay and batch size: only Flush triggers the apply, so all ten
 	// writes to the same arc must coalesce into one change with the last
 	// value.
-	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +168,7 @@ func TestCoalescingLastWriteWins(t *testing.T) {
 func TestMaxBatchTrigger(t *testing.T) {
 	g := testGraph(t, 200, 9)
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 4, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxBatch: 4, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +199,7 @@ func TestMaxBatchTrigger(t *testing.T) {
 func TestMaxDelayTrigger(t *testing.T) {
 	g := testGraph(t, 200, 10)
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +221,7 @@ func TestMaxDelayTrigger(t *testing.T) {
 func TestCloseDrainsAndRefreshes(t *testing.T) {
 	g := testGraph(t, 200, 11)
 	sink := &graphSink{g: g}
-	ref := &countingRefresher{}
-	in, err := NewIngestor(sink, ref, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxBatch: 1 << 20, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +238,6 @@ func TestCloseDrainsAndRefreshes(t *testing.T) {
 	if got, _ := sink.graph().ArcCost(a.From, a.To); got != 42 {
 		t.Errorf("arc cost after Close = %v, want 42", got)
 	}
-	if ref.runs.load() == 0 {
-		t.Error("refresher never ran; Close must catch the overlay up")
-	}
 	if err := in.Ingest(a); !errors.Is(err, ErrClosed) {
 		t.Errorf("Ingest after Close = %v, want ErrClosed", err)
 	}
@@ -274,39 +249,45 @@ func TestCloseDrainsAndRefreshes(t *testing.T) {
 	}
 }
 
-func TestRefreshFolding(t *testing.T) {
+// TestFoldingByBlocking pins how the pipeline folds: the sink blocks while
+// it publishes, and the events ingested meanwhile wait in the queue and
+// coalesce into the next batch. MaxBatch 1 would flush every distinct arc on
+// its own; the ten events on one arc still end in at most two batches — the
+// first event's, in flight while the other nine arrive, and one for those.
+func TestFoldingByBlocking(t *testing.T) {
 	g := testGraph(t, 200, 12)
-	sink := &graphSink{g: g}
-	// A slow refresher: while one run sleeps, every batch applied in the
-	// meantime must fold into a single pending signal.
-	ref := &countingRefresher{sleep: 50 * time.Millisecond}
-	in, err := NewIngestor(sink, ref, Config{MaxBatch: 1, MaxDelay: time.Hour, Topology: g})
+	// entered holds a signal for every call the test can cause, so no call
+	// blocks on it; the test reads the first.
+	sink := &graphSink{g: g, delay: 50 * time.Millisecond, entered: make(chan struct{}, 16)}
+	in, err := NewIngestor(sink, Config{MaxBatch: 1, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const events = 10
+	defer in.Close()
 	a := anyArc(t, g)
-	for i := 0; i < events; i++ {
-		if err := in.Ingest(roadnet.ArcWeightChange{From: a.From, To: a.To, NewCost: float64(i + 1)}); err != nil {
+	const events = 10
+	for i := 1; i <= events; i++ {
+		if err := in.Ingest(roadnet.ArcWeightChange{From: a.From, To: a.To, NewCost: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		// MaxBatch 1 turns every event into its own applied batch.
-		if err := in.Flush(); err != nil {
-			t.Fatal(err)
+		if i == 1 {
+			<-sink.entered // the first batch is in the sink: the rest arrive during the call
 		}
 	}
-	if err := in.Close(); err != nil {
+	if err := in.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := in.Stats()
-	if st.Batches != events {
-		t.Fatalf("batches = %d, want %d", st.Batches, events)
+	if sink.inCall.Load() {
+		t.Fatal("Flush returned while the sink was still publishing")
 	}
-	if st.RefreshRuns >= st.Batches {
-		t.Errorf("refresh runs = %d for %d batches; pipelining must fold concurrent batches into fewer runs", st.RefreshRuns, st.Batches)
+	if n := sink.numBatches(); n > 2 {
+		t.Errorf("batches = %d for %d events on one arc ingested during one blocked call, want at most 2", n, events)
 	}
-	if st.RefreshRuns == 0 {
-		t.Error("refresher never ran")
+	if got, _ := sink.graph().ArcCost(a.From, a.To); got != events {
+		t.Errorf("arc cost after Flush = %v, want the last write %d", got, events)
+	}
+	if st := in.Stats(); st.Batches != int64(sink.numBatches()) || st.ApplyFailures != 0 {
+		t.Errorf("stats %+v after %d sink batches", st, sink.numBatches())
 	}
 }
 
@@ -355,7 +336,7 @@ func TestCoalescedEquivalentToSequential(t *testing.T) {
 	}
 
 	sink := &graphSink{g: g}
-	in, err := NewIngestor(sink, noopRefresher{}, Config{MaxBatch: 32, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxBatch: 32, MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
