@@ -482,10 +482,13 @@ func (r *Router) sendUpdate(l *shardLink, seq uint64, changes []roadnet.ArcWeigh
 // ErrQuorumNotReached.
 //
 // A refused update leaves no trace: a cost roadnet.CheckCost rejects fails
-// here, before the fold, and an update the first shard to answer refuses
-// (an unknown node or nonexistent arc, which only a shard's map can tell)
-// is taken back out of the replay state. Every shard validates against the
-// one road map the fleet serves, so one shard's refusal holds for all.
+// here, before the fold, and an update whose content the first shard to
+// answer refuses (an unknown node or nonexistent arc, which only a shard's
+// map can tell; protocol.IsUpdateRefused) is taken back out of the replay
+// state. A shard refuses such an update before applying any of it, and
+// every shard validates against the one road map the fleet serves, so one
+// shard's refusal holds for all. Any other failure keeps the fold: the
+// shard, or its peers, may have applied the update.
 func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 	if len(changes) == 0 {
 		return nil
@@ -511,21 +514,21 @@ func (r *Router) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 	}
 	acks, failed := 0, 0
 	var last error
-	// Until a shard answers, the fold may still have to be undone. A refusal
-	// is a *protocol.RemoteError, whether the shard refused the update itself
-	// or a connect's replay of the state that already holds it. Transport
-	// failures are no answer: the shard may have applied the update before
-	// its connection failed, so the fold stays for its replay.
+	// Until a shard acknowledges, the fold may still have to be undone: a
+	// shard refuses the content of the update itself or of a connect's
+	// replay of the state that already holds it. Every other failure, a
+	// transport failure or a shard that failed after applying the update,
+	// leaves the fold for the replay.
 	for acks+failed < n {
 		err := <-results
 		if err == nil {
 			acks++
 			break
 		}
-		if isRemoteError(err) {
+		if protocol.IsUpdateRefused(err) {
 			undo()
 			r.umu.Unlock()
-			return fmt.Errorf("fleet: weight update refused: %w", err)
+			return fmt.Errorf("fleet: %w", err)
 		}
 		failed++
 		last = err

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -649,5 +651,104 @@ func TestRefusedUpdateDoesNotPoisonReplay(t *testing.T) {
 				t.Errorf("restarted shard: arc %d→%d costs %v after replay, want %v", valid.From, valid.To, got, valid.NewCost)
 			}
 		})
+	}
+}
+
+// TestFailedUpdateStaysFolded: only a refusal of an update's content takes
+// the update back out of the replay state. A shard failing it for another
+// reason (here a paged shard, which refuses every update, answering before
+// the in-memory peer that applies it) says nothing of its peers: the call
+// succeeds on the peer's ack, and a shard that was down meanwhile is
+// replayed the update when it connects.
+func TestFailedUpdateStaysFolded(t *testing.T) {
+	g := testGraph(t, 300, 2001)
+	first := shortestPathArcChange(t, g, makeQueries(g, 8, 5001))
+	second := roadnet.ArcWeightChange{From: first.From, To: first.From}
+	for u := roadnet.NodeID(0); second.From == second.To; u++ {
+		if arcs := g.Arcs(u); u != first.From && len(arcs) > 0 {
+			second = roadnet.ArcWeightChange{From: u, To: arcs[0].To, NewCost: arcs[0].Cost * 2}
+		}
+	}
+	pagedCfg := server.DefaultConfig()
+	pagedCfg.Paged = true
+	shards := []*server.Server{server.MustNew(g, pagedCfg), server.MustNew(g, hybridConfig()), server.MustNew(g, hybridConfig())}
+
+	var (
+		mu      sync.Mutex
+		conns   []net.Conn
+		serving sync.WaitGroup
+		lateUp  bool
+	)
+	dialers := make([]fleet.Dialer, len(shards))
+	for i, srv := range shards {
+		dialers[i] = func() (*protocol.MuxClient, error) {
+			switch i {
+			case 1:
+				// The paged shard's failure reaches the router first.
+				time.Sleep(20 * time.Millisecond)
+			case 2:
+				mu.Lock()
+				up := lateUp
+				mu.Unlock()
+				if !up {
+					return nil, fmt.Errorf("shard %d is down", i)
+				}
+			}
+			routerEnd, shardEnd := net.Pipe()
+			mu.Lock()
+			conns = append(conns, routerEnd, shardEnd)
+			mu.Unlock()
+			serving.Add(1)
+			go func() {
+				defer serving.Done()
+				_ = srv.ServeMuxConn(shardEnd, protocol.MuxServerConfig{})
+			}()
+			c, err := protocol.NewMuxClient(routerEnd, protocol.Hello{Role: "router"})
+			if err != nil {
+				routerEnd.Close()
+			}
+			return c, err
+		}
+	}
+	r, err := fleet.New(fleet.Config{RetryBackoff: time.Millisecond}, dialers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		serving.Wait()
+	}()
+
+	if err := r.UpdateWeights([]roadnet.ArcWeightChange{first}); err != nil {
+		t.Errorf("update applied by an in-memory shard: %v", err)
+	}
+	if got, _ := shards[1].Graph().ArcCost(first.From, first.To); got != first.NewCost {
+		t.Fatalf("in-memory shard: arc %d→%d costs %v, want %v", first.From, first.To, got, first.NewCost)
+	}
+
+	mu.Lock()
+	lateUp = true
+	mu.Unlock()
+	if err := r.UpdateWeights([]roadnet.ArcWeightChange{second}); err != nil {
+		t.Fatal(err)
+	}
+	// The late shard connects during the second broadcast, and its replay
+	// carries the whole replay state; quorum 1 may return before it acks.
+	late := shards[2]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got, _ := late.Graph().ArcCost(second.From, second.To); got == second.NewCost {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the late shard never received the second update")
+		}
+	}
+	if got, _ := late.Graph().ArcCost(first.From, first.To); got != first.NewCost {
+		t.Errorf("late shard: arc %d→%d costs %v after replay, want %v: the first update left the replay state", first.From, first.To, got, first.NewCost)
 	}
 }

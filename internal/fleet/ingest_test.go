@@ -170,6 +170,9 @@ func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 		if !srv.OverlayFresh() {
 			t.Fatalf("shard %d: applied batches still unpublished after Close", i)
 		}
+		if n := srv.Metrics().Gauge("recustomize_pending_cells"); n != 0 {
+			t.Errorf("shard %d: recustomize_pending_cells = %v after Close, want 0", i, n)
+		}
 	}
 
 	st := in.Stats()
@@ -307,8 +310,6 @@ func TestChurnSoak(t *testing.T) {
 		}
 	}()
 
-	// The feed is paced, eight events per millisecond, so the stream spans
-	// many batches instead of queueing whole behind the first one.
 	const nEvents = 800
 	for i := 0; i < nEvents; i++ {
 		key := pool[rng.Intn(len(pool))]
@@ -318,9 +319,6 @@ func TestChurnSoak(t *testing.T) {
 		}
 		if err := in.Ingest(roadnet.ArcWeightChange{From: key[0], To: key[1], NewCost: cost}); err != nil {
 			t.Fatalf("event %d: %v", i, err)
-		}
-		if i%8 == 7 {
-			time.Sleep(time.Millisecond)
 		}
 	}
 	// Bad events are rejected at the boundary without disturbing the stream.
@@ -363,14 +361,21 @@ func TestChurnSoak(t *testing.T) {
 	}
 
 	// The default quorum of 1 lets the other shard finish the last batch in
-	// the background; once it has, every shard serves the final graph.
+	// the background; once it has, every shard serves the final graph and
+	// has no overlay layer left to re-customize (the publication clears the
+	// pending set just after it swaps the epoch in).
 	final := sink.cur
 	for i := 0; i < cl.NumShards(); i++ {
 		srv := cl.Shard(i).Server()
 		deadline := time.Now().Add(10 * time.Second)
-		for srv.Graph().ContentChecksum() != final.ContentChecksum() || !srv.OverlayFresh() {
+		for {
+			converged := srv.Graph().ContentChecksum() == final.ContentChecksum() && srv.OverlayFresh()
+			pending := srv.Metrics().Gauge("recustomize_pending_cells")
+			if converged && pending == 0 {
+				break
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d never converged on the stream's final graph", i)
+				t.Fatalf("shard %d: converged on the stream's final graph = %v, recustomize_pending_cells = %v", i, converged, pending)
 			}
 			time.Sleep(time.Millisecond)
 		}

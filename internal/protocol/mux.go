@@ -89,6 +89,20 @@ func IsDeadlineExceeded(err error) bool {
 	return errors.As(err, &re) && strings.Contains(re.Msg, DeadlineExceededMsg)
 }
 
+// UpdateRefusedMsg prefixes the RemoteError message a server answers a
+// WeightUpdate with when it refuses the update's content (an unknown node,
+// an invalid cost or a nonexistent arc) before applying any of it. Every
+// server of one road map refuses such an update alike; any other failure
+// may come after the server applied part or all of the update.
+const UpdateRefusedMsg = "weight update refused"
+
+// IsUpdateRefused reports whether err is a peer's refusal of a weight
+// update's content (see UpdateRefusedMsg).
+func IsUpdateRefused(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) && strings.HasPrefix(re.Msg, UpdateRefusedMsg)
+}
+
 // RemoteError is a failure reported by the peer's handler (a FrameErr
 // answer). It is distinct from transport errors: the connection remains
 // healthy and retrying on another connection will not help unless the

@@ -42,6 +42,12 @@ func CheckCost(cost float64) error {
 	return nil
 }
 
+// ErrInvalidChange is wrapped by every error WithUpdatedWeights returns for
+// a change the graph refuses: an unknown node, an invalid cost or a
+// nonexistent arc. Such a change is refused before anything is derived, and
+// any copy of the same road map refuses it alike.
+var ErrInvalidChange = errors.New("roadnet: invalid weight change")
+
 // WithUpdatedWeights returns a new frozen graph equal to g except that every
 // arc named by changes carries its NewCost. The receiver is not modified and
 // stays fully usable; the returned graph shares g's node table, CSR offsets
@@ -50,18 +56,18 @@ func CheckCost(cost float64) error {
 //
 // Errors: the graph must be frozen; every change must reference an existing
 // arc (both endpoints valid and at least one From→To arc present) and carry
-// a finite non-negative cost. On error the returned graph is nil and g is
-// untouched.
+// a finite non-negative cost, and a change that does not wraps
+// ErrInvalidChange. On error the returned graph is nil and g is untouched.
 func (g *Graph) WithUpdatedWeights(changes []ArcWeightChange) (*Graph, error) {
 	if !g.frozen {
 		return nil, fmt.Errorf("roadnet: WithUpdatedWeights requires a frozen graph")
 	}
 	for _, c := range changes {
 		if !g.validID(c.From) || !g.validID(c.To) {
-			return nil, fmt.Errorf("roadnet: weight change (%d,%d) references unknown node (have %d nodes)", c.From, c.To, len(g.nodes))
+			return nil, fmt.Errorf("%w: (%d,%d) references unknown node (have %d nodes)", ErrInvalidChange, c.From, c.To, len(g.nodes))
 		}
 		if err := CheckCost(c.NewCost); err != nil {
-			return nil, fmt.Errorf("roadnet: weight change (%d,%d) has invalid cost %v: %w", c.From, c.To, c.NewCost, err)
+			return nil, fmt.Errorf("%w: (%d,%d) has invalid cost %v: %w", ErrInvalidChange, c.From, c.To, c.NewCost, err)
 		}
 	}
 
@@ -88,7 +94,7 @@ func (g *Graph) WithUpdatedWeights(changes []ArcWeightChange) (*Graph, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("roadnet: weight change references nonexistent arc %d→%d", c.From, c.To)
+			return nil, fmt.Errorf("%w: references nonexistent arc %d→%d", ErrInvalidChange, c.From, c.To)
 		}
 	}
 

@@ -22,6 +22,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -568,9 +569,15 @@ func (s *Server) Metrics() *metrics.Registry {
 
 // applyWeightUpdate answers a wire WeightUpdate: apply and publish the
 // changes, then acknowledge with the identity of the published epoch — the
-// ack means the update is visible.
+// ack means the update is visible. A refusal of the changes themselves,
+// which leaves the served graph untouched, is answered under
+// protocol.UpdateRefusedMsg so the router can tell it from a failure after
+// the apply.
 func (s *Server) applyWeightUpdate(m protocol.WeightUpdate) (protocol.WeightUpdateAck, error) {
 	if _, err := s.UpdateWeights(m.Changes); err != nil {
+		if errors.Is(err, roadnet.ErrInvalidChange) {
+			err = fmt.Errorf("%s: %w", protocol.UpdateRefusedMsg, err)
+		}
 		return protocol.WeightUpdateAck{}, err
 	}
 	id := s.live.Load().ident

@@ -1,6 +1,6 @@
 // Package traffic implements the streaming ingestion pipeline that sits in
-// front of the serving tier's live weight updates. A real traffic feed emits
-// thousands of per-segment cost events per second; sending each one through
+// front of the serving tier's live weight updates. A traffic feed emits a
+// stream of per-segment cost events; sending each one through
 // fleet.Router.UpdateWeights would pay one broadcast, one copy-on-write
 // snapshot swap per shard and one overlay re-customization per event, and
 // hold each event until its epoch is published. The pipeline turns that
@@ -19,12 +19,12 @@
 //     returns.
 //
 // The pipeline folds by blocking: while the sink publishes one batch, newly
-// ingested events wait in the queue, and the coalescer takes in everything
-// queued before it flushes the next batch. However fast the feed, there is
-// one sink call in flight, each carrying every change that arrived during
-// the previous one, so publication work grows with batches, never with raw
-// events, and queries are answered on the previous epoch for about one
-// publication latency.
+// ingested events wait in the queue, and once the call returns the
+// coalescer takes them in back to back, so they coalesce into the next
+// batches, up to MaxBatch distinct arcs each. There is one sink call in
+// flight at a time, and arcs reported again while it runs cost one change
+// in the next batch, not one each. How much this saves at a real feed's
+// rate has not been measured.
 package traffic
 
 import (
@@ -46,9 +46,8 @@ type Sink interface {
 // Config parameterises an Ingestor.
 type Config struct {
 	// MaxBatch flushes the pending batch once it holds this many distinct
-	// arcs (default 256). Raw events beyond the first per arc coalesce and
-	// do not count against the limit, and the events queued when the limit
-	// is reached join the batch before it flushes.
+	// arcs (default 256); no batch holds more. Raw events beyond the first
+	// per arc coalesce and do not count against the limit.
 	MaxBatch int
 	// MaxDelay flushes the pending batch when its oldest event has waited
 	// this long in the coalescer (default 25ms).
@@ -282,14 +281,7 @@ func (in *Ingestor) coalesceLoop() {
 		pending[key] = ev.NewCost
 	}
 
-	// flush sends the pending batch with the events queued right now folded
-	// in: those that arrived while the sink was publishing the previous
-	// batch. This goroutine is the only receiver, so each receive finds an
-	// event.
 	flush := func() {
-		for n := len(in.events); n > 0; n-- {
-			add(<-in.events)
-		}
 		disarm()
 		if len(order) == 0 {
 			return
@@ -301,7 +293,7 @@ func (in *Ingestor) coalesceLoop() {
 		clear(pending)
 		order = order[:0]
 		// The call blocks until the batch is published; events arriving
-		// meanwhile queue up and fold into the next batch.
+		// meanwhile queue up and fold into the next batches.
 		if err := in.sink.UpdateWeights(changes); err != nil {
 			in.applyFails.Add(1)
 			in.lastErr.Store(&err)
@@ -326,8 +318,25 @@ func (in *Ingestor) coalesceLoop() {
 			timerArmed = false
 			flush()
 		case done := <-in.flushC:
-			// Every event ingested before the Flush call is queued by now,
-			// and flush takes in the whole queue.
+			// Every event ingested before the Flush call is queued by now:
+			// take in the whole queue, flushing at MaxBatch as usual, so
+			// Flush's "every event ingested before the call" promise holds.
+			for drained := false; !drained; {
+				select {
+				case ev, ok := <-in.events:
+					if !ok {
+						flush()
+						close(done)
+						return
+					}
+					add(ev)
+					if len(order) >= in.cfg.MaxBatch {
+						flush()
+					}
+				default:
+					drained = true
+				}
+			}
 			flush()
 			close(done)
 		}

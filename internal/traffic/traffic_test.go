@@ -251,27 +251,30 @@ func TestCloseDrainsAndRefreshes(t *testing.T) {
 
 // TestFoldingByBlocking pins how the pipeline folds: the sink blocks while
 // it publishes, and the events ingested meanwhile wait in the queue and
-// coalesce into the next batch. MaxBatch 1 would flush every distinct arc on
-// its own; the ten events on one arc still end in at most two batches — the
-// first event's, in flight while the other nine arrive, and one for those.
+// coalesce into the next batch. The ten events on one arc end in at most two
+// batches: the first event's, in flight while the other nine arrive, and
+// one for those.
 func TestFoldingByBlocking(t *testing.T) {
 	g := testGraph(t, 200, 12)
 	// entered holds a signal for every call the test can cause, so no call
 	// blocks on it; the test reads the first.
 	sink := &graphSink{g: g, delay: 50 * time.Millisecond, entered: make(chan struct{}, 16)}
-	in, err := NewIngestor(sink, Config{MaxBatch: 1, MaxDelay: time.Hour, Topology: g})
+	in, err := NewIngestor(sink, Config{MaxDelay: time.Hour, Topology: g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
 	a := anyArc(t, g)
+	if err := in.Ingest(roadnet.ArcWeightChange{From: a.From, To: a.To, NewCost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	firstFlush := make(chan error, 1)
+	go func() { firstFlush <- in.Flush() }()
+	<-sink.entered // the first batch is in the sink: the rest arrive during the call
 	const events = 10
-	for i := 1; i <= events; i++ {
+	for i := 2; i <= events; i++ {
 		if err := in.Ingest(roadnet.ArcWeightChange{From: a.From, To: a.To, NewCost: float64(i)}); err != nil {
 			t.Fatal(err)
-		}
-		if i == 1 {
-			<-sink.entered // the first batch is in the sink: the rest arrive during the call
 		}
 	}
 	if err := in.Flush(); err != nil {
@@ -279,6 +282,9 @@ func TestFoldingByBlocking(t *testing.T) {
 	}
 	if sink.inCall.Load() {
 		t.Fatal("Flush returned while the sink was still publishing")
+	}
+	if err := <-firstFlush; err != nil {
+		t.Fatal(err)
 	}
 	if n := sink.numBatches(); n > 2 {
 		t.Errorf("batches = %d for %d events on one arc ingested during one blocked call, want at most 2", n, events)
