@@ -75,12 +75,14 @@ func execPair(exec QueryExecutor, s, t roadnet.NodeID) (search.Path, protocol.Se
 	if err != nil {
 		return search.Path{}, protocol.ServerReply{}, err
 	}
-	for _, c := range reply.Paths {
-		if c.Source == s && c.Dest == t {
-			return protocol.PathFromCandidate(c), reply, nil
-		}
+	c, err := reply.Cell(0, 0)
+	if err != nil {
+		return search.Path{}, reply, fmt.Errorf("baseline: reading the server's reply: %w", err)
 	}
-	return search.Path{}, reply, fmt.Errorf("baseline: server reply missing pair (%d,%d)", s, t)
+	if c.Source != s || c.Dest != t {
+		return search.Path{}, reply, fmt.Errorf("baseline: server reply missing pair (%d,%d)", s, t)
+	}
+	return c.Path(), reply, nil
 }
 
 // NoPrivacy submits the true query in the clear.

@@ -96,6 +96,9 @@ type mtmState struct {
 	// unpacked into. resetMemo sizes it by the table's chain length, never
 	// by the overlay's arc count.
 	memo []arcWindow
+	// unpacked is the scratch arena EvaluateTable unpacks a table's routes
+	// into before copying them, once, into the reply's exactly-sized arena.
+	unpacked []roadnet.NodeID
 }
 
 // arcWindow is one slot of the unpacking memo: key is the arc plus one (0
@@ -574,11 +577,13 @@ func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 }
 
 // EvaluateTable evaluates the full Q(S, T) result on acc, every cell's route
-// unpacked straight into the result's one node arena (the wire reply needs
-// every cell). The distances land in the result's Dist and the arc chains
-// stay in the pooled state, unpacked before it returns to the pool. Each
-// distinct chain arc of the table is unpacked once (see appendArcOnce); the
-// arena is node-for-node what Table.AppendPath gives cell by cell.
+// in the result's one node arena (the wire reply needs every cell). The
+// distances land in the result's Dist and the arc chains stay in the pooled
+// state, unpacked before it returns to the pool. Each distinct chain arc of
+// the table is unpacked once (see appendArcOnce), into the state's scratch
+// arena — whose final size is known only once every cell is unpacked — and
+// the whole table is then copied once into an exactly-sized arena the result
+// owns. That arena is node-for-node what Table.AppendPath gives cell by cell.
 func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeID) (search.Table, error) {
 	if err := m.verifyAccessor(acc); err != nil {
 		return search.Table{}, err
@@ -592,18 +597,20 @@ func (m *MTM) EvaluateTable(acc storage.Accessor, sources, dests []roadnet.NodeI
 	}
 	res.Sources, res.Dests, res.Stats = slices.Clone(sources), slices.Clone(dests), stats
 	res.Ends = make([]int32, len(res.Dist))
-	// Every chain arc unpacks to at least one node; shortcuts grow the arena.
-	res.Nodes = make([]roadnet.NodeID, 0, len(res.Dist)+2*len(st.arcs))
+	nodes := st.unpacked[:0]
 	memo := st.resetMemo(len(st.arcs))
 	for c, d := range res.Dist {
 		if !math.IsInf(d, 1) {
-			res.Nodes = append(res.Nodes, sources[c/len(dests)])
+			nodes = append(nodes, sources[c/len(dests)])
 			for _, a := range st.arcs[st.cellOff[c]:st.cellOff[c+1]] {
-				res.Nodes = m.o.appendArcOnce(res.Nodes, a, memo)
+				nodes = m.o.appendArcOnce(nodes, a, memo)
 			}
 		}
-		res.Ends[c] = int32(len(res.Nodes))
+		res.Ends[c] = int32(len(nodes))
 	}
+	st.unpacked = nodes
+	res.Nodes = make([]roadnet.NodeID, len(nodes))
+	copy(res.Nodes, nodes)
 	return res, nil
 }
 

@@ -186,10 +186,15 @@ func (c *DirectClient) Query(source, dest roadnet.NodeID) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for _, cand := range reply.Paths {
-		if cand.Source == source && cand.Dest == dest {
-			return Result{Path: protocol.PathFromCandidate(cand), Found: cand.Found}, nil
-		}
+	if reply.Degraded {
+		return Result{}, fmt.Errorf("client: query (%d,%d): %w", source, dest, obfsvc.ErrShed)
 	}
-	return Result{}, fmt.Errorf("client: server reply missing pair (%d,%d)", source, dest)
+	cand, err := reply.Cell(0, 0)
+	if err != nil {
+		return Result{}, fmt.Errorf("client: reading the server's reply: %w", err)
+	}
+	if cand.Source != source || cand.Dest != dest {
+		return Result{}, fmt.Errorf("client: server reply missing pair (%d,%d)", source, dest)
+	}
+	return Result{Path: cand.Path(), Found: cand.Found}, nil
 }

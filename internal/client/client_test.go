@@ -157,6 +157,39 @@ func TestDirectClient(t *testing.T) {
 	}
 }
 
+// TestDirectClientOverMux: the direct client reads its one cell through the
+// reply accessor, so it works over the networked executor, whose replies hold
+// the server's table in its wire form.
+func TestDirectClientOverMux(t *testing.T) {
+	g, _, srv := testSetup(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.ServeMux(ln, protocol.MuxServerConfig{}) }()
+	defer ln.Close()
+	exec, err := obfsvc.DialMuxExecutor(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	c := MustNewDirect(exec)
+	acc := storage.NewMemoryGraph(g)
+	for _, pr := range gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 3, Seed: 98}) {
+		res, err := c.Query(pr.Source, pr.Dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, _, err := search.Dijkstra(acc, pr.Source, pr.Dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || math.Abs(truth.Cost-res.Path.Cost) > 1e-6 || res.Path.Source() != pr.Source || res.Path.Dest() != pr.Dest {
+			t.Errorf("%d->%d over mux: found %v, path %v (cost %v); shortest costs %v", pr.Source, pr.Dest, res.Found, res.Path.Nodes, res.Path.Cost, truth.Cost)
+		}
+	}
+}
+
 func TestQueryNotConnected(t *testing.T) {
 	var c Client
 	if _, err := c.Query(0, 1); err == nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sync/atomic"
+	"time"
 
 	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
@@ -40,44 +41,36 @@ func DialMuxExecutor(addr string) (*MuxExecutor, error) {
 // Close tears down the connection.
 func (e *MuxExecutor) Close() error { return e.conn.Close() }
 
-// Execute implements QueryExecutor.
+// Execute implements QueryExecutor. The reply comes back held (see
+// protocol.HeldReply): its cells are read, and validated, where they are
+// used.
 func (e *MuxExecutor) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
-	res, err := e.conn.Do(q)
+	h, err := e.conn.DoHeld(q, time.Time{})
 	if err != nil {
 		return protocol.ServerReply{}, fmt.Errorf("obfsvc: %w", err)
 	}
-	switch m := res.(type) {
-	case protocol.ServerReply:
-		return m, nil
-	default:
-		return protocol.ServerReply{}, fmt.Errorf("obfsvc: unexpected server reply type %T", res)
-	}
+	return h.Reply(), nil
 }
 
-// ExecuteBatch implements BatchExecutor over one streaming batch exchange. A
-// transport or whole-batch failure is reported in every error slot.
+// ExecuteBatch implements BatchExecutor over one streaming batch exchange,
+// its replies held as Execute's are. A transport or whole-batch failure is
+// reported in every error slot.
 func (e *MuxExecutor) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
 	replies := make([]protocol.ServerReply, len(qs))
 	errs := make([]error, len(qs))
-	br, err := e.conn.DoBatch(protocol.BatchQuery{BatchID: e.batchID.Add(1), Queries: qs})
+	held, msgs, err := e.conn.DoBatchHeld(protocol.BatchQuery{BatchID: e.batchID.Add(1), Queries: qs}, time.Time{})
 	if err != nil {
 		for i := range errs {
 			errs[i] = fmt.Errorf("obfsvc: %w", err)
 		}
 		return replies, errs
 	}
-	if len(br.Replies) != len(qs) || len(br.Errors) != len(qs) {
-		err := fmt.Errorf("obfsvc: batch reply has %d replies / %d errors for %d queries", len(br.Replies), len(br.Errors), len(qs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return replies, errs
-	}
-	copy(replies, br.Replies)
-	for i, msg := range br.Errors {
+	for i, msg := range msgs {
 		if msg != "" {
 			errs[i] = fmt.Errorf("obfsvc: server error: %s", msg)
+			continue
 		}
+		replies[i] = held[i].Reply()
 	}
 	return replies, errs
 }

@@ -8,6 +8,7 @@
 package obfsvc
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,10 +25,11 @@ import (
 
 // QueryExecutor abstracts the connection to the directions search server: the
 // in-process deployment calls the server directly, the networked deployment
-// sends the query over the multiplexed transport (MuxExecutor). A reply's
-// Paths must be the source-major |S|×|T| table of the query, as every server
-// and router builds it; the service copies out the members' own paths and
-// retains nothing else of the reply.
+// sends the query over the multiplexed transport (MuxExecutor), whose
+// replies hold the table in its wire form. Either way a reply's table must be
+// the source-major |S|×|T| table of the query, as every server and router
+// builds it; the service reads out the members' own cells
+// (protocol.ServerReply.ReadCells) and retains nothing else of the reply.
 type QueryExecutor interface {
 	Execute(q protocol.ServerQuery) (protocol.ServerReply, error)
 }
@@ -49,6 +51,11 @@ type ExecutorFunc func(q protocol.ServerQuery) (protocol.ServerReply, error)
 
 // Execute implements QueryExecutor.
 func (f ExecutorFunc) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) { return f(q) }
+
+// ErrShed fails the members of a query the server shed to a distance-only
+// reply (protocol.ServerReply.Degraded): it carries costs but no path, and
+// an answer without its path is not the directions the client asked for.
+var ErrShed = errors.New("obfsvc: the server shed the query to a distance-only reply, which carries no path")
 
 // Config parameterises the obfuscator service.
 type Config struct {
@@ -239,9 +246,19 @@ func (s *Service) ProcessBatch(batch []obfuscate.Request) ([]ClientResult, error
 			failMembers(errs[qi])
 			continue
 		}
-		candidates += int64(len(replies[qi].Paths))
+		candidates += int64(replies[qi].Cells())
+		if replies[qi].Degraded {
+			failMembers(fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ErrShed))
+			continue
+		}
 		fstart := time.Now()
-		extracted, ferr := s.filt.Extract(q, candidateSet{sources: q.Sources, dests: q.Dests, paths: replies[qi].Paths})
+		var extracted []filter.Result
+		cs, ferr := memberCells(q, replies[qi])
+		if ferr == nil {
+			extracted, ferr = s.filt.Extract(q, cs)
+		} else {
+			ferr = fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ferr)
+		}
 		filterDur += time.Since(fstart)
 		if ferr != nil {
 			failMembers(ferr)
@@ -341,30 +358,55 @@ func (s *Service) flush() {
 // shutdown paths use it.
 func (s *Service) Flush() { s.flush() }
 
-// candidateSet adapts a ServerReply to the filter.CandidateSet interface
-// without indexing it: a reply is the source-major |S|×|T| table of the
-// query that asked for it, so a member's cell is found by position — where
-// its source sits in the query's source list, where its destination sits in
-// the destination list — and verified against the endpoints the cell itself
-// claims. Only the cells the filter extracts are ever touched; the
-// |S|·|T| − |members| candidates every obfuscated query is padded with are
-// discarded without being looked at.
+// candidateSet is the filter.CandidateSet of one query: its members' own
+// cells, read out of the reply by memberCells. Each cell is handed out once
+// (two members asking the same pair each get a cell of their own).
 type candidateSet struct {
-	sources, dests []roadnet.NodeID
-	paths          []protocol.CandidatePath
+	cells []protocol.CandidatePath
+	buf   [4]protocol.CandidatePath // cells' storage for the usual few members
 }
 
-// Path implements filter.CandidateSet. The returned path owns its memory: it
-// is an exactly-sized copy, never a window of the reply's node arena, so the
-// reply can be dropped (or overwritten) the moment the filter is done.
-func (c candidateSet) Path(source, dest roadnet.NodeID) (search.Path, bool) {
-	i, j := slices.Index(c.sources, source), slices.Index(c.dests, dest)
-	if i < 0 || j < 0 || len(c.paths) != len(c.sources)*len(c.dests) {
-		return search.Path{}, false
+// memberCells reads the cells of q's members out of its reply without
+// indexing the reply: a reply is the source-major |S|×|T| table of the query
+// that asked for it, so a member's cell is found by position — where its
+// source sits in the query's source list, where its destination sits in the
+// destination list — and verified, in Path, against the endpoints the cell
+// itself claims. Only the members' cells are materialised: of a held reply,
+// the |S|·|T| − |members| candidates every obfuscated query is padded with
+// are validated, in the same one pass, and never decoded. A reply that is
+// not a table of Q(S, T)'s shape holds no member's cell.
+func memberCells(q obfuscate.ObfuscatedQuery, reply protocol.ServerReply) (*candidateSet, error) {
+	cs := &candidateSet{}
+	if reply.Cells() != len(q.Sources)*len(q.Dests) {
+		return cs, nil
 	}
-	cell := c.paths[i*len(c.dests)+j]
-	if cell.Source != source || cell.Dest != dest {
-		return search.Path{}, false // not the table we asked for
+	var atBuf [8][2]int
+	at := atBuf[:0]
+	for _, m := range q.Members {
+		if i, j := slices.Index(q.Sources, m.Source), slices.Index(q.Dests, m.Dest); i >= 0 && j >= 0 {
+			at = append(at, [2]int{i, j})
+		}
 	}
-	return protocol.PathFromCandidate(cell), true
+	if len(at) <= len(cs.buf) {
+		cs.cells = cs.buf[:len(at)]
+	} else {
+		cs.cells = make([]protocol.CandidatePath, len(at))
+	}
+	if err := reply.ReadCells(cs.cells, at); err != nil {
+		return nil, err
+	}
+	return cs, nil
+}
+
+// Path implements filter.CandidateSet. The returned path owns its memory
+// (see ServerReply.ReadCells), so the reply can be dropped the moment the
+// filter is done.
+func (c *candidateSet) Path(source, dest roadnet.NodeID) (search.Path, bool) {
+	for k, cell := range c.cells {
+		if cell.Source == source && cell.Dest == dest {
+			c.cells = slices.Delete(c.cells, k, k+1)
+			return cell.Path(), true
+		}
+	}
+	return search.Path{}, false
 }

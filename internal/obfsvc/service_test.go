@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +257,9 @@ func TestMuxHandlerOverTCP(t *testing.T) {
 	}
 }
 
+// TestMuxExecutor: the networked executor's replies hold the server's table
+// in its wire form, and every cell read through the one accessor is the cell
+// server.Evaluate computes, unary and batched.
 func TestMuxExecutor(t *testing.T) {
 	g := testGraph(t)
 	srv := server.MustNew(g, server.DefaultConfig())
@@ -270,24 +274,102 @@ func TestMuxExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	reply, err := exec.Execute(protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{5}})
+	sameCells := func(what string, q protocol.ServerQuery, got protocol.ServerReply) {
+		t.Helper()
+		want, err := srv.Evaluate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.QueryID != q.QueryID || got.Cells() != len(q.Sources)*len(q.Dests) {
+			t.Fatalf("%s: reply %d holds %d cells, want query %d's %d", what, got.QueryID, got.Cells(), q.QueryID, len(q.Sources)*len(q.Dests))
+		}
+		for i := range q.Sources {
+			for j := range q.Dests {
+				cell, err := got.Cell(i, j)
+				if err != nil {
+					t.Fatalf("%s: cell (%d, %d): %v", what, i, j, err)
+				}
+				if w := want.Paths[i*len(q.Dests)+j]; cell.Source != w.Source || cell.Dest != w.Dest || cell.Found != w.Found ||
+					cell.Cost != w.Cost || !slices.Equal(cell.Nodes, w.Nodes) {
+					t.Errorf("%s: cell (%d, %d) = %+v, server.Evaluate has %+v", what, i, j, cell, w)
+				}
+			}
+		}
+	}
+	q := protocol.ServerQuery{QueryID: 2, Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{5}}
+	reply, err := exec.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.QueryID != 2 || len(reply.Paths) != 1 {
-		t.Errorf("mux executor reply = %+v", reply)
-	}
+	sameCells("unary", q, reply)
 	// A whole plan travels as one streaming batch; a malformed query fails
 	// in its own slot.
-	replies, errs := exec.ExecuteBatch([]protocol.ServerQuery{
+	qs := []protocol.ServerQuery{
 		{QueryID: 3, Sources: []roadnet.NodeID{0, 1}, Dests: []roadnet.NodeID{5, 6}},
 		{QueryID: 4, Sources: []roadnet.NodeID{0}},
-	})
-	if errs[0] != nil || len(replies[0].Paths) != 4 {
-		t.Errorf("batch slot 0: reply %+v, err %v", replies[0], errs[0])
 	}
+	replies, errs := exec.ExecuteBatch(qs)
+	if errs[0] != nil {
+		t.Fatalf("batch slot 0: %v", errs[0])
+	}
+	sameCells("batch slot 0", qs[0], replies[0])
 	if errs[1] == nil {
 		t.Error("batch slot 1: a query without destinations succeeded")
+	}
+}
+
+// shedHandler serves a server's mux handler as if every request arrived
+// above the shedding watermark.
+type shedHandler struct{ h protocol.MuxHandler }
+
+func (s shedHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error) {
+	info.Shed = true
+	return s.h.HandleMux(msg, info)
+}
+
+func (s shedHandler) HandleMuxBatch(b protocol.BatchQuery, info protocol.ReqInfo, emit func(protocol.BatchItem)) error {
+	info.Shed = true
+	return s.h.(protocol.MuxBatchStreamer).HandleMuxBatch(b, info, emit)
+}
+
+// TestShedQueryFailsItsMembers: a query the server shed to a distance-only
+// reply has costs and no paths; its members fail with ErrShed instead of
+// reaching their clients as "no route" — in process and over the
+// multiplexed transport.
+func TestShedQueryFailsItsMembers(t *testing.T) {
+	g := testGraph(t)
+	srv := server.MustNew(g, server.DefaultConfig())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = protocol.ServeMux(ln, shedHandler{srv.MuxHandler()}, protocol.MuxServerConfig{}) }()
+	defer ln.Close()
+	mux, err := DialMuxExecutor(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	inProcess := ExecutorFunc(func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+		q.DistanceOnly = true
+		return srv.Evaluate(q)
+	})
+	for name, exec := range map[string]QueryExecutor{"in process": inProcess, "mux": mux} {
+		cfg := DefaultConfig()
+		cfg.Obfuscation.Mode = obfuscate.Independent
+		minX, minY, maxX, maxY := g.Bounds()
+		extent := math.Max(maxX-minX, maxY-minY)
+		cfg.Obfuscation.Selector = obfuscate.MustNewRingBandSelector(0.02*extent, 0.2*extent, 83)
+		svc := MustNew(g, exec, cfg)
+		results, err := svc.ProcessBatch(testRequests(t, g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			if !errors.Is(res.Err, ErrShed) || res.Found {
+				t.Errorf("%s: request %d: found %v, err %v; want ErrShed", name, i, res.Found, res.Err)
+			}
+		}
 	}
 }
 

@@ -17,13 +17,17 @@ package protocol
 //     keeps — is columnar: the S and T ids once, a found bitmap, one cost
 //     table and, unless Degraded, the paths as one prefix tree per source: a
 //     path is where it attaches to an earlier path of its source plus the
-//     suffix beyond. It decodes into exactly two allocations, a
+//     suffix beyond. A full decode takes exactly two allocations, a
 //     []CandidatePath slab and a []NodeID arena every Nodes sub-slices.
 //   - A reply's header — QueryID, Degraded, SettledNodes, PageFaults,
-//     Generation, ContentSum — precedes its table, so a relay reads the
-//     header alone and holds the body as bytes (HeldReply): the fleet router
-//     forwards shard replies without decoding or re-encoding a path.
-//     Held bodies alias their payload; every decoded message owns its memory.
+//     Generation, ContentSum — and its shape precede its table, so a relay
+//     reads the header alone and holds the body as bytes (HeldReply): the
+//     fleet router forwards shard replies without decoding or re-encoding a
+//     path. The obfuscator holds them too and reads only its members' cells
+//     (ServerReply.ReadCells): one pass that validates the whole body, as the
+//     full decode does, through the same tree walker, and materialises only
+//     the paths asked for, each exactly sized. Held bodies alias their
+//     payload; every decoded message and every cell read owns its memory.
 //   - Decoding validates every count against the bytes that remain before
 //     allocating, and bounds the one place the format expands (a shared
 //     prefix costs two bytes however long it is) with maxPathExpansion, so a
@@ -35,6 +39,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"opaque/internal/roadnet"
 )
@@ -69,6 +75,8 @@ var (
 	// ErrReplyShape reports a ServerReply whose Paths is not the source-major
 	// |S|×|T| table the encoding (and every consumer) relies on.
 	ErrReplyShape = errors.New("protocol: reply paths are not a source-major |S|×|T| table")
+	// ErrNoCell reports a cell read outside the reply's |S|×|T| table.
+	ErrNoCell = errors.New("protocol: no such cell in the reply's candidate table")
 )
 
 // wireMessage is what every message type implements to be encoded: its type
@@ -178,9 +186,9 @@ func DecodeMessage(payload []byte) (any, int64, error) {
 }
 
 // ReadHeldReply reads a ServerReply payload's header and holds its body (see
-// HeldReply), returning the header deadline too. Only the reply header is
-// validated: a reply whose table is malformed is held, and fails where it is
-// decoded.
+// HeldReply), returning the header deadline too. Only the reply header and
+// the table's shape are read: a reply whose table is malformed is held, and
+// fails where it is decoded or a cell of it is read.
 func ReadHeldReply(payload []byte) (HeldReply, int64, error) {
 	t, deadline, err := PeekHeader(payload)
 	if err != nil {
@@ -193,15 +201,14 @@ func ReadHeldReply(payload []byte) (HeldReply, int64, error) {
 	return h, deadline, err
 }
 
-// holdReply reads a reply body's header fields and holds the body. It
-// allocates nothing.
+// holdReply reads a reply body's header fields and table shape and holds the
+// body. It allocates nothing.
 func holdReply(body []byte) (HeldReply, error) {
 	r := wireReader{b: body}
-	h := HeldReply{QueryID: r.uvarint(), Degraded: r.bool()}
-	r.int()    // SettledNodes
-	r.varint() // PageFaults
+	h := HeldReply{QueryID: r.uvarint(), Degraded: r.bool(), SettledNodes: r.int(), PageFaults: r.varint()}
 	h.Generation = r.uvarint()
 	h.ContentSum = r.u64()
+	h.nS, h.nT = r.count(1, "source ids"), r.count(1, "destination ids")
 	if r.err != nil {
 		return HeldReply{}, fmt.Errorf("reading reply header: %w", r.err)
 	}
@@ -212,6 +219,62 @@ func holdReply(body []byte) (HeldReply, error) {
 // Decode decodes the held body into the ServerReply it carries. The result
 // shares no memory with the held bytes.
 func (h HeldReply) Decode() (ServerReply, error) { return decodeReplyBody(h.body) }
+
+// Reply returns the ServerReply that carries h: its header fields, no Paths,
+// and h itself as Held.
+func (h HeldReply) Reply() ServerReply {
+	return ServerReply{QueryID: h.QueryID, SettledNodes: h.SettledNodes, PageFaults: h.PageFaults,
+		Generation: h.Generation, ContentSum: h.ContentSum, Degraded: h.Degraded, Held: h}
+}
+
+// Cells returns |S|·|T|, the number of cells of the reply's candidate table,
+// from whichever form the reply has.
+func (r ServerReply) Cells() int {
+	if r.Held.body != nil {
+		return r.Held.nS * r.Held.nT
+	}
+	return len(r.Paths)
+}
+
+// ReadCells reads cell at[k] = (i, j) of the reply's |S|×|T| candidate table
+// into dst[k] for every k (dst is as long as at), from whichever form the
+// reply has. A held reply is read in one pass that validates its whole body
+// — it fails exactly when Decode does — and materialises only the cells
+// asked for; a decoded one is copied out of Paths. Either way every Nodes is
+// an exactly-sized slice the caller owns, nil when empty, so the reply can be
+// dropped as soon as its cells are read; an unreachable cell allocates
+// nothing.
+func (r ServerReply) ReadCells(dst []CandidatePath, at [][2]int) error {
+	if r.Held.body != nil {
+		return readCells(r.Held.body, dst, at)
+	}
+	nS, nT, ok := replyGrid(r.Paths)
+	if !ok {
+		return fmt.Errorf("%w: query %d, %d paths", ErrReplyShape, r.QueryID, len(r.Paths))
+	}
+	for k, ij := range at {
+		i, j := ij[0], ij[1]
+		if i < 0 || i >= nS || j < 0 || j >= nT {
+			return fmt.Errorf("%w: cell (%d, %d) of a %d×%d table", ErrNoCell, i, j, nS, nT)
+		}
+		c := r.Paths[i*nT+j]
+		nodes := c.Nodes
+		c.Nodes = nil
+		if len(nodes) > 0 {
+			c.Nodes = make([]roadnet.NodeID, len(nodes))
+			copy(c.Nodes, nodes)
+		}
+		dst[k] = c
+	}
+	return nil
+}
+
+// Cell is ReadCells for the one cell (i, j).
+func (r ServerReply) Cell(i, j int) (CandidatePath, error) {
+	var c [1]CandidatePath
+	err := r.ReadCells(c[:], [][2]int{{i, j}})
+	return c[0], err
+}
 
 // decodeReplyBody decodes one whole reply body, trailing bytes refused.
 func decodeReplyBody(body []byte) (ServerReply, error) {
@@ -397,10 +460,14 @@ func isGrid(paths []CandidatePath, nT int) bool {
 	return true
 }
 
-// appendBody appends a reply in columnar form (see the file comment).
+// appendBody appends a reply in columnar form (see the file comment), or
+// the held body when the reply holds one.
 //
 //opaque:noalloc
 func (r ServerReply) appendBody(dst []byte) ([]byte, error) {
+	if r.Held.body != nil {
+		return r.Held.appendBody(dst)
+	}
 	nS, nT, ok := replyGrid(r.Paths)
 	if !ok {
 		//opaque:allow(noalloc) refusal path: a handler bug, the reply is never sent
@@ -714,108 +781,311 @@ func (r *wireReader) hello() Hello {
 	return h
 }
 
-// serverReply reads one columnar reply into rep: one []CandidatePath slab,
-// one []NodeID arena every Nodes sub-slices (capacity clipped), nothing else.
-func (r *wireReader) serverReply(rep *ServerReply) {
+// replyTable is a reply body read up to its path trees: the table's shape
+// and the regions holding its id lists, found bitmap and cost table, every
+// id already checked. Reading one allocates nothing.
+type replyTable struct {
+	nS, nT         int
+	sources, dests []byte // delta-coded node ids, nS and nT of them
+	bitmap, costs  []byte
+}
+
+// replyTable reads a reply body's header into rep and its table up to the
+// path trees.
+func (r *wireReader) replyTable(rep *ServerReply) replyTable {
 	rep.QueryID = r.uvarint()
 	rep.Degraded = r.bool()
 	rep.SettledNodes = r.int()
 	rep.PageFaults = r.varint()
 	rep.Generation = r.uvarint()
 	rep.ContentSum = r.u64()
-	nS := r.count(1, "source ids")
-	nT := r.count(1, "destination ids")
+	t := replyTable{nS: r.count(1, "source ids"), nT: r.count(1, "destination ids")}
 	// Both counts are bounded by the payload length, so the 64-bit product
 	// cannot overflow; every cell then costs at least its 8-byte table entry.
-	cells := nS * nT
-	if (nS == 0) != (nT == 0) || uint64(nS)*uint64(nT) > uint64(len(r.b)/8) {
-		r.fail(fmt.Errorf("%w: %d×%d candidate table declared, %d bytes remain", ErrPayloadMalformed, nS, nT, len(r.b)))
+	cells := t.nS * t.nT
+	if (t.nS == 0) != (t.nT == 0) || uint64(t.nS)*uint64(t.nT) > uint64(len(r.b)/8) {
+		r.fail(fmt.Errorf("%w: %d×%d candidate table declared, %d bytes remain", ErrPayloadMalformed, t.nS, t.nT, len(r.b)))
 	}
-	if r.err != nil || cells == 0 {
+	t.sources = r.skipIDs(t.nS)
+	t.dests = r.skipIDs(t.nT)
+	if r.err == nil && len(r.b) < (cells+7)/8+8*cells {
+		r.truncated("candidate table")
+	}
+	if r.err != nil {
+		return replyTable{}
+	}
+	t.bitmap, t.costs = r.b[:(cells+7)/8], r.b[(cells+7)/8:(cells+7)/8+8*cells]
+	r.b = r.b[len(t.bitmap)+len(t.costs):]
+	return t
+}
+
+// skipIDs reads past n delta-coded node ids, checking each, and returns the
+// bytes they occupy.
+func (r *wireReader) skipIDs(n int) []byte {
+	start := r.b
+	prev := roadnet.NodeID(0)
+	for ; n > 0; n-- {
+		prev = r.nodeID(prev)
+	}
+	return start[:len(start)-len(r.b)]
+}
+
+// nthID returns id k of a delta-coded id list replyTable has checked.
+func nthID(ids []byte, k int) roadnet.NodeID {
+	r := wireReader{b: ids}
+	v := r.nodeID(0)
+	for ; k > 0; k-- {
+		v = r.nodeID(v)
+	}
+	return v
+}
+
+// cell returns cell c's found bit and cost.
+func (t *replyTable) cell(c int) (bool, float64) {
+	return t.bitmap[c/8]&(1<<(c%8)) != 0, math.Float64frombits(binary.BigEndian.Uint64(t.costs[8*c:]))
+}
+
+// serverReply reads one columnar reply into rep: one []CandidatePath slab,
+// one []NodeID arena every Nodes sub-slices (capacity clipped), nothing else.
+func (r *wireReader) serverReply(rep *ServerReply) {
+	t := r.replyTable(rep)
+	if r.err != nil || t.nS == 0 {
 		return
 	}
-	paths := make([]CandidatePath, cells)
+	paths := make([]CandidatePath, t.nS*t.nT)
+	ids := wireReader{b: t.sources}
 	prev := roadnet.NodeID(0)
-	for i := 0; i < nS; i++ {
-		prev = r.nodeID(prev)
-		paths[i*nT].Source = prev
+	for i := 0; i < t.nS; i++ {
+		prev = ids.nodeID(prev)
+		paths[i*t.nT].Source = prev
 	}
-	prev = 0
-	for j := 0; j < nT; j++ {
-		prev = r.nodeID(prev)
+	ids, prev = wireReader{b: t.dests}, 0
+	for j := 0; j < t.nT; j++ {
+		prev = ids.nodeID(prev)
 		paths[j].Dest = prev
 	}
-	if len(r.b) < (cells+7)/8+8*cells {
-		r.truncated("candidate table")
-		return
-	}
-	bitmap := r.b[:(cells+7)/8]
-	r.b = r.b[len(bitmap):]
 	for c := range paths {
 		p := &paths[c]
-		p.Source, p.Dest = paths[c-c%nT].Source, paths[c%nT].Dest
-		p.Found = bitmap[c/8]&(1<<(c%8)) != 0
-		p.Cost = math.Float64frombits(binary.BigEndian.Uint64(r.b[8*c:]))
+		p.Source, p.Dest = paths[c-c%t.nT].Source, paths[c%t.nT].Dest
+		p.Found, p.Cost = t.cell(c)
 	}
-	r.b = r.b[8*cells:]
 	if !rep.Degraded {
-		r.pathTrees(paths, nT)
+		r.pathTrees(paths, &t)
 	}
 	if r.err == nil {
 		rep.Paths = paths
 	}
 }
 
-// pathTrees reads the per-source prefix trees into one exactly-sized arena,
-// bounded — as the encoder bounds it — by the bytes the trees themselves
-// occupy: a reply's paths are the last thing in its payload.
-func (r *wireReader) pathTrees(paths []CandidatePath, nT int) {
+// treeWalker reads a reply's path trees (see appendPathTrees) path by path
+// and makes every check the format allows: an attach point names an earlier
+// path of its row and at most that path's length, the paths fit the node
+// total the reply declares — which maxPathExpansion bounds by the bytes the
+// trees occupy, a reply's paths being the last thing in its payload — every
+// node id fits int32, and the paths fill the total exactly. Where the nodes
+// go is its caller's business: the full decode lays whole paths into one
+// arena, the cell reader keeps each row's suffixes. Both read through this
+// one walker, so they refuse exactly the same bodies.
+type treeWalker struct {
+	r           *wireReader
+	total, left int            // nodes declared; of those, not yet claimed by a path
+	sources     wireReader     // the table's source ids, one read per row
+	source      roadnet.NodeID // the current row's source
+}
+
+// treeWalker reads the node total ahead of t's path trees.
+func (r *wireReader) treeWalker(t *replyTable) treeWalker {
 	total := r.uvarint()
 	if r.err == nil && total > uint64(maxPathExpansion*len(r.b)) {
 		r.fail(fmt.Errorf("%w: %d path nodes declared in %d bytes", ErrPayloadMalformed, total, len(r.b)))
 	}
 	if r.err != nil {
-		return
+		return treeWalker{r: r}
 	}
-	arena := make([]roadnet.NodeID, total)
-	off := 0
-	for c := range paths {
-		j := c % nT
-		var shared []roadnet.NodeID
-		if j > 0 {
-			if lcp := r.uvarint(); lcp > 0 {
-				ref := r.uvarint()
-				if ref >= uint64(j) || lcp > uint64(len(paths[c-j+int(ref)].Nodes)) {
-					r.fail(fmt.Errorf("%w: attach point %d nodes into path %d of a row at path %d", ErrPayloadMalformed, lcp, ref, j))
-					return
-				}
-				shared = paths[c-j+int(ref)].Nodes[:lcp]
+	return treeWalker{r: r, total: int(total), left: int(total), sources: wireReader{b: t.sources}}
+}
+
+// next reads the head of path j of the current row (j = 0 starts the next
+// row): it shares its first lcp nodes with earlier path ref of the row, and
+// n suffix nodes follow. rowLen(k) is the length of earlier path k. ok is
+// false once the reader has failed.
+func (w *treeWalker) next(j int, rowLen func(k int) int) (lcp, ref, n int, ok bool) {
+	r := w.r
+	if j == 0 {
+		w.source = w.sources.nodeID(w.source)
+	} else if l := r.uvarint(); l > 0 {
+		k := r.uvarint()
+		if k >= uint64(j) || l > uint64(rowLen(int(k))) {
+			r.fail(fmt.Errorf("%w: attach point %d nodes into path %d of a row at path %d", ErrPayloadMalformed, l, k, j))
+			return 0, 0, 0, false
+		}
+		lcp, ref = int(l), int(k)
+	}
+	n = r.count(1, "path nodes")
+	if r.err != nil {
+		return 0, 0, 0, false
+	}
+	if lcp+n > w.left {
+		r.fail(fmt.Errorf("%w: paths overrun the %d nodes declared", ErrPayloadMalformed, w.total))
+		return 0, 0, 0, false
+	}
+	w.left -= lcp + n
+	return lcp, ref, n, true
+}
+
+// suffix reads the suffix of the path next returned into dst, the first
+// node as a delta from prev: the path's last shared node, or the row's
+// source when it shares none. Almost every delta along a road is one byte,
+// so those are read inline; any other goes through nodeID and its checks.
+func (w *treeWalker) suffix(dst []roadnet.NodeID, prev roadnet.NodeID) {
+	b := w.r.b
+	for k := range dst {
+		if len(b) > 0 && b[0] < 0x80 {
+			d := int64(b[0] >> 1)
+			if b[0]&1 != 0 {
+				d = ^d
+			}
+			if v := int64(prev) + d; v >= math.MinInt32 && v <= math.MaxInt32 {
+				prev, b = roadnet.NodeID(v), b[1:]
+				dst[k] = prev
+				continue
 			}
 		}
-		n := r.count(1, "path nodes")
-		if r.err != nil {
-			return
-		}
-		if len(shared)+n > len(arena)-off {
-			r.fail(fmt.Errorf("%w: paths overrun the %d nodes declared", ErrPayloadMalformed, len(arena)))
+		w.r.b = b
+		prev = w.r.nodeID(prev)
+		b = w.r.b
+		dst[k] = prev
+	}
+	w.r.b = b
+}
+
+// end fails the reader unless the paths filled the declared total.
+func (w *treeWalker) end() {
+	if w.r.err == nil && w.left != 0 {
+		w.r.fail(fmt.Errorf("%w: paths fill %d of the %d nodes declared", ErrPayloadMalformed, w.total-w.left, w.total))
+	}
+}
+
+// pathTrees reads the per-source prefix trees into one exactly-sized arena:
+// each path's shared prefix is copied from the earlier path it attaches to,
+// its suffix decoded in place behind it.
+func (r *wireReader) pathTrees(paths []CandidatePath, t *replyTable) {
+	w := r.treeWalker(t)
+	if r.err != nil {
+		return
+	}
+	arena := make([]roadnet.NodeID, w.total)
+	off := 0
+	for c := range paths {
+		j := c % t.nT
+		row := paths[c-j : c]
+		lcp, ref, n, ok := w.next(j, func(k int) int { return len(row[k].Nodes) })
+		if !ok {
 			return
 		}
 		start := off
-		off += copy(arena[off:], shared)
-		prev := paths[c].Source
-		if len(shared) > 0 {
-			prev = shared[len(shared)-1]
+		prev := w.source
+		if lcp > 0 {
+			off += copy(arena[off:], row[ref].Nodes[:lcp])
+			prev = arena[off-1]
 		}
-		for ; n > 0; n-- {
-			prev = r.nodeID(prev)
-			arena[off] = prev
-			off++
-		}
+		w.suffix(arena[off:off+n], prev)
+		off += n
 		if off > start {
 			paths[c].Nodes = arena[start:off:off]
 		}
 	}
-	if r.err == nil && off != len(arena) {
-		r.fail(fmt.Errorf("%w: paths fill %d of the %d nodes declared", ErrPayloadMalformed, off, len(arena)))
+	w.end()
+}
+
+// rowPath is one path of a row as the cell reader keeps it: its first lcp
+// nodes are path ref's, the rest — its suffix — sit at off in the row's
+// suffix buffer. ref is re-anchored when the path is read, to the nearest
+// path down the attach chain whose own suffix holds node lcp-1, so lcp falls
+// strictly along every chain of refs.
+type rowPath struct{ lcp, ref, len, off int }
+
+// rowScratch is the cell reader's per-row state, pooled: steady-state cell
+// reads allocate only the path they return.
+type rowScratch struct {
+	paths    []rowPath
+	suffixes []roadnet.NodeID
+}
+
+var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// readCells reads the cells at of a reply body into dst (as long as at),
+// validating the whole body as decodeReplyBody does but materialising only
+// those cells' paths.
+func readCells(body []byte, dst []CandidatePath, at [][2]int) error {
+	r := wireReader{b: body}
+	var head ServerReply
+	t := r.replyTable(&head)
+	if r.err != nil {
+		return fmt.Errorf("reading reply cells: %w", r.err)
 	}
+	for k, ij := range at {
+		i, j := ij[0], ij[1]
+		if i < 0 || i >= t.nS || j < 0 || j >= t.nT {
+			return fmt.Errorf("%w: cell (%d, %d) of a %d×%d table", ErrNoCell, i, j, t.nS, t.nT)
+		}
+		dst[k] = CandidatePath{Source: nthID(t.sources, i), Dest: nthID(t.dests, j)}
+		dst[k].Found, dst[k].Cost = t.cell(i*t.nT + j)
+	}
+	if !head.Degraded && t.nS > 0 {
+		r.cellPaths(&t, dst, at)
+	}
+	r.end()
+	if r.err != nil {
+		return fmt.Errorf("reading reply cells: %w", r.err)
+	}
+	return nil
+}
+
+// cellPaths walks every row's prefix tree and sets dst[k].Nodes to the path
+// of cell at[k], each in an exactly-sized slice of its own (nil when empty).
+// A row's suffixes go into a reused buffer; a shared prefix is reached
+// through the attach chain, never copied, so a row costs the bytes it
+// occupies whatever it expands to.
+func (r *wireReader) cellPaths(t *replyTable, dst []CandidatePath, at [][2]int) {
+	w := r.treeWalker(t)
+	if r.err != nil {
+		return
+	}
+	sc := rowScratches.Get().(*rowScratch)
+	defer rowScratches.Put(sc)
+	for row := 0; row < t.nS; row++ {
+		paths, suffixes := sc.paths[:0], sc.suffixes[:0]
+		for k := 0; k < t.nT; k++ {
+			lcp, ref, n, ok := w.next(k, func(q int) int { return paths[q].len })
+			if !ok {
+				return
+			}
+			prev := w.source
+			if lcp > 0 {
+				for paths[ref].lcp >= lcp {
+					ref = paths[ref].ref
+				}
+				prev = suffixes[paths[ref].off+lcp-1-paths[ref].lcp]
+			}
+			off := len(suffixes)
+			suffixes = slices.Grow(suffixes, n)[:off+n]
+			w.suffix(suffixes[off:], prev)
+			paths = append(paths, rowPath{lcp: lcp, ref: ref, len: lcp + n, off: off})
+		}
+		for k, ij := range at {
+			if ij[0] != row || paths[ij[1]].len == 0 {
+				continue
+			}
+			out := make([]roadnet.NodeID, paths[ij[1]].len)
+			// Fill back to front: each path down the chain supplies the nodes
+			// between its own attach point and the next one up.
+			for need, p := len(out), ij[1]; need > 0; need, p = paths[p].lcp, paths[p].ref {
+				copy(out[paths[p].lcp:need], suffixes[paths[p].off:])
+			}
+			dst[k].Nodes = out
+		}
+		sc.paths, sc.suffixes = paths, suffixes
+	}
+	w.end()
 }

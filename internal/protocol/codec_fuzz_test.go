@@ -3,7 +3,9 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"opaque/internal/roadnet"
@@ -96,8 +98,9 @@ func readHeld(data []byte) (any, error) {
 
 // sameHeader reports whether a held reply carries a decoded reply's header.
 func sameHeader(h HeldReply, rep ServerReply) bool {
-	return h.QueryID == rep.QueryID && h.Degraded == rep.Degraded && h.Generation == rep.Generation &&
-		h.ContentSum == rep.ContentSum
+	return h.QueryID == rep.QueryID && h.Degraded == rep.Degraded && h.SettledNodes == rep.SettledNodes &&
+		h.PageFaults == rep.PageFaults && h.Generation == rep.Generation && h.ContentSum == rep.ContentSum &&
+		h.nS*h.nT == len(rep.Paths)
 }
 
 // checkHeld asserts the relay's read against the full decode of one payload:
@@ -128,13 +131,56 @@ func checkHeld(t *testing.T, data []byte, deadline int64, msg any, held any, hel
 	}
 }
 
+// maxFuzzCells caps the cells checkCells reads of one reply.
+const maxFuzzCells = 64
+
+// checkCells asserts the cell reader against the full decode of one held
+// reply: reading its cells (up to maxFuzzCells, in one pass) fails exactly
+// when Decode fails, with a typed error, and otherwise every cell read
+// equals Decode's.
+func checkCells(t *testing.T, h HeldReply) {
+	t.Helper()
+	full, fullErr := h.Decode()
+	at := make([][2]int, min(h.nS*h.nT, maxFuzzCells))
+	for c := range at {
+		at[c] = [2]int{c / h.nT, c % h.nT}
+	}
+	cells := make([]CandidatePath, len(at))
+	err := h.Reply().ReadCells(cells, at)
+	switch {
+	case len(at) == 0:
+	case (err == nil) != (fullErr == nil):
+		t.Fatalf("%d×%d table: cell read err %v, full decode err %v", h.nS, h.nT, err, fullErr)
+	case err != nil:
+		if !typedDecodeError(err) {
+			t.Fatalf("untyped cell read error: %v", err)
+		}
+	default:
+		for c, cell := range cells {
+			want := full.Paths[c]
+			if cell.Source != want.Source || cell.Dest != want.Dest || cell.Found != want.Found ||
+				math.Float64bits(cell.Cost) != math.Float64bits(want.Cost) || !slices.Equal(cell.Nodes, want.Nodes) ||
+				(cell.Nodes == nil) != (want.Nodes == nil) || cap(cell.Nodes) != len(cell.Nodes) {
+				t.Fatalf("cell %d of %d×%d read as %+v, decoded as %+v", c, h.nS, h.nT, cell, want)
+			}
+		}
+	}
+}
+
 // fuzzDecode is the body of every payload fuzz target: arbitrary bytes either
-// decode to a well-behaved message or fail with a typed error, and the
-// relay's header-only read agrees with the decode; nothing panics.
+// decode to a well-behaved message or fail with a typed error, the relay's
+// header-only read agrees with the decode, and every cell read out of a held
+// reply agrees with the full decode; nothing panics.
 func fuzzDecode(t *testing.T, data []byte) {
 	held, heldErr := readHeld(data)
 	if heldErr != nil && !typedDecodeError(heldErr) {
 		t.Fatalf("untyped header read error: %v", heldErr)
+	}
+	switch h := held.(type) {
+	case HeldReply:
+		checkCells(t, h)
+	case BatchItem:
+		checkCells(t, h.Held)
 	}
 	msg, deadline, err := DecodeMessage(data)
 	if err != nil {

@@ -304,20 +304,44 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestPathFromCandidateOwnsItsMemory: a path taken out of a reply is an
-// exactly-sized copy — scribbling over the reply's arena does not reach it.
-func TestPathFromCandidateOwnsItsMemory(t *testing.T) {
+// TestCellOwnsItsMemory: a cell read out of a reply, in either form, is an
+// exactly-sized copy — scribbling over the reply's arena or its held bytes
+// does not reach it — and an unreachable cell converts to an empty path.
+func TestCellOwnsItsMemory(t *testing.T) {
 	arena := []roadnet.NodeID{1, 2, 3, 9, 9}
-	c := CandidatePath{Source: 1, Dest: 3, Found: true, Cost: 2, Nodes: arena[:3:3]}
-	p := PathFromCandidate(c)
-	for i := range arena {
-		arena[i] = -7
+	rep := ServerReply{Paths: []CandidatePath{
+		{Source: 1, Dest: 3, Found: true, Cost: 2, Nodes: arena[:3:3]},
+		{Source: 1, Dest: 4},
+	}}
+	payload, err := AppendMessage(nil, rep, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p, search.Path{Nodes: []roadnet.NodeID{1, 2, 3}, Cost: 2}) || cap(p.Nodes) != len(p.Nodes) {
-		t.Errorf("extracted path %+v (cap %d) shares memory with the reply", p, cap(p.Nodes))
+	held, _, err := ReadHeldReply(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !PathFromCandidate(CandidatePath{Source: 1, Dest: 3}).Empty() {
-		t.Error("unreachable candidate did not convert to an empty path")
+	for _, form := range []ServerReply{rep, held.Reply()} {
+		c, err := form.Cell(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := c.Path()
+		for i := range arena {
+			arena[i] = -7
+		}
+		clear(payload)
+		if !reflect.DeepEqual(p, search.Path{Nodes: []roadnet.NodeID{1, 2, 3}, Cost: 2}) || cap(p.Nodes) != len(p.Nodes) {
+			t.Errorf("held %v: extracted path %+v (cap %d) shares memory with the reply", form.Held.body != nil, p, cap(p.Nodes))
+		}
+		copy(arena, []roadnet.NodeID{1, 2, 3, 9, 9})
+		payload, _ = AppendMessage(payload[:0], rep, 0)
+	}
+	if c, err := rep.Cell(0, 1); err != nil || !c.Path().Empty() || c.Nodes != nil {
+		t.Errorf("unreachable cell: %+v (err %v), want an empty path", c, err)
+	}
+	if _, err := rep.Cell(1, 0); !errors.Is(err, ErrNoCell) {
+		t.Errorf("cell outside the table: err = %v, want ErrNoCell", err)
 	}
 }
 
@@ -390,20 +414,41 @@ func recordedReply(tb testing.TB, side int) ServerReply {
 	return rep
 }
 
-// TestRecordedReplyRoundTrip: real shortest-path tables survive the codec,
-// and the prefix tree earns its keep on them.
+// TestRecordedReplyRoundTrip: real shortest-path tables survive the codec —
+// decoded whole and read cell by cell out of the held form — and the prefix
+// tree earns its keep on them.
 func TestRecordedReplyRoundTrip(t *testing.T) {
+	for _, side := range []int{3, 16} {
+		rep := recordedReply(t, side)
+		payload, err := AppendMessage(nil, rep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DecodeMessage(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rep) {
+			t.Fatalf("recorded %d×%d reply did not round-trip", side, side)
+		}
+		held, _, err := ReadHeldReply(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, want := range rep.Paths {
+			cell, err := held.Reply().Cell(c/side, c%side)
+			if len(want.Nodes) == 0 {
+				want.Nodes = nil
+			}
+			if err != nil || !reflect.DeepEqual(cell, want) {
+				t.Fatalf("recorded %d×%d reply: cell %d read as %+v (err %v), want %+v", side, side, c, cell, err, want)
+			}
+		}
+	}
 	rep := recordedReply(t, 16)
 	payload, err := AppendMessage(nil, rep, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, _, err := DecodeMessage(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rep) {
-		t.Fatal("recorded 16×16 reply did not round-trip")
 	}
 	nodes := 0
 	for _, c := range rep.Paths {
@@ -424,9 +469,10 @@ var (
 
 // BenchmarkReplyCodec measures the codec on recorded replies: encoding into a
 // reused buffer (0 allocs/op), decoding (the candidate slab, the node arena
-// and the boxing into any), and relaying — what a fleet router does with a
-// shard's reply: read its header and write the held bytes back out into a
-// reused buffer.
+// and the boxing into any), reading one cell out of the held reply — what
+// the obfuscator does for each member: validate the whole body, materialise
+// one path — and relaying — what a fleet router does with a shard's reply:
+// read its header and write the held bytes back out into a reused buffer.
 func BenchmarkReplyCodec(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -458,6 +504,22 @@ func BenchmarkReplyCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSink = msg
+			}
+			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
+		})
+		b.Run("cell/"+shape.name, func(b *testing.B) {
+			held, _, err := ReadHeldReply(payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reply := held.Reply()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := reply.Cell(shape.side/2, shape.side/2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchLen = len(c.Nodes)
 			}
 			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
 		})

@@ -79,10 +79,11 @@ type ServerQuery struct {
 	DistanceOnly bool
 }
 
-// CandidatePath is one (s, t, path) triple of a ServerReply. Nodes usually
-// sub-slices a node arena the whole reply shares (the server unpacks into
-// one, the codec decodes into one): treat it as read-only, and copy it
-// (PathFromCandidate) before retaining it past the reply.
+// CandidatePath is one (s, t, path) triple of a ServerReply. In a reply's
+// Paths, Nodes sub-slices a node arena the whole reply shares (the server
+// unpacks into one, the full decode decodes into one): treat it as
+// read-only. A cell read with ServerReply.ReadCells or Cell owns its Nodes
+// instead, which is how a path is taken out of a reply to outlive it.
 type CandidatePath struct {
 	Source roadnet.NodeID
 	Dest   roadnet.NodeID
@@ -92,11 +93,20 @@ type CandidatePath struct {
 }
 
 // ServerReply returns every candidate result path of one obfuscated query.
+// The table comes in one of two forms: decoded, in Paths, or still in the
+// wire form it arrived in, in Held. Read its cells with Cell, which serves
+// either (or ReadCells, for several in one pass).
 type ServerReply struct {
 	QueryID uint64
 	// Paths is the |S|×|T| candidate table, source-major: cell (i, j) of
 	// Q(S, T) is Paths[i*|T|+j]. The wire encoding relies on that shape.
+	// It is nil when Held holds the table.
 	Paths []CandidatePath
+	// Held, when it holds a reply, is the table in its wire form, and the
+	// header fields below are its header's: the networked obfuscator keeps
+	// the shard's bytes and reads only its members' cells out of them.
+	// AppendMessage writes the held bytes; decoding never sets it.
+	Held HeldReply
 	// SettledNodes and PageFaults let experiments observe the server-side
 	// cost without another channel; a production server would omit them.
 	// PageFaults is exact under sequential evaluation and an upper bound
@@ -117,13 +127,15 @@ type ServerReply struct {
 	Degraded bool
 }
 
-// HeldReply is a ServerReply held in its wire form: the header fields a
-// relay acts on are decoded, the candidate table stays the encoded bytes it
-// arrived as. A fleet router forwards shard replies this way — it reads the
-// header to count degraded replies, and writes the body back out unchanged, so the |S|·|T|
-// paths are encoded once, by the shard, and decoded once, by the
-// obfuscator. Read one with ReadHeldReply (or MuxClient.DoHeld and
-// DoBatchHeld), decode it with Decode; AppendMessage writes it as the
+// HeldReply is a ServerReply held in its wire form: the header fields and
+// the table's shape are decoded, the candidate table stays the encoded bytes
+// it arrived as. A fleet router forwards shard replies this way — it reads
+// the header to count degraded replies, and writes the body back out
+// unchanged — so the |S|·|T| paths are encoded once, by the shard. The
+// obfuscator holds them too: it validates the whole body and materialises
+// only the cells its members ask for (ServerReply.ReadCells on Reply's
+// result). Read one with ReadHeldReply (or MuxClient.DoHeld and
+// DoBatchHeld), decode it whole with Decode; AppendMessage writes it as the
 // ServerReply payload it was read from.
 //
 // The held body aliases the payload it was read from, which must therefore
@@ -131,14 +143,17 @@ type ServerReply struct {
 // payload for every frame. The zero HeldReply holds nothing and does not
 // encode.
 type HeldReply struct {
-	QueryID    uint64
-	Degraded   bool
-	Generation uint64
-	ContentSum uint64
+	QueryID      uint64
+	Degraded     bool
+	SettledNodes int
+	PageFaults   int64
+	Generation   uint64
+	ContentSum   uint64
 
-	// body is the reply's whole encoded body, QueryID first; nil when
-	// nothing is held.
-	body []byte
+	// nS and nT are the table's shape, |S| and |T|; body is the reply's
+	// whole encoded body, QueryID first, nil when nothing is held.
+	nS, nT int
+	body   []byte
 }
 
 // BatchQuery carries several obfuscated path queries to the server in one
@@ -201,15 +216,11 @@ type ErrorReply struct {
 	Message string
 }
 
-// PathFromCandidate converts a wire CandidatePath back to a search.Path. The
-// node sequence is copied into an exactly-sized slice of its own: a decoded
-// reply's candidates all sub-slice one node arena, and a path that outlives
-// the reply must neither keep that arena alive nor alias it.
-func PathFromCandidate(c CandidatePath) search.Path {
+// Path returns the cell's route as a search.Path sharing its Nodes: empty
+// when the destination is unreachable.
+func (c CandidatePath) Path() search.Path {
 	if !c.Found {
 		return search.Path{}
 	}
-	nodes := make([]roadnet.NodeID, len(c.Nodes))
-	copy(nodes, c.Nodes)
-	return search.Path{Nodes: nodes, Cost: c.Cost}
+	return search.Path{Nodes: c.Nodes, Cost: c.Cost}
 }

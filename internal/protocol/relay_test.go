@@ -10,7 +10,8 @@ import (
 
 // TestHeldReplyRelaysBytes pins the held form: the header fields are the
 // reply's, the held reply re-encodes to exactly the payload it was read from
-// — alone and inside a BatchItem — and decodes to the reply itself.
+// — alone, carried by a ServerReply and inside a BatchItem — and decodes to
+// the reply itself.
 func TestHeldReplyRelaysBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, rep := range []ServerReply{
@@ -27,13 +28,18 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", rep.QueryID, err)
 		}
-		if held.QueryID != rep.QueryID || held.Degraded != rep.Degraded || held.Generation != rep.Generation ||
-			held.ContentSum != rep.ContentSum || deadline != 987 {
+		if !sameHeader(held, rep) || deadline != 987 {
 			t.Fatalf("query %d: held header %+v (deadline %d) differs from the reply", rep.QueryID, held, deadline)
 		}
 		again, err := AppendMessage(nil, held, 987)
 		if err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("query %d: held reply re-encoded to %d bytes (err %v), read from %d", rep.QueryID, len(again), err, len(payload))
+		}
+		// A ServerReply carrying the held reply has no Paths of its own and
+		// encodes as the held bytes, never as an empty table.
+		carried := held.Reply()
+		if again, err := AppendMessage(nil, carried, 987); carried.Paths != nil || err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("query %d: reply carrying the held bytes re-encoded to %d bytes (err %v), read from %d", rep.QueryID, len(again), err, len(payload))
 		}
 		got, err := held.Decode()
 		if err != nil || !reflect.DeepEqual(got, rep) {
@@ -117,5 +123,62 @@ func TestRelayAllocs(t *testing.T) {
 	}
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("re-encoded held reply differs from the payload it was read from")
+	}
+}
+
+// TestCellReadAllocs pins the cell reader's allocation contract: reading one
+// cell of a recorded 16×16 reply allocates only the returned path, and an
+// unreachable cell allocates nothing.
+func TestCellReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
+	}
+	rep := recordedReply(t, 16)
+	payload, err := AppendMessage(nil, rep, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _, err := ReadHeldReply(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, lost := -1, -1
+	for c, p := range rep.Paths {
+		if p.Found && found < 0 {
+			found = c
+		}
+		if !p.Found && lost < 0 {
+			lost = c
+		}
+	}
+	if found < 0 {
+		t.Fatal("recorded reply has no reachable cell")
+	}
+	read := func(c int) func() {
+		reply := held.Reply()
+		return func() {
+			if _, err := reply.Cell(c/16, c%16); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read(found)() // warm the scratch pool
+	if allocs := testing.AllocsPerRun(50, read(found)); allocs > 1 {
+		t.Errorf("reading a reachable cell allocated %v times, want 1 (the path)", allocs)
+	}
+	// The recorded map is connected; an unreachable cell is made by clearing
+	// a found bit and the cell's path, as a server would send it.
+	if lost < 0 {
+		rep.Paths[found].Found, rep.Paths[found].Nodes = false, nil
+		if payload, err = AppendMessage(nil, rep, 0); err != nil {
+			t.Fatal(err)
+		}
+		if held, _, err = ReadHeldReply(payload); err != nil {
+			t.Fatal(err)
+		}
+		lost = found
+	}
+	if allocs := testing.AllocsPerRun(50, read(lost)); allocs > 0 {
+		t.Errorf("reading an unreachable cell allocated %v times, want 0", allocs)
 	}
 }
