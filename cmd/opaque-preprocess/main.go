@@ -59,7 +59,7 @@ func run(args []string, out, errOut io.Writer) error {
 		nodes       = fs.Int("nodes", 10000, "node count when generating")
 		seed        = fs.Uint64("seed", 42, "generation seed")
 		outFile     = fs.String("out", "", "output overlay file (required)")
-		partition   = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last): the full customization pass then runs one goroutine per cell and weight updates are attributed to cells (0 = flat contraction)")
+		partition   = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last), so that weight updates are attributed to cells (0 = flat contraction)")
 		check       = fs.Int("check", 0, "verify this many random queries against Dijkstra after building")
 	)
 	if err := fs.Parse(args); err != nil {

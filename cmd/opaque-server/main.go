@@ -49,7 +49,7 @@ func main() {
 		paged         = flag.Bool("paged", false, "simulate disk-resident storage with an LRU buffer pool")
 		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
-		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay customizes cell-parallel and attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
+		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the multiplexed transport (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
@@ -114,10 +114,10 @@ func main() {
 
 // logStats periodically prints the server's operational counters: query and
 // batch throughput, the strategy routing split, the many-to-many bucket
-// engine's arena gauges, the pending re-customization work, the partition's
-// cell counters, the last overlay refresh (duration and arcs re-derived), the
-// SSMD tree cache hit ratio and the workspace pool's checkout/reuse numbers —
-// the at-a-glance health line for a long-running deployment.
+// engine's arena gauges, the partition's cell counters, the last overlay
+// refresh (duration and arcs re-derived), the SSMD tree cache hit ratio and
+// the workspace pool's checkout/reuse numbers — the at-a-glance health line
+// for a long-running deployment.
 func logStats(srv *server.Server, every time.Duration) {
 	for range time.Tick(every) {
 		m := srv.Metrics()
@@ -125,11 +125,10 @@ func logStats(srv *server.Server, every time.Duration) {
 		ws := srv.WorkspacePoolStats()
 		io := srv.IOStats()
 		mt := srv.MTMStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | pending-cells=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
-			int64(m.Gauge("recustomize_pending_cells")),
 			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
 			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),

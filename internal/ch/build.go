@@ -24,9 +24,9 @@ func BuildCustomizable(g *roadnet.Graph) (*Overlay, error) {
 // one lazy-ordered group) with every boundary node last, so each cell's
 // interiors occupy a contiguous rank range below all boundary ranks. The
 // overlay then classifies every arena arc into a per-cell weight layer or the
-// boundary top layer (partition.go), customizes its cells in parallel and
-// attributes weight updates to cells. p must have been built for g; a nil p
-// builds the unpartitioned overlay.
+// boundary top layer (partition.go) and attributes weight updates to cells;
+// it customizes in the same single pass as an unpartitioned overlay. p must
+// have been built for g; a nil p builds the unpartitioned overlay.
 func BuildCustomizablePartitioned(g *roadnet.Graph, p *roadnet.Partition) (*Overlay, error) {
 	if g == nil || g.NumNodes() == 0 {
 		return nil, fmt.Errorf("ch: need a non-empty graph to contract")
@@ -122,8 +122,8 @@ func newBuilder(g *roadnet.Graph, p *roadnet.Partition) *builder {
 // node competes in one lazy-ordered queue; with one, each cell's interior
 // nodes form their own group contracted to completion before the next cell
 // starts, and all boundary nodes come last — giving every cell a contiguous
-// rank range below every boundary rank, which is the layering the
-// cell-parallel customization pass depends on.
+// rank range below every boundary rank, which is the layering the cell
+// attribution of weight updates depends on (partition.go).
 func (b *builder) contractAll() {
 	p := b.part
 	if p == nil {

@@ -36,14 +36,15 @@ import (
 // below both of its endpoints.
 //
 // Two routines apply the rule. The full pass (Recustomize, and every build)
-// pushes it forward: nodes bottom-up, each relaxing the targets of all its
-// triangles — linear in the triangles of the structure, cell-parallel on a
-// partitioned overlay, orders of magnitude faster than a re-contraction
-// (BenchmarkRecustomizeFull). The arc-level pass (RecustomizeIncremental)
-// pulls it: a rank-ordered worklist seeded with the arcs whose road cost
-// changed re-derives one arc at a time from its lower triangles and goes on
-// to the arcs above only where the new value can move them — milliseconds
-// for a traffic batch (BenchmarkRecustomizeIncremental).
+// pushes it forward: nodes bottom-up in elimination order, each relaxing the
+// targets of all its triangles — one sweep, linear in the triangles of the
+// structure, on partitioned and unpartitioned overlays alike, and orders of
+// magnitude faster than a re-contraction (BenchmarkRecustomizeFull). The
+// arc-level pass (RecustomizeIncremental) pulls it: a rank-ordered worklist
+// seeded with the arcs whose road cost changed re-derives one arc at a time
+// from its lower triangles and goes on to the arcs above only where the new
+// value can move them — milliseconds for a traffic batch
+// (BenchmarkRecustomizeIncremental).
 
 // Recustomize derives a fresh overlay whose weight layer matches g's current
 // arc costs, sharing the frozen topology (ranks, levels, CSR structure) with
@@ -71,10 +72,9 @@ type RecustomizeStats struct {
 	// ArcsRederived is the number of arena arcs whose cost and children were
 	// recomputed — the unit of work of the arc-level pass.
 	ArcsRederived int
-	// Cells is the number of partition cells (0 for unpartitioned overlays)
-	// and Recustomized lists, ascending, the cells owning at least one
-	// re-derived arc. Arcs of the boundary top layer belong to no cell.
-	Cells        int
+	// Recustomized lists, ascending, the partition cells owning at least one
+	// re-derived arc (none on an unpartitioned overlay). Arcs of the
+	// boundary top layer belong to no cell.
 	Recustomized []int
 	// Full reports a fall-back to the full pass: the overlay was loaded from
 	// disk and never matched against its graph (Matches), so there are no
@@ -93,7 +93,7 @@ type RecustomizeStats struct {
 // work differs, and it is the same on partitioned and unpartitioned
 // overlays.
 func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, RecustomizeStats, error) {
-	stats := RecustomizeStats{Cells: o.PartitionCells()}
+	var stats RecustomizeStats
 	o.baseMu.Lock()
 	base := o.baseCost
 	o.baseMu.Unlock()
@@ -104,7 +104,7 @@ func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, Recustomiz
 		}
 		stats.Full = true
 		stats.ArcsRederived = len(out.arcs)
-		for c := 0; c < stats.Cells; c++ {
+		for c := 0; c < o.PartitionCells(); c++ {
 			stats.Recustomized = append(stats.Recustomized, c)
 		}
 		return out, stats, nil
@@ -246,46 +246,13 @@ func (o *Overlay) customizeAll(g *roadnet.Graph) error {
 		o.arcs[i].cost = math.Inf(1)
 	}
 
-	if p := o.part; p == nil {
-		// byRank inverts the rank permutation: byRank[r] is the node
-		// contracted r-th.
-		byRank := make([]int32, o.n)
-		for v, r := range o.rank {
-			byRank[r] = int32(v)
-		}
-		o.trianglePass(byRank, nil)
-	} else {
-		// Cell passes write disjoint arc sets (their own layer) and read only
-		// their own layer plus a private export accumulator, so they run
-		// concurrently without synchronisation beyond the join; this is sound
-		// because no triangle leg or target ever crosses from one cell's
-		// interior into another's (see partition.go).
-		exports := make([][]topExport, p.cells)
-		var wg sync.WaitGroup
-		for c := range exports {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				exports[c] = o.cellPass(c)
-			}()
-		}
-		wg.Wait()
-		// Fold every cell's exports into the top layer, then run the
-		// boundary-node triangle pass. Folding before the pass reproduces the
-		// global bottom-up order: every interior node ranks below every
-		// boundary node, so all interior relaxations of top arcs precede all
-		// boundary-node triangles.
-		for _, exp := range exports {
-			for i := range exp {
-				e := &exp[i]
-				if a := &o.arcs[e.arc]; e.cost < a.cost {
-					a.cost = e.cost
-					a.childA, a.childB = e.childA, e.childB
-				}
-			}
-		}
-		o.trianglePass(p.boundaryByRank, nil)
+	// byRank inverts the rank permutation: byRank[r] is the node contracted
+	// r-th.
+	byRank := make([]int32, o.n)
+	for v, r := range o.rank {
+		byRank[r] = int32(v)
 	}
+	o.trianglePass(byRank)
 
 	// The arena cannot hold an unreachable shortcut: the shortcut x→w
 	// inserted when contracting v coexists with arena arcs x→v and v→w, so
@@ -328,15 +295,7 @@ func (o *Overlay) upIn(v int32) ([]roadnet.NodeID, []int32) {
 // performing a random lookup per triangle — the difference between a
 // memory-latency-bound and a bandwidth-bound customization on tens of
 // millions of triangles.
-//
-// With acc == nil every target is relaxed in place: the global pass of an
-// unpartitioned overlay, and the boundary-node pass of a partitioned one
-// (every higher-ranked neighbour of a boundary node is a boundary node, so
-// every leg and target is a top arc). With acc set the pass is a cell pass
-// over one cell's interiors: a neighbour of an interior node is an interior
-// of the same cell, whose segment the cell owns, or a boundary node, whose
-// segment is top arcs — those relaxations go to acc instead of the arena.
-func (o *Overlay) trianglePass(order []int32, acc *exportAcc) {
+func (o *Overlay) trianglePass(order []int32) {
 	for _, v := range order {
 		inHeads, inArcs := o.upIn(v)
 		outHeads, outArcs := o.upOut(v)
@@ -348,118 +307,14 @@ func (o *Overlay) trianglePass(order []int32, acc *exportAcc) {
 		for j, x := range inHeads {
 			leg := inArcs[j]
 			tHeads, tArcs := o.upOut(int32(x))
-			if acc != nil && o.part.isBoundary[x] {
-				o.mergeRelaxExport(tHeads, tArcs, outHeads, outArcs, o.arcs[leg].cost, leg, true, acc)
-			} else {
-				o.mergeRelax(tHeads, tArcs, outHeads, outArcs, o.arcs[leg].cost, leg, true)
-			}
+			o.mergeRelax(tHeads, tArcs, outHeads, outArcs, o.arcs[leg].cost, leg, true)
 		}
 		// Targets x→w with rank(x) > rank(w): merge upIn(w) with upIn(v);
 		// childA is the matched in-leg x→v, childB the out-leg v→w.
 		for k, w := range outHeads {
 			leg := outArcs[k]
 			tHeads, tArcs := o.upIn(int32(w))
-			if acc != nil && o.part.isBoundary[w] {
-				o.mergeRelaxExport(tHeads, tArcs, inHeads, inArcs, o.arcs[leg].cost, leg, false, acc)
-			} else {
-				o.mergeRelax(tHeads, tArcs, inHeads, inArcs, o.arcs[leg].cost, leg, false)
-			}
-		}
-	}
-}
-
-// topExport is one relaxation of a boundary–boundary (top layer) arc
-// discovered inside a cell pass: the cell's best triangle through its own
-// interiors for that arc, folded into the top layer once all cells joined.
-type topExport struct {
-	arc            int32 // arena index of the top arc
-	childA, childB int32
-	cost           float64
-}
-
-// exportAcc accumulates a cell pass's top-arc relaxations, keyed by the
-// partition's dense top-arc numbering. Entries start at +Inf; touched tracks
-// which ones improved so the emitted export list stays proportional to the
-// cell's actual boundary coupling.
-type exportAcc struct {
-	cost           []float64
-	childA, childB []int32
-	touched        []int32
-}
-
-// cellPass runs the triangle pass over cell c's interior nodes and returns
-// the relaxations of top arcs it found, in discovery order (deterministic:
-// the pass is sequential).
-func (o *Overlay) cellPass(c int) []topExport {
-	p := o.part
-	acc := exportAcc{
-		cost:   make([]float64, p.numTop),
-		childA: make([]int32, p.numTop),
-		childB: make([]int32, p.numTop),
-	}
-	for i := range acc.cost {
-		acc.cost[i] = math.Inf(1)
-	}
-	o.trianglePass(p.cellRank[c], &acc)
-	out := make([]topExport, len(acc.touched))
-	for i, ti := range acc.touched {
-		out[i] = topExport{
-			arc:    p.topArcs[ti],
-			childA: acc.childA[ti],
-			childB: acc.childB[ti],
-			cost:   acc.cost[ti],
-		}
-	}
-	return out
-}
-
-// mergeRelaxExport is mergeRelax with the write side redirected: the target
-// segment is owned by the top layer, so improvements go to the cell's export
-// accumulator (compared against the accumulator, not the arena — other cells
-// are relaxing the same top arcs concurrently) instead of the arena.
-func (o *Overlay) mergeRelaxExport(tHeads []roadnet.NodeID, tArcs []int32,
-	lHeads []roadnet.NodeID, lArcs []int32,
-	base float64, fixedLeg int32, fixedIsA bool, acc *exportAcc) {
-	p := o.part
-	i, j := 0, 0
-	for i < len(tHeads) && j < len(lHeads) {
-		switch {
-		case tHeads[i] < lHeads[j]:
-			i++
-		case tHeads[i] > lHeads[j]:
-			j++
-		default:
-			h := tHeads[i]
-			i2 := i + 1
-			for i2 < len(tHeads) && tHeads[i2] == h {
-				i2++
-			}
-			j2 := j + 1
-			for j2 < len(lHeads) && lHeads[j2] == h {
-				j2++
-			}
-			for jj := j; jj < j2; jj++ {
-				leg := lArcs[jj]
-				cand := base + o.arcs[leg].cost
-				if math.IsInf(cand, 1) {
-					continue
-				}
-				for ii := i; ii < i2; ii++ {
-					ti := p.topIndex[tArcs[ii]]
-					if cand < acc.cost[ti] {
-						if math.IsInf(acc.cost[ti], 1) {
-							acc.touched = append(acc.touched, ti)
-						}
-						acc.cost[ti] = cand
-						if fixedIsA {
-							acc.childA[ti], acc.childB[ti] = fixedLeg, leg
-						} else {
-							acc.childA[ti], acc.childB[ti] = leg, fixedLeg
-						}
-					}
-				}
-			}
-			i, j = i2, j2
+			o.mergeRelax(tHeads, tArcs, inHeads, inArcs, o.arcs[leg].cost, leg, false)
 		}
 	}
 }

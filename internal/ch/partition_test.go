@@ -3,6 +3,7 @@ package ch
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,15 +60,19 @@ func TestPartitionedBuildMatchesReference(t *testing.T) {
 			if o.PartitionCells() != p.NumCells() {
 				t.Fatalf("%s: overlay reports %d cells, partition has %d", name, o.PartitionCells(), p.NumCells())
 			}
-			if o.NumBoundaryNodes() != p.NumBoundary() {
-				t.Fatalf("%s: overlay reports %d boundary nodes, partition has %d", name, o.NumBoundaryNodes(), p.NumBoundary())
+			boundary := 0
+			for v := 0; v < g.NumNodes(); v++ {
+				c, b := o.CellOfNode(roadnet.NodeID(v))
+				if c != p.CellOf(roadnet.NodeID(v)) || b != p.IsBoundary(roadnet.NodeID(v)) {
+					t.Fatalf("%s: node %d: overlay reports cell/boundary (%d,%v), partition has (%d,%v)",
+						name, v, c, b, p.CellOf(roadnet.NodeID(v)), p.IsBoundary(roadnet.NodeID(v)))
+				}
+				if b {
+					boundary++
+				}
 			}
-			total := 0
-			for l := 0; l <= o.PartitionCells(); l++ {
-				total += o.LayerArcCount(l)
-			}
-			if total != o.NumOriginalArcs()+o.NumShortcuts() {
-				t.Fatalf("%s: layer arc counts sum to %d, arena has %d", name, total, o.NumOriginalArcs()+o.NumShortcuts())
+			if boundary != p.NumBoundary() {
+				t.Fatalf("%s: overlay reports %d boundary nodes, partition has %d", name, boundary, p.NumBoundary())
 			}
 			checkAgainstReference(t, storage.NewMemoryGraph(g), o, 40, tc.seed+1000)
 		}
@@ -393,7 +398,7 @@ func TestOverlayV2Compatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Full || stats.Cells != 0 || len(stats.Recustomized) != 0 || stats.ArcsRederived == 0 {
+	if stats.Full || len(stats.Recustomized) != 0 || stats.ArcsRederived == 0 {
 		t.Fatalf("v2 overlay incremental stats = %+v, want an arc-level update with no cells", stats)
 	}
 	checkAgainstReference(t, storage.NewMemoryGraph(g2), re, 20, 84)
@@ -459,5 +464,67 @@ func FuzzPartitionedRecustomize(f *testing.F) {
 		checkSameWeightLayer(t, inc, full)
 		checkAgainstReference(t, storage.NewMemoryGraph(g2), inc, 10, seed+9)
 		checkTableAgainstReference(t, g2, NewMTM(inc, nil), randomEndpointSet(rng, nn, 4), randomEndpointSet(rng, nn, 4))
+	})
+}
+
+// TestReadRefusesBrokenPartition: the OCH1 loader re-derives the partition
+// from the file's assignment and refuses one that contradicts the ranks —
+// an interior node above a boundary node — and the derivation it runs
+// refuses an arena arc joining interiors of two cells. Read reaches that
+// second check only after its unpack-children checks, which together with
+// the rank layering already exclude such an arc in a well-formed arena, so
+// the arena case calls the derivation directly.
+func TestReadRefusesBrokenPartition(t *testing.T) {
+	g := gridIntCostGraph(t, 6, 6, 91, 0)
+	t.Run("interior-above-boundary", func(t *testing.T) {
+		flat, err := BuildCustomizable(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The lowest-ranked node alone in cell 1 makes it and its neighbours
+		// the boundary; the interior nodes of cell 0 all rank above it.
+		cellOf := make([]int32, flat.n)
+		for v, r := range flat.rank {
+			if r == 0 {
+				cellOf[v] = 1
+			}
+		}
+		flat.part = &chPartition{cells: 2, cellOf: cellOf} // all Write reads of it
+		var buf bytes.Buffer
+		if err := Write(flat, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "ranks above a boundary node") {
+			t.Fatalf("Read of an assignment ranking an interior above the boundary: got %v, want the layering error", err)
+		}
+	})
+	t.Run("arc-across-interiors", func(t *testing.T) {
+		p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 4, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := BuildCustomizablePartitioned(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y := int32(-1), int32(-1)
+		for v := 0; v < g.NumNodes(); v++ {
+			c, b := o.CellOfNode(roadnet.NodeID(v))
+			switch {
+			case b:
+			case x < 0:
+				x = int32(v)
+			case y < 0 && c != int(o.part.cellOf[x]):
+				y = int32(v)
+			}
+		}
+		if y < 0 {
+			t.Fatal("partition has no two cells with interior nodes")
+		}
+		arcs := append(slices.Clone(o.arcs), arc{from: x, to: y, childA: -1, childB: -1, cost: 1})
+		_, err = deriveChPartition(o.n, o.rank, arcs, o.nOriginal, o.part.cellOf, o.part.cells)
+		if err == nil || !strings.Contains(err.Error(), "connects interiors of cells") {
+			t.Fatalf("arena arc %d→%d across two cells' interiors: got %v, want the layer error", x, y, err)
+		}
 	})
 }

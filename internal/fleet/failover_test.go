@@ -97,7 +97,7 @@ func TestFleetFailoverReplicate(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("outage q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("outage q%d", q.QueryID), q, got, want)
 	}
 	m := cl.Router.Metrics()
 	if m.Counter("fleet_shard_retries") == 0 {
@@ -131,7 +131,7 @@ func TestFleetFailoverReplicate(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("healed q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("healed q%d", q.QueryID), q, got, want)
 	}
 	if s := cl.Router.ShardStates(); s[1] != fleet.ShardUp {
 		t.Errorf("shard 1 state = %v after restart + cooldown, want up", s[1])
@@ -216,7 +216,7 @@ func TestFleetUpdateQuorum(t *testing.T) {
 		if rerr != nil {
 			t.Fatalf("query %d: %v", q.QueryID, rerr)
 		}
-		assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), q, got, want)
 	}
 }
 
@@ -293,7 +293,7 @@ func TestQueryAfterOverlappingUpdates(t *testing.T) {
 			if errs[k] != nil {
 				t.Fatalf("round %d query %d: %v", round, k, errs[k])
 			}
-			assertSameReply(t, fmt.Sprintf("round %d query %d", round, k), got, want)
+			assertSameReply(t, fmt.Sprintf("round %d query %d", round, k), q, got, want)
 		}
 		for i := 0; i < 2; i++ {
 			if err := <-others; err != nil {

@@ -10,7 +10,9 @@
 // reads only the reply's header (protocol.HeldReply) and relays the encoded
 // body to the obfuscator as it arrived, so no candidate path is decoded or
 // re-encoded on the way. Execute and ExecuteBatch, the Go API, take the same
-// path and decode each held reply once, as they return. Every shard holds
+// path and return each reply still held (protocol.ServerReply.Held): a
+// caller reads the cells it needs with ServerReply.ReadCells or Cell, which
+// validate the whole body, or decodes it whole. Every shard holds
 // the full replicated road map, so any shard can answer any query; the
 // router places whole queries round-robin across the available shards,
 // preferring a shard that has applied every weight update the router has
@@ -677,21 +679,13 @@ func (r *Router) Execute(q protocol.ServerQuery) (protocol.ServerReply, error) {
 // that rides in every shard request and cuts retry backoff short. Queries
 // that lost a shard (a transport-level ShardError after the per-shard budget
 // — by which point the shard's breaker has tripped) are placed again up to
-// Config.FailoverRetries times, landing on a surviving shard. The shard's
-// reply is decoded here, once; a reply that does not decode fails the query.
+// Config.FailoverRetries times, landing on a surviving shard.
+//
+// The placed shard's reply is the whole answer, and it is returned held as
+// it arrived: the router reads its header only, and the mux handler
+// forwards its bytes unchanged. A shard failure after the per-shard retry
+// budget fails the attempt with its ShardError.
 func (r *Router) ExecuteDeadline(q protocol.ServerQuery, deadline time.Time) (protocol.ServerReply, error) {
-	held, err := r.relay(q, deadline)
-	if err != nil {
-		return protocol.ServerReply{}, err
-	}
-	return held.Decode()
-}
-
-// relay answers one query with the placed shard's reply held as it arrived —
-// that one shard's reply is the whole answer; the mux handler forwards it
-// unchanged and ExecuteDeadline decodes it. A shard failure after the
-// per-shard retry budget fails the attempt with its ShardError.
-func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.HeldReply, error) {
 	r.mQueries.Add(1)
 	failLeft := r.cfg.FailoverRetries
 	for attempt := 0; ; attempt++ {
@@ -700,7 +694,7 @@ func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.Hel
 				if errors.Is(err, protocol.ErrDeadlineExceeded) {
 					r.mDeadlineDrops.Add(1)
 				}
-				return protocol.HeldReply{}, err
+				return protocol.ServerReply{}, err
 			}
 		}
 		r.mSubqueries.Add(1)
@@ -709,24 +703,24 @@ func (r *Router) relay(q protocol.ServerQuery, deadline time.Time) (protocol.Hel
 			if reply.Degraded {
 				r.mDegraded.Add(1)
 			}
-			return reply, nil
+			return reply.Reply(), nil
 		}
 		switch {
 		case protocol.IsDeadlineExceeded(err):
 			// No budget left anywhere; retrying cannot beat the clock.
 			r.mDeadlineDrops.Add(1)
-			return protocol.HeldReply{}, err
+			return protocol.ServerReply{}, err
 		case errors.Is(err, ErrRouterClosed):
 			// Close quiesced the router mid-query; a failover retry would
 			// sleep against the fresh quiesce channel instead of returning.
-			return protocol.HeldReply{}, err
+			return protocol.ServerReply{}, err
 		case isFailoverable(err):
 			if failLeft == 0 {
-				return protocol.HeldReply{}, err
+				return protocol.ServerReply{}, err
 			}
 			failLeft--
 		default:
-			return protocol.HeldReply{}, err
+			return protocol.ServerReply{}, err
 		}
 	}
 }
@@ -747,9 +741,8 @@ func isFailoverable(err error) bool {
 // frames per shard for the whole batch, not one per query. Queries that
 // failed fall back to the per-query Execute path with its own retry and
 // failover budgets, so one sick shard degrades the queries placed on it
-// without poisoning the batch. Shard replies are held as they arrived (the
-// mux handler relays them so) and decoded here, once each; a reply that does
-// not decode fails its own query.
+// without poisoning the batch. Shard replies are returned held as they
+// arrived, as ExecuteDeadline returns them; the mux handler relays them so.
 func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply, []error) {
 	return r.ExecuteBatchDeadline(qs, time.Time{})
 }
@@ -757,20 +750,7 @@ func (r *Router) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.ServerReply
 // ExecuteBatchDeadline is ExecuteBatch bounded by an absolute deadline
 // (zero = none) threaded through every per-shard batch and fallback query.
 func (r *Router) ExecuteBatchDeadline(qs []protocol.ServerQuery, deadline time.Time) ([]protocol.ServerReply, []error) {
-	held, errs := r.relayBatch(qs, deadline)
 	replies := make([]protocol.ServerReply, len(qs))
-	for i := range held {
-		if errs[i] == nil {
-			replies[i], errs[i] = held[i].Decode()
-		}
-	}
-	return replies, errs
-}
-
-// relayBatch answers a batch with the placed shards' replies held as they
-// arrived; see ExecuteBatch.
-func (r *Router) relayBatch(qs []protocol.ServerQuery, deadline time.Time) ([]protocol.HeldReply, []error) {
-	replies := make([]protocol.HeldReply, len(qs))
 	errs := make([]error, len(qs))
 	if len(qs) == 0 {
 		return replies, errs
@@ -806,7 +786,7 @@ func (r *Router) relayBatch(qs []protocol.ServerQuery, deadline time.Time) ([]pr
 				case itemErrs[i] != "":
 					errs[qi] = &ShardError{Shard: shard, Err: errors.New(itemErrs[i])}
 				default:
-					replies[qi] = held[i]
+					replies[qi] = held[i].Reply()
 				}
 			}
 		}(shard, batch, slots[shard])
@@ -822,10 +802,10 @@ func (r *Router) relayBatch(qs []protocol.ServerQuery, deadline time.Time) ([]pr
 			}
 			continue
 		}
-		// relay bumps fleet_queries itself; this retry is a continuation of
-		// an already-counted query, so compensate.
+		// ExecuteDeadline bumps fleet_queries itself; this retry is a
+		// continuation of an already-counted query, so compensate.
 		r.mQueries.Add(-1)
-		replies[qi], errs[qi] = r.relay(q, deadline)
+		replies[qi], errs[qi] = r.ExecuteDeadline(q, deadline)
 	}
 	return replies, errs
 }

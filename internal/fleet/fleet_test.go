@@ -56,16 +56,36 @@ func makeQueries(g *roadnet.Graph, n int, seed int64) []protocol.ServerQuery {
 	return qs
 }
 
-// assertSameReply compares a fleet reply against the single-server reference
-// table: costs, reachability and node sequences must agree exactly for every
-// (s, t) slot.
-func assertSameReply(t *testing.T, label string, got, want protocol.ServerReply) {
+// readTable reads every cell of rep's |S|×|T| table for q, source-major,
+// through ServerReply.ReadCells, which validates a held reply's whole body.
+func readTable(q protocol.ServerQuery, rep protocol.ServerReply) ([]protocol.CandidatePath, error) {
+	if rep.Cells() != len(q.Sources)*len(q.Dests) {
+		return nil, fmt.Errorf("table has %d candidates for %d×%d", rep.Cells(), len(q.Sources), len(q.Dests))
+	}
+	at := make([][2]int, 0, rep.Cells())
+	for i := range q.Sources {
+		for j := range q.Dests {
+			at = append(at, [2]int{i, j})
+		}
+	}
+	cells := make([]protocol.CandidatePath, len(at))
+	return cells, rep.ReadCells(cells, at)
+}
+
+// assertSameReply compares a fleet reply to q against the single-server
+// reference table: costs, reachability and node sequences must agree exactly
+// for every (s, t) slot.
+func assertSameReply(t *testing.T, label string, q protocol.ServerQuery, got, want protocol.ServerReply) {
 	t.Helper()
-	if len(got.Paths) != len(want.Paths) {
-		t.Fatalf("%s: table has %d candidates, reference %d", label, len(got.Paths), len(want.Paths))
+	cells, err := readTable(q, got)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(cells) != len(want.Paths) {
+		t.Fatalf("%s: table has %d candidates, reference %d", label, len(cells), len(want.Paths))
 	}
 	for i := range want.Paths {
-		g, w := got.Paths[i], want.Paths[i]
+		g, w := cells[i], want.Paths[i]
 		if g.Source != w.Source || g.Dest != w.Dest {
 			t.Fatalf("%s[%d]: slot (%d,%d), reference (%d,%d) — the reply reordered the table", label, i, g.Source, g.Dest, w.Source, w.Dest)
 		}
@@ -133,7 +153,7 @@ func TestFleetEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query %d: %v", q.QueryID, err)
 					}
-					assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), got, want)
+					assertSameReply(t, fmt.Sprintf("q%d", q.QueryID), q, got, want)
 				}
 
 				// The whole workload again as one routed batch.
@@ -146,7 +166,7 @@ func TestFleetEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), replies[i], want)
+					assertSameReply(t, fmt.Sprintf("batch q%d", qs[i].QueryID), qs[i], replies[i], want)
 				}
 
 				if st.name == "hybrid" {
@@ -209,7 +229,7 @@ func TestFleetWeightUpdateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", round, q.QueryID, err)
 			}
-			assertSameReply(t, fmt.Sprintf("round %d q%d", round, q.QueryID), got, want)
+			assertSameReply(t, fmt.Sprintf("round %d q%d", round, q.QueryID), q, got, want)
 		}
 	}
 	if n := cl.Router.Metrics().Counter("fleet_weight_updates"); n != 5 {
@@ -254,7 +274,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("failover q%d", qs[i].QueryID), replies[i], want)
+		assertSameReply(t, fmt.Sprintf("failover q%d", qs[i].QueryID), qs[i], replies[i], want)
 	}
 	m := cl.Router.Metrics()
 	if m.Counter("fleet_shard_failures") == 0 {
@@ -288,7 +308,7 @@ func TestFleetKillMidBatch(t *testing.T) {
 		if werr != nil {
 			t.Fatal(werr)
 		}
-		assertSameReply(t, fmt.Sprintf("healed q%d", qs[i].QueryID), replies[i], want)
+		assertSameReply(t, fmt.Sprintf("healed q%d", qs[i].QueryID), qs[i], replies[i], want)
 	}
 }
 
@@ -342,7 +362,7 @@ func TestFleetRestartMidChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d after restart: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("churn q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("churn q%d", q.QueryID), q, got, want)
 	}
 	if cl.Router.Metrics().Counter("fleet_replays") == 0 {
 		t.Error("fleet_replays = 0: the restarted shard was admitted without a weight replay")
@@ -387,10 +407,11 @@ func TestDivergedShardAnswersWhole(t *testing.T) {
 					t.Fatalf("%s: reply carries content checksum %x, which no shard has", label, rep.ContentSum)
 				}
 				answeredBy[rep.ContentSum]++
-				if len(rep.Paths) != len(q.Sources)*len(q.Dests) {
-					t.Fatalf("%s: table has %d candidates for %d×%d", label, len(rep.Paths), len(q.Sources), len(q.Dests))
+				cells, err := readTable(q, rep)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				for i, cand := range rep.Paths {
+				for i, cand := range cells {
 					s, d := q.Sources[i/len(q.Dests)], q.Dests[i%len(q.Dests)]
 					if cand.Source != s || cand.Dest != d {
 						t.Fatalf("%s[%d]: slot (%d,%d), want (%d,%d)", label, i, cand.Source, cand.Dest, s, d)
@@ -505,10 +526,11 @@ func TestFleetOverloadShedding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Paths) != len(want.Paths) {
-			t.Fatalf("query %d: %d candidates, reference %d", q.QueryID, len(got.Paths), len(want.Paths))
+		cells, err := readTable(q, got)
+		if err != nil {
+			t.Fatalf("query %d: %v", q.QueryID, err)
 		}
-		for i, cand := range got.Paths {
+		for i, cand := range cells {
 			if len(cand.Nodes) != 0 {
 				t.Errorf("query %d[%d]: shed reply materialised a %d-node path", q.QueryID, i, len(cand.Nodes))
 			}
@@ -640,7 +662,7 @@ func TestRefusedUpdateDoesNotPoisonReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d after restart: %v", q.QueryID, err)
 				}
-				if msg := replyMismatch(acc, rep); msg != "" {
+				if msg := replyMismatch(acc, q, rep); msg != "" {
 					t.Fatalf("query %d after restart: %s", q.QueryID, msg)
 				}
 			}

@@ -45,12 +45,16 @@ func arcPool(g *roadnet.Graph, max int) ([][2]roadnet.NodeID, map[[2]roadnet.Nod
 	return pool, orig
 }
 
-// replyMismatch describes the first slot of rep whose cost or reachability
-// differs from reference Dijkstra on acc, or returns "" when every slot
-// matches. It does not fail the test, so a sink can call it on the
-// coalescer goroutine.
-func replyMismatch(acc storage.Accessor, rep protocol.ServerReply) string {
-	for _, cand := range rep.Paths {
+// replyMismatch describes the first slot of rep, the reply to q, whose cost
+// or reachability differs from reference Dijkstra on acc, or that cannot be
+// read, or returns "" when every slot matches. It does not fail the test, so
+// a sink can call it on the coalescer goroutine.
+func replyMismatch(acc storage.Accessor, q protocol.ServerQuery, rep protocol.ServerReply) string {
+	cells, err := readTable(q, rep)
+	if err != nil {
+		return err.Error()
+	}
+	for _, cand := range cells {
 		p, _, err := search.ReferenceDijkstra(acc, cand.Source, cand.Dest)
 		if err != nil {
 			return fmt.Sprintf("reference (%d,%d): %v", cand.Source, cand.Dest, err)
@@ -170,9 +174,6 @@ func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 		if !srv.OverlayFresh() {
 			t.Fatalf("shard %d: applied batches still unpublished after Close", i)
 		}
-		if n := srv.Metrics().Gauge("recustomize_pending_cells"); n != 0 {
-			t.Errorf("shard %d: recustomize_pending_cells = %v after Close, want 0", i, n)
-		}
 	}
 
 	st := in.Stats()
@@ -193,7 +194,7 @@ func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := replyMismatch(acc, rep); msg != "" {
+		if msg := replyMismatch(acc, q, rep); msg != "" {
 			t.Fatalf("query %d after Close: %s", q.QueryID, msg)
 		}
 	}
@@ -240,7 +241,7 @@ func (s *verifyingSink) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 			s.t.Errorf("batch of %d: reply ContentSum %x names no graph of the stream", len(changes), rep.ContentSum)
 			continue
 		}
-		if msg := replyMismatch(storage.NewMemoryGraph(served), rep); msg != "" {
+		if msg := replyMismatch(storage.NewMemoryGraph(served), q, rep); msg != "" {
 			s.t.Errorf("batch of %d: %s", len(changes), msg)
 		}
 		s.verified++
@@ -361,21 +362,20 @@ func TestChurnSoak(t *testing.T) {
 	}
 
 	// The default quorum of 1 lets the other shard finish the last batch in
-	// the background; once it has, every shard serves the final graph and
-	// has no overlay layer left to re-customize (the publication clears the
-	// pending set just after it swaps the epoch in).
+	// the background; once it has, every shard holds the final graph and
+	// has published it: its served epoch is the applied one.
 	final := sink.cur
 	for i := 0; i < cl.NumShards(); i++ {
 		srv := cl.Shard(i).Server()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			converged := srv.Graph().ContentChecksum() == final.ContentChecksum() && srv.OverlayFresh()
-			pending := srv.Metrics().Gauge("recustomize_pending_cells")
-			if converged && pending == 0 {
+			onFinal := srv.Graph().ContentChecksum() == final.ContentChecksum()
+			fresh := srv.OverlayFresh()
+			if onFinal && fresh {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("shard %d: converged on the stream's final graph = %v, recustomize_pending_cells = %v", i, converged, pending)
+				t.Fatalf("shard %d: holds the stream's final graph = %v, published epoch is the applied one = %v", i, onFinal, fresh)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -386,7 +386,7 @@ func TestChurnSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := replyMismatch(acc, rep); msg != "" {
+		if msg := replyMismatch(acc, q, rep); msg != "" {
 			t.Fatalf("query %d after Close: %s", q.QueryID, msg)
 		}
 	}

@@ -196,7 +196,7 @@ func (h tamperingShard) HandleMuxBatch(b protocol.BatchQuery, _ protocol.ReqInfo
 		case protocol.ServerReply:
 			item.Reply = out
 		case protocol.HeldReply:
-			item.Held = out
+			item.Reply = out.Reply()
 		}
 		emit(item)
 	}
@@ -239,7 +239,8 @@ func tamperedRouter(t *testing.T, g *roadnet.Graph, tamper func(protocol.ServerQ
 // TestRelayedMalformedTableFailsOnlyItsQuery: the router does not read a
 // reply's table, so a shard's malformed table reaches the client — where it
 // fails that one query as a typed decode error, the rest of the batch and
-// the connection unharmed. The router's Go API fails it the same way.
+// the connection unharmed. The router's Go API returns it held too, and
+// reading its cells fails it the same way.
 func TestRelayedMalformedTableFailsOnlyItsQuery(t *testing.T) {
 	g := testGraph(t, 300, 3401)
 	qs := squareQueries(g, 3, 3, 3402)
@@ -289,13 +290,21 @@ func TestRelayedMalformedTableFailsOnlyItsQuery(t *testing.T) {
 		t.Errorf("the client connection did not survive a malformed reply: %v", err)
 	}
 
-	if _, err := r.Execute(qs[1]); !errors.Is(err, protocol.ErrPayloadMalformed) {
-		t.Errorf("Execute of a malformed table: %v, want ErrPayloadMalformed", err)
+	// The Go API returns replies held, as the transport relays them, so the
+	// malformed table fails where its cells are read.
+	if rep, err := r.Execute(qs[1]); err != nil {
+		t.Errorf("Execute of a malformed table: %v, want the held reply", err)
+	} else if _, err := readTable(qs[1], rep); !errors.Is(err, protocol.ErrPayloadMalformed) {
+		t.Errorf("reading the cells of a malformed table: %v, want ErrPayloadMalformed", err)
 	}
-	_, errs := r.ExecuteBatch(qs)
+	replies, errs := r.ExecuteBatch(qs)
 	for i, err := range errs {
-		if (qs[i].QueryID == bad) != errors.Is(err, protocol.ErrPayloadMalformed) {
+		if err != nil {
 			t.Errorf("ExecuteBatch query %d: %v", qs[i].QueryID, err)
+			continue
+		}
+		if _, err := readTable(qs[i], replies[i]); (qs[i].QueryID == bad) != errors.Is(err, protocol.ErrPayloadMalformed) {
+			t.Errorf("ExecuteBatch query %d, reading its cells: %v", qs[i].QueryID, err)
 		}
 	}
 }

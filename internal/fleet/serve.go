@@ -50,8 +50,8 @@ func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 			m.DistanceOnly = true
 		}
 		// The shard's reply goes back as it arrived: the transport writes a
-		// HeldReply's bytes verbatim.
-		return h.r.relay(m, h.r.reqDeadline(info))
+		// held reply's bytes verbatim.
+		return h.r.ExecuteDeadline(m, h.r.reqDeadline(info))
 	case protocol.WeightUpdate:
 		if err := h.r.UpdateWeights(m.Changes); err != nil {
 			return nil, err
@@ -65,8 +65,8 @@ func (h routerMuxHandler) HandleMux(msg any, info protocol.ReqInfo) (any, error)
 }
 
 // HandleMuxBatch implements protocol.MuxBatchStreamer: the batch is answered
-// through the path ExecuteBatchDeadline takes, and each shard reply streams
-// back in its item as the bytes it arrived as.
+// by ExecuteBatchDeadline, and each shard reply streams back in its item as
+// the bytes it arrived as.
 func (h routerMuxHandler) HandleMuxBatch(b protocol.BatchQuery, info protocol.ReqInfo, emit func(protocol.BatchItem)) error {
 	qs := b.Queries
 	if info.Shed {
@@ -76,9 +76,9 @@ func (h routerMuxHandler) HandleMuxBatch(b protocol.BatchQuery, info protocol.Re
 			qs[i].DistanceOnly = true
 		}
 	}
-	replies, errs := h.r.relayBatch(qs, h.r.reqDeadline(info))
+	replies, errs := h.r.ExecuteBatchDeadline(qs, h.r.reqDeadline(info))
 	for i := range replies {
-		item := protocol.BatchItem{BatchID: b.BatchID, Index: i, Held: replies[i]}
+		item := protocol.BatchItem{BatchID: b.BatchID, Index: i, Reply: replies[i]}
 		if errs[i] != nil {
 			item.Error = errs[i].Error()
 		}

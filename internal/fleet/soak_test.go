@@ -126,8 +126,8 @@ func TestFleetChurnSoak(t *testing.T) {
 					errCh <- fmt.Errorf("worker %d query %d: untyped failure: %w", w, q.QueryID, err)
 					return
 				}
-				if len(rep.Paths) != len(q.Sources)*len(q.Dests) {
-					errCh <- fmt.Errorf("worker %d query %d: table shape %d for %d×%d", w, q.QueryID, len(rep.Paths), len(q.Sources), len(q.Dests))
+				if _, err := readTable(q, rep); err != nil {
+					errCh <- fmt.Errorf("worker %d query %d: %w", w, q.QueryID, err)
 					return
 				}
 			}
@@ -176,7 +176,7 @@ func TestFleetChurnSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-soak query %d: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("post-soak q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("post-soak q%d", q.QueryID), q, got, want)
 	}
 
 	m := cl.Router.Metrics()
@@ -318,8 +318,8 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 						return
 					}
 				}
-				if len(rep.Paths) != len(q.Sources)*len(q.Dests) {
-					errCh <- fmt.Errorf("worker %d query %d: table shape %d for %d×%d", w, q.QueryID, len(rep.Paths), len(q.Sources), len(q.Dests))
+				if _, err := readTable(q, rep); err != nil {
+					errCh <- fmt.Errorf("worker %d query %d: %w", w, q.QueryID, err)
 					return
 				}
 			}
@@ -408,7 +408,7 @@ func chaosSoak(t *testing.T, mode fleet.Mode) {
 		if err != nil {
 			t.Fatalf("post-chaos query %d: %v", q.QueryID, err)
 		}
-		assertSameReply(t, fmt.Sprintf("post-chaos q%d", q.QueryID), got, want)
+		assertSameReply(t, fmt.Sprintf("post-chaos q%d", q.QueryID), q, got, want)
 	}
 	states := cl.Router.ShardStates()
 	for i, s := range states {
@@ -452,6 +452,6 @@ func TestFleetServedThroughObfuscator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameReply(t, fmt.Sprintf("via-obfuscator q%d", qs[i].QueryID), br.Replies[i], want)
+		assertSameReply(t, fmt.Sprintf("via-obfuscator q%d", qs[i].QueryID), qs[i], br.Replies[i], want)
 	}
 }

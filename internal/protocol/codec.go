@@ -379,9 +379,6 @@ func (m BatchItem) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, m.BatchID)
 	dst = binary.AppendVarint(dst, int64(m.Index))
 	dst = appendString(dst, m.Error)
-	if m.Held.body != nil {
-		return m.Held.appendBody(dst)
-	}
 	return m.Reply.appendBody(dst)
 }
 

@@ -89,7 +89,8 @@ func readHeld(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		item.Held, err = holdReply(body)
+		held, err := holdReply(body)
+		item.Reply = held.Reply()
 		return item, err
 	}
 	held, _, err := ReadHeldReply(data)
@@ -116,7 +117,7 @@ func checkHeld(t *testing.T, data []byte, deadline int64, msg any, held any, hel
 		}
 	case BatchItem:
 		item, _ := held.(BatchItem)
-		if heldErr != nil || item.BatchID != m.BatchID || item.Index != m.Index || item.Error != m.Error || !sameHeader(item.Held, m.Reply) {
+		if heldErr != nil || item.BatchID != m.BatchID || item.Index != m.Index || item.Error != m.Error || !sameHeader(item.Reply.Held, m.Reply) {
 			t.Fatalf("decoded item %+v held as %+v (err %v)", m, held, heldErr)
 		}
 	default:
@@ -180,7 +181,7 @@ func fuzzDecode(t *testing.T, data []byte) {
 	case HeldReply:
 		checkCells(t, h)
 	case BatchItem:
-		checkCells(t, h.Held)
+		checkCells(t, h.Reply.Held)
 	}
 	msg, deadline, err := DecodeMessage(data)
 	if err != nil {

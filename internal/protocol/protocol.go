@@ -103,9 +103,10 @@ type ServerReply struct {
 	// It is nil when Held holds the table.
 	Paths []CandidatePath
 	// Held, when it holds a reply, is the table in its wire form, and the
-	// header fields below are its header's: the networked obfuscator keeps
-	// the shard's bytes and reads only its members' cells out of them.
-	// AppendMessage writes the held bytes; decoding never sets it.
+	// header fields below are its header's: the fleet router relays the
+	// shard's bytes as they arrived, and the obfuscator reads only its
+	// members' cells out of them. AppendMessage writes the held bytes;
+	// decoding never sets it.
 	Held HeldReply
 	// SettledNodes and PageFaults let experiments observe the server-side
 	// cost without another channel; a production server would omit them.
@@ -179,15 +180,13 @@ type BatchReply struct {
 // multiplexed transport sends one BatchItem frame per query as it completes
 // instead of buffering the whole BatchReply. Index is the query's position in
 // the originating BatchQuery; Error carries the per-query failure ("" =
-// success), mirroring BatchReply.Errors.
-//
-// Held, when it holds a reply, is sent in place of Reply: a relay emits the
-// reply in the wire form it arrived in. Decoding never sets it.
+// success), mirroring BatchReply.Errors. A relay emits a Reply that holds
+// the shard's reply (ServerReply.Held), which is sent as the bytes it
+// arrived as.
 type BatchItem struct {
 	BatchID uint64
 	Index   int
 	Reply   ServerReply
-	Held    HeldReply
 	Error   string
 }
 

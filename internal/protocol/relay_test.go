@@ -49,7 +49,7 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaHeld, err := AppendMessage(nil, BatchItem{BatchID: 3, Index: 1, Held: held}, 0)
+		viaHeld, err := AppendMessage(nil, BatchItem{BatchID: 3, Index: 1, Reply: held.Reply()}, 0)
 		if err != nil || !bytes.Equal(viaHeld, viaReply) {
 			t.Fatalf("query %d: item carrying the held reply encodes differently (err %v)", rep.QueryID, err)
 		}

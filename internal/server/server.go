@@ -92,8 +92,8 @@ type Config struct {
 	// PartitionCells makes the startup contraction partition-aware: the
 	// road map is cut into this many spatial cells
 	// (roadnet.BuildPartition) and contracted cell by cell with boundary
-	// nodes last, so the overlay customizes its cells in parallel and weight
-	// updates are attributed to the cells they reach (cells_recustomized).
+	// nodes last, so weight updates are attributed to the cells they reach
+	// (cells_recustomized).
 	// 0 or 1 keeps the flat single-layer contraction. Ignored unless the
 	// overlay is built at startup (BuildCH without CHOverlay) — a loaded
 	// CHOverlay carries its own partition, or none.
@@ -186,15 +186,8 @@ type Server struct {
 	live atomic.Pointer[evalState]
 	// recustomizeMu serialises publishers.
 	recustomizeMu sync.Mutex
-	// pendingCells is the union of overlay weight layers dirtied by applied
-	// weight changes that no completed re-customization has covered yet
-	// (cell index, or -1 for the boundary top layer / a flat overlay). It
-	// feeds the recustomize_pending_cells gauge and empties when the
-	// published epoch catches up with the current graph.
-	pendingMu    sync.Mutex
-	pendingCells map[int]struct{}
-	cache        *search.TreeCache
-	gate         search.Gate
+	cache         *search.TreeCache
+	gate          search.Gate
 	// wsPool owns the epoch-stamped search workspaces every query of this
 	// server runs on: every batch worker checks workspaces out of this one
 	// pool, so steady-state evaluation performs no per-query label
@@ -552,7 +545,6 @@ func (s *Server) publishDerivedMetrics() {
 	// generations: updates applied but not yet published.
 	s.metrics.SetGauge("overlay_generation", float64(st.ident.generation))
 	s.metrics.SetGauge("graph_generation", float64(storage.GenerationOf(s.acc)))
-	s.metrics.SetGauge("recustomize_pending_cells", float64(s.pendingCellCount()))
 	ws := s.wsPool.Stats()
 	s.metrics.SetGauge("workspace_gets", float64(ws.Gets))
 	s.metrics.SetGauge("workspace_in_flight", float64(ws.InFlight()))

@@ -58,55 +58,7 @@ func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 		return gen, fmt.Errorf("server: %w", err)
 	}
 	s.mWeightUpd.Add(1)
-	s.notePendingCells(changes)
 	return gen, nil
-}
-
-// notePendingCells records which overlay weight layers the applied changes
-// dirtied, feeding the recustomize_pending_cells gauge: the layers the next
-// re-customization starts in. An arc interior to one cell dirties that cell;
-// a boundary or cell-crossing arc — and any change on an unpartitioned
-// overlay — dirties the top layer, tracked as the pseudo-cell -1.
-// RecustomizeNow clears the set once the published epoch has caught up with
-// the current graph.
-func (s *Server) notePendingCells(changes []roadnet.ArcWeightChange) {
-	st := s.live.Load()
-	if st.overlay == nil {
-		return
-	}
-	cells := st.overlay.PartitionCells()
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	if s.pendingCells == nil {
-		s.pendingCells = make(map[int]struct{})
-	}
-	for _, c := range changes {
-		key := -1
-		if cells > 0 {
-			cf, bf := st.overlay.CellOfNode(c.From)
-			ct, bt := st.overlay.CellOfNode(c.To)
-			if !bf && !bt && cf == ct {
-				key = cf
-			}
-		}
-		s.pendingCells[key] = struct{}{}
-	}
-}
-
-// clearPendingCells empties the dirty-layer set; called when the published
-// epoch matches the current graph again.
-func (s *Server) clearPendingCells() {
-	s.pendingMu.Lock()
-	s.pendingCells = nil
-	s.pendingMu.Unlock()
-}
-
-// pendingCellCount returns the number of distinct overlay layers dirtied by
-// applied-but-not-yet-recustomized weight changes.
-func (s *Server) pendingCellCount() int {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	return len(s.pendingCells)
 }
 
 // RecustomizeNow publishes the current weight snapshot as the live epoch and
@@ -127,7 +79,6 @@ func (s *Server) RecustomizeNow() error {
 		snap := s.mutable.Snapshot()
 		st := s.live.Load()
 		if st.ident.generation == storage.GenerationOf(snap) {
-			s.clearPendingCells()
 			return nil
 		}
 		overlay := st.overlay
