@@ -14,8 +14,9 @@
 //
 // With -stats-interval the server periodically logs its throughput counters,
 // the strategy routing split (many-to-many / flat fallback),
-// the many-to-many bucket engine gauges, the pending re-customization work,
-// the SSMD tree cache hit ratio and the search workspace pool counters.
+// the many-to-many bucket engine gauges, the partition's cell counters, the
+// last overlay re-customization, the SSMD tree cache hit ratio and the search
+// workspace pool counters.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"opaque/internal/protocol"
 	"opaque/internal/search"
 	"opaque/internal/server"
-	"opaque/internal/storage"
 )
 
 func main() {
@@ -46,8 +46,6 @@ func main() {
 		batchWorkers  = flag.Int("batch-workers", 0, "concurrent queries per batch in the batch engine (0 = GOMAXPROCS)")
 		maxSearches   = flag.Int("max-searches", 0, "server-wide cap on concurrent per-source searches (0 = unbounded)")
 		treeCache     = flag.Int("tree-cache", 0, "SSMD tree cache capacity in trees (0 disables the cache)")
-		paged         = flag.Bool("paged", false, "simulate disk-resident storage with an LRU buffer pool")
-		bufferPages   = flag.Int("buffer-pages", 256, "buffer pool capacity in pages (with -paged)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
 		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
@@ -67,15 +65,12 @@ func main() {
 	cfg.BatchWorkers = *batchWorkers
 	cfg.MaxConcurrentSearches = *maxSearches
 	cfg.TreeCache = *treeCache
-	cfg.Paged = *paged
-	cfg.PageConfig = storage.DefaultConfig()
-	cfg.BufferPages = *bufferPages
 	if *partition > 0 && *chOverlay != "" {
 		log.Fatalf("-partition-cells shapes the startup contraction and cannot apply to a loaded overlay; build the partitioned file with opaque-preprocess -partition-cells instead")
 	}
 	// server.New refuses the other misdirected overlay flags (-ch-overlay or
-	// -partition-cells without -strategy hybrid, an overlay on a -paged
-	// server) before any contraction work starts.
+	// -partition-cells without -strategy hybrid) before any contraction work
+	// starts.
 	if *chOverlay != "" {
 		overlay, err := ch.ReadFile(*chOverlay)
 		if err != nil {
@@ -106,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listening on %s: %v", *listen, err)
 	}
-	log.Printf("obfuscated path query processor ready on %s (strategy=%s, paged=%v, multiplexed transport)", ln.Addr(), cfg.Strategy, cfg.Paged)
+	log.Printf("obfuscated path query processor ready on %s (strategy=%s, multiplexed transport)", ln.Addr(), cfg.Strategy)
 	if err := srv.ServeMux(ln, protocol.MuxServerConfig{MaxInFlight: *maxInFlight, ShedAt: *shedAt}); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
@@ -123,16 +118,14 @@ func logStats(srv *server.Server, every time.Duration) {
 		m := srv.Metrics()
 		cache := srv.TreeCacheStats()
 		ws := srv.WorkspacePoolStats()
-		io := srv.IOStats()
 		mt := srv.MTMStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f | page-faults=%d",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
 			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
 			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),
-			ws.Gets, ws.InFlight(), ws.Fresh, ws.ReuseRatio(),
-			io.Faults)
+			ws.Gets, ws.InFlight(), ws.Fresh, ws.ReuseRatio())
 	}
 }

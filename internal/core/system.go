@@ -1,14 +1,12 @@
 // Package core composes the three OPAQUE roles — clients, the trusted
 // obfuscator, and the directions search server — into a runnable system
-// (Figure 5 of the paper). It provides the in-process deployment used by
-// examples, tests and experiments, and adapters that let the full OPAQUE
-// pipeline be compared head-to-head with the baseline mechanisms.
+// (Figure 5 of the paper): the in-process deployment used by examples, tests
+// and experiments.
 package core
 
 import (
 	"fmt"
 
-	"opaque/internal/baseline"
 	"opaque/internal/client"
 	"opaque/internal/obfsvc"
 	"opaque/internal/obfuscate"
@@ -116,63 +114,3 @@ func (s *System) ProcessBatch(batch []obfuscate.Request) ([]obfsvc.ClientResult,
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// Mechanism adapts the full OPAQUE pipeline to the baseline.Mechanism
-// interface so experiment E1 can tabulate it alongside the Section II
-// techniques. Each Run processes the request as a batch of one through the
-// obfuscator (independent obfuscation semantics); SharedMechanism covers the
-// shared variant, which needs whole batches.
-type Mechanism struct {
-	sys  *System
-	name string
-}
-
-// NewMechanism wraps the system as a baseline mechanism named
-// "opaque-<mode>".
-func NewMechanism(sys *System) *Mechanism {
-	mode := sys.cfg.Obfuscator.Obfuscation.Mode
-	if mode == "" {
-		mode = obfuscate.Shared
-	}
-	return &Mechanism{sys: sys, name: "opaque-" + string(mode)}
-}
-
-// Name implements baseline.Mechanism.
-func (m *Mechanism) Name() string { return m.name }
-
-// Run implements baseline.Mechanism.
-func (m *Mechanism) Run(req obfuscate.Request, trueCost float64) (baseline.Outcome, error) {
-	before, _ := m.sys.Server.TotalStats()
-	ioBefore := m.sys.Server.IOStats()
-	results, err := m.sys.ProcessBatch([]obfuscate.Request{req})
-	if err != nil {
-		return baseline.Outcome{}, err
-	}
-	after, _ := m.sys.Server.TotalStats()
-	ioAfter := m.sys.Server.IOStats()
-	res := results[0]
-	if res.Err != nil {
-		return baseline.Outcome{}, res.Err
-	}
-	fs, ft := req.FS, req.FT
-	if fs < 1 {
-		fs = 1
-	}
-	if ft < 1 {
-		ft = 1
-	}
-	out := baseline.Outcome{
-		Mechanism:          m.name,
-		ExactPath:          res.Found,
-		ResultCost:         res.Path.Cost,
-		TrueCost:           trueCost,
-		BreachProbability:  obfuscate.BreachProbability(fs, ft),
-		ServerSettledNodes: after.SettledNodes - before.SettledNodes,
-		ServerPageFaults:   ioAfter.Faults - ioBefore.Faults,
-		CandidatePairs:     fs * ft,
-	}
-	if !res.Found {
-		out.ResultCost = trueCost // unreachable in both views
-	}
-	return out, nil
-}

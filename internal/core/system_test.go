@@ -8,7 +8,6 @@ import (
 	"opaque/internal/obfuscate"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
@@ -32,8 +31,7 @@ func testConfig(g *roadnet.Graph, mode obfuscate.Mode) Config {
 func TestNewSystemValidation(t *testing.T) {
 	g := testGraph(t)
 	bad := DefaultConfig()
-	bad.Server.Paged = true
-	bad.Server.PageConfig.NodesPerPage = 0
+	bad.Server.Strategy = "bogus"
 	if _, err := NewSystem(g, bad); err == nil {
 		t.Error("bad server config accepted")
 	}
@@ -113,41 +111,5 @@ func TestDirectClientBypassesObfuscation(t *testing.T) {
 	log := sys.Server.QueryLog()
 	if len(log) != 1 || len(log[0].Sources) != 1 || len(log[0].Dests) != 1 {
 		t.Errorf("direct query should appear as a bare 1x1 query, log = %+v", log)
-	}
-}
-
-func TestMechanismAdapter(t *testing.T) {
-	g := testGraph(t)
-	cfg := testConfig(g, obfuscate.Independent)
-	cfg.Server = server.DefaultConfig()
-	cfg.Server.Paged = true
-	sys := MustNewSystem(g, cfg)
-	mech := NewMechanism(sys)
-	if mech.Name() != "opaque-independent" {
-		t.Errorf("Name = %q", mech.Name())
-	}
-	wl := gen.MustGenerateWorkload(g, gen.WorkloadConfig{Kind: gen.Uniform, Queries: 3, Seed: 131})
-	acc := storage.NewMemoryGraph(g)
-	for i, pr := range wl {
-		trueCost, err := search.DijkstraDistance(acc, pr.Source, pr.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := mech.Run(obfuscate.Request{User: obfuscate.UserID(string(rune('a' + i))), Source: pr.Source, Dest: pr.Dest, FS: 2, FT: 2}, trueCost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.ExactPath {
-			t.Errorf("request %d: OPAQUE mechanism must return the exact path", i)
-		}
-		if math.Abs(out.BreachProbability-0.25) > 1e-9 {
-			t.Errorf("request %d: breach = %v, want 0.25", i, out.BreachProbability)
-		}
-		if out.ServerSettledNodes <= 0 {
-			t.Errorf("request %d: no server work recorded", i)
-		}
-		if out.CandidatePairs != 4 {
-			t.Errorf("request %d: candidate pairs = %d, want 4", i, out.CandidatePairs)
-		}
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"math"
 
 	"opaque/internal/baseline"
-	"opaque/internal/core"
 	"opaque/internal/gen"
 	"opaque/internal/obfsvc"
 	"opaque/internal/obfuscate"
+	"opaque/internal/roadnet"
 	"opaque/internal/search"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
@@ -42,9 +41,10 @@ func (E1Baselines) Run(scale Scale) ([]*Table, error) {
 	}
 	fakes := 3 // k decoys for the naive baseline; OPAQUE uses fS=2, fT=2 => same breach 1/4... see note below
 
-	// Shared executor/server for every mechanism so page-fault accounting is
-	// comparable. Reset stats between mechanisms.
-	exec := obfsvc.ExecutorFunc(fx.Server.Evaluate)
+	// One paged evaluator serves every mechanism, OPAQUE included, so costs
+	// are measured on identical storage; each mechanism's row starts from a
+	// cold buffer pool.
+	exec := fx.Eval
 
 	// True shortest-path costs as ground truth.
 	acc := storage.NewMemoryGraph(g)
@@ -60,22 +60,7 @@ func (E1Baselines) Run(scale Scale) ([]*Table, error) {
 	minX, minY, maxX, maxY := g.Bounds()
 	extent := math.Max(maxX-minX, maxY-minY)
 
-	// OPAQUE systems (independent and shared) share the same server so costs
-	// are measured on identical storage state.
-	mkOpaque := func(mode obfuscate.Mode) (*core.Mechanism, error) {
-		cfg := core.DefaultConfig()
-		cfg.Server = server.DefaultConfig()
-		cfg.Server.Paged = true
-		cfg.Server.BufferPages = 128
-		cfg.Obfuscator.Obfuscation.Mode = mode
-		cfg.Obfuscator.Obfuscation.Selector = defaultBandSelector(g, 77)
-		sys, err := core.NewSystem(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMechanism(sys), nil
-	}
-	opaqueInd, err := mkOpaque(obfuscate.Independent)
+	opaqueInd, err := newOpaqueMechanism(g, exec, obfuscatorConfig(obfuscate.Independent, defaultBandSelector(g, 77)))
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +81,7 @@ func (E1Baselines) Run(scale Scale) ([]*Table, error) {
 		},
 	}
 	for _, m := range mechanisms {
-		fx.Server.ResetStats()
+		exec.Reset()
 		exact := 0
 		var breach, settled, faults, pairsEvaluated []float64
 		for i, p := range pairs {
@@ -125,4 +110,68 @@ func (E1Baselines) Run(scale Scale) ([]*Table, error) {
 	table.AddNote("Paper expectation (Section II): landmark and cloaking rarely return the exact requested path; naive decoys and OPAQUE always do.")
 	table.AddNote("OPAQUE (fS=2, fT=2, breach 1/4) should settle fewer nodes per query than naive decoys at comparable breach probability (1/%d), because destination-side fakes share one SSMD spanning tree.", fakes+1)
 	return []*Table{table}, nil
+}
+
+// obfuscatorConfig is the in-process obfuscator of the experiments: the
+// service defaults with the given mode and fake selector, and no batching
+// window, since experiments submit synchronous batches.
+func obfuscatorConfig(mode obfuscate.Mode, sel obfuscate.EndpointSelector) obfsvc.Config {
+	cfg := obfsvc.DefaultConfig()
+	cfg.BatchWindow = 0
+	cfg.Obfuscation.Mode = mode
+	cfg.Obfuscation.Selector = sel
+	return cfg
+}
+
+// opaqueMechanism adapts the full OPAQUE pipeline — an obfuscator service in
+// front of the paged evaluator — to baseline.Mechanism, so E1 tabulates it
+// alongside the Section II techniques. Each Run processes the request as a
+// batch of one through the obfuscator (independent obfuscation semantics)
+// and reads the server cost off the evaluator's totals.
+type opaqueMechanism struct {
+	svc  *obfsvc.Service
+	eval *pagedEvaluator
+	name string
+}
+
+// newOpaqueMechanism wires an obfuscator service with cfg over eval, named
+// "opaque-<mode>".
+func newOpaqueMechanism(g *roadnet.Graph, eval *pagedEvaluator, cfg obfsvc.Config) (*opaqueMechanism, error) {
+	svc, err := obfsvc.New(g, eval, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &opaqueMechanism{svc: svc, eval: eval, name: "opaque-" + string(cfg.Obfuscation.Mode)}, nil
+}
+
+// Name implements baseline.Mechanism.
+func (m *opaqueMechanism) Name() string { return m.name }
+
+// Run implements baseline.Mechanism.
+func (m *opaqueMechanism) Run(req obfuscate.Request, trueCost float64) (baseline.Outcome, error) {
+	settledBefore, faultsBefore := m.eval.Totals()
+	results, err := m.svc.ProcessBatch([]obfuscate.Request{req})
+	if err != nil {
+		return baseline.Outcome{}, err
+	}
+	settledAfter, faultsAfter := m.eval.Totals()
+	res := results[0]
+	if res.Err != nil {
+		return baseline.Outcome{}, res.Err
+	}
+	fs, ft := max(req.FS, 1), max(req.FT, 1)
+	out := baseline.Outcome{
+		Mechanism:          m.name,
+		ExactPath:          res.Found,
+		ResultCost:         res.Path.Cost,
+		TrueCost:           trueCost,
+		BreachProbability:  obfuscate.BreachProbability(fs, ft),
+		ServerSettledNodes: settledAfter - settledBefore,
+		ServerPageFaults:   faultsAfter - faultsBefore,
+		CandidatePairs:     fs * ft,
+	}
+	if !res.Found {
+		out.ResultCost = trueCost // unreachable in both views
+	}
+	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
-	"opaque/internal/roadnet"
 	"opaque/internal/storage"
 )
 
@@ -53,20 +52,6 @@ func (E3CostModel) Run(scale Scale) ([]*Table, error) {
 		},
 	}
 
-	buildPaged := func(part storage.Partitioning) (*storage.PagedGraph, error) {
-		cfg := storage.DefaultConfig()
-		cfg.Partitioning = part
-		store, err := storage.Build(g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pool, err := storage.NewBufferPool(64)
-		if err != nil {
-			return nil, err
-		}
-		return storage.NewPagedGraph(store, pool), nil
-	}
-
 	dist := costmodel.EuclideanDistance(g)
 
 	for _, sz := range sizes {
@@ -80,16 +65,14 @@ func (E3CostModel) Run(scale Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pagedCCAM, err := buildPaged(storage.ConnectivityClustered)
+		srvCCAM, err := newPagedEvaluator(g, storage.ConnectivityClustered, 64)
 		if err != nil {
 			return nil, err
 		}
-		pagedRandom, err := buildPaged(storage.RandomAssignment)
+		srvRandom, err := newPagedEvaluator(g, storage.RandomAssignment, 64)
 		if err != nil {
 			return nil, err
 		}
-		srvCCAM := newAccessorServer(pagedCCAM)
-		srvRandom := newAccessorServer(pagedRandom)
 
 		var modelSamples, settledSamples, faultCCAM, faultRandom []float64
 		for i, p := range wl {
@@ -103,13 +86,18 @@ func (E3CostModel) Run(scale Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Evaluate on the clustered layout.
-			replyC, err := srvCCAM.evaluate(q.Sources, q.Dests)
+			// Every evaluation starts from a cold buffer pool, so the fault
+			// count equals the number of distinct pages the search touches —
+			// the quantity the CCAM area argument of Lemma 1 is about (a warm
+			// shared pool would hide it behind cross-query reuse, which E7
+			// measures instead).
+			srvCCAM.Reset()
+			replyC, err := srvCCAM.Execute(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
 			if err != nil {
 				return nil, err
 			}
-			// Evaluate on the random layout.
-			replyR, err := srvRandom.evaluate(q.Sources, q.Dests)
+			srvRandom.Reset()
+			replyR, err := srvRandom.Execute(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
 			if err != nil {
 				return nil, err
 			}
@@ -131,32 +119,6 @@ func (E3CostModel) Run(scale Scale) ([]*Table, error) {
 	}
 	table.AddNote("Lemma 1 expectation: settled nodes and clustered-layout page faults correlate strongly (>0.7) with Σ_s max_t ||s,t||²; the random layout's faults grow with settled nodes but with a much larger constant (every expansion touches a new page).")
 	return []*Table{table}, nil
-}
-
-// accessorServer is a minimal evaluation helper for experiments that need to
-// swap storage layouts without building a full server.Server per layout.
-// Every evaluation starts from a cold buffer pool, so the fault count equals
-// the number of distinct pages the search touches — the quantity the CCAM
-// area argument of Lemma 1 is about (a warm shared pool would hide it behind
-// cross-query reuse, which E7 measures instead).
-type accessorServer struct {
-	paged *storage.PagedGraph
-}
-
-func newAccessorServer(p *storage.PagedGraph) *accessorServer { return &accessorServer{paged: p} }
-
-func (s *accessorServer) evaluate(sources, dests []roadnet.NodeID) (protocol.ServerReply, error) {
-	s.paged.Pool().Flush()
-	proc := newSSMDProcessor(s.paged)
-	res, err := proc.Evaluate(sources, dests)
-	if err != nil {
-		return protocol.ServerReply{}, err
-	}
-	after := s.paged.Pool().Stats()
-	return protocol.ServerReply{
-		SettledNodes: res.Stats.SettledNodes,
-		PageFaults:   after.Faults,
-	}, nil
 }
 
 func pairSamples(model, measured []float64) []costmodel.Sample {

@@ -5,7 +5,6 @@ import (
 	"opaque/internal/obfuscate"
 	"opaque/internal/privacy"
 	"opaque/internal/protocol"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
@@ -35,11 +34,7 @@ func (E5SharedVsIndependent) Run(scale Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	srvCfg := server.DefaultConfig()
-	srvCfg.Paged = true
-	srvCfg.PageConfig = storage.DefaultConfig()
-	srvCfg.BufferPages = 128
-	srv, err := server.New(g, srvCfg)
+	eval, err := newPagedEvaluator(g, storage.ConnectivityClustered, 128)
 	if err != nil {
 		return nil, err
 	}
@@ -82,25 +77,25 @@ func (E5SharedVsIndependent) Run(scale Scale) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			srv.ResetStats()
+			// Every row starts from a cold buffer pool.
+			eval.Reset()
 			var sumS, sumT int
 			for _, q := range plan.Queries {
 				sumS += len(q.Sources)
 				sumT += len(q.Dests)
-				if _, err := srv.Evaluate(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests}); err != nil {
+				if _, err := eval.Execute(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests}); err != nil {
 					return nil, err
 				}
 			}
-			stats, _ := srv.TotalStats()
-			io := srv.IOStats()
+			settled, faults := eval.Totals()
 			rep := adversary.EvaluatePlan(plan)
 			table.AddRow(
 				k, string(mode),
 				len(plan.Queries),
 				float64(sumS)/float64(len(plan.Queries)),
 				float64(sumT)/float64(len(plan.Queries)),
-				stats.SettledNodes,
-				io.Faults,
+				settled,
+				faults,
 				rep.MeanBreach,
 				rep.MeanEntropy,
 			)

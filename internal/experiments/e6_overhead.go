@@ -3,10 +3,9 @@ package experiments
 import (
 	"time"
 
-	"opaque/internal/core"
 	"opaque/internal/gen"
+	"opaque/internal/obfsvc"
 	"opaque/internal/obfuscate"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
@@ -49,14 +48,13 @@ func (E6ObfuscatorOverhead) Run(scale Scale) ([]*Table, error) {
 	}
 
 	for _, batch := range batchSizes {
-		cfg := core.DefaultConfig()
-		cfg.Server = server.DefaultConfig()
-		cfg.Server.Paged = true
-		cfg.Server.PageConfig = storage.DefaultConfig()
-		cfg.Obfuscator.Obfuscation.Mode = obfuscate.Shared
-		cfg.Obfuscator.Obfuscation.Selector = defaultBandSelector(g, uint64(900+batch))
-		cfg.Obfuscator.Obfuscation.MaxClusterSize = 8
-		sys, err := core.NewSystem(g, cfg)
+		eval, err := newPagedEvaluator(g, storage.ConnectivityClustered, 256)
+		if err != nil {
+			return nil, err
+		}
+		cfg := obfuscatorConfig(obfuscate.Shared, defaultBandSelector(g, uint64(900+batch)))
+		cfg.Obfuscation.MaxClusterSize = 8
+		svc, err := obfsvc.New(g, eval, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -67,12 +65,12 @@ func (E6ObfuscatorOverhead) Run(scale Scale) ([]*Table, error) {
 		reqs := requestsFromWorkload(wl, 4, 4)
 
 		wallStart := time.Now()
-		if _, err := sys.ProcessBatch(reqs); err != nil {
+		if _, err := svc.ProcessBatch(reqs); err != nil {
 			return nil, err
 		}
 		wall := time.Since(wallStart)
 
-		st := sys.Obfuscator.Stats()
+		st := svc.Stats()
 		obfMS := float64(st.ObfuscationNanos) / 1e6
 		filtMS := float64(st.FilterNanos) / 1e6
 		serverMS := float64(wall.Nanoseconds())/1e6 - obfMS - filtMS

@@ -7,7 +7,6 @@ import (
 	"opaque/internal/obfuscate"
 	"opaque/internal/privacy"
 	"opaque/internal/protocol"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
@@ -38,10 +37,7 @@ func (E8Strategies) Run(scale Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	srvCfg := server.DefaultConfig()
-	srvCfg.Paged = true
-	srvCfg.PageConfig = storage.DefaultConfig()
-	srv, err := server.New(g, srvCfg)
+	eval, err := newPagedEvaluator(g, storage.ConnectivityClustered, 256)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +77,8 @@ func (E8Strategies) Run(scale Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv.ResetStats()
+		// Every strategy's row starts from a cold buffer pool.
+		eval.Reset()
 		var settled, faults, breachU, breachW, fakeDist []float64
 		for i := range reqs {
 			plan, err := obf.Obfuscate(reqs[i : i+1])
@@ -89,14 +86,12 @@ func (E8Strategies) Run(scale Scale) ([]*Table, error) {
 				return nil, err
 			}
 			q := plan.Queries[0]
-			ioBefore := srv.IOStats()
-			reply, err := srv.Evaluate(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
+			reply, err := eval.Execute(protocol.ServerQuery{Sources: q.Sources, Dests: q.Dests})
 			if err != nil {
 				return nil, err
 			}
-			ioAfter := srv.IOStats()
 			settled = append(settled, float64(reply.SettledNodes))
-			faults = append(faults, float64(ioAfter.Faults-ioBefore.Faults))
+			faults = append(faults, float64(reply.PageFaults))
 			breachU = append(breachU, uniformAdv.BreachProbability(q, reqs[i]))
 			breachW = append(breachW, weightedAdv.BreachProbability(q, reqs[i]))
 			// Mean Euclidean distance between the true endpoints and the

@@ -6,15 +6,14 @@ import (
 	"opaque/internal/gen"
 	"opaque/internal/obfuscate"
 	"opaque/internal/roadnet"
-	"opaque/internal/server"
 	"opaque/internal/storage"
 )
 
 // fixture bundles the shared pieces most experiments need: a network, a paged
-// server (so page-fault counts are available), and a workload.
+// evaluator (so page-fault counts are available), and a workload.
 type fixture struct {
 	Graph    *roadnet.Graph
-	Server   *server.Server
+	Eval     *pagedEvaluator
 	Workload []gen.QueryPair
 }
 
@@ -34,8 +33,9 @@ func queries(scale Scale, small, full int) int {
 	return small
 }
 
-// newFixture builds the default experiment fixture: a grid network, a paged
-// SSMD server and a uniform workload.
+// newFixture builds the default experiment fixture: a network of the given
+// kind, a paged SSMD evaluator over its connectivity-clustered layout and a
+// uniform workload.
 func newFixture(scale Scale, kind gen.NetworkKind, seed uint64) (*fixture, error) {
 	netCfg := gen.DefaultNetworkConfig()
 	netCfg.Kind = kind
@@ -45,11 +45,7 @@ func newFixture(scale Scale, kind gen.NetworkKind, seed uint64) (*fixture, error
 	if err != nil {
 		return nil, err
 	}
-	srvCfg := server.DefaultConfig()
-	srvCfg.Paged = true
-	srvCfg.PageConfig = storage.DefaultConfig()
-	srvCfg.BufferPages = 128
-	srv, err := server.New(g, srvCfg)
+	eval, err := newPagedEvaluator(g, storage.ConnectivityClustered, 128)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +56,7 @@ func newFixture(scale Scale, kind gen.NetworkKind, seed uint64) (*fixture, error
 	if err != nil {
 		return nil, err
 	}
-	return &fixture{Graph: g, Server: srv, Workload: wl}, nil
+	return &fixture{Graph: g, Eval: eval, Workload: wl}, nil
 }
 
 // defaultBandSelector returns a ring-band selector sized relative to the

@@ -9,6 +9,7 @@ package fleet_test
 // under -race in CI.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -678,10 +679,11 @@ func TestRefusedUpdateDoesNotPoisonReplay(t *testing.T) {
 
 // TestFailedUpdateStaysFolded: only a refusal of an update's content takes
 // the update back out of the replay state. A shard failing it for another
-// reason (here a paged shard, which refuses every update, answering before
-// the in-memory peer that applies it) says nothing of its peers: the call
-// succeeds on the peer's ack, and a shard that was down meanwhile is
-// replayed the update when it connects.
+// reason (here a shard whose handler fails every update with a plain error,
+// as a failed re-customization would, answering before the peer that
+// applies it) says nothing of its peers: the call succeeds on the peer's
+// ack, and a shard that was down meanwhile is replayed the update when it
+// connects.
 func TestFailedUpdateStaysFolded(t *testing.T) {
 	g := testGraph(t, 300, 2001)
 	first := shortestPathArcChange(t, g, makeQueries(g, 8, 5001))
@@ -691,9 +693,15 @@ func TestFailedUpdateStaysFolded(t *testing.T) {
 			second = roadnet.ArcWeightChange{From: u, To: arcs[0].To, NewCost: arcs[0].Cost * 2}
 		}
 	}
-	pagedCfg := server.DefaultConfig()
-	pagedCfg.Paged = true
-	shards := []*server.Server{server.MustNew(g, pagedCfg), server.MustNew(g, hybridConfig()), server.MustNew(g, hybridConfig())}
+	shards := []*server.Server{server.MustNew(g, server.DefaultConfig()), server.MustNew(g, hybridConfig()), server.MustNew(g, hybridConfig())}
+	// Shard 0 fails every update without refusing its content; everything
+	// else reaches its server.
+	failing := protocol.MuxHandlerFunc(func(msg any, info protocol.ReqInfo) (any, error) {
+		if _, ok := msg.(protocol.WeightUpdate); ok {
+			return nil, errors.New("re-customization failed")
+		}
+		return shards[0].MuxHandler().HandleMux(msg, info)
+	})
 
 	var (
 		mu      sync.Mutex
@@ -706,7 +714,7 @@ func TestFailedUpdateStaysFolded(t *testing.T) {
 		dialers[i] = func() (*protocol.MuxClient, error) {
 			switch i {
 			case 1:
-				// The paged shard's failure reaches the router first.
+				// Shard 0's failure reaches the router first.
 				time.Sleep(20 * time.Millisecond)
 			case 2:
 				mu.Lock()
@@ -723,6 +731,10 @@ func TestFailedUpdateStaysFolded(t *testing.T) {
 			serving.Add(1)
 			go func() {
 				defer serving.Done()
+				if i == 0 {
+					_ = protocol.ServeMuxConn(shardEnd, failing, protocol.MuxServerConfig{Hello: srv.HelloInfo})
+					return
+				}
 				_ = srv.ServeMuxConn(shardEnd, protocol.MuxServerConfig{})
 			}()
 			c, err := protocol.NewMuxClient(routerEnd, protocol.Hello{Role: "router"})
@@ -747,10 +759,10 @@ func TestFailedUpdateStaysFolded(t *testing.T) {
 	}()
 
 	if err := r.UpdateWeights([]roadnet.ArcWeightChange{first}); err != nil {
-		t.Errorf("update applied by an in-memory shard: %v", err)
+		t.Errorf("update applied by shard 1: %v", err)
 	}
 	if got, _ := shards[1].Graph().ArcCost(first.From, first.To); got != first.NewCost {
-		t.Fatalf("in-memory shard: arc %d→%d costs %v, want %v", first.From, first.To, got, first.NewCost)
+		t.Fatalf("shard 1: arc %d→%d costs %v, want %v", first.From, first.To, got, first.NewCost)
 	}
 
 	mu.Lock()

@@ -21,6 +21,8 @@
 package protocol
 
 import (
+	"math"
+
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 )
@@ -110,9 +112,9 @@ type ServerReply struct {
 	Held HeldReply
 	// SettledNodes and PageFaults let experiments observe the server-side
 	// cost without another channel; a production server would omit them.
-	// PageFaults is exact under sequential evaluation and an upper bound
-	// when the query overlapped others in a batch (the buffer pool's fault
-	// counter is shared across in-flight queries).
+	// No serving tier fills PageFaults: only the paged evaluator of
+	// internal/experiments, which simulates the paper's disk-resident
+	// server in process, counts the faults of each query it answers.
 	SettledNodes int
 	PageFaults   int64
 	// Generation and ContentSum identify the metric this reply was computed
@@ -222,4 +224,23 @@ func (c CandidatePath) Path() search.Path {
 		return search.Path{}
 	}
 	return search.Path{Nodes: c.Nodes, Cost: c.Cost}
+}
+
+// CandidatesOf lays the evaluated table t out as a reply's candidate table:
+// cell c of t becomes Paths[c], with no path copied — each found cell's Nodes
+// is t's window of the shared arena, or nil when distanceOnly.
+func CandidatesOf(t *search.Table, distanceOnly bool) []CandidatePath {
+	nT := len(t.Dests)
+	paths := make([]CandidatePath, len(t.Dist))
+	for c := range paths {
+		cand := &paths[c]
+		cand.Source, cand.Dest = t.Sources[c/nT], t.Dests[c%nT]
+		if d := t.Dist[c]; !math.IsInf(d, 1) {
+			cand.Found, cand.Cost = true, d
+			if !distanceOnly {
+				cand.Nodes = t.Path(c)
+			}
+		}
+	}
+	return paths
 }

@@ -8,8 +8,8 @@
 //
 // Every algorithm runs against a storage.Accessor, so the same code paths are
 // measured both in memory and against the paged disk simulation, and every
-// search reports Stats (settled nodes, relaxed arcs, page I/O via the
-// accessor's buffer pool) that the experiments consume.
+// search reports Stats (settled nodes, relaxed arcs) that the experiments
+// consume beside the page I/O of the accessor's buffer pool.
 //
 // # The query hot path
 //
@@ -126,10 +126,9 @@ func reconstruct(parent []roadnet.NodeID, dist []float64, source, dest roadnet.N
 	return Path{Nodes: rev, Cost: dist[dest]}
 }
 
-// Stats describes the work one search performed. PageAccesses/PageFaults are
-// filled in by the caller from the accessor's buffer pool when the search ran
-// against paged storage; the algorithms themselves only count algorithmic
-// work.
+// Stats describes the algorithmic work one search performed. It counts no
+// I/O: a caller running the search against paged storage reads page faults
+// off the accessor's buffer pool.
 type Stats struct {
 	// SettledNodes is the number of nodes whose final shortest distance was
 	// fixed (popped from the priority queue, or reached with a finite label

@@ -1,30 +1,29 @@
 // Package server implements the OPAQUE directions search server: it holds the
-// full road map (optionally behind the paged storage simulation), evaluates
-// obfuscated path queries Q(S, T) with the obfuscated path query processor of
-// internal/search, keeps the query log an honest-but-curious operator would
-// accumulate, and optionally exposes the whole thing over TCP for the
-// networked deployment.
+// full road map in memory, evaluates obfuscated path queries Q(S, T) with the
+// obfuscated path query processor of internal/search, keeps the query log an
+// honest-but-curious operator would accumulate, and optionally exposes the
+// whole thing over TCP for the networked deployment. The paper's
+// disk-resident server (CCAM pages behind an LRU buffer pool) is an
+// experiment, not a serving mode: internal/experiments simulates it.
 //
 // Two evaluation entry points are provided. Evaluate answers one obfuscated
 // query; EvaluateBatch (engine.go) answers a whole batch on a worker pool,
 // sharing SSMD spanning trees across queries through the tree cache, under a
 // server-wide concurrency gate.
-// In-memory deployments additionally accept live weight updates
-// (UpdateWeights, update.go): every update publishes one epoch — the pinned
-// weight snapshot, the CH overlay re-customized for it and the engine bound
-// to it, behind one atomic pointer — and every query evaluates on the epoch it
-// loaded, stamping that epoch's metric identity on its reply. The
-// hot path is free of global mutexes — the query log and statistics are
-// striped across shards and metrics use atomic counters — and free of
-// per-query label allocation: every search runs on an epoch-stamped
-// workspace checked out of the server's search.WorkspacePool (see the "query
-// hot path" notes in internal/search).
+// Every server accepts live weight updates (UpdateWeights, update.go): every
+// update publishes one epoch — the pinned weight snapshot, the CH overlay
+// re-customized for it and the engine bound to it, behind one atomic pointer —
+// and every query evaluates on the epoch it loaded, stamping that epoch's
+// metric identity on its reply. The hot path is free of global mutexes — the
+// query log and statistics are striped across shards and metrics use atomic
+// counters — and free of per-query label allocation: every search runs on an
+// epoch-stamped workspace checked out of the server's search.WorkspacePool
+// (see the "query hot path" notes in internal/search).
 package server
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,18 +68,12 @@ type Config struct {
 	// search statistics (cache hits count only incremental work) but never
 	// the returned paths.
 	TreeCache int
-	// Paged enables the disk simulation: the graph is laid out in
-	// connectivity-clustered pages and accessed through an LRU buffer pool.
-	Paged bool
-	// PageConfig and BufferPages configure the simulation when Paged is set.
-	PageConfig  storage.Config
-	BufferPages int
 	// KeepLog records every received query for adversary analysis.
 	KeepLog bool
 	// CHOverlay installs a prebuilt contraction-hierarchy overlay (usually
 	// loaded from a cmd/opaque-preprocess file); it must Match the server's
-	// graph. StrategyHybrid only, and in-memory only: a Paged server is
-	// flat. Hybrid without an overlay falls back to pure SSMD sharing.
+	// graph. StrategyHybrid only; hybrid without an overlay falls back to
+	// pure SSMD sharing.
 	// New takes the overlay over: the server keeps no reference to it beyond
 	// the installed state, so the first re-customization after a weight
 	// update releases it.
@@ -100,17 +93,11 @@ type Config struct {
 	PartitionCells int
 }
 
-// DefaultConfig returns an in-memory SSMD server with logging enabled. The
-// tree cache is off by default so single-query experiments report cold-search
-// work; batch deployments enable it via TreeCache.
+// DefaultConfig returns an SSMD server with logging enabled. The tree cache
+// is off by default so single-query experiments report cold-search work;
+// batch deployments enable it via TreeCache.
 func DefaultConfig() Config {
-	return Config{
-		Strategy:    search.StrategySSMD,
-		Paged:       false,
-		PageConfig:  storage.DefaultConfig(),
-		BufferPages: 256,
-		KeepLog:     true,
-	}
+	return Config{Strategy: search.StrategySSMD, KeepLog: true}
 }
 
 // LogEntry is one obfuscated query as the server saw it — the only
@@ -136,19 +123,15 @@ func (e *ConfigError) Error() string {
 }
 
 // validate refuses the configurations New cannot serve as asked: an unknown
-// strategy, overlay settings on an ssmd server (which would be silently
-// ignored) and an overlay on a paged server (which is flat).
+// strategy and overlay settings on an ssmd server (which would be silently
+// ignored).
 func (cfg Config) validate() error {
-	overlay := cfg.CHOverlay != nil || cfg.BuildCH
 	switch cfg.Strategy {
 	case "", search.StrategySSMD:
-		if overlay || cfg.PartitionCells != 0 {
+		if cfg.CHOverlay != nil || cfg.BuildCH || cfg.PartitionCells != 0 {
 			return &ConfigError{"Strategy", "ssmd serves without an overlay; CHOverlay, BuildCH and PartitionCells need hybrid"}
 		}
 	case StrategyHybrid:
-		if cfg.Paged && overlay {
-			return &ConfigError{"Paged", "a paged server is flat; serve the overlay from an in-memory server"}
-		}
 	default:
 		return &ConfigError{"Strategy", fmt.Sprintf("%q is not a serving strategy (want %q or %q)", cfg.Strategy, search.StrategySSMD, StrategyHybrid)}
 	}
@@ -156,13 +139,13 @@ func (cfg Config) validate() error {
 }
 
 // evalState is one epoch: everything one query is evaluated with and the
-// metric identity its reply carries. acc is the data it reads — for the live
-// metric of an in-memory server, one pinned weight snapshot — with the flat
-// SSMD processor over it and, when the server serves through an overlay, the
-// overlay customized for exactly that data and the many-to-many engine bound
-// to it. The live epoch sits behind one atomic pointer that RecustomizeNow
-// replaces wholesale, so a query sees one whole epoch, never a half-installed
-// mix, and its answer is exact on the snapshot ident names.
+// metric identity its reply carries. acc is the data it reads — one pinned
+// weight snapshot — with the flat SSMD processor over it and, when the server
+// serves through an overlay, the overlay customized for exactly that data and
+// the many-to-many engine bound to it. The live epoch sits behind one atomic
+// pointer that RecustomizeNow replaces wholesale, so a query sees one whole
+// epoch, never a half-installed mix, and its answer is exact on the snapshot
+// ident names.
 type evalState struct {
 	acc     storage.Accessor
 	ident   replyIdentity
@@ -173,14 +156,10 @@ type evalState struct {
 
 // Server is the directions search server.
 type Server struct {
-	graph *roadnet.Graph
-	acc   storage.Accessor
-	pool  *storage.BufferPool
-	// mutable is the live-update view of the accessor — non-nil exactly for
-	// in-memory deployments, where UpdateWeights is supported. Paged
-	// deployments serve the page layout they were built over and reject
-	// updates.
-	mutable *storage.MutableGraph
+	// weights is the live-update view of the road map: queries read the
+	// immutable snapshot their epoch pinned, UpdateWeights swaps the current
+	// one atomically.
+	weights *storage.MutableGraph
 	// live is the epoch live-metric queries evaluate with; never nil.
 	// Replaced wholesale by RecustomizeNow, its only publisher.
 	live atomic.Pointer[evalState]
@@ -234,7 +213,7 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	// leaves the startup weight layer collectable instead of pinned by s.cfg.
 	overlay := cfg.CHOverlay
 	cfg.CHOverlay = nil
-	s := &Server{graph: g, cfg: cfg, metrics: metrics.NewRegistry()}
+	s := &Server{weights: storage.NewMutableGraph(g), cfg: cfg, metrics: metrics.NewRegistry()}
 	s.mQueries = s.metrics.CounterVar("queries_processed")
 	s.mFailed = s.metrics.CounterVar("queries_failed")
 	s.mPairs = s.metrics.CounterVar("candidate_pairs")
@@ -249,29 +228,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	s.mCellsRecust = s.metrics.CounterVar("cells_recustomized")
 	s.hLatency = s.metrics.HistogramVar("query_latency")
 	s.hBatchLatency = s.metrics.HistogramVar("batch_latency")
-	if cfg.Paged {
-		store, err := storage.Build(g, cfg.PageConfig)
-		if err != nil {
-			return nil, fmt.Errorf("server: building page store: %w", err)
-		}
-		bufferPages := cfg.BufferPages
-		if bufferPages <= 0 {
-			bufferPages = 256
-		}
-		pool, err := storage.NewBufferPool(bufferPages)
-		if err != nil {
-			return nil, fmt.Errorf("server: building buffer pool: %w", err)
-		}
-		s.pool = pool
-		s.acc = storage.NewPagedGraph(store, pool)
-	} else {
-		// In-memory deployments serve through the mutable weight view, so
-		// UpdateWeights works out of the box: queries read the immutable
-		// snapshot their epoch pinned, updates swap the current one
-		// atomically.
-		s.mutable = storage.NewMutableGraph(g)
-		s.acc = s.mutable
-	}
 	s.wsPool = search.NewWorkspacePool()
 
 	if cfg.TreeCache > 0 {
@@ -303,15 +259,15 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: installing CH overlay: %w", err)
 		}
 	}
-	s.live.Store(s.newEvalState(storage.SnapshotOf(s.acc), overlay))
+	s.live.Store(s.newEvalState(s.weights.Snapshot(), overlay))
 	return s, nil
 }
 
-// newEvalState builds the epoch over acc, which must not move under it (a
-// snapshot or the paged layout): its identity — acc's generation and content
-// checksum — the flat SSMD processor over the server's tree cache and, for a
-// non-nil overlay customized for acc's weights, the many-to-many engine bound
-// to that generation. Called at startup and by every publication.
+// newEvalState builds the epoch over acc, a weight snapshot that does not
+// move under it: its identity — acc's generation and content checksum — the
+// flat SSMD processor over the server's tree cache and, for a non-nil overlay
+// customized for acc's weights, the many-to-many engine bound to that
+// generation. Called at startup and by every publication.
 func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay) *evalState {
 	gen := storage.GenerationOf(acc)
 	st := &evalState{
@@ -337,20 +293,13 @@ func MustNew(g *roadnet.Graph, cfg Config) *Server {
 	return s
 }
 
-// Graph returns the server's road map — the current weight snapshot when
-// the deployment is mutable (it changes identity on every applied update,
-// before queries see it), the startup graph otherwise.
-func (s *Server) Graph() *roadnet.Graph {
-	if s.mutable != nil {
-		return storage.SnapshotOf(s.mutable).Graph()
-	}
-	return s.graph
-}
+// Graph returns the server's road map: the current weight snapshot, which
+// changes identity on every applied update, before queries see it.
+func (s *Server) Graph() *roadnet.Graph { return s.weights.Snapshot().Graph() }
 
-// Accessor returns the server's data accessor: the mutable weight view of an
-// in-memory server, whose generation is the applied one, or the paged
-// layout. Queries evaluate on the published epoch's snapshot of it.
-func (s *Server) Accessor() storage.Accessor { return s.acc }
+// Accessor returns the server's mutable weight view, whose generation is the
+// applied one. Queries evaluate on the published epoch's snapshot of it.
+func (s *Server) Accessor() storage.Accessor { return s.weights }
 
 // Evaluate processes one obfuscated path query and returns all candidate
 // result paths. This is the entry point used both by the in-process
@@ -375,10 +324,6 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 			Dests:   append([]roadnet.NodeID(nil), q.Dests...),
 		})
 	}
-	var faultsBefore int64
-	if s.pool != nil {
-		faultsBefore = s.pool.Stats().Faults
-	}
 	start := time.Now()
 	st := s.live.Load()
 	res, err := s.route(st, q)
@@ -390,38 +335,16 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 	s.mQueries.Add(1)
 	s.mPairs.Add(int64(len(q.Sources) * len(q.Dests)))
 	s.mSettled.Add(int64(res.Stats.SettledNodes))
+	// The reply is the table itself: one candidate slab whose Nodes are
+	// windows of the arena the engines unpacked into — no path is copied. A
+	// degraded answer is the cost table alone.
 	reply := protocol.ServerReply{
 		QueryID:      id,
+		Paths:        protocol.CandidatesOf(&res, q.DistanceOnly),
 		SettledNodes: res.Stats.SettledNodes,
 		Generation:   st.ident.generation,
 		ContentSum:   st.ident.contentSum,
 		Degraded:     q.DistanceOnly,
-	}
-	if s.pool != nil {
-		poolStats := s.pool.Stats()
-		// Per-reply fault attribution is a window over the shared pool
-		// counter: exact when queries run sequentially, an upper bound when
-		// EvaluateBatch overlaps queries. The page_faults gauge mirrors the
-		// pool's absolute counter, so the server-level total never
-		// multi-counts a fault however many queries are in flight.
-		reply.PageFaults = poolStats.Faults - faultsBefore
-		s.metrics.SetGauge("page_faults", float64(poolStats.Faults))
-		s.metrics.SetGauge("buffer_hit_ratio", poolStats.HitRatio())
-	}
-	// The reply is the table itself: one candidate slab whose Nodes are
-	// windows of the arena the engines unpacked into — no path is copied. A
-	// degraded answer is the cost table alone.
-	nT := len(res.Dests)
-	reply.Paths = make([]protocol.CandidatePath, len(res.Dist))
-	for c := range reply.Paths {
-		cand := &reply.Paths[c]
-		cand.Source, cand.Dest = res.Sources[c/nT], res.Dests[c%nT]
-		if d := res.Dist[c]; !math.IsInf(d, 1) {
-			cand.Found, cand.Cost = true, d
-			if !q.DistanceOnly {
-				cand.Nodes = res.Path(c)
-			}
-		}
 	}
 	s.stats.add(id, res.Stats)
 	return reply, nil
@@ -491,15 +414,6 @@ func (s *Server) TotalStats() (search.Stats, int) {
 	return s.stats.total()
 }
 
-// IOStats returns the buffer-pool counters when the server runs the paged
-// simulation, or zeroes otherwise.
-func (s *Server) IOStats() storage.IOStats {
-	if s.pool == nil {
-		return storage.IOStats{}
-	}
-	return s.pool.Stats()
-}
-
 // TreeCacheStats returns the SSMD tree cache counters, or zeroes when the
 // cache is disabled.
 func (s *Server) TreeCacheStats() search.TreeCacheStats {
@@ -507,15 +421,6 @@ func (s *Server) TreeCacheStats() search.TreeCacheStats {
 		return search.TreeCacheStats{}
 	}
 	return s.cache.Stats()
-}
-
-// ResetStats zeroes the accumulated statistics and the query log.
-func (s *Server) ResetStats() {
-	s.stats.reset()
-	s.log.reset()
-	if s.pool != nil {
-		s.pool.ResetStats()
-	}
 }
 
 // publishDerivedMetrics mirrors the tree cache and workspace pool counters
@@ -544,7 +449,7 @@ func (s *Server) publishDerivedMetrics() {
 	// graph_generation − overlay_generation is the visibility lag, in
 	// generations: updates applied but not yet published.
 	s.metrics.SetGauge("overlay_generation", float64(st.ident.generation))
-	s.metrics.SetGauge("graph_generation", float64(storage.GenerationOf(s.acc)))
+	s.metrics.SetGauge("graph_generation", float64(s.weights.Generation()))
 	ws := s.wsPool.Stats()
 	s.metrics.SetGauge("workspace_gets", float64(ws.Gets))
 	s.metrics.SetGauge("workspace_in_flight", float64(ws.InFlight()))
@@ -553,7 +458,7 @@ func (s *Server) publishDerivedMetrics() {
 }
 
 // Metrics returns the server's instrumentation registry (query counters,
-// latency histograms, I/O, cache and workspace pool gauges).
+// latency histograms, cache and workspace pool gauges).
 func (s *Server) Metrics() *metrics.Registry {
 	s.publishDerivedMetrics()
 	return s.metrics

@@ -34,12 +34,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("unfrozen graph accepted")
 	}
 	g := testGraph(t)
-	badPage := DefaultConfig()
-	badPage.Paged = true
-	badPage.PageConfig.NodesPerPage = 0
-	if _, err := New(g, badPage); err == nil {
-		t.Error("invalid page config accepted")
-	}
 
 	// The serving surface is ssmd or hybrid; everything else, and every
 	// overlay setting New would otherwise ignore or cannot serve, is a
@@ -60,8 +54,6 @@ func TestNewValidation(t *testing.T) {
 		"ssmd with BuildCH":    func(c *Config) { c.BuildCH = true },
 		"ssmd with partitions": func(c *Config) { c.PartitionCells = 4 },
 		"unset with BuildCH":   func(c *Config) { c.Strategy, c.BuildCH = "", true },
-		"paged with CHOverlay": func(c *Config) { c.Strategy, c.Paged, c.CHOverlay = StrategyHybrid, true, overlay },
-		"paged with BuildCH":   func(c *Config) { c.Strategy, c.Paged, c.BuildCH = StrategyHybrid, true, true },
 	}
 	for name, mutate := range refused {
 		cfg := DefaultConfig()
@@ -74,7 +66,6 @@ func TestNewValidation(t *testing.T) {
 	accepted := map[string]func(*Config){
 		"unset strategy":         func(c *Config) { c.Strategy = "" },
 		"hybrid without overlay": func(c *Config) { c.Strategy = StrategyHybrid },
-		"paged hybrid, flat":     func(c *Config) { c.Strategy, c.Paged = StrategyHybrid, true },
 		"hybrid with CHOverlay":  func(c *Config) { c.Strategy, c.CHOverlay = StrategyHybrid, overlay },
 	}
 	for name, mutate := range accepted {
@@ -153,13 +144,6 @@ func TestQueryLogAndStats(t *testing.T) {
 	if n != 2 || stats.SettledNodes == 0 {
 		t.Errorf("total stats = %+v over %d queries", stats, n)
 	}
-	srv.ResetStats()
-	if _, n := srv.TotalStats(); n != 0 {
-		t.Error("ResetStats did not clear the counters")
-	}
-	if len(srv.QueryLog()) != 0 {
-		t.Error("ResetStats did not clear the query log")
-	}
 }
 
 func TestNoLogWhenDisabled(t *testing.T) {
@@ -172,29 +156,6 @@ func TestNoLogWhenDisabled(t *testing.T) {
 	}
 	if len(srv.QueryLog()) != 0 {
 		t.Error("query logged despite KeepLog=false")
-	}
-}
-
-func TestPagedServerCountsFaults(t *testing.T) {
-	g := testGraph(t)
-	cfg := DefaultConfig()
-	cfg.Paged = true
-	cfg.BufferPages = 16
-	srv := MustNew(g, cfg)
-	reply, err := srv.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{roadnet.NodeID(g.NumNodes() - 1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.PageFaults <= 0 {
-		t.Error("paged server reported no page faults for a cross-network query")
-	}
-	if srv.IOStats().Faults <= 0 {
-		t.Error("IOStats missing faults")
-	}
-	// In-memory server reports zero I/O.
-	mem := MustNew(g, DefaultConfig())
-	if mem.IOStats() != (storage.IOStats{}) {
-		t.Error("in-memory server should report zero IOStats")
 	}
 }
 
@@ -231,9 +192,7 @@ func TestStrategiesProduceSameCosts(t *testing.T) {
 
 func TestConcurrentEvaluate(t *testing.T) {
 	g := testGraph(t)
-	cfg := DefaultConfig()
-	cfg.Paged = true
-	srv := MustNew(g, cfg)
+	srv := MustNew(g, DefaultConfig())
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {

@@ -44,16 +44,6 @@ func (l *shardedLog) snapshot() []LogEntry {
 	return out
 }
 
-// reset drops every recorded entry.
-func (l *shardedLog) reset() {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		s.entries = nil
-		s.mu.Unlock()
-	}
-}
-
 // shardedStats accumulates search statistics across stripes, merged on read.
 type shardedStats struct {
 	shards [numShards]struct {
@@ -84,15 +74,4 @@ func (s *shardedStats) total() (search.Stats, int) {
 		sh.mu.Unlock()
 	}
 	return st, queries
-}
-
-// reset zeroes every stripe.
-func (s *shardedStats) reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.stats = search.Stats{}
-		sh.queries = 0
-		sh.mu.Unlock()
-	}
 }

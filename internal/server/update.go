@@ -35,9 +35,6 @@ import (
 // publishes them and returns the new data generation: when it returns, every
 // query admitted afterwards — overlay and SSMD routes alike — sees the new
 // weights. Queries already admitted complete on the epoch they loaded.
-//
-// Updates require the in-memory backend: paged deployments serve a frozen
-// page layout and reject updates.
 func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
 	gen, err := s.applyWeights(changes)
 	if err != nil {
@@ -50,10 +47,7 @@ func (s *Server) UpdateWeights(changes []roadnet.ArcWeightChange) (uint64, error
 // and the graph generation moves, but queries keep being answered on the
 // published epoch until RecustomizeNow publishes the new one.
 func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error) {
-	if s.mutable == nil {
-		return 0, fmt.Errorf("server: live weight updates require the in-memory backend (paged deployments serve a frozen page layout)")
-	}
-	gen, err := s.mutable.UpdateWeights(changes)
+	gen, err := s.weights.UpdateWeights(changes)
 	if err != nil {
 		return gen, fmt.Errorf("server: %w", err)
 	}
@@ -70,13 +64,10 @@ func (s *Server) applyWeights(changes []roadnet.ArcWeightChange) (uint64, error)
 // server without an overlay a round only publishes the snapshot. It is safe to
 // call concurrently with queries and updates; runs serialise internally.
 func (s *Server) RecustomizeNow() error {
-	if s.mutable == nil {
-		return nil
-	}
 	s.recustomizeMu.Lock()
 	defer s.recustomizeMu.Unlock()
 	for {
-		snap := s.mutable.Snapshot()
+		snap := s.weights.Snapshot()
 		st := s.live.Load()
 		if st.ident.generation == storage.GenerationOf(snap) {
 			return nil
@@ -109,5 +100,5 @@ func (s *Server) RecustomizeNow() error {
 // visible to queries. Tests use it to watch the visibility lag under a
 // sustained update stream.
 func (s *Server) OverlayFresh() bool {
-	return s.live.Load().ident.generation == storage.GenerationOf(s.acc)
+	return s.live.Load().ident.generation == s.weights.Generation()
 }

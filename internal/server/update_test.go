@@ -292,19 +292,10 @@ func TestNoOpUpdateRebindsEngines(t *testing.T) {
 	}
 }
 
-// TestUpdateWeightsRejected pins the refusal paths: paged deployments cannot
-// absorb live updates, and invalid changes do not move the generation.
+// TestUpdateWeightsRejected pins the refusal path: invalid changes do not
+// move the generation.
 func TestUpdateWeightsRejected(t *testing.T) {
 	g := updateTestGraph(t, 40, 504)
-
-	t.Run("paged", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Paged = true
-		paged := MustNew(g, cfg)
-		if _, err := paged.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err == nil {
-			t.Fatal("paged server accepted a live weight update")
-		}
-	})
 
 	t.Run("negative_weight", func(t *testing.T) {
 		s := MustNew(g, DefaultConfig())

@@ -96,13 +96,6 @@ func (bp *BufferPool) Stats() IOStats {
 	return bp.stats
 }
 
-// ResetStats zeroes the counters without dropping cached pages.
-func (bp *BufferPool) ResetStats() {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.stats = IOStats{}
-}
-
 // Flush drops all cached pages and zeroes the counters.
 func (bp *BufferPool) Flush() {
 	bp.mu.Lock()

@@ -144,16 +144,15 @@ func TestBufferPoolErrorsAndReset(t *testing.T) {
 	}
 	bp := MustNewBufferPool(4)
 	bp.Access(1)
-	bp.ResetStats()
-	if st := bp.Stats(); st.Accesses != 0 || st.Faults != 0 {
-		t.Errorf("stats not zeroed: %+v", st)
-	}
-	if !bp.Access(1) {
-		t.Error("ResetStats should not drop cached pages")
-	}
 	bp.Flush()
+	if st := bp.Stats(); st.Accesses != 0 || st.Faults != 0 {
+		t.Errorf("Flush did not zero the stats: %+v", st)
+	}
 	if bp.Resident() != 0 {
 		t.Error("Flush should drop cached pages")
+	}
+	if bp.Access(1) {
+		t.Error("page 1 hit after Flush")
 	}
 	if bp.Capacity() != 4 {
 		t.Errorf("capacity = %d, want 4", bp.Capacity())
