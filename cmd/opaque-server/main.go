@@ -65,6 +65,9 @@ func main() {
 	cfg.BatchWorkers = *batchWorkers
 	cfg.MaxConcurrentSearches = *maxSearches
 	cfg.TreeCache = *treeCache
+	// The query log grows with every query served and nothing in a serving
+	// process reads it; the adversary analyses run in process.
+	cfg.KeepLog = false
 	if *partition > 0 && *chOverlay != "" {
 		log.Fatalf("-partition-cells shapes the startup contraction and cannot apply to a loaded overlay; build the partitioned file with opaque-preprocess -partition-cells instead")
 	}

@@ -1,98 +1,96 @@
 // Package filter implements the candidate result path filter of the OPAQUE
 // obfuscator (Figures 5 and 6 of the paper): after the directions search
 // server returns the candidate result paths of an obfuscated path query
-// Q(S, T), the filter picks out, for each pending request, the path that
-// answers its true query Q(s, t), optionally verifying the path against the
-// obfuscator's own road map, and then discards the satisfied request.
+// Q(S, T), the filter picks out, for each request the query covers, the path
+// that answers its true query Q(s, t) and checks it against the obfuscator's
+// own road map; the satisfied request is then discarded.
 package filter
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"opaque/internal/obfuscate"
+	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 	"opaque/internal/search"
 )
 
-// CandidateSet is what the server returns for one obfuscated query: the
-// candidate result paths addressable by (source, destination).
-type CandidateSet interface {
-	// Path returns the candidate path for the pair and whether the pair was
-	// part of the query.
-	Path(source, dest roadnet.NodeID) (search.Path, bool)
-}
+// ErrBadReply reports a reply that does not answer the query it was sent
+// for: its table is not |S|×|T| or cannot be read, a request's cell names
+// other endpoints than (s, t), or a found cell's path is not a walk from s to
+// t along arcs of the obfuscator's map. A bad reply fails the requests of
+// its query; it never reads as "no route".
+var ErrBadReply = errors.New("filter: the reply does not answer its query")
 
-// Result pairs one request with its extracted path.
-type Result struct {
-	Request obfuscate.Request
-	Path    search.Path
-	// Found is false when the server's candidate set did not contain the
-	// request's pair (a protocol violation) or contained an empty path
-	// (destination unreachable).
-	Found bool
-}
+// inlineCells is how many requests' cells Extract reads without allocating
+// its scratch.
+const inlineCells = 8
 
-// Filter extracts each member's true path from a candidate set. When verify
-// is non-nil, each extracted path is additionally validated as a real walk on
-// that graph; validation failures are reported as errors because they mean
-// the server returned a corrupt or fabricated path.
-type Filter struct {
-	verify *roadnet.Graph
-}
-
-// New returns a filter without path verification.
-func New() *Filter { return &Filter{} }
-
-// NewVerifying returns a filter that validates extracted paths against g (the
-// obfuscator's simple road map). Costs may legitimately differ from the
-// obfuscator's map when the server has better data, so only structural
-// validity (consecutive nodes connected) is enforced, not cost equality.
-func NewVerifying(g *roadnet.Graph) *Filter { return &Filter{verify: g} }
-
-// Extract returns the result for each member of the obfuscated query, in
-// member order.
-func (f *Filter) Extract(q obfuscate.ObfuscatedQuery, candidates CandidateSet) ([]Result, error) {
-	if candidates == nil {
-		return nil, fmt.Errorf("filter: nil candidate set")
+// Extract answers the requests q covers, batch[i] for i in slots, out of
+// reply, the server's candidate table for q: paths[k] becomes the path of
+// batch[slots[k]], empty when its destination is unreachable (paths is as
+// long as slots). Each request's cell is found by position — cell (index of
+// s in S, index of t in T) of the source-major |S|×|T| table — and all of
+// them are read in one ServerReply.ReadCells pass, which validates a held
+// reply's whole body and decodes none of the padding cells. Every path is
+// an exactly-sized slice the caller owns, and for up to inlineCells requests
+// it is the only allocation.
+//
+// Each cell is checked for structure only: its endpoints, and that a found
+// path walks the map g from s to t. Its cost is not compared with g's,
+// because the server answers with live weights the obfuscator does not have.
+// A failed check fails the whole query with ErrBadReply.
+func Extract(g *roadnet.Graph, q obfuscate.ObfuscatedQuery, reply protocol.ServerReply, batch []obfuscate.Request, slots []int, paths []search.Path) error {
+	if n := reply.Cells(); n != len(q.Sources)*len(q.Dests) {
+		return fmt.Errorf("%w: %d cells for a %d×%d query", ErrBadReply, n, len(q.Sources), len(q.Dests))
 	}
-	out := make([]Result, 0, len(q.Members))
-	for _, m := range q.Members {
-		p, ok := candidates.Path(m.Source, m.Dest)
-		res := Result{Request: m, Path: p, Found: ok && !p.Empty()}
-		if res.Found && f.verify != nil {
-			if err := verifyWalk(f.verify, p); err != nil {
-				return nil, fmt.Errorf("filter: path for user %q failed verification: %w", m.User, err)
-			}
+	var atBuf [inlineCells][2]int
+	var cellBuf [inlineCells]protocol.CandidatePath
+	at, cells := atBuf[:0], cellBuf[:]
+	if len(slots) > inlineCells {
+		at, cells = make([][2]int, 0, len(slots)), make([]protocol.CandidatePath, len(slots))
+	}
+	cells = cells[:len(slots)]
+	for _, i := range slots {
+		r := batch[i]
+		si, ti := slices.Index(q.Sources, r.Source), slices.Index(q.Dests, r.Dest)
+		if si < 0 || ti < 0 {
+			return fmt.Errorf("filter: query %d does not cover request %q (%d→%d)", q.ID, r.User, r.Source, r.Dest)
 		}
-		out = append(out, res)
+		at = append(at, [2]int{si, ti})
 	}
-	return out, nil
+	if err := reply.ReadCells(cells, at); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadReply, err)
+	}
+	for k, i := range slots {
+		if err := check(g, batch[i], cells[k]); err != nil {
+			return fmt.Errorf("%w: request %q: %v", ErrBadReply, batch[i].User, err)
+		}
+		paths[k] = cells[k].Path()
+	}
+	return nil
 }
 
-// ExtractOne returns the path answering a single request from the candidate
-// set.
-func (f *Filter) ExtractOne(req obfuscate.Request, candidates CandidateSet) (Result, error) {
-	results, err := f.Extract(obfuscate.ObfuscatedQuery{Members: []obfuscate.Request{req}}, candidates)
-	if err != nil {
-		return Result{}, err
+// check refuses a cell that does not answer r: one whose endpoints are not
+// (s, t), or a found one whose path is not a walk on g from s to t. Every
+// node after the first is the head of an arc of g, so checking each step's
+// arc checks the nodes too.
+func check(g *roadnet.Graph, r obfuscate.Request, c protocol.CandidatePath) error {
+	if c.Source != r.Source || c.Dest != r.Dest {
+		return fmt.Errorf("its cell is %d→%d, not %d→%d", c.Source, c.Dest, r.Source, r.Dest)
 	}
-	return results[0], nil
-}
-
-// verifyWalk checks structural validity: the path's endpoints and that each
-// consecutive pair is connected by an arc in g. Unlike search.Path.Validate
-// it does not compare costs, because the server's edge costs (live traffic)
-// may differ from the obfuscator's static map.
-func verifyWalk(g *roadnet.Graph, p search.Path) error {
-	if p.Empty() {
+	if !c.Found {
 		return nil
 	}
-	for i := 0; i+1 < len(p.Nodes); i++ {
-		if !g.ValidNode(p.Nodes[i]) || !g.ValidNode(p.Nodes[i+1]) {
-			return fmt.Errorf("step %d references unknown node", i)
-		}
-		if _, ok := g.ArcCost(p.Nodes[i], p.Nodes[i+1]); !ok {
-			return fmt.Errorf("step %d: no road segment from %d to %d", i, p.Nodes[i], p.Nodes[i+1])
+	p := c.Nodes
+	if len(p) == 0 || p[0] != r.Source || p[len(p)-1] != r.Dest || !g.ValidNode(p[0]) {
+		return fmt.Errorf("its path does not run %d→%d", r.Source, r.Dest)
+	}
+	for i := 0; i+1 < len(p); i++ {
+		if _, ok := g.ArcCost(p[i], p[i+1]); !ok {
+			return fmt.Errorf("step %d: no road segment from %d to %d", i, p[i], p[i+1])
 		}
 	}
 	return nil

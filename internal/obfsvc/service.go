@@ -10,7 +10,6 @@ package obfsvc
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +27,9 @@ import (
 // sends the query over the multiplexed transport (MuxExecutor), whose
 // replies hold the table in its wire form. Either way a reply's table must be
 // the source-major |S|×|T| table of the query, as every server and router
-// builds it; the service reads out the members' own cells
-// (protocol.ServerReply.ReadCells) and retains nothing else of the reply.
+// builds it; the service reads out its requests' own cells (filter.Extract)
+// and retains nothing else of the reply. A reply that is not that table
+// fails its query's requests with filter.ErrBadReply.
 type QueryExecutor interface {
 	Execute(q protocol.ServerQuery) (protocol.ServerReply, error)
 }
@@ -57,7 +57,9 @@ func (f ExecutorFunc) Execute(q protocol.ServerQuery) (protocol.ServerReply, err
 // an answer without its path is not the directions the client asked for.
 var ErrShed = errors.New("obfsvc: the server shed the query to a distance-only reply, which carries no path")
 
-// Config parameterises the obfuscator service.
+// Config parameterises the obfuscator service. Every path the service hands
+// a client has passed filter.Extract's check against the obfuscator's map,
+// whatever the configuration.
 type Config struct {
 	// Obfuscation is the path query obfuscator configuration.
 	Obfuscation obfuscate.Config
@@ -68,9 +70,6 @@ type Config struct {
 	BatchWindow time.Duration
 	// MaxBatch caps the number of requests obfuscated together.
 	MaxBatch int
-	// VerifyPaths validates returned candidate paths against the
-	// obfuscator's road map before answering clients.
-	VerifyPaths bool
 }
 
 // DefaultConfig returns a shared-mode service with a 50 ms batching window.
@@ -79,7 +78,6 @@ func DefaultConfig() Config {
 		Obfuscation: obfuscate.DefaultConfig(),
 		BatchWindow: 50 * time.Millisecond,
 		MaxBatch:    64,
-		VerifyPaths: true,
 	}
 }
 
@@ -97,7 +95,6 @@ type Stats struct {
 type Service struct {
 	graph    *roadnet.Graph
 	obf      *obfuscate.Obfuscator
-	filt     *filter.Filter
 	executor QueryExecutor
 	cfg      Config
 
@@ -140,16 +137,10 @@ func New(g *roadnet.Graph, executor QueryExecutor, cfg Config) (*Service, error)
 	if err != nil {
 		return nil, err
 	}
-	var filt *filter.Filter
-	if cfg.VerifyPaths {
-		filt = filter.NewVerifying(g)
-	} else {
-		filt = filter.New()
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	return &Service{graph: g, obf: obf, filt: filt, executor: executor, cfg: cfg, metrics: metrics.NewRegistry()}, nil
+	return &Service{graph: g, obf: obf, executor: executor, cfg: cfg, metrics: metrics.NewRegistry()}, nil
 }
 
 // MustNew is New but panics on error.
@@ -230,51 +221,48 @@ func (s *Service) ProcessBatch(batch []obfuscate.Request) ([]ClientResult, error
 		}
 	}
 
+	// Group the batch by query, in one counting pass: query qi covers the
+	// requests at batch positions slot[from[qi]:from[qi+1]], and their paths
+	// go to the same range of paths.
+	idx := make([]int, len(plan.Queries)+1+len(batch))
+	from, slot := idx[:len(plan.Queries)+1], idx[len(plan.Queries)+1:]
+	for _, qi := range plan.Assignment {
+		from[qi]++
+	}
+	for qi := range plan.Queries {
+		from[qi+1] += from[qi]
+	}
+	for i := len(batch) - 1; i >= 0; i-- {
+		qi := plan.Assignment[i]
+		from[qi]--
+		slot[from[qi]] = i
+	}
+	paths := make([]search.Path, len(batch))
+
 	var filterDur time.Duration
 	var candidates int64
 	for qi, q := range plan.Queries {
-		// failMembers marks every member of this query as failed; the other
-		// queries of the plan keep processing.
-		failMembers := func(err error) {
-			for i := range batch {
-				if id, ok := plan.Assignment[i]; ok && id == q.ID {
-					results[i].Err = err
+		lo, hi := from[qi], from[qi+1]
+		err := errs[qi]
+		if err == nil {
+			candidates += int64(replies[qi].Cells())
+			if replies[qi].Degraded {
+				err = fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ErrShed)
+			} else {
+				fstart := time.Now()
+				if ferr := filter.Extract(s.graph, q, replies[qi], batch, slot[lo:hi], paths[lo:hi]); ferr != nil {
+					err = fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ferr)
 				}
+				filterDur += time.Since(fstart)
 			}
 		}
-		if errs[qi] != nil {
-			failMembers(errs[qi])
-			continue
-		}
-		candidates += int64(replies[qi].Cells())
-		if replies[qi].Degraded {
-			failMembers(fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ErrShed))
-			continue
-		}
-		fstart := time.Now()
-		var extracted []filter.Result
-		cs, ferr := memberCells(q, replies[qi])
-		if ferr == nil {
-			extracted, ferr = s.filt.Extract(q, cs)
-		} else {
-			ferr = fmt.Errorf("obfsvc: query %d: %w", queries[qi].QueryID, ferr)
-		}
-		filterDur += time.Since(fstart)
-		if ferr != nil {
-			failMembers(ferr)
-			continue
-		}
-		// Map member results back to batch positions by user and pair.
-		for _, ext := range extracted {
-			for i := range batch {
-				if id, ok := plan.Assignment[i]; !ok || id != q.ID {
-					continue
-				}
-				if batch[i].User == ext.Request.User && batch[i].Source == ext.Request.Source && batch[i].Dest == ext.Request.Dest {
-					results[i].Path = ext.Path
-					results[i].Found = ext.Found
-				}
+		// A query that fails fails only its own requests.
+		for k := lo; k < hi; k++ {
+			if err != nil {
+				results[slot[k]].Err = err
+				continue
 			}
+			results[slot[k]].Path, results[slot[k]].Found = paths[k], !paths[k].Empty()
 		}
 	}
 	s.record(len(batch), int64(len(plan.Queries)), candidates, obfDur, filterDur)
@@ -357,56 +345,3 @@ func (s *Service) flush() {
 // Flush forces any pending requests to be processed immediately; tests and
 // shutdown paths use it.
 func (s *Service) Flush() { s.flush() }
-
-// candidateSet is the filter.CandidateSet of one query: its members' own
-// cells, read out of the reply by memberCells. Each cell is handed out once
-// (two members asking the same pair each get a cell of their own).
-type candidateSet struct {
-	cells []protocol.CandidatePath
-	buf   [4]protocol.CandidatePath // cells' storage for the usual few members
-}
-
-// memberCells reads the cells of q's members out of its reply without
-// indexing the reply: a reply is the source-major |S|×|T| table of the query
-// that asked for it, so a member's cell is found by position — where its
-// source sits in the query's source list, where its destination sits in the
-// destination list — and verified, in Path, against the endpoints the cell
-// itself claims. Only the members' cells are materialised: of a held reply,
-// the |S|·|T| − |members| candidates every obfuscated query is padded with
-// are validated, in the same one pass, and never decoded. A reply that is
-// not a table of Q(S, T)'s shape holds no member's cell.
-func memberCells(q obfuscate.ObfuscatedQuery, reply protocol.ServerReply) (*candidateSet, error) {
-	cs := &candidateSet{}
-	if reply.Cells() != len(q.Sources)*len(q.Dests) {
-		return cs, nil
-	}
-	var atBuf [8][2]int
-	at := atBuf[:0]
-	for _, m := range q.Members {
-		if i, j := slices.Index(q.Sources, m.Source), slices.Index(q.Dests, m.Dest); i >= 0 && j >= 0 {
-			at = append(at, [2]int{i, j})
-		}
-	}
-	if len(at) <= len(cs.buf) {
-		cs.cells = cs.buf[:len(at)]
-	} else {
-		cs.cells = make([]protocol.CandidatePath, len(at))
-	}
-	if err := reply.ReadCells(cs.cells, at); err != nil {
-		return nil, err
-	}
-	return cs, nil
-}
-
-// Path implements filter.CandidateSet. The returned path owns its memory
-// (see ServerReply.ReadCells), so the reply can be dropped the moment the
-// filter is done.
-func (c *candidateSet) Path(source, dest roadnet.NodeID) (search.Path, bool) {
-	for k, cell := range c.cells {
-		if cell.Source == source && cell.Dest == dest {
-			c.cells = slices.Delete(c.cells, k, k+1)
-			return cell.Path(), true
-		}
-	}
-	return search.Path{}, false
-}

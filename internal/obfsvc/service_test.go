@@ -2,6 +2,7 @@ package obfsvc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"opaque/internal/filter"
 	"opaque/internal/gen"
 	"opaque/internal/obfuscate"
 	"opaque/internal/protocol"
@@ -439,5 +441,129 @@ func TestExtractedPathOwnsItsMemory(t *testing.T) {
 		if res.Path.Nodes[0] != batch[i].Source || res.Path.Nodes[len(res.Path.Nodes)-1] != batch[i].Dest {
 			t.Errorf("request %d: path does not run %d→%d", i, batch[i].Source, batch[i].Dest)
 		}
+	}
+}
+
+// executorHandler serves an executor over the multiplexed transport, unary
+// and streamed batch, the way a server's handler serves Evaluate.
+type executorHandler struct{ exec ExecutorFunc }
+
+func (h executorHandler) HandleMux(msg any, _ protocol.ReqInfo) (any, error) {
+	q, ok := msg.(protocol.ServerQuery)
+	if !ok {
+		return nil, fmt.Errorf("unexpected message type %T", msg)
+	}
+	return h.exec(q)
+}
+
+func (h executorHandler) HandleMuxBatch(b protocol.BatchQuery, _ protocol.ReqInfo, emit func(protocol.BatchItem)) error {
+	for i, q := range b.Queries {
+		reply, err := h.exec(q)
+		item := protocol.BatchItem{BatchID: b.BatchID, Index: i, Reply: reply}
+		if err != nil {
+			item.Error = err.Error()
+		}
+		emit(item)
+	}
+	return nil
+}
+
+// TestWrongReplyFailsItsMembers: a reply that does not answer its query —
+// another query's table of the same shape, a table of the wrong size, or a
+// path that does not walk the map from s to t — fails every member with
+// filter.ErrBadReply instead of reaching the client as "no route" or as a
+// wrong route. An unreachable destination is still an answer. Each case
+// runs in process (decoded replies) and over the multiplexed transport
+// (held replies).
+func TestWrongReplyFailsItsMembers(t *testing.T) {
+	g := testGraph(t)
+	srv := server.MustNew(g, server.DefaultConfig())
+	// bendCells evaluates q and rewrites every found cell's path.
+	bendCells := func(bend func(nodes []roadnet.NodeID) []roadnet.NodeID) ExecutorFunc {
+		return func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+			reply, err := srv.Evaluate(q)
+			for c := range reply.Paths {
+				if reply.Paths[c].Found {
+					reply.Paths[c].Nodes = bend(reply.Paths[c].Nodes)
+				}
+			}
+			return reply, err
+		}
+	}
+	cases := []struct {
+		name string
+		exec ExecutorFunc
+		bad  bool // the reply is bad: ErrBadReply; else unreachable: no error
+	}{
+		{"another query's table", func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+			sources := make([]roadnet.NodeID, len(q.Sources))
+			for i, s := range q.Sources {
+				sources[i] = (s + 1) % roadnet.NodeID(g.NumNodes())
+			}
+			q.Sources = sources
+			return srv.Evaluate(q)
+		}, true},
+		// Every member's cell is where it looks for it, with the right
+		// endpoints, in a table one destination too wide.
+		{"wrong size", func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+			extra := roadnet.NodeID(0)
+			for slices.Contains(q.Dests, extra) || slices.Contains(q.Sources, extra) {
+				extra++
+			}
+			q.Dests = append(slices.Clone(q.Dests), extra)
+			return srv.Evaluate(q)
+		}, true},
+		{"first node dropped", bendCells(func(nodes []roadnet.NodeID) []roadnet.NodeID { return nodes[1:] }), true},
+		{"a step that is not an arc", bendCells(func(nodes []roadnet.NodeID) []roadnet.NodeID {
+			// Skip the first interior node whose neighbours are not adjacent.
+			for k := 1; k+1 < len(nodes); k++ {
+				if _, ok := g.ArcCost(nodes[k-1], nodes[k+1]); !ok {
+					return slices.Delete(slices.Clone(nodes), k, k+1)
+				}
+			}
+			t.Errorf("path %v has no node to skip", nodes)
+			return nodes
+		}), true},
+		{"unreachable", func(q protocol.ServerQuery) (protocol.ServerReply, error) {
+			reply, err := srv.Evaluate(q)
+			for c, cell := range reply.Paths {
+				reply.Paths[c] = protocol.CandidatePath{Source: cell.Source, Dest: cell.Dest}
+			}
+			return reply, err
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() { _ = protocol.ServeMux(ln, executorHandler{tc.exec}, protocol.MuxServerConfig{}) }()
+			mux, err := DialMuxExecutor(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mux.Close()
+			for form, exec := range map[string]QueryExecutor{"in process": tc.exec, "mux": mux} {
+				cfg := DefaultConfig()
+				cfg.Obfuscation.Mode = obfuscate.Shared
+				minX, minY, maxX, maxY := g.Bounds()
+				extent := math.Max(maxX-minX, maxY-minY)
+				cfg.Obfuscation.Selector = obfuscate.MustNewRingBandSelector(0.02*extent, 0.2*extent, 83)
+				results, err := MustNew(g, exec, cfg).ProcessBatch(testRequests(t, g, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range results {
+					if tc.bad && (!errors.Is(res.Err, filter.ErrBadReply) || res.Found) {
+						t.Errorf("%s: request %d: found %v, err %v; want filter.ErrBadReply", form, i, res.Found, res.Err)
+					}
+					if !tc.bad && (res.Err != nil || res.Found) {
+						t.Errorf("%s: request %d: found %v, err %v; want not found and no error", form, i, res.Found, res.Err)
+					}
+				}
+			}
+		})
 	}
 }

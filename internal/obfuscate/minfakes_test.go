@@ -71,10 +71,4 @@ func TestMinFakesPerSideProtectsAgainstFullCollusion(t *testing.T) {
 	}
 }
 
-func allToFirst(n int) map[int]int {
-	m := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		m[i] = 0
-	}
-	return m
-}
+func allToFirst(n int) []int { return make([]int, n) }

@@ -142,7 +142,7 @@ func (o *Obfuscator) Obfuscate(batch []Request) (Plan, error) {
 	}
 	plan := Plan{
 		Requests:   append([]Request(nil), batch...),
-		Assignment: make(map[int]int, len(batch)),
+		Assignment: make([]int, len(batch)),
 	}
 	mode := o.cfg.Mode
 	if mode == "" {

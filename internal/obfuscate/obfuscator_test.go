@@ -205,7 +205,7 @@ func TestPlanHelpers(t *testing.T) {
 	}
 	// A corrupted plan must fail validation.
 	bad := plan
-	bad.Assignment = map[int]int{0: 0, 1: 0, 2: 0}
+	bad.Assignment = []int{0, 0, 0}
 	if err := bad.Validate(); err == nil {
 		t.Error("plan whose queries do not cover their requests passed validation")
 	}

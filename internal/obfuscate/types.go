@@ -67,8 +67,10 @@ func (r Request) normalizedFT() int {
 
 // ObfuscatedQuery is one obfuscated path query Q(S, T) as sent to the
 // directions search server. Only S and T leave the obfuscator; Members is the
-// obfuscator-side record of which true requests it protects and is used by
-// the candidate result path filter.
+// obfuscator-side record of which true requests it protects, which the
+// privacy and collusion analyses read. The candidate result path filter does
+// not read it: it answers the batch requests Plan.Assignment maps to the
+// query.
 type ObfuscatedQuery struct {
 	// ID distinguishes queries within one batch.
 	ID int
@@ -125,9 +127,9 @@ func BreachProbability(sizeS, sizeT int) float64 {
 // obfuscator.
 type Plan struct {
 	Queries []ObfuscatedQuery
-	// Assignment maps each request (by batch index) to the query that covers
-	// it.
-	Assignment map[int]int
+	// Assignment[i] is the index in Queries of the query that covers the
+	// i-th request of the batch.
+	Assignment []int
 	// Requests is the batch, in the order received.
 	Requests []Request
 }
@@ -146,11 +148,10 @@ func (p Plan) TotalCandidatePairs() int {
 // QueryFor returns the obfuscated query covering the i-th request of the
 // batch.
 func (p Plan) QueryFor(i int) (ObfuscatedQuery, bool) {
-	qi, ok := p.Assignment[i]
-	if !ok || qi < 0 || qi >= len(p.Queries) {
+	if i < 0 || i >= len(p.Assignment) || p.Assignment[i] < 0 || p.Assignment[i] >= len(p.Queries) {
 		return ObfuscatedQuery{}, false
 	}
-	return p.Queries[qi], true
+	return p.Queries[p.Assignment[i]], true
 }
 
 // Validate checks the structural invariants the rest of the system relies

@@ -297,10 +297,6 @@ func MustNew(g *roadnet.Graph, cfg Config) *Server {
 // changes identity on every applied update, before queries see it.
 func (s *Server) Graph() *roadnet.Graph { return s.weights.Snapshot().Graph() }
 
-// Accessor returns the server's mutable weight view, whose generation is the
-// applied one. Queries evaluate on the published epoch's snapshot of it.
-func (s *Server) Accessor() storage.Accessor { return s.weights }
-
 // Evaluate processes one obfuscated path query and returns all candidate
 // result paths. This is the entry point used both by the in-process
 // deployment and by the multiplexed transport's handler (mux.go);

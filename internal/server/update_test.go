@@ -302,8 +302,8 @@ func TestUpdateWeightsRejected(t *testing.T) {
 		if _, err := s.UpdateWeights([]roadnet.ArcWeightChange{{From: 0, To: 0, NewCost: -1}}); err == nil {
 			t.Fatal("negative weight accepted")
 		}
-		if gen := storage.GenerationOf(s.Accessor()); gen != 0 {
-			t.Fatalf("failed update moved the generation to %d", gen)
+		if gen := s.Metrics().Gauge("graph_generation"); gen != 0 {
+			t.Fatalf("failed update moved the generation to %v", gen)
 		}
 	})
 }
