@@ -59,7 +59,6 @@ func run(args []string, out, errOut io.Writer) error {
 		nodes       = fs.Int("nodes", 10000, "node count when generating")
 		seed        = fs.Uint64("seed", 42, "generation seed")
 		outFile     = fs.String("out", "", "output overlay file (required)")
-		partition   = fs.Int("partition-cells", 0, "cut the map into this many spatial cells and contract cell by cell (boundary nodes last), so that weight updates are attributed to cells (0 = flat contraction)")
 		check       = fs.Int("check", 0, "verify this many random queries against Dijkstra after building")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,17 +78,8 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	fmt.Fprintf(out, "road network: %d nodes, %d arcs\n", g.NumNodes(), g.NumArcs())
 
-	var part *roadnet.Partition
-	if *partition > 1 {
-		part, err = roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: *partition, Seed: int64(*seed)})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "partitioned into %d cells (%d boundary nodes, %d cut arcs)\n",
-			part.NumCells(), part.NumBoundary(), part.CutArcCount())
-	}
 	start := time.Now()
-	overlay, err := ch.BuildCustomizablePartitioned(g, part)
+	overlay, err := ch.BuildCustomizable(g)
 	if err != nil {
 		return err
 	}

@@ -13,10 +13,9 @@
 // -ch-overlay contracts the map at startup.
 //
 // With -stats-interval the server periodically logs its throughput counters,
-// the strategy routing split (many-to-many / flat fallback),
-// the many-to-many bucket engine gauges, the partition's cell counters, the
-// last overlay re-customization, the SSMD tree cache hit ratio and the search
-// workspace pool counters.
+// the strategy routing split (many-to-many / flat fallback), the
+// many-to-many bucket engine gauges, the last overlay re-customization, the
+// SSMD tree cache hit ratio and the search workspace pool counters.
 package main
 
 import (
@@ -47,7 +46,6 @@ func main() {
 		maxSearches   = flag.Int("max-searches", 0, "server-wide cap on concurrent per-source searches (0 = unbounded)")
 		treeCache     = flag.Int("tree-cache", 0, "SSMD tree cache capacity in trees (0 disables the cache)")
 		chOverlay     = flag.String("ch-overlay", "", "contraction-hierarchy overlay file built by opaque-preprocess (with -strategy hybrid; empty = contract at startup)")
-		partition     = flag.Int("partition-cells", 0, "contract the startup overlay partition-aware with this many spatial cells: the overlay attributes weight updates to cells (0 = flat; with -strategy hybrid and no -ch-overlay, whose file carries its own partition)")
 		statsInterval = flag.Duration("stats-interval", 0, "periodically log query/cache/workspace-pool statistics (0 disables)")
 		maxInFlight   = flag.Int("max-inflight", 0, "per-connection in-flight request cap on the multiplexed transport (0 = default)")
 		shedAt        = flag.Int("shed-at", 0, "admission-control watermark: at this many in-flight requests per connection, shed queries to distance-only answers (0 disables)")
@@ -68,12 +66,8 @@ func main() {
 	// The query log grows with every query served and nothing in a serving
 	// process reads it; the adversary analyses run in process.
 	cfg.KeepLog = false
-	if *partition > 0 && *chOverlay != "" {
-		log.Fatalf("-partition-cells shapes the startup contraction and cannot apply to a loaded overlay; build the partitioned file with opaque-preprocess -partition-cells instead")
-	}
-	// server.New refuses the other misdirected overlay flags (-ch-overlay or
-	// -partition-cells without -strategy hybrid) before any contraction work
-	// starts.
+	// server.New refuses -ch-overlay without -strategy hybrid before any
+	// contraction work starts.
 	if *chOverlay != "" {
 		overlay, err := ch.ReadFile(*chOverlay)
 		if err != nil {
@@ -83,7 +77,6 @@ func main() {
 		cfg.CHOverlay = overlay
 	} else {
 		cfg.BuildCH = cfg.Strategy == server.StrategyHybrid
-		cfg.PartitionCells = *partition
 	}
 
 	buildStart := time.Now()
@@ -93,8 +86,8 @@ func main() {
 	}
 	log.Printf("server built in %v", time.Since(buildStart).Round(time.Millisecond))
 	if o := srv.Overlay(); o != nil && cfg.BuildCH {
-		log.Printf("CH overlay contracted at startup (persist one with opaque-preprocess to skip this): %d shortcuts, max level %d, %d partition cells",
-			o.NumShortcuts(), o.MaxLevel(), o.PartitionCells())
+		log.Printf("CH overlay contracted at startup (persist one with opaque-preprocess to skip this): %d shortcuts, max level %d",
+			o.NumShortcuts(), o.MaxLevel())
 	}
 	if *statsInterval > 0 {
 		go logStats(srv, *statsInterval)
@@ -112,21 +105,20 @@ func main() {
 
 // logStats periodically prints the server's operational counters: query and
 // batch throughput, the strategy routing split, the many-to-many bucket
-// engine's arena gauges, the partition's cell counters, the last overlay
-// refresh (duration and arcs re-derived), the SSMD tree cache hit ratio and
-// the workspace pool's checkout/reuse numbers — the at-a-glance health line
-// for a long-running deployment.
+// engine's arena gauges, the last overlay refresh (duration and arcs
+// re-derived), the SSMD tree cache hit ratio and the workspace pool's
+// checkout/reuse numbers — the at-a-glance health line for a long-running
+// deployment.
 func logStats(srv *server.Server, every time.Duration) {
 	for range time.Tick(every) {
 		m := srv.Metrics()
 		cache := srv.TreeCacheStats()
 		ws := srv.WorkspacePoolStats()
 		mt := srv.MTMStats()
-		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | partition cells=%d cells-recustomized=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f",
+		log.Printf("stats: queries=%d failed=%d batches=%d | route mtm=%d fallback=%d | mtm tables=%d bucket-entries=%d scanned=%d arena-high-water=%d | recustomize runs=%d last-ms=%.1f last-arcs=%d | tree-cache hits=%d misses=%d ratio=%.3f | workspaces gets=%d in-flight=%d fresh=%d reuse=%.3f",
 			m.Counter("queries_processed"), m.Counter("queries_failed"), m.Counter("batches_processed"),
 			m.Counter("mtm_queries"), m.Counter("fallback_queries"),
 			mt.Tables, mt.BucketEntries, mt.BucketEntriesScanned, mt.ArenaHighWater,
-			int64(m.Gauge("partition_cells")), m.Counter("cells_recustomized"),
 			m.Counter("recustomize_runs"), m.Gauge("recustomize_last_ms"), int64(m.Gauge("recustomize_arcs_last")),
 			cache.Hits, cache.Misses, cache.HitRatio(),
 			ws.Gets, ws.InFlight(), ws.Fresh, ws.ReuseRatio())

@@ -19,14 +19,14 @@ func BuildCustomizable(g *roadnet.Graph) (*Overlay, error) {
 	return BuildCustomizablePartitioned(g, nil)
 }
 
-// BuildCustomizablePartitioned is BuildCustomizable with partition-aware node
-// ordering: nodes are contracted cell by cell (each cell's interior nodes form
-// one lazy-ordered group) with every boundary node last, so each cell's
-// interiors occupy a contiguous rank range below all boundary ranks. The
-// overlay then classifies every arena arc into a per-cell weight layer or the
-// boundary top layer (partition.go) and attributes weight updates to cells;
-// it customizes in the same single pass as an unpartitioned overlay. p must
-// have been built for g; a nil p builds the unpartitioned overlay.
+// BuildCustomizablePartitioned is BuildCustomizable with a partition-shaped
+// contraction order: nodes are contracted cell by cell (each cell's interior
+// nodes form one lazy-ordered group) with every boundary node last. The
+// partition shapes only the order — the overlay keeps no trace of it and
+// customizes, persists and serves exactly like a flat one. The flat order
+// yields fewer shortcuts and faster tables; this variant remains because the
+// fleet of bench/stack.go serves it. p must have been built for g; a nil p
+// builds the flat overlay.
 func BuildCustomizablePartitioned(g *roadnet.Graph, p *roadnet.Partition) (*Overlay, error) {
 	if g == nil || g.NumNodes() == 0 {
 		return nil, fmt.Errorf("ch: need a non-empty graph to contract")
@@ -121,9 +121,7 @@ func newBuilder(g *roadnet.Graph, p *roadnet.Partition) *builder {
 // contractAll orders and contracts every node. Without a partition every
 // node competes in one lazy-ordered queue; with one, each cell's interior
 // nodes form their own group contracted to completion before the next cell
-// starts, and all boundary nodes come last — giving every cell a contiguous
-// rank range below every boundary rank, which is the layering the cell
-// attribution of weight updates depends on (partition.go).
+// starts, and all boundary nodes come last.
 func (b *builder) contractAll() {
 	p := b.part
 	if p == nil {
@@ -332,16 +330,6 @@ func (b *builder) finish() *Overlay {
 		graphArcs: b.g.NumArcs(),
 		checksum:  GraphChecksum(b.g),
 		topoSum:   b.g.TopologyChecksum(),
-	}
-	if p := b.part; p != nil {
-		cellOf := append([]int32(nil), p.Assignment()...)
-		cp, err := deriveChPartition(b.n, b.rank, b.arcs, b.nOriginal, cellOf, p.NumCells())
-		if err != nil {
-			// The contraction order above guarantees the layering invariants;
-			// a violation here is a builder bug, not bad input.
-			panic(err)
-		}
-		o.part = cp
 	}
 	o.buildCSR()
 	o.customizeInPlace(b.g)

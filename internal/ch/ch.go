@@ -112,11 +112,6 @@ type Overlay struct {
 	// accepts any graph whose topoSum matches.
 	topoSum uint64
 
-	// part is the frozen partition structure of a partition-aware overlay
-	// (nil when unpartitioned): node→cell assignment, boundary set and the
-	// arena's layer classification. It is shared across re-customized
-	// generations exactly like the ranks and CSR views; see partition.go.
-	part *chPartition
 	// upd is the lazily derived lookup structure of the arc-level update
 	// path (customize.go). Pure topology, so every re-customized generation
 	// shares the one instance through this pointer.

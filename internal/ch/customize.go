@@ -38,13 +38,12 @@ import (
 // Two routines apply the rule. The full pass (Recustomize, and every build)
 // pushes it forward: nodes bottom-up in elimination order, each relaxing the
 // targets of all its triangles — one sweep, linear in the triangles of the
-// structure, on partitioned and unpartitioned overlays alike, and orders of
-// magnitude faster than a re-contraction (BenchmarkRecustomizeFull). The
-// arc-level pass (RecustomizeIncremental) pulls it: a rank-ordered worklist
-// seeded with the arcs whose road cost changed re-derives one arc at a time
-// from its lower triangles and goes on to the arcs above only where the new
-// value can move them — milliseconds for a traffic batch
-// (BenchmarkRecustomizeIncremental).
+// structure, and orders of magnitude faster than a re-contraction
+// (BenchmarkRecustomizeFull). The arc-level pass (RecustomizeIncremental)
+// pulls it: a rank-ordered worklist seeded with the arcs whose road cost
+// changed re-derives one arc at a time from its lower triangles and goes on
+// to the arcs above only where the new value can move them — milliseconds
+// for a traffic batch (BenchmarkRecustomizeIncremental).
 
 // Recustomize derives a fresh overlay whose weight layer matches g's current
 // arc costs, sharing the frozen topology (ranks, levels, CSR structure) with
@@ -72,10 +71,6 @@ type RecustomizeStats struct {
 	// ArcsRederived is the number of arena arcs whose cost and children were
 	// recomputed — the unit of work of the arc-level pass.
 	ArcsRederived int
-	// Recustomized lists, ascending, the partition cells owning at least one
-	// re-derived arc (none on an unpartitioned overlay). Arcs of the
-	// boundary top layer belong to no cell.
-	Recustomized []int
 	// Full reports a fall-back to the full pass: the overlay was loaded from
 	// disk and never matched against its graph (Matches), so there are no
 	// base costs to diff the update against.
@@ -90,8 +85,7 @@ type RecustomizeStats struct {
 // the target's support. Arcs are re-derived in ascending rank of their
 // owner, so each is re-derived at most once and from final legs. The result
 // equals a full Recustomize against the same graph arc for arc; only the
-// work differs, and it is the same on partitioned and unpartitioned
-// overlays.
+// work differs.
 func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, RecustomizeStats, error) {
 	var stats RecustomizeStats
 	o.baseMu.Lock()
@@ -104,9 +98,6 @@ func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, Recustomiz
 		}
 		stats.Full = true
 		stats.ArcsRederived = len(out.arcs)
-		for c := 0; c < o.PartitionCells(); c++ {
-			stats.Recustomized = append(stats.Recustomized, c)
-		}
 		return out, stats, nil
 	}
 	out, err := o.recustomizeClone(g)
@@ -126,21 +117,9 @@ func (o *Overlay) RecustomizeIncremental(g *roadnet.Graph) (*Overlay, Recustomiz
 	if err != nil {
 		return nil, stats, err
 	}
-	rederived, err := out.rederive(o, work)
+	stats.ArcsRederived, err = out.rederive(o, work)
 	if err != nil {
 		return nil, stats, err
-	}
-	stats.ArcsRederived = len(rederived)
-	if p := o.part; p != nil {
-		owns := make([]bool, p.cells+1)
-		for _, ai := range rederived {
-			owns[p.arcLayer[ai]] = true
-		}
-		for c, own := range owns[:p.cells] {
-			if own {
-				stats.Recustomized = append(stats.Recustomized, c)
-			}
-		}
 	}
 	return out, stats, nil
 }
@@ -180,7 +159,6 @@ func (o *Overlay) recustomizeClone(g *roadnet.Graph) (*Overlay, error) {
 		graphArcs: o.graphArcs,
 		checksum:  GraphChecksum(g),
 		topoSum:   o.topoSum,
-		part:      o.part,
 		upd:       o.upd,
 		etree:     o.etree,
 	}, nil
@@ -441,10 +419,10 @@ func (o *Overlay) ownerRank(ai int32) float64 {
 }
 
 // rederive drains the worklist in ascending owner rank on o, a fresh clone of
-// old whose base costs already reflect the new graph, and returns the arcs it
-// re-derived. A popped arc is recomputed as the minimum of its base cost and
-// its lower triangles, whose legs are final: anything that could still move
-// them ranks lower and was popped before. If its cost moved, every triangle
+// old whose base costs already reflect the new graph, and returns how many
+// arcs it re-derived. A popped arc is recomputed as the minimum of its base
+// cost and its lower triangles, whose legs are final: anything that could
+// still move them ranks lower and was popped before. If its cost moved, every triangle
 // it is a leg of is compared old against new, and the triangle's target is
 // queued when the new leg sum beats the target's cost (it improves) or the
 // old leg sum equalled it (it may have lost its support). The other leg may
@@ -452,10 +430,10 @@ func (o *Overlay) ownerRank(ai int32) float64 {
 // triangle with both legs final when its turn comes. An arc never queued
 // keeps cost and children, which is exact: none of its triangles got cheaper
 // than it, and the one its children name kept its sum.
-func (o *Overlay) rederive(old *Overlay, work *pqueue.IndexedHeap) ([]int32, error) {
+func (o *Overlay) rederive(old *Overlay, work *pqueue.IndexedHeap) (int, error) {
 	x := o.updateIndex()
 	var (
-		rederived []int32
+		rederived int
 		ai        int32
 		a         *arc
 	)
@@ -474,7 +452,7 @@ func (o *Overlay) rederive(old *Overlay, work *pqueue.IndexedHeap) ([]int32, err
 	for !work.Empty() {
 		ai = work.Pop().Value
 		a = &o.arcs[ai]
-		rederived = append(rederived, ai)
+		rederived++
 		a.cost, a.childA, a.childB = math.Inf(1), -1, -1
 		if int(ai) < o.nOriginal {
 			a.cost = o.baseCost[ai]
@@ -483,7 +461,7 @@ func (o *Overlay) rederive(old *Overlay, work *pqueue.IndexedHeap) ([]int32, err
 		inTo, inArc := x.downIn(a.to)
 		mergeJoin(outTo, outArc, inTo, inArc, relax)
 		if math.IsInf(a.cost, 1) {
-			return nil, fmt.Errorf("ch: customize: shortcut %d (%d→%d) has no supporting triangle", ai, a.from, a.to)
+			return 0, fmt.Errorf("ch: customize: shortcut %d (%d→%d) has no supporting triangle", ai, a.from, a.to)
 		}
 		// The arc's one CSR cost slot sits in its owner's (short) segment.
 		inLeg := o.rank[a.to] < o.rank[a.from]

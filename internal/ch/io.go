@@ -11,22 +11,22 @@ import (
 
 // The persisted overlay format ("OCH1", version 3), documented with a worked
 // hex example in docs/FORMATS.md. The file stores exactly the preprocessing
-// products that cannot be recomputed cheaply — ranks, levels, the arc arena
-// and (for partition-aware overlays) the node→cell assignment — inside the
-// storage layer's checksummed binary envelope (storage.BinaryWriter); the
-// two upward CSR views, the boundary set and the arena's layer
-// classification are derived deterministically from those on load, so a
-// loaded overlay is bit-for-bit the structure the builder produced.
+// products that cannot be recomputed cheaply — ranks, levels and the arc
+// arena — inside the storage layer's checksummed binary envelope
+// (storage.BinaryWriter); the two upward CSR views are derived
+// deterministically from those on load, so a loaded overlay is bit-for-bit
+// the structure the builder produced.
 //
-// Version 3 added the partition section (flagPartitioned + trailing cell
-// assignment); version 2 files — always unpartitioned — still load and
-// behave exactly as before (a v2 overlay simply has no cells to localise
-// re-customization to). Version 2 itself added the topology checksum and
-// the customizable flag, and moved the graph-binding checksum to the
-// incremental roadnet content checksum. Version 1 files bind with the
-// retired checksum algorithm and cannot be verified against a graph any
-// more; they are rejected by version, and re-running cmd/opaque-preprocess
-// regenerates them.
+// Version 3 added a partition section (flagPartitioned + a trailing
+// node→cell assignment) that older builds wrote for partition-ordered
+// overlays. Write never produces it; Read skips it, since the ranks and
+// arena of such a file are a valid overlay as they stand. Version 2 files
+// still load and behave exactly as before. Version 2 itself added the
+// topology checksum and the customizable flag, and moved the graph-binding
+// checksum to the incremental roadnet content checksum. Version 1 files bind
+// with the retired checksum algorithm and cannot be verified against a graph
+// any more; they are rejected by version, and re-running
+// cmd/opaque-preprocess regenerates them.
 //
 // Every overlay this package builds is customizable, so Write always sets
 // flagCustomizable and Read refuses a file without it: such a file holds a
@@ -48,8 +48,9 @@ const (
 	// flagCustomizable marks an arena with one shortcut per in×out pair of
 	// every contracted node. Required: Read refuses files without it.
 	flagCustomizable = 1 << 0
-	// flagPartitioned marks a version-3 file carrying the partition section:
-	// a cell count and the node→cell assignment after the arena records.
+	// flagPartitioned marks a legacy version-3 file carrying the partition
+	// section: a cell count and the node→cell assignment after the arena
+	// records. Read skips the section; Write never sets the flag.
 	flagPartitioned = 1 << 1
 )
 
@@ -63,11 +64,7 @@ func Write(o *Overlay, w io.Writer) error {
 	bw.U32(uint32(o.graphArcs))
 	bw.U64(o.checksum)
 	bw.U64(o.topoSum)
-	flags := uint32(flagCustomizable)
-	if o.part != nil {
-		flags |= flagPartitioned
-	}
-	bw.U32(flags)
+	bw.U32(flagCustomizable)
 	bw.U32(uint32(o.nOriginal))
 	bw.U32(uint32(len(o.arcs)))
 	for _, r := range o.rank {
@@ -83,12 +80,6 @@ func Write(o *Overlay, w io.Writer) error {
 		bw.I32(a.childA)
 		bw.I32(a.childB)
 		bw.F64(a.cost)
-	}
-	if o.part != nil {
-		bw.U32(uint32(o.part.cells))
-		for _, c := range o.part.cellOf {
-			bw.U32(uint32(c))
-		}
 	}
 	if err := bw.Close(); err != nil {
 		return fmt.Errorf("ch: writing overlay: %w", err)
@@ -197,25 +188,11 @@ func Read(r io.Reader) (*Overlay, error) {
 		}
 		o.arcs = append(o.arcs, a)
 	}
-	var partCells int
-	var cellOf []int32
 	if flags&flagPartitioned != 0 {
-		partCells = int(br.U32())
-		if br.Err() == nil {
-			if partCells < 1 || partCells > n {
-				return nil, fmt.Errorf("ch: implausible partition cell count %d for %d nodes", partCells, n)
-			}
-			cellOf = make([]int32, 0, min(n, initialCap))
-			for v := 0; v < n; v++ {
-				c := br.U32()
-				if br.Err() != nil {
-					break
-				}
-				if c >= uint32(partCells) {
-					return nil, fmt.Errorf("ch: node %d assigned to cell %d, file declares %d cells", v, c, partCells)
-				}
-				cellOf = append(cellOf, int32(c))
-			}
+		// The legacy partition section is n+1 words — a cell count, then
+		// one cell per node — that describe nothing the overlay uses.
+		for v := 0; v <= n && br.Err() == nil; v++ {
+			br.U32()
 		}
 	}
 	if err := br.Close(); err != nil {
@@ -253,17 +230,6 @@ func Read(r io.Reader) (*Overlay, error) {
 		if via := ca.to; o.rank[via] >= o.rank[a.from] || o.rank[via] >= o.rank[a.to] {
 			return nil, fmt.Errorf("ch: arc %d (%d→%d) unpacks via node %d, which does not rank below both endpoints", i, a.from, a.to, ca.to)
 		}
-	}
-	if cellOf != nil {
-		// Re-derive the partition structure from the persisted assignment,
-		// which re-checks the layering invariants of partitioned contraction
-		// (boundary nodes ranked last, no arena arc between interiors of
-		// different cells) against this file's ranks and arena.
-		cp, err := deriveChPartition(n, o.rank, o.arcs, nOriginal, cellOf, partCells)
-		if err != nil {
-			return nil, fmt.Errorf("ch: overlay partition: %w", err)
-		}
-		o.part = cp
 	}
 	o.buildCSR()
 	return o, nil

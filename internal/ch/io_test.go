@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"opaque/internal/roadnet"
+	"opaque/internal/storage"
 )
 
 // threeCycle is the graph of docs/FORMATS.md's OCH1 worked example: the
@@ -89,13 +90,15 @@ func docListings(t *testing.T) (listings [][]byte, offsets []int) {
 }
 
 // TestOverlayWorkedExampleMatchesDocs pins docs/FORMATS.md's OCH1 dumps to
-// the writer: the 3-cycle's file, and the tail of the same cycle built
-// partition-aware with cellOf = [0, 1, 1], whose only other difference is
-// flags = 3 at offset 0x1e.
+// the code: the 3-cycle's file as Write produces it — the same bytes whether
+// the cycle is contracted flat or in partition order with cellOf = [0, 1, 1],
+// since the partition shapes only the order — and the tail of the legacy
+// partitioned file an older build wrote, which with flags = 3 at offset 0x1e
+// is legacyPartitionedCycle.
 func TestOverlayWorkedExampleMatchesDocs(t *testing.T) {
 	listings, offsets := docListings(t)
 	if len(listings) != 2 || offsets[0] != 0 {
-		t.Fatalf("want the full dump and the partitioned tail, got %d listings at offsets %v", len(listings), offsets)
+		t.Fatalf("want the full dump and the legacy partitioned tail, got %d listings at offsets %v", len(listings), offsets)
 	}
 	g := threeCycle(t)
 	o, err := BuildCustomizable(g)
@@ -106,25 +109,67 @@ func TestOverlayWorkedExampleMatchesDocs(t *testing.T) {
 	if !bytes.Equal(flat, listings[0]) {
 		t.Errorf("flat worked example drifted from the writer (%d bytes):\n got %x\nwant %x", len(flat), flat, listings[0])
 	}
+	if part := writeBytes(t, partitionedCycle(t, g)); !bytes.Equal(part, flat) {
+		t.Errorf("partition-ordered 3-cycle writes %x, want the flat dump", part)
+	}
 
+	legacy, err := hex.DecodeString(legacyPartitionedCycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := offsets[1]
+	head := append([]byte(nil), flat[:min(tail, len(flat))]...)
+	head[0x1e] = flagCustomizable | flagPartitioned
+	if doc := append(head, listings[1]...); !bytes.Equal(doc, legacy) {
+		t.Errorf("legacy partitioned example drifted from the fixture:\n doc %x\nwant %x", doc, legacy)
+	}
+}
+
+// partitionedCycle contracts the 3-cycle in the order of the two-cell
+// partition cellOf = [0, 1, 1], the build of legacyPartitionedCycle.
+func partitionedCycle(t testing.TB, g *roadnet.Graph) *Overlay {
+	t.Helper()
 	p, err := roadnet.NewPartitionFromAssignment(g, []int32{0, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	po, err := BuildCustomizablePartitioned(g, p)
+	o, err := BuildCustomizablePartitioned(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := writeBytes(t, po)
-	tail := offsets[1]
-	if len(part) != tail+len(listings[1]) || !bytes.Equal(part[tail:], listings[1]) {
-		t.Errorf("partitioned tail drifted from the writer:\n got %x\nwant %x", part[min(tail, len(part)):], listings[1])
+	return o
+}
+
+// legacyPartitionedCycle is the 3-cycle contracted in partition order as
+// older builds wrote it: version 3, flags = 3 (customizable | partitioned),
+// and after the arena the partition section cells = 2, cellOf = [0, 1, 1].
+const legacyPartitionedCycle = "4f434831030003000000030000002edb454235772ccd144dbe4eccfa91f80300" +
+	"0000030000000400000000000000020000000100000000000000020000000100" +
+	"00000000000001000000ffffffffffffffff0000000000000840010000000200" +
+	"0000ffffffffffffffff00000000000010400200000000000000ffffffffffff" +
+	"ffff000000000000144002000000010000000200000000000000000000000000" +
+	"20400200000000000000010000000100000068f86235"
+
+// TestReadSkipsLegacyPartitionSection: a version-3 file with the partition
+// section loads as the overlay its ranks and arena describe — arc for arc
+// the same build as the new Write produces — and serves the cycle exactly.
+func TestReadSkipsLegacyPartitionSection(t *testing.T) {
+	raw, err := hex.DecodeString(legacyPartitionedCycle)
+	if err != nil {
+		t.Fatal(err)
 	}
-	head := append([]byte(nil), flat[:tail]...)
-	head[0x1e] = flagCustomizable | flagPartitioned
-	if !bytes.Equal(part[:min(tail, len(part))], head) {
-		t.Errorf("partitioned file differs from the flat dump before %#x beyond flags", tail)
+	loaded, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("legacy partitioned file: %v", err)
 	}
+	g := threeCycle(t)
+	if got, want := writeBytes(t, loaded), writeBytes(t, partitionedCycle(t, g)); !bytes.Equal(got, want) {
+		t.Fatalf("legacy file loads as %x, want the rebuilt overlay %x", got, want)
+	}
+	if err := loaded.Matches(g); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, storage.NewMemoryGraph(g), loaded, 9, 1)
 }
 
 // witnessPrunedCycle is the 3-cycle's file as an older build wrote it by
@@ -191,6 +236,11 @@ func FuzzReadOverlay(f *testing.F) {
 		raw := writeBytes(f, o)
 		f.Add(raw[:len(raw)-4])
 	}
+	legacy, err := hex.DecodeString(legacyPartitionedCycle)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy[:len(legacy)-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		o, err := Read(bytes.NewReader(seal(body)))
 		if err != nil {

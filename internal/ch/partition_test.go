@@ -3,7 +3,6 @@ package ch
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -37,9 +36,10 @@ func buildTestPartitions(t *testing.T, g *roadnet.Graph) map[string]*roadnet.Par
 	return out
 }
 
-// TestPartitionedBuildMatchesReference: a partition-aware customizable
-// overlay answers point and many-to-many queries exactly like reference
-// Dijkstra, across partition shapes from one cell to degenerate all-boundary
+// TestPartitionedBuildMatchesReference: a customizable overlay contracted in
+// partition order ranks every boundary node above every interior node and
+// answers point and many-to-many queries exactly like reference Dijkstra,
+// across partition shapes from one cell to degenerate all-boundary
 // assignments.
 func TestPartitionedBuildMatchesReference(t *testing.T) {
 	cases := []struct {
@@ -57,25 +57,26 @@ func TestPartitionedBuildMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildCustomizablePartitioned(n=%d, %s): %v", tc.n, name, err)
 			}
-			if o.PartitionCells() != p.NumCells() {
-				t.Fatalf("%s: overlay reports %d cells, partition has %d", name, o.PartitionCells(), p.NumCells())
-			}
-			boundary := 0
-			for v := 0; v < g.NumNodes(); v++ {
-				c, b := o.CellOfNode(roadnet.NodeID(v))
-				if c != p.CellOf(roadnet.NodeID(v)) || b != p.IsBoundary(roadnet.NodeID(v)) {
-					t.Fatalf("%s: node %d: overlay reports cell/boundary (%d,%v), partition has (%d,%v)",
-						name, v, c, b, p.CellOf(roadnet.NodeID(v)), p.IsBoundary(roadnet.NodeID(v)))
-				}
-				if b {
-					boundary++
-				}
-			}
-			if boundary != p.NumBoundary() {
-				t.Fatalf("%s: overlay reports %d boundary nodes, partition has %d", name, boundary, p.NumBoundary())
-			}
+			checkBoundaryRanksLast(t, name, o, p)
 			checkAgainstReference(t, storage.NewMemoryGraph(g), o, 40, tc.seed+1000)
 		}
+	}
+}
+
+// checkBoundaryRanksLast asserts the layering partition order produces:
+// every boundary node of p ranks above every interior node.
+func checkBoundaryRanksLast(t *testing.T, name string, o *Overlay, p *roadnet.Partition) {
+	t.Helper()
+	lowestBoundary, highestInterior := int32(o.n), int32(-1)
+	for v, r := range o.rank {
+		if p.IsBoundary(roadnet.NodeID(v)) {
+			lowestBoundary = min(lowestBoundary, r)
+		} else {
+			highestInterior = max(highestInterior, r)
+		}
+	}
+	if highestInterior > lowestBoundary {
+		t.Fatalf("%s: an interior node ranks %d, above the lowest boundary rank %d", name, highestInterior, lowestBoundary)
 	}
 }
 
@@ -166,12 +167,12 @@ func gridIntCostGraph(t *testing.T, w, h int, seed int64, parallelEvery int) *ro
 	return g
 }
 
-// TestRecustomizeIncrementalCellAccounting pins what RecustomizeStats says
-// about cells: a change confined to one cell's interior re-derives arcs of
-// exactly that cell (and possibly of the top layer, which is no cell), a
-// change confined to boundary–boundary arcs re-derives arcs of no cell, and
-// a no-op re-derives nothing at all.
-func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
+// TestRecustomizeIncrementalArcAccounting pins the work RecustomizeStats
+// reports on a partition-ordered overlay: a change confined to one cell's
+// interior re-derives a small share of the arena, a change confined to
+// boundary–boundary arcs re-derives some arcs, and a no-op re-derives
+// nothing at all. Each refreshed overlay answers like reference Dijkstra.
+func TestRecustomizeIncrementalArcAccounting(t *testing.T) {
 	g := gridIntCostGraph(t, 16, 12, 51, 0)
 	p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 8, Seed: 5})
 	if err != nil {
@@ -184,7 +185,6 @@ func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
 
 	// Find an arc strictly inside a cell (neither endpoint boundary).
 	var interiorChange *roadnet.ArcWeightChange
-	var wantCell int
 	var boundaryChange *roadnet.ArcWeightChange
 	for v := 0; v < g.NumNodes() && (interiorChange == nil || boundaryChange == nil); v++ {
 		for _, a := range g.Arcs(roadnet.NodeID(v)) {
@@ -194,7 +194,6 @@ func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
 			vb, tb := p.IsBoundary(roadnet.NodeID(v)), p.IsBoundary(a.To)
 			if interiorChange == nil && !vb && !tb {
 				interiorChange = &roadnet.ArcWeightChange{From: roadnet.NodeID(v), To: a.To, NewCost: a.Cost + 7}
-				wantCell = p.CellOf(roadnet.NodeID(v))
 			}
 			if boundaryChange == nil && vb && tb {
 				boundaryChange = &roadnet.ArcWeightChange{From: roadnet.NodeID(v), To: a.To, NewCost: a.Cost + 5}
@@ -214,9 +213,6 @@ func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Recustomized) != 1 || stats.Recustomized[0] != wantCell {
-		t.Fatalf("interior change in cell %d re-derived arcs of cells %v", wantCell, stats.Recustomized)
-	}
 	if stats.ArcsRederived < 1 || stats.ArcsRederived >= len(o.arcs)/4 {
 		t.Fatalf("one interior change re-derived %d of %d arcs", stats.ArcsRederived, len(o.arcs))
 	}
@@ -230,8 +226,8 @@ func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Recustomized) != 0 || stats.ArcsRederived < 1 {
-		t.Fatalf("boundary-only change re-derived %d arcs in cells %v, want top-layer arcs only", stats.ArcsRederived, stats.Recustomized)
+	if stats.ArcsRederived < 1 {
+		t.Fatalf("boundary-only change re-derived %d arcs, want at least the changed one", stats.ArcsRederived)
 	}
 	checkAgainstReference(t, storage.NewMemoryGraph(g3), o3, 20, 62)
 
@@ -244,13 +240,13 @@ func TestRecustomizeIncrementalCellAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Recustomized) != 0 || stats.ArcsRederived != 0 {
-		t.Fatalf("no-op update did work: %d arcs, cells %v", stats.ArcsRederived, stats.Recustomized)
+	if stats.ArcsRederived != 0 {
+		t.Fatalf("no-op update did work: %d arcs", stats.ArcsRederived)
 	}
 }
 
-// TestPartitionedOverlayV3RoundTrip: a partitioned overlay survives the
-// OCH1 v3 save/load round-trip — partition metadata intact, queries equal
+// TestPartitionedOverlayV3RoundTrip: a partition-ordered overlay survives
+// the OCH1 v3 save/load round-trip — ranks and arena intact, queries equal
 // reference — and, once Matches has seen its graph, absorbs its first weight
 // update arc by arc like any later one. Only an overlay never matched against
 // its graph has nothing to diff against and falls back to one full pass.
@@ -272,15 +268,8 @@ func TestPartitionedOverlayV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.PartitionCells() != o.PartitionCells() {
-		t.Fatalf("loaded overlay has %d cells, want %d", loaded.PartitionCells(), o.PartitionCells())
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		wc, wb := o.CellOfNode(roadnet.NodeID(v))
-		gc, gb := loaded.CellOfNode(roadnet.NodeID(v))
-		if wc != gc || wb != gb {
-			t.Fatalf("node %d: loaded cell/boundary (%d,%v), want (%d,%v)", v, gc, gb, wc, wb)
-		}
+	if !bytes.Equal(writeBytes(t, loaded), writeBytes(t, o)) {
+		t.Fatal("loaded overlay's ranks, levels or arena differ from the built ones")
 	}
 	if err := loaded.Matches(g); err != nil {
 		t.Fatal(err)
@@ -312,7 +301,7 @@ func TestPartitionedOverlayV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Full || stats.ArcsRederived != len(o.arcs) || len(stats.Recustomized) != o.PartitionCells() {
+	if !stats.Full || stats.ArcsRederived != len(o.arcs) {
 		t.Fatalf("unmatched loaded overlay: stats %+v, want a full fall-back over all %d arcs", stats, len(o.arcs))
 	}
 	checkAgainstReference(t, storage.NewMemoryGraph(g2), o2, 20, 75)
@@ -331,8 +320,7 @@ func TestPartitionedOverlayV3RoundTrip(t *testing.T) {
 }
 
 // writeV2 replicates the retired version-2 writer byte for byte: the same
-// payload as version 3 minus the partition section, inside a version-2
-// envelope. It exists so the compatibility test reads a genuine v2 stream
+// payload as version 3, inside a version-2 envelope. It exists so the compatibility test reads a genuine v2 stream
 // rather than a fixture that silently drifts.
 func writeV2(t *testing.T, o *Overlay, buf *bytes.Buffer) {
 	t.Helper()
@@ -366,9 +354,8 @@ func writeV2(t *testing.T, o *Overlay, buf *bytes.Buffer) {
 	}
 }
 
-// TestOverlayV2Compatibility: a pre-partition version-2 file still loads,
-// answers queries, and re-customizes — as a single-cell (unpartitioned)
-// overlay.
+// TestOverlayV2Compatibility: a version-2 file still loads, answers
+// queries, and re-customizes arc by arc.
 func TestOverlayV2Compatibility(t *testing.T) {
 	g := randomIntCostGraph(t, 80, 100, 81)
 	o, err := BuildCustomizable(g)
@@ -380,9 +367,6 @@ func TestOverlayV2Compatibility(t *testing.T) {
 	loaded, err := Read(&buf)
 	if err != nil {
 		t.Fatalf("reading v2 overlay: %v", err)
-	}
-	if loaded.PartitionCells() != 0 {
-		t.Fatalf("v2 overlay reports %d partition cells, want 0 (unpartitioned)", loaded.PartitionCells())
 	}
 	if err := loaded.Matches(g); err != nil {
 		t.Fatal(err)
@@ -398,8 +382,8 @@ func TestOverlayV2Compatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Full || len(stats.Recustomized) != 0 || stats.ArcsRederived == 0 {
-		t.Fatalf("v2 overlay incremental stats = %+v, want an arc-level update with no cells", stats)
+	if stats.Full || stats.ArcsRederived == 0 {
+		t.Fatalf("v2 overlay incremental stats = %+v, want an arc-level update", stats)
 	}
 	checkAgainstReference(t, storage.NewMemoryGraph(g2), re, 20, 84)
 
@@ -464,67 +448,5 @@ func FuzzPartitionedRecustomize(f *testing.F) {
 		checkSameWeightLayer(t, inc, full)
 		checkAgainstReference(t, storage.NewMemoryGraph(g2), inc, 10, seed+9)
 		checkTableAgainstReference(t, g2, NewMTM(inc, nil), randomEndpointSet(rng, nn, 4), randomEndpointSet(rng, nn, 4))
-	})
-}
-
-// TestReadRefusesBrokenPartition: the OCH1 loader re-derives the partition
-// from the file's assignment and refuses one that contradicts the ranks —
-// an interior node above a boundary node — and the derivation it runs
-// refuses an arena arc joining interiors of two cells. Read reaches that
-// second check only after its unpack-children checks, which together with
-// the rank layering already exclude such an arc in a well-formed arena, so
-// the arena case calls the derivation directly.
-func TestReadRefusesBrokenPartition(t *testing.T) {
-	g := gridIntCostGraph(t, 6, 6, 91, 0)
-	t.Run("interior-above-boundary", func(t *testing.T) {
-		flat, err := BuildCustomizable(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The lowest-ranked node alone in cell 1 makes it and its neighbours
-		// the boundary; the interior nodes of cell 0 all rank above it.
-		cellOf := make([]int32, flat.n)
-		for v, r := range flat.rank {
-			if r == 0 {
-				cellOf[v] = 1
-			}
-		}
-		flat.part = &chPartition{cells: 2, cellOf: cellOf} // all Write reads of it
-		var buf bytes.Buffer
-		if err := Write(flat, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "ranks above a boundary node") {
-			t.Fatalf("Read of an assignment ranking an interior above the boundary: got %v, want the layering error", err)
-		}
-	})
-	t.Run("arc-across-interiors", func(t *testing.T) {
-		p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 4, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := BuildCustomizablePartitioned(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, y := int32(-1), int32(-1)
-		for v := 0; v < g.NumNodes(); v++ {
-			c, b := o.CellOfNode(roadnet.NodeID(v))
-			switch {
-			case b:
-			case x < 0:
-				x = int32(v)
-			case y < 0 && c != int(o.part.cellOf[x]):
-				y = int32(v)
-			}
-		}
-		if y < 0 {
-			t.Fatal("partition has no two cells with interior nodes")
-		}
-		arcs := append(slices.Clone(o.arcs), arc{from: x, to: y, childA: -1, childB: -1, cost: 1})
-		_, err = deriveChPartition(o.n, o.rank, arcs, o.nOriginal, o.part.cellOf, o.part.cells)
-		if err == nil || !strings.Contains(err.Error(), "connects interiors of cells") {
-			t.Fatalf("arena arc %d→%d across two cells' interiors: got %v, want the layer error", x, y, err)
-		}
 	})
 }

@@ -77,7 +77,6 @@ func replyMismatch(acc storage.Accessor, q protocol.ServerQuery, rep protocol.Se
 func TestIngestCoalescedEquivalentToSequential(t *testing.T) {
 	g := testGraph(t, 200, 701)
 	cfg := hybridConfig()
-	cfg.PartitionCells = 4
 	// Quorum 2: when the ingestor's Close returns, every shard has published
 	// every batch.
 	cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Server: cfg, Fleet: fleet.Config{UpdateQuorum: 2}})
@@ -256,7 +255,6 @@ func (s *verifyingSink) UpdateWeights(changes []roadnet.ArcWeightChange) error {
 func TestChurnSoak(t *testing.T) {
 	g := testGraph(t, 200, 711)
 	cfg := hybridConfig()
-	cfg.PartitionCells = 6
 	cl, err := fleettest.New(g, fleettest.Options{Shards: 2, Server: cfg})
 	if err != nil {
 		t.Fatal(err)

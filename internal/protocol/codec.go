@@ -49,7 +49,7 @@ import (
 // in every payload header and is checked at the handshake: peers speaking
 // different versions refuse each other with ErrHandshake instead of
 // misreading each other's bytes.
-const CodecVersion = 2
+const CodecVersion = 3
 
 // payloadHeaderLen is the fixed header every payload starts with.
 const payloadHeaderLen = 10
@@ -420,7 +420,6 @@ func (h Hello) appendBody(dst []byte) ([]byte, error) {
 	dst = appendString(dst, h.Role)
 	dst = binary.AppendUvarint(dst, h.Generation)
 	dst = appendU64(dst, h.ContentSum)
-	dst = binary.AppendVarint(dst, int64(h.Cells))
 	return binary.AppendVarint(dst, int64(h.MaxInFlight)), nil
 }
 
@@ -773,9 +772,7 @@ func (r *wireReader) weightUpdate() WeightUpdate {
 }
 
 func (r *wireReader) hello() Hello {
-	h := Hello{Node: r.str(), Role: r.str(), Generation: r.uvarint(), ContentSum: r.u64(), Cells: r.int()}
-	h.MaxInFlight = r.int()
-	return h
+	return Hello{Node: r.str(), Role: r.str(), Generation: r.uvarint(), ContentSum: r.u64(), MaxInFlight: r.int()}
 }
 
 // replyTable is a reply body read up to its path trees: the table's shape

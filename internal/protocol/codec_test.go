@@ -48,7 +48,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		WeightUpdate{UpdateID: 11, Changes: []roadnet.ArcWeightChange{{From: 1, To: 2, NewCost: 3.5}}},
 		WeightUpdateAck{UpdateID: 11, Generation: 2, ContentSum: 0xbeef},
 		ErrorReply{RefID: 4, Message: "boom"},
-		Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64},
+		Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, MaxInFlight: 64},
 	}
 	for _, msg := range messages {
 		if got := roundTrip(t, msg, 12345); !reflect.DeepEqual(got, msg) {
@@ -158,7 +158,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			}
 			msg = item
 		case 2:
-			msg = Hello{Node: "n", Role: "server", Generation: rng.Uint64(), ContentSum: rng.Uint64(), Cells: rng.Intn(64), MaxInFlight: rng.Intn(128)}
+			msg = Hello{Node: "n", Role: "server", Generation: rng.Uint64(), ContentSum: rng.Uint64(), MaxInFlight: rng.Intn(128)}
 		case 3:
 			b := BatchQuery{BatchID: rng.Uint64()}
 			for k := rng.Intn(6); k > 0; k-- {

@@ -50,9 +50,6 @@ type Hello struct {
 	// that do not serve queries.
 	Generation uint64
 	ContentSum uint64
-	// Cells is the partition cell count of the serving peer's overlay (0 =
-	// unpartitioned).
-	Cells int
 	// MaxInFlight advertises the per-connection admission window the serving
 	// peer enforces.
 	MaxInFlight int

@@ -47,11 +47,11 @@ var echoHandler = MuxHandlerFunc(func(msg any, info ReqInfo) (any, error) {
 
 func TestMuxHandshakeCarriesIdentity(t *testing.T) {
 	cfg := MuxServerConfig{Hello: func() Hello {
-		return Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8}
+		return Hello{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed}
 	}}
 	c := muxPair(t, echoHandler, cfg)
 	peer := c.Peer()
-	if peer.Node != "shard-0" || peer.Role != "server" || peer.Generation != 3 || peer.ContentSum != 0xfeed || peer.Cells != 8 {
+	if peer.Node != "shard-0" || peer.Role != "server" || peer.Generation != 3 || peer.ContentSum != 0xfeed {
 		t.Errorf("peer hello = %+v", peer)
 	}
 	if peer.MaxInFlight != DefaultMaxInFlight {
@@ -721,7 +721,7 @@ func TestUnaryCallRegistersOneSlot(t *testing.T) {
 func FuzzMuxHello(f *testing.F) {
 	for _, h := range []Hello{
 		{},
-		{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, Cells: 8, MaxInFlight: 64},
+		{Node: "shard-0", Role: "server", Generation: 3, ContentSum: 0xfeed, MaxInFlight: 64},
 		{Node: "router", Role: "router"},
 	} {
 		payload, err := AppendMessage(nil, h, 0)

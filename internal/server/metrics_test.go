@@ -51,7 +51,6 @@ func TestRouteCountersCoverEveryQuery(t *testing.T) {
 	hybridCfg := DefaultConfig()
 	hybridCfg.Strategy = StrategyHybrid
 	hybridCfg.BuildCH = true
-	hybridCfg.PartitionCells = 4
 	servers := map[string]*Server{
 		"hybrid": MustNew(updateTestGraph(t, 60, 611), hybridCfg),
 		"flat":   MustNew(updateTestGraph(t, 60, 610), DefaultConfig()),

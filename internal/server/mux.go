@@ -16,20 +16,16 @@ import (
 )
 
 // HelloInfo returns the Hello this server greets multiplexed peers with: the
-// published epoch's metric identity (generation + weight-content checksum),
-// and partition cell count. Re-read per connection so a fleet
-// router admitting a shard sees the identity it currently serves under.
+// published epoch's metric identity (generation + weight-content checksum).
+// Re-read per connection so a fleet router admitting a shard sees the
+// identity it currently serves under.
 func (s *Server) HelloInfo() protocol.Hello {
 	st := s.live.Load()
-	h := protocol.Hello{
+	return protocol.Hello{
 		Role:       "server",
 		Generation: st.ident.generation,
 		ContentSum: st.ident.contentSum,
 	}
-	if st.overlay != nil {
-		h.Cells = st.overlay.PartitionCells()
-	}
-	return h
 }
 
 // serverMuxHandler adapts the server to the multiplexed transport. It

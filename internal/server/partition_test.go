@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"opaque/internal/ch"
 	"opaque/internal/protocol"
 	"opaque/internal/roadnet"
 )
@@ -37,21 +38,33 @@ func gridTestGraph(t *testing.T, w, h int, seed int64) *roadnet.Graph {
 	return g
 }
 
-// TestPartitionedServerMatchesReference: a hybrid server over a
-// partition-aware overlay serves reference-Dijkstra distances at every table
-// shape, 1×1 included, before and after weight updates absorbed
-// by arc-level re-customization, and the metrics report the arcs re-derived
-// and the cells they belong to.
-func TestPartitionedServerMatchesReference(t *testing.T) {
-	g := gridTestGraph(t, 12, 10, 601)
+// partitionedConfig cuts g into the given number of cells and returns the
+// partition and a hybrid config serving the overlay contracted in its order
+// — the order the benchmark's fleet serves.
+func partitionedConfig(t *testing.T, g *roadnet.Graph, cells int) (Config, *roadnet.Partition) {
+	t.Helper()
+	p, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := ch.BuildCustomizablePartitioned(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyHybrid
-	cfg.BuildCH = true
-	cfg.PartitionCells = 6
+	cfg.CHOverlay = o
+	return cfg, p
+}
+
+// TestPartitionedServerMatchesReference: a hybrid server over a
+// partition-ordered overlay serves reference-Dijkstra distances at every
+// table shape, 1×1 included, before and after weight updates absorbed by
+// arc-level re-customization, and the metrics report the arcs re-derived.
+func TestPartitionedServerMatchesReference(t *testing.T) {
+	g := gridTestGraph(t, 12, 10, 601)
+	cfg, _ := partitionedConfig(t, g, 6)
 	s := MustNew(g, cfg)
-	if got := s.Overlay().PartitionCells(); got != 6 {
-		t.Fatalf("overlay has %d cells, want 6", got)
-	}
 
 	queries := []protocol.ServerQuery{
 		{Sources: []roadnet.NodeID{0}, Dests: []roadnet.NodeID{119}},
@@ -65,9 +78,6 @@ func TestPartitionedServerMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkReplyMatchesGraph(t, s.Graph(), reply)
-	}
-	if got := s.Metrics().Gauge("partition_cells"); got != 6 {
-		t.Fatalf("partition_cells gauge = %v, want 6", got)
 	}
 
 	rng := rand.New(rand.NewSource(602))
@@ -104,34 +114,28 @@ func TestPartitionedServerMatchesReference(t *testing.T) {
 	if m.Counter("recustomize_runs") < 3 {
 		t.Fatalf("recustomize_runs = %d", m.Counter("recustomize_runs"))
 	}
-	if m.Counter("cells_recustomized") < 1 {
-		t.Fatalf("cells_recustomized = %d, want >= 1", m.Counter("cells_recustomized"))
-	}
 	if m.Gauge("recustomize_arcs_last") < 1 {
 		t.Fatalf("recustomize_arcs_last = %v, want >= 1", m.Gauge("recustomize_arcs_last"))
 	}
 }
 
 // twoCellArcs finds two arcs lying strictly inside two *different* cells of
-// the server's partitioned overlay (no boundary endpoints), so a weight flip
-// on each lands in a distinct cell's weight layer.
-func twoCellArcs(t *testing.T, s *Server) (a1, a2 roadnet.ArcWeightChange, c1, c2 int) {
+// p (no boundary endpoints), so the weight flips land in two separately
+// contracted parts of the overlay.
+func twoCellArcs(t *testing.T, g *roadnet.Graph, p *roadnet.Partition) (a1, a2 roadnet.ArcWeightChange, c1, c2 int) {
 	t.Helper()
-	o := s.Overlay()
-	g := s.Graph()
 	found := map[int]roadnet.ArcWeightChange{}
 	order := []int{}
 	for v := 0; v < g.NumNodes(); v++ {
-		cv, bv := o.CellOfNode(roadnet.NodeID(v))
-		if bv {
+		cv := p.CellOf(roadnet.NodeID(v))
+		if p.IsBoundary(roadnet.NodeID(v)) {
 			continue
 		}
 		if _, ok := found[cv]; ok {
 			continue
 		}
 		for _, a := range g.Arcs(roadnet.NodeID(v)) {
-			ct, bt := o.CellOfNode(a.To)
-			if bt || ct != cv || a.To == roadnet.NodeID(v) {
+			if p.IsBoundary(a.To) || p.CellOf(a.To) != cv || a.To == roadnet.NodeID(v) {
 				continue
 			}
 			found[cv] = roadnet.ArcWeightChange{From: roadnet.NodeID(v), To: a.To}
@@ -155,15 +159,12 @@ func twoCellArcs(t *testing.T, s *Server) (a1, a2 roadnet.ArcWeightChange, c1, c
 // even while back-to-back re-customizations swap overlays underneath.
 func TestConcurrentUpdatesAndBatchesTwoCells(t *testing.T) {
 	g := gridTestGraph(t, 12, 10, 603)
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyHybrid
-	cfg.BuildCH = true
-	cfg.PartitionCells = 6
+	cfg, p := partitionedConfig(t, g, 6)
 	cfg.TreeCache = 16
 	cfg.KeepLog = false
 	s := MustNew(g, cfg)
 
-	arc1, arc2, c1, c2 := twoCellArcs(t, s)
+	arc1, arc2, c1, c2 := twoCellArcs(t, g, p)
 	if c1 == c2 {
 		t.Fatalf("both flip arcs landed in cell %d", c1)
 	}

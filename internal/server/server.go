@@ -82,15 +82,6 @@ type Config struct {
 	// the in-process equivalent of running cmd/opaque-preprocess. Expect
 	// seconds of startup work on large maps; persisted overlays skip it.
 	BuildCH bool
-	// PartitionCells makes the startup contraction partition-aware: the
-	// road map is cut into this many spatial cells
-	// (roadnet.BuildPartition) and contracted cell by cell with boundary
-	// nodes last, so weight updates are attributed to the cells they reach
-	// (cells_recustomized).
-	// 0 or 1 keeps the flat single-layer contraction. Ignored unless the
-	// overlay is built at startup (BuildCH without CHOverlay) — a loaded
-	// CHOverlay carries its own partition, or none.
-	PartitionCells int
 }
 
 // DefaultConfig returns an SSMD server with logging enabled. The tree cache
@@ -128,8 +119,8 @@ func (e *ConfigError) Error() string {
 func (cfg Config) validate() error {
 	switch cfg.Strategy {
 	case "", search.StrategySSMD:
-		if cfg.CHOverlay != nil || cfg.BuildCH || cfg.PartitionCells != 0 {
-			return &ConfigError{"Strategy", "ssmd serves without an overlay; CHOverlay, BuildCH and PartitionCells need hybrid"}
+		if cfg.CHOverlay != nil || cfg.BuildCH {
+			return &ConfigError{"Strategy", "ssmd serves without an overlay; CHOverlay and BuildCH need hybrid"}
 		}
 	case StrategyHybrid:
 	default:
@@ -192,7 +183,6 @@ type Server struct {
 	mWeightUpd    *metrics.Counter
 	mRecustomize  *metrics.Counter
 	mRecustFail   *metrics.Counter
-	mCellsRecust  *metrics.Counter
 	hLatency      *metrics.Histogram
 	hBatchLatency *metrics.Histogram
 }
@@ -225,7 +215,6 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	s.mWeightUpd = s.metrics.CounterVar("weight_updates")
 	s.mRecustomize = s.metrics.CounterVar("recustomize_runs")
 	s.mRecustFail = s.metrics.CounterVar("recustomize_failures")
-	s.mCellsRecust = s.metrics.CounterVar("cells_recustomized")
 	s.hLatency = s.metrics.HistogramVar("query_latency")
 	s.hBatchLatency = s.metrics.HistogramVar("batch_latency")
 	s.wsPool = search.NewWorkspacePool()
@@ -238,15 +227,7 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 	}
 
 	if overlay == nil && cfg.BuildCH {
-		var part *roadnet.Partition
-		if cfg.PartitionCells > 1 {
-			var err error
-			part, err = roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: cfg.PartitionCells})
-			if err != nil {
-				return nil, fmt.Errorf("server: partitioning road map: %w", err)
-			}
-		}
-		built, err := ch.BuildCustomizablePartitioned(g, part)
+		built, err := ch.BuildCustomizable(g)
 		if err != nil {
 			return nil, fmt.Errorf("server: building CH overlay: %w", err)
 		}
@@ -440,7 +421,6 @@ func (s *Server) publishDerivedMetrics() {
 		s.metrics.SetGauge("mtm_bucket_entries", float64(mt.BucketEntries))
 		s.metrics.SetGauge("mtm_bucket_entries_scanned", float64(mt.BucketEntriesScanned))
 		s.metrics.SetGauge("mtm_arena_high_water", float64(mt.ArenaHighWater))
-		s.metrics.SetGauge("partition_cells", float64(st.overlay.PartitionCells()))
 	}
 	// graph_generation − overlay_generation is the visibility lag, in
 	// generations: updates applied but not yet published.

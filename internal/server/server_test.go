@@ -43,17 +43,16 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused := map[string]func(*Config){
-		"bogus strategy":       func(c *Config) { c.Strategy = "bogus" },
-		"pairwise":             func(c *Config) { c.Strategy = search.StrategyPairwise },
-		"pairwise-astar":       func(c *Config) { c.Strategy = "pairwise-astar" },
-		"pairwise-alt":         func(c *Config) { c.Strategy = "pairwise-alt" },
-		"table-engine":         func(c *Config) { c.Strategy = "table-engine" },
-		"ch":                   func(c *Config) { c.Strategy = "ch" },
-		"ch-mtm":               func(c *Config) { c.Strategy = "ch-mtm" },
-		"ssmd with CHOverlay":  func(c *Config) { c.CHOverlay = overlay },
-		"ssmd with BuildCH":    func(c *Config) { c.BuildCH = true },
-		"ssmd with partitions": func(c *Config) { c.PartitionCells = 4 },
-		"unset with BuildCH":   func(c *Config) { c.Strategy, c.BuildCH = "", true },
+		"bogus strategy":      func(c *Config) { c.Strategy = "bogus" },
+		"pairwise":            func(c *Config) { c.Strategy = search.StrategyPairwise },
+		"pairwise-astar":      func(c *Config) { c.Strategy = "pairwise-astar" },
+		"pairwise-alt":        func(c *Config) { c.Strategy = "pairwise-alt" },
+		"table-engine":        func(c *Config) { c.Strategy = "table-engine" },
+		"ch":                  func(c *Config) { c.Strategy = "ch" },
+		"ch-mtm":              func(c *Config) { c.Strategy = "ch-mtm" },
+		"ssmd with CHOverlay": func(c *Config) { c.CHOverlay = overlay },
+		"ssmd with BuildCH":   func(c *Config) { c.BuildCH = true },
+		"unset with BuildCH":  func(c *Config) { c.Strategy, c.BuildCH = "", true },
 	}
 	for name, mutate := range refused {
 		cfg := DefaultConfig()

@@ -87,7 +87,6 @@ func (s *Server) RecustomizeNow() error {
 			}
 			overlay = fresh
 			s.mRecustomize.Add(1)
-			s.mCellsRecust.Add(int64(len(stats.Recustomized)))
 			s.metrics.SetGauge("recustomize_last_ms", float64(time.Since(start).Microseconds())/1000)
 			s.metrics.SetGauge("recustomize_arcs_last", float64(stats.ArcsRederived))
 		}

@@ -197,7 +197,7 @@ func TestUpdateRecustomizeRestoresOverlay(t *testing.T) {
 // TestLoadedOverlayFirstRefreshIsArcLevel: an overlay installed from its
 // OCH1 file carries no base costs, but server.New matches it against the
 // graph, which records them — so the first weight update already re-derives
-// a handful of arcs, not every cell.
+// a handful of arcs, not the whole arena.
 func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
 	g := gridTestGraph(t, 12, 10, 605)
 	part, err := roadnet.BuildPartition(g, roadnet.PartitionConfig{Cells: 6})
@@ -230,9 +230,6 @@ func TestLoadedOverlayFirstRefreshIsArcLevel(t *testing.T) {
 	total := loaded.NumOriginalArcs() + loaded.NumShortcuts()
 	if arcs < 1 || arcs >= total/4 {
 		t.Fatalf("first refresh of a loaded overlay re-derived %d of %d arcs", arcs, total)
-	}
-	if cells := s.Metrics().Counter("cells_recustomized"); cells >= 6 {
-		t.Fatalf("first refresh of a loaded overlay touched %d of 6 cells", cells)
 	}
 	reply, err := s.Evaluate(protocol.ServerQuery{Sources: []roadnet.NodeID{0, 5}, Dests: []roadnet.NodeID{119, 60}})
 	if err != nil {
