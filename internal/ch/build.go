@@ -15,6 +15,15 @@ import (
 // weight layer (arc costs and unpack children) is derived afterwards by the
 // bottom-up customization pass (customize.go) — the same pass that absorbs a
 // live weight update in milliseconds instead of a re-contraction.
+//
+// Cost per node v, with d(u) the number of arcs between u and nodes not yet
+// contracted: each priority evaluation of v (the lazy queue asks a few
+// times) takes O(d(v)² + Σ d(x)) over v's in-neighbours x; contracting v
+// takes O(Σ d(u) + |in(v)|·|out(v)|) over all its neighbours u, for the
+// shortcut pairs and for unlinking v from their lists. Arcs into contracted
+// nodes are dropped as each node goes, so none of this grows with how many
+// neighbours were contracted before; the total is set by the live degrees,
+// which the shortcuts of a road map's top levels make large.
 func BuildCustomizable(g *roadnet.Graph) (*Overlay, error) {
 	return BuildCustomizablePartitioned(g, nil)
 }
@@ -49,56 +58,59 @@ type builder struct {
 	n    int
 	part *roadnet.Partition // nil for an unpartitioned build
 
-	arcs      []arc     // arena: original arcs first, shortcuts appended
-	nOriginal int       // seeded original-arc count (arena prefix length)
-	out       [][]int32 // per node: arena indices of out-arcs (stale entries allowed)
-	in        [][]int32 // per node: arena indices of in-arcs
+	arcs      []arc   // arena: original arcs first, shortcuts appended
+	nOriginal int     // seeded original-arc count (arena prefix length)
+	out       [][]adj // per uncontracted node: out-arcs to uncontracted nodes
+	in        [][]adj // per uncontracted node: in-arcs from uncontracted nodes
 
-	contracted []bool
-	rank       []int32
-	level      []int32
-	deleted    []int32 // number of already-contracted neighbours
-	order      int32
+	rank    []int32
+	level   []int32
+	deleted []int32 // number of already-contracted neighbours
+	order   int32
+	queue   *pqueue.DenseHeap // lazy ordering queue, reset per group
 
 	// Per-contraction scratch: the minimal in/out neighbour sets of the
-	// node being contracted, reused across calls.
+	// node last prioritised, reused across calls.
 	ins  []neighbour
 	outs []neighbour
 
-	// simulate caches its result so the contraction that immediately
-	// follows a priority recomputation does not enumerate the shortcuts
-	// again: simNode is the node pending describes, -1 when stale.
-	simNode int32
-	pending []pendingShortcut
+	// Two stamped node sets: node u is in a set while its entry equals
+	// the stamp the set was filled under. A fresh stamp empties both in
+	// O(1), and membership is one probe instead of a scan of a list.
+	mark  []uint32
+	seen  []uint32
+	stamp uint32
 }
 
-// pendingShortcut is one shortcut a simulated contraction found necessary.
-type pendingShortcut struct {
-	x, w neighbour
-	cost float64
+// adj is one entry of a node's dynamic adjacency: the node at the other end
+// of arena arc arc. Carrying the node beside the arc lets the hot walks over
+// adjacency lists read them front to back without visiting the arena.
+type adj struct {
+	node, arc int32
 }
 
 // neighbour is one entry of a contraction candidate's minimal neighbour set:
 // the cheapest live arc between the contracted node and node id.
 type neighbour struct {
-	id      int32
 	cost    float64
+	id      int32
 	arenaID int32
 }
 
 func newBuilder(g *roadnet.Graph, p *roadnet.Partition) *builder {
 	n := g.NumNodes()
 	b := &builder{
-		g:          g,
-		n:          n,
-		part:       p,
-		out:        make([][]int32, n),
-		in:         make([][]int32, n),
-		contracted: make([]bool, n),
-		rank:       make([]int32, n),
-		level:      make([]int32, n),
-		deleted:    make([]int32, n),
-		simNode:    -1,
+		g:       g,
+		n:       n,
+		part:    p,
+		out:     make([][]adj, n),
+		in:      make([][]adj, n),
+		rank:    make([]int32, n),
+		level:   make([]int32, n),
+		deleted: make([]int32, n),
+		queue:   pqueue.NewDenseHeap(n),
+		mark:    make([]uint32, n),
+		seen:    make([]uint32, n),
 	}
 	// Seed the arena with the original arcs. Self-loops are dropped: with
 	// non-negative costs they can never lie on a shortest path, and keeping
@@ -110,8 +122,8 @@ func newBuilder(g *roadnet.Graph, p *roadnet.Partition) *builder {
 			}
 			idx := int32(len(b.arcs))
 			b.arcs = append(b.arcs, arc{from: int32(v), to: int32(a.To), childA: -1, childB: -1, cost: a.Cost})
-			b.out[v] = append(b.out[v], idx)
-			b.in[a.To] = append(b.in[a.To], idx)
+			b.out[v] = append(b.out[v], adj{node: int32(a.To), arc: idx})
+			b.in[a.To] = append(b.in[a.To], adj{node: int32(v), arc: idx})
 		}
 	}
 	b.nOriginal = len(b.arcs)
@@ -159,7 +171,8 @@ func (b *builder) contractGroup(nodes []int32) {
 	if len(nodes) == 0 {
 		return
 	}
-	queue := pqueue.NewDenseHeap(b.n)
+	queue := b.queue
+	queue.Reset(b.n)
 	for _, v := range nodes {
 		queue.Push(v, b.priority(v))
 	}
@@ -184,32 +197,38 @@ func (b *builder) contractGroup(nodes []int32) {
 // priority returns the lazy ordering key for v: a blend of edge difference
 // (shortcuts the contraction would insert minus arcs it removes), the number
 // of already-contracted neighbours, and v's current level. Lower contracts
-// earlier.
+// earlier. It leaves v's neighbour sets in b.ins/b.outs for contract.
 func (b *builder) priority(v int32) float64 {
-	shortcuts := b.simulate(v)
+	b.gatherNeighbours(v)
+	shortcuts := b.countShortcuts()
 	degree := len(b.ins) + len(b.outs)
 	return float64(2*(shortcuts-degree) + int(b.deleted[v]) + int(b.level[v]))
 }
 
 // gatherNeighbours fills b.ins and b.outs with the minimal live neighbour
 // sets of v: per distinct uncontracted neighbour, the cheapest arena arc.
+// The arena holds no self-loops, so v is never its own neighbour.
 func (b *builder) gatherNeighbours(v int32) {
 	b.ins = b.ins[:0]
 	b.outs = b.outs[:0]
-	for _, ai := range b.in[v] {
-		a := &b.arcs[ai]
-		if b.contracted[a.from] || a.from == v {
-			continue
-		}
-		b.ins = addMinNeighbour(b.ins, a.from, a.cost, ai)
+	for _, e := range b.in[v] {
+		b.ins = addMinNeighbour(b.ins, e.node, b.arcs[e.arc].cost, e.arc)
 	}
-	for _, ai := range b.out[v] {
-		a := &b.arcs[ai]
-		if b.contracted[a.to] || a.to == v {
-			continue
-		}
-		b.outs = addMinNeighbour(b.outs, a.to, a.cost, ai)
+	for _, e := range b.out[v] {
+		b.outs = addMinNeighbour(b.outs, e.node, b.arcs[e.arc].cost, e.arc)
 	}
+}
+
+// without drops the entries for node v from an adjacency list, in place,
+// and returns the rest in their original order.
+func without(list []adj, v int32) []adj {
+	kept := list[:0]
+	for _, e := range list {
+		if e.node != v {
+			kept = append(kept, e)
+		}
+	}
+	return kept
 }
 
 // addMinNeighbour inserts (id, cost) into set, keeping only the cheapest arc
@@ -228,20 +247,82 @@ func addMinNeighbour(set []neighbour, id int32, cost float64, arenaID int32) []n
 	return append(set, neighbour{id: id, cost: cost, arenaID: arenaID})
 }
 
-// contract removes v from the remaining graph: inserts its shortcuts, stamps
-// v's rank, and updates neighbour levels and deleted-neighbour counts. The
-// shortcut set comes from the simulate cache when the preceding priority
-// recomputation already enumerated it — in contractAll that is always the
-// case.
+// fresh returns a stamp that no entry of mark or seen holds yet, emptying
+// both sets.
+func (b *builder) fresh() uint32 {
+	if b.stamp == ^uint32(0) {
+		// Stamp wrap: clear once per 2^32 stamps so no old entry collides.
+		clear(b.mark)
+		clear(b.seen)
+		b.stamp = 0
+	}
+	b.stamp++
+	return b.stamp
+}
+
+// countShortcuts returns how many shortcuts contracting the node whose
+// neighbour sets b.ins/b.outs hold would insert: one per in/out pair (x, w),
+// x ≠ w, not yet joined by an arc x→w. Existence is all that counts: the
+// customization pass assigns the final weight as a minimum over all lower
+// triangles, so one arc per pair suffices and parallels would only inflate
+// the arena. No witness search prunes the set, because the structure must
+// preserve distances under *any* future weight assignment, and the cheapest
+// witness under one metric proves nothing about the next.
+//
+// The count walks each in-neighbour's out-list once, so it costs
+// O(Σ_x |out(x)|) rather than one probe per pair: the ordering queue asks
+// for it several times per node, contract enumerates the pairs once.
+func (b *builder) countShortcuts() int {
+	isOut := b.fresh()
+	for _, w := range b.outs {
+		b.mark[w.id] = isOut
+	}
+	count := 0
+	for _, x := range b.ins {
+		count += len(b.outs)
+		if b.mark[x.id] == isOut {
+			count-- // the pair (x, x) needs no shortcut
+		}
+		// seen dedups parallel original arcs x→w, which join one pair.
+		joined := b.fresh()
+		for _, e := range b.out[x.id] {
+			if b.mark[e.node] == isOut && b.seen[e.node] != joined {
+				b.seen[e.node] = joined
+				count--
+			}
+		}
+	}
+	return count
+}
+
+// contract removes v from the remaining graph: inserts the shortcuts
+// countShortcuts counted, unlinks v from its neighbours' adjacency lists,
+// stamps v's rank, and updates neighbour levels and deleted-neighbour
+// counts. b.ins/b.outs must hold v's neighbour sets, as the priority(v) call
+// that let v leave the queue left them.
 func (b *builder) contract(v int32) {
-	if b.simNode != v {
-		b.simulate(v)
+	for _, x := range b.ins {
+		joined := b.fresh()
+		for _, e := range b.out[x.id] {
+			b.mark[e.node] = joined
+		}
+		for _, w := range b.outs {
+			if w.id != x.id && b.mark[w.id] != joined {
+				b.addShortcut(x, w)
+			}
+		}
 	}
-	for i := range b.pending {
-		b.addShortcut(b.pending[i].x, b.pending[i].w, b.pending[i].cost)
+	// Every arc naming v sits in the list of a node in b.ins or b.outs.
+	// Dropping them keeps the other arcs in order, so each later walk sees
+	// the live arcs in arena order and costs the live degree, not every arc
+	// the node ever had.
+	for _, x := range b.ins {
+		b.out[x.id] = without(b.out[x.id], v)
 	}
-	b.simNode = -1
-	b.contracted[v] = true
+	for _, w := range b.outs {
+		b.in[w.id] = without(b.in[w.id], v)
+	}
+	b.out[v], b.in[v] = nil, nil
 	b.rank[v] = b.order
 	b.order++
 	bump := func(u int32) {
@@ -250,70 +331,27 @@ func (b *builder) contract(v int32) {
 			b.level[u] = b.level[v] + 1
 		}
 	}
+	isIn := b.fresh()
 	for _, nb := range b.ins {
+		b.mark[nb.id] = isIn
 		bump(nb.id)
 	}
 	for _, nb := range b.outs {
 		// An undirected road segment yields the same neighbour in both
 		// sets; only bump nodes not already counted as in-neighbours.
-		if !containsNeighbour(b.ins, nb.id) {
+		if b.mark[nb.id] != isIn {
 			bump(nb.id)
 		}
 	}
 }
 
-func containsNeighbour(set []neighbour, id int32) bool {
-	for i := range set {
-		if set[i].id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// simulate enumerates the shortcuts contracting v requires right now into
-// b.pending, leaving the graph untouched, and returns their count: every
-// in/out neighbour pair (x, w) without an existing live arc x→w. No witness
-// search prunes the set, because the structure must preserve distances under
-// *any* future weight assignment, and the cheapest witness under one metric
-// proves nothing about the next. simulate fills b.ins/b.outs as a side
-// effect; contract consumes both.
-func (b *builder) simulate(v int32) int {
-	b.pending = b.pending[:0]
-	b.simNode = v
-	b.gatherNeighbours(v)
-	for _, x := range b.ins {
-		for _, w := range b.outs {
-			if w.id == x.id || b.arcExists(x.id, w.id) {
-				continue
-			}
-			b.pending = append(b.pending, pendingShortcut{x: x, w: w, cost: x.cost + w.cost})
-		}
-	}
-	return len(b.pending)
-}
-
-// arcExists reports whether any arena arc x→w exists, whatever its cost.
-// Customizable contraction needs existence only: the customization pass
-// assigns the final weight as a minimum over all lower triangles, so one arc
-// per pair suffices and parallels would only inflate the arena.
-func (b *builder) arcExists(x, w int32) bool {
-	for _, ai := range b.out[x] {
-		if b.arcs[ai].to == w {
-			return true
-		}
-	}
-	return false
-}
-
 // addShortcut appends the shortcut x→w via the contracted node to the arena.
-// simulate only proposes pairs with no arc x→w yet, so it never duplicates
-// one.
-func (b *builder) addShortcut(x, w neighbour, cost float64) {
+// contract only adds pairs with no arc x→w yet, so it never duplicates one.
+func (b *builder) addShortcut(x, w neighbour) {
 	idx := int32(len(b.arcs))
-	b.arcs = append(b.arcs, arc{from: x.id, to: w.id, childA: x.arenaID, childB: w.arenaID, cost: cost})
-	b.out[x.id] = append(b.out[x.id], idx)
-	b.in[w.id] = append(b.in[w.id], idx)
+	b.arcs = append(b.arcs, arc{from: x.id, to: w.id, childA: x.arenaID, childB: w.arenaID, cost: x.cost + w.cost})
+	b.out[x.id] = append(b.out[x.id], adj{node: w.id, arc: idx})
+	b.in[w.id] = append(b.in[w.id], adj{node: x.id, arc: idx})
 }
 
 // finish freezes the builder's output into an immutable Overlay. The

@@ -385,9 +385,9 @@ func tigerLikeFeed(tb testing.TB, nodes, cells, arcs int) (*Overlay, [2]*roadnet
 	return o, [2]*roadnet.Graph{hi, g}
 }
 
-// tigerLikeOverlay generates a TigerLike map and builds its overlay, flat
-// when cells is 0 (p is then nil).
-func tigerLikeOverlay(tb testing.TB, nodes, cells int, seed uint64) (*roadnet.Graph, *roadnet.Partition, *Overlay) {
+// tigerLikeMap generates a TigerLike map and its partition into cells; p is
+// nil when cells is 0.
+func tigerLikeMap(tb testing.TB, nodes, cells int, seed uint64) (*roadnet.Graph, *roadnet.Partition) {
 	tb.Helper()
 	cfg := gen.DefaultNetworkConfig()
 	cfg.Kind, cfg.Nodes, cfg.Seed = gen.TigerLike, nodes, seed
@@ -401,6 +401,14 @@ func tigerLikeOverlay(tb testing.TB, nodes, cells int, seed uint64) (*roadnet.Gr
 			tb.Fatal(err)
 		}
 	}
+	return g, p
+}
+
+// tigerLikeOverlay generates a TigerLike map and builds its overlay, flat
+// when cells is 0 (p is then nil).
+func tigerLikeOverlay(tb testing.TB, nodes, cells int, seed uint64) (*roadnet.Graph, *roadnet.Partition, *Overlay) {
+	tb.Helper()
+	g, p := tigerLikeMap(tb, nodes, cells, seed)
 	o, err := BuildCustomizablePartitioned(g, p)
 	if err != nil {
 		tb.Fatal(err)

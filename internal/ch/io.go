@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -54,6 +55,45 @@ const (
 	flagPartitioned = 1 << 1
 )
 
+// The rank, level and arena columns move through the envelope in blocks of
+// up to blockBytes: one read or write and one CRC update per block instead
+// of per 4- or 8-byte field. The bytes on disk are the same either way.
+const (
+	blockBytes = 64 << 10
+	wordBytes  = 4  // one rank, level or legacy cell word
+	arcBytes   = 24 // from, to, childA, childB (4 bytes each), cost (8)
+)
+
+// writeBlocks writes count records of size bytes each, one block at a time:
+// encode fills p with the records first, first+1, … that fit in it.
+func writeBlocks(bw *storage.BinaryWriter, buf []byte, count, size int, encode func(p []byte, first int)) {
+	per := len(buf) / size
+	for first := 0; first < count; first += per {
+		p := buf[:min(count-first, per)*size]
+		encode(p, first)
+		bw.Block(p)
+	}
+}
+
+// readBlocks reads count records of size bytes each, one block at a time,
+// handing each block to decode in order. It stops quietly when the stream
+// runs dry — the reader's sticky error reports that at Close — and at the
+// first decode error, which it returns. So a header that declares more
+// records than the file holds costs only the blocks actually read.
+func readBlocks(br *storage.BinaryReader, buf []byte, count, size int, decode func(p []byte) error) error {
+	per := len(buf) / size
+	for first := 0; first < count; first += per {
+		p := buf[:min(count-first, per)*size]
+		if br.Block(p); br.Err() != nil {
+			return nil
+		}
+		if err := decode(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Write persists the overlay to w in the versioned OCH1 binary format.
 func Write(o *Overlay, w io.Writer) error {
 	bw, err := storage.NewBinaryWriter(w, OverlayMagic, OverlayVersion)
@@ -67,20 +107,26 @@ func Write(o *Overlay, w io.Writer) error {
 	bw.U32(flagCustomizable)
 	bw.U32(uint32(o.nOriginal))
 	bw.U32(uint32(len(o.arcs)))
-	for _, r := range o.rank {
-		bw.U32(uint32(r))
+	buf := make([]byte, blockBytes)
+	for _, words := range [][]int32{o.rank, o.level} {
+		writeBlocks(bw, buf, len(words), wordBytes, func(p []byte, first int) {
+			for i := 0; i < len(p); i += wordBytes {
+				binary.LittleEndian.PutUint32(p[i:], uint32(words[first]))
+				first++
+			}
+		})
 	}
-	for _, l := range o.level {
-		bw.U32(uint32(l))
-	}
-	for i := range o.arcs {
-		a := &o.arcs[i]
-		bw.U32(uint32(a.from))
-		bw.U32(uint32(a.to))
-		bw.I32(a.childA)
-		bw.I32(a.childB)
-		bw.F64(a.cost)
-	}
+	writeBlocks(bw, buf, len(o.arcs), arcBytes, func(p []byte, first int) {
+		for i := 0; i < len(p); i += arcBytes {
+			a := &o.arcs[first]
+			binary.LittleEndian.PutUint32(p[i:], uint32(a.from))
+			binary.LittleEndian.PutUint32(p[i+4:], uint32(a.to))
+			binary.LittleEndian.PutUint32(p[i+8:], uint32(a.childA))
+			binary.LittleEndian.PutUint32(p[i+12:], uint32(a.childB))
+			binary.LittleEndian.PutUint64(p[i+16:], math.Float64bits(a.cost))
+			first++
+		}
+	})
 	if err := bw.Close(); err != nil {
 		return fmt.Errorf("ch: writing overlay: %w", err)
 	}
@@ -125,7 +171,7 @@ func Read(r io.Reader) (*Overlay, error) {
 	if n <= 0 || n > maxReasonable || totalArcs < 0 || totalArcs > maxReasonable || nOriginal < 0 || nOriginal > totalArcs {
 		return nil, fmt.Errorf("ch: implausible overlay counts (nodes=%d, arcs=%d, original=%d)", n, totalArcs, nOriginal)
 	}
-	// The arrays below grow by append as records are actually decoded, with
+	// The arrays below grow by append as blocks are actually read, with
 	// deliberately small initial capacities: a corrupted header whose count
 	// fields are garbage (but within maxReasonable) must fail on the stream
 	// running dry — a clean read error — instead of committing gigabytes up
@@ -141,15 +187,19 @@ func Read(r io.Reader) (*Overlay, error) {
 		checksum:  checksum,
 		topoSum:   topoSum,
 	}
-	for v := 0; v < n; v++ {
-		rk := br.U32()
-		if br.Err() != nil {
-			break
+	buf := make([]byte, blockBytes)
+	err = readBlocks(br, buf, n, wordBytes, func(p []byte) error {
+		for i := 0; i < len(p); i += wordBytes {
+			rk := binary.LittleEndian.Uint32(p[i:])
+			if rk >= uint32(n) {
+				return fmt.Errorf("ch: node %d has invalid rank %d", len(o.rank), rk)
+			}
+			o.rank = append(o.rank, int32(rk))
 		}
-		if rk >= uint32(n) {
-			return nil, fmt.Errorf("ch: node %d has invalid rank %d", v, rk)
-		}
-		o.rank = append(o.rank, int32(rk))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if br.Err() == nil {
 		// Every rank is in range and on disk; now the O(n) permutation
@@ -162,38 +212,39 @@ func Read(r io.Reader) (*Overlay, error) {
 			seen[rk] = true
 		}
 	}
-	for v := 0; v < n; v++ {
-		l := br.U32()
-		if br.Err() != nil {
-			break
+	// Levels carry no invariant to check, so their reader cannot fail.
+	_ = readBlocks(br, buf, n, wordBytes, func(p []byte) error {
+		for i := 0; i < len(p); i += wordBytes {
+			o.level = append(o.level, int32(binary.LittleEndian.Uint32(p[i:])))
 		}
-		o.level = append(o.level, int32(l))
-	}
-	for i := 0; i < totalArcs; i++ {
-		a := arc{
-			from:   int32(br.U32()),
-			to:     int32(br.U32()),
-			childA: br.I32(),
-			childB: br.I32(),
-			cost:   br.F64(),
+		return nil
+	})
+	err = readBlocks(br, buf, totalArcs, arcBytes, func(p []byte) error {
+		for i := 0; i < len(p); i += arcBytes {
+			a := arc{
+				from:   int32(binary.LittleEndian.Uint32(p[i:])),
+				to:     int32(binary.LittleEndian.Uint32(p[i+4:])),
+				childA: int32(binary.LittleEndian.Uint32(p[i+8:])),
+				childB: int32(binary.LittleEndian.Uint32(p[i+12:])),
+				cost:   math.Float64frombits(binary.LittleEndian.Uint64(p[i+16:])),
+			}
+			if a.from < 0 || int(a.from) >= n || a.to < 0 || int(a.to) >= n || a.from == a.to {
+				return fmt.Errorf("ch: arc %d has invalid endpoints (%d→%d)", len(o.arcs), a.from, a.to)
+			}
+			if a.cost < 0 || math.IsNaN(a.cost) || math.IsInf(a.cost, 0) {
+				return fmt.Errorf("ch: arc %d has invalid cost %v", len(o.arcs), a.cost)
+			}
+			o.arcs = append(o.arcs, a)
 		}
-		if br.Err() != nil {
-			break
-		}
-		if a.from < 0 || int(a.from) >= n || a.to < 0 || int(a.to) >= n || a.from == a.to {
-			return nil, fmt.Errorf("ch: arc %d has invalid endpoints (%d→%d)", i, a.from, a.to)
-		}
-		if a.cost < 0 || math.IsNaN(a.cost) || math.IsInf(a.cost, 0) {
-			return nil, fmt.Errorf("ch: arc %d has invalid cost %v", i, a.cost)
-		}
-		o.arcs = append(o.arcs, a)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if flags&flagPartitioned != 0 {
 		// The legacy partition section is n+1 words — a cell count, then
 		// one cell per node — that describe nothing the overlay uses.
-		for v := 0; v <= n && br.Err() == nil; v++ {
-			br.U32()
-		}
+		_ = readBlocks(br, buf, n+1, wordBytes, func([]byte) error { return nil })
 	}
 	if err := br.Close(); err != nil {
 		return nil, fmt.Errorf("ch: reading overlay: %w", err)

@@ -38,13 +38,16 @@ func NewBinaryWriter(w io.Writer, magic string, version uint16) (*BinaryWriter, 
 		return nil, fmt.Errorf("storage: binary section magic must be 4 bytes, got %q", magic)
 	}
 	bw := &BinaryWriter{w: bufio.NewWriter(w)}
-	bw.write([]byte(magic))
+	bw.Block([]byte(magic))
 	bw.U16(version)
 	return bw, bw.err
 }
 
-// write appends raw bytes to the section, folding them into the checksum.
-func (bw *BinaryWriter) write(p []byte) {
+// Block appends p to the section as raw payload bytes with one write and one
+// checksum update. Callers that move many fields encode a block of them into
+// p themselves: the per-field methods below fold each 2- to 8-byte field
+// into the CRC on its own, and inputs that small take crc32's slow path.
+func (bw *BinaryWriter) Block(p []byte) {
 	if bw.err != nil {
 		return
 	}
@@ -55,13 +58,13 @@ func (bw *BinaryWriter) write(p []byte) {
 // U16 writes a little-endian uint16.
 func (bw *BinaryWriter) U16(v uint16) {
 	binary.LittleEndian.PutUint16(bw.buf[:2], v)
-	bw.write(bw.buf[:2])
+	bw.Block(bw.buf[:2])
 }
 
 // U32 writes a little-endian uint32.
 func (bw *BinaryWriter) U32(v uint32) {
 	binary.LittleEndian.PutUint32(bw.buf[:4], v)
-	bw.write(bw.buf[:4])
+	bw.Block(bw.buf[:4])
 }
 
 // I32 writes a little-endian int32 (two's complement).
@@ -70,7 +73,7 @@ func (bw *BinaryWriter) I32(v int32) { bw.U32(uint32(v)) }
 // U64 writes a little-endian uint64.
 func (bw *BinaryWriter) U64(v uint64) {
 	binary.LittleEndian.PutUint64(bw.buf[:8], v)
-	bw.write(bw.buf[:8])
+	bw.Block(bw.buf[:8])
 }
 
 // F64 writes a float64 as its little-endian IEEE-754 bit pattern.
@@ -113,7 +116,7 @@ func NewBinaryReader(r io.Reader, magic string, maxVersion uint16) (*BinaryReade
 	}
 	br := &BinaryReader{r: bufio.NewReader(r)}
 	var got [4]byte
-	br.read(got[:])
+	br.Block(got[:])
 	if br.err != nil {
 		return nil, fmt.Errorf("storage: reading binary section header: %w", br.err)
 	}
@@ -137,8 +140,10 @@ func (br *BinaryReader) Version() uint16 { return br.version }
 // also reports it; Err lets decoders bail out of large loops early.
 func (br *BinaryReader) Err() error { return br.err }
 
-// read fills p from the section, folding the bytes into the checksum.
-func (br *BinaryReader) read(p []byte) {
+// Block fills p from the section with one read and one checksum update: the
+// reading side of BinaryWriter.Block. A stream that ends before p is full
+// sets the sticky error and leaves p's contents undefined.
+func (br *BinaryReader) Block(p []byte) {
 	if br.err != nil {
 		return
 	}
@@ -151,7 +156,7 @@ func (br *BinaryReader) read(p []byte) {
 
 // U16 reads a little-endian uint16.
 func (br *BinaryReader) U16() uint16 {
-	br.read(br.buf[:2])
+	br.Block(br.buf[:2])
 	if br.err != nil {
 		return 0
 	}
@@ -160,7 +165,7 @@ func (br *BinaryReader) U16() uint16 {
 
 // U32 reads a little-endian uint32.
 func (br *BinaryReader) U32() uint32 {
-	br.read(br.buf[:4])
+	br.Block(br.buf[:4])
 	if br.err != nil {
 		return 0
 	}
@@ -172,7 +177,7 @@ func (br *BinaryReader) I32() int32 { return int32(br.U32()) }
 
 // U64 reads a little-endian uint64.
 func (br *BinaryReader) U64() uint64 {
-	br.read(br.buf[:8])
+	br.Block(br.buf[:8])
 	if br.err != nil {
 		return 0
 	}
