@@ -1,9 +1,9 @@
 // Command opaque-vet runs the project's static-analysis suite
-// (internal/analysis): five analyzers enforcing the codebase's hot-path and
-// concurrency invariants — snapshot pinning, workspace-pool hygiene,
-// zero-allocation annotations, exhaustive frame-type switches and
-// errors.Is on typed sentinels. See docs/LINTS.md for what each analyzer
-// checks and how to waive a finding.
+// (internal/analysis): four analyzers enforcing the codebase's hot-path and
+// concurrency invariants — workspace-pool hygiene, zero-allocation
+// annotations, exhaustive frame-type switches and errors.Is on typed
+// sentinels. See docs/LINTS.md for what each analyzer checks and how to
+// waive a finding.
 //
 // Usage:
 //

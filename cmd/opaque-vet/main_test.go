@@ -25,7 +25,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, badmodDir(t), &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"snapshotpin", "wspool", "noalloc", "framecase", "sentinelis"} {
+	for _, name := range []string{"wspool", "noalloc", "framecase", "sentinelis"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
 		}

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-func TestShortestPathAvoiding(t *testing.T) {
-	// 0 -1- 1 -1- 2 with a costly bypass 0 -5- 2.
-	g := NewGraph(3, 6)
-	a := g.AddNode(0, 0)
-	b := g.AddNode(1, 0)
-	c := g.AddNode(2, 0)
-	if err := g.AddBidirectionalEdge(a, b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddBidirectionalEdge(b, c, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddBidirectionalEdge(a, c, 5); err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	direct, err := ShortestPath(g, a, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Cost != 2 {
-		t.Fatalf("unconstrained cost = %v, want 2", direct.Cost)
-	}
-	detour, err := ShortestPathAvoiding(g, a, c, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if detour.Cost != 5 {
-		t.Errorf("avoiding node %d should force the cost-5 bypass, got %v", b, detour.Cost)
-	}
-	for _, n := range detour.Nodes {
-		if n == b {
-			t.Error("avoided node appears on the path")
-		}
-	}
-}
-
 func TestSelectorConstructors(t *testing.T) {
 	g := testNetwork(t)
 	if NewUniformSelector(1) == nil {

@@ -1,10 +1,10 @@
 // Package analysis is opaque-vet: a project-specific static-analysis suite
 // that machine-checks the invariants the hot-path and fault-tolerance work
-// left behind — snapshot pinning on mutable graphs, workspace pool hygiene,
-// zero-allocation kernels, exhaustive frame-type switches and errors.Is on
-// typed sentinels. Each analyzer is documented in docs/LINTS.md; the suite
-// runs in CI (`go run ./cmd/opaque-vet ./...`) next to go vet and
-// staticcheck, and must stay clean on every PR.
+// left behind — workspace pool hygiene, zero-allocation kernels, exhaustive
+// frame-type switches and errors.Is on typed sentinels. Each analyzer is
+// documented in docs/LINTS.md; the suite runs in CI (`go run
+// ./cmd/opaque-vet ./...`) next to go vet and staticcheck, and must stay
+// clean on every PR.
 //
 // The suite is deliberately stdlib-only (go/parser + go/types with the
 // source importer, see load.go): the module has no dependencies and the
@@ -79,7 +79,6 @@ func (f Finding) String() string {
 // All returns the suite: every analyzer, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SnapshotPin,
 		WSPool,
 		NoAlloc,
 		FrameCase,
@@ -213,8 +212,8 @@ func namedType(t types.Type) *types.Named {
 }
 
 // isNamed reports whether t (through pointers) is the named type
-// modulePath-relative pkgSuffix.name — e.g. ("internal/storage",
-// "MutableGraph"). Matching is done against the module path of the pass so
+// modulePath-relative pkgSuffix.name — e.g. ("internal/search",
+// "WorkspacePool"). Matching is done against the module path of the pass so
 // the testdata trees, loaded under the same pseudo-module path, match too.
 func (p *Pass) isNamed(t types.Type, pkgSuffix, name string) bool {
 	n := namedType(t)

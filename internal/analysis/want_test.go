@@ -108,7 +108,7 @@ func TestAnalyzersAgainstWants(t *testing.T) {
 
 // TestWaiversAreExercised guards the waiver fixtures themselves: each
 // analyzer's testdata contains at least one //opaque:allow waiver, so the
-// suppression path above is actually covered for all five.
+// suppression path above is actually covered for all four.
 func TestWaiversAreExercised(t *testing.T) {
 	mod := loadTestdata(t)
 	byAnalyzer := map[string]int{}
@@ -174,14 +174,12 @@ func TestFindingString(t *testing.T) {
 }
 
 // TestTestdataPackagesLoaded guards the fixture layout: the loader must see
-// one package per analyzer plus the three fakes.
+// one package per analyzer plus the two fakes.
 func TestTestdataPackagesLoaded(t *testing.T) {
 	mod := loadTestdata(t)
 	for _, path := range []string{
-		"opaque/internal/storage",
 		"opaque/internal/search",
 		"opaque/internal/protocol",
-		"opaque/snapshotpin",
 		"opaque/wspool",
 		"opaque/noalloc",
 		"opaque/framecase",

@@ -548,20 +548,15 @@ func (t *Table) Path(i, j int) search.Path {
 
 // verifyAccessor binds an evaluation to the overlay's graph. CH reads the
 // preprocessed index, not the graph — which is the whole point — so the
-// accessor must present exactly the arcs the overlay was contracted over:
-// arc-filtering accessors (storage.FilteredGraph), whose effective arc set
-// differs from the graph they report, are rejected outright; a versioned
-// accessor (storage.Versioned) must be at the generation bound with
-// BindGeneration, since a generation move marks the data changed even when
-// the weights end up the same; and the accessor's graph must checksum-match
-// the overlay (memoised per graph). A nil accessor is the caller taking
-// responsibility for the binding.
+// accessor must present exactly the arcs the overlay was contracted over: a
+// versioned accessor (storage.Versioned, a weight snapshot) must be at the
+// generation bound with BindGeneration, since a generation move marks the
+// data changed even when the weights end up the same; and the accessor's
+// graph must checksum-match the overlay (memoised per graph). A nil accessor
+// is the caller taking responsibility for the binding.
 func (m *MTM) verifyAccessor(acc storage.Accessor) error {
 	if acc == nil {
 		return nil
-	}
-	if _, filtered := acc.(*storage.FilteredGraph); filtered {
-		return fmt.Errorf("ch: overlay cannot serve a filtered accessor — the hierarchy was contracted over the unfiltered arcs; query the filtered graph with the flat searches instead")
 	}
 	if v, ok := acc.(storage.Versioned); ok && v.Generation() != m.gen.Load() {
 		return fmt.Errorf("ch: accessor generation %d, overlay bound to %d: %w", v.Generation(), m.gen.Load(), search.ErrStaleEngine)

@@ -83,26 +83,19 @@ func NewProcessor(acc storage.Accessor, opts ...ProcessorOption) *Processor {
 	return p
 }
 
-// pin resolves the accessor one whole evaluation runs against. For mutable
-// accessors (storage.Snapshotter) this is an immutable snapshot of the
-// current data, so a query admitted while weight updates land concurrently
-// still computes an internally consistent table: every cell reflects one
-// generation, all-old or all-new, never a mix.
-func (p *Processor) pin() storage.Accessor { return storage.SnapshotOf(p.acc) }
-
 // validateQuery rejects empty (ErrEmptyQuery) or out-of-range endpoint sets.
-func (p *Processor) validateQuery(acc storage.Accessor, sources, dests []roadnet.NodeID) error {
+func (p *Processor) validateQuery(sources, dests []roadnet.NodeID) error {
 	if len(sources) == 0 || len(dests) == 0 {
 		return fmt.Errorf("search: obfuscated query needs at least one source and one destination (got |S|=%d, |T|=%d): %w",
 			len(sources), len(dests), ErrEmptyQuery)
 	}
 	for _, s := range sources {
-		if !validNode(acc, s) {
+		if !validNode(p.acc, s) {
 			return errInvalidSource(s)
 		}
 	}
 	for _, t := range dests {
-		if !validNode(acc, t) {
+		if !validNode(p.acc, t) {
 			return errInvalidDest(t)
 		}
 	}
@@ -111,29 +104,29 @@ func (p *Processor) validateQuery(acc storage.Accessor, sources, dests []roadnet
 
 // appendRow evaluates source against every destination under one gate slot
 // and appends the row's cells to t.
-func (p *Processor) appendRow(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID, t *Table) (Stats, error) {
+func (p *Processor) appendRow(source roadnet.NodeID, dests []roadnet.NodeID, t *Table) (Stats, error) {
 	p.gate.Acquire()
 	defer p.gate.Release()
 	if p.strategy == StrategySSMD || p.strategy == "" {
 		if p.cache != nil {
 			// Cached trees carry their own long-lived workspaces; no per-row
 			// checkout is needed.
-			return p.cache.AppendPaths(acc, source, dests, t)
+			return p.cache.AppendPaths(p.acc, source, dests, t)
 		}
-		w := p.wsPool.Get(acc.NumNodes())
+		w := p.wsPool.Get(p.acc.NumNodes())
 		defer w.Release()
-		return w.AppendSSMD(acc, source, dests, t)
+		return w.AppendSSMD(p.acc, source, dests, t)
 	}
 	if p.strategy != StrategyPairwise {
 		return Stats{}, fmt.Errorf("search: unknown strategy %q", p.strategy)
 	}
 	// The pairwise baseline: one independent Dijkstra per destination on one
 	// workspace, each materialising its own path.
-	w := p.wsPool.Get(acc.NumNodes())
+	w := p.wsPool.Get(p.acc.NumNodes())
 	defer w.Release()
 	var stats Stats
 	for _, d := range dests {
-		path, st, err := w.Dijkstra(acc, source, d)
+		path, st, err := w.Dijkstra(p.acc, source, d)
 		if err != nil {
 			return stats, err
 		}
@@ -145,17 +138,16 @@ func (p *Processor) appendRow(acc storage.Accessor, source roadnet.NodeID, dests
 
 // Evaluate processes the obfuscated path query Q(sources, dests) into its
 // flat form: the distance table and every candidate result path, appended by
-// the per-source searches into one node arena. The whole evaluation runs
-// against one pinned snapshot of the accessor's data (see pin), so concurrent
-// weight updates never produce a mixed-generation table.
+// the per-source searches into one node arena. Every storage.Accessor is an
+// immutable view (a live server builds a processor per weight snapshot), so
+// concurrent weight updates never produce a mixed-generation table.
 func (p *Processor) Evaluate(sources, dests []roadnet.NodeID) (Table, error) {
-	acc := p.pin()
-	if err := p.validateQuery(acc, sources, dests); err != nil {
+	if err := p.validateQuery(sources, dests); err != nil {
 		return Table{}, err
 	}
 	res := NewTable(sources, dests)
 	for _, s := range sources {
-		stats, err := p.appendRow(acc, s, dests, &res)
+		stats, err := p.appendRow(s, dests, &res)
 		if err != nil {
 			return Table{}, err
 		}

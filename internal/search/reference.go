@@ -38,13 +38,27 @@ func ReferenceDijkstra(acc storage.Accessor, source, dest roadnet.NodeID) (Path,
 	dist[source] = 0
 	pq.Push(int32(source), 0)
 	stats.QueueOps++
+	// relax is built once per call, not per expansion, so the reference
+	// allocates no closure per settled node.
+	var u roadnet.NodeID
+	relax := func(a roadnet.Arc) bool {
+		stats.RelaxedArcs++
+		nd := dist[u] + a.Cost
+		if nd < dist[a.To] {
+			dist[a.To] = nd
+			parent[a.To] = u
+			pq.Push(int32(a.To), nd)
+			stats.QueueOps++
+		}
+		return true
+	}
 
 	for !pq.Empty() {
 		if pq.Len() > stats.MaxFrontier {
 			stats.MaxFrontier = pq.Len()
 		}
 		item := pq.Pop()
-		u := roadnet.NodeID(item.Value)
+		u = roadnet.NodeID(item.Value)
 		if item.Priority > dist[u] {
 			continue // stale entry
 		}
@@ -52,16 +66,7 @@ func ReferenceDijkstra(acc storage.Accessor, source, dest roadnet.NodeID) (Path,
 		if u == dest {
 			return reconstruct(parent, dist, source, dest), stats, nil
 		}
-		for _, a := range acc.Arcs(u) {
-			stats.RelaxedArcs++
-			nd := dist[u] + a.Cost
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = u
-				pq.Push(int32(a.To), nd)
-				stats.QueueOps++
-			}
-		}
+		acc.ForEachArc(u, relax)
 	}
 	return Path{}, stats, nil
 }
@@ -88,13 +93,27 @@ func ReferenceSSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.
 	pq.Push(int32(source), 0)
 	stats.QueueOps++
 	delete(pending, source)
+	// relax is built once per call, not per expansion, so the reference
+	// allocates no closure per settled node.
+	var u roadnet.NodeID
+	relax := func(a roadnet.Arc) bool {
+		stats.RelaxedArcs++
+		nd := dist[u] + a.Cost
+		if nd < dist[a.To] {
+			dist[a.To] = nd
+			parent[a.To] = u
+			pq.Push(int32(a.To), nd)
+			stats.QueueOps++
+		}
+		return true
+	}
 
 	for !pq.Empty() && len(pending) > 0 {
 		if pq.Len() > stats.MaxFrontier {
 			stats.MaxFrontier = pq.Len()
 		}
 		item := pq.Pop()
-		u := roadnet.NodeID(item.Value)
+		u = roadnet.NodeID(item.Value)
 		if item.Priority > dist[u] {
 			continue
 		}
@@ -105,16 +124,7 @@ func ReferenceSSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.
 				break
 			}
 		}
-		for _, a := range acc.Arcs(u) {
-			stats.RelaxedArcs++
-			nd := dist[u] + a.Cost
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = u
-				pq.Push(int32(a.To), nd)
-				stats.QueueOps++
-			}
-		}
+		acc.ForEachArc(u, relax)
 	}
 
 	res := SSMDResult{

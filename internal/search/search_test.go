@@ -202,40 +202,3 @@ func TestStatsAdd(t *testing.T) {
 		t.Errorf("Add = %+v", sum)
 	}
 }
-
-// TestFilteredSearchAvoidsNodes exercises the constrained-search accessor
-// end to end: the avoided node never appears on the returned path and the
-// detour is at least as costly as the unconstrained optimum.
-func TestFilteredSearchAvoidsNodes(t *testing.T) {
-	g := mediumGraph(t)
-	plain := storage.NewMemoryGraph(g)
-	// Find an unconstrained path with at least one interior node, then ban
-	// one of its interior nodes and re-search.
-	p, _, err := Dijkstra(plain, 3, roadnet.NodeID(g.NumNodes()-5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() < 3 {
-		t.Skip("path too short to have an interior node to avoid")
-	}
-	banned := p.Nodes[p.Len()/2]
-	filtered := storage.NewFilteredGraph(plain, storage.AvoidNodes(banned))
-	q, _, err := Dijkstra(filtered, 3, roadnet.NodeID(g.NumNodes()-5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Empty() {
-		t.Skip("avoiding the node disconnects the pair on this instance")
-	}
-	for _, n := range q.Nodes {
-		if n == banned {
-			t.Fatalf("avoided node %d appears on the constrained path", banned)
-		}
-	}
-	if q.Cost < p.Cost-1e-9 {
-		t.Errorf("constrained path cost %v is cheaper than the unconstrained optimum %v", q.Cost, p.Cost)
-	}
-	if err := q.Validate(g); err != nil {
-		t.Errorf("constrained path invalid: %v", err)
-	}
-}

@@ -42,9 +42,9 @@ func (s TreeCacheStats) HitRatio() float64 {
 // incremental frontier expansion and (at best) pure path reconstruction.
 //
 // Entries computed under an older accessor generation (see storage.Versioned)
-// are dropped the moment the same source is requested again, so a
-// BumpGeneration on the accessor invalidates the cache without any
-// coordination.
+// are dropped the moment the same source is requested again, so querying a
+// newer weight snapshot (storage.MutableGraph.Snapshot after UpdateWeights)
+// invalidates the cache without any coordination.
 //
 // TreeCache is safe for concurrent use. The cache lock is held only for
 // lookup bookkeeping — building a new tree (an O(1) epoch-stamped workspace

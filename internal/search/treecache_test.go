@@ -122,12 +122,25 @@ func TestTreeCacheRepeatIsFree(t *testing.T) {
 	}
 }
 
-// TestTreeCacheInvalidation asserts that bumping the accessor's data
-// generation makes the cache drop stale trees and rebuild from the current
-// data, still matching cold evaluation.
+// reweighed applies one weight update to mg — the arcs from `from` to its
+// first neighbour cost twice as much — and returns the snapshot of the
+// generation it makes.
+func reweighed(t *testing.T, mg *storage.MutableGraph, from roadnet.NodeID) *storage.GraphSnapshot {
+	t.Helper()
+	a := mg.Snapshot().Graph().Arcs(from)[0]
+	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{{From: from, To: a.To, NewCost: 2 * a.Cost}}); err != nil {
+		t.Fatal(err)
+	}
+	return mg.Snapshot()
+}
+
+// TestTreeCacheInvalidation asserts that a weight update's new generation
+// makes the cache drop stale trees and rebuild from the current data, still
+// matching cold evaluation.
 func TestTreeCacheInvalidation(t *testing.T) {
 	g := mediumGraph(t)
-	acc := storage.NewMemoryGraph(g)
+	mg := storage.NewMutableGraph(g)
+	acc := mg.Snapshot()
 	cache := NewTreeCacheWithPool(4, nil)
 	dests := []roadnet.NodeID{300, 420}
 
@@ -138,9 +151,9 @@ func TestTreeCacheInvalidation(t *testing.T) {
 	if got := storage.GenerationOf(acc); got != 0 {
 		t.Fatalf("fresh accessor generation = %d, want 0", got)
 	}
-	acc.BumpGeneration()
+	acc = reweighed(t, mg, 9)
 	if got := storage.GenerationOf(acc); got != 1 {
-		t.Fatalf("bumped accessor generation = %d, want 1", got)
+		t.Fatalf("updated accessor generation = %d, want 1", got)
 	}
 
 	row := NewTable(nil, dests)

@@ -101,14 +101,11 @@ func TestWorkspaceReuseMatchesReference(t *testing.T) {
 func isInf(v float64) bool { return v > 1e300 }
 
 // TestWorkspacePoolConcurrentReuse hammers one shared pool (and one shared
-// FilteredGraph accessor, whose ForEachArc path must be concurrency-safe)
-// from many goroutines under the race detector, checking every result
-// against the fresh-slice reference.
+// accessor) from many goroutines under the race detector, checking every
+// result against the fresh-slice reference.
 func TestWorkspacePoolConcurrentReuse(t *testing.T) {
 	g := testGraph(t, 500, 21)
 	mem := storage.NewMemoryGraph(g)
-	// A pass-all filter still exercises the streaming filter path.
-	filtered := storage.NewFilteredGraph(mem, func(roadnet.NodeID, roadnet.Arc) bool { return true })
 	pool := NewWorkspacePool()
 
 	const workers = 8
@@ -123,12 +120,8 @@ func TestWorkspacePoolConcurrentReuse(t *testing.T) {
 			for iter := 0; iter < 60; iter++ {
 				s := roadnet.NodeID(r.Intn(g.NumNodes()))
 				d := roadnet.NodeID(r.Intn(g.NumNodes()))
-				var acc storage.Accessor = mem
-				if iter%2 == 1 {
-					acc = filtered
-				}
-				w := pool.Get(acc.NumNodes())
-				got, gotStats, err := w.Dijkstra(acc, s, d)
+				w := pool.Get(mem.NumNodes())
+				got, gotStats, err := w.Dijkstra(mem, s, d)
 				w.Release()
 				if err != nil {
 					errs <- err
@@ -154,11 +147,13 @@ func TestWorkspacePoolConcurrentReuse(t *testing.T) {
 }
 
 // TestWorkspaceSurvivesGenerationBump checks the pool across accessor
-// generation changes: after BumpGeneration the tree cache rebuilds its trees
-// on recycled workspaces, and results still match cold reference SSMD runs.
+// generation changes: on each weight update's snapshot the tree cache
+// rebuilds its trees on recycled workspaces, and results still match cold
+// reference SSMD runs.
 func TestWorkspaceSurvivesGenerationBump(t *testing.T) {
 	g := testGraph(t, 400, 31)
-	acc := storage.NewMemoryGraph(g)
+	mg := storage.NewMutableGraph(g)
+	acc := mg.Snapshot()
 	cache := NewTreeCacheWithPool(4, nil)
 	r := rand.New(rand.NewSource(7))
 
@@ -181,7 +176,7 @@ func TestWorkspaceSurvivesGenerationBump(t *testing.T) {
 			}
 			requireRowMatches(t, fmt.Sprintf("round %d: cached SSMD(%d,%v)", round, s, dests), &row, want)
 		}
-		acc.BumpGeneration() // invalidate: next round must rebuild trees
+		acc = reweighed(t, mg, roadnet.NodeID(round%4)) // invalidate: next round must rebuild trees
 	}
 	if inv := cache.Stats().Invalidations; inv == 0 {
 		t.Fatal("expected generation bumps to invalidate cached trees")

@@ -130,15 +130,15 @@ func (cfg Config) validate() error {
 }
 
 // evalState is one epoch: everything one query is evaluated with and the
-// metric identity its reply carries. acc is the data it reads — one pinned
-// weight snapshot — with the flat SSMD processor over it and, when the server
-// serves through an overlay, the overlay customized for exactly that data and
-// the many-to-many engine bound to it. The live epoch sits behind one atomic
-// pointer that RecustomizeNow replaces wholesale, so a query sees one whole
-// epoch, never a half-installed mix, and its answer is exact on the snapshot
-// ident names.
+// metric identity its reply carries. acc is the data it reads — one weight
+// snapshot, immutable by type — with the flat SSMD processor over it and,
+// when the server serves through an overlay, the overlay customized for
+// exactly that data and the many-to-many engine bound to it. The live epoch
+// sits behind one atomic pointer that RecustomizeNow replaces wholesale, so a
+// query sees one whole epoch, never a half-installed mix, and its answer is
+// exact on the snapshot ident names.
 type evalState struct {
-	acc     storage.Accessor
+	acc     *storage.GraphSnapshot
 	ident   replyIdentity
 	flat    *search.Processor
 	overlay *ch.Overlay // nil: the server runs without an overlay
@@ -148,7 +148,7 @@ type evalState struct {
 // Server is the directions search server.
 type Server struct {
 	// weights is the live-update view of the road map: queries read the
-	// immutable snapshot their epoch pinned, UpdateWeights swaps the current
+	// immutable snapshot their epoch holds, UpdateWeights swaps the current
 	// one atomically.
 	weights *storage.MutableGraph
 	// live is the epoch live-metric queries evaluate with; never nil.
@@ -249,8 +249,8 @@ func New(g *roadnet.Graph, cfg Config) (*Server, error) {
 // flat SSMD processor over the server's tree cache and, for a non-nil overlay
 // customized for acc's weights, the many-to-many engine bound to that
 // generation. Called at startup and by every publication.
-func (s *Server) newEvalState(acc storage.Accessor, overlay *ch.Overlay) *evalState {
-	gen := storage.GenerationOf(acc)
+func (s *Server) newEvalState(acc *storage.GraphSnapshot, overlay *ch.Overlay) *evalState {
+	gen := acc.Generation()
 	st := &evalState{
 		acc:     acc,
 		ident:   replyIdentity{generation: gen, contentSum: acc.Graph().ContentChecksum()},

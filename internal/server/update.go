@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"opaque/internal/roadnet"
-	"opaque/internal/storage"
 )
 
 // This file is the server's live weight update path. An update (traffic
@@ -69,7 +68,7 @@ func (s *Server) RecustomizeNow() error {
 	for {
 		snap := s.weights.Snapshot()
 		st := s.live.Load()
-		if st.ident.generation == storage.GenerationOf(snap) {
+		if st.ident.generation == snap.Generation() {
 			return nil
 		}
 		overlay := st.overlay

@@ -503,40 +503,40 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 	mtm := ch.NewMTM(o, nil)
 
 	S, T := []roadnet.NodeID{1}, []roadnet.NodeID{2}
-	if _, err := mtm.EvaluateTable(mg, S, T); err != nil {
+	if _, err := mtm.EvaluateTable(mg.Snapshot(), S, T); err != nil {
 		t.Fatalf("fresh engine refused a point query: %v", err)
 	}
-	if _, err := mtm.EvaluateDistances(mg, S, T); err != nil {
+	if _, err := mtm.EvaluateDistances(mg.Snapshot(), S, T); err != nil {
 		t.Fatalf("fresh engine refused: %v", err)
 	}
 
 	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{doubleOneArc(t, g)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mtm.EvaluateTable(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+	if _, err := mtm.EvaluateTable(mg.Snapshot(), S, T); !errors.Is(err, search.ErrStaleEngine) {
 		t.Fatalf("stale engine, point query: err = %v, want ErrStaleEngine", err)
 	}
-	if _, err := mtm.EvaluateDistances(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+	if _, err := mtm.EvaluateDistances(mg.Snapshot(), S, T); !errors.Is(err, search.ErrStaleEngine) {
 		t.Fatalf("stale engine: err = %v, want ErrStaleEngine", err)
 	}
 
 	// Re-customize and re-bind: serving resumes on the new generation.
 	rebind := func() *ch.MTM {
 		t.Helper()
-		fresh, err := o.Recustomize(mg.Graph())
+		fresh, err := o.Recustomize(mg.Snapshot().Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := ch.NewMTM(fresh, nil)
-		m.BindGeneration(storage.GenerationOf(mg))
+		m.BindGeneration(mg.Generation())
 		return m
 	}
 	mtm = rebind()
-	res, err := mtm.EvaluateTable(mg, S, T)
+	res, err := mtm.EvaluateTable(mg.Snapshot(), S, T)
 	if err != nil {
 		t.Fatalf("re-bound engine refused: %v", err)
 	}
-	if want := referenceDistance(t, mg.Graph(), S[0], T[0]); res.Dist[0] != want {
+	if want := referenceDistance(t, mg.Snapshot().Graph(), S[0], T[0]); res.Dist[0] != want {
 		t.Fatalf("re-bound engine distance %v, want %v", res.Dist[0], want)
 	}
 
@@ -547,17 +547,17 @@ func TestStaleEngineGenerationContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	mtm = rebind()
-	sum := mg.Graph().ContentChecksum()
+	sum := mg.Snapshot().Graph().ContentChecksum()
 	if _, err := mg.UpdateWeights([]roadnet.ArcWeightChange{noop}); err != nil {
 		t.Fatal(err)
 	}
-	if mg.Graph().ContentChecksum() != sum {
+	if mg.Snapshot().Graph().ContentChecksum() != sum {
 		t.Fatal("a verbatim repeat of an applied change moved the content checksum")
 	}
-	if _, err := mtm.EvaluateTable(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+	if _, err := mtm.EvaluateTable(mg.Snapshot(), S, T); !errors.Is(err, search.ErrStaleEngine) {
 		t.Fatalf("no-op update, path table: err = %v, want ErrStaleEngine", err)
 	}
-	if _, err := mtm.EvaluateDistances(mg, S, T); !errors.Is(err, search.ErrStaleEngine) {
+	if _, err := mtm.EvaluateDistances(mg.Snapshot(), S, T); !errors.Is(err, search.ErrStaleEngine) {
 		t.Fatalf("no-op update, distance table: err = %v, want ErrStaleEngine", err)
 	}
 }

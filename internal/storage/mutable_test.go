@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -19,46 +20,74 @@ func mutableFixture(t *testing.T) *roadnet.Graph {
 	return g
 }
 
+// TestMutableGraphIsNotAnAccessor pins that an Accessor never changes under
+// a query: *MutableGraph, the one type whose data moves, has no read
+// methods, so the type system forbids reading it except through an immutable
+// snapshot, which is a versioned Accessor.
+func TestMutableGraphIsNotAnAccessor(t *testing.T) {
+	accessor := reflect.TypeOf((*Accessor)(nil)).Elem()
+	versioned := reflect.TypeOf((*Versioned)(nil)).Elem()
+	if reflect.TypeOf(&MutableGraph{}).Implements(accessor) {
+		t.Error("*MutableGraph implements Accessor: a query could read moving data")
+	}
+	snap := reflect.TypeOf(&GraphSnapshot{})
+	if !snap.Implements(accessor) || !snap.Implements(versioned) {
+		t.Error("*GraphSnapshot must implement Accessor and Versioned")
+	}
+}
+
+// arcCost returns the cost of the arc from -> to in acc.
+func arcCost(acc Accessor, from, to roadnet.NodeID) float64 {
+	cost := -1.0
+	acc.ForEachArc(from, func(a roadnet.Arc) bool {
+		if a.To == to {
+			cost = a.Cost
+			return false
+		}
+		return true
+	})
+	return cost
+}
+
 func TestMutableGraphSnapshotPinning(t *testing.T) {
 	g := mutableFixture(t)
 	m := NewMutableGraph(g)
-	if GenerationOf(m) != 0 {
-		t.Fatalf("fresh mutable graph at generation %d", GenerationOf(m))
+	if m.Generation() != 0 {
+		t.Fatalf("fresh mutable graph at generation %d", m.Generation())
 	}
-	snap := SnapshotOf(m)
+	snap := m.Snapshot()
 	gen, err := m.UpdateWeights([]roadnet.ArcWeightChange{{From: 0, To: 1, NewCost: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 1 || GenerationOf(m) != 1 {
-		t.Fatalf("generation after update: returned %d, accessor %d, want 1", gen, GenerationOf(m))
+	if gen != 1 || m.Generation() != 1 {
+		t.Fatalf("generation after update: returned %d, mutable graph %d, want 1", gen, m.Generation())
 	}
 	// The pinned snapshot still serves the pre-update weights and keeps its
-	// generation; the mutable view serves the new ones.
-	if c := snap.Arcs(0)[0].Cost; c != 2 {
+	// generation; a new snapshot serves the new ones.
+	if c := arcCost(snap, 0, 1); c != 2 {
 		t.Fatalf("pinned snapshot sees updated cost %v", c)
 	}
 	if GenerationOf(snap) != 0 {
 		t.Fatalf("pinned snapshot generation moved to %d", GenerationOf(snap))
 	}
-	if c := m.Arcs(0)[0].Cost; c != 7 {
-		t.Fatalf("mutable view serves stale cost %v", c)
+	next := m.Snapshot()
+	if c := arcCost(next, 0, 1); c != 7 {
+		t.Fatalf("new snapshot serves stale cost %v", c)
 	}
-	// SnapshotOf on an immutable accessor is the accessor itself.
-	mem := NewMemoryGraph(g)
-	if SnapshotOf(mem) != Accessor(mem) {
-		t.Fatal("SnapshotOf wrapped an immutable accessor")
+	if GenerationOf(next) != 1 {
+		t.Fatalf("new snapshot at generation %d, want 1", GenerationOf(next))
 	}
 }
 
 func TestMutableGraphFailedUpdateKeepsState(t *testing.T) {
 	g := mutableFixture(t)
 	m := NewMutableGraph(g)
-	before := m.Graph()
+	before := m.Snapshot()
 	if _, err := m.UpdateWeights([]roadnet.ArcWeightChange{{From: 0, To: 2, NewCost: 1}}); err == nil {
 		t.Fatal("nonexistent arc accepted")
 	}
-	if m.Graph() != before || GenerationOf(m) != 0 {
+	if m.Snapshot() != before || m.Generation() != 0 {
 		t.Fatal("failed update moved the snapshot or generation")
 	}
 }
@@ -93,16 +122,7 @@ func TestMutableGraphConcurrentReadersAndWriters(t *testing.T) {
 				return
 			default:
 			}
-			snap := SnapshotOf(m)
-			var got float64
-			snap.ForEachArc(1, func(a roadnet.Arc) bool {
-				if a.To == 2 {
-					got = a.Cost
-					return false
-				}
-				return true
-			})
-			if got != 3 && got != 10 && got != 11 {
+			if got := arcCost(m.Snapshot(), 1, 2); got != 3 && got != 10 && got != 11 {
 				t.Errorf("observed impossible cost %v", got)
 				return
 			}
@@ -111,7 +131,7 @@ func TestMutableGraphConcurrentReadersAndWriters(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if gen := GenerationOf(m); gen != 400 {
+	if gen := m.Generation(); gen != 400 {
 		t.Fatalf("generation %d after 400 updates", gen)
 	}
 }

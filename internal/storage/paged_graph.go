@@ -3,22 +3,23 @@ package storage
 import "opaque/internal/roadnet"
 
 // Accessor is the graph view the search algorithms run against. It exposes
-// adjacency exactly like roadnet.Graph but lets the storage layer observe (and
+// adjacency like roadnet.Graph but lets the storage layer observe (and
 // charge for) every node expansion. search.* takes an Accessor so the same
 // algorithms run both purely in memory (MemoryGraph) and against the paged
 // simulation (PagedGraph).
+//
+// An Accessor never changes under its reader: every implementation is an
+// immutable view, so one query evaluated against it sees one graph and one
+// generation. Weights that change live in a MutableGraph, which is not an
+// Accessor and hands out GraphSnapshots.
 type Accessor interface {
 	// NumNodes returns the node count of the underlying graph.
 	NumNodes() int
-	// Arcs returns the outgoing arcs of id, charging any I/O cost the
-	// implementation models.
-	Arcs(id roadnet.NodeID) []roadnet.Arc
 	// ForEachArc streams the outgoing arcs of id to yield in adjacency
-	// order, stopping early when yield returns false, and charges the same
-	// I/O as Arcs. This is the arc iteration the search hot path uses: it
-	// walks the graph's CSR arc array in place, never materialises an
-	// adjacency slice, and — unlike Arcs on buffering implementations such
-	// as FilteredGraph — is safe for concurrent use.
+	// order, stopping early when yield returns false, and charges any I/O
+	// cost the implementation models once per call. It walks the graph's
+	// CSR arc array in place, never materialises an adjacency slice, and is
+	// safe for concurrent use.
 	ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool)
 	// Graph exposes the underlying road network for result validation and
 	// coordinate lookups that are not charged as I/O.
@@ -26,11 +27,7 @@ type Accessor interface {
 }
 
 // MemoryGraph is an Accessor with no I/O accounting: every access is free.
-// It carries a data generation (Versioned; BumpGeneration moves it) so caches
-// built over it can be invalidated when the wrapped graph is replaced or
-// re-weighted.
 type MemoryGraph struct {
-	generation
 	g *roadnet.Graph
 }
 
@@ -39,9 +36,6 @@ func NewMemoryGraph(g *roadnet.Graph) *MemoryGraph { return &MemoryGraph{g: g} }
 
 // NumNodes implements Accessor.
 func (m *MemoryGraph) NumNodes() int { return m.g.NumNodes() }
-
-// Arcs implements Accessor.
-func (m *MemoryGraph) Arcs(id roadnet.NodeID) []roadnet.Arc { return m.g.Arcs(id) }
 
 // ForEachArc implements Accessor by walking the graph's CSR arc array.
 func (m *MemoryGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool) {
@@ -53,10 +47,8 @@ func (m *MemoryGraph) Graph() *roadnet.Graph { return m.g }
 
 // PagedGraph is an Accessor that charges a buffer-pool access for the page of
 // every node whose adjacency list is read, modelling a disk-resident road
-// network laid out by a PageStore. Like MemoryGraph it carries a data
-// generation for cache invalidation.
+// network laid out by a PageStore.
 type PagedGraph struct {
-	generation
 	store *PageStore
 	pool  *BufferPool
 }
@@ -69,15 +61,9 @@ func NewPagedGraph(store *PageStore, pool *BufferPool) *PagedGraph {
 // NumNodes implements Accessor.
 func (p *PagedGraph) NumNodes() int { return p.store.graph.NumNodes() }
 
-// Arcs implements Accessor. Reading a node's adjacency list requires its page
-// to be resident, so the access is charged to the buffer pool.
-func (p *PagedGraph) Arcs(id roadnet.NodeID) []roadnet.Arc {
-	p.pool.Access(p.store.PageOf(id))
-	return p.store.graph.Arcs(id)
-}
-
-// ForEachArc implements Accessor. The node's page is charged once per
-// iteration, exactly like Arcs.
+// ForEachArc implements Accessor. Reading a node's adjacency list requires
+// its page to be resident, so the access is charged to the buffer pool once
+// per call.
 func (p *PagedGraph) ForEachArc(id roadnet.NodeID, yield func(roadnet.Arc) bool) {
 	p.pool.Access(p.store.PageOf(id))
 	p.store.graph.ForEachArc(id, yield)

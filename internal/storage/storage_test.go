@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -208,8 +209,9 @@ func TestPagedGraphAccounting(t *testing.T) {
 		t.Errorf("NumNodes = %d, want %d", pg.NumNodes(), g.NumNodes())
 	}
 	before := pool.Stats().Accesses
-	_ = pg.Arcs(0)
-	_ = pg.Arcs(1)
+	all := func(roadnet.Arc) bool { return true }
+	pg.ForEachArc(0, all)
+	pg.ForEachArc(1, all)
 	after := pool.Stats().Accesses
 	if after-before != 2 {
 		t.Errorf("2 adjacency reads charged %d accesses, want 2", after-before)
@@ -231,8 +233,13 @@ func TestMemoryGraphAccessor(t *testing.T) {
 	if m.NumNodes() != g.NumNodes() {
 		t.Errorf("NumNodes = %d, want %d", m.NumNodes(), g.NumNodes())
 	}
-	if len(m.Arcs(0)) != len(g.Arcs(0)) {
-		t.Error("MemoryGraph.Arcs disagrees with the graph")
+	var arcs []roadnet.Arc
+	m.ForEachArc(0, func(a roadnet.Arc) bool {
+		arcs = append(arcs, a)
+		return true
+	})
+	if !slices.Equal(arcs, g.Arcs(0)) {
+		t.Error("MemoryGraph.ForEachArc disagrees with the graph")
 	}
 	if m.Graph() != g {
 		t.Error("MemoryGraph.Graph should return the wrapped graph")

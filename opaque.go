@@ -189,15 +189,6 @@ func ShortestPath(g *Graph, source, dest NodeID) (Path, error) {
 	return p, err
 }
 
-// ShortestPathAvoiding computes the shortest path that never enters any of
-// the avoid nodes — the "additional specified conditions" kind of search the
-// paper's introduction mentions (e.g. routing around closures).
-func ShortestPathAvoiding(g *Graph, source, dest NodeID, avoid ...NodeID) (Path, error) {
-	acc := storage.NewFilteredGraph(storage.NewMemoryGraph(g), storage.AvoidNodes(avoid...))
-	p, _, err := search.Dijkstra(acc, source, dest)
-	return p, err
-}
-
 // Fake endpoint selection strategies for ObfuscationConfig.Selector. The ring
 // band keeps fakes within a distance band of the true endpoint (cheap,
 // Lemma 1-friendly); the uniform strategy spreads them over the whole map
