@@ -371,8 +371,7 @@ func BenchmarkWorkspaceReuse(b *testing.B) {
 	b.Run("pooled-distance", func(b *testing.B) {
 		// Hold one workspace for the whole loop, the way a server worker
 		// does: the relax loop must report 0 allocs/op.
-		w := search.AcquireWorkspace(acc.NumNodes())
-		defer w.Release()
+		w := search.NewWorkspace(acc.NumNodes())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -493,8 +492,7 @@ func BenchmarkCHQuery(b *testing.B) {
 	})
 
 	b.Run("dijkstra-distance", func(b *testing.B) {
-		w := search.AcquireWorkspace(acc.NumNodes())
-		defer w.Release()
+		w := search.NewWorkspace(acc.NumNodes())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

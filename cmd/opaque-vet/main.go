@@ -1,9 +1,8 @@
 // Command opaque-vet runs the project's static-analysis suite
-// (internal/analysis): four analyzers enforcing the codebase's hot-path and
-// concurrency invariants — workspace-pool hygiene, zero-allocation
-// annotations, exhaustive frame-type switches and errors.Is on typed
-// sentinels. See docs/LINTS.md for what each analyzer checks and how to
-// waive a finding.
+// (internal/analysis): three analyzers enforcing the codebase's hot-path and
+// concurrency invariants — zero-allocation annotations, exhaustive
+// frame-type switches and errors.Is on typed sentinels. See docs/LINTS.md
+// for what each analyzer checks and how to waive a finding.
 //
 // Usage:
 //
@@ -16,7 +15,7 @@
 //
 // During iteration, run a single analyzer over one package:
 //
-//	go run ./cmd/opaque-vet -only wspool ./internal/search/...
+//	go run ./cmd/opaque-vet -only noalloc ./internal/search/...
 package main
 
 import (

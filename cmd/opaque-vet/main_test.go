@@ -25,7 +25,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, badmodDir(t), &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"wspool", "noalloc", "framecase", "sentinelis"} {
+	for _, name := range []string{"noalloc", "framecase", "sentinelis"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
 		}
@@ -49,8 +49,8 @@ func TestFindingsExitOne(t *testing.T) {
 
 func TestOnlySubsetExitsZero(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-only", "noalloc,wspool"}, badmodDir(t), &stdout, &stderr); code != 0 {
-		t.Fatalf("-only noalloc,wspool exited %d over a module whose only violation is sentinelis; stdout: %s",
+	if code := run([]string{"-only", "noalloc,framecase"}, badmodDir(t), &stdout, &stderr); code != 0 {
+		t.Fatalf("-only noalloc,framecase exited %d over a module whose only violation is sentinelis; stdout: %s",
 			code, stdout.String())
 	}
 }

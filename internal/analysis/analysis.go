@@ -1,22 +1,21 @@
 // Package analysis is opaque-vet: a project-specific static-analysis suite
 // that machine-checks the invariants the hot-path and fault-tolerance work
-// left behind — workspace pool hygiene, zero-allocation kernels, exhaustive
-// frame-type switches and errors.Is on typed sentinels. Each analyzer is
-// documented in docs/LINTS.md; the suite runs in CI (`go run
-// ./cmd/opaque-vet ./...`) next to go vet and staticcheck, and must stay
-// clean on every PR.
+// left behind — zero-allocation kernels, exhaustive frame-type switches and
+// errors.Is on typed sentinels. Each analyzer is documented in
+// docs/LINTS.md; the suite runs in CI (`go run ./cmd/opaque-vet ./...`) next
+// to go vet and staticcheck, and must stay clean on every PR.
 //
 // The suite is deliberately stdlib-only (go/parser + go/types with the
 // source importer, see load.go): the module has no dependencies and the
 // linters must not be the first.
 //
-// A finding can be waived line by line with a justifying comment:
-//
-//	//opaque:allow(wspool) ownership moves to the cache entry below
-//
-// The waiver names the analyzer and covers the line it is written on and
+// A finding can be waived line by line with a justifying comment: the
+// marker opaque:allow, the analyzer's name in parentheses, then the reason
+// (docs/LINTS.md shows one). The waiver covers the line it is written on and
 // the line immediately below it, so it works both as a trailing comment on
-// the offending line and as a comment of its own directly above it.
+// the offending line and as a comment of its own directly above it. A
+// waiver that names no analyzer of the suite is itself a finding, so
+// deleting an analyzer cannot leave dead waivers behind.
 package analysis
 
 import (
@@ -31,8 +30,7 @@ import (
 
 // Analyzer is one named invariant check over a typechecked package.
 type Analyzer struct {
-	// Name tags findings ([name]) and is the argument of -only and of
-	// //opaque:allow(name) waivers.
+	// Name tags findings ([name]) and is what -only and waivers name.
 	Name string
 	// Doc is a one-line description shown by opaque-vet -list.
 	Doc string
@@ -79,7 +77,6 @@ func (f Finding) String() string {
 // All returns the suite: every analyzer, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		WSPool,
 		NoAlloc,
 		FrameCase,
 		Sentinelis,
@@ -114,16 +111,30 @@ func ByName(names string) ([]*Analyzer, error) {
 // analyzer name list.
 var allowRe = regexp.MustCompile(`opaque:allow\(([^)]*)\)`)
 
+// staleWaiver tags the findings Run reports for waivers that name no
+// analyzer of the suite.
+const staleWaiver = "allow"
+
 // waivers maps file name → line → analyzer names waived on that line.
 type waivers map[string]map[int]map[string]bool
 
-// collect registers every //opaque:allow comment of f.
-func (w waivers) collect(fset *token.FileSet, f *ast.File) {
+// collect registers every waiver comment of f and returns one finding per
+// name in them that known does not hold.
+func (w waivers) collect(fset *token.FileSet, f *ast.File, known map[string]bool) []Finding {
+	var stale []Finding
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			for _, m := range allowRe.FindAllStringSubmatch(c.Text, -1) {
 				pos := fset.Position(c.Pos())
 				end := fset.Position(c.End())
+				names := strings.Split(m[1], ",")
+				for i := range names {
+					names[i] = strings.TrimSpace(names[i])
+					if !known[names[i]] {
+						stale = append(stale, Finding{Analyzer: staleWaiver, Pos: pos,
+							Message: fmt.Sprintf("waiver names %q, which is no analyzer of the suite", names[i])})
+					}
+				}
 				byLine := w[pos.Filename]
 				if byLine == nil {
 					byLine = map[int]map[string]bool{}
@@ -132,18 +143,19 @@ func (w waivers) collect(fset *token.FileSet, f *ast.File) {
 				// The waiver covers its own line(s) and the line below the
 				// comment, so it works trailing and standalone-above alike.
 				for line := pos.Line; line <= end.Line+1; line++ {
-					names := byLine[line]
-					if names == nil {
-						names = map[string]bool{}
-						byLine[line] = names
+					waived := byLine[line]
+					if waived == nil {
+						waived = map[string]bool{}
+						byLine[line] = waived
 					}
-					for _, name := range strings.Split(m[1], ",") {
-						names[strings.TrimSpace(name)] = true
+					for _, name := range names {
+						waived[name] = true
 					}
 				}
 			}
 		}
 	}
+	return stale
 }
 
 // allowed reports whether a finding is waived.
@@ -152,15 +164,21 @@ func (w waivers) allowed(f Finding) bool {
 }
 
 // Run applies the analyzers to every package of the module and returns the
-// surviving (non-waived) findings, sorted by position.
+// surviving (non-waived) findings, sorted by position. Waivers are checked
+// against the whole suite, not against analyzers: one naming an analyzer
+// left out of this run is not stale.
 func Run(mod *Module, analyzers []*Analyzer) []Finding {
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	w := waivers{}
+	var findings []Finding
 	for _, pkg := range mod.Packages {
 		for _, f := range pkg.Files {
-			w.collect(mod.Fset, f)
+			findings = append(findings, w.collect(mod.Fset, f, known)...)
 		}
 	}
-	var findings []Finding
 	for _, pkg := range mod.Packages {
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -212,8 +230,8 @@ func namedType(t types.Type) *types.Named {
 }
 
 // isNamed reports whether t (through pointers) is the named type
-// modulePath-relative pkgSuffix.name — e.g. ("internal/search",
-// "WorkspacePool"). Matching is done against the module path of the pass so
+// modulePath-relative pkgSuffix.name — e.g. ("internal/protocol",
+// "FrameType"). Matching is done against the module path of the pass so
 // the testdata trees, loaded under the same pseudo-module path, match too.
 func (p *Pass) isNamed(t types.Type, pkgSuffix, name string) bool {
 	n := namedType(t)

@@ -1,28 +1,8 @@
-// Package search is a miniature stand-in for the real internal/search: the
-// pooled Workspace and its checkout/return surface, which the wspool
-// analyzer matches by package path and type name, plus one module sentinel
-// for the sentinelis tests.
+// Package search is a miniature stand-in for the real internal/search: one
+// module sentinel for the sentinelis tests.
 package search
 
 import "errors"
 
 // ErrStaleEngine mirrors the real module sentinel of the same name.
 var ErrStaleEngine = errors.New("engine snapshot is stale")
-
-// Workspace is a pooled scratch buffer.
-type Workspace struct{ n int }
-
-// Release returns the workspace to its pool.
-func (w *Workspace) Release() {}
-
-// Resize is a borrowing method: calling it does not move ownership.
-func (w *Workspace) Resize(n int) { w.n = n }
-
-// WorkspacePool checks workspaces out and back in.
-type WorkspacePool struct{}
-
-func (p *WorkspacePool) Get(n int) *Workspace { return &Workspace{n: n} }
-func (p *WorkspacePool) Put(w *Workspace)     {}
-
-// AcquireWorkspace checks a workspace out of the package-level pool.
-func AcquireWorkspace(n int) *Workspace { return &Workspace{n: n} }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -108,7 +109,7 @@ func TestAnalyzersAgainstWants(t *testing.T) {
 
 // TestWaiversAreExercised guards the waiver fixtures themselves: each
 // analyzer's testdata contains at least one //opaque:allow waiver, so the
-// suppression path above is actually covered for all four.
+// suppression path above is actually covered for every analyzer.
 func TestWaiversAreExercised(t *testing.T) {
 	mod := loadTestdata(t)
 	byAnalyzer := map[string]int{}
@@ -132,11 +133,11 @@ func TestWaiversAreExercised(t *testing.T) {
 
 // TestByName covers the -only name resolution.
 func TestByName(t *testing.T) {
-	got, err := ByName("wspool, noalloc")
+	got, err := ByName("sentinelis, noalloc")
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "wspool" || got[1].Name != "noalloc" {
+	if len(got) != 2 || got[0].Name != "sentinelis" || got[1].Name != "noalloc" {
 		t.Errorf("ByName returned %v", got)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -148,42 +149,59 @@ func TestByName(t *testing.T) {
 }
 
 // TestOnlySelectedAnalyzerRuns ensures Run respects the analyzer subset: a
-// wspool-only run over testdata must produce no sentinelis findings.
+// noalloc-only run over testdata must produce no sentinelis findings. Stale
+// waivers are checked against the whole suite, so the subset run reports
+// exactly the stale waivers the full run does — and none for the waivers
+// naming analyzers it left out.
 func TestOnlySelectedAnalyzerRuns(t *testing.T) {
 	mod := loadTestdata(t)
-	only, err := ByName("wspool")
+	only, err := ByName("noalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range Run(mod, only) {
-		if f.Analyzer != "wspool" {
-			t.Errorf("wspool-only run produced %s", f)
+	stale := func(findings []Finding) []string {
+		var out []string
+		for _, f := range findings {
+			if f.Analyzer == staleWaiver {
+				out = append(out, f.String())
+			}
 		}
+		return out
+	}
+	findings := Run(mod, only)
+	for _, f := range findings {
+		if f.Analyzer != "noalloc" && f.Analyzer != staleWaiver {
+			t.Errorf("noalloc-only run produced %s", f)
+		}
+	}
+	got, want := stale(findings), stale(Run(mod, All()))
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("noalloc-only run reported stale waivers %q, full run %q", got, want)
 	}
 }
 
 // TestFindingString pins the canonical file:line: [name] message rendering
 // the CI log and the waiver docs rely on.
 func TestFindingString(t *testing.T) {
-	f := Finding{Analyzer: "wspool", Message: "leak"}
+	f := Finding{Analyzer: "noalloc", Message: "append allocates"}
 	f.Pos.Filename = "a/b.go"
 	f.Pos.Line = 7
-	if got, wantStr := f.String(), "a/b.go:7: [wspool] leak"; got != wantStr {
+	if got, wantStr := f.String(), "a/b.go:7: [noalloc] append allocates"; got != wantStr {
 		t.Errorf("Finding.String() = %q, want %q", got, wantStr)
 	}
 }
 
 // TestTestdataPackagesLoaded guards the fixture layout: the loader must see
-// one package per analyzer plus the two fakes.
+// one package per analyzer, the stale-waiver fixture and the two fakes.
 func TestTestdataPackagesLoaded(t *testing.T) {
 	mod := loadTestdata(t)
 	for _, path := range []string{
 		"opaque/internal/search",
 		"opaque/internal/protocol",
-		"opaque/wspool",
 		"opaque/noalloc",
 		"opaque/framecase",
 		"opaque/sentinelis",
+		"opaque/stalewaiver",
 	} {
 		if mod.Lookup(path) == nil {
 			t.Errorf("testdata package %s not loaded", path)

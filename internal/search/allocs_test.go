@@ -19,8 +19,7 @@ func TestSearchKernelAllocs(t *testing.T) {
 	acc := storage.NewMemoryGraph(mediumGraph(t))
 	sources := []roadnet.NodeID{5, 105, 305}
 	dests := []roadnet.NodeID{77, 301, 512, 640}
-	w := AcquireWorkspace(acc.NumNodes())
-	defer w.Release()
+	w := NewWorkspace(acc.NumNodes())
 
 	distance := func() {
 		if _, _, err := w.DijkstraDistance(acc, sources[0], dests[3]); err != nil {

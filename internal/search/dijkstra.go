@@ -11,13 +11,13 @@ import (
 // Dijkstra's algorithm with early termination when dest is settled. It
 // returns an empty path when dest is unreachable.
 //
-// This is a thin wrapper that checks an epoch-stamped Workspace out of the
+// This is a thin wrapper that runs on an epoch-stamped Workspace of the
 // package's shared pool for the duration of the query; callers that run many
-// searches on one goroutine can hold a Workspace (or a WorkspacePool) and
-// call its methods directly to skip even the pool round trip.
+// searches on one goroutine can hold a Workspace from NewWorkspace and call
+// its methods directly to skip even the pool round trip.
 func Dijkstra(acc storage.Accessor, source, dest roadnet.NodeID) (Path, Stats, error) {
-	w := AcquireWorkspace(acc.NumNodes())
-	defer w.Release()
+	w := sharedWorkspaces.get(acc.NumNodes())
+	defer sharedWorkspaces.put(w)
 	return w.Dijkstra(acc, source, dest)
 }
 
@@ -26,8 +26,8 @@ func Dijkstra(acc storage.Accessor, source, dest roadnet.NodeID) (Path, Stats, e
 // is settled and never reconstructs the path it would otherwise throw away,
 // so it allocates nothing in steady state.
 func DijkstraDistance(acc storage.Accessor, source, dest roadnet.NodeID) (float64, error) {
-	w := AcquireWorkspace(acc.NumNodes())
-	defer w.Release()
+	w := sharedWorkspaces.get(acc.NumNodes())
+	defer sharedWorkspaces.put(w)
 	d, _, err := w.DijkstraDistance(acc, source, dest)
 	return d, err
 }

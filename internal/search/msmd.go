@@ -113,8 +113,8 @@ func (p *Processor) appendRow(source roadnet.NodeID, dests []roadnet.NodeID, t *
 			// checkout is needed.
 			return p.cache.AppendPaths(p.acc, source, dests, t)
 		}
-		w := p.wsPool.Get(p.acc.NumNodes())
-		defer w.Release()
+		w := p.wsPool.get(p.acc.NumNodes())
+		defer p.wsPool.put(w)
 		return w.AppendSSMD(p.acc, source, dests, t)
 	}
 	if p.strategy != StrategyPairwise {
@@ -122,8 +122,8 @@ func (p *Processor) appendRow(source roadnet.NodeID, dests []roadnet.NodeID, t *
 	}
 	// The pairwise baseline: one independent Dijkstra per destination on one
 	// workspace, each materialising its own path.
-	w := p.wsPool.Get(p.acc.NumNodes())
-	defer w.Release()
+	w := p.wsPool.get(p.acc.NumNodes())
+	defer p.wsPool.put(w)
 	var stats Stats
 	for _, d := range dests {
 		path, st, err := w.Dijkstra(p.acc, source, d)

@@ -17,9 +17,10 @@
 // parent pointers, settled flags and the priority queue live in arrays whose
 // entries are valid only for the current epoch, so preparing a workspace for
 // the next query is a counter bump instead of an O(n) Inf-fill, and per-query
-// cost is proportional to the nodes the search actually touches. Workspaces
-// are checked out of a sync.Pool-backed WorkspacePool per query (the
-// package-level functions do this transparently); the inner relax loop
+// cost is proportional to the nodes the search actually touches. The
+// package's searches draw their workspaces from a sync.Pool-backed
+// WorkspacePool per query and return them before they return; no caller
+// outside the package handles a checkout. The inner relax loop
 // streams arcs through storage.Accessor.ForEachArc over the road network's
 // CSR arc array and allocates nothing in steady state. The pre-workspace
 // fresh-slice implementations are preserved in reference.go as the

@@ -28,7 +28,7 @@ type SSMDResult struct {
 // SSMD evaluation itself (tentative labels, settled set, pending-destination
 // set, priority queue) runs entirely on reused storage.
 func SSMD(acc storage.Accessor, source roadnet.NodeID, dests []roadnet.NodeID) (SSMDResult, error) {
-	w := AcquireWorkspace(acc.NumNodes())
-	defer w.Release()
+	w := sharedWorkspaces.get(acc.NumNodes())
+	defer sharedWorkspaces.put(w)
 	return w.SSMD(acc, source, dests)
 }

@@ -19,8 +19,8 @@ import (
 // deliberately reuses endpoints across users) reuse the settled prefix
 // instead of re-running Dijkstra from scratch.
 //
-// The tree's state lives in an epoch-stamped Workspace checked out of a
-// WorkspacePool for the tree's whole lifetime: creating a tree is O(1) — an
+// The tree's state lives in an epoch-stamped Workspace the tree draws from
+// its WorkspacePool for its whole lifetime: creating a tree is O(1) — an
 // epoch bump on recycled arrays — instead of allocating and Inf-filling two
 // O(n) label arrays, and releasing the tree hands the arrays to the next
 // tree instead of the garbage collector. Release is refcounted so a cache
@@ -43,6 +43,7 @@ type Tree struct {
 	mu     sync.Mutex
 	acc    storage.Accessor
 	source roadnet.NodeID
+	pool   *WorkspacePool // ws came from pool and goes back on the last Release
 	ws     *Workspace
 	// refs counts live holders of the tree: its creator (or the cache that
 	// adopted it) plus every in-flight AppendPaths caller pinned via retain.
@@ -62,11 +63,12 @@ func newTree(pool *WorkspacePool, acc storage.Accessor, source roadnet.NodeID) (
 	if !validNode(acc, source) {
 		return nil, errInvalidSource(source)
 	}
-	w := pool.Get(acc.NumNodes())
+	w := pool.get(acc.NumNodes())
 	w.acc = acc
 	t := &Tree{
 		acc:        acc,
 		source:     source,
+		pool:       pool,
 		ws:         w,
 		unexpanded: roadnet.InvalidNode,
 	}
@@ -91,7 +93,7 @@ func (t *Tree) Release() {
 	t.ws = nil
 	t.mu.Unlock()
 	if w != nil {
-		w.Release()
+		t.pool.put(w)
 	}
 }
 

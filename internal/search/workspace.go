@@ -33,15 +33,15 @@ import (
 // TestSearchKernelAllocs pins 0 allocs for a distance query and for an SSMD
 // row appended into a reused table.
 //
-// A Workspace is not safe for concurrent use; check one out per goroutine
-// from a WorkspacePool. Every one-shot search method (Dijkstra,
+// A Workspace is not safe for concurrent use. The package's own searches
+// draw one per query (or per cached tree) from a WorkspacePool and always
+// return it; a caller that runs many searches on one goroutine holds its own
+// from NewWorkspace. Every one-shot search method (Dijkstra,
 // DijkstraDistance, SSMD, AppendSSMD) resets the workspace itself, so a
 // worker can reuse one workspace across any sequence of queries — and across
 // graph generations, since Reset sizes the arrays to the accessor it is
 // given.
 type Workspace struct {
-	pool *WorkspacePool // set while checked out of a pool; nil otherwise
-
 	epoch  uint32
 	dist   []float64
 	parent []roadnet.NodeID
@@ -386,13 +386,16 @@ func checkSSMDEndpoints(acc storage.Accessor, source roadnet.NodeID, dests []roa
 	return nil
 }
 
-// WorkspacePool hands out Workspaces for the duration of one query (or one
-// resumable spanning tree). It is backed by a sync.Pool, so idle workspaces
-// are reclaimed under memory pressure and each P keeps a hot workspace whose
-// arrays are already sized for the graph — the steady-state acquire/release
-// pair performs no allocation.
+// WorkspacePool lends Workspaces to this package's searches for the duration
+// of one query (or one resumable spanning tree). Checkout is unexported:
+// every get is paired with a put inside package search, and
+// TestWorkspaceCheckoutsBalanced holds each site to it. Other packages build
+// a pool, hand it to a Processor or TreeCache and read its Stats. It is
+// backed by a sync.Pool, so idle workspaces are reclaimed under memory
+// pressure and each P keeps a hot workspace whose arrays are already sized
+// for the graph — the steady-state get/put pair performs no allocation.
 //
-// One pool serves mixed graph sizes and graph generations: Get resets the
+// One pool serves mixed graph sizes and graph generations: get resets the
 // workspace against the requested node count, growing the arrays when a
 // larger graph (or a new, bigger generation) arrives, and the epoch bump
 // guarantees no label from an earlier graph can leak into the next search.
@@ -441,24 +444,19 @@ func NewWorkspacePool() *WorkspacePool {
 	return wp
 }
 
-// Get checks a workspace out of the pool, reset and sized for an n-node
-// graph.
-func (wp *WorkspacePool) Get(n int) *Workspace {
+// get checks a workspace out of the pool, reset and sized for an n-node
+// graph. Pair it with a put on the same pool.
+func (wp *WorkspacePool) get(n int) *Workspace {
 	wp.gets.Add(1)
 	w := wp.p.Get().(*Workspace)
-	w.pool = wp
 	w.Reset(n)
 	return w
 }
 
-// Put returns a workspace to the pool. The workspace must not be used after
-// Put; the next Get invalidates all of its state.
-func (wp *WorkspacePool) Put(w *Workspace) {
-	if w == nil {
-		return
-	}
+// put returns a workspace to the pool. The workspace must not be used after
+// put; the next get invalidates all of its state.
+func (wp *WorkspacePool) put(w *Workspace) {
 	wp.puts.Add(1)
-	w.pool = nil
 	w.acc = nil // do not pin graphs from inside the pool
 	wp.p.Put(w)
 }
@@ -473,17 +471,5 @@ func (wp *WorkspacePool) Stats() WorkspacePoolStats {
 }
 
 // sharedWorkspaces backs the package-level wrappers (Dijkstra, SSMD, …) and
-// any caller that does not manage its own pool.
+// every Processor or TreeCache built without a pool of its own.
 var sharedWorkspaces = NewWorkspacePool()
-
-// AcquireWorkspace checks a workspace sized for n nodes out of the package's
-// shared pool. Release it with Workspace.Release when the query is done.
-func AcquireWorkspace(n int) *Workspace { return sharedWorkspaces.Get(n) }
-
-// Release returns the workspace to the pool it was checked out of (a no-op
-// for workspaces constructed directly with NewWorkspace).
-func (w *Workspace) Release() {
-	if w.pool != nil {
-		w.pool.Put(w)
-	}
-}

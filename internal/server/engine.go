@@ -18,9 +18,9 @@ import (
 // the server-wide Config.MaxConcurrentSearches gate, so total search
 // concurrency stays bounded no matter how many batches arrive at once.
 //
-// Each in-flight per-source search checks an epoch-stamped workspace out of
-// the server's shared search.WorkspacePool for its duration (the processor
-// does this per evaluation row), so a batch of any size reuses at most
+// Each in-flight per-source search runs on an epoch-stamped workspace the
+// processor draws from the server's shared search.WorkspacePool for one
+// evaluation row, so a batch of any size reuses at most
 // (concurrent searches) workspaces and the steady-state engine allocates no
 // distance or parent arrays at all.
 

@@ -17,8 +17,8 @@
 // metric identity on its reply. The hot path is free of global mutexes — the
 // query log and statistics are striped across shards and metrics use atomic
 // counters — and free of per-query label allocation: every search runs on an
-// epoch-stamped workspace checked out of the server's search.WorkspacePool
-// (see the "query hot path" notes in internal/search).
+// epoch-stamped workspace that package search draws from the server's
+// search.WorkspacePool (see the "query hot path" notes in internal/search).
 package server
 
 import (
