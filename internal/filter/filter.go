@@ -34,14 +34,19 @@ const inlineCells = 8
 // long as slots). Each request's cell is found by position — cell (index of
 // s in S, index of t in T) of the source-major |S|×|T| table — and all of
 // them are read in one ServerReply.ReadCells pass, which validates a held
-// reply's whole body and decodes none of the padding cells. Every path is
-// an exactly-sized slice the caller owns, and for up to inlineCells requests
-// it is the only allocation.
+// reply's whole body and decodes none of the padding cells. A held reply to
+// a query that named g's topology carries its paths as out-arc ordinals on
+// g, which the pass resolves on g: such a path is a walk on g by
+// construction, and a reply bound to another map fails. Every path is an
+// exactly-sized slice the caller owns, and for up to inlineCells requests it
+// is the only allocation.
 //
 // Each cell is checked for structure only: its endpoints, and that a found
-// path walks the map g from s to t. Its cost is not compared with g's,
-// because the server answers with live weights the obfuscator does not have.
-// A failed check fails the whole query with ErrBadReply.
+// path walks the map g from s to t — the check that holds for in-process
+// replies and node-id paths, and costs one arc lookup a step. Its cost is not
+// compared with g's, because the server answers with live weights the
+// obfuscator does not have. A failed check fails the whole query with
+// ErrBadReply.
 func Extract(g *roadnet.Graph, q obfuscate.ObfuscatedQuery, reply protocol.ServerReply, batch []obfuscate.Request, slots []int, paths []search.Path) error {
 	if n := reply.Cells(); n != len(q.Sources)*len(q.Dests) {
 		return fmt.Errorf("%w: %d cells for a %d×%d query", ErrBadReply, n, len(q.Sources), len(q.Dests))
@@ -61,7 +66,7 @@ func Extract(g *roadnet.Graph, q obfuscate.ObfuscatedQuery, reply protocol.Serve
 		}
 		at = append(at, [2]int{si, ti})
 	}
-	if err := reply.ReadCells(cells, at); err != nil {
+	if err := reply.ReadCells(g, cells, at); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadReply, err)
 	}
 	for k, i := range slots {

@@ -70,7 +70,7 @@ func readTable(q protocol.ServerQuery, rep protocol.ServerReply) ([]protocol.Can
 		}
 	}
 	cells := make([]protocol.CandidatePath, len(at))
-	return cells, rep.ReadCells(cells, at)
+	return cells, rep.ReadCells(nil, cells, at)
 }
 
 // assertSameReply compares a fleet reply to q against the single-server

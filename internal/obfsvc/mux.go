@@ -67,7 +67,7 @@ func (e *MuxExecutor) ExecuteBatch(qs []protocol.ServerQuery) ([]protocol.Server
 	}
 	for i, msg := range msgs {
 		if msg != "" {
-			errs[i] = fmt.Errorf("obfsvc: server error: %s", msg)
+			errs[i] = fmt.Errorf("obfsvc: server error: %w", &protocol.RemoteError{Msg: msg})
 			continue
 		}
 		replies[i] = held[i].Reply()

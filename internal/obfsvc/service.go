@@ -94,6 +94,7 @@ type Stats struct {
 // Service is the obfuscator middlebox.
 type Service struct {
 	graph    *roadnet.Graph
+	topology uint64 // graph's topology checksum, named by every query sent
 	obf      *obfuscate.Obfuscator
 	executor QueryExecutor
 	cfg      Config
@@ -140,7 +141,7 @@ func New(g *roadnet.Graph, executor QueryExecutor, cfg Config) (*Service, error)
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	return &Service{graph: g, obf: obf, executor: executor, cfg: cfg, metrics: metrics.NewRegistry()}, nil
+	return &Service{graph: g, topology: g.TopologyChecksum(), obf: obf, executor: executor, cfg: cfg, metrics: metrics.NewRegistry()}, nil
 }
 
 // MustNew is New but panics on error.
@@ -201,12 +202,15 @@ func (s *Service) ProcessBatch(batch []obfuscate.Request) ([]ClientResult, error
 	// the chance to share SSMD trees across queries in the server's batch
 	// engine, whose workers run each per-source search on a pooled
 	// epoch-stamped workspace; plain executors are driven query by query.
+	// Every query names the service's map, so the paths come back as
+	// out-arc ordinals on it, and a server holding another map refuses.
 	queries := make([]protocol.ServerQuery, len(plan.Queries))
 	for qi, q := range plan.Queries {
 		queries[qi] = protocol.ServerQuery{
-			QueryID: s.queryID.Add(1),
-			Sources: q.Sources,
-			Dests:   q.Dests,
+			QueryID:  s.queryID.Add(1),
+			Sources:  q.Sources,
+			Dests:    q.Dests,
+			Topology: s.topology,
 		}
 	}
 	var replies []protocol.ServerReply

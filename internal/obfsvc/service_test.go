@@ -394,11 +394,14 @@ func TestExtractedPathOwnsItsMemory(t *testing.T) {
 		if err != nil {
 			return reply, err
 		}
-		msg, _, err := protocol.DecodeMessage(payload)
+		held, _, err := protocol.ReadHeldReply(payload)
 		if err != nil {
 			return reply, err
 		}
-		decoded := msg.(protocol.ServerReply)
+		decoded, err := held.Decode(g)
+		if err != nil {
+			return reply, err
+		}
 		for _, c := range decoded.Paths {
 			if len(c.Nodes) > 0 {
 				// Capacity is clipped per path; recover the window to scribble on.
@@ -478,10 +481,13 @@ func (h executorHandler) HandleMuxBatch(b protocol.BatchQuery, _ protocol.ReqInf
 func TestWrongReplyFailsItsMembers(t *testing.T) {
 	g := testGraph(t)
 	srv := server.MustNew(g, server.DefaultConfig())
-	// bendCells evaluates q and rewrites every found cell's path.
+	// bendCells evaluates q and rewrites every found cell's path. A path off
+	// the map has no out-arc ordinals, so the bent reply travels as node ids,
+	// the form a faulty server could still send.
 	bendCells := func(bend func(nodes []roadnet.NodeID) []roadnet.NodeID) ExecutorFunc {
 		return func(q protocol.ServerQuery) (protocol.ServerReply, error) {
 			reply, err := srv.Evaluate(q)
+			reply.Map = nil
 			for c := range reply.Paths {
 				if reply.Paths[c].Found {
 					reply.Paths[c].Nodes = bend(reply.Paths[c].Nodes)

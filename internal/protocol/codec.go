@@ -19,6 +19,15 @@ package protocol
 //     path is where it attaches to an earlier path of its source plus the
 //     suffix beyond. A full decode takes exactly two allocations, a
 //     []CandidatePath slab and a []NodeID arena every Nodes sub-slices.
+//   - A suffix is written in one of two forms, and the query picks it. For
+//     a query that names no map, as node-id deltas. For one that names the
+//     asker's map (ServerQuery.Topology), as out-arc ordinals on that map: the
+//     attach points and suffix lengths come first, then every suffix edge as
+//     a fixed-width index into the out-arcs of the node it leaves, in one
+//     bit stream — about 3 bits an edge on a road map, where a delta costs 8.
+//     Such a body names its map's topology checksum, and is read only
+//     against a map of that checksum; resolving an ordinal is the walk
+//     check, so a path read out of one is a walk on the reader's map.
 //   - A reply's header — QueryID, Degraded, SettledNodes, PageFaults,
 //     Generation, ContentSum — and its shape precede its table, so a relay
 //     reads the header alone and holds the body as bytes (HeldReply): the
@@ -26,7 +35,9 @@ package protocol
 //     path. The obfuscator holds them too and reads only its members' cells
 //     (ServerReply.ReadCells): one pass that validates the whole body, as the
 //     full decode does, through the same tree walker, and materialises only
-//     the paths asked for, each exactly sized. Held bodies alias their
+//     the paths asked for, each exactly sized. In the ordinal form it skips
+//     the unread suffixes by offset and resolves only the ordinals along the
+//     attach chains of the paths it materialises. Held bodies alias their
 //     payload; every decoded message and every cell read owns its memory.
 //   - Decoding validates every count against the bytes that remain before
 //     allocating, and bounds the one place the format expands (a shared
@@ -39,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -49,7 +61,7 @@ import (
 // in every payload header and is checked at the handshake: peers speaking
 // different versions refuse each other with ErrHandshake instead of
 // misreading each other's bytes.
-const CodecVersion = 3
+const CodecVersion = 4
 
 // payloadHeaderLen is the fixed header every payload starts with.
 const payloadHeaderLen = 10
@@ -60,6 +72,17 @@ const payloadHeaderLen = 10
 // per byte; an encoder whose reply would exceed the bound (hundreds of
 // destinations down one corridor) writes it unshared, which always fits.
 const maxPathExpansion = 64
+
+// The byte after a reply's QueryID says how its paths are written.
+const (
+	pathsAsIDs  = 0 // node-id deltas
+	pathsNone   = 1 // none: a Degraded, distance-only reply
+	pathsAsArcs = 2 // out-arc ordinals on the map whose topology checksum follows
+)
+
+// maxArcWidth bounds the bits of one out-arc ordinal; a wider one could not
+// index an arc of any map.
+const maxArcWidth = 32
 
 // Typed payload decoding errors.
 var (
@@ -77,6 +100,12 @@ var (
 	ErrReplyShape = errors.New("protocol: reply paths are not a source-major |S|×|T| table")
 	// ErrNoCell reports a cell read outside the reply's |S|×|T| table.
 	ErrNoCell = errors.New("protocol: no such cell in the reply's candidate table")
+	// ErrTopologyMismatch reports two sides that do not hold the same road
+	// map: a server refuses a query naming another map's topology (the
+	// refusal reaches the asker as a RemoteError that matches it), and a
+	// reply whose paths are out-arc ordinals is read only against a map of
+	// the topology it names.
+	ErrTopologyMismatch = errors.New("protocol: road map topology mismatch")
 )
 
 // wireMessage is what every message type implements to be encoded: its type
@@ -144,7 +173,9 @@ func PeekHeader(payload []byte) (MessageType, int64, error) {
 
 // DecodeMessage decodes one payload into the message value it carries
 // (ClientRequest, ServerReply, … by value) and its header deadline. The
-// result shares no memory with payload.
+// result shares no memory with payload. It holds no map, so a reply whose
+// paths are out-arc ordinals fails with ErrTopologyMismatch: hold it
+// (ReadHeldReply) and read it against its map.
 func DecodeMessage(payload []byte) (any, int64, error) {
 	t, deadline, err := PeekHeader(payload)
 	if err != nil {
@@ -161,13 +192,13 @@ func DecodeMessage(payload []byte) (any, int64, error) {
 		msg = r.serverQuery()
 	case TypeServerReply:
 		var rep ServerReply
-		r.serverReply(&rep)
+		r.serverReply(&rep, nil)
 		msg = rep
 	case TypeBatchQuery:
 		msg = r.batchQuery()
 	case TypeBatchItem:
 		item := r.batchItemHead()
-		r.serverReply(&item.Reply)
+		r.serverReply(&item.Reply, nil)
 		msg = item
 	case TypeWeightUpdate:
 		msg = r.weightUpdate()
@@ -205,9 +236,10 @@ func ReadHeldReply(payload []byte) (HeldReply, int64, error) {
 // body. It allocates nothing.
 func holdReply(body []byte) (HeldReply, error) {
 	r := wireReader{b: body}
-	h := HeldReply{QueryID: r.uvarint(), Degraded: r.bool(), SettledNodes: r.int(), PageFaults: r.varint()}
-	h.Generation = r.uvarint()
-	h.ContentSum = r.u64()
+	var rep ServerReply
+	r.replyHeader(&rep)
+	h := HeldReply{QueryID: rep.QueryID, Degraded: rep.Degraded, SettledNodes: rep.SettledNodes, PageFaults: rep.PageFaults,
+		Generation: rep.Generation, ContentSum: rep.ContentSum}
 	h.nS, h.nT = r.count(1, "source ids"), r.count(1, "destination ids")
 	if r.err != nil {
 		return HeldReply{}, fmt.Errorf("reading reply header: %w", r.err)
@@ -216,9 +248,12 @@ func holdReply(body []byte) (HeldReply, error) {
 	return h, nil
 }
 
-// Decode decodes the held body into the ServerReply it carries. The result
-// shares no memory with the held bytes.
-func (h HeldReply) Decode() (ServerReply, error) { return decodeReplyBody(h.body) }
+// Decode decodes the held body into the ServerReply it carries. Paths
+// written as out-arc ordinals are resolved on g, which must be a map of the
+// topology the body names (ErrTopologyMismatch otherwise), and the result's
+// Map is g; node-id paths need no map, and g may be nil. The result shares
+// no memory with the held bytes.
+func (h HeldReply) Decode(g *roadnet.Graph) (ServerReply, error) { return decodeReplyBody(h.body, g) }
 
 // Reply returns the ServerReply that carries h: its header fields, no Paths,
 // and h itself as Held.
@@ -239,14 +274,18 @@ func (r ServerReply) Cells() int {
 // ReadCells reads cell at[k] = (i, j) of the reply's |S|×|T| candidate table
 // into dst[k] for every k (dst is as long as at), from whichever form the
 // reply has. A held reply is read in one pass that validates its whole body
-// — it fails exactly when Decode does — and materialises only the cells
-// asked for; a decoded one is copied out of Paths. Either way every Nodes is
-// an exactly-sized slice the caller owns, nil when empty, so the reply can be
-// dropped as soon as its cells are read; an unreachable cell allocates
-// nothing.
-func (r ServerReply) ReadCells(dst []CandidatePath, at [][2]int) error {
+// as Decode(g) does, and materialises only the cells asked for; a decoded
+// one is copied out of Paths. Held paths written as out-arc ordinals are
+// resolved on g, which must be a map of the topology the body names
+// (ErrTopologyMismatch otherwise), and only along the attach chains of the
+// cells read: the read fails exactly when Decode(g) does, except that a bad
+// ordinal fails it only when a cell read crosses it. Node-id paths need no
+// map, and g may be nil. Either way every Nodes is an exactly-sized slice
+// the caller owns, nil when empty, so the reply can be dropped as soon as
+// its cells are read; an unreachable cell allocates nothing.
+func (r ServerReply) ReadCells(g *roadnet.Graph, dst []CandidatePath, at [][2]int) error {
 	if r.Held.body != nil {
-		return readCells(r.Held.body, dst, at)
+		return readCells(r.Held.body, g, dst, at)
 	}
 	nS, nT, ok := replyGrid(r.Paths)
 	if !ok {
@@ -269,18 +308,19 @@ func (r ServerReply) ReadCells(dst []CandidatePath, at [][2]int) error {
 	return nil
 }
 
-// Cell is ReadCells for the one cell (i, j).
+// Cell is ReadCells for the one cell (i, j), without a map: what a peer
+// whose queries name no map (ServerQuery.Topology 0) reads its replies with.
 func (r ServerReply) Cell(i, j int) (CandidatePath, error) {
 	var c [1]CandidatePath
-	err := r.ReadCells(c[:], [][2]int{{i, j}})
+	err := r.ReadCells(nil, c[:], [][2]int{{i, j}})
 	return c[0], err
 }
 
 // decodeReplyBody decodes one whole reply body, trailing bytes refused.
-func decodeReplyBody(body []byte) (ServerReply, error) {
+func decodeReplyBody(body []byte, g *roadnet.Graph) (ServerReply, error) {
 	r := wireReader{b: body}
 	var rep ServerReply
-	r.serverReply(&rep)
+	r.serverReply(&rep, g)
 	r.end()
 	if r.err != nil {
 		return ServerReply{}, fmt.Errorf("decoding reply: %w", r.err)
@@ -361,6 +401,7 @@ func (m ClientReply) appendBody(dst []byte) ([]byte, error) {
 func (q ServerQuery) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, q.QueryID)
 	dst = appendBool(dst, q.DistanceOnly)
+	dst = binary.AppendUvarint(dst, q.Topology)
 	return appendIDs(appendIDs(dst, q.Sources), q.Dests), nil
 }
 
@@ -457,7 +498,8 @@ func isGrid(paths []CandidatePath, nT int) bool {
 }
 
 // appendBody appends a reply in columnar form (see the file comment), or
-// the held body when the reply holds one.
+// the held body when the reply holds one. Its paths are out-arc ordinals on
+// Map when it has one, node-id deltas otherwise.
 //
 //opaque:noalloc
 func (r ServerReply) appendBody(dst []byte) ([]byte, error) {
@@ -470,7 +512,15 @@ func (r ServerReply) appendBody(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("%w: query %d, %d paths", ErrReplyShape, r.QueryID, len(r.Paths))
 	}
 	dst = binary.AppendUvarint(dst, r.QueryID)
-	dst = appendBool(dst, r.Degraded)
+	switch {
+	case r.Degraded:
+		dst = append(dst, pathsNone) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+	case r.Map != nil:
+		dst = append(dst, pathsAsArcs) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+		dst = appendU64(dst, r.Map.TopologyChecksum())
+	default:
+		dst = append(dst, pathsAsIDs) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+	}
 	dst = binary.AppendVarint(dst, int64(r.SettledNodes))
 	dst = binary.AppendVarint(dst, r.PageFaults)
 	dst = binary.AppendUvarint(dst, r.Generation)
@@ -515,24 +565,35 @@ func (r ServerReply) appendBody(dst []byte) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, uint64(total))
 	body := len(dst)
-	dst = appendPathTrees(dst, r.Paths, nT, true)
-	if total > maxPathExpansion*(len(dst)-body) {
+	dst, err := appendPaths(dst, r.Paths, nT, r.Map, true)
+	if err == nil && total > maxPathExpansion*(len(dst)-body) {
 		// Sharing compressed the paths past what a decoder will expand;
-		// without sharing every node costs at least a byte.
-		dst = appendPathTrees(dst[:body], r.Paths, nT, false)
+		// without sharing every node costs at least a byte, or a bit.
+		dst, err = appendPaths(dst[:body], r.Paths, nT, r.Map, false)
 	}
-	return dst, nil
+	return dst, err
+}
+
+// appendPaths appends the paths as node-id deltas (g nil) or as out-arc
+// ordinals on g.
+//
+//opaque:noalloc
+func appendPaths(dst []byte, paths []CandidatePath, nT int, g *roadnet.Graph, share bool) ([]byte, error) {
+	if g == nil {
+		return appendPathTrees(dst, paths, nT, share, true), nil
+	}
+	return appendArcPaths(dst, paths, nT, g, share)
 }
 
 // appendPathTrees appends the paths row by row as one prefix tree per source:
 // a path is its attach point — how many leading nodes it shares with an
 // earlier path of its row, and (when any) which path — its suffix length,
-// and the suffix as node-id deltas, the first against the attach node (the
-// row's source when nothing is shared). The first path of a row has nothing
-// to attach to and omits the attach point.
+// and, with ids, the suffix as node-id deltas, the first against the attach
+// node (the row's source when nothing is shared). The first path of a row
+// has nothing to attach to and omits the attach point.
 //
 //opaque:noalloc
-func appendPathTrees(dst []byte, paths []CandidatePath, nT int, share bool) []byte {
+func appendPathTrees(dst []byte, paths []CandidatePath, nT int, share, ids bool) []byte {
 	for c := range paths {
 		j := c % nT
 		p := paths[c].Nodes
@@ -548,6 +609,9 @@ func appendPathTrees(dst []byte, paths []CandidatePath, nT int, share bool) []by
 			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(p)-lcp))
+		if !ids {
+			continue
+		}
 		prev := paths[c].Source
 		if lcp > 0 {
 			prev = p[lcp-1]
@@ -558,6 +622,108 @@ func appendPathTrees(dst []byte, paths []CandidatePath, nT int, share bool) []by
 		}
 	}
 	return dst
+}
+
+// appendArcPaths appends the paths as appendPathTrees lays them out without
+// their suffixes — attach points and suffix lengths — behind a width byte w,
+// then every suffix edge as its ordinal among the out-arcs of g's node it
+// leaves, w bits each, in one LSB-first bit stream padded with zero bits to
+// a byte. w is the fewest bits that index the out-arcs of any node of g, at
+// least 1, so an unshared path costs at least a bit a node. A path's first
+// node is implied: node L−1 of its attach path, or the row's source when it
+// shares none. Paths that do not walk g are refused.
+//
+//opaque:noalloc
+func appendArcPaths(dst []byte, paths []CandidatePath, nT int, g *roadnet.Graph, share bool) ([]byte, error) {
+	w := bits.Len(uint(max(g.MaxOutDegree(), 2) - 1))
+	dst = append(dst, byte(w)) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+	at := len(dst)
+	dst = appendPathTrees(dst, paths, nT, share, false)
+	sh := shapeReader{b: dst[at:], nT: nT}
+	var acc uint64
+	n := 0
+	for c := range paths {
+		from, to := sh.next(c)
+		p := paths[c].Nodes
+		if len(p) > 0 && p[0] != paths[c].Source {
+			//opaque:allow(noalloc) refusal path: a handler bug, the reply is never sent
+			return dst, fmt.Errorf("%w: cell %d: path starts at %d, not at its source %d", ErrTopologyMismatch, c, p[0], paths[c].Source)
+		}
+		if from >= to {
+			continue
+		}
+		// Every node after the first is the head of an arc of g.
+		u := p[from-1]
+		if !g.ValidNode(u) {
+			//opaque:allow(noalloc) refusal path: a handler bug, the reply is never sent
+			return dst, fmt.Errorf("%w: cell %d: node %d is not on the reply's map", ErrTopologyMismatch, c, u)
+		}
+		for _, v := range p[from:to] {
+			ord := arcOrdinal(g.Arcs(u), v)
+			if ord < 0 {
+				//opaque:allow(noalloc) refusal path: a handler bug, the reply is never sent
+				return dst, fmt.Errorf("%w: cell %d: no arc from %d to %d on the reply's map", ErrTopologyMismatch, c, u, v)
+			}
+			acc |= uint64(ord) << n
+			for n += w; n >= 8; n -= 8 {
+				dst = append(dst, byte(acc)) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+				acc >>= 8
+			}
+			u = v
+		}
+	}
+	if n > 0 {
+		dst = append(dst, byte(acc)) //opaque:allow(noalloc) appends into the caller's reused write buffer; no growth once warm
+	}
+	return dst, nil
+}
+
+// arcOrdinal returns the index of the first arc of arcs that ends at v, -1
+// when none does.
+//
+//opaque:noalloc
+func arcOrdinal(arcs []roadnet.Arc, v roadnet.NodeID) int {
+	for i := range arcs {
+		if arcs[i].To == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// arcSpan returns the positions [from, to) of the nodes whose incoming edge
+// the suffix of a path carries, for a path that shares lcp nodes and has n
+// more: every suffix node but a row root's first, which is the row's
+// source. to ≤ from means none.
+func arcSpan(lcp, n int) (from, to int) { return max(lcp, 1), lcp + n }
+
+// shapeReader re-reads the attach points and suffix lengths appendPathTrees
+// wrote without ids, one path at a time. The bytes are the encoder's own,
+// so it makes no checks.
+type shapeReader struct {
+	b  []byte
+	nT int
+}
+
+// next returns the arcSpan of path c.
+//
+//opaque:noalloc
+func (s *shapeReader) next(c int) (from, to int) {
+	lcp := 0
+	if c%s.nT > 0 {
+		lcp = s.uvarint()
+		if lcp > 0 {
+			s.uvarint()
+		}
+	}
+	return arcSpan(lcp, s.uvarint())
+}
+
+//opaque:noalloc
+func (s *shapeReader) uvarint() int {
+	v, n := binary.Uvarint(s.b)
+	s.b = s.b[n:]
+	return int(v)
 }
 
 // attachPoint returns the longest prefix p shares with any path of row (the
@@ -733,7 +899,7 @@ func (r *wireReader) clientReply() ClientReply {
 }
 
 func (r *wireReader) serverQuery() ServerQuery {
-	q := ServerQuery{QueryID: r.uvarint(), DistanceOnly: r.bool()}
+	q := ServerQuery{QueryID: r.uvarint(), DistanceOnly: r.bool(), Topology: r.uvarint()}
 	q.Sources = r.ids()
 	q.Dests = r.ids()
 	return q
@@ -746,8 +912,8 @@ func (r *wireReader) batchItemHead() BatchItem {
 
 func (r *wireReader) batchQuery() BatchQuery {
 	b := BatchQuery{BatchID: r.uvarint()}
-	// A query is at least four bytes: id, flag, two counts.
-	if n := r.count(4, "queries"); n > 0 {
+	// A query is at least five bytes: id, flag, topology, two counts.
+	if n := r.count(5, "queries"); n > 0 {
 		b.Queries = make([]ServerQuery, n)
 		for i := range b.Queries {
 			b.Queries[i] = r.serverQuery()
@@ -777,23 +943,46 @@ func (r *wireReader) hello() Hello {
 
 // replyTable is a reply body read up to its path trees: the table's shape
 // and the regions holding its id lists, found bitmap and cost table, every
-// id already checked. Reading one allocates nothing.
+// id already checked, and the form of its paths. Reading one allocates
+// nothing.
 type replyTable struct {
 	nS, nT         int
 	sources, dests []byte // delta-coded node ids, nS and nT of them
 	bitmap, costs  []byte
+	arcs           bool   // the paths are out-arc ordinals
+	topology       uint64 // on a map of this topology checksum
+}
+
+// replyHeader reads a reply body's header fields into rep and returns the
+// form of its paths and, for out-arc ordinals, their map's topology
+// checksum.
+func (r *wireReader) replyHeader(rep *ServerReply) (form byte, topology uint64) {
+	rep.QueryID = r.uvarint()
+	if len(r.b) < 1 {
+		r.truncated("paths form")
+		return 0, 0
+	}
+	form, r.b = r.b[0], r.b[1:]
+	switch form {
+	case pathsAsIDs, pathsNone:
+	case pathsAsArcs:
+		topology = r.u64()
+	default:
+		r.fail(fmt.Errorf("%w: paths form %d", ErrPayloadMalformed, form))
+	}
+	rep.Degraded = form == pathsNone
+	rep.SettledNodes = r.int()
+	rep.PageFaults = r.varint()
+	rep.Generation = r.uvarint()
+	rep.ContentSum = r.u64()
+	return form, topology
 }
 
 // replyTable reads a reply body's header into rep and its table up to the
 // path trees.
 func (r *wireReader) replyTable(rep *ServerReply) replyTable {
-	rep.QueryID = r.uvarint()
-	rep.Degraded = r.bool()
-	rep.SettledNodes = r.int()
-	rep.PageFaults = r.varint()
-	rep.Generation = r.uvarint()
-	rep.ContentSum = r.u64()
-	t := replyTable{nS: r.count(1, "source ids"), nT: r.count(1, "destination ids")}
+	form, topology := r.replyHeader(rep)
+	t := replyTable{nS: r.count(1, "source ids"), nT: r.count(1, "destination ids"), arcs: form == pathsAsArcs, topology: topology}
 	// Both counts are bounded by the payload length, so the 64-bit product
 	// cannot overflow; every cell then costs at least its 8-byte table entry.
 	cells := t.nS * t.nT
@@ -811,6 +1000,19 @@ func (r *wireReader) replyTable(rep *ServerReply) replyTable {
 	t.bitmap, t.costs = r.b[:(cells+7)/8], r.b[(cells+7)/8:(cells+7)/8+8*cells]
 	r.b = r.b[len(t.bitmap)+len(t.costs):]
 	return t
+}
+
+// bindMap fails the reader when t's paths are out-arc ordinals and g is not
+// a map of the topology they name.
+func (r *wireReader) bindMap(t *replyTable, g *roadnet.Graph) {
+	if r.err != nil || !t.arcs {
+		return
+	}
+	if g == nil {
+		r.fail(fmt.Errorf("%w: the paths are out-arc ordinals on map %016x, read without a map", ErrTopologyMismatch, t.topology))
+	} else if sum := g.TopologyChecksum(); sum != t.topology {
+		r.fail(fmt.Errorf("%w: the paths are out-arc ordinals on map %016x, read against map %016x", ErrTopologyMismatch, t.topology, sum))
+	}
 }
 
 // skipIDs reads past n delta-coded node ids, checking each, and returns the
@@ -841,9 +1043,17 @@ func (t *replyTable) cell(c int) (bool, float64) {
 
 // serverReply reads one columnar reply into rep: one []CandidatePath slab,
 // one []NodeID arena every Nodes sub-slices (capacity clipped), nothing else.
-func (r *wireReader) serverReply(rep *ServerReply) {
+// Out-arc ordinals are resolved on g.
+func (r *wireReader) serverReply(rep *ServerReply, g *roadnet.Graph) {
 	t := r.replyTable(rep)
-	if r.err != nil || t.nS == 0 {
+	r.bindMap(&t, g)
+	if r.err != nil {
+		return
+	}
+	if t.arcs {
+		rep.Map = g
+	}
+	if t.nS == 0 {
 		return
 	}
 	paths := make([]CandidatePath, t.nS*t.nT)
@@ -864,7 +1074,7 @@ func (r *wireReader) serverReply(rep *ServerReply) {
 		p.Found, p.Cost = t.cell(c)
 	}
 	if !rep.Degraded {
-		r.pathTrees(paths, &t)
+		r.pathTrees(paths, &t, g)
 	}
 	if r.err == nil {
 		rep.Paths = paths
@@ -879,24 +1089,41 @@ func (r *wireReader) serverReply(rep *ServerReply) {
 // node id fits int32, and the paths fill the total exactly. Where the nodes
 // go is its caller's business: the full decode lays whole paths into one
 // arena, the cell reader keeps each row's suffixes. Both read through this
-// one walker, so they refuse exactly the same bodies.
+// one walker, so they refuse exactly the same bodies. In the out-arc form
+// the walker reads the shapes alone, and arcStream the ordinals behind them.
 type treeWalker struct {
 	r           *wireReader
 	total, left int            // nodes declared; of those, not yet claimed by a path
+	width       int            // bits per out-arc ordinal; 0 for node-id paths
 	sources     wireReader     // the table's source ids, one read per row
 	source      roadnet.NodeID // the current row's source
 }
 
-// treeWalker reads the node total ahead of t's path trees.
+// treeWalker reads the node total ahead of t's path trees, and the ordinal
+// width when they are out-arc ordinals.
 func (r *wireReader) treeWalker(t *replyTable) treeWalker {
 	total := r.uvarint()
 	if r.err == nil && total > uint64(maxPathExpansion*len(r.b)) {
 		r.fail(fmt.Errorf("%w: %d path nodes declared in %d bytes", ErrPayloadMalformed, total, len(r.b)))
 	}
+	width := 0
+	if t.arcs && r.err == nil {
+		if len(r.b) == 0 {
+			r.truncated("ordinal width")
+		} else if width, r.b = int(r.b[0]), r.b[1:]; width < 1 || width > maxArcWidth {
+			r.fail(fmt.Errorf("%w: %d-bit out-arc ordinals", ErrPayloadMalformed, width))
+		}
+	}
 	if r.err != nil {
 		return treeWalker{r: r}
 	}
-	return treeWalker{r: r, total: int(total), left: int(total), sources: wireReader{b: t.sources}}
+	return treeWalker{r: r, total: int(total), left: int(total), width: width, sources: wireReader{b: t.sources}}
+}
+
+// again returns a walker over the shapes w read from shapes on: they are
+// walked a second time, every check already passed.
+func (w *treeWalker) again(shapes *wireReader, t *replyTable) treeWalker {
+	return treeWalker{r: shapes, total: w.total, left: w.total, width: w.width, sources: wireReader{b: t.sources}}
 }
 
 // next reads the head of path j of the current row (j = 0 starts the next
@@ -915,14 +1142,15 @@ func (w *treeWalker) next(j int, rowLen func(k int) int) (lcp, ref, n int, ok bo
 		}
 		lcp, ref = int(l), int(k)
 	}
-	n = r.count(1, "path nodes")
+	suffix := r.uvarint()
 	if r.err != nil {
 		return 0, 0, 0, false
 	}
-	if lcp+n > w.left {
+	if lcp > w.left || suffix > uint64(w.left-lcp) {
 		r.fail(fmt.Errorf("%w: paths overrun the %d nodes declared", ErrPayloadMalformed, w.total))
 		return 0, 0, 0, false
 	}
+	n = int(suffix)
 	w.left -= lcp + n
 	return lcp, ref, n, true
 }
@@ -960,16 +1188,79 @@ func (w *treeWalker) end() {
 	}
 }
 
+// arcStream is a reply's out-arc ordinals: edge e's is bits [e·w, (e+1)·w)
+// of b, LSB first, so any one is read without the others.
+type arcStream struct {
+	b []byte
+	w int
+}
+
+// arcStream takes the ordinals of edges path edges behind the shapes the
+// walker read: the rest of the reply, exactly ⌈edges·w/8⌉ bytes, the bits
+// past the last ordinal zero. So every check but the ordinals' own is made
+// before any ordinal is resolved.
+func (w *treeWalker) arcStream(edges int) arcStream {
+	r := w.r
+	if r.err != nil {
+		return arcStream{}
+	}
+	bits := edges * w.width
+	n := (bits + 7) / 8
+	if len(r.b) < n {
+		r.truncated("out-arc ordinals")
+		return arcStream{}
+	}
+	if len(r.b) > n {
+		r.fail(fmt.Errorf("%w: %d bytes behind %d out-arc ordinals of %d bits", ErrPayloadMalformed, len(r.b)-n, edges, w.width))
+		return arcStream{}
+	}
+	s := arcStream{b: r.b[:n], w: w.width}
+	if bits%8 != 0 && s.b[n-1]>>(bits%8) != 0 {
+		r.fail(fmt.Errorf("%w: set bits behind the last out-arc ordinal", ErrPayloadMalformed))
+		return arcStream{}
+	}
+	r.b = r.b[n:]
+	return s
+}
+
+// at returns edge e's ordinal. A width of at most 32 bits at a bit offset of
+// at most 7 lies within five bytes.
+func (s arcStream) at(e int) uint64 {
+	bit := e * s.w
+	var v uint64
+	for i, k := bit/8, 0; k < 5 && i < len(s.b); i, k = i+1, k+1 {
+		v |= uint64(s.b[i]) << (8 * k)
+	}
+	return v >> (bit % 8) & (1<<s.w - 1)
+}
+
+// step follows out-arc ord of u on g and returns its head. It fails the
+// reader when u is not a node of g or has no such arc.
+func (r *wireReader) step(g *roadnet.Graph, u roadnet.NodeID, ord uint64) roadnet.NodeID {
+	if !g.ValidNode(u) {
+		r.fail(fmt.Errorf("%w: a path leaves node %d, which is not on the map", ErrPayloadMalformed, u))
+		return 0
+	}
+	arcs := g.Arcs(u)
+	if ord >= uint64(len(arcs)) {
+		r.fail(fmt.Errorf("%w: out-arc %d of node %d, which has %d", ErrPayloadMalformed, ord, u, len(arcs)))
+		return 0
+	}
+	return arcs[ord].To
+}
+
 // pathTrees reads the per-source prefix trees into one exactly-sized arena:
 // each path's shared prefix is copied from the earlier path it attaches to,
-// its suffix decoded in place behind it.
-func (r *wireReader) pathTrees(paths []CandidatePath, t *replyTable) {
+// its suffix decoded in place behind it — node-id deltas as they come, or
+// out-arc ordinals on g once every shape is read.
+func (r *wireReader) pathTrees(paths []CandidatePath, t *replyTable, g *roadnet.Graph) {
 	w := r.treeWalker(t)
 	if r.err != nil {
 		return
 	}
 	arena := make([]roadnet.NodeID, w.total)
-	off := 0
+	shapes := *r
+	off, edges := 0, 0
 	for c := range paths {
 		j := c % t.nT
 		row := paths[c-j : c]
@@ -978,32 +1269,69 @@ func (r *wireReader) pathTrees(paths []CandidatePath, t *replyTable) {
 			return
 		}
 		start := off
-		prev := w.source
-		if lcp > 0 {
-			off += copy(arena[off:], row[ref].Nodes[:lcp])
-			prev = arena[off-1]
+		if t.arcs {
+			from, to := arcSpan(lcp, n)
+			edges += max(to-from, 0)
+			off += lcp + n
+		} else {
+			prev := w.source
+			if lcp > 0 {
+				off += copy(arena[off:], row[ref].Nodes[:lcp])
+				prev = arena[off-1]
+			}
+			w.suffix(arena[off:off+n], prev)
+			off += n
 		}
-		w.suffix(arena[off:off+n], prev)
-		off += n
 		if off > start {
 			paths[c].Nodes = arena[start:off:off]
 		}
 	}
 	w.end()
+	if !t.arcs {
+		return
+	}
+	ords := w.arcStream(edges)
+	if r.err != nil {
+		return
+	}
+	again, e := w.again(&shapes, t), 0
+	for c := range paths {
+		j := c % t.nT
+		row := paths[c-j : c]
+		lcp, ref, n, _ := again.next(j, func(k int) int { return len(row[k].Nodes) })
+		nodes := paths[c].Nodes
+		u := again.source
+		if lcp > 0 {
+			copy(nodes, row[ref].Nodes[:lcp])
+			u = nodes[lcp-1]
+		} else if n > 0 {
+			nodes[0] = u
+		}
+		from, to := arcSpan(lcp, n)
+		for k := from; k < to; k, e = k+1, e+1 {
+			u = r.step(g, u, ords.at(e))
+			nodes[k] = u
+		}
+		if r.err != nil {
+			return
+		}
+	}
 }
 
 // rowPath is one path of a row as the cell reader keeps it: its first lcp
 // nodes are path ref's, the rest — its suffix — sit at off in the row's
-// suffix buffer. ref is re-anchored when the path is read, to the nearest
-// path down the attach chain whose own suffix holds node lcp-1, so lcp falls
-// strictly along every chain of refs.
+// suffix buffer, or, for out-arc ordinals, are edges off on of the reply's
+// stream. ref is re-anchored when the path is read, to the nearest path down
+// the attach chain whose own suffix holds node lcp-1, so lcp falls strictly
+// along every chain of refs.
 type rowPath struct{ lcp, ref, len, off int }
 
-// rowScratch is the cell reader's per-row state, pooled: steady-state cell
-// reads allocate only the path they return.
+// rowScratch is the cell reader's state, pooled: steady-state cell reads
+// allocate only the paths they return.
 type rowScratch struct {
 	paths    []rowPath
 	suffixes []roadnet.NodeID
+	chain    []int
 }
 
 var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}
@@ -1011,10 +1339,11 @@ var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}
 // readCells reads the cells at of a reply body into dst (as long as at),
 // validating the whole body as decodeReplyBody does but materialising only
 // those cells' paths.
-func readCells(body []byte, dst []CandidatePath, at [][2]int) error {
+func readCells(body []byte, g *roadnet.Graph, dst []CandidatePath, at [][2]int) error {
 	r := wireReader{b: body}
 	var head ServerReply
 	t := r.replyTable(&head)
+	r.bindMap(&t, g)
 	if r.err != nil {
 		return fmt.Errorf("reading reply cells: %w", r.err)
 	}
@@ -1027,7 +1356,13 @@ func readCells(body []byte, dst []CandidatePath, at [][2]int) error {
 		dst[k].Found, dst[k].Cost = t.cell(i*t.nT + j)
 	}
 	if !head.Degraded && t.nS > 0 {
-		r.cellPaths(&t, dst, at)
+		sc := rowScratches.Get().(*rowScratch)
+		if t.arcs {
+			r.arcCells(&t, g, sc, dst, at)
+		} else {
+			r.cellPaths(&t, sc, dst, at)
+		}
+		rowScratches.Put(sc)
 	}
 	r.end()
 	if r.err != nil {
@@ -1036,18 +1371,16 @@ func readCells(body []byte, dst []CandidatePath, at [][2]int) error {
 	return nil
 }
 
-// cellPaths walks every row's prefix tree and sets dst[k].Nodes to the path
-// of cell at[k], each in an exactly-sized slice of its own (nil when empty).
-// A row's suffixes go into a reused buffer; a shared prefix is reached
-// through the attach chain, never copied, so a row costs the bytes it
-// occupies whatever it expands to.
-func (r *wireReader) cellPaths(t *replyTable, dst []CandidatePath, at [][2]int) {
+// cellPaths walks every row's prefix tree of node-id paths and sets
+// dst[k].Nodes to the path of cell at[k], each in an exactly-sized slice of
+// its own (nil when empty). A row's suffixes go into a reused buffer; a
+// shared prefix is reached through the attach chain, never copied, so a row
+// costs the bytes it occupies whatever it expands to.
+func (r *wireReader) cellPaths(t *replyTable, sc *rowScratch, dst []CandidatePath, at [][2]int) {
 	w := r.treeWalker(t)
 	if r.err != nil {
 		return
 	}
-	sc := rowScratches.Get().(*rowScratch)
-	defer rowScratches.Put(sc)
 	for row := 0; row < t.nS; row++ {
 		paths, suffixes := sc.paths[:0], sc.suffixes[:0]
 		for k := 0; k < t.nT; k++ {
@@ -1082,4 +1415,75 @@ func (r *wireReader) cellPaths(t *replyTable, dst []CandidatePath, at [][2]int) 
 		sc.paths, sc.suffixes = paths, suffixes
 	}
 	w.end()
+}
+
+// arcCells reads every row's shapes of out-arc ordinal paths, then sets
+// dst[k].Nodes to the path of cell at[k] as cellPaths does. The ordinals
+// have a fixed width, so a path's suffix is found by offset: only those
+// along the attach chain of a cell read are resolved on g, front to back
+// from the row's source, and the rest are never looked at.
+func (r *wireReader) arcCells(t *replyTable, g *roadnet.Graph, sc *rowScratch, dst []CandidatePath, at [][2]int) {
+	w := r.treeWalker(t)
+	if r.err != nil {
+		return
+	}
+	paths := sc.paths[:0]
+	edges := 0
+rows:
+	for row := 0; row < t.nS; row++ {
+		base := len(paths)
+		for k := 0; k < t.nT; k++ {
+			lcp, ref, n, ok := w.next(k, func(q int) int { return paths[base+q].len })
+			if !ok {
+				break rows
+			}
+			for lcp > 0 && paths[base+ref].lcp >= lcp {
+				ref = paths[base+ref].ref
+			}
+			paths = append(paths, rowPath{lcp: lcp, ref: ref, len: lcp + n, off: edges})
+			from, to := arcSpan(lcp, n)
+			edges += max(to-from, 0)
+		}
+	}
+	sc.paths = paths
+	w.end()
+	ords := w.arcStream(edges)
+	if r.err != nil {
+		return
+	}
+	for k, ij := range at {
+		row := paths[ij[0]*t.nT : (ij[0]+1)*t.nT]
+		if row[ij[1]].len == 0 {
+			continue
+		}
+		chain := sc.chain[:0]
+		for p := ij[1]; ; p = row[p].ref {
+			chain = append(chain, p)
+			if row[p].lcp == 0 {
+				break
+			}
+		}
+		sc.chain = chain
+		out := make([]roadnet.NodeID, row[ij[1]].len)
+		u := dst[k].Source
+		out[0] = u
+		// Fill front to back: each path up the chain supplies the nodes
+		// between its own attach point and the next one down.
+		for c := len(chain) - 1; c >= 0; c-- {
+			p := row[chain[c]]
+			end := p.len
+			if c > 0 {
+				end = row[chain[c-1]].lcp
+			}
+			from, _ := arcSpan(p.lcp, 0)
+			for pos := from; pos < end; pos++ {
+				u = r.step(g, u, ords.at(p.off+pos-from))
+				out[pos] = u
+			}
+		}
+		if r.err != nil {
+			return
+		}
+		dst[k].Nodes = out
+	}
 }

@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"opaque/internal/roadnet"
@@ -78,7 +80,8 @@ func checkDecoded(t *testing.T, data []byte, msg any) {
 
 // typedDecodeError reports whether err is one of the codec's typed errors.
 func typedDecodeError(err error) bool {
-	return errors.Is(err, ErrPayloadTruncated) || errors.Is(err, ErrPayloadMalformed) || errors.Is(err, ErrCodecVersion)
+	return errors.Is(err, ErrPayloadTruncated) || errors.Is(err, ErrPayloadMalformed) || errors.Is(err, ErrCodecVersion) ||
+		errors.Is(err, ErrTopologyMismatch)
 }
 
 // readHeld is the relay's read of a payload: a ServerReply is held whole, a
@@ -141,13 +144,13 @@ const maxFuzzCells = 64
 // equals Decode's.
 func checkCells(t *testing.T, h HeldReply) {
 	t.Helper()
-	full, fullErr := h.Decode()
+	full, fullErr := h.Decode(nil)
 	at := make([][2]int, min(h.nS*h.nT, maxFuzzCells))
 	for c := range at {
 		at[c] = [2]int{c / h.nT, c % h.nT}
 	}
 	cells := make([]CandidatePath, len(at))
-	err := h.Reply().ReadCells(cells, at)
+	err := h.Reply().ReadCells(nil, cells, at)
 	switch {
 	case len(at) == 0:
 	case (err == nil) != (fullErr == nil):
@@ -168,11 +171,137 @@ func checkCells(t *testing.T, h HeldReply) {
 	}
 }
 
+// fuzzMap is the map FuzzDecodeServerReply binds its inputs to.
+var fuzzMap = sync.OnceValue(func() *roadnet.Graph { return gridMap(6, 6) })
+
+// asArcReply returns data, a ServerReply or BatchItem payload, with its
+// reply's paths form set to out-arc ordinals on g and its topology checksum
+// set to g's: how the bytes after it read as a reply bound to g. It returns
+// nil when data has no reply header to rewrite.
+func asArcReply(data []byte, g *roadnet.Graph) []byte {
+	var body []byte
+	switch typ, _, err := PeekHeader(data); {
+	case err != nil:
+		return nil
+	case typ == TypeServerReply:
+		body = data[payloadHeaderLen:]
+	case typ == TypeBatchItem:
+		if _, body, err = readItemHead(data); err != nil {
+			return nil
+		}
+	default:
+		return nil
+	}
+	_, n := binary.Uvarint(body)
+	at := len(data) - len(body) + n
+	if n <= 0 || at >= len(data) {
+		return nil
+	}
+	rest := data[at+1:]
+	if data[at] == pathsAsArcs {
+		rest = rest[min(8, len(rest)):]
+	}
+	out := append(slices.Clip(data[:at]), pathsAsArcs)
+	out = binary.BigEndian.AppendUint64(out, g.TopologyChecksum())
+	return append(out, rest...)
+}
+
+// checkArcCells asserts the cell reader against the full decode of a held
+// reply bound to g. A read of no cell checks the body's structure: it fails
+// exactly when the full decode fails other than on an ordinal, with the
+// same error, and so does every read of one cell. Past the structure, every
+// cell read alone either fails or is a walk on g that equals the full
+// decode's cell when the full decode succeeds; a read of many cells fails
+// exactly when one of them fails alone; and a full decode that failed on an
+// ordinal has a cell that fails alone. Every failure is typed.
+func checkArcCells(t *testing.T, h HeldReply, g *roadnet.Graph) {
+	t.Helper()
+	full, fullErr := h.Decode(g)
+	if fullErr != nil && !typedDecodeError(fullErr) {
+		t.Fatalf("untyped decode error: %v", fullErr)
+	}
+	shapeErr := h.Reply().ReadCells(g, nil, nil)
+	if shapeErr != nil && (fullErr == nil || errors.Unwrap(shapeErr).Error() != errors.Unwrap(fullErr).Error()) {
+		t.Fatalf("structure read err %v, full decode err %v", shapeErr, fullErr)
+	}
+	if fullErr == nil {
+		if fp := footprint(full); fp > maxFootprintPerByte*len(h.body) {
+			t.Fatalf("%d-byte body decoded to a %d-byte reply", len(h.body), fp)
+		}
+		again, err := AppendMessage(nil, full, 0)
+		if err != nil {
+			t.Fatalf("accepted reply does not re-encode: %v", err)
+		}
+		back, err := decodeReplyBody(again[payloadHeaderLen:], g)
+		if third, err2 := AppendMessage(nil, back, 0); err != nil || err2 != nil || !bytes.Equal(third, again) {
+			t.Fatalf("re-encoded reply is not a fixed point of the codec (err %v, %v)", err, err2)
+		}
+	}
+	n := min(h.nS*h.nT, maxFuzzCells)
+	at := make([][2]int, n)
+	anyFailed := false
+	for c := range at {
+		at[c] = [2]int{c / h.nT, c % h.nT}
+		var cell [1]CandidatePath
+		err := h.Reply().ReadCells(g, cell[:], at[c:c+1])
+		switch {
+		case shapeErr != nil:
+			if err == nil || errors.Unwrap(err).Error() != errors.Unwrap(shapeErr).Error() {
+				t.Fatalf("cell %d: err %v, structure read err %v", c, err, shapeErr)
+			}
+		case err != nil:
+			if !typedDecodeError(err) || fullErr == nil {
+				t.Fatalf("cell %d: err %v, full decode err %v", c, err, fullErr)
+			}
+			anyFailed = true
+		case fullErr == nil:
+			want := full.Paths[c]
+			if cell[0].Source != want.Source || cell[0].Dest != want.Dest || !slices.Equal(cell[0].Nodes, want.Nodes) ||
+				(cell[0].Nodes == nil) != (want.Nodes == nil) || cap(cell[0].Nodes) != len(cell[0].Nodes) {
+				t.Fatalf("cell %d read as %+v, decoded as %+v", c, cell[0], want)
+			}
+		default:
+			p := cell[0].Nodes
+			if len(p) > 0 && p[0] != cell[0].Source {
+				t.Fatalf("cell %d: path %v does not leave its source %d", c, p, cell[0].Source)
+			}
+			for k := 1; k < len(p); k++ {
+				if _, ok := g.ArcCost(p[k-1], p[k]); !ok {
+					t.Fatalf("cell %d: path %v steps off the map at %d", c, p, k)
+				}
+			}
+		}
+	}
+	if shapeErr != nil || n == 0 {
+		return
+	}
+	if fullErr != nil && n == h.nS*h.nT && !anyFailed {
+		t.Fatalf("full decode failed (%v), every cell read", fullErr)
+	}
+	cells := make([]CandidatePath, n)
+	if err := h.Reply().ReadCells(g, cells, at); (err != nil) != anyFailed {
+		t.Fatalf("reading %d cells at once: err %v; one failed alone: %v", n, err, anyFailed)
+	}
+}
+
 // fuzzDecode is the body of every payload fuzz target: arbitrary bytes either
 // decode to a well-behaved message or fail with a typed error, the relay's
 // header-only read agrees with the decode, and every cell read out of a held
-// reply agrees with the full decode; nothing panics.
+// reply agrees with the full decode; nothing panics. A reply, alone or in a
+// batch item, is also read as bound to fuzzMap (checkArcCells).
 func fuzzDecode(t *testing.T, data []byte) {
+	if arc := asArcReply(data, fuzzMap()); arc != nil {
+		switch h, err := readHeld(arc); h := h.(type) {
+		case HeldReply:
+			checkArcCells(t, h, fuzzMap())
+		case BatchItem:
+			checkArcCells(t, h.Reply.Held, fuzzMap())
+		default:
+			if !typedDecodeError(err) {
+				t.Fatalf("untyped header read error: %v", err)
+			}
+		}
+	}
 	held, heldErr := readHeld(data)
 	if heldErr != nil && !typedDecodeError(heldErr) {
 		t.Fatalf("untyped header read error: %v", heldErr)
@@ -209,10 +338,14 @@ func seed(f *testing.F, msgs ...any) {
 
 // FuzzDecodeServerReply covers the columnar reply (also inside BatchItem):
 // counts, attach points and node totals beyond the payload,
-// |S|·|T| overflow, varint overruns.
+// |S|·|T| overflow, varint overruns, and, bound to fuzzMap, widths, bit
+// streams and out-arc ordinals.
 func FuzzDecodeServerReply(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
+	bound := evaluatedReply(f, fuzzMap(), 5, 1)
+	bound.Map = fuzzMap()
 	seed(f,
+		bound,
 		randomReply(rng, 3, 3, false),
 		randomReply(rng, 16, 16, false),
 		randomReply(rng, 4, 4, true),

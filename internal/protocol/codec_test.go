@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +41,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		ClientReply{RequestID: 1, Found: true, Path: []roadnet.NodeID{1, 2, 3}, Cost: 7},
 		ClientReply{RequestID: 2, Error: "no route"},
 		ServerQuery{QueryID: 9, Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}, DistanceOnly: true},
+		ServerQuery{QueryID: 10, Sources: []roadnet.NodeID{4}, Dests: []roadnet.NodeID{5}, Topology: 0xfedcba9876543210},
 		ServerReply{QueryID: 9, SettledNodes: 10, PageFaults: 3, Generation: 4, ContentSum: 0xfeedface,
 			Paths: []CandidatePath{{Source: 1, Dest: 3, Found: true, Nodes: []roadnet.NodeID{1, 3}, Cost: 2}}},
 		ServerReply{},
@@ -144,7 +146,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		return out
 	}
 	query := func() ServerQuery {
-		return ServerQuery{QueryID: rng.Uint64(), Sources: ids(rng.Intn(20)), Dests: ids(rng.Intn(20)), DistanceOnly: rng.Intn(2) == 0}
+		q := ServerQuery{QueryID: rng.Uint64(), Sources: ids(rng.Intn(20)), Dests: ids(rng.Intn(20)), DistanceOnly: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			q.Topology = rng.Uint64()
+		}
+		return q
 	}
 	for iter := 0; iter < 300; iter++ {
 		var msg any
@@ -269,7 +275,7 @@ func TestReplyExpansionBound(t *testing.T) {
 	}
 	padded[flag] = 0
 	padded = binary.AppendUvarint(padded, uint64(300*len(long)))
-	padded = appendPathTrees(padded, rep.Paths, 300, true)
+	padded = appendPathTrees(padded, rep.Paths, 300, true, true)
 	if _, _, err := DecodeMessage(padded); !errors.Is(err, ErrPayloadMalformed) {
 		t.Errorf("over-shared paths behind padding: err = %v, want ErrPayloadMalformed", err)
 	}
@@ -345,54 +351,84 @@ func TestCellOwnsItsMemory(t *testing.T) {
 	}
 }
 
+// gridMap returns the w×h grid of two-way unit-cost roads, node y·w+x at
+// (x, y): every out-degree is 2, 3 or 4.
+func gridMap(w, h int) *roadnet.Graph {
+	g := roadnet.NewGraph(w*h, 4*w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			g.AddNode(float64(x), float64(y))
+		}
+	}
+	for v := 0; v < w*h; v++ {
+		if v%w+1 < w {
+			g.MustAddBidirectionalEdge(roadnet.NodeID(v), roadnet.NodeID(v+1), 1)
+		}
+		if v+w < w*h {
+			g.MustAddBidirectionalEdge(roadnet.NodeID(v), roadnet.NodeID(v+w), 1)
+		}
+	}
+	g.Freeze()
+	return g
+}
+
 // TestWorkedExampleMatchesDocs keeps docs/FORMATS.md honest: the hex listing
-// under "Worked example: a 2×2 reply" must be, byte for byte, what the encoder
-// writes for the reply the section describes.
+// under each "Worked example" reply heading must be, byte for byte, what the
+// encoder writes for the reply the section describes.
 func TestWorkedExampleMatchesDocs(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/FORMATS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(doc), "### Worked example: a 2×2 reply")
-	if !ok {
-		t.Fatal("docs/FORMATS.md lost its 2×2 reply example")
-	}
-	_, listing, _ := strings.Cut(section, "```\n")
-	listing, _, _ = strings.Cut(listing, "```")
-	var want strings.Builder
-	for _, line := range strings.Split(listing, "\n") {
-		// Hex bytes, then at least two spaces, then the annotation.
-		bytesPart, _, _ := strings.Cut(line, "  ")
-		want.WriteString(strings.ReplaceAll(bytesPart, " ", ""))
+	listing := func(heading string) string {
+		_, section, ok := strings.Cut(string(doc), heading+"\n")
+		if !ok {
+			t.Fatalf("docs/FORMATS.md lost its section %q", heading)
+		}
+		_, listing, _ := strings.Cut(section, "```\n")
+		listing, _, _ = strings.Cut(listing, "```")
+		var want strings.Builder
+		for _, line := range strings.Split(listing, "\n") {
+			// Hex bytes, then at least two spaces, then the annotation.
+			bytesPart, _, _ := strings.Cut(line, "  ")
+			want.WriteString(strings.ReplaceAll(bytesPart, " ", ""))
+		}
+		return want.String()
 	}
 
-	rep := ServerReply{QueryID: 7, SettledNodes: 42, Generation: 3, ContentSum: 0xdeadbeef, Paths: []CandidatePath{
+	ids := ServerReply{QueryID: 7, SettledNodes: 42, Generation: 3, ContentSum: 0xdeadbeef, Paths: []CandidatePath{
 		{Source: 10, Dest: 20, Found: true, Cost: 5, Nodes: []roadnet.NodeID{10, 11, 20}},
 		{Source: 10, Dest: 25, Found: true, Cost: 7, Nodes: []roadnet.NodeID{10, 11, 12, 25}},
 		{Source: 12, Dest: 20, Found: true, Cost: 4, Nodes: []roadnet.NodeID{12, 20}},
 		{Source: 12, Dest: 25, Found: true, Cost: 6, Nodes: []roadnet.NodeID{12, 25}},
 	}}
-	payload, err := AppendMessage(nil, rep, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(payload); got != want.String() {
-		t.Errorf("worked example drifted from the encoder (%d bytes):\n got %s\nwant %s", len(payload), got, want.String())
+	// The 3×2 grid: 0 1 2 over 3 4 5.
+	arcs := ServerReply{QueryID: 8, SettledNodes: 6, Generation: 1, ContentSum: 0xc0ffee, Map: gridMap(3, 2), Paths: []CandidatePath{
+		{Source: 0, Dest: 4, Found: true, Cost: 2, Nodes: []roadnet.NodeID{0, 1, 4}},
+		{Source: 0, Dest: 5, Found: true, Cost: 3, Nodes: []roadnet.NodeID{0, 1, 4, 5}},
+		{Source: 2, Dest: 4, Found: true, Cost: 2, Nodes: []roadnet.NodeID{2, 1, 4}},
+		{Source: 2, Dest: 5, Found: true, Cost: 1, Nodes: []roadnet.NodeID{2, 5}},
+	}}
+	for heading, rep := range map[string]ServerReply{
+		"### Worked example: a 2×2 reply":                ids,
+		"### Worked example: a 2×2 topology-bound reply": arcs,
+	} {
+		payload, err := AppendMessage(nil, rep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := hex.EncodeToString(payload), listing(heading); got != want {
+			t.Errorf("%s: the listing drifted from the encoder (%d bytes):\n got %s\nwant %s", heading, len(payload), got, want)
+		}
 	}
 }
 
-// recordedReply evaluates one side×side query on the benchmark's kind of map
-// (10k-node TigerLike) and returns it as the reply a server would send.
-func recordedReply(tb testing.TB, side int) ServerReply {
+// evaluatedReply evaluates one side×side query on g, its endpoints drawn
+// with seed, and returns it as the reply a server would send to a query that
+// names no map.
+func evaluatedReply(tb testing.TB, g *roadnet.Graph, side int, seed int64) ServerReply {
 	tb.Helper()
-	cfg := gen.DefaultNetworkConfig()
-	cfg.Kind = gen.TigerLike
-	cfg.Nodes = 10000
-	g, err := gen.Generate(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(int64(side)))
+	rng := rand.New(rand.NewSource(seed))
 	srcs := make([]roadnet.NodeID, side)
 	dsts := make([]roadnet.NodeID, side)
 	for i := range srcs {
@@ -414,52 +450,222 @@ func recordedReply(tb testing.TB, side int) ServerReply {
 	return rep
 }
 
-// TestRecordedReplyRoundTrip: real shortest-path tables survive the codec —
-// decoded whole and read cell by cell out of the held form — and the prefix
-// tree earns its keep on them.
-func TestRecordedReplyRoundTrip(t *testing.T) {
-	for _, side := range []int{3, 16} {
-		rep := recordedReply(t, side)
-		payload, err := AppendMessage(nil, rep, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := DecodeMessage(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, rep) {
-			t.Fatalf("recorded %d×%d reply did not round-trip", side, side)
-		}
-		held, _, err := ReadHeldReply(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c, want := range rep.Paths {
-			cell, err := held.Reply().Cell(c/side, c%side)
-			if len(want.Nodes) == 0 {
-				want.Nodes = nil
-			}
-			if err != nil || !reflect.DeepEqual(cell, want) {
-				t.Fatalf("recorded %d×%d reply: cell %d read as %+v (err %v), want %+v", side, side, c, cell, err, want)
-			}
-		}
-	}
-	rep := recordedReply(t, 16)
-	payload, err := AppendMessage(nil, rep, 0)
+// recordedReply evaluates one side×side query on the benchmark's kind of map
+// (10k-node TigerLike) and returns it as the reply a server would send to a
+// query that names no map, and the map: set the reply's Map to it for the
+// reply to a query that names it.
+func recordedReply(tb testing.TB, side int) (ServerReply, *roadnet.Graph) {
+	tb.Helper()
+	cfg := gen.DefaultNetworkConfig()
+	cfg.Kind = gen.TigerLike
+	cfg.Nodes = 10000
+	g, err := gen.Generate(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return evaluatedReply(tb, g, side, int64(side)), g
+}
+
+// decodeOn decodes a reply payload as its reader would: a form 0 reply
+// through DecodeMessage, a form 2 one held and decoded on g.
+func decodeOn(tb testing.TB, payload []byte, g *roadnet.Graph) ServerReply {
+	tb.Helper()
+	if g == nil {
+		msg, _, err := DecodeMessage(payload)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return msg.(ServerReply)
+	}
+	held, _, err := ReadHeldReply(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := held.Decode(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// TestRecordedReplyRoundTrip: real shortest-path tables survive the codec in
+// both path forms — decoded whole and read cell by cell out of the held
+// form — the prefix tree earns its keep on them, and out-arc ordinals cut
+// the node-id form's bytes.
+func TestRecordedReplyRoundTrip(t *testing.T) {
+	size := map[int]map[bool]int{}
+	for _, side := range []int{3, 16} {
+		size[side] = map[bool]int{}
+		rep, g := recordedReply(t, side)
+		for _, bound := range []bool{false, true} {
+			rep.Map = nil
+			if bound {
+				rep.Map = g
+			}
+			payload, err := AppendMessage(nil, rep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size[side][bound] = len(payload)
+			if got := decodeOn(t, payload, rep.Map); !reflect.DeepEqual(got, rep) {
+				t.Fatalf("recorded %d×%d reply (bound %v) did not round-trip", side, side, bound)
+			}
+			held, _, err := ReadHeldReply(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := make([][2]int, len(rep.Paths))
+			for c := range at {
+				at[c] = [2]int{c / side, c % side}
+			}
+			cells := make([]CandidatePath, len(at))
+			if err := held.Reply().ReadCells(rep.Map, cells, at); err != nil {
+				t.Fatalf("recorded %d×%d reply (bound %v): reading every cell: %v", side, side, bound, err)
+			}
+			for c, want := range rep.Paths {
+				cell, err := held.Reply().Cell(c/side, c%side)
+				if bound {
+					if !errors.Is(err, ErrTopologyMismatch) {
+						t.Fatalf("bound %d×%d reply: a cell read without a map: err = %v, want ErrTopologyMismatch", side, side, err)
+					}
+					cell, err = cells[c], nil
+				}
+				if len(want.Nodes) == 0 {
+					want.Nodes = nil
+				}
+				if err != nil || !reflect.DeepEqual(cell, want) {
+					t.Fatalf("recorded %d×%d reply (bound %v): cell %d read as %+v (err %v), want %+v", side, side, bound, c, cell, err, want)
+				}
+			}
+		}
+	}
+	rep, _ := recordedReply(t, 16)
 	nodes := 0
 	for _, c := range rep.Paths {
 		nodes += len(c.Nodes)
 	}
 	// Four bytes per node id is what the in-memory form costs; the wire form
-	// must beat one byte per node for sharing to be worth its complexity.
-	if len(payload) > nodes {
-		t.Errorf("16×16 reply: %d bytes for %d path nodes", len(payload), nodes)
+	// must beat one byte per node for sharing to be worth its complexity, and
+	// out-arc ordinals must cut it by at least 40 %.
+	if size[16][false] > nodes {
+		t.Errorf("16×16 reply: %d bytes for %d path nodes", size[16][false], nodes)
 	}
-	t.Logf("16×16 reply: %d path nodes in %d bytes", nodes, len(payload))
+	if 10*size[16][true] > 6*size[16][false] {
+		t.Errorf("16×16 reply: %d bytes bound to its map, %d bytes of node ids; want at most 0.6×", size[16][true], size[16][false])
+	}
+	t.Logf("16×16 reply: %d path nodes in %d bytes, %d bound to its map; 3×3: %d and %d bytes", nodes, size[16][false], size[16][true], size[3][false], size[3][true])
+}
+
+// TestArcReplyRoundTripProperty is the property test of the out-arc form:
+// random walks on a map, shared the way shortest-path trees share them,
+// with unreachable cells, duplicate endpoints, single-node paths and paths
+// that are a prefix of another mixed in, decode to themselves and read back
+// cell by cell. Parallel arcs resolve to their first.
+func TestArcReplyRoundTripProperty(t *testing.T) {
+	g := gridMap(7, 5)
+	rng := rand.New(rand.NewSource(46))
+	for iter := 0; iter < 200; iter++ {
+		nS, nT := 1+rng.Intn(6), 1+rng.Intn(6)
+		rep := ServerReply{QueryID: uint64(iter), Generation: 2, Map: g}
+		srcs := make([]roadnet.NodeID, nS)
+		for i := range srcs {
+			srcs[i] = roadnet.NodeID(rng.Intn(g.NumNodes()))
+			if i > 0 && rng.Intn(4) == 0 {
+				srcs[i] = srcs[i-1]
+			}
+		}
+		dsts := make([]roadnet.NodeID, nT)
+		for j := range dsts {
+			dsts[j] = roadnet.NodeID(rng.Intn(g.NumNodes()))
+		}
+		for i := 0; i < nS; i++ {
+			var row [][]roadnet.NodeID
+			for j := 0; j < nT; j++ {
+				c := CandidatePath{Source: srcs[i], Dest: dsts[j]}
+				if rng.Intn(6) > 0 {
+					nodes := []roadnet.NodeID{srcs[i]}
+					if len(row) > 0 && rng.Intn(3) > 0 {
+						prev := row[rng.Intn(len(row))]
+						nodes = append(nodes[:0], prev[:1+rng.Intn(len(prev))]...)
+					}
+					for k := rng.Intn(12); k > 0; k-- {
+						arcs := g.Arcs(nodes[len(nodes)-1])
+						nodes = append(nodes, arcs[rng.Intn(len(arcs))].To)
+					}
+					c.Found, c.Cost, c.Nodes = true, float64(len(nodes)), nodes
+					row = append(row, nodes)
+				}
+				rep.Paths = append(rep.Paths, c)
+			}
+		}
+		payload, err := AppendMessage(nil, rep, 0)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+		if got := decodeOn(t, payload, g); !reflect.DeepEqual(got, rep) {
+			t.Fatalf("iteration %d: decoded %+v\nwant %+v", iter, got, rep)
+		}
+		// Equal adjacent sources may make the table's shape another |S|×|T| of
+		// the same cells; the cells are read in the shape it was sent as.
+		held, _, _ := ReadHeldReply(payload)
+		for c, want := range rep.Paths {
+			var cell [1]CandidatePath
+			if err := held.Reply().ReadCells(g, cell[:], [][2]int{{c / held.nT, c % held.nT}}); err != nil || !reflect.DeepEqual(cell[0], want) {
+				t.Fatalf("iteration %d: cell %d read as %+v (err %v), want %+v", iter, c, cell[0], err, want)
+			}
+		}
+	}
+}
+
+// TestArcRepliesNeedTheirMap: a reply bound to a map is read only against a
+// map of its topology, and says so with a typed error, and a reply whose
+// paths do not walk its map is not encoded.
+func TestArcRepliesNeedTheirMap(t *testing.T) {
+	g := gridMap(4, 4)
+	other := gridMap(4, 5)
+	rep := evaluatedReply(t, g, 3, 1)
+	rep.Map = g
+	payload, err := AppendMessage(nil, rep, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeMessage(payload); !errors.Is(err, ErrTopologyMismatch) {
+		t.Errorf("DecodeMessage: err = %v, want ErrTopologyMismatch", err)
+	}
+	held, _, err := ReadHeldReply(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*roadnet.Graph{nil, other} {
+		if _, err := held.Decode(m); !errors.Is(err, ErrTopologyMismatch) {
+			t.Errorf("Decode on %v: err = %v, want ErrTopologyMismatch", m, err)
+		}
+		var cell [1]CandidatePath
+		if err := held.Reply().ReadCells(m, cell[:], [][2]int{{0, 0}}); !errors.Is(err, ErrTopologyMismatch) {
+			t.Errorf("ReadCells on %v: err = %v, want ErrTopologyMismatch", m, err)
+		}
+	}
+	// Weights do not enter the topology: a reweighted copy reads it.
+	heavier, err := g.WithUpdatedWeights([]roadnet.ArcWeightChange{{From: 0, To: 1, NewCost: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := held.Decode(heavier); err != nil || !reflect.DeepEqual(got.Paths, rep.Paths) {
+		t.Errorf("Decode on the reweighted map: err %v", err)
+	}
+
+	for name, bend := range map[string]func([]roadnet.NodeID) []roadnet.NodeID{
+		"not from its source": func(p []roadnet.NodeID) []roadnet.NodeID { return p[1:] },
+		"a step off the map":  func(p []roadnet.NodeID) []roadnet.NodeID { return append(slices.Clone(p), p[0]+5) },
+		"a node off the map":  func(p []roadnet.NodeID) []roadnet.NodeID { return append(slices.Clone(p), 99, 98) },
+	} {
+		bad := rep
+		bad.Paths = slices.Clone(rep.Paths)
+		bad.Paths[0].Nodes = bend(bad.Paths[0].Nodes)
+		if _, err := AppendMessage(nil, bad, 0); !errors.Is(err, ErrTopologyMismatch) {
+			t.Errorf("%s: err = %v, want ErrTopologyMismatch", name, err)
+		}
+	}
 }
 
 var (
@@ -469,16 +675,23 @@ var (
 
 // BenchmarkReplyCodec measures the codec on recorded replies: encoding into a
 // reused buffer (0 allocs/op), decoding (the candidate slab, the node arena
-// and the boxing into any), reading one cell out of the held reply — what
-// the obfuscator does for each member: validate the whole body, materialise
-// one path — and relaying — what a fleet router does with a shard's reply:
-// read its header and write the held bytes back out into a reused buffer.
+// and, for node ids, the boxing into any), reading one cell out of the held
+// reply — what the obfuscator does for each member: validate the whole body,
+// materialise one path — and relaying — what a fleet router does with a
+// shard's reply: read its header and write the held bytes back out into a
+// reused buffer. The -bound rows are the reply to a query that names its
+// map, its paths out-arc ordinals on it.
 func BenchmarkReplyCodec(b *testing.B) {
 	for _, shape := range []struct {
-		name string
-		side int
-	}{{"3x3", 3}, {"16x16", 16}} {
-		rep := recordedReply(b, shape.side)
+		name  string
+		side  int
+		bound bool
+	}{{"3x3", 3, false}, {"16x16", 16, false}, {"16x16-bound", 16, true}} {
+		rep, g := recordedReply(b, shape.side)
+		if !shape.bound {
+			g = nil
+		}
+		rep.Map = g
 		payload, err := AppendMessage(nil, rep, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -499,11 +712,21 @@ func BenchmarkReplyCodec(b *testing.B) {
 		b.Run("decode/"+shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				msg, _, err := DecodeMessage(payload)
+				if g == nil {
+					msg, _, err := DecodeMessage(payload)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = msg
+					continue
+				}
+				held, _, err := ReadHeldReply(payload)
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchSink = msg
+				if benchSink, err = held.Decode(g); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
 		})
@@ -513,13 +736,14 @@ func BenchmarkReplyCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			reply := held.Reply()
+			var c [1]CandidatePath
+			at := [][2]int{{shape.side / 2, shape.side / 2}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := reply.Cell(shape.side/2, shape.side/2)
-				if err != nil {
+				if err := reply.ReadCells(g, c[:], at); err != nil {
 					b.Fatal(err)
 				}
-				benchLen = len(c.Nodes)
+				benchLen = len(c[0].Nodes)
 			}
 			b.ReportMetric(float64(len(payload)), "wire-bytes/op")
 		})

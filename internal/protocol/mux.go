@@ -111,6 +111,14 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "protocol: remote error: " + e.Msg }
 
+// Is reports whether the peer failed with target, for the one sentinel whose
+// text a peer's failure carries whatever wraps it and however many hops it
+// crossed: ErrTopologyMismatch.
+func (e *RemoteError) Is(target error) bool {
+	//opaque:allow(sentinelis) an Is method is handed each target errors.Is unwraps to; identity is its contract
+	return target == ErrTopologyMismatch && strings.Contains(e.Msg, ErrTopologyMismatch.Error())
+}
+
 // maxRetainedBuf caps the write buffer a connection keeps between sends: a
 // one-off multi-megabyte reply must not pin its buffer for the connection's
 // lifetime.
@@ -543,7 +551,10 @@ func (c *MuxClient) Ping(deadline time.Time) (Hello, error) {
 // BatchItem per query in any completion order, closed by a stream end.
 // Per-query failures land in the returned BatchReply.Errors — among them an
 // item whose reply does not decode, which fails its own query only; the
-// error return is reserved for whole-batch and transport failures.
+// error return is reserved for whole-batch and transport failures. Replies
+// are decoded without a map, as node-id paths: the batch's queries name
+// none (ServerQuery.Topology 0). A peer that names its map holds the
+// replies (DoBatchHeld) and reads them against it.
 func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 	return c.DoBatchDeadline(b, time.Time{})
 }
@@ -551,7 +562,7 @@ func (c *MuxClient) DoBatch(b BatchQuery) (BatchReply, error) {
 // DoBatchDeadline is DoBatch with an absolute deadline (zero = none)
 // stamped into the request header and bounding the streamed reply drain.
 func (c *MuxClient) DoBatchDeadline(b BatchQuery, deadline time.Time) (BatchReply, error) {
-	replies, errs, err := doBatch(c, b, deadline, decodeReplyBody)
+	replies, errs, err := doBatch(c, b, deadline, func(body []byte) (ServerReply, error) { return decodeReplyBody(body, nil) })
 	if err != nil {
 		return BatchReply{}, err
 	}

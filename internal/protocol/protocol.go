@@ -79,6 +79,14 @@ type ServerQuery struct {
 	// multiplexed transport sets it on admission-control shedding; replies
 	// to such queries carry Degraded.
 	DistanceOnly bool
+	// Topology is the roadnet.Graph.TopologyChecksum of the map the asker
+	// reads the reply against, 0 for none. A query that names a map is
+	// answered with every path edge as an out-arc ordinal on that map (see
+	// ServerReply.Map), and refused with ErrTopologyMismatch by a server
+	// holding another; a query that names none is answered with node ids.
+	// Weight updates leave a map's topology checksum unchanged, so ordinal
+	// k of node u names the same arc on both sides at every generation.
+	Topology uint64
 }
 
 // CandidatePath is one (s, t, path) triple of a ServerReply. In a reply's
@@ -110,6 +118,13 @@ type ServerReply struct {
 	// members' cells out of them. AppendMessage writes the held bytes;
 	// decoding never sets it.
 	Held HeldReply
+	// Map, when set, is the road map the reply's paths walk, and the encoder
+	// writes each path edge as its ordinal among the out-arcs of the node it
+	// leaves, in the map's CSR order: a reader resolves the ordinals on a map
+	// of the same TopologyChecksum. A server sets it when the query names
+	// its map (ServerQuery.Topology); the full decode of such a reply sets it
+	// to the map it decoded against. Nil means node-id paths.
+	Map *roadnet.Graph
 	// SettledNodes and PageFaults let experiments observe the server-side
 	// cost without another channel; a production server would omit them.
 	// No serving tier fills PageFaults: only the paged evaluator of
@@ -154,7 +169,9 @@ type HeldReply struct {
 	ContentSum   uint64
 
 	// nS and nT are the table's shape, |S| and |T|; body is the reply's
-	// whole encoded body, QueryID first, nil when nothing is held.
+	// whole encoded body, QueryID first, nil when nothing is held. Whether
+	// its paths are node ids or out-arc ordinals, and on which map, is the
+	// body's own business: its cell reader checks the map it is given.
 	nS, nT int
 	body   []byte
 }

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"opaque/internal/roadnet"
 )
 
 // TestHeldReplyRelaysBytes pins the held form: the header fields are the
@@ -41,7 +44,7 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 		if again, err := AppendMessage(nil, carried, 987); carried.Paths != nil || err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("query %d: reply carrying the held bytes re-encoded to %d bytes (err %v), read from %d", rep.QueryID, len(again), err, len(payload))
 		}
-		got, err := held.Decode()
+		got, err := held.Decode(nil)
 		if err != nil || !reflect.DeepEqual(got, rep) {
 			t.Fatalf("query %d: held reply decoded to %+v (err %v)", rep.QueryID, got, err)
 		}
@@ -57,7 +60,7 @@ func TestHeldReplyRelaysBytes(t *testing.T) {
 	if _, err := AppendMessage(nil, HeldReply{}, 0); err == nil {
 		t.Error("a HeldReply holding nothing encoded")
 	}
-	if _, err := (HeldReply{}).Decode(); err == nil {
+	if _, err := (HeldReply{}).Decode(nil); err == nil {
 		t.Error("a HeldReply holding nothing decoded")
 	}
 	query, err := AppendMessage(nil, ServerQuery{QueryID: 1}, 0)
@@ -81,7 +84,7 @@ func TestHeldReplyDefersTableErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("header read refused a reply whose header is intact: %v", err)
 	}
-	if _, err := held.Decode(); !errors.Is(err, ErrPayloadMalformed) {
+	if _, err := held.Decode(nil); !errors.Is(err, ErrPayloadMalformed) {
 		t.Fatalf("decoding a table with a trailing byte: %v, want ErrPayloadMalformed", err)
 	}
 	if _, _, err := ReadHeldReply(payload[:payloadHeaderLen+3]); !errors.Is(err, ErrPayloadTruncated) {
@@ -96,7 +99,7 @@ func TestRelayAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	rep := recordedReply(t, 16)
+	rep, _ := recordedReply(t, 16)
 	payload, err := AppendMessage(nil, rep, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,59 +129,82 @@ func TestRelayAllocs(t *testing.T) {
 	}
 }
 
+// TestReplyEncodeAllocs pins the server's side of the contract: encoding a
+// fresh recorded reply — the prefix trees, their attach points and, bound
+// to its map, the out-arc ordinals — into a reused buffer allocates nothing,
+// for the 3×3 and the 16×16 reply in both path forms.
+func TestReplyEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, side := range []int{3, 16} {
+		rep, g := recordedReply(t, side)
+		for _, m := range []*roadnet.Graph{nil, g} {
+			rep.Map = m
+			buf, err := AppendMessage(nil, &rep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if buf, err = AppendMessage(buf[:0], &rep, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("encoding the %d×%d reply (bound %v) allocated %v times, want 0", side, side, m != nil, allocs)
+			}
+		}
+	}
+}
+
 // TestCellReadAllocs pins the cell reader's allocation contract: reading one
 // cell of a recorded 16×16 reply allocates only the returned path, and an
-// unreachable cell allocates nothing.
+// unreachable cell allocates nothing, in both path forms.
 func TestCellReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
-	rep := recordedReply(t, 16)
-	payload, err := AppendMessage(nil, rep, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held, _, err := ReadHeldReply(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found, lost := -1, -1
-	for c, p := range rep.Paths {
-		if p.Found && found < 0 {
-			found = c
-		}
-		if !p.Found && lost < 0 {
-			lost = c
-		}
-	}
+	rep, g := recordedReply(t, 16)
+	found := slices.IndexFunc(rep.Paths, func(p CandidatePath) bool { return p.Found })
 	if found < 0 {
 		t.Fatal("recorded reply has no reachable cell")
 	}
-	read := func(c int) func() {
-		reply := held.Reply()
-		return func() {
-			if _, err := reply.Cell(c/16, c%16); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	read(found)() // warm the scratch pool
-	if allocs := testing.AllocsPerRun(50, read(found)); allocs > 1 {
-		t.Errorf("reading a reachable cell allocated %v times, want 1 (the path)", allocs)
-	}
 	// The recorded map is connected; an unreachable cell is made by clearing
 	// a found bit and the cell's path, as a server would send it.
+	lost := slices.IndexFunc(rep.Paths, func(p CandidatePath) bool { return !p.Found })
 	if lost < 0 {
-		rep.Paths[found].Found, rep.Paths[found].Nodes = false, nil
-		if payload, err = AppendMessage(nil, rep, 0); err != nil {
-			t.Fatal(err)
+		lost = len(rep.Paths) - 1
+		if lost == found {
+			t.Fatal("recorded reply has one cell")
 		}
-		if held, _, err = ReadHeldReply(payload); err != nil {
-			t.Fatal(err)
-		}
-		lost = found
+		rep.Paths[lost].Found, rep.Paths[lost].Nodes = false, nil
 	}
-	if allocs := testing.AllocsPerRun(50, read(lost)); allocs > 0 {
-		t.Errorf("reading an unreachable cell allocated %v times, want 0", allocs)
+	for _, m := range []*roadnet.Graph{nil, g} {
+		rep.Map = m
+		payload, err := AppendMessage(nil, rep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, _, err := ReadHeldReply(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(c int) func() {
+			reply := held.Reply()
+			var cell [1]CandidatePath
+			at := [][2]int{{c / 16, c % 16}}
+			return func() {
+				if err := reply.ReadCells(m, cell[:], at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		read(found)() // warm the scratch pool
+		if allocs := testing.AllocsPerRun(50, read(found)); allocs > 1 {
+			t.Errorf("bound %v: reading a reachable cell allocated %v times, want 1 (the path)", m != nil, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, read(lost)); allocs > 0 {
+			t.Errorf("bound %v: reading an unreachable cell allocated %v times, want 0", m != nil, allocs)
+		}
 	}
 }

@@ -26,10 +26,12 @@ import (
 // values are computed lazily once per graph and cached; WithUpdatedWeights
 // (update.go) seeds the derived graph's cache from its parent's.
 
-// checksums is the cached pair (computed together in one CSR pass).
+// checksums is the cached pair (computed together in one CSR pass), with
+// the one other topology fact that pass yields.
 type checksums struct {
-	topo uint64 // FNV-1a over node count, per-node degree and head IDs
-	fold uint64 // XOR over arcWeightHash(i, cost bits) for every arc index i
+	topo   uint64 // FNV-1a over node count, per-node degree and head IDs
+	fold   uint64 // XOR over arcWeightHash(i, cost bits) for every arc index i
+	maxOut int    // the largest out-degree
 }
 
 // FNV-1a constants (hash/fnv), inlined so the per-arc weight term costs no
@@ -70,9 +72,10 @@ func computeChecksums(g *Graph) *checksums {
 	n := g.NumNodes()
 	put32(uint32(n))
 	fold := uint64(0)
-	idx := 0
+	idx, maxOut := 0, 0
 	for v := 0; v < n; v++ {
 		arcs := g.Arcs(NodeID(v))
+		maxOut = max(maxOut, len(arcs))
 		put32(uint32(len(arcs)))
 		for _, a := range arcs {
 			put32(uint32(a.To))
@@ -80,7 +83,7 @@ func computeChecksums(g *Graph) *checksums {
 			idx++
 		}
 	}
-	return &checksums{topo: h.Sum64(), fold: fold}
+	return &checksums{topo: h.Sum64(), fold: fold, maxOut: maxOut}
 }
 
 // ensureChecksums returns the graph's cached checksum pair, computing it on
@@ -105,6 +108,11 @@ func (g *Graph) ensureChecksums() *checksums {
 // updates. Two graphs with equal topology checksums (and equal node/arc
 // counts) have identical arc structure and differ at most in costs.
 func (g *Graph) TopologyChecksum() uint64 { return g.ensureChecksums().topo }
+
+// MaxOutDegree returns the largest number of arcs leaving one node. Like
+// the topology checksum it is invariant under weight updates, and it is
+// cached with it: the width of an index into any node's out-arcs.
+func (g *Graph) MaxOutDegree() int { return g.ensureChecksums().maxOut }
 
 // ContentChecksum returns a checksum of the graph's full content: the
 // topology checksum XOR-combined with a fold of every arc's cost bit

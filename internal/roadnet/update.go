@@ -111,6 +111,6 @@ func (g *Graph) WithUpdatedWeights(changes []ArcWeightChange) (*Graph, error) {
 		// revOnce deliberately fresh: the reverse CSR carries costs, so it is
 		// rebuilt lazily on first reverse traversal of the new graph.
 	}
-	out.csum.Store(&checksums{topo: parent.topo, fold: fold})
+	out.csum.Store(&checksums{topo: parent.topo, fold: fold, maxOut: parent.maxOut})
 	return out, nil
 }

@@ -96,6 +96,10 @@ func TestChecksumsSplitTopologyFromContent(t *testing.T) {
 	if g.TopologyChecksum() != g2.TopologyChecksum() {
 		t.Fatal("weight update moved the topology checksum")
 	}
+	// Node 2 leaves for 1 and twice for 3; the derived graph keeps the count.
+	if g.MaxOutDegree() != 3 || g2.MaxOutDegree() != 3 {
+		t.Fatalf("max out-degree %d, after a weight update %d; want 3", g.MaxOutDegree(), g2.MaxOutDegree())
+	}
 	if g.ContentChecksum() == g2.ContentChecksum() {
 		t.Fatal("weight update did not move the content checksum")
 	}

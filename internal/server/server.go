@@ -286,9 +286,23 @@ func (s *Server) Graph() *roadnet.Graph { return s.weights.Snapshot().Graph() }
 // The reply's candidate paths all sub-slice one node arena that belongs to
 // the reply alone: nothing the server retains (the query log copies its
 // endpoint sets, the tree cache keeps trees, not results) aliases it.
+//
+// A query that names a map (ServerQuery.Topology) is refused with
+// protocol.ErrTopologyMismatch unless it is this server's, and otherwise
+// answered with the server's map on the reply (ServerReply.Map), so that its
+// paths travel as out-arc ordinals the asker resolves on its own copy.
 func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) {
 	if len(q.Sources) == 0 || len(q.Dests) == 0 {
 		return protocol.ServerReply{}, fmt.Errorf("server: query %d has empty source or destination set", q.QueryID)
+	}
+	st := s.live.Load()
+	var bound *roadnet.Graph
+	if q.Topology != 0 {
+		bound = st.acc.Graph()
+		if sum := bound.TopologyChecksum(); sum != q.Topology {
+			return protocol.ServerReply{}, fmt.Errorf("server: query %d: %w: it names map %016x, this server holds %016x",
+				q.QueryID, protocol.ErrTopologyMismatch, q.Topology, sum)
+		}
 	}
 	id := q.QueryID
 	if id == 0 {
@@ -302,7 +316,6 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		})
 	}
 	start := time.Now()
-	st := s.live.Load()
 	res, err := s.route(st, q)
 	if err != nil {
 		s.mFailed.Add(1)
@@ -322,6 +335,7 @@ func (s *Server) Evaluate(q protocol.ServerQuery) (protocol.ServerReply, error) 
 		Generation:   st.ident.generation,
 		ContentSum:   st.ident.contentSum,
 		Degraded:     q.DistanceOnly,
+		Map:          bound,
 	}
 	s.stats.add(id, res.Stats)
 	return reply, nil

@@ -120,6 +120,40 @@ func TestEvaluateRejectsEmptySets(t *testing.T) {
 	}
 }
 
+// TestEvaluateBindsTopology: a query that names the server's map is answered
+// with the map on the reply — through every weight update, which leaves the
+// topology alone — one that names another map is refused with
+// protocol.ErrTopologyMismatch, alone and as one query of a batch, and one
+// that names none gets a reply without a map.
+func TestEvaluateBindsTopology(t *testing.T) {
+	g := testGraph(t)
+	srv := MustNew(g, DefaultConfig())
+	q := protocol.ServerQuery{QueryID: 1, Sources: []roadnet.NodeID{1, 2}, Dests: []roadnet.NodeID{3}, Topology: g.TopologyChecksum()}
+	reply, err := srv.Evaluate(q)
+	if err != nil || reply.Map != srv.Graph() {
+		t.Fatalf("query naming the server's map: map %p (err %v), want the served graph %p", reply.Map, err, srv.Graph())
+	}
+	a := g.Arcs(1)[0]
+	if _, err := srv.UpdateWeights([]roadnet.ArcWeightChange{{From: 1, To: a.To, NewCost: 2 * a.Cost}}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := srv.Evaluate(q); err != nil || reply.Map != srv.Graph() || reply.Map == g {
+		t.Fatalf("after a weight update: map %p (err %v), want the new snapshot's graph %p", reply.Map, err, srv.Graph())
+	}
+	if reply, err := srv.Evaluate(protocol.ServerQuery{QueryID: 2, Sources: q.Sources, Dests: q.Dests}); err != nil || reply.Map != nil {
+		t.Fatalf("query naming no map: map %p (err %v), want none", reply.Map, err)
+	}
+	other := q
+	other.Topology++
+	if _, err := srv.Evaluate(other); !errors.Is(err, protocol.ErrTopologyMismatch) {
+		t.Errorf("query naming another map: err = %v, want ErrTopologyMismatch", err)
+	}
+	results := srv.EvaluateBatch([]protocol.ServerQuery{q, other})
+	if results[0].Err != nil || !errors.Is(results[1].Err, protocol.ErrTopologyMismatch) {
+		t.Errorf("batch: errs %v, %v; want nil, ErrTopologyMismatch", results[0].Err, results[1].Err)
+	}
+}
+
 func TestQueryLogAndStats(t *testing.T) {
 	g := testGraph(t)
 	srv := MustNew(g, DefaultConfig())
